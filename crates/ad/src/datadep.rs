@@ -11,8 +11,8 @@
 //!   parallel, identical bits either way). A node is *live* when some
 //!   chain of recorded edges connects it to the output, regardless of
 //!   whether the partial derivatives along the chain multiply to zero.
-//! * **def-use bits** — one forward pass over the segments marking every
-//!   node that is *used* (appears as a parent of a later node). A leaf
+//! * **def-use bits** — every node that is *used* (appears as a parent of
+//!   a later node), marked segment by segment on the same walk. A leaf
 //!   that is never used can only be live if it *is* the output; the
 //!   def-use pass makes that invariant checkable and gives the analyzer
 //!   its "was this definition ever consumed?" vocabulary over
@@ -30,10 +30,8 @@
 //! cancellation) catalogued by Hückelheim et al.; `core::analysis`
 //! classifies those as typed disagreements.
 
-use crate::error::AdError;
 use crate::replay::ReplayCtx;
-use crate::segment::{Dir, NONE};
-use crate::sweep::{self, SweepConfig, SweepStats};
+use crate::sweep::{SweepStats, Walked};
 use crate::tape::Tape;
 
 /// Result of a static data-dependency analysis of one tape.
@@ -68,6 +66,19 @@ pub struct Witness {
 }
 
 impl DataDep {
+    /// Package the liveness (reach kernel) and def-use bits a walk seeded
+    /// at `seed` computed.
+    pub(crate) fn from_walk(walked: Walked, seed: Option<u64>) -> DataDep {
+        let (live, stats) = walked.reach.expect("reach kernel was requested");
+        let used = walked.used.expect("def-use kernel was requested");
+        DataDep {
+            live,
+            used,
+            seed,
+            stats,
+        }
+    }
+
     /// True when a data-flow path connects node `idx` to the output.
     pub fn live(&self, idx: u64) -> bool {
         self.live[idx as usize]
@@ -153,7 +164,7 @@ impl DataDep {
                 debug_assert!(j <= seed, "live non-output node with no live consumer");
                 let s = (j >> shift) as usize;
                 if s != cur_s {
-                    seg_view = Some(store.view(s, Dir::Fwd, &ctx).ok()?);
+                    seg_view = Some(store.view(s, &ctx).ok()?);
                     cur_s = s;
                 }
                 let seg = seg_view.as_ref().expect("view cached for this segment");
@@ -172,62 +183,6 @@ impl DataDep {
         }
         Some(Witness { nodes, hops })
     }
-}
-
-/// Run the analysis: structural liveness from `seed` (via the shared
-/// serial/parallel bitset sweep) plus the forward def-use pass. Both
-/// passes fetch segments through the replay context, so on a checkpointed
-/// tape the whole analysis stays within the residency budget.
-pub(crate) fn analyze(
-    tape: &Tape,
-    seed: Option<u64>,
-    cfg: SweepConfig,
-    ctx: &ReplayCtx<'_>,
-) -> Result<DataDep, AdError> {
-    let (live, stats) = match seed {
-        Some(out) => sweep::reachable_auto(tape, out, cfg, ctx)?,
-        None => {
-            // Same contract as the value sweep: a poisoned tape is an
-            // error even when the output folded to a constant.
-            if tape.overflowed() {
-                return Err(AdError::TapeOverflow {
-                    limit: tape.node_limit(),
-                });
-            }
-            (vec![false; tape.len()], sweep::constant_stats())
-        }
-    };
-    let used = used_bits(tape, ctx)?;
-    // The def-use pass may have replayed more segments after the sweep's
-    // stats were finalized; re-read the totals so the report sees both.
-    let mut stats = stats;
-    stats.replayed_segments = ctx.replayed_count();
-    stats.peak_resident_bytes = tape.store().peak_resident_bytes();
-    Ok(DataDep {
-        live,
-        used,
-        seed,
-        stats,
-    })
-}
-
-/// One forward pass over the segments: mark every node that appears as a
-/// parent of a later node. Walks forward-oriented replay windows on a
-/// checkpointed tape.
-fn used_bits(tape: &Tape, ctx: &ReplayCtx<'_>) -> Result<Vec<bool>, AdError> {
-    let store = tape.store();
-    let mut used = vec![false; tape.len()];
-    for s in 0..store.seg_count() {
-        let seg = store.view(s, Dir::Fwd, ctx)?;
-        for off in 0..seg.len() {
-            for p in [seg.p1[off], seg.p2[off]] {
-                if p != NONE {
-                    used[p as usize] = true;
-                }
-            }
-        }
-    }
-    Ok(used)
 }
 
 #[cfg(test)]

@@ -48,9 +48,11 @@
 //!   keep at most `ncheckpoints` segments resident (0 = auto ≈
 //!   log2(segments)), evict the rest to digests during recording, and
 //!   re-record them on demand through a deterministic [`TapeReplay`]
-//!   closure during the sweeps — `O(ncheckpoints · segment)` peak tape
+//!   during the sweeps — `O(ncheckpoints · segment)` peak tape
 //!   residency instead of `O(n)`, digest-verified bit-identical to the
-//!   unbounded sweep.
+//!   unbounded sweep. A computation with step boundaries ([`Resume`]) is
+//!   recorded through a [`Ladder`], whose snapshots let each window be
+//!   re-recorded from the nearest boundary instead of the program start.
 //!
 //! ## Example: the paper's Figure 1 workflow
 //!
@@ -87,10 +89,10 @@ pub use datadep::{DataDep, Witness};
 pub use dual::Dual;
 pub use error::AdError;
 pub use real::Real;
-pub use replay::TapeReplay;
+pub use replay::{Ladder, Resume, TapeReplay};
 pub use segment::{TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN, NODE_BYTES};
 pub use sweep::{Gradient, SweepConfig, SweepStats};
-pub use tape::{Tape, TapeConfig, TapeSession, TapeStats};
+pub use tape::{Kernel, SweepRequest, Swept, Tape, TapeConfig, TapeSession, TapeStats};
 
 /// Convenience: run `f` while a fresh tape records, then return the result
 /// together with the finished tape.

@@ -19,13 +19,16 @@
 //! **eviction**: under a [`TapeCheckpointConfig`] the store keeps at most
 //! `ncheckpoints` segments resident, replacing older ones with a
 //! `(len, digest)` summary. Evicted segments are *re-recorded* on demand
-//! by replaying the registered deterministic closure
+//! by replaying the registered deterministic computation
 //! ([`crate::replay::TapeReplay`]) and verified bit-exactly against the
 //! stored digest — Siskind & Pearlmutter's divide-and-conquer
-//! checkpointing applied to the tape itself.
+//! checkpointing applied to the tape itself. When the recording was
+//! driven by a [`crate::replay::Ladder`] whose snapshots are small enough
+//! to repay it, the same budget also holds them: segments keep `⌈n/2⌉`
+//! slots and the ladder the bytes of the other `⌊n/2⌋`.
 
 use crate::error::AdError;
-use crate::replay::{self, ReplayCtx};
+use crate::replay::{self, ReplayCtx, ReplaySink};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -146,37 +149,38 @@ impl Segment {
     }
 }
 
-/// FNV-1a over the segment's columns (`f64` partials via `to_bits`), the
-/// bit-exactness witness an evicted segment leaves behind. Re-recorded
-/// segments must reproduce it exactly or the sweep fails with
+/// An order-sensitive multiply-rotate fold over the segment's length and
+/// columns (`f64` partials via `to_bits`), one `u64` word per multiply —
+/// the bit-exactness witness an evicted segment leaves behind. It lives
+/// only in memory, next to the slot it summarizes. Re-recorded segments
+/// must reproduce it exactly or the sweep fails with
 /// [`AdError::ReplayDivergence`].
 pub(crate) fn segment_digest(seg: &Segment) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(seg.len() as u64);
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const MUL: u64 = 0x517c_c1b7_2722_0a95;
+    // The rotation carries high bits back down, so no bit position is a
+    // blind spot that two flips could cancel in.
+    let eat = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(MUL);
+    let mut h = eat(SEED, seg.len() as u64);
     for off in 0..seg.len() {
-        eat(seg.p1[off]);
-        eat(seg.p2[off]);
-        eat(seg.d1[off].to_bits());
-        eat(seg.d2[off].to_bits());
+        h = eat(h, seg.p1[off]);
+        h = eat(h, seg.p2[off]);
+        h = eat(h, seg.d1[off].to_bits());
+        h = eat(h, seg.d2[off].to_bits());
     }
     h
 }
 
-/// Resident-byte accounting shared by every segment guard of one store:
-/// guards `acquire` on allocation and `release` on drop, so `resident`
-/// tracks live arena memory exactly and `peak` its high-water mark — the
-/// measurable form of the bounded-memory claim.
+/// Resident-byte accounting shared by everything one store's budget
+/// covers — segment arenas and ladder snapshots alike: a [`Charge`] is
+/// taken on allocation and returned on drop, so `resident` tracks live
+/// memory exactly and `peak` its high-water mark — the measurable form of
+/// the bounded-memory claim.
 pub(crate) struct MemCounters {
     resident: AtomicUsize,
     peak: AtomicUsize,
+    /// Segment arenas allocated so far (recycled ones count once).
+    arenas: AtomicUsize,
 }
 
 impl MemCounters {
@@ -184,39 +188,78 @@ impl MemCounters {
         MemCounters {
             resident: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            arenas: AtomicUsize::new(0),
         }
     }
 
-    fn acquire(&self, bytes: usize) {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
     }
 
-    fn release(&self, bytes: usize) {
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
+    #[cfg(test)]
+    pub(crate) fn arenas(&self) -> usize {
+        self.arenas.load(Ordering::Relaxed)
     }
 }
 
-/// A resident segment plus its accounting: allocation is charged on
-/// construction and credited back when the last reference drops, so
-/// eviction frees (and un-counts) memory exactly when the data dies, even
-/// if a sweep still pins the segment briefly.
-pub(crate) struct SegGuard {
-    seg: Segment,
+/// `bytes` of residency held against a store's [`MemCounters`] until drop.
+pub(crate) struct Charge {
     bytes: usize,
     mem: Arc<MemCounters>,
 }
 
-impl SegGuard {
-    fn new(seg: Segment, bytes: usize, mem: Arc<MemCounters>) -> SegGuard {
-        mem.acquire(bytes);
-        SegGuard { seg, bytes, mem }
+impl Charge {
+    pub(crate) fn new(bytes: usize, mem: Arc<MemCounters>) -> Charge {
+        let now = mem.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        mem.peak.fetch_max(now, Ordering::Relaxed);
+        Charge { bytes, mem }
+    }
+
+    /// [`Charge::new`], unless it would lift the resident bytes past
+    /// `limit`.
+    pub(crate) fn within(bytes: usize, mem: Arc<MemCounters>, limit: usize) -> Option<Charge> {
+        let fits = mem.resident.load(Ordering::Relaxed) + bytes <= limit;
+        fits.then(|| Charge::new(bytes, mem))
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
-impl Drop for SegGuard {
+impl Drop for Charge {
     fn drop(&mut self) {
-        self.mem.release(self.bytes);
+        self.mem.resident.fetch_sub(self.bytes, Ordering::Relaxed);
+    }
+}
+
+/// A segment arena plus its accounting: allocation is charged on
+/// construction and credited back when the last reference drops, so
+/// eviction frees (and un-counts) memory exactly when the data dies, even
+/// if a sweep still pins the segment briefly. A demoted arena that is
+/// handed to the next replay window keeps its charge — it never left
+/// memory.
+pub(crate) struct SegGuard {
+    seg: Segment,
+    _charge: Charge,
+}
+
+impl SegGuard {
+    fn new(seg_len: usize, mem: Arc<MemCounters>) -> SegGuard {
+        mem.arenas.fetch_add(1, Ordering::Relaxed);
+        SegGuard {
+            seg: Segment::with_capacity(seg_len),
+            _charge: Charge::new(seg_len * NODE_BYTES, mem),
+        }
+    }
+
+    /// Empty the columns, keeping their capacity for the next occupant.
+    fn clear(&mut self) {
+        self.seg.p1.clear();
+        self.seg.p2.clear();
+        self.seg.d1.clear();
+        self.seg.d2.clear();
     }
 }
 
@@ -234,31 +277,72 @@ impl std::ops::DerefMut for SegGuard {
 }
 
 /// One sealed segment slot: either the data itself or the summary an
-/// eviction left behind.
+/// eviction left behind. A resident segment that was re-recorded (and so
+/// verified against its digest) carries that digest along, which makes
+/// demoting it again O(1).
 enum SlotState {
-    Resident(Arc<SegGuard>),
-    Evicted { len: usize, digest: u64 },
+    Resident {
+        seg: Arc<SegGuard>,
+        digest: Option<u64>,
+    },
+    Evicted {
+        len: usize,
+        digest: u64,
+    },
 }
 
 impl SlotState {
     fn len(&self) -> usize {
         match self {
-            SlotState::Resident(seg) => seg.len(),
+            SlotState::Resident { seg, .. } => seg.len(),
             SlotState::Evicted { len, .. } => *len,
+        }
+    }
+
+    fn is_evicted(&self) -> bool {
+        matches!(self, SlotState::Evicted { .. })
+    }
+
+    /// Replace a resident, unpinned segment by its summary and return the
+    /// arena; `None` (and no change) when evicted already or still pinned
+    /// by a sweep.
+    fn demote(&mut self) -> Option<SegGuard> {
+        let SlotState::Resident { seg, digest } = self else {
+            return None;
+        };
+        if Arc::strong_count(seg) != 1 {
+            return None;
+        }
+        let summary = SlotState::Evicted {
+            len: seg.len(),
+            digest: digest.unwrap_or_else(|| segment_digest(seg)),
+        };
+        match std::mem::replace(self, summary) {
+            SlotState::Resident { seg, .. } => Arc::into_inner(seg),
+            SlotState::Evicted { .. } => unreachable!("matched resident above"),
         }
     }
 }
 
-/// Which way a sweep walks the tape; evicted segments are re-recorded in
-/// windows oriented along the walk so each window is replayed once.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Dir {
-    /// Reverse sweeps (value/structural): window ends at the requested
-    /// segment.
-    Rev,
-    /// Forward passes (def-use bits, witness scans): window starts at the
-    /// requested segment.
-    Fwd,
+/// The sealed segments plus the arenas demotion freed up for reuse, behind
+/// one lock.
+struct Slots {
+    table: Vec<SlotState>,
+    /// Cleared arenas (still charged) waiting for the next open segment or
+    /// replay window, so a recording or a sweep allocates O(budget) arenas
+    /// rather than one per segment.
+    spare: Vec<SegGuard>,
+}
+
+impl Slots {
+    /// Keep `arena` for reuse if fewer than `keep` are waiting; free it
+    /// otherwise.
+    fn recycle(&mut self, mut arena: SegGuard, keep: usize) {
+        if self.spare.len() < keep {
+            arena.clear();
+            self.spare.push(arena);
+        }
+    }
 }
 
 /// The segmented node store: an append-only sequence of segments.
@@ -267,7 +351,7 @@ pub(crate) enum Dir {
 /// `&self`) can demote and re-materialize them; the *open* segment is a
 /// plain field, keeping the record hot path lock-free.
 pub(crate) struct SegmentStore {
-    slots: Mutex<Vec<SlotState>>,
+    slots: Mutex<Slots>,
     open: Option<SegGuard>,
     /// log2 of the segment length.
     shift: u32,
@@ -281,6 +365,10 @@ pub(crate) struct SegmentStore {
     overflowed: bool,
     /// Bounded-residency policy; `None` keeps every segment resident.
     ckpt: Option<TapeCheckpointConfig>,
+    /// Bytes of one snapshot of the [`crate::replay::Ladder`] recording on
+    /// this store (`0`: none) — what decides whether snapshots share the
+    /// budget, see [`SegmentStore::budget_split`].
+    snapshot_bytes: usize,
     mem: Arc<MemCounters>,
     /// Segments re-recorded over this store's lifetime.
     replayed: AtomicU64,
@@ -299,7 +387,10 @@ impl SegmentStore {
     ) -> SegmentStore {
         let seg_len = rounded_segment_len(segment_len);
         SegmentStore {
-            slots: Mutex::new(Vec::with_capacity(capacity.div_ceil(seg_len))),
+            slots: Mutex::new(Slots {
+                table: Vec::with_capacity(capacity.div_ceil(seg_len)),
+                spare: Vec::new(),
+            }),
             open: None,
             shift: seg_len.trailing_zeros(),
             mask: (seg_len - 1) as u64,
@@ -307,6 +398,7 @@ impl SegmentStore {
             limit: limit.min(NONE - 1),
             overflowed: false,
             ckpt,
+            snapshot_bytes: 0,
             mem: Arc::new(MemCounters::new()),
             replayed: AtomicU64::new(0),
         }
@@ -342,6 +434,12 @@ impl SegmentStore {
         self.overflowed
     }
 
+    fn slots(&self) -> std::sync::MutexGuard<'_, Slots> {
+        self.slots
+            .lock()
+            .expect("a sweep panicked while holding the segment table")
+    }
+
     /// The bounded-residency policy, if any.
     pub(crate) fn checkpoint(&self) -> Option<TapeCheckpointConfig> {
         self.ckpt
@@ -349,14 +447,14 @@ impl SegmentStore {
 
     /// Total segments ever opened (resident, evicted, and the open one).
     pub(crate) fn seg_count(&self) -> usize {
-        self.slots.lock().unwrap().len() + usize::from(self.open.is_some())
+        self.slots().table.len() + usize::from(self.open.is_some())
     }
 
     /// Nodes recorded into segment `s` (known even when evicted).
     pub(crate) fn seg_nodes(&self, s: usize) -> usize {
-        let slots = self.slots.lock().unwrap();
-        if s < slots.len() {
-            slots[s].len()
+        let slots = self.slots();
+        if s < slots.table.len() {
+            slots.table[s].len()
         } else {
             self.open.as_ref().map_or(0, |seg| seg.len())
         }
@@ -364,12 +462,7 @@ impl SegmentStore {
 
     /// Segments currently evicted to summaries.
     pub(crate) fn evicted_count(&self) -> usize {
-        self.slots
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|s| matches!(s, SlotState::Evicted { .. }))
-            .count()
+        self.slots().table.iter().filter(|s| s.is_evicted()).count()
     }
 
     /// Segments re-recorded over this store's lifetime.
@@ -383,7 +476,8 @@ impl SegmentStore {
         self.seg_count() * self.seg_bytes()
     }
 
-    /// Arena bytes currently resident (evicted segments excluded).
+    /// Bytes currently resident: arenas (evicted segments excluded) plus
+    /// any ladder snapshots charged to this store.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.mem.resident.load(Ordering::Relaxed)
     }
@@ -395,6 +489,44 @@ impl SegmentStore {
 
     fn seg_bytes(&self) -> usize {
         self.segment_len() * NODE_BYTES
+    }
+
+    /// The counters everything in this store's budget is charged to.
+    #[cfg(test)]
+    pub(crate) fn mem(&self) -> &Arc<MemCounters> {
+        &self.mem
+    }
+
+    /// A [`crate::replay::Ladder`] records on this store and would keep
+    /// snapshots of `bytes` each in its residency budget; hands out the
+    /// counters they are charged to.
+    pub(crate) fn reserve_snapshots(&mut self, bytes: usize) -> Arc<MemCounters> {
+        self.snapshot_bytes = bytes;
+        self.mem.clone()
+    }
+
+    /// The split of the `ncheckpoints` budget for a tape of `total`
+    /// segments: `(segment slots, snapshot bytes)`. Snapshots get the
+    /// bytes of `⌊n/2⌋` segments when that holds three of them — the run
+    /// a replay advances plus two rungs, the least that repays halving
+    /// the window; otherwise the segments have all of it.
+    fn budget_split(&self, total: usize) -> (usize, usize) {
+        let n = self.ckpt.map_or(1, |c| c.resolved(total)).max(1);
+        let share = n / 2 * self.seg_bytes();
+        if self.snapshot_bytes > 0 && 3 * self.snapshot_bytes <= share {
+            (n - n / 2, share)
+        } else {
+            (n, 0)
+        }
+    }
+
+    /// `(snapshot bytes, whole budget in bytes)` as the policy resolves
+    /// them right now (under the auto policy both grow with the
+    /// recording).
+    pub(crate) fn ladder_room(&self) -> (usize, usize) {
+        let total = self.seg_count();
+        let n = self.ckpt.map_or(1, |c| c.resolved(total)).max(1);
+        (self.budget_split(total).1, n * self.seg_bytes())
     }
 
     /// Append a node; returns its id, or [`NONE`] if the budget is
@@ -410,11 +542,14 @@ impl SegmentStore {
         if (idx & self.mask) == 0 {
             // One residency slot is reserved for the segment about to open.
             self.seal_open_with(1);
-            self.open = Some(SegGuard::new(
-                Segment::with_capacity(self.segment_len()),
-                self.seg_bytes(),
-                self.mem.clone(),
-            ));
+            let spare = self
+                .slots
+                .get_mut()
+                .expect("segment table poisoned")
+                .spare
+                .pop();
+            self.open =
+                Some(spare.unwrap_or_else(|| SegGuard::new(self.segment_len(), self.mem.clone())));
         }
         let seg = self
             .open
@@ -437,118 +572,115 @@ impl SegmentStore {
     }
 
     /// Seal with `reserve` residency slots held back (recording reserves
-    /// one for the next open segment).
+    /// one for the next open segment, which takes over an evicted arena).
     fn seal_open_with(&mut self, reserve: usize) {
+        // Sealed segments may keep `slots - reserve` residency slots; with
+        // one slot and a reservation, that is zero — the open segment
+        // alone is the whole budget.
+        let total = self.seg_count();
+        let allowed = self.budget_split(total).0.saturating_sub(reserve);
         let Some(open) = self.open.take() else {
             return;
         };
-        let slots = self.slots.get_mut().unwrap();
-        slots.push(SlotState::Resident(Arc::new(open)));
-        let Some(cfg) = self.ckpt else {
+        let slots = self.slots.get_mut().expect("segment table poisoned");
+        slots.table.push(SlotState::Resident {
+            seg: Arc::new(open),
+            digest: None,
+        });
+        if self.ckpt.is_none() {
             return;
-        };
-        let total = slots.len();
-        // Sealed segments may keep `resolved - reserve` residency slots;
-        // with `ncheckpoints = 1` and a reservation, that is zero — the
-        // open segment alone is the whole budget.
-        let allowed = cfg.resolved(total).max(1).saturating_sub(reserve);
-        let mut resident = slots
-            .iter()
-            .filter(|s| matches!(s, SlotState::Resident(_)))
-            .count();
-        for slot in slots.iter_mut() {
+        }
+        let mut resident = slots.table.iter().filter(|s| !s.is_evicted()).count();
+        for i in 0..total {
             if resident <= allowed {
                 break;
             }
-            if let SlotState::Resident(seg) = slot {
-                let summary = SlotState::Evicted {
-                    len: seg.len(),
-                    digest: segment_digest(seg),
-                };
-                *slot = summary;
+            if let Some(arena) = slots.table[i].demote() {
                 resident -= 1;
+                slots.recycle(arena, reserve);
             }
         }
     }
 
-    /// A view of segment `s` for a sweep walking in direction `dir`:
-    /// resident segments are returned directly; evicted ones are
-    /// re-recorded (a contiguous window of up to `ncheckpoints` segments
-    /// at a time, after demoting unpinned resident segments so the byte
-    /// budget holds) via the replayer in `ctx`, with each re-recorded
-    /// segment verified against its stored digest.
-    pub(crate) fn view(
-        &self,
-        s: usize,
-        dir: Dir,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<Arc<SegGuard>, AdError> {
-        let mut slots = self.slots.lock().unwrap();
-        assert!(s < slots.len(), "segment {s} is not sealed");
-        if let SlotState::Resident(seg) = &slots[s] {
+    /// A view of segment `s` for a reverse walk: resident segments are
+    /// returned directly; evicted ones are re-recorded (a contiguous
+    /// window of segments ending at `s`, as many as the budget has slots
+    /// for, after demoting unpinned resident segments so the byte budget
+    /// holds) via the replayer in `ctx`, into the arenas the demotion just
+    /// freed, with each re-recorded segment verified against its stored
+    /// digest.
+    pub(crate) fn view(&self, s: usize, ctx: &ReplayCtx<'_>) -> Result<Arc<SegGuard>, AdError> {
+        let mut guard = self.slots();
+        let slots = &mut *guard;
+        assert!(s < slots.table.len(), "segment {s} is not sealed");
+        if let SlotState::Resident { seg, .. } = &slots.table[s] {
             return Ok(seg.clone());
         }
         let Some(replayer) = ctx.replayer else {
             return Err(AdError::SegmentEvicted { segment: s as u64 });
         };
-        let total = slots.len();
-        let budget = self.ckpt.map_or(1, |c| c.resolved(total)).max(1);
-        // The maximal contiguous evicted run around `s`, clipped to the
-        // residency budget along the walk direction.
-        let mut lo = s;
-        while lo > 0 && matches!(slots[lo - 1], SlotState::Evicted { .. }) {
-            lo -= 1;
+        let budget = self.budget_split(slots.table.len()).0;
+        // The contiguous evicted run ending at `s`, clipped to the budget.
+        let mut w0 = s;
+        while w0 > 0 && s - w0 + 1 < budget && slots.table[w0 - 1].is_evicted() {
+            w0 -= 1;
         }
-        let mut hi = s;
-        while hi + 1 < total && matches!(slots[hi + 1], SlotState::Evicted { .. }) {
-            hi += 1;
-        }
-        let (w0, w1) = match dir {
-            Dir::Rev => (lo.max(s + 1 - budget.min(s + 1)), s),
-            Dir::Fwd => (s, hi.min(s + budget - 1)),
-        };
+        let window = s - w0 + 1;
         // Demote everything resident outside the window (unless a caller
         // still pins it) so materializing the window keeps residency at or
-        // under the budget.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if (w0..=w1).contains(&i) {
-                continue;
-            }
-            if let SlotState::Resident(seg) = slot {
-                if Arc::strong_count(seg) == 1 {
-                    let summary = SlotState::Evicted {
-                        len: seg.len(),
-                        digest: segment_digest(seg),
-                    };
-                    *slot = summary;
-                }
+        // under the budget; the window takes over the freed arenas.
+        for i in (0..slots.table.len()).filter(|i| !(w0..=s).contains(i)) {
+            if let Some(arena) = slots.table[i].demote() {
+                slots.recycle(arena, window);
             }
         }
-        let window = w1 - w0 + 1;
-        let span = scrutiny_obs::span!(
-            ctx.rec,
+        let arenas = (0..window)
+            .map(|_| {
+                let spare = slots.spare.pop();
+                spare.unwrap_or_else(|| SegGuard::new(self.segment_len(), self.mem.clone()))
+            })
+            .collect();
+        let first = (w0 as u64) << self.shift;
+        let end = (((s + 1) as u64) << self.shift).min(self.len);
+        let t0 = ctx.rec.now_us();
+        let done = replay::rerecord(
+            replayer,
+            ReplaySink::new(self.shift, w0, arenas),
+            first..end,
+        )?;
+        let replayed_nodes = done.pos - done.from;
+        ctx.rec.closed_span(
             "ad.replay",
-            segment = s,
-            window_start = w0,
-            window_len = window
+            t0,
+            &[
+                ("segment", s.into()),
+                ("window_start", w0.into()),
+                ("window_len", window.into()),
+                ("resume_node", done.from.into()),
+                ("replayed_nodes", replayed_nodes.into()),
+            ],
         );
-        let (segs, replayed_len) =
-            replay::rerecord(replayer, self.shift, w0, window, self.segment_len());
-        drop(span);
-        if replayed_len != self.len {
+        // A replay that ran to the program's end must have produced the
+        // whole tape; one that stopped at a step boundary, the window.
+        let expected = if done.ended {
+            self.len
+        } else {
+            done.pos.max(end)
+        };
+        if done.pos != expected {
             return Err(AdError::ReplayDivergence {
                 segment: u64::MAX,
-                expected: self.len,
-                actual: replayed_len,
+                expected,
+                actual: done.pos,
             });
         }
-        for (i, seg) in segs.into_iter().enumerate() {
+        for (i, seg) in done.segs.into_iter().enumerate() {
             let idx = w0 + i;
-            let (len, digest) = match slots[idx] {
+            let (len, digest) = match slots.table[idx] {
                 SlotState::Evicted { len, digest } => (len, digest),
                 // A resident slot inside the window cannot occur: the
                 // window is a sub-range of the contiguous evicted run.
-                SlotState::Resident(_) => unreachable!("window slot {idx} is resident"),
+                SlotState::Resident { .. } => unreachable!("window slot {idx} is resident"),
             };
             if seg.len() != len {
                 return Err(AdError::ReplayDivergence {
@@ -565,16 +697,15 @@ impl SegmentStore {
                     actual,
                 });
             }
-            slots[idx] = SlotState::Resident(Arc::new(SegGuard::new(
-                seg,
-                self.seg_bytes(),
-                self.mem.clone(),
-            )));
+            slots.table[idx] = SlotState::Resident {
+                seg: Arc::new(seg),
+                digest: Some(digest),
+            };
         }
         self.replayed.fetch_add(window as u64, Ordering::Relaxed);
-        ctx.replayed.fetch_add(window as u64, Ordering::Relaxed);
-        match &slots[s] {
-            SlotState::Resident(seg) => Ok(seg.clone()),
+        ctx.count_replay(window as u64, replayed_nodes);
+        match &slots.table[s] {
+            SlotState::Resident { seg, .. } => Ok(seg.clone()),
             SlotState::Evicted { .. } => unreachable!("segment {s} was just re-recorded"),
         }
     }
@@ -605,7 +736,7 @@ mod tests {
         // Column capacity is exact: no segment ever reallocates.
         let ctx = ReplayCtx::none();
         for seg in 0..3 {
-            let view = s.view(seg, Dir::Fwd, &ctx).unwrap();
+            let view = s.view(seg, &ctx).unwrap();
             assert_eq!(view.d2.capacity(), 8);
         }
         assert_eq!(s.total_bytes(), 3 * 8 * NODE_BYTES);
@@ -664,17 +795,38 @@ mod tests {
 
     #[test]
     fn digest_is_content_sensitive() {
-        let mut a = Segment::with_capacity(8);
-        let mut b = Segment::with_capacity(8);
-        for seg in [&mut a, &mut b] {
-            seg.p1.push(3);
-            seg.p2.push(NONE);
-            seg.d1.push(1.5);
-            seg.d2.push(0.0);
-        }
-        assert_eq!(segment_digest(&a), segment_digest(&b));
+        let node = |seg: &mut Segment, p1: u64, p2: u64, d1: f64, d2: f64| {
+            seg.p1.push(p1);
+            seg.p2.push(p2);
+            seg.d1.push(d1);
+            seg.d2.push(d2);
+        };
+        let build = |nodes: &[(u64, u64, f64, f64)]| {
+            let mut seg = Segment::with_capacity(8);
+            for &(p1, p2, d1, d2) in nodes {
+                node(&mut seg, p1, p2, d1, d2);
+            }
+            seg
+        };
+        let base = [(3, NONE, 1.5, 0.0), (0, 1, -2.0, 4.0)];
+        let a = build(&base);
+        assert_eq!(segment_digest(&a), segment_digest(&build(&base)));
+        // One bit of one partial.
+        let mut b = build(&base);
         b.d1[0] = 1.5000000001;
         assert_ne!(segment_digest(&a), segment_digest(&b));
+        // A node's two (parent, partial) columns swapped.
+        let swapped = build(&[base[0], (1, 0, 4.0, -2.0)]);
+        assert_ne!(segment_digest(&a), segment_digest(&swapped));
+        // A length change: a trailing all-zero-bits node, and a lost node.
+        let longer = build(&[base[0], base[1], (0, 0, 0.0, 0.0)]);
+        assert_ne!(segment_digest(&a), segment_digest(&longer));
+        assert_ne!(segment_digest(&a), segment_digest(&build(&base[..1])));
+        // Two sign flips (top bit of two words) do not cancel.
+        let mut c = build(&base);
+        c.d1[0] = -c.d1[0];
+        c.d1[1] = -c.d1[1];
+        assert_ne!(segment_digest(&a), segment_digest(&c));
     }
 
     #[test]
@@ -686,7 +838,7 @@ mod tests {
         }
         s.seal_open();
         let ctx = ReplayCtx::none();
-        match s.view(0, Dir::Rev, &ctx) {
+        match s.view(0, &ctx) {
             Err(e) => assert_eq!(e, AdError::SegmentEvicted { segment: 0 }),
             Ok(_) => panic!("view of an evicted segment without a replayer succeeded"),
         }

@@ -23,14 +23,18 @@
 //! order, and the worker owning `t` replays its queue FIFO — so slot `k`'s
 //! additions happen in serial order even though *different* slots merge
 //! concurrently. That schedule lives in one place — the private
-//! `run_frontier_sweep` — shared by both sweeps; a private `SweepKernel`
-//! supplies the per-segment math. The property suite (`crates/ad/tests/segmented.rs`) checks
-//! `to_bits`-equality on random tapes; the root
+//! `walk_parallel`. The property suite (`crates/ad/tests/segmented.rs`)
+//! checks `to_bits`-equality on random tapes; the root
 //! `tests/sweep_equivalence.rs` checks it on real NPB recordings.
 //!
-//! Structural reachability uses the same schedule with per-segment
-//! **bitsets**: reachability is a monotone OR, so its merge order could
-//! not matter — the deterministic schedule is shared anyway.
+//! **One walk, several kernels.** A walk feeds every requested kernel from
+//! each segment it fetches: the value kernel, the structural reachability
+//! kernel (per-segment **bitsets** under the same schedule; a monotone OR,
+//! so its merge order could not matter anyway) and the data-dependency
+//! analyzer's def-use bits. The kernels keep separate accumulators and
+//! separate frontier buffers, so each one's result is bit-identical to a
+//! walk of its own — and on a checkpointed tape every evicted window is
+//! re-recorded once per walk instead of once per kernel.
 //!
 //! **Bounded memory.** Under a [`crate::TapeCheckpointConfig`] the sweep
 //! thread fetches each segment through [`crate::segment`]'s windowed
@@ -44,7 +48,7 @@
 
 use crate::error::AdError;
 use crate::replay::ReplayCtx;
-use crate::segment::{Dir, Segment, NONE};
+use crate::segment::{Segment, NONE};
 use crate::tape::Tape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -94,9 +98,15 @@ pub struct SweepStats {
     pub cross_contribs: u64,
     /// True when the frontier-merge workers ran.
     pub parallel: bool,
-    /// Segments re-recorded by replay during this sweep; `0` when every
-    /// segment was resident.
+    /// Segments re-recorded by replay during the walk this sweep was part
+    /// of; `0` when every segment was resident. Kernels fused into one
+    /// walk ([`crate::Tape::sweep`] with a replayer) all report that
+    /// walk's count.
     pub replayed_segments: u64,
+    /// Nodes the replayer re-ran to re-record those segments (counted
+    /// from the point each replay resumed at, materialized or not) — the
+    /// replay *work*, against the tape's recorded node count.
+    pub replayed_nodes: u64,
     /// High-water mark of resident tape-arena bytes over the tape's
     /// lifetime so far (recording included). Under a
     /// [`crate::TapeCheckpointConfig`] this is the measurable
@@ -129,15 +139,18 @@ impl SweepStats {
             self.replayed_segments as i64,
         );
         rec.set_gauge(
+            &format!("ad.sweep.{which}.replayed_nodes"),
+            self.replayed_nodes as i64,
+        );
+        rec.set_gauge(
             &format!("ad.sweep.{which}.peak_resident_bytes"),
             self.peak_resident_bytes as i64,
         );
     }
 
     /// Reconstructs the stats of the most recent `which` sweep from a
-    /// snapshot — the inverse of [`SweepStats::emit`], and the view the
-    /// analysis report now reads instead of plumbing the struct through
-    /// every layer by hand. `None` when no such sweep was recorded.
+    /// snapshot — the inverse of [`SweepStats::emit`]. `None` when no such
+    /// sweep was recorded.
     pub fn from_snapshot(snap: &scrutiny_obs::Snapshot, which: &str) -> Option<SweepStats> {
         Some(SweepStats {
             segments: snap.gauge(&format!("ad.sweep.{which}.segments"))? as usize,
@@ -145,6 +158,7 @@ impl SweepStats {
             cross_contribs: snap.gauge(&format!("ad.sweep.{which}.cross_contribs"))? as u64,
             parallel: snap.gauge(&format!("ad.sweep.{which}.parallel"))? != 0,
             replayed_segments: snap.gauge(&format!("ad.sweep.{which}.replayed_segments"))? as u64,
+            replayed_nodes: snap.gauge(&format!("ad.sweep.{which}.replayed_nodes"))? as u64,
             peak_resident_bytes: snap.gauge(&format!("ad.sweep.{which}.peak_resident_bytes"))?
                 as usize,
         })
@@ -153,7 +167,8 @@ impl SweepStats {
     /// Merges stats from repeated sweeps over the same tape (burn-in
     /// aggregation): structural fields (`segments`, `threads`,
     /// `peak_resident_bytes`) take the maximum, traffic counters
-    /// (`cross_contribs`, `replayed_segments`) **sum**, `parallel` ORs.
+    /// (`cross_contribs`, `replayed_segments`, `replayed_nodes`) **sum**,
+    /// `parallel` ORs.
     pub fn merged_with(&self, other: &SweepStats) -> SweepStats {
         SweepStats {
             segments: self.segments.max(other.segments),
@@ -161,6 +176,7 @@ impl SweepStats {
             cross_contribs: self.cross_contribs + other.cross_contribs,
             parallel: self.parallel || other.parallel,
             replayed_segments: self.replayed_segments + other.replayed_segments,
+            replayed_nodes: self.replayed_nodes + other.replayed_nodes,
             peak_resident_bytes: self.peak_resident_bytes.max(other.peak_resident_bytes),
         }
     }
@@ -205,75 +221,293 @@ impl Gradient {
     }
 }
 
-/// Reject sweeps on poisoned tapes and out-of-range seeds.
-pub(crate) fn check_seed(tape: &Tape, out: u64) -> Result<(), AdError> {
+/// Which kernels one reverse walk feeds. `value` and `reach` are the two
+/// reverse sweeps; `used` is the data-dependency analyzer's def-use bit
+/// ("appears as a parent of some node"), which has no direction and so
+/// rides along on the same walk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Kernels {
+    pub(crate) value: bool,
+    pub(crate) reach: bool,
+    pub(crate) used: bool,
+}
+
+impl Kernels {
+    pub(crate) const VALUE: Kernels = Kernels {
+        value: true,
+        reach: false,
+        used: false,
+    };
+    pub(crate) const REACH: Kernels = Kernels {
+        value: false,
+        reach: true,
+        used: false,
+    };
+    pub(crate) const DATADEP: Kernels = Kernels {
+        value: false,
+        reach: true,
+        used: true,
+    };
+}
+
+/// What one walk computed: `Some` for every kernel it was asked to feed.
+/// Both stats describe the same walk and differ only in `cross_contribs`.
+pub(crate) struct Walked {
+    pub(crate) value: Option<(Gradient, SweepStats)>,
+    pub(crate) reach: Option<(Vec<bool>, SweepStats)>,
+    pub(crate) used: Option<Vec<bool>>,
+}
+
+/// One reverse walk over the tape, seeded at `seed` (`None`: the output
+/// folded to a constant, nothing is reachable), feeding every kernel in
+/// `kernels` from each fetched segment. Chooses the parallel schedule when
+/// threads and segments allow; bit-identical either way, and each kernel's
+/// result bit-identical to a walk of its own.
+pub(crate) fn walk(
+    tape: &Tape,
+    seed: Option<u64>,
+    kernels: Kernels,
+    cfg: SweepConfig,
+    ctx: &ReplayCtx<'_>,
+) -> Result<Walked, AdError> {
     if tape.overflowed() {
         return Err(AdError::TapeOverflow {
             limit: tape.node_limit(),
         });
     }
-    if out >= tape.len() as u64 {
+    if let Some(out) = seed.filter(|&out| out >= tape.len() as u64) {
         return Err(AdError::NodeOutOfRange {
             node: out,
             len: tape.len() as u64,
         });
     }
-    Ok(())
+    let seed_seg = seed.map(|out| (out >> tape.store().shift()) as usize);
+    // A single segment has no cross-segment frontier; nothing to merge.
+    let workers = (cfg.resolve() - 1).min(seed_seg.unwrap_or(0));
+    let mut walked = if workers == 0 {
+        walk_serial(tape, seed, kernels, ctx)?
+    } else {
+        walk_parallel(
+            tape,
+            seed.expect("workers imply a seed"),
+            workers,
+            kernels,
+            ctx,
+        )?
+    };
+    // How much this context re-recorded, and the tape's resident
+    // high-water mark (which the walk may just have raised).
+    let (replayed_segments, replayed_nodes) = ctx.replayed();
+    let peak_resident_bytes = tape.store().peak_resident_bytes();
+    let stats = [
+        walked.value.as_mut().map(|v| &mut v.1),
+        walked.reach.as_mut().map(|r| &mut r.1),
+    ];
+    for stats in stats.into_iter().flatten() {
+        stats.replayed_segments = replayed_segments;
+        stats.replayed_nodes = replayed_nodes;
+        stats.peak_resident_bytes = peak_resident_bytes;
+    }
+    Ok(walked)
 }
 
-/// Sweeps seeded by a constant output touch nothing; report them as such.
-pub(crate) fn constant_stats() -> SweepStats {
-    SweepStats {
-        segments: 0,
-        threads: 1,
-        cross_contribs: 0,
-        parallel: false,
-        replayed_segments: 0,
-        peak_resident_bytes: 0,
+/// Mark every parent named in `seg` as used.
+fn mark_used(seg: &Segment, used: &mut [bool]) {
+    for (&p1, &p2) in seg.p1.iter().zip(&seg.p2) {
+        for p in [p1, p2] {
+            if p != NONE {
+                used[p as usize] = true;
+            }
+        }
     }
 }
 
-/// Fill in the replay/residency fields once a sweep finished: how many
-/// segments this context re-recorded, and the tape's resident high-water
-/// mark (which the sweep may just have raised).
-fn finalize_stats(mut stats: SweepStats, tape: &Tape, ctx: &ReplayCtx<'_>) -> SweepStats {
-    stats.replayed_segments = ctx.replayed_count();
-    stats.peak_resident_bytes = tape.store().peak_resident_bytes();
-    stats
+/// The serial walk (the seed algorithm, segment by segment): each kernel
+/// scatters straight into its own dense per-node state.
+fn walk_serial(
+    tape: &Tape,
+    seed: Option<u64>,
+    kernels: Kernels,
+    ctx: &ReplayCtx<'_>,
+) -> Result<Walked, AdError> {
+    let store = tape.store();
+    let shift = store.shift();
+    let mut adj = kernels.value.then(|| vec![0.0f64; tape.len()]);
+    let mut reach = kernels.reach.then(|| vec![false; tape.len()]);
+    let mut used = kernels.used.then(|| vec![false; tape.len()]);
+    if let Some(out) = seed {
+        if let Some(adj) = &mut adj {
+            adj[out as usize] = 1.0;
+        }
+        if let Some(reach) = &mut reach {
+            reach[out as usize] = true;
+        }
+    }
+    // The reverse kernels start at the seed's segment; def-use bits cover
+    // the whole tape.
+    let seed_seg = seed.map(|out| (out >> shift) as usize);
+    let segments = seed_seg.map_or(0, |s| s + 1);
+    let top = if kernels.used {
+        store.seg_count()
+    } else {
+        segments
+    };
+    for s in (0..top).rev() {
+        let seg = store.view(s, ctx)?;
+        if let Some(used) = &mut used {
+            mark_used(&seg, used);
+        }
+        let Some(out) = seed.filter(|_| s < segments) else {
+            continue;
+        };
+        let base = s << shift;
+        let top_off = if Some(s) == seed_seg {
+            out as usize - base
+        } else {
+            seg.len() - 1
+        };
+        if let Some(adj) = &mut adj {
+            for off in (0..=top_off).rev() {
+                let a = adj[base + off];
+                if a == 0.0 {
+                    continue;
+                }
+                let p1 = seg.p1[off];
+                if p1 != NONE {
+                    adj[p1 as usize] += a * seg.d1[off];
+                }
+                let p2 = seg.p2[off];
+                if p2 != NONE {
+                    adj[p2 as usize] += a * seg.d2[off];
+                }
+            }
+        }
+        if let Some(reach) = &mut reach {
+            for off in (0..=top_off).rev() {
+                if !reach[base + off] {
+                    continue;
+                }
+                let p1 = seg.p1[off];
+                if p1 != NONE {
+                    reach[p1 as usize] = true;
+                }
+                let p2 = seg.p2[off];
+                if p2 != NONE {
+                    reach[p2 as usize] = true;
+                }
+            }
+        }
+    }
+    let stats = SweepStats {
+        segments,
+        threads: 1,
+        ..SweepStats::default()
+    };
+    Ok(Walked {
+        value: adj.map(|adj| (Gradient { adj }, stats)),
+        reach: reach.map(|reach| (reach, stats)),
+        used,
+    })
 }
 
-// ---- the shared deterministic schedule -----------------------------------
+// ---- the deterministic parallel schedule ---------------------------------
 
-/// The per-segment math of one sweep; [`run_frontier_sweep`] supplies the
-/// deterministic schedule (segment order, frontier routing, merge waits)
-/// around it, once, for both sweeps.
-trait SweepKernel: Sync {
-    /// Per-segment accumulator: an adjoint chunk or a bitset.
-    type Chunk: Send;
-    /// One cross-segment frontier contribution.
-    type Item: Send;
+#[inline]
+fn bit_set(words: &mut [u64], off: usize) {
+    words[off >> 6] |= 1u64 << (off & 63);
+}
 
+#[inline]
+fn bit_get(words: &[u64], off: usize) -> bool {
+    words[off >> 6] & (1u64 << (off & 63)) != 0
+}
+
+/// Per-segment accumulators of the parallel walk: an adjoint chunk for the
+/// value kernel, a bitset for the reach kernel (each empty when its kernel
+/// is off).
+struct Chunk {
+    adj: Vec<f64>,
+    bits: Vec<u64>,
+}
+
+/// The cross-segment contributions one swept segment sends to one earlier
+/// segment: `(offset, a·d)` for the value kernel, offsets for the reach
+/// kernel, each in emission (decreasing source id) order.
+#[derive(Default)]
+struct Frontier {
+    adj: Vec<(u32, f64)>,
+    bits: Vec<u32>,
+}
+
+impl Kernels {
     /// A zeroed accumulator for a segment holding `nodes` nodes.
-    fn new_chunk(&self, nodes: usize) -> Self::Chunk;
+    fn new_chunk(&self, nodes: usize) -> Chunk {
+        Chunk {
+            adj: vec![0.0; if self.value { nodes } else { 0 }],
+            bits: vec![0; if self.reach { nodes.div_ceil(64) } else { 0 }],
+        }
+    }
 
-    /// Plant the sweep seed at `off` in the seed segment's chunk.
-    fn seed(&self, chunk: &mut Self::Chunk, off: usize);
-
-    /// Sweep one segment in decreasing offset order: apply same-segment
-    /// contributions directly to `chunk`, push cross-segment ones onto
-    /// `frontier[target]` in emission order.
+    /// Sweep one segment in decreasing offset order, one kernel after the
+    /// other: apply same-segment contributions directly to `chunk`, push
+    /// cross-segment ones onto `frontier[target]` in emission order.
     fn sweep_segment(
         &self,
         seg: &Segment,
         s: usize,
         shift: u32,
         mask: u64,
-        chunk: &mut Self::Chunk,
-        frontier: &mut [Vec<Self::Item>],
-    );
+        chunk: &mut Chunk,
+        frontier: &mut [Frontier],
+    ) {
+        // Offsets above the seed (in the seed segment) hold 0 and are
+        // skipped, matching the serial walk's `top_off` bound.
+        for off in (0..chunk.adj.len()).rev() {
+            let a = chunk.adj[off];
+            if a == 0.0 {
+                continue;
+            }
+            for (p, d) in [(seg.p1[off], seg.d1[off]), (seg.p2[off], seg.d2[off])] {
+                if p == NONE {
+                    continue;
+                }
+                let ps = (p >> shift) as usize;
+                if ps == s {
+                    chunk.adj[(p & mask) as usize] += a * d;
+                } else {
+                    frontier[ps].adj.push(((p & mask) as u32, a * d));
+                }
+            }
+        }
+        if self.reach {
+            for off in (0..seg.len()).rev() {
+                if !bit_get(&chunk.bits, off) {
+                    continue;
+                }
+                for p in [seg.p1[off], seg.p2[off]] {
+                    if p == NONE {
+                        continue;
+                    }
+                    let ps = (p >> shift) as usize;
+                    if ps == s {
+                        bit_set(&mut chunk.bits, (p & mask) as usize);
+                    } else {
+                        frontier[ps].bits.push((p & mask) as u32);
+                    }
+                }
+            }
+        }
+    }
+}
 
-    /// Replay one frontier buffer into a target segment's chunk.
-    fn merge(&self, chunk: &mut Self::Chunk, list: &[Self::Item]);
+/// Replay one frontier buffer into a target segment's chunk.
+fn merge(chunk: &mut Chunk, list: &Frontier) {
+    for &(off, v) in &list.adj {
+        chunk.adj[off as usize] += v;
+    }
+    for &off in &list.bits {
+        bit_set(&mut chunk.bits, off as usize);
+    }
 }
 
 /// Coordination state shared between the sweep thread and merge workers.
@@ -306,8 +540,8 @@ impl Gate {
     }
 }
 
-/// Run `kernel` under the deterministic frontier-merge schedule and return
-/// the per-segment chunks (for segments `0..=seed segment`) plus stats.
+/// The parallel walk: `kernels` under the deterministic frontier-merge
+/// schedule.
 ///
 /// Worker `w` owns every target segment `t` with `t % workers == w`, so
 /// chunk access is disjoint; the sweep thread sends each `(source,
@@ -320,31 +554,41 @@ impl Gate {
 /// touches them, so eviction/replay composes with the merge schedule
 /// without changing it. A replay failure aborts the sweep with its typed
 /// error once the workers have drained.
-fn run_frontier_sweep<K: SweepKernel>(
+fn walk_parallel(
     tape: &Tape,
     out: u64,
     workers: usize,
-    kernel: &K,
+    kernels: Kernels,
     ctx: &ReplayCtx<'_>,
-) -> Result<(Vec<K::Chunk>, SweepStats), AdError> {
+) -> Result<Walked, AdError> {
     let store = tape.store();
     let shift = store.shift();
     let mask = store.mask();
     let last_seg = (out >> shift) as usize;
 
-    let chunks: Vec<Mutex<K::Chunk>> = (0..=last_seg)
-        .map(|s| Mutex::new(kernel.new_chunk(store.seg_nodes(s))))
+    let chunks: Vec<Mutex<Chunk>> = (0..=last_seg)
+        .map(|s| Mutex::new(kernels.new_chunk(store.seg_nodes(s))))
         .collect();
-    kernel.seed(&mut chunks[last_seg].lock().unwrap(), (out & mask) as usize);
+    {
+        let mut seed_chunk = chunks[last_seg].lock().unwrap();
+        let off = (out & mask) as usize;
+        if kernels.value {
+            seed_chunk.adj[off] = 1.0;
+        }
+        if kernels.reach {
+            bit_set(&mut seed_chunk.bits, off);
+        }
+    }
     let applied: Vec<AtomicU64> = (0..=last_seg).map(|_| AtomicU64::new(0)).collect();
     let gate = Gate::new();
-    let mut cross = 0u64;
+    let mut used = kernels.used.then(|| vec![false; tape.len()]);
+    let (mut cross_value, mut cross_reach) = (0u64, 0u64);
     let mut failed = None;
 
     let mut txs = Vec::with_capacity(workers);
     let mut rxs = Vec::with_capacity(workers);
     for _ in 0..workers {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<K::Item>)>();
+        let (tx, rx) = mpsc::channel::<(usize, Frontier)>();
         txs.push(tx);
         rxs.push(rx);
     }
@@ -358,27 +602,43 @@ fn run_frontier_sweep<K: SweepKernel>(
                 // FIFO replay of this worker's queue preserves the
                 // decreasing-source order the sweep thread sends in.
                 while let Ok((t, list)) = rx.recv() {
-                    kernel.merge(&mut chunks[t].lock().unwrap(), &list);
+                    merge(&mut chunks[t].lock().unwrap(), &list);
                     gate.bump(&applied[t]);
                 }
             });
         }
 
-        // The sweep itself, on this thread: decreasing segment order.
+        // The walk itself, on this thread: decreasing segment order. The
+        // def-use bits need no schedule; they also cover segments past
+        // the seed's.
         let mut sent = vec![0u64; last_seg + 1];
-        for s in (0..=last_seg).rev() {
-            // Segment `s` may be swept once every frontier buffer sent to
-            // it (all from segments > s, all already swept) is merged.
-            gate.wait_for(&applied[s], sent[s]);
-            let seg = match store.view(s, Dir::Rev, ctx) {
+        let top = if kernels.used {
+            store.seg_count()
+        } else {
+            last_seg + 1
+        };
+        for s in (0..top).rev() {
+            if s <= last_seg {
+                // Segment `s` may be swept once every frontier buffer sent
+                // to it (all from segments > s, all already swept) is
+                // merged.
+                gate.wait_for(&applied[s], sent[s]);
+            }
+            let seg = match store.view(s, ctx) {
                 Ok(seg) => seg,
                 Err(e) => {
                     failed = Some(e);
                     break;
                 }
             };
-            let mut frontier: Vec<Vec<K::Item>> = (0..s).map(|_| Vec::new()).collect();
-            kernel.sweep_segment(
+            if let Some(used) = &mut used {
+                mark_used(&seg, used);
+            }
+            if s > last_seg {
+                continue;
+            }
+            let mut frontier: Vec<Frontier> = (0..s).map(|_| Frontier::default()).collect();
+            kernels.sweep_segment(
                 &seg,
                 s,
                 shift,
@@ -387,10 +647,11 @@ fn run_frontier_sweep<K: SweepKernel>(
                 &mut frontier,
             );
             for (t, list) in frontier.into_iter().enumerate() {
-                if list.is_empty() {
+                if list.adj.is_empty() && list.bits.is_empty() {
                     continue;
                 }
-                cross += list.len() as u64;
+                cross_value += list.adj.len() as u64;
+                cross_reach += list.bits.len() as u64;
                 sent[t] += 1;
                 txs[t % workers]
                     .send((t, list))
@@ -406,302 +667,37 @@ fn run_frontier_sweep<K: SweepKernel>(
     let stats = SweepStats {
         segments: last_seg + 1,
         threads: workers + 1,
-        cross_contribs: cross,
         parallel: true,
-        ..constant_stats()
+        ..SweepStats::default()
     };
-    Ok((
-        chunks
-            .into_iter()
-            .map(|c| c.into_inner().unwrap())
-            .collect(),
-        stats,
-    ))
-}
-
-// ---- value sweep ---------------------------------------------------------
-
-/// Serial value sweep: the seed algorithm, walked segment by segment.
-pub(crate) fn gradient_serial(
-    tape: &Tape,
-    out: u64,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Gradient, SweepStats), AdError> {
-    check_seed(tape, out)?;
-    let store = tape.store();
-    let shift = store.shift();
-    let mut adj = vec![0.0f64; tape.len()];
-    adj[out as usize] = 1.0;
-    let last_seg = (out >> shift) as usize;
-    for s in (0..=last_seg).rev() {
-        let seg = store.view(s, Dir::Rev, ctx)?;
-        let base = s << shift;
-        let top = if s == last_seg {
-            out as usize - base
-        } else {
-            seg.len() - 1
-        };
-        for off in (0..=top).rev() {
-            let a = adj[base + off];
-            if a == 0.0 {
-                continue;
-            }
-            let p1 = seg.p1[off];
-            if p1 != NONE {
-                adj[p1 as usize] += a * seg.d1[off];
-            }
-            let p2 = seg.p2[off];
-            if p2 != NONE {
-                adj[p2 as usize] += a * seg.d2[off];
-            }
+    let mut adj = kernels.value.then(|| Vec::with_capacity(tape.len()));
+    let mut reach = kernels.reach.then(|| Vec::with_capacity(tape.len()));
+    for (s, chunk) in chunks.into_iter().enumerate() {
+        let chunk = chunk.into_inner().unwrap();
+        if let Some(adj) = &mut adj {
+            adj.extend(chunk.adj);
+        }
+        if let Some(reach) = &mut reach {
+            reach.extend((0..store.seg_nodes(s)).map(|off| bit_get(&chunk.bits, off)));
         }
     }
-    let stats = SweepStats {
-        segments: last_seg + 1,
-        threads: 1,
-        cross_contribs: 0,
-        parallel: false,
-        ..constant_stats()
-    };
-    Ok((Gradient { adj }, stats))
-}
-
-/// Adjoint multiply-add over `f64` chunks.
-struct GradientKernel;
-
-impl SweepKernel for GradientKernel {
-    type Chunk = Vec<f64>;
-    type Item = (u32, f64);
-
-    fn new_chunk(&self, nodes: usize) -> Vec<f64> {
-        vec![0.0; nodes]
-    }
-
-    fn seed(&self, chunk: &mut Vec<f64>, off: usize) {
-        chunk[off] = 1.0;
-    }
-
-    fn sweep_segment(
-        &self,
-        seg: &Segment,
-        s: usize,
-        shift: u32,
-        mask: u64,
-        chunk: &mut Vec<f64>,
-        frontier: &mut [Vec<(u32, f64)>],
-    ) {
-        // Offsets above the seed (in the seed segment) hold 0 and are
-        // skipped, matching the serial sweep's `top` bound.
-        for off in (0..chunk.len()).rev() {
-            let a = chunk[off];
-            if a == 0.0 {
-                continue;
-            }
-            for (p, d) in [(seg.p1[off], seg.d1[off]), (seg.p2[off], seg.d2[off])] {
-                if p == NONE {
-                    continue;
-                }
-                let ps = (p >> shift) as usize;
-                if ps == s {
-                    chunk[(p & mask) as usize] += a * d;
-                } else {
-                    frontier[ps].push(((p & mask) as u32, a * d));
-                }
-            }
-        }
-    }
-
-    fn merge(&self, chunk: &mut Vec<f64>, list: &[(u32, f64)]) {
-        for &(off, v) in list {
-            chunk[off as usize] += v;
-        }
-    }
-}
-
-/// Parallel value sweep: the shared schedule with the adjoint kernel —
-/// bit-identical to [`gradient_serial`].
-pub(crate) fn gradient_parallel(
-    tape: &Tape,
-    out: u64,
-    threads: usize,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Gradient, SweepStats), AdError> {
-    check_seed(tape, out)?;
-    let last_seg = (out >> tape.store().shift()) as usize;
-    // A single segment has no cross-segment frontier; nothing to merge.
-    let workers = threads.saturating_sub(1).min(last_seg);
-    if workers == 0 {
-        return gradient_serial(tape, out, ctx);
-    }
-    let (chunks, stats) = run_frontier_sweep(tape, out, workers, &GradientKernel, ctx)?;
-    let mut adj = Vec::with_capacity(tape.len());
-    for chunk in chunks {
-        adj.extend(chunk);
-    }
-    adj.resize(tape.len(), 0.0);
-    Ok((Gradient { adj }, stats))
-}
-
-/// Value sweep with automatic serial/parallel choice. Bit-identical either
-/// way; parallel only pays off when several segments and cores exist.
-pub(crate) fn gradient_auto(
-    tape: &Tape,
-    out: u64,
-    cfg: SweepConfig,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Gradient, SweepStats), AdError> {
-    let threads = cfg.resolve();
-    let (g, stats) = if threads >= 2 && (out >> tape.store().shift()) >= 1 {
-        gradient_parallel(tape, out, threads, ctx)?
-    } else {
-        gradient_serial(tape, out, ctx)?
-    };
-    Ok((g, finalize_stats(stats, tape, ctx)))
-}
-
-// ---- structural sweep ----------------------------------------------------
-
-#[inline]
-fn bit_set(words: &mut [u64], off: usize) {
-    words[off >> 6] |= 1u64 << (off & 63);
-}
-
-#[inline]
-fn bit_get(words: &[u64], off: usize) -> bool {
-    words[off >> 6] & (1u64 << (off & 63)) != 0
-}
-
-/// Serial structural sweep (seed algorithm over segments).
-pub(crate) fn reachable_serial(
-    tape: &Tape,
-    out: u64,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Vec<bool>, SweepStats), AdError> {
-    check_seed(tape, out)?;
-    let store = tape.store();
-    let shift = store.shift();
-    let mut reach = vec![false; tape.len()];
-    reach[out as usize] = true;
-    let last_seg = (out >> shift) as usize;
-    for s in (0..=last_seg).rev() {
-        let seg = store.view(s, Dir::Rev, ctx)?;
-        let base = s << shift;
-        let top = if s == last_seg {
-            out as usize - base
-        } else {
-            seg.len() - 1
-        };
-        for off in (0..=top).rev() {
-            if !reach[base + off] {
-                continue;
-            }
-            let p1 = seg.p1[off];
-            if p1 != NONE {
-                reach[p1 as usize] = true;
-            }
-            let p2 = seg.p2[off];
-            if p2 != NONE {
-                reach[p2 as usize] = true;
-            }
-        }
-    }
-    let stats = SweepStats {
-        segments: last_seg + 1,
-        threads: 1,
-        cross_contribs: 0,
-        parallel: false,
-        ..constant_stats()
-    };
-    Ok((reach, stats))
-}
-
-/// Monotone OR over per-segment bitset chunks (one bit per node).
-struct ReachKernel;
-
-impl SweepKernel for ReachKernel {
-    type Chunk = Vec<u64>;
-    type Item = u32;
-
-    fn new_chunk(&self, nodes: usize) -> Vec<u64> {
-        vec![0u64; nodes.div_ceil(64)]
-    }
-
-    fn seed(&self, chunk: &mut Vec<u64>, off: usize) {
-        bit_set(chunk, off);
-    }
-
-    fn sweep_segment(
-        &self,
-        seg: &Segment,
-        s: usize,
-        shift: u32,
-        mask: u64,
-        chunk: &mut Vec<u64>,
-        frontier: &mut [Vec<u32>],
-    ) {
-        for off in (0..seg.len()).rev() {
-            if !bit_get(chunk, off) {
-                continue;
-            }
-            for p in [seg.p1[off], seg.p2[off]] {
-                if p == NONE {
-                    continue;
-                }
-                let ps = (p >> shift) as usize;
-                if ps == s {
-                    bit_set(chunk, (p & mask) as usize);
-                } else {
-                    frontier[ps].push((p & mask) as u32);
-                }
-            }
-        }
-    }
-
-    fn merge(&self, chunk: &mut Vec<u64>, list: &[u32]) {
-        for &off in list {
-            bit_set(chunk, off as usize);
-        }
-    }
-}
-
-/// Parallel structural sweep: the shared schedule with the bitset kernel.
-/// Reachability is a monotone OR, so any merge order gives the same bits;
-/// the deterministic schedule of the value sweep is reused regardless.
-pub(crate) fn reachable_parallel(
-    tape: &Tape,
-    out: u64,
-    threads: usize,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Vec<bool>, SweepStats), AdError> {
-    check_seed(tape, out)?;
-    let store = tape.store();
-    let last_seg = (out >> store.shift()) as usize;
-    let workers = threads.saturating_sub(1).min(last_seg);
-    if workers == 0 {
-        return reachable_serial(tape, out, ctx);
-    }
-    let (chunks, stats) = run_frontier_sweep(tape, out, workers, &ReachKernel, ctx)?;
-    let mut reach = Vec::with_capacity(tape.len());
-    for (s, words) in chunks.into_iter().enumerate() {
-        let n = store.seg_nodes(s);
-        reach.extend((0..n).map(|off| bit_get(&words, off)));
-    }
-    reach.resize(tape.len(), false);
-    Ok((reach, stats))
-}
-
-/// Structural sweep with automatic serial/parallel choice.
-pub(crate) fn reachable_auto(
-    tape: &Tape,
-    out: u64,
-    cfg: SweepConfig,
-    ctx: &ReplayCtx<'_>,
-) -> Result<(Vec<bool>, SweepStats), AdError> {
-    let threads = cfg.resolve();
-    let (r, stats) = if threads >= 2 && (out >> tape.store().shift()) >= 1 {
-        reachable_parallel(tape, out, threads, ctx)?
-    } else {
-        reachable_serial(tape, out, ctx)?
-    };
-    Ok((r, finalize_stats(stats, tape, ctx)))
+    Ok(Walked {
+        value: adj.map(|mut adj| {
+            adj.resize(tape.len(), 0.0);
+            let stats = SweepStats {
+                cross_contribs: cross_value,
+                ..stats
+            };
+            (Gradient { adj }, stats)
+        }),
+        reach: reach.map(|mut reach| {
+            reach.resize(tape.len(), false);
+            let stats = SweepStats {
+                cross_contribs: cross_reach,
+                ..stats
+            };
+            (reach, stats)
+        }),
+        used,
+    })
 }

@@ -13,18 +13,19 @@
 //! exhausted. The segments are also the unit of parallelism for the
 //! reverse sweeps — and of *eviction* under a [`TapeCheckpointConfig`],
 //! where interior segments are discarded during recording and re-recorded
-//! on demand through the `*_replay` sweep entry points
-//! ([`crate::replay`]).
+//! on demand by the sweeps through a [`TapeReplay`] ([`crate::replay`]).
 
-use crate::datadep::{self, DataDep};
+use crate::datadep::DataDep;
 use crate::error::AdError;
 use crate::replay::{ReplayCtx, ReplaySink, TapeReplay};
 use crate::segment::{
-    SegmentStore, TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN, NODE_BYTES,
+    MemCounters, SegmentStore, TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN,
+    NODE_BYTES,
 };
-use crate::sweep::{self, Gradient, SweepConfig, SweepStats};
+use crate::sweep::{self, Gradient, Kernels, SweepConfig, SweepStats};
 use scrutiny_obs::Recorder;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 pub(crate) use crate::segment::NONE;
 
@@ -46,8 +47,8 @@ pub struct TapeConfig {
     /// Bounded-residency policy: keep at most `ncheckpoints` segments in
     /// memory, evicting the rest to digests that are re-recorded on
     /// demand during sweeps. `None` (the default) keeps every segment
-    /// resident; a checkpointed tape must be swept through the
-    /// `*_replay` entry points.
+    /// resident; a checkpointed tape must be swept with a replayer
+    /// ([`SweepRequest::replay`]).
     pub checkpoint: Option<TapeCheckpointConfig>,
 }
 
@@ -203,15 +204,105 @@ impl Tape {
 
     // ---- sweeps ----------------------------------------------------------
 
+    /// The one sweep entry point: run every kernel `req` names, seeded at
+    /// `output`, and return each one's result.
+    ///
+    /// With a replayer (a checkpointed tape), all of them are fed by **one**
+    /// reverse walk that fetches — and, where evicted, re-records — each
+    /// segment window once; each kernel's result is bit-identical to
+    /// running it alone. Without one, every segment is resident (or the
+    /// sweep fails with [`AdError::SegmentEvicted`]) and the kernels run
+    /// concurrently, one thread each, as independent walks.
+    ///
+    /// A constant output (an [`crate::Adj`] that never touched the tape)
+    /// yields all-zero results: nothing influenced it. A poisoned
+    /// (overflowed) tape yields [`AdError::TapeOverflow`]; an output from
+    /// another, longer recording [`AdError::NodeOutOfRange`]; a diverging
+    /// replay [`AdError::ReplayDivergence`].
+    ///
+    /// Reports through `req.recorder`: a span per walk (`ad.sweep.fused`,
+    /// or `ad.sweep.<kind>` per independent kernel), one `ad.replay` span
+    /// per re-recorded window, and the `ad.sweep.<kind>.*` gauges of every
+    /// kernel's [`SweepStats`].
+    pub fn sweep(&self, output: crate::Adj, req: &SweepRequest<'_>) -> Result<Swept, AdError> {
+        let seed = output.index();
+        let cfg = SweepConfig {
+            threads: req.threads,
+        };
+        let rec = &req.recorder;
+        let wants = |k: Kernel| req.kernels.contains(&k);
+        let (value, reach, datadep) = (
+            wants(Kernel::Value),
+            wants(Kernel::Reach),
+            wants(Kernel::DataDep),
+        );
+        let shape = self.stats();
+        let mut swept = Swept::default();
+        if let Some(replay) = req.replay {
+            let _span = scrutiny_obs::span!(
+                rec,
+                "ad.sweep.fused",
+                nodes = shape.nodes,
+                segments = shape.segments,
+                kernels = req.kernels.len()
+            );
+            let ctx = ReplayCtx::new(replay, rec.clone());
+            let kernels = Kernels {
+                value,
+                reach: reach || datadep,
+                used: datadep,
+            };
+            let mut walked = sweep::walk(self, seed, kernels, cfg, &ctx)?;
+            swept.value = walked.value.take();
+            if reach {
+                swept.reach = walked.reach.clone();
+            }
+            if datadep {
+                // Liveness *is* the reach kernel's result.
+                swept.datadep = Some(DataDep::from_walk(walked, seed));
+            }
+        } else {
+            // Independent walks over resident segments: one thread each.
+            let observed = |kind: &str, kernels: Kernels| {
+                let _span = scrutiny_obs::span!(
+                    rec,
+                    &format!("ad.sweep.{kind}"),
+                    nodes = shape.nodes,
+                    segments = shape.segments
+                );
+                sweep::walk(self, seed, kernels, cfg, &ReplayCtx::none())
+            };
+            let (value_res, reach_res, dd_res) = std::thread::scope(|scope| {
+                let reach = reach.then(|| scope.spawn(|| observed("reach", Kernels::REACH)));
+                let dd = datadep.then(|| scope.spawn(|| observed("datadep", Kernels::DATADEP)));
+                let value = value.then(|| observed("value", Kernels::VALUE));
+                let join = |h: std::thread::ScopedJoinHandle<'_, _>| {
+                    h.join().expect("a sweep kernel panicked")
+                };
+                (value, reach.map(join), dd.map(join))
+            });
+            swept.value = value_res.transpose()?.and_then(|w| w.value);
+            swept.reach = reach_res.transpose()?.and_then(|w| w.reach);
+            swept.datadep = dd_res.transpose()?.map(|w| DataDep::from_walk(w, seed));
+        }
+        for (kind, stats) in [
+            ("value", swept.value.as_ref().map(|v| v.1)),
+            ("reach", swept.reach.as_ref().map(|r| r.1)),
+            ("datadep", swept.datadep.as_ref().map(DataDep::stats)),
+        ] {
+            if let Some(stats) = stats {
+                stats.emit(rec, kind);
+            }
+        }
+        Ok(swept)
+    }
+
     /// Reverse (adjoint) sweep: derivative of the node `output` with
     /// respect to every node on the tape. Chooses the parallel sweep when
     /// segments and cores allow; results are bit-identical either way.
-    ///
-    /// A constant output (an [`crate::Adj`] that never touched the tape)
-    /// yields an all-zero gradient: nothing influenced it. A poisoned
-    /// (overflowed) tape yields [`AdError::TapeOverflow`]; a checkpointed
-    /// tape with evicted segments yields [`AdError::SegmentEvicted`]
-    /// (use [`Tape::gradient_sweep_replay`]).
+    /// Same error contract as [`Tape::sweep`]; a checkpointed tape with
+    /// evicted segments yields [`AdError::SegmentEvicted`] (use
+    /// [`Tape::gradient_sweep_replay`]).
     pub fn gradient(&self, output: crate::Adj) -> Result<Gradient, AdError> {
         self.gradient_sweep(output, SweepConfig::default())
             .map(|(g, _)| g)
@@ -219,7 +310,7 @@ impl Tape {
 
     /// Reverse sweep seeded at an explicit node index.
     pub fn gradient_of(&self, output: u64) -> Result<Gradient, AdError> {
-        sweep::gradient_auto(self, output, SweepConfig::default(), &ReplayCtx::none())
+        self.value_walk(Some(output), SweepConfig::default(), &ReplayCtx::none())
             .map(|(g, _)| g)
     }
 
@@ -230,7 +321,7 @@ impl Tape {
         output: crate::Adj,
         cfg: SweepConfig,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        self.gradient_sweep_ctx(output, cfg, &ReplayCtx::none())
+        self.value_walk(output.index(), cfg, &ReplayCtx::none())
     }
 
     /// [`Tape::gradient_sweep`] on a checkpointed tape: evicted segments
@@ -244,31 +335,8 @@ impl Tape {
         cfg: SweepConfig,
         replay: &dyn TapeReplay,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        self.gradient_sweep_ctx(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
-    }
-
-    fn gradient_sweep_ctx(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        match output.index() {
-            Some(idx) => sweep::gradient_auto(self, idx, cfg, ctx),
-            None => {
-                if self.overflowed() {
-                    return Err(AdError::TapeOverflow {
-                        limit: self.node_limit(),
-                    });
-                }
-                Ok((
-                    Gradient {
-                        adj: vec![0.0; self.len()],
-                    },
-                    sweep::constant_stats(),
-                ))
-            }
-        }
+        let ctx = ReplayCtx::new(replay, Recorder::disabled());
+        self.value_walk(output.index(), cfg, &ctx)
     }
 
     /// Serial reverse sweep (the seed algorithm); the reference the
@@ -276,6 +344,16 @@ impl Tape {
     pub fn gradient_serial(&self, output: crate::Adj) -> Result<Gradient, AdError> {
         self.gradient_sweep(output, SweepConfig::serial())
             .map(|(g, _)| g)
+    }
+
+    fn value_walk(
+        &self,
+        seed: Option<u64>,
+        cfg: SweepConfig,
+        ctx: &ReplayCtx<'_>,
+    ) -> Result<(Gradient, SweepStats), AdError> {
+        let walked = sweep::walk(self, seed, Kernels::VALUE, cfg, ctx)?;
+        Ok(walked.value.expect("value kernel was requested"))
     }
 
     /// Structural activity sweep: marks every node from which a data-flow
@@ -293,7 +371,7 @@ impl Tape {
 
     /// Structural sweep seeded at an explicit node index.
     pub fn reachable_of(&self, output: u64) -> Result<Vec<bool>, AdError> {
-        sweep::reachable_auto(self, output, SweepConfig::default(), &ReplayCtx::none())
+        self.reach_walk(Some(output), SweepConfig::default(), &ReplayCtx::none())
             .map(|(r, _)| r)
     }
 
@@ -303,7 +381,7 @@ impl Tape {
         output: crate::Adj,
         cfg: SweepConfig,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        self.reachable_sweep_ctx(output, cfg, &ReplayCtx::none())
+        self.reach_walk(output.index(), cfg, &ReplayCtx::none())
     }
 
     /// [`Tape::reachable_sweep`] on a checkpointed tape, re-recording
@@ -315,32 +393,24 @@ impl Tape {
         cfg: SweepConfig,
         replay: &dyn TapeReplay,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        self.reachable_sweep_ctx(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
-    }
-
-    fn reachable_sweep_ctx(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        match output.index() {
-            Some(idx) => sweep::reachable_auto(self, idx, cfg, ctx),
-            None => {
-                if self.overflowed() {
-                    return Err(AdError::TapeOverflow {
-                        limit: self.node_limit(),
-                    });
-                }
-                Ok((vec![false; self.len()], sweep::constant_stats()))
-            }
-        }
+        let ctx = ReplayCtx::new(replay, Recorder::disabled());
+        self.reach_walk(output.index(), cfg, &ctx)
     }
 
     /// Serial structural sweep (the seed algorithm).
     pub fn reachable_serial(&self, output: crate::Adj) -> Result<Vec<bool>, AdError> {
         self.reachable_sweep(output, SweepConfig::serial())
             .map(|(r, _)| r)
+    }
+
+    fn reach_walk(
+        &self,
+        seed: Option<u64>,
+        cfg: SweepConfig,
+        ctx: &ReplayCtx<'_>,
+    ) -> Result<(Vec<bool>, SweepStats), AdError> {
+        let walked = sweep::walk(self, seed, Kernels::REACH, cfg, ctx)?;
+        Ok(walked.reach.expect("reach kernel was requested"))
     }
 
     /// Static data-dependency analysis ([`crate::datadep`]): structural
@@ -356,164 +426,74 @@ impl Tape {
 
     /// Data-dependency analysis with an explicit [`SweepConfig`].
     pub fn datadep_sweep(&self, output: crate::Adj, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        datadep::analyze(self, output.index(), cfg, &ReplayCtx::none())
+        self.datadep_walk(output.index(), cfg, &ReplayCtx::none())
     }
 
     /// [`Tape::datadep_sweep`] on a checkpointed tape, re-recording
-    /// evicted segments through `replay` (the forward def-use pass and
-    /// the reverse liveness sweep both stay within the residency budget).
+    /// evicted segments through `replay` (liveness and the def-use bits
+    /// come out of the same reverse walk, within the residency budget).
     pub fn datadep_sweep_replay(
         &self,
         output: crate::Adj,
         cfg: SweepConfig,
         replay: &dyn TapeReplay,
     ) -> Result<DataDep, AdError> {
-        datadep::analyze(
-            self,
-            output.index(),
-            cfg,
-            &ReplayCtx::new(replay, Recorder::disabled()),
-        )
+        let ctx = ReplayCtx::new(replay, Recorder::disabled());
+        self.datadep_walk(output.index(), cfg, &ctx)
     }
 
     /// Data-dependency analysis seeded at an explicit node index.
     pub fn datadep_of(&self, output: u64, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        datadep::analyze(self, Some(output), cfg, &ReplayCtx::none())
+        self.datadep_walk(Some(output), cfg, &ReplayCtx::none())
     }
 
-    // ----- observed sweeps -------------------------------------------
-    //
-    // The `_observed` variants wrap the sweep in an obs span
-    // (`ad.sweep.<kind>`, with tape shape fields) and export the
-    // resulting [`SweepStats`] as gauges via [`SweepStats::emit`], so the
-    // analysis layer can derive its report from the recorder instead of
-    // plumbing the struct through by hand. With a disabled recorder they
-    // are exactly the plain sweeps. The `_replay_observed` variants
-    // additionally report each re-recording as an `ad.replay` span.
-
-    /// [`Tape::gradient_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.value`, gauges `ad.sweep.value.*`).
-    pub fn gradient_sweep_observed(
+    fn datadep_walk(
         &self,
-        output: crate::Adj,
+        seed: Option<u64>,
         cfg: SweepConfig,
-        rec: &Recorder,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.value",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let (gradient, stats) = self.gradient_sweep(output, cfg)?;
-        stats.emit(rec, "value");
-        Ok((gradient, stats))
-    }
-
-    /// [`Tape::gradient_sweep_replay`] reporting through an obs recorder:
-    /// the sweep span plus one `ad.replay` span per re-recorded window.
-    pub fn gradient_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<(Gradient, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.value",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let (gradient, stats) = self.gradient_sweep_ctx(output, cfg, &ctx)?;
-        stats.emit(rec, "value");
-        Ok((gradient, stats))
-    }
-
-    /// [`Tape::reachable_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.reach`, gauges `ad.sweep.reach.*`).
-    pub fn reachable_sweep_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        rec: &Recorder,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.reach",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let (reach, stats) = self.reachable_sweep(output, cfg)?;
-        stats.emit(rec, "reach");
-        Ok((reach, stats))
-    }
-
-    /// [`Tape::reachable_sweep_replay`] reporting through an obs recorder.
-    pub fn reachable_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.reach",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let (reach, stats) = self.reachable_sweep_ctx(output, cfg, &ctx)?;
-        stats.emit(rec, "reach");
-        Ok((reach, stats))
-    }
-
-    /// [`Tape::datadep_sweep`] reporting through an obs recorder
-    /// (span `ad.sweep.datadep`, gauges `ad.sweep.datadep.*`).
-    pub fn datadep_sweep_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        rec: &Recorder,
+        ctx: &ReplayCtx<'_>,
     ) -> Result<DataDep, AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.datadep",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let dd = self.datadep_sweep(output, cfg)?;
-        dd.stats().emit(rec, "datadep");
-        Ok(dd)
+        let walked = sweep::walk(self, seed, Kernels::DATADEP, cfg, ctx)?;
+        Ok(DataDep::from_walk(walked, seed))
     }
+}
 
-    /// [`Tape::datadep_sweep_replay`] reporting through an obs recorder.
-    pub fn datadep_sweep_replay_observed(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-        rec: &Recorder,
-    ) -> Result<DataDep, AdError> {
-        let shape = self.stats();
-        let _span = scrutiny_obs::span!(
-            rec,
-            "ad.sweep.datadep",
-            nodes = shape.nodes,
-            segments = shape.segments
-        );
-        let ctx = ReplayCtx::new(replay, rec.clone());
-        let dd = datadep::analyze(self, output.index(), cfg, &ctx)?;
-        dd.stats().emit(rec, "datadep");
-        Ok(dd)
-    }
+/// One reverse kernel [`Tape::sweep`] can run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// The adjoint (value-gradient) sweep: [`Swept::value`].
+    Value,
+    /// Structural reachability: [`Swept::reach`].
+    Reach,
+    /// The static data-dependency analysis — liveness plus def-use bits:
+    /// [`Swept::datadep`].
+    DataDep,
+}
+
+/// What [`Tape::sweep`] should compute, and how.
+#[derive(Clone, Default)]
+pub struct SweepRequest<'a> {
+    /// The kernels to run.
+    pub kernels: &'a [Kernel],
+    /// Threads per walk (`0` = one per available core, `1` = serial);
+    /// see [`SweepConfig::threads`].
+    pub threads: usize,
+    /// Re-records evicted segments of a checkpointed tape. When set, all
+    /// kernels share one reverse walk.
+    pub replay: Option<&'a dyn TapeReplay>,
+    /// Where spans and gauges go; disabled by default.
+    pub recorder: Recorder,
+}
+
+/// The results of one [`Tape::sweep`]: `Some` for every kernel requested.
+#[derive(Debug, Default)]
+pub struct Swept {
+    /// [`Kernel::Value`]: the adjoint of every node.
+    pub value: Option<(Gradient, SweepStats)>,
+    /// [`Kernel::Reach`]: one reachability bit per node.
+    pub reach: Option<(Vec<bool>, SweepStats)>,
+    /// [`Kernel::DataDep`]: liveness, def-use bits, witness paths.
+    pub datadep: Option<DataDep>,
 }
 
 /// Memory/size counters for a recorded tape.
@@ -656,6 +636,42 @@ impl Drop for TapeSession {
 /// True if a recording session is active on this thread.
 pub fn recording() -> bool {
     ACTIVE.with(|slot| matches!(slot.borrow().as_ref(), Some(Active::Record(_))))
+}
+
+/// Nodes the thread's recording target holds: the tape's length while
+/// recording, the sink's counter during a replay.
+pub(crate) fn position() -> u64 {
+    ACTIVE.with(|slot| match slot.borrow().as_ref() {
+        Some(Active::Record(tape)) => tape.store.len(),
+        Some(Active::Replay(sink)) => sink.position(),
+        None => panic!("no recording or replay is active on this thread"),
+    })
+}
+
+fn with_recording<T>(f: impl FnOnce(&mut Tape) -> T) -> T {
+    ACTIVE.with(|slot| match slot.borrow_mut().as_mut() {
+        Some(Active::Record(tape)) => f(tape),
+        _ => panic!("no TapeSession is recording on this thread"),
+    })
+}
+
+/// Announce a ladder whose snapshots take `bytes` each to the recording
+/// tape; returns the counters to charge them to.
+pub(crate) fn reserve_snapshots(bytes: usize) -> Arc<MemCounters> {
+    with_recording(|tape| tape.store.reserve_snapshots(bytes))
+}
+
+/// The recording tape's [`SegmentStore::ladder_room`].
+pub(crate) fn ladder_room() -> (usize, usize) {
+    with_recording(|tape| tape.store.ladder_room())
+}
+
+/// Preset the replay sink's node counter (a replay resuming a snapshot).
+pub(crate) fn replay_seek(node: u64) {
+    ACTIVE.with(|slot| match slot.borrow_mut().as_mut() {
+        Some(Active::Replay(sink)) => sink.seek(node),
+        _ => panic!("no replay is active on this thread"),
+    })
 }
 
 /// Install a replay sink on this thread (see [`crate::replay`]). Panics
@@ -882,6 +898,24 @@ mod tests {
     }
 
     #[test]
+    fn sweep_stats_round_trip_through_gauges() {
+        let rec = Recorder::new();
+        let stats = SweepStats {
+            segments: 3,
+            threads: 2,
+            cross_contribs: 7,
+            parallel: true,
+            replayed_segments: 5,
+            replayed_nodes: 11,
+            peak_resident_bytes: 4096,
+        };
+        stats.emit(&rec, "value");
+        let snap = rec.snapshot();
+        assert_eq!(SweepStats::from_snapshot(&snap, "value"), Some(stats));
+        assert_eq!(SweepStats::from_snapshot(&snap, "reach"), None);
+    }
+
+    #[test]
     fn gradient_of_range_is_contiguous() {
         let s = TapeSession::new();
         let leaves: Vec<Adj> = (0..4).map(|i| Adj::leaf(i as f64)).collect();
@@ -948,6 +982,32 @@ mod tests {
             ctape.peak_resident_bytes(),
             budget
         );
+    }
+
+    #[test]
+    fn arenas_are_recycled_and_accounting_returns_to_zero() {
+        // Recording and two replaying sweeps over ~20 segments allocate
+        // a budget's worth of arenas, not one per segment or window …
+        let s = TapeSession::with_config(checkpointed_cfg(2));
+        let (_, out) = chain_computation();
+        let tape = s.finish();
+        assert!(tape.segment_count() >= 16);
+        let mem = tape.store().mem().clone();
+        assert!(mem.arenas() <= 2, "recording allocated {}", mem.arenas());
+        let replay = || {
+            let _ = chain_computation();
+        };
+        for _ in 0..2 {
+            tape.gradient_sweep_replay(out, SweepConfig::serial(), &replay)
+                .unwrap();
+        }
+        assert!(tape.stats().replayed_segments >= 16);
+        assert!(mem.arenas() <= 4, "sweeps allocated {}", mem.arenas());
+        assert!(tape.peak_resident_bytes() <= 2 * 32 * NODE_BYTES);
+        // … and every byte charged is credited back, spares included.
+        assert_eq!(mem.resident(), tape.resident_bytes());
+        drop(tape);
+        assert_eq!(mem.resident(), 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! Run with: `cargo bench -p scrutiny-bench --bench ad_overhead`
 
 use criterion::{criterion_group, Criterion};
-use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
+use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeReplay, TapeSession};
 use scrutiny_core::site::NoopSite;
-use scrutiny_core::{LeafSite, ScrutinyApp};
+use scrutiny_core::{record_resumable, LeafSite, ScrutinyApp};
 use scrutiny_npb::{Bt, Ep};
 use std::time::Instant;
 
@@ -175,17 +175,18 @@ fn report_segmented_vs_seed() {
 
 /// What bounded tape residency costs: record throughput and value-sweep
 /// time at a few checkpoint budgets against the unbounded tape, with the
-/// peak resident bytes each budget actually reached. The sweeps replay
-/// evicted segments by re-running the app, so sweep time grows roughly
-/// with `segments / ncheckpoints` extra recordings — that recompute is
-/// the price of the O(ncheckpoints · segment) memory bound, and this is
-/// where it gets a number.
+/// peak resident bytes each budget actually reached — once replaying
+/// evicted windows by re-running the app from its start (a closure), once
+/// by resuming the step snapshots `record_resumable` keeps inside the
+/// same budget. `replayed_nodes / nodes` is the recompute each schedule
+/// pays for the O(ncheckpoints · segment) memory bound, `sweep gap` its
+/// price in time against the unbounded sweep.
 fn report_checkpointed(summary: &scrutiny_bench::BenchSummary) {
     const SEG: usize = 1 << 14;
     let bt = Bt::mini();
     // Must mirror the recording run exactly (leaves included), or the
     // digest check will refuse the re-recorded segments.
-    let replay = || {
+    let program_start = || {
         let mut site = LeafSite::new();
         bt.run_ad(&mut site);
     };
@@ -204,6 +205,7 @@ fn report_checkpointed(summary: &scrutiny_bench::BenchSummary) {
         "ad.ckpt.unbounded.peak_resident_bytes",
         full.peak_resident_bytes() as i64,
     );
+    summary.set_value("ad.ckpt.unbounded.sweep_us", (t_sweep_full * 1e6) as i64);
 
     println!("\n== bounded-memory tape (BT mini, {nodes} nodes, {segments} segments) ==");
     println!(
@@ -217,34 +219,51 @@ fn report_checkpointed(summary: &scrutiny_bench::BenchSummary) {
         ("n=4", TapeCheckpointConfig::with_ncheckpoints(4)),
         ("n=2", TapeCheckpointConfig::with_ncheckpoints(2)),
     ] {
-        let (out_b, tape) = record_bounded(&bt, SEG, Some(ckpt));
-        let t_record = measure(5, || record_bounded(&bt, SEG, Some(ckpt)).1.len());
-        let t_sweep = measure(3, || {
-            tape.gradient_sweep_replay(out_b, SweepConfig::serial(), &replay)
-                .unwrap()
-                .0
-                .len()
-        });
-        let peak = tape.peak_resident_bytes();
+        let cfg = TapeConfig {
+            capacity: bt.tape_capacity_hint(),
+            segment_len: SEG,
+            checkpoint: Some(ckpt),
+            ..TapeConfig::default()
+        };
         let n = ckpt.resolved(segments);
-        println!(
-            "ncheckpoints={n:<3} ({label:<4}) record {:>6.1} Mnodes/s   sweep {:>8.2} ms   peak {:>10} B   {} replays",
-            nodes as f64 / t_record / 1e6,
-            t_sweep * 1e3,
-            peak,
-            tape.stats().replayed_segments,
-        );
-        let key = |m: &str| format!("ad.ckpt.{label}.{m}");
-        summary.set_value(&key("peak_resident_bytes"), peak as i64);
-        summary.set_value(
-            &key("record_nodes_per_sec"),
-            (nodes as f64 / t_record) as i64,
-        );
-        summary.set_value(&key("sweep_us"), (t_sweep * 1e6) as i64);
-        summary.set_value(
-            &key("replayed_segments"),
-            tape.stats().replayed_segments as i64,
-        );
+        let t_record = measure(5, || record_resumable(&bt, cfg).2.len());
+        let (outcome, _, tape, resumable) = record_resumable(&bt, cfg);
+        let (_, closure_tape) = record_bounded(&bt, SEG, Some(ckpt));
+        let replayers: [(&str, &Tape, &dyn TapeReplay); 2] = [
+            ("", &closure_tape, &program_start),
+            (".resumable", &tape, &resumable),
+        ];
+        for (suffix, tape, replay) in replayers {
+            let sweep = || {
+                tape.gradient_sweep_replay(outcome.output, SweepConfig::serial(), replay)
+                    .unwrap()
+                    .1
+            };
+            let stats = sweep();
+            let t_sweep = measure(3, || sweep().segments);
+            println!(
+                "ncheckpoints={n:<3} ({label}{suffix:<10}) record {:>6.1} Mnodes/s   sweep {:>8.2} ms   \
+                 gap {:>5.2}x   peak {:>9} B   replayed {:>5.2}x nodes, {} segments",
+                nodes as f64 / t_record / 1e6,
+                t_sweep * 1e3,
+                t_sweep / t_sweep_full,
+                stats.peak_resident_bytes,
+                stats.replayed_nodes as f64 / nodes as f64,
+                stats.replayed_segments,
+            );
+            let key = |m: &str| format!("ad.ckpt.{label}{suffix}.{m}");
+            summary.set_value(
+                &key("peak_resident_bytes"),
+                stats.peak_resident_bytes as i64,
+            );
+            summary.set_value(
+                &key("record_nodes_per_sec"),
+                (nodes as f64 / t_record) as i64,
+            );
+            summary.set_value(&key("sweep_us"), (t_sweep * 1e6) as i64);
+            summary.set_value(&key("replayed_segments"), stats.replayed_segments as i64);
+            summary.set_value(&key("replayed_nodes"), stats.replayed_nodes as i64);
+        }
     }
 }
 

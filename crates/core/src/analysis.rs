@@ -2,13 +2,17 @@
 //! for every checkpoint variable.
 //!
 //! The AD pass is the method's bottleneck, so this layer drives the
-//! segmented tape's **parallel** sweeps: the value-gradient sweep and the
-//! structural-reachability sweep run concurrently on two threads, and each
-//! sweep internally merges cross-segment adjoint frontiers on worker
-//! threads (see `scrutiny_ad::sweep`). Results are bit-identical to the
-//! serial seed sweep by construction. Recording failures (tape overflow)
-//! and bad sweep seeds surface as typed [`AdError`]s instead of aborting a
-//! long NPB record.
+//! segmented tape's **parallel** sweeps through [`Tape::sweep`]: on an
+//! unbounded tape the value-gradient sweep and the structural-reachability
+//! sweep run concurrently on two threads, and each sweep internally merges
+//! cross-segment adjoint frontiers on worker threads (see
+//! `scrutiny_ad::sweep`); on a bounded-memory tape
+//! ([`ScrutinyOptions::tape_checkpoints`]) they share one reverse walk
+//! whose evicted windows are re-recorded by resuming the application at
+//! the nearest step boundary. Results are bit-identical to the serial seed
+//! sweep by construction. Recording failures (tape overflow) and bad sweep
+//! seeds surface as typed [`AdError`]s instead of aborting a long NPB
+//! record.
 //!
 //! Two analyzers share this front door, selected by
 //! [`ScrutinyOptions::analyzer`]:
@@ -24,13 +28,13 @@
 //!   differential result, including a typed [`Disagreement`] list with
 //!   witness paths, comes from [`scrutinize_differential`].
 
-use crate::app::ScrutinyApp;
+use crate::app::{step_with_site, AppRun, RunOutcome, ScrutinyApp};
 use crate::site::{LeafRange, LeafSite};
 use crate::spec::{AppSpec, VarSpec};
 use scrutiny_ad::tape::TapeStats;
 use scrutiny_ad::{
-    AdError, Adj, DataDep, SweepConfig, SweepStats, Tape, TapeCheckpointConfig, TapeConfig,
-    TapeSession, Witness,
+    AdError, Adj, DataDep, Kernel, Ladder, Resume, SweepRequest, SweepStats, Swept, Tape,
+    TapeCheckpointConfig, TapeConfig, TapeReplay, Witness,
 };
 use scrutiny_ckpt::{Bitmap, DType, Regions};
 use scrutiny_obs::Recorder;
@@ -176,18 +180,19 @@ pub struct ScrutinyOptions {
     /// data-dependency analyzer, or both cross-checked.
     pub analyzer: Analyzer,
     /// Bounded-memory tape checkpointing: keep at most `ncheckpoints`
-    /// segments resident (0 = auto ≈ log2(segments)), discarding the rest
-    /// during recording and re-recording them on demand — by re-running
-    /// the application — during the sweeps. Verdicts stay bit-identical
-    /// to the unbounded analysis; peak tape residency drops from the
-    /// full recording to `ncheckpoints × segment` bytes. Requires the
+    /// segments' bytes resident (0 = auto ≈ log2(segments)) — tape
+    /// segments plus the step snapshots of the application that share the
+    /// budget — discarding the rest during recording and re-recording
+    /// segments on demand during the sweeps, by resuming the application
+    /// at the nearest snapshot. Verdicts stay bit-identical to the
+    /// unbounded analysis; peak tape residency drops from the full
+    /// recording to `ncheckpoints × segment` bytes. Requires the
     /// application's AD run to be deterministic (every NPB kernel is);
     /// nondeterminism is caught as [`AdError::ReplayDivergence`].
     pub tape_checkpoints: Option<TapeCheckpointConfig>,
     /// Observability sink: record/sweep phase spans and the sweep gauges
-    /// the report's [`SweepStats`] views are derived from. The default is
-    /// [`Recorder::disabled`]; the analysis then uses a small private
-    /// recorder internally (stats still work, nothing is exported).
+    /// mirroring the report's [`SweepStats`]. The default is
+    /// [`Recorder::disabled`].
     pub recorder: Recorder,
 }
 
@@ -285,147 +290,44 @@ pub fn scrutinize(app: &dyn ScrutinyApp) -> Result<AnalysisReport, AdError> {
     scrutinize_with(app, &ScrutinyOptions::default())
 }
 
-/// [`scrutinize`] with an explicit tape capacity (nodes).
-pub fn scrutinize_with_capacity(
-    app: &dyn ScrutinyApp,
-    capacity: usize,
-) -> Result<AnalysisReport, AdError> {
-    scrutinize_with(
-        app,
-        &ScrutinyOptions {
-            capacity: Some(capacity),
-            ..ScrutinyOptions::default()
-        },
-    )
-}
-
 /// [`scrutinize`] with full control over segmentation, sweep threads and
 /// the analysis backend.
 pub fn scrutinize_with(
     app: &dyn ScrutinyApp,
     opts: &ScrutinyOptions,
 ) -> Result<AnalysisReport, AdError> {
-    match opts.analyzer {
-        Analyzer::Both => return scrutinize_differential(app, opts).map(|d| d.ad),
-        Analyzer::Ad | Analyzer::DataDep => {}
-    }
     let t0 = Instant::now();
-    let obs = effective_recorder(opts);
-    let rec = record_app(app, opts, &obs);
-    let cfg = SweepConfig {
-        threads: opts.threads,
-    };
-    let sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
     match opts.analyzer {
+        Analyzer::Both => scrutinize_differential(app, opts).map(|d| d.ad),
         Analyzer::Ad => {
-            let (grads, reach) = if opts.tape_checkpoints.is_some() {
-                // Checkpointed tape: the sweeps run sequentially — each
-                // replays evicted segments through a re-run of the
-                // application, and running them concurrently would fight
-                // over the same residency budget.
-                let replay = app_replayer(app);
-                let (grads, _) = rec
-                    .tape
-                    .gradient_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-                let (reach, _) = rec
-                    .tape
-                    .reachable_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-                (grads, reach)
-            } else {
-                // The two sweeps are independent; run them concurrently.
-                // Each may additionally parallelize its own frontier
-                // merging. They report into the recorder themselves
-                // (spans `ad.sweep.value` / `ad.sweep.reach`, gauges
-                // `ad.sweep.<kind>.*`).
-                let (value_res, reach_res) = std::thread::scope(|scope| {
-                    let reach =
-                        scope.spawn(|| rec.tape.reachable_sweep_observed(rec.output, cfg, &obs));
-                    let value = rec.tape.gradient_sweep_observed(rec.output, cfg, &obs);
-                    (value, reach.join().expect("structural sweep panicked"))
-                });
-                (value_res?.0, reach_res?.0)
-            };
-            drop(sweeps_span);
-            let vars = ad_vars(&rec, &grads, &reach);
-            Ok(rec.report(Analyzer::Ad, &obs, ("value", "reach"), vars, t0))
+            let (rec, swept) = record_and_sweep(app, opts, &[Kernel::Value, Kernel::Reach])?;
+            Ok(rec.ad_report(opts, &swept, t0))
         }
         Analyzer::DataDep => {
-            let dd = if opts.tape_checkpoints.is_some() {
-                let replay = app_replayer(app);
-                rec.tape
-                    .datadep_sweep_replay_observed(rec.output, cfg, &replay, &obs)?
-            } else {
-                rec.tape.datadep_sweep_observed(rec.output, cfg, &obs)?
-            };
-            drop(sweeps_span);
-            let vars = datadep_vars(&rec, &dd);
-            Ok(rec.report(Analyzer::DataDep, &obs, ("datadep", "datadep"), vars, t0))
+            let (rec, swept) = record_and_sweep(app, opts, &[Kernel::DataDep])?;
+            Ok(rec.datadep_report(opts, &swept, t0))
         }
-        Analyzer::Both => unreachable!("dispatched above"),
-    }
-}
-
-/// The replay closure for bounded-memory sweeps: re-run the application's
-/// AD pass exactly as [`record_app`] did (fresh leaf site, same
-/// checkpoint boundary), but with the thread's replay sink — not a tape —
-/// receiving the nodes. Determinism is verified per segment by digest.
-fn app_replayer(app: &dyn ScrutinyApp) -> impl Fn() + '_ {
-    move || {
-        let mut site = LeafSite::new();
-        let _ = app.run_ad(&mut site);
     }
 }
 
 /// Run *both* analyzers over one recording (value, reachability and
-/// datadep sweeps concurrently in one scope) and classify every verdict
-/// mismatch into a typed, witnessed [`Disagreement`].
+/// datadep sweeps concurrently in one scope — or fused into one replaying
+/// walk on a bounded-memory tape) and classify every verdict mismatch into
+/// a typed, witnessed [`Disagreement`].
 pub fn scrutinize_differential(
     app: &dyn ScrutinyApp,
     opts: &ScrutinyOptions,
 ) -> Result<DifferentialReport, AdError> {
     let t0 = Instant::now();
-    let obs = effective_recorder(opts);
-    let rec = record_app(app, opts, &obs);
-    let cfg = SweepConfig {
-        threads: opts.threads,
-    };
-    let sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
-    let (grads, reach, dd) = if opts.tape_checkpoints.is_some() {
-        // Bounded-memory tape: all three sweeps share one residency
-        // budget, so they run sequentially, each replaying evicted
-        // segments as it walks.
-        let replay = app_replayer(app);
-        let (grads, _) = rec
-            .tape
-            .gradient_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        let (reach, _) = rec
-            .tape
-            .reachable_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        let dd = rec
-            .tape
-            .datadep_sweep_replay_observed(rec.output, cfg, &replay, &obs)?;
-        (grads, reach, dd)
-    } else {
-        let (value_res, reach_res, dd_res) = std::thread::scope(|scope| {
-            let reach = scope.spawn(|| rec.tape.reachable_sweep_observed(rec.output, cfg, &obs));
-            let dd = scope.spawn(|| rec.tape.datadep_sweep_observed(rec.output, cfg, &obs));
-            let value = rec.tape.gradient_sweep_observed(rec.output, cfg, &obs);
-            (
-                value,
-                reach.join().expect("structural sweep panicked"),
-                dd.join().expect("datadep sweep panicked"),
-            )
-        });
-        (value_res?.0, reach_res?.0, dd_res?)
-    };
-    drop(sweeps_span);
-
-    let ad_vars = ad_vars(&rec, &grads, &reach);
-    let dd_vars = datadep_vars(&rec, &dd);
-    let disagreements = classify_disagreements(&rec, &ad_vars, &dd_vars, &dd);
-
-    let datadep = rec.report(Analyzer::DataDep, &obs, ("datadep", "datadep"), dd_vars, t0);
-    let ad = rec.report(Analyzer::Ad, &obs, ("value", "reach"), ad_vars, t0);
+    let kernels = [Kernel::Value, Kernel::Reach, Kernel::DataDep];
+    let (rec, swept) = record_and_sweep(app, opts, &kernels)?;
+    let datadep = rec.datadep_report(opts, &swept, t0);
+    let ad = rec.ad_report(opts, &swept, t0);
+    let dd = swept
+        .datadep
+        .as_ref()
+        .expect("datadep kernel was requested");
+    let disagreements = classify_disagreements(&rec, &ad.vars, &datadep.vars, dd);
     Ok(DifferentialReport {
         ad,
         datadep,
@@ -447,21 +349,34 @@ struct Recorded {
 }
 
 impl Recorded {
-    /// Interpret one analyzer's sweep results as an [`AnalysisReport`]
-    /// over this recording. Borrowing lets the differential path build
-    /// two reports over the same tape.
-    ///
-    /// The report's [`SweepStats`] are not plumbed through as arguments:
-    /// the observed sweeps exported them as `ad.sweep.<kind>.*` gauges,
-    /// and this reads them back via [`SweepStats::from_snapshot`] — the
-    /// stats struct is a *view* over obs data. `kinds` names the
-    /// `(value, structural)` sweep kinds this report describes.
+    /// The value and reach kernels' results as the AD report.
+    fn ad_report(&self, opts: &ScrutinyOptions, swept: &Swept, t0: Instant) -> AnalysisReport {
+        let (grads, value_stats) = swept.value.as_ref().expect("value kernel was requested");
+        let (reach, reach_stats) = swept.reach.as_ref().expect("reach kernel was requested");
+        let vars = ad_vars(self, grads, reach);
+        self.report(opts, Analyzer::Ad, vars, (*value_stats, *reach_stats), t0)
+    }
+
+    /// The datadep kernel's result as the data-dependency report.
+    fn datadep_report(&self, opts: &ScrutinyOptions, swept: &Swept, t0: Instant) -> AnalysisReport {
+        let dd = swept
+            .datadep
+            .as_ref()
+            .expect("datadep kernel was requested");
+        let vars = datadep_vars(self, dd);
+        self.report(opts, Analyzer::DataDep, vars, (dd.stats(), dd.stats()), t0)
+    }
+
+    /// Interpret one analyzer's verdicts as an [`AnalysisReport`] over this
+    /// recording. Borrowing lets the differential path build two reports
+    /// over the same tape. `stats` are those of the criterion sweep and of
+    /// the structural sweep.
     fn report(
         &self,
+        opts: &ScrutinyOptions,
         analyzer: Analyzer,
-        obs: &Recorder,
-        kinds: (&str, &str),
         vars: Vec<VarCriticality>,
+        stats: (SweepStats, SweepStats),
         t0: Instant,
     ) -> AnalysisReport {
         let by_name = vars
@@ -469,17 +384,17 @@ impl Recorded {
             .enumerate()
             .map(|(i, v)| (v.spec.name.clone(), i))
             .collect();
-        let snap = obs.snapshot();
         let analysis_seconds = t0.elapsed().as_secs_f64();
-        obs.record("core.analysis_us", (analysis_seconds * 1e6) as u64);
+        opts.recorder
+            .record("core.analysis_us", (analysis_seconds * 1e6) as u64);
         AnalysisReport {
             app: self.spec.clone(),
             analyzer,
             ckpt_iter: self.ckpt_iter,
             output_value: self.output.value(),
             tape_stats: self.tape.stats(),
-            sweep: SweepStats::from_snapshot(&snap, kinds.0).unwrap_or_default(),
-            reach_sweep: SweepStats::from_snapshot(&snap, kinds.1).unwrap_or_default(),
+            sweep: stats.0,
+            reach_sweep: stats.1,
             analysis_seconds,
             vars,
             by_name,
@@ -487,31 +402,107 @@ impl Recorded {
     }
 }
 
-/// The recorder an analysis reports into: the caller's when enabled,
-/// otherwise a small private one — the report's stats views read from it
-/// either way, nothing else escapes.
-fn effective_recorder(opts: &ScrutinyOptions) -> Recorder {
-    if opts.recorder.is_enabled() {
-        opts.recorder.clone()
-    } else {
-        Recorder::with_capacity(256)
+/// An application's AD run as the tape layer sees it: a computation that
+/// advances from one resumable boundary to the next. The boundaries are
+/// the program start, the checkpoint boundary (reached in one go — the
+/// iterations before it record nothing, so there is nothing to resume in
+/// between), every iteration boundary after it, and the program's end
+/// once the output has been evaluated.
+struct AdRun<'a> {
+    app: &'a dyn ScrutinyApp,
+    run: Box<dyn AppRun<'a, Adj> + 'a>,
+    site: LeafSite,
+    /// Next main-loop iteration to run.
+    next: usize,
+    output: Option<Adj>,
+}
+
+impl<'a> AdRun<'a> {
+    fn start(app: &'a dyn ScrutinyApp) -> AdRun<'a> {
+        AdRun {
+            app,
+            run: app.start_ad(),
+            site: LeafSite::new(),
+            next: *app.steps().start(),
+            output: None,
+        }
     }
 }
 
-/// Run the application once under AD with leaves injected at the
-/// checkpoint boundary.
-fn record_app(app: &dyn ScrutinyApp, opts: &ScrutinyOptions, obs: &Recorder) -> Recorded {
+impl Clone for AdRun<'_> {
+    fn clone(&self) -> Self {
+        AdRun {
+            app: self.app,
+            run: self.run.fork(),
+            site: self.site.clone(),
+            next: self.next,
+            output: self.output,
+        }
+    }
+}
+
+impl Resume for AdRun<'_> {
+    fn advance(&mut self) -> bool {
+        if self.next > *self.app.steps().end() {
+            self.output = Some(self.run.output());
+            return false;
+        }
+        // A checkpoint boundary past the last iteration is never reached
+        // (as in the provided `run_ad`): the prefix ends with the loop.
+        let end = *self.app.steps().end();
+        loop {
+            step_with_site(self.app, &mut *self.run, self.next, &mut self.site);
+            self.next += 1;
+            if self.next >= self.app.checkpoint_iter() || self.next > end {
+                return true;
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + self.run.snapshot_bytes()
+            + std::mem::size_of_val(&self.site.ranges[..])
+    }
+}
+
+/// Record `app`'s AD run — leaves injected at the checkpoint boundary — on
+/// a tape configured by `cfg`, stepping it through the [`AppRun`] protocol.
+/// Returns the run's outcome, the leaf layout the site saw, the tape, and
+/// the tape's replayer. When `cfg.checkpoint` bounds the tape, forks of the
+/// run at step boundaries share the residency budget, and a sweep given
+/// the replayer re-records evicted segments from the nearest one; on an
+/// unbounded tape nothing is forked.
+pub fn record_resumable<'a>(
+    app: &'a dyn ScrutinyApp,
+    cfg: TapeConfig,
+) -> (RunOutcome<Adj>, LeafSite, Tape, impl TapeReplay + 'a) {
+    let (tape, end, ladder) = Ladder::record(cfg, move || AdRun::start(app));
+    let output = end
+        .output
+        .expect("a finished recording evaluated the output");
+    (RunOutcome { output }, end.site, tape, ladder)
+}
+
+/// Record `app` once under AD, then sweep the tape with `kernels` — every
+/// analysis pass, whichever analyzer it serves.
+fn record_and_sweep(
+    app: &dyn ScrutinyApp,
+    opts: &ScrutinyOptions,
+    kernels: &[Kernel],
+) -> Result<(Recorded, Swept), AdError> {
+    let obs = &opts.recorder;
     let spec = app.spec();
     let record_span = scrutiny_obs::span!(obs, "core.analysis.record", app = spec.name.as_str());
-    let session = TapeSession::with_config(TapeConfig {
-        capacity: opts.capacity.unwrap_or_else(|| app.tape_capacity_hint()),
-        segment_len: opts.segment_len,
-        node_limit: opts.node_limit,
-        checkpoint: opts.tape_checkpoints,
-    });
-    let mut site = LeafSite::new();
-    let outcome = app.run_ad(&mut site);
-    let tape = session.finish();
+    let (outcome, site, tape, replay) = record_resumable(
+        app,
+        TapeConfig {
+            capacity: opts.capacity.unwrap_or_else(|| app.tape_capacity_hint()),
+            segment_len: opts.segment_len,
+            node_limit: opts.node_limit,
+            checkpoint: opts.tape_checkpoints,
+        },
+    );
     let shape = tape.stats();
     obs.set_gauge("core.tape.nodes", shape.nodes as i64);
     obs.set_gauge("core.tape.leaves", shape.leaves as i64);
@@ -538,13 +529,30 @@ fn record_app(app: &dyn ScrutinyApp, opts: &ScrutinyOptions, obs: &Recorder) -> 
             range.elems
         );
     }
-    Recorded {
+    let rec = Recorded {
         spec,
         ckpt_iter,
         tape,
         output: outcome.output,
         ranges: site.ranges,
-    }
+    };
+    // An unbounded tape keeps every segment: its kernels walk
+    // concurrently. A bounded one hands the sweep its replayer, and the
+    // kernels share the one walk that re-records evicted windows.
+    let _sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
+    let swept = rec.tape.sweep(
+        rec.output,
+        &SweepRequest {
+            kernels,
+            threads: opts.threads,
+            replay: opts
+                .tape_checkpoints
+                .is_some()
+                .then_some(&replay as &dyn TapeReplay),
+            recorder: obs.clone(),
+        },
+    )?;
+    Ok((rec, swept))
 }
 
 /// Build the per-variable maps from per-node predicates, shared by both
@@ -698,6 +706,24 @@ fn live_leaf_node(range: &LeafRange, i: usize, dd: &DataDep) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::tiny::Heat1d;
+
+    #[test]
+    fn a_checkpoint_boundary_past_the_loop_is_never_reached() {
+        // Stepped through `AdRun`, like driven by the provided `run_ad`:
+        // the loop runs its iterations and no more, the site sees nothing.
+        let app = Heat1d {
+            n: 8,
+            niter: 3,
+            ckpt_at: 7,
+        };
+        let (outcome, site, tape, _) = record_resumable(&app, TapeConfig::default());
+        assert_eq!(site.iter, None);
+        let session = scrutiny_ad::TapeSession::new();
+        let driven = app.run_ad(&mut LeafSite::new()).output;
+        assert_eq!(driven.index(), outcome.output.index());
+        assert_eq!(driven.value().to_bits(), outcome.output.value().to_bits());
+        assert_eq!(session.finish().len(), tape.len());
+    }
 
     #[test]
     fn heat1d_criticality_matches_construction() {

@@ -1,8 +1,9 @@
 //! The application contract for scrutiny analysis.
 
-use crate::site::CkptSite;
+use crate::site::{CkptSite, VarRefMut};
 use crate::spec::AppSpec;
-use scrutiny_ad::Adj;
+use scrutiny_ad::{Adj, Real};
+use std::ops::RangeInclusive;
 
 /// Result of one application run.
 #[derive(Clone, Copy, Debug)]
@@ -12,26 +13,77 @@ pub struct RunOutcome<R> {
     pub output: R,
 }
 
+/// One run of an application in progress, for one scalar type: the state
+/// between two main-loop iterations, advanced one iteration at a time.
+///
+/// The boundaries between iterations are the points the application can
+/// be resumed from: [`AppRun::fork`] snapshots the run there, and the
+/// bounded-memory analysis re-records evicted tape segments from the
+/// nearest such snapshot instead of from the program start. An
+/// application with a single iteration is the degenerate case.
+pub trait AppRun<'a, R: Real> {
+    /// Execute main-loop iteration `iter`. Iterations are run in order,
+    /// each exactly once, over [`ScrutinyApp::steps`].
+    fn step(&mut self, iter: usize);
+
+    /// Mutable views of every checkpoint variable, in [`AppSpec`] order,
+    /// as they stand at the boundary before iteration `iter` — what a
+    /// [`CkptSite`] is shown.
+    fn vars(&mut self, iter: usize) -> Vec<VarRefMut<'_, R>>;
+
+    /// The application's verification scalar, from the state after the
+    /// last iteration. Under AD this records onto the tape like any other
+    /// arithmetic, so it is evaluated once per run.
+    fn output(&self) -> R;
+
+    /// An independent copy of this run at the current boundary.
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a>;
+
+    /// Bytes a fork allocates, the boxed run itself included — what
+    /// keeping one as a replay snapshot costs the tape's residency budget.
+    /// Must not undercount.
+    fn snapshot_bytes(&self) -> usize;
+}
+
 /// An application whose checkpoint variables can be scrutinized.
 ///
-/// The two run methods must execute the *same* computation (implementations
-/// typically delegate to one generic function). Both call the site exactly
-/// once, at the iteration returned by [`ScrutinyApp::checkpoint_iter`],
-/// presenting the checkpoint variables in [`AppSpec`] order.
+/// An application exposes its main loop through the step protocol:
+/// [`ScrutinyApp::start_f64`] / [`ScrutinyApp::start_ad`] set up the state
+/// before the first iteration (implementations typically return one struct
+/// generic over the scalar), and the provided [`ScrutinyApp::run_f64`] /
+/// [`ScrutinyApp::run_ad`] drive it: every iteration of
+/// [`ScrutinyApp::steps`] in order, calling the site exactly once, at the
+/// boundary before [`ScrutinyApp::checkpoint_iter`], with the checkpoint
+/// variables in [`AppSpec`] order.
 pub trait ScrutinyApp {
     /// Name, class and checkpoint variables (the paper's Table I row).
     fn spec(&self) -> AppSpec;
 
+    /// The main loop's iteration indices, first to last.
+    fn steps(&self) -> RangeInclusive<usize>;
+
     /// Main-loop iteration at whose boundary the checkpoint is taken.
     fn checkpoint_iter(&self) -> usize;
 
-    /// Native run (golden, capture and restart paths).
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64>;
+    /// The native run, before its first iteration (golden, capture and
+    /// restart paths).
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_>;
 
-    /// Recording run for the AD analysis. Must follow the identical code
-    /// path as [`ScrutinyApp::run_f64`] (same control flow for the same
-    /// state), instantiated with the tape scalar.
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj>;
+    /// The recording run for the AD analysis, before its first iteration.
+    /// Must follow the identical code path as [`ScrutinyApp::start_f64`]
+    /// (same control flow for the same state), instantiated with the tape
+    /// scalar.
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_>;
+
+    /// Native run, start to output.
+    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
+        drive(self, self.start_f64(), site)
+    }
+
+    /// Recording run, start to output.
+    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
+        drive(self, self.start_ad(), site)
+    }
 
     /// Tape-node capacity hint for the AD run (pre-reserves the tape).
     fn tape_capacity_hint(&self) -> usize {
@@ -42,5 +94,33 @@ pub trait ScrutinyApp {
     /// golden output (the application's own "verification").
     fn tolerance(&self) -> f64 {
         1e-9
+    }
+}
+
+/// Run `app`'s iteration `iter` on `run`, presenting the checkpoint
+/// variables to `site` first if this is the checkpoint boundary — the one
+/// loop body every driver of the step protocol shares.
+pub(crate) fn step_with_site<'a, R: Real>(
+    app: &(impl ScrutinyApp + ?Sized),
+    run: &mut (dyn AppRun<'a, R> + 'a),
+    iter: usize,
+    site: &mut dyn CkptSite<R>,
+) {
+    if iter == app.checkpoint_iter() {
+        site.at_boundary(iter, &mut run.vars(iter));
+    }
+    run.step(iter);
+}
+
+fn drive<'a, R: Real>(
+    app: &(impl ScrutinyApp + ?Sized),
+    mut run: Box<dyn AppRun<'a, R> + 'a>,
+    site: &mut dyn CkptSite<R>,
+) -> RunOutcome<R> {
+    for iter in app.steps() {
+        step_with_site(app, &mut *run, iter, site);
+    }
+    RunOutcome {
+        output: run.output(),
     }
 }

@@ -26,11 +26,85 @@
 //!
 //! ## Writing an application
 //!
-//! Implement [`ScrutinyApp`] by exposing the same generic run for
-//! `R = f64` and `R = Adj`, calling the [`CkptSite`] exactly once at the
-//! checkpoint boundary with mutable views of every checkpoint variable.
+//! Implement [`ScrutinyApp`] through the step protocol: one run struct,
+//! generic over the scalar, that holds the state between two main-loop
+//! iterations and implements [`AppRun`] — `step` one iteration, `vars`
+//! for the checkpoint-variable views a [`CkptSite`] is shown, `output`
+//! for the verification scalar, `fork` for a snapshot — returned by
+//! `start_f64` / `start_ad` for `R = f64` and `R = Adj`. The provided
+//! `run_f64` / `run_ad` drive it, calling the site exactly once at the
+//! checkpoint boundary; the bounded-memory analysis resumes forks of it.
 //! See [`tiny::Heat1d`] for a complete minimal example, and the
 //! `scrutiny-npb` crate for the eight NPB ports used in the paper.
+//!
+//! ```
+//! use scrutiny_core::{
+//!     scrutinize, Adj, AppRun, AppSpec, Real, ScrutinyApp, VarRefMut, VarSpec,
+//! };
+//!
+//! /// `x[i] ← 0.9·x[i] + 0.1·x[i+1]` for ten steps; the last slot is
+//! /// padding no step ever reads.
+//! struct Relax;
+//!
+//! /// The state between two steps, generic over the scalar.
+//! #[derive(Clone)]
+//! struct RelaxRun<R> {
+//!     x: Vec<R>,
+//! }
+//!
+//! impl<'a, R: Real + 'a> AppRun<'a, R> for RelaxRun<R> {
+//!     fn step(&mut self, _iter: usize) {
+//!         for i in 0..3 {
+//!             self.x[i] = self.x[i] * 0.9 + self.x[i + 1] * 0.1;
+//!         }
+//!     }
+//!     fn vars(&mut self, _iter: usize) -> Vec<VarRefMut<'_, R>> {
+//!         vec![VarRefMut::F64(&mut self.x)]
+//!     }
+//!     fn output(&self) -> R {
+//!         self.x[0] + self.x[1] + self.x[2] + self.x[3]
+//!     }
+//!     fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+//!         Box::new(self.clone())
+//!     }
+//!     fn snapshot_bytes(&self) -> usize {
+//!         std::mem::size_of_val(self) + std::mem::size_of_val(&self.x[..])
+//!     }
+//! }
+//!
+//! impl Relax {
+//!     fn start<R: Real>(&self) -> Box<RelaxRun<R>> {
+//!         let x = (0..5).map(|i| R::lit(i as f64)).collect();
+//!         Box::new(RelaxRun { x })
+//!     }
+//! }
+//!
+//! impl ScrutinyApp for Relax {
+//!     fn spec(&self) -> AppSpec {
+//!         AppSpec {
+//!             name: "RELAX".into(),
+//!             class: "demo".into(),
+//!             vars: vec![VarSpec::f64("x", &[5])],
+//!         }
+//!     }
+//!     fn steps(&self) -> std::ops::RangeInclusive<usize> {
+//!         1..=10
+//!     }
+//!     fn checkpoint_iter(&self) -> usize {
+//!         6
+//!     }
+//!     fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+//!         self.start()
+//!     }
+//!     fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+//!         self.start()
+//!     }
+//! }
+//!
+//! let report = scrutinize(&Relax).unwrap();
+//! // The padding slot is the one uncritical element.
+//! assert_eq!(report.var("x").unwrap().uncritical(), 1);
+//! ```
 //!
 //! ## Example: scrutinize, then verify by restart
 //!
@@ -71,10 +145,10 @@ pub mod spec;
 pub mod tiny;
 
 pub use analysis::{
-    scrutinize, scrutinize_differential, scrutinize_with, scrutinize_with_capacity, AnalysisReport,
+    record_resumable, scrutinize, scrutinize_differential, scrutinize_with, AnalysisReport,
     Analyzer, DifferentialReport, Disagreement, DisagreementKind, ScrutinyOptions, VarCriticality,
 };
-pub use app::{RunOutcome, ScrutinyApp};
+pub use app::{AppRun, RunOutcome, ScrutinyApp};
 pub use plan::{codec_for, Policy};
 pub use report::{
     format_table1, format_table2, format_table3, table2_rows, table3_row, Table2Row, Table3Row,
@@ -90,7 +164,7 @@ pub use spec::{AppSpec, VarSpec};
 // Re-export the scalar abstraction so applications depend on one crate.
 pub use scrutiny_ad::{
     AdError, Adj, Cplx, DataDep, Dual, Real, SweepConfig, SweepStats, TapeCheckpointConfig,
-    TapeReplay, Witness,
+    TapeConfig, TapeReplay, Witness,
 };
 // Re-export the observability substrate: every layer below reports into a
 // [`Recorder`], and the stats structs are views over its snapshots.

@@ -115,7 +115,7 @@ pub struct LeafRange {
 }
 
 /// Replaces every float element with a fresh tape leaf at the boundary.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct LeafSite {
     /// Per-variable leaf layout in spec order (filled at the boundary).
     pub ranges: Vec<LeafRange>,

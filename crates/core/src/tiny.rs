@@ -9,10 +9,11 @@
 //! * a scratch array rewritten every iteration before any read
 //!   (`workspace`) — uncritical *despite being live data moments earlier*.
 
-use crate::app::{RunOutcome, ScrutinyApp};
-use crate::site::{CkptSite, VarRefMut};
+use crate::app::{AppRun, ScrutinyApp};
+use crate::site::VarRefMut;
 use crate::spec::{AppSpec, VarSpec};
 use scrutiny_ad::{Adj, Real};
+use std::ops::RangeInclusive;
 
 /// Explicit 1-D heat equation with ghost boundaries and tail padding.
 pub struct Heat1d {
@@ -31,12 +32,12 @@ impl Heat1d {
         Heat1d { n, niter, ckpt_at }
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<HeatRun<R>> {
         let n = self.n;
         // temp[0] and temp[n+1] are fixed boundary cells; the final two
         // slots are padding that no loop ever touches (a deliberate
         // "imperfect coding" artifact, cf. paper §IV.B).
-        let mut temp: Vec<R> = (0..n + 4)
+        let temp = (0..n + 4)
             .map(|i| {
                 if i < n + 2 {
                     R::lit((std::f64::consts::PI * i as f64 / (n + 1) as f64).sin())
@@ -45,33 +46,63 @@ impl Heat1d {
                 }
             })
             .collect();
-        let mut workspace: Vec<R> = vec![R::zero(); n];
-        let mut it_state = vec![0i64];
+        Box::new(HeatRun {
+            n,
+            temp,
+            workspace: vec![R::zero(); n],
+            it_state: vec![0],
+        })
+    }
+}
 
+/// A [`Heat1d`] run between two diffusion steps.
+#[derive(Clone)]
+struct HeatRun<R> {
+    n: usize,
+    temp: Vec<R>,
+    workspace: Vec<R>,
+    it_state: Vec<i64>,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for HeatRun<R> {
+    fn step(&mut self, _it: usize) {
+        let (n, temp, workspace) = (self.n, &mut self.temp, &mut self.workspace);
         let alpha = 0.1;
-        for it in 0..self.niter {
-            if it == self.ckpt_at {
-                it_state[0] = it as i64;
-                let mut views = [
-                    VarRefMut::F64(&mut temp),
-                    VarRefMut::F64(&mut workspace),
-                    VarRefMut::I64(&mut it_state),
-                ];
-                site.at_boundary(it, &mut views);
-            }
-            for i in 1..=n {
-                workspace[i - 1] = temp[i - 1] - temp[i] * 2.0 + temp[i + 1];
-            }
-            for i in 1..=n {
-                temp[i] += workspace[i - 1] * alpha;
-            }
+        for i in 1..=n {
+            workspace[i - 1] = temp[i - 1] - temp[i] * 2.0 + temp[i + 1];
         }
+        for i in 1..=n {
+            temp[i] += workspace[i - 1] * alpha;
+        }
+    }
 
+    fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {
+        self.it_state[0] = it as i64;
+        vec![
+            VarRefMut::F64(&mut self.temp),
+            VarRefMut::F64(&mut self.workspace),
+            VarRefMut::I64(&mut self.it_state),
+        ]
+    }
+
+    fn output(&self) -> R {
+        let (n, temp) = (self.n, &self.temp);
         let mut out = (temp[0] + temp[n + 1]) * 0.5;
         for t in temp.iter().take(n + 1).skip(1) {
             out += *t;
         }
-        RunOutcome { output: out }
+        out
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(&self.temp[..])
+            + std::mem::size_of_val(&self.workspace[..])
+            + std::mem::size_of_val(&self.it_state[..])
     }
 }
 
@@ -88,16 +119,26 @@ impl ScrutinyApp for Heat1d {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        // `new` guarantees an iteration; built by hand with none, the loop
+        // is empty.
+        match self.niter.checked_sub(1) {
+            Some(last) => 0..=last,
+            #[allow(clippy::reversed_empty_ranges)]
+            None => 1..=0,
+        }
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {
@@ -126,6 +167,19 @@ mod tests {
         let app = Heat1d::new(32, 50, 10);
         let out = app.run_f64(&mut NoopSite).output;
         assert!(out > 0.0 && out < 32.0);
+    }
+
+    #[test]
+    fn no_iterations_is_an_empty_loop() {
+        // `new` refuses it, the public fields do not.
+        let app = Heat1d {
+            n: 4,
+            niter: 0,
+            ckpt_at: 0,
+        };
+        assert!(app.steps().is_empty());
+        let initial = app.start_f64().output();
+        assert_eq!(app.run_f64(&mut NoopSite).output, initial);
     }
 
     #[test]

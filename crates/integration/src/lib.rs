@@ -14,14 +14,23 @@
 //! unexplained. The repo-root `tests/analyzer_differential.rs` drives
 //! this over the NPB kernels; `tests/nonsmooth_pitfalls.rs` drives it
 //! over the hand-built Hückelheim-style pitfall tapes.
+//!
+//! [`assert_step_contract`] is the other shared harness: what every
+//! `ScrutinyApp` owes the step protocol, checked the same way for the NPB
+//! kernels, the demo app and the pitfall apps. One clause of it — a run's
+//! `snapshot_bytes` is what a fork of it really allocates — needs the test
+//! binary to install [`CountingAlloc`] as its global allocator.
 
 #![warn(missing_docs)]
 
+use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
 use scrutiny_core::{
-    scrutinize_differential, AdError, AnalysisReport, DifferentialReport, DisagreementKind,
-    ScrutinyApp, ScrutinyOptions,
+    record_resumable, scrutinize_differential, AdError, Adj, AnalysisReport, AppRun, CaptureSite,
+    CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real, ScrutinyApp, ScrutinyOptions,
 };
 use scrutiny_faultinj::{campaign_matrix, CampaignConfig, CampaignReport, Corruption, Target};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// One application's differential run, labeled for failure messages.
 #[derive(Debug)]
@@ -190,6 +199,228 @@ pub fn datadep_uncritical_matrix(
         ..CampaignConfig::default()
     };
     campaign_matrix(app, datadep_report, &base, &corruption_models())
+}
+
+/// Drive `run` by hand through `app`'s iterations `from..=last`, showing
+/// the site the checkpoint variables at the checkpoint boundary — what
+/// the provided `run_f64` / `run_ad` do — and return the output.
+fn drive_by_hand<'a, R: Real>(
+    app: &dyn ScrutinyApp,
+    run: &mut (dyn AppRun<'a, R> + 'a),
+    from: usize,
+    site: &mut dyn CkptSite<R>,
+) -> R {
+    for iter in from..=*app.steps().end() {
+        if iter == app.checkpoint_iter() {
+            site.at_boundary(iter, &mut run.vars(iter));
+        }
+        run.step(iter);
+    }
+    run.output()
+}
+
+/// Every adjoint and reachability bit of `tape` seeded at `out`: a
+/// content witness two recordings of the same run must share.
+fn tape_witness(tape: &Tape, out: Adj) -> (Vec<u64>, Vec<bool>) {
+    let serial = SweepConfig::serial();
+    let (grads, _) = tape.gradient_sweep(out, serial).expect("value sweep");
+    let (reach, _) = tape.reachable_sweep(out, serial).expect("reach sweep");
+    let bits = (0..grads.len() as u64)
+        .map(|i| grads.of_node(i).to_bits())
+        .collect();
+    (bits, reach)
+}
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread the bytes currently
+/// allocated. A test binary installs it with
+/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` so that
+/// [`assert_step_contract`] can weigh a fork.
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count(delta: isize) {
+        // A thread being torn down has no counter left; nothing measures
+        // there.
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
+    }
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// plain thread-local integer with no destructor and no allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::count(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Bytes `make`'s result keeps allocated (on this thread), with the
+/// result; `None` when [`CountingAlloc`] is not the global allocator.
+pub fn allocated_by<T>(make: impl FnOnce() -> T) -> Option<(T, usize)> {
+    let live = || LIVE_BYTES.with(Cell::get);
+    let before = live();
+    let probe = Box::new(0u64);
+    let counting = live() != before;
+    drop(probe);
+    let made = make();
+    counting.then(|| (made, (live() - before).max(0) as usize))
+}
+
+/// Assert that `run.snapshot_bytes()` is what a fork of `run` really
+/// allocates — never less (the residency budget is charged that number),
+/// and no more than a sixteenth over. Skipped when the binary does not
+/// count allocations.
+fn assert_snapshot_bytes<'a, R: Real>(name: &str, run: &(dyn AppRun<'a, R> + 'a)) {
+    let Some((fork, allocated)) = allocated_by(|| run.fork()) else {
+        return;
+    };
+    let claimed = fork.snapshot_bytes();
+    assert!(
+        allocated <= claimed && claimed <= allocated + allocated / 16 + 64,
+        "{name}: snapshot_bytes() = {claimed} but a fork allocates {allocated}"
+    );
+}
+
+/// Assert what an application owes the step protocol:
+///
+/// 1. **One code path:** stepping `start_f64` / `start_ad` by hand gives
+///    the same output bits, the same captured checkpoint state and the
+///    same tape (node and leaf counts, every adjoint and reachability
+///    bit) as the provided `run_f64` / `run_ad`.
+/// 2. **Forks are snapshots:** at every iteration boundary, a fork resumed
+///    to the end reproduces the output bit for bit, and forking leaves
+///    the run it was taken from untouched.
+///    Its `snapshot_bytes` is what the fork allocates (checked when the
+///    test binary installs [`CountingAlloc`]).
+/// 3. **Resumed re-recording is exact:** on a tape bounded to two and to
+///    four residency slots (the segment length chosen so the tape has a
+///    few dozen segments), sweeps that re-record every evicted window by
+///    resuming forks match the unbounded sweep bit for bit — each
+///    re-recorded segment digest-verified along the way.
+///
+/// Panics naming the application on any failure.
+pub fn assert_step_contract(app: &dyn ScrutinyApp) {
+    let name = app.spec().name;
+    let first = *app.steps().start();
+
+    // 1 + 2, natively.
+    let mut golden_site = CaptureSite::new();
+    let golden = app.run_f64(&mut golden_site).output;
+    let mut by_hand_site = CaptureSite::new();
+    let mut run = app.start_f64();
+    let by_hand = drive_by_hand(app, &mut *run, first, &mut by_hand_site);
+    assert_eq!(golden.to_bits(), by_hand.to_bits(), "{name}: f64 output");
+    assert_eq!(golden_site.iter, by_hand_site.iter, "{name}: boundary seen");
+    assert_eq!(
+        golden_site.vars, by_hand_site.vars,
+        "{name}: captured state"
+    );
+
+    let mut run = app.start_f64();
+    for iter in app.steps() {
+        assert_snapshot_bytes(&name, &*run);
+        let mut fork = run.fork();
+        let resumed = drive_by_hand(app, &mut *fork, iter, &mut CaptureSite::new());
+        assert_eq!(
+            golden.to_bits(),
+            resumed.to_bits(),
+            "{name}: fork resumed at the boundary before iteration {iter}"
+        );
+        run.step(iter);
+    }
+    let at_end = run.fork();
+    assert_eq!(
+        golden.to_bits(),
+        at_end.output().to_bits(),
+        "{name}: fork at the end"
+    );
+    assert_eq!(
+        golden.to_bits(),
+        run.output().to_bits(),
+        "{name}: forked-from run"
+    );
+    drop(at_end);
+
+    // 1, under AD.
+    let cfg = TapeConfig {
+        capacity: app.tape_capacity_hint(),
+        ..TapeConfig::default()
+    };
+    let session = TapeSession::with_config(cfg);
+    let mut site = LeafSite::new();
+    let out = app.run_ad(&mut site).output;
+    let tape = session.finish();
+    let session = TapeSession::with_config(cfg);
+    let mut hand_site = LeafSite::new();
+    let mut run = app.start_ad();
+    assert_snapshot_bytes(&name, &*run);
+    let hand_out = drive_by_hand(app, &mut *run, first, &mut hand_site);
+    drop(run);
+    let hand_tape = session.finish();
+    assert_eq!(
+        out.value().to_bits(),
+        hand_out.value().to_bits(),
+        "{name}: AD output"
+    );
+    assert_eq!(out.index(), hand_out.index(), "{name}: output node");
+    assert_eq!(tape.len(), hand_tape.len(), "{name}: node count");
+    assert_eq!(
+        tape.leaf_count(),
+        hand_tape.leaf_count(),
+        "{name}: leaf count"
+    );
+    let witness = tape_witness(&tape, out);
+    assert!(
+        witness == tape_witness(&hand_tape, hand_out),
+        "{name}: tape content"
+    );
+
+    // 3: a few dozen segments, two and four residency slots.
+    let segment_len = (tape.len() / 48).next_power_of_two().max(8);
+    for n in [2, 4] {
+        let (outcome, leaves, bounded, resumable) = record_resumable(
+            app,
+            TapeConfig {
+                segment_len,
+                checkpoint: Some(TapeCheckpointConfig::with_ncheckpoints(n)),
+                ..cfg
+            },
+        );
+        assert_eq!(
+            outcome.output.index(),
+            out.index(),
+            "{name}: bounded output node"
+        );
+        assert_eq!(leaves.iter, site.iter, "{name}: bounded boundary");
+        let serial = SweepConfig::serial();
+        let (grads, stats) = bounded
+            .gradient_sweep_replay(outcome.output, serial, &resumable)
+            .unwrap_or_else(|e| panic!("{name}: resumed value sweep (n={n}): {e}"));
+        let (reach, _) = bounded
+            .reachable_sweep_replay(outcome.output, serial, &resumable)
+            .unwrap_or_else(|e| panic!("{name}: resumed reach sweep (n={n}): {e}"));
+        let bits: Vec<u64> = (0..grads.len() as u64)
+            .map(|i| grads.of_node(i).to_bits())
+            .collect();
+        assert!(witness == (bits, reach), "{name}: resumed sweeps (n={n})");
+        assert!(
+            stats.peak_resident_bytes
+                <= TapeCheckpointConfig::with_ncheckpoints(n)
+                    .budget_bytes(segment_len, bounded.segment_count()),
+            "{name}: peak {} over budget (n={n})",
+            stats.peak_resident_bytes
+        );
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,8 @@ use crate::pde::{
     NCOMP,
 };
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// The BT benchmark.
 pub struct Bt {
@@ -237,51 +238,74 @@ impl Bt {
         (s / ((GP - 2) * (GP - 2) * (GP - 2) * NCOMP) as f64).sqrt()
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<BtRun<'_, R>> {
         let mut u: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
         blend_init(&mut u, &self.exact);
-        let mut rhs: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        let mut step_state = vec![0i64];
-
-        for step in 1..=self.niter {
-            if step == self.ckpt_at {
-                step_state[0] = step as i64;
-                let mut views = [
-                    VarRefMut::F64(u.flat_mut()),
-                    VarRefMut::I64(&mut step_state),
-                ];
-                site.at_boundary(step, &mut views);
-            }
-            self.compute_rhs(&u, &mut rhs);
-            self.line_solve(&mut rhs, 0);
-            self.line_solve(&mut rhs, 1);
-            self.line_solve(&mut rhs, 2);
-            Self::add(&mut u, &rhs);
-        }
-
-        // Verification quantities, as in NPB: solution error norms over
-        // the full 12³ (Fig. 2's error_norm) plus the residual norm.
-        let err = error_norm(&u, &self.exact);
-        let mut out = Self::rhs_norm(&rhs);
-        for e in err {
-            out += e;
-        }
-        RunOutcome { output: out }
+        Box::new(BtRun {
+            bt: self,
+            u,
+            rhs: Arr4::zeros(GP, GP1, GP1, NCOMP),
+            step_state: vec![0],
+        })
     }
 
     /// Final solution error (testing aid): RMS over all components.
     pub fn final_error(&self) -> f64 {
-        let mut u: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        blend_init(&mut u, &self.exact);
-        let mut rhs: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        for _ in 1..=self.niter {
-            self.compute_rhs(&u, &mut rhs);
-            self.line_solve(&mut rhs, 0);
-            self.line_solve(&mut rhs, 1);
-            self.line_solve(&mut rhs, 2);
-            Self::add(&mut u, &rhs);
+        let mut run = self.start::<f64>();
+        for step in self.steps() {
+            run.step(step);
         }
-        error_norm(&u, &self.exact).iter().sum()
+        error_norm(&run.u, &self.exact).iter().sum()
+    }
+}
+
+/// A [`Bt`] run between two time steps.
+#[derive(Clone)]
+struct BtRun<'a, R> {
+    bt: &'a Bt,
+    u: Arr4<R>,
+    rhs: Arr4<R>,
+    step_state: Vec<i64>,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for BtRun<'a, R> {
+    fn step(&mut self, _step: usize) {
+        let bt = self.bt;
+        bt.compute_rhs(&self.u, &mut self.rhs);
+        bt.line_solve(&mut self.rhs, 0);
+        bt.line_solve(&mut self.rhs, 1);
+        bt.line_solve(&mut self.rhs, 2);
+        Bt::add(&mut self.u, &self.rhs);
+    }
+
+    fn vars(&mut self, step: usize) -> Vec<VarRefMut<'_, R>> {
+        self.step_state[0] = step as i64;
+        vec![
+            VarRefMut::F64(self.u.flat_mut()),
+            VarRefMut::I64(&mut self.step_state),
+        ]
+    }
+
+    /// Verification quantities, as in NPB: solution error norms over the
+    /// full 12³ (Fig. 2's error_norm) plus the residual norm.
+    fn output(&self) -> R {
+        let err = error_norm(&self.u, &self.bt.exact);
+        let mut out = Bt::rhs_norm(&self.rhs);
+        for e in err {
+            out += e;
+        }
+        out
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(self.u.flat())
+            + std::mem::size_of_val(self.rhs.flat())
+            + std::mem::size_of_val(&self.step_state[..])
     }
 }
 
@@ -297,16 +321,20 @@ impl ScrutinyApp for Bt {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.niter
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

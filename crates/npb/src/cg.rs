@@ -8,7 +8,8 @@
 
 use crate::common::{dot, SparseMatrix, RANDLC_SEED};
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// The CG benchmark.
 pub struct Cg {
@@ -100,28 +101,60 @@ impl Cg {
         (z, sum.sqrt())
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
-        let na = self.na;
-        // NPB initializes all NA+2 slots to 1.0 …
-        let mut x: Vec<R> = vec![R::one(); na + 2];
-        let mut it_state = vec![0i64];
-        let mut zeta = R::zero();
-        for it in 1..=self.niter {
-            if it == self.ckpt_at {
-                it_state[0] = it as i64;
-                let mut views = [VarRefMut::F64(&mut x), VarRefMut::I64(&mut it_state)];
-                site.at_boundary(it, &mut views);
-            }
-            let (z, _rnorm) = self.conj_grad(&x);
-            let xz = dot(&x[..na], &z);
-            zeta = R::lit(self.shift) + R::one() / xz;
-            // … but only the first NA are ever read or written.
-            let norm = dot(&z, &z).sqrt();
-            for j in 0..na {
-                x[j] = z[j] / norm;
-            }
+    fn start<R: Real>(&self) -> Box<CgRun<'_, R>> {
+        Box::new(CgRun {
+            cg: self,
+            // NPB initializes all NA+2 slots to 1.0 …
+            x: vec![R::one(); self.na + 2],
+            it_state: vec![0],
+            zeta: R::zero(),
+        })
+    }
+}
+
+/// A [`Cg`] run between two outer iterations.
+#[derive(Clone)]
+struct CgRun<'a, R> {
+    cg: &'a Cg,
+    x: Vec<R>,
+    it_state: Vec<i64>,
+    zeta: R,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for CgRun<'a, R> {
+    fn step(&mut self, _it: usize) {
+        let (cg, x) = (self.cg, &mut self.x);
+        let na = cg.na;
+        let (z, _rnorm) = cg.conj_grad(x);
+        let xz = dot(&x[..na], &z);
+        self.zeta = R::lit(cg.shift) + R::one() / xz;
+        // … but only the first NA are ever read or written.
+        let norm = dot(&z, &z).sqrt();
+        for j in 0..na {
+            x[j] = z[j] / norm;
         }
-        RunOutcome { output: zeta }
+    }
+
+    fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {
+        self.it_state[0] = it as i64;
+        vec![
+            VarRefMut::F64(&mut self.x),
+            VarRefMut::I64(&mut self.it_state),
+        ]
+    }
+
+    fn output(&self) -> R {
+        self.zeta
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(&self.x[..])
+            + std::mem::size_of_val(&self.it_state[..])
     }
 }
 
@@ -138,16 +171,20 @@ impl ScrutinyApp for Cg {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.niter
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

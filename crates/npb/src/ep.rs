@@ -10,7 +10,8 @@
 
 use crate::common::{Randlc, RANDLC_A};
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// EP's seed (NPB uses 271828183 for EP).
 pub const EP_SEED: u64 = 271_828_183;
@@ -79,36 +80,65 @@ impl Ep {
         (bsx, bsy, bq)
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
-        let mut sx = [R::zero()];
-        let mut sy = [R::zero()];
-        let mut q: Vec<R> = vec![R::zero(); 10];
-        let mut k_state = vec![0i64];
-        for k in 0..self.batches {
-            if k == self.ckpt_at {
-                k_state[0] = k as i64;
-                let mut views = [
-                    VarRefMut::F64(&mut sx),
-                    VarRefMut::F64(&mut sy),
-                    VarRefMut::F64(&mut q),
-                    VarRefMut::I64(&mut k_state),
-                ];
-                site.at_boundary(k, &mut views);
-            }
-            let (bsx, bsy, bq) = self.batch_stats(k);
-            sx[0] += R::lit(bsx);
-            sy[0] += R::lit(bsy);
-            for (ql, &b) in q.iter_mut().zip(&bq) {
-                *ql += R::lit(b);
-            }
+    fn start<R: Real>(&self) -> Box<EpRun<'_, R>> {
+        Box::new(EpRun {
+            ep: self,
+            sx: [R::zero()],
+            sy: [R::zero()],
+            q: vec![R::zero(); 10],
+            k_state: vec![0],
+        })
+    }
+}
+
+/// An [`Ep`] run between two batches.
+#[derive(Clone)]
+struct EpRun<'a, R> {
+    ep: &'a Ep,
+    sx: [R; 1],
+    sy: [R; 1],
+    q: Vec<R>,
+    k_state: Vec<i64>,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for EpRun<'a, R> {
+    fn step(&mut self, k: usize) {
+        let (bsx, bsy, bq) = self.ep.batch_stats(k);
+        self.sx[0] += R::lit(bsx);
+        self.sy[0] += R::lit(bsy);
+        for (ql, &b) in self.q.iter_mut().zip(&bq) {
+            *ql += R::lit(b);
         }
-        // The verification quantity: sums and all annulus counts (each
-        // weighted distinctly so every q bin matters to the output).
-        let mut out = sx[0] + sy[0];
-        for (l, &ql) in q.iter().enumerate() {
+    }
+
+    fn vars(&mut self, k: usize) -> Vec<VarRefMut<'_, R>> {
+        self.k_state[0] = k as i64;
+        vec![
+            VarRefMut::F64(&mut self.sx),
+            VarRefMut::F64(&mut self.sy),
+            VarRefMut::F64(&mut self.q),
+            VarRefMut::I64(&mut self.k_state),
+        ]
+    }
+
+    /// The verification quantity: sums and all annulus counts (each
+    /// weighted distinctly so every q bin matters to the output).
+    fn output(&self) -> R {
+        let mut out = self.sx[0] + self.sy[0];
+        for (l, &ql) in self.q.iter().enumerate() {
             out += ql * (l as f64 + 1.0) * 1e-3;
         }
-        RunOutcome { output: out }
+        out
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(&self.q[..])
+            + std::mem::size_of_val(&self.k_state[..])
     }
 }
 
@@ -130,16 +160,20 @@ impl ScrutinyApp for Ep {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        0..=self.batches - 1
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

@@ -17,7 +17,8 @@
 
 use crate::common::Randlc;
 use scrutiny_ad::{Adj, Cplx, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// FT's seed (NPB uses 314159265 for FT's initial conditions).
 const FT_SEED: u64 = 314_159_265;
@@ -222,50 +223,79 @@ impl Ft {
         chk.scale_lit(1.0 / total as f64)
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<FtRun<'_, R>> {
         let n_elems = self.y_elems();
         // Initial conditions: random complex field on the logical grid
         // (program input — regenerated at restart, constant under AD).
         let mut rng = Randlc::new(FT_SEED);
-        let mut u1: Vec<Cplx<R>> = vec![Cplx::zero(); n_elems];
+        let mut u0: Vec<Cplx<R>> = vec![Cplx::zero(); n_elems];
         for k in 0..self.nz {
             for j in 0..self.ny {
                 for i in 0..self.nx {
                     let re = rng.next();
                     let im = rng.next();
-                    u1[self.idx(k, j, i)] = Cplx::lit(re, im);
+                    u0[self.idx(k, j, i)] = Cplx::lit(re, im);
                 }
             }
         }
         // Forward transform: y (u0) is the frequency-domain state.
-        let mut u0 = u1.clone();
         self.fft3d(&mut u0, false);
+        Box::new(FtRun {
+            ft: self,
+            u0,
+            sums: vec![Cplx::zero(); self.niter],
+            kt_state: vec![0],
+        })
+    }
+}
 
-        let mut sums: Vec<Cplx<R>> = vec![Cplx::zero(); self.niter];
-        let mut kt_state = vec![0i64];
-        let mut scratch: Vec<Cplx<R>> = vec![Cplx::zero(); n_elems];
+/// An [`Ft`] run between two evolution steps.
+#[derive(Clone)]
+struct FtRun<'a, R> {
+    ft: &'a Ft,
+    u0: Vec<Cplx<R>>,
+    sums: Vec<Cplx<R>>,
+    kt_state: Vec<i64>,
+}
 
-        for kt in 1..=self.niter {
-            if kt == self.ckpt_at {
-                kt_state[0] = kt as i64;
-                let mut views = [
-                    VarRefMut::C128(&mut u0),
-                    VarRefMut::C128(&mut sums),
-                    VarRefMut::I64(&mut kt_state),
-                ];
-                site.at_boundary(kt, &mut views);
-            }
-            self.evolve(&u0, &mut scratch, kt as f64);
-            self.fft3d(&mut scratch, true);
-            sums[kt - 1] = self.checksum(&scratch);
-        }
+impl<'a, R: Real + 'a> AppRun<'a, R> for FtRun<'a, R> {
+    fn step(&mut self, kt: usize) {
+        let ft = self.ft;
+        // Every element is written by `evolve` before the inverse
+        // transform reads it: scratch carries nothing between steps.
+        let mut scratch: Vec<Cplx<R>> = vec![Cplx::zero(); self.u0.len()];
+        ft.evolve(&self.u0, &mut scratch, kt as f64);
+        ft.fft3d(&mut scratch, true);
+        self.sums[kt - 1] = ft.checksum(&scratch);
+    }
 
-        // The verification quantity: all checksum components.
+    fn vars(&mut self, kt: usize) -> Vec<VarRefMut<'_, R>> {
+        self.kt_state[0] = kt as i64;
+        vec![
+            VarRefMut::C128(&mut self.u0),
+            VarRefMut::C128(&mut self.sums),
+            VarRefMut::I64(&mut self.kt_state),
+        ]
+    }
+
+    /// The verification quantity: all checksum components.
+    fn output(&self) -> R {
         let mut out = R::zero();
-        for s in &sums {
+        for s in &self.sums {
             out += s.re + s.im;
         }
-        RunOutcome { output: out }
+        out
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(&self.u0[..])
+            + std::mem::size_of_val(&self.sums[..])
+            + std::mem::size_of_val(&self.kt_state[..])
     }
 }
 
@@ -286,16 +316,20 @@ impl ScrutinyApp for Ft {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.niter
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

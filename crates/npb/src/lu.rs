@@ -26,7 +26,8 @@
 use crate::common::{Arr3, Arr4};
 use crate::pde::{blend_init, error_norm_interior, ExactSolution, GP, GP1, NCOMP};
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// Ratio of specific heats' role in the pressure closure (NPB's c2).
 const C2: f64 = 0.4;
@@ -279,7 +280,7 @@ impl Lu {
         R::one() / (R::one() + acc * (1e-3 / (GP * GP * GP) as f64))
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<LuRun<'_, R>> {
         let mut u: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
         blend_init(&mut u, &self.exact);
         let mut rho_i: Arr3<R> = Arr3::zeros(GP, GP1, GP1);
@@ -287,139 +288,127 @@ impl Lu {
         Self::compute_aux(&u, &mut rho_i, &mut qs);
         let mut rsd: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
         self.compute_rsd(&u, &rho_i, &qs, &mut rsd);
-        let mut istep_state = vec![0i64];
-        let mut history = R::zero();
-
-        for istep in 1..=self.niter {
-            if istep == self.ckpt_at {
-                istep_state[0] = istep as i64;
-                let mut views = [
-                    VarRefMut::F64(u.flat_mut()),
-                    VarRefMut::F64(rho_i.flat_mut()),
-                    VarRefMut::F64(qs.flat_mut()),
-                    VarRefMut::F64(rsd.flat_mut()),
-                    VarRefMut::I64(&mut istep_state),
-                ];
-                site.at_boundary(istep, &mut views);
-            }
-
-            // Convergence history (reads rsd over the full grid).
-            history += Self::rsd_norm(&rsd);
-            // Pseudo-time-step control (reads rho_i/qs over the full grid).
-            let scale = Self::relaxation_scale(&rho_i, &qs);
-
-            // Lower-triangular sweep (NPB jacld/blts).
-            for k in 1..GP - 1 {
-                for j in 1..GP - 1 {
-                    for i in 1..GP - 1 {
-                        let dcoef = R::one()
-                            / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * self.dt);
-                        for m in 0..NCOMP {
-                            let tv = rsd[(k, j, i, m)]
-                                + (rsd[(k - 1, j, i, m)]
-                                    + rsd[(k, j - 1, i, m)]
-                                    + rsd[(k, j, i - 1, m)])
-                                    * self.omega;
-                            rsd[(k, j, i, m)] = tv * dcoef * scale;
-                        }
-                    }
-                }
-            }
-            // Upper-triangular sweep (NPB jacu/buts).
-            for k in (1..GP - 1).rev() {
-                for j in (1..GP - 1).rev() {
-                    for i in (1..GP - 1).rev() {
-                        let dcoef = R::one()
-                            / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * self.dt);
-                        for m in 0..NCOMP {
-                            let corr = (rsd[(k + 1, j, i, m)]
-                                + rsd[(k, j + 1, i, m)]
-                                + rsd[(k, j, i + 1, m)])
-                                * (self.omega);
-                            rsd[(k, j, i, m)] += corr * dcoef * scale;
-                        }
-                    }
-                }
-            }
-            // Fold the increment into the solution.
-            for k in 1..GP - 1 {
-                for j in 1..GP - 1 {
-                    for i in 1..GP - 1 {
-                        for m in 0..NCOMP {
-                            let inc = rsd[(k, j, i, m)];
-                            u[(k, j, i, m)] += inc;
-                        }
-                    }
-                }
-            }
-            // Refresh derived state and residual for the next iteration.
-            Self::compute_aux(&u, &mut rho_i, &mut qs);
-            self.compute_rsd(&u, &rho_i, &qs, &mut rsd);
-        }
-
-        let err = error_norm_interior(&u, &self.exact);
-        let mut out = history * 0.05;
-        for e in err {
-            out += e;
-        }
-        RunOutcome { output: out }
+        Box::new(LuRun {
+            lu: self,
+            u,
+            rho_i,
+            qs,
+            rsd,
+            istep_state: vec![0],
+            history: R::zero(),
+        })
     }
 
     /// Final interior solution error (testing aid).
     pub fn final_error(&self) -> f64 {
-        let mut u: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        blend_init(&mut u, &self.exact);
-        let mut rho_i: Arr3<f64> = Arr3::zeros(GP, GP1, GP1);
-        let mut qs: Arr3<f64> = Arr3::zeros(GP, GP1, GP1);
-        Self::compute_aux(&u, &mut rho_i, &mut qs);
-        let mut rsd: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        self.compute_rsd(&u, &rho_i, &qs, &mut rsd);
-        for _ in 1..=self.niter {
-            let scale = Self::relaxation_scale(&rho_i, &qs);
-            for k in 1..GP - 1 {
-                for j in 1..GP - 1 {
-                    for i in 1..GP - 1 {
-                        let dcoef =
-                            1.0 / (1.0 + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * self.dt);
-                        for m in 0..NCOMP {
-                            let tv = rsd[(k, j, i, m)]
-                                + (rsd[(k - 1, j, i, m)]
-                                    + rsd[(k, j - 1, i, m)]
-                                    + rsd[(k, j, i - 1, m)])
-                                    * self.omega;
-                            rsd[(k, j, i, m)] = tv * dcoef * scale;
-                        }
-                    }
-                }
-            }
-            for k in (1..GP - 1).rev() {
-                for j in (1..GP - 1).rev() {
-                    for i in (1..GP - 1).rev() {
-                        let dcoef =
-                            1.0 / (1.0 + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * self.dt);
-                        for m in 0..NCOMP {
-                            let corr = (rsd[(k + 1, j, i, m)]
-                                + rsd[(k, j + 1, i, m)]
-                                + rsd[(k, j, i + 1, m)])
-                                * self.omega;
-                            rsd[(k, j, i, m)] += corr * dcoef * scale;
-                        }
-                    }
-                }
-            }
-            for k in 1..GP - 1 {
-                for j in 1..GP - 1 {
-                    for i in 1..GP - 1 {
-                        for m in 0..NCOMP {
-                            u[(k, j, i, m)] += rsd[(k, j, i, m)];
-                        }
-                    }
-                }
-            }
-            Self::compute_aux(&u, &mut rho_i, &mut qs);
-            self.compute_rsd(&u, &rho_i, &qs, &mut rsd);
+        let mut run = self.start::<f64>();
+        for istep in self.steps() {
+            run.step(istep);
         }
-        error_norm_interior(&u, &self.exact).iter().sum()
+        error_norm_interior(&run.u, &self.exact).iter().sum()
+    }
+}
+
+/// An [`Lu`] run between two SSOR iterations.
+#[derive(Clone)]
+struct LuRun<'a, R> {
+    lu: &'a Lu,
+    u: Arr4<R>,
+    rho_i: Arr3<R>,
+    qs: Arr3<R>,
+    rsd: Arr4<R>,
+    istep_state: Vec<i64>,
+    history: R,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for LuRun<'a, R> {
+    fn step(&mut self, _istep: usize) {
+        let lu = self.lu;
+        let (u, rho_i, qs, rsd) = (&mut self.u, &mut self.rho_i, &mut self.qs, &mut self.rsd);
+        // Convergence history (reads rsd over the full grid).
+        self.history += Lu::rsd_norm(rsd);
+        // Pseudo-time-step control (reads rho_i/qs over the full grid).
+        let scale = Lu::relaxation_scale(rho_i, qs);
+
+        // Lower-triangular sweep (NPB jacld/blts).
+        for k in 1..GP - 1 {
+            for j in 1..GP - 1 {
+                for i in 1..GP - 1 {
+                    let dcoef =
+                        R::one() / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * lu.dt);
+                    for m in 0..NCOMP {
+                        let tv = rsd[(k, j, i, m)]
+                            + (rsd[(k - 1, j, i, m)]
+                                + rsd[(k, j - 1, i, m)]
+                                + rsd[(k, j, i - 1, m)])
+                                * lu.omega;
+                        rsd[(k, j, i, m)] = tv * dcoef * scale;
+                    }
+                }
+            }
+        }
+        // Upper-triangular sweep (NPB jacu/buts).
+        for k in (1..GP - 1).rev() {
+            for j in (1..GP - 1).rev() {
+                for i in (1..GP - 1).rev() {
+                    let dcoef =
+                        R::one() / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * lu.dt);
+                    for m in 0..NCOMP {
+                        let corr =
+                            (rsd[(k + 1, j, i, m)] + rsd[(k, j + 1, i, m)] + rsd[(k, j, i + 1, m)])
+                                * (lu.omega);
+                        rsd[(k, j, i, m)] += corr * dcoef * scale;
+                    }
+                }
+            }
+        }
+        // Fold the increment into the solution.
+        for k in 1..GP - 1 {
+            for j in 1..GP - 1 {
+                for i in 1..GP - 1 {
+                    for m in 0..NCOMP {
+                        let inc = rsd[(k, j, i, m)];
+                        u[(k, j, i, m)] += inc;
+                    }
+                }
+            }
+        }
+        // Refresh derived state and residual for the next iteration.
+        Lu::compute_aux(u, rho_i, qs);
+        lu.compute_rsd(u, rho_i, qs, rsd);
+    }
+
+    fn vars(&mut self, istep: usize) -> Vec<VarRefMut<'_, R>> {
+        self.istep_state[0] = istep as i64;
+        vec![
+            VarRefMut::F64(self.u.flat_mut()),
+            VarRefMut::F64(self.rho_i.flat_mut()),
+            VarRefMut::F64(self.qs.flat_mut()),
+            VarRefMut::F64(self.rsd.flat_mut()),
+            VarRefMut::I64(&mut self.istep_state),
+        ]
+    }
+
+    fn output(&self) -> R {
+        let err = error_norm_interior(&self.u, &self.lu.exact);
+        let mut out = self.history * 0.05;
+        for e in err {
+            out += e;
+        }
+        out
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(self.u.flat())
+            + std::mem::size_of_val(self.rho_i.flat())
+            + std::mem::size_of_val(self.qs.flat())
+            + std::mem::size_of_val(self.rsd.flat())
+            + std::mem::size_of_val(&self.istep_state[..])
     }
 }
 
@@ -438,16 +427,20 @@ impl ScrutinyApp for Lu {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.niter
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

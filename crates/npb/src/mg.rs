@@ -20,7 +20,8 @@
 
 use crate::common::Randlc;
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// Stencil weights by neighbor class (center, face, edge, corner).
 type Weights = [f64; 4];
@@ -383,32 +384,62 @@ impl Mg {
         }
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<MgRun<'_, R>> {
         let n = self.m[self.lt];
-        let mut u: Vec<R> = vec![R::zero(); self.total];
+        let u: Vec<R> = vec![R::zero(); self.total];
         let mut r: Vec<R> = vec![R::zero(); self.total];
-        let mut it_state = vec![0i64];
-
         // Setup: u = 0, r = v - A·0 = v.
         self.resid_finest(&u[..n * n * n], &mut r[..n * n * n]);
+        Box::new(MgRun {
+            mg: self,
+            u,
+            r,
+            it_state: vec![0],
+        })
+    }
+}
 
-        for it in 1..=self.nit {
-            if it == self.ckpt_at {
-                it_state[0] = it as i64;
-                let mut views = [
-                    VarRefMut::F64(&mut u),
-                    VarRefMut::F64(&mut r),
-                    VarRefMut::I64(&mut it_state),
-                ];
-                site.at_boundary(it, &mut views);
-            }
-            self.mg3p(&mut u, &mut r);
-            // Recompute the true residual of the updated solution.
-            self.resid_finest(&u[..n * n * n], &mut r[..n * n * n]);
-        }
-        RunOutcome {
-            output: Self::l2norm(&r[..n * n * n], n),
-        }
+/// An [`Mg`] run between two V-cycles.
+#[derive(Clone)]
+struct MgRun<'a, R> {
+    mg: &'a Mg,
+    u: Vec<R>,
+    r: Vec<R>,
+    it_state: Vec<i64>,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for MgRun<'a, R> {
+    fn step(&mut self, _it: usize) {
+        let (mg, u, r) = (self.mg, &mut self.u, &mut self.r);
+        let n = mg.m[mg.lt];
+        mg.mg3p(u, r);
+        // Recompute the true residual of the updated solution.
+        mg.resid_finest(&u[..n * n * n], &mut r[..n * n * n]);
+    }
+
+    fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {
+        self.it_state[0] = it as i64;
+        vec![
+            VarRefMut::F64(&mut self.u),
+            VarRefMut::F64(&mut self.r),
+            VarRefMut::I64(&mut self.it_state),
+        ]
+    }
+
+    fn output(&self) -> R {
+        let n = self.mg.m[self.mg.lt];
+        Mg::l2norm(&self.r[..n * n * n], n)
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(&self.u[..])
+            + std::mem::size_of_val(&self.r[..])
+            + std::mem::size_of_val(&self.it_state[..])
     }
 }
 
@@ -429,16 +460,20 @@ impl ScrutinyApp for Mg {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.nit
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

@@ -12,7 +12,8 @@
 use crate::common::Arr4;
 use crate::pde::{blend_init, error_norm, ExactSolution, Mat5, PentaSolver, GP, GP1, NCOMP};
 use scrutiny_ad::{Adj, Real};
-use scrutiny_core::{AppSpec, CkptSite, RunOutcome, ScrutinyApp, VarRefMut, VarSpec};
+use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
+use std::ops::RangeInclusive;
 
 /// The SP benchmark.
 pub struct Sp {
@@ -210,52 +211,73 @@ impl Sp {
         (s / ((GP - 2) * (GP - 2) * (GP - 2) * NCOMP) as f64).sqrt()
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
+    fn start<R: Real>(&self) -> Box<SpRun<'_, R>> {
         let mut u: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
         blend_init(&mut u, &self.exact);
-        let mut rhs: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        let mut step_state = vec![0i64];
+        Box::new(SpRun {
+            sp: self,
+            u,
+            rhs: Arr4::zeros(GP, GP1, GP1, NCOMP),
+            step_state: vec![0],
+        })
+    }
 
-        for step in 1..=self.niter {
-            if step == self.ckpt_at {
-                step_state[0] = step as i64;
-                let mut views = [
-                    VarRefMut::F64(u.flat_mut()),
-                    VarRefMut::I64(&mut step_state),
-                ];
-                site.at_boundary(step, &mut views);
-            }
-            self.compute_rhs(&u, &mut rhs);
-            self.line_solve(&mut rhs, 0);
-            self.line_solve(&mut rhs, 1);
-            self.line_solve(&mut rhs, 2);
-            Self::add(&mut u, &rhs);
+    /// Final solution error (testing aid): the output includes the rhs
+    /// norm; this is the pure error.
+    pub fn final_error(&self) -> f64 {
+        let mut run = self.start::<f64>();
+        for step in self.steps() {
+            run.step(step);
         }
+        error_norm(&run.u, &self.exact).iter().sum()
+    }
+}
 
-        let err = error_norm(&u, &self.exact);
-        let mut out = Self::rhs_norm(&rhs);
+/// An [`Sp`] run between two time steps.
+#[derive(Clone)]
+struct SpRun<'a, R> {
+    sp: &'a Sp,
+    u: Arr4<R>,
+    rhs: Arr4<R>,
+    step_state: Vec<i64>,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for SpRun<'a, R> {
+    fn step(&mut self, _step: usize) {
+        let sp = self.sp;
+        sp.compute_rhs(&self.u, &mut self.rhs);
+        sp.line_solve(&mut self.rhs, 0);
+        sp.line_solve(&mut self.rhs, 1);
+        sp.line_solve(&mut self.rhs, 2);
+        Sp::add(&mut self.u, &self.rhs);
+    }
+
+    fn vars(&mut self, step: usize) -> Vec<VarRefMut<'_, R>> {
+        self.step_state[0] = step as i64;
+        vec![
+            VarRefMut::F64(self.u.flat_mut()),
+            VarRefMut::I64(&mut self.step_state),
+        ]
+    }
+
+    fn output(&self) -> R {
+        let err = error_norm(&self.u, &self.sp.exact);
+        let mut out = Sp::rhs_norm(&self.rhs);
         for e in err {
             out += e;
         }
-        RunOutcome { output: out }
+        out
     }
 
-    /// Final solution error (testing aid).
-    pub fn final_error(&self) -> f64 {
-        let mut site = scrutiny_core::site::NoopSite;
-        // The output includes the rhs norm; recompute the pure error.
-        let mut u: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        blend_init(&mut u, &self.exact);
-        let mut rhs: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        for _ in 1..=self.niter {
-            self.compute_rhs(&u, &mut rhs);
-            self.line_solve(&mut rhs, 0);
-            self.line_solve(&mut rhs, 1);
-            self.line_solve(&mut rhs, 2);
-            Self::add(&mut u, &rhs);
-        }
-        let _ = &mut site;
-        error_norm(&u, &self.exact).iter().sum()
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(self.u.flat())
+            + std::mem::size_of_val(self.rhs.flat())
+            + std::mem::size_of_val(&self.step_state[..])
     }
 }
 
@@ -271,16 +293,20 @@ impl ScrutinyApp for Sp {
         }
     }
 
+    fn steps(&self) -> RangeInclusive<usize> {
+        1..=self.niter
+    }
+
     fn checkpoint_iter(&self) -> usize {
         self.ckpt_at
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(&self, site: &mut dyn CkptSite<Adj>) -> RunOutcome<Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, Adj> + '_> {
+        self.start()
     }
 
     fn tape_capacity_hint(&self) -> usize {

@@ -24,11 +24,17 @@
 
 use scrutiny_core::restart::restart_with_mutation;
 use scrutiny_core::{
-    checkpoint_restart_cycle, scrutinize, scrutinize_with, Analyzer, AppSpec, Bitmap, CkptSite,
-    DisagreementKind, FillPolicy, Policy, Real, RestartConfig, RunOutcome, ScrutinyApp,
-    ScrutinyOptions, VarData, VarRefMut, VarSpec,
+    checkpoint_restart_cycle, scrutinize, scrutinize_with, Analyzer, AppRun, AppSpec, Bitmap,
+    DisagreementKind, FillPolicy, Policy, Real, RestartConfig, ScrutinyApp, ScrutinyOptions,
+    VarData, VarRefMut, VarSpec,
 };
-use scrutiny_integration::{assert_safety_invariant, differential_case, explain};
+use scrutiny_integration::{
+    assert_safety_invariant, assert_step_contract, differential_case, explain, CountingAlloc,
+};
+
+/// Lets the step contract weigh every fork against its `snapshot_bytes`.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Which pitfall dataflow the app records.
 #[derive(Clone, Copy, Debug)]
@@ -59,10 +65,27 @@ impl Pitfall {
         }
     }
 
-    fn run_generic<R: Real>(&self, site: &mut dyn CkptSite<R>) -> RunOutcome<R> {
-        let mut x: Vec<R> = self.init().iter().map(|&v| R::lit(v)).collect();
-        site.at_boundary(0, &mut [VarRefMut::F64(&mut x)]);
-        let output = match self.kind {
+    fn start<R: Real>(&self) -> Box<PitfallRun<R>> {
+        Box::new(PitfallRun {
+            kind: self.kind,
+            x: self.init().iter().map(|&v| R::lit(v)).collect(),
+            output: R::zero(),
+        })
+    }
+}
+
+/// The degenerate step protocol: one step, which is the whole expression.
+#[derive(Clone)]
+struct PitfallRun<R> {
+    kind: Kind,
+    x: Vec<R>,
+    output: R,
+}
+
+impl<'a, R: Real + 'a> AppRun<'a, R> for PitfallRun<R> {
+    fn step(&mut self, _iter: usize) {
+        let x = &self.x;
+        self.output = match self.kind {
             // max(5, 2): x[1] loses — zero partial, recorded edge.
             Kind::MaxLoser => x[0].rmax(x[1]) * 2.0 + x[2],
             // min(5, 2): x[0] loses.
@@ -83,7 +106,22 @@ impl Pitfall {
                 }
             }
         };
-        RunOutcome { output }
+    }
+
+    fn vars(&mut self, _iter: usize) -> Vec<VarRefMut<'_, R>> {
+        vec![VarRefMut::F64(&mut self.x)]
+    }
+
+    fn output(&self) -> R {
+        self.output
+    }
+
+    fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a> {
+        Box::new(self.clone())
+    }
+
+    fn snapshot_bytes(&self) -> usize {
+        std::mem::size_of_val(self) + std::mem::size_of_val(&self.x[..])
     }
 }
 
@@ -96,19 +134,35 @@ impl ScrutinyApp for Pitfall {
         }
     }
 
+    fn steps(&self) -> std::ops::RangeInclusive<usize> {
+        0..=0
+    }
+
     fn checkpoint_iter(&self) -> usize {
         0
     }
 
-    fn run_f64(&self, site: &mut dyn CkptSite<f64>) -> RunOutcome<f64> {
-        self.run_generic(site)
+    fn start_f64(&self) -> Box<dyn AppRun<'_, f64> + '_> {
+        self.start()
     }
 
-    fn run_ad(
-        &self,
-        site: &mut dyn CkptSite<scrutiny_core::Adj>,
-    ) -> RunOutcome<scrutiny_core::Adj> {
-        self.run_generic(site)
+    fn start_ad(&self) -> Box<dyn AppRun<'_, scrutiny_core::Adj> + '_> {
+        self.start()
+    }
+}
+
+/// The one-step apps honour the step protocol like any other.
+#[test]
+fn pitfall_apps_honour_the_step_contract() {
+    for kind in [
+        Kind::MaxLoser,
+        Kind::MinLoser,
+        Kind::TrackedZeroFactor,
+        Kind::ExactCancellation,
+        Kind::AbsKink,
+        Kind::BranchUntakenArm,
+    ] {
+        assert_step_contract(&Pitfall { kind });
     }
 }
 

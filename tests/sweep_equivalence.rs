@@ -1,31 +1,28 @@
 //! Acceptance test for the segmented-tape refactor: on real NPB kernel
 //! recordings (CG and FT at minimum), the parallel reverse sweeps produce
 //! **bit-identical** gradients and reachability to the serial seed sweep,
-//! and the whole-pipeline criticality maps are unchanged by segmentation.
+//! the whole-pipeline criticality maps are unchanged by segmentation, and
+//! a residency-bounded tape sweeps to the same bits however its evicted
+//! windows are re-recorded.
 //!
 //! CI runs this in release next to the engine stress suite: frontier-merge
 //! ordering races would hide behind debug-mode timing otherwise.
 
-use scrutiny_ad::{Adj, SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
-use scrutiny_core::{scrutinize, scrutinize_with, LeafSite, ScrutinyApp, ScrutinyOptions};
+use scrutiny_ad::{
+    Adj, Gradient, Kernel, SweepConfig, SweepRequest, Tape, TapeCheckpointConfig, TapeConfig,
+    TapeReplay, TapeSession,
+};
+use scrutiny_core::{
+    record_resumable, scrutinize, scrutinize_with, LeafSite, ScrutinyApp, ScrutinyOptions,
+};
 use scrutiny_npb::{Bt, Cg, Ft};
 
 /// Record one AD run of `app` through the checkpoint boundary, the way
 /// `scrutinize` does, on a tape with the given segment length.
 fn record(app: &dyn ScrutinyApp, segment_len: usize) -> (Adj, Tape) {
-    record_with(app, segment_len, None)
-}
-
-/// [`record`] with an optional tape residency budget.
-fn record_with(
-    app: &dyn ScrutinyApp,
-    segment_len: usize,
-    checkpoint: Option<TapeCheckpointConfig>,
-) -> (Adj, Tape) {
     let session = TapeSession::with_config(TapeConfig {
         capacity: app.tape_capacity_hint(),
         segment_len,
-        checkpoint,
         ..TapeConfig::default()
     });
     let mut site = LeafSite::new();
@@ -86,12 +83,14 @@ fn bt_parallel_sweep_bit_identical_to_serial() {
     check_kernel(&Bt::mini());
 }
 
-/// The bounded-memory matrix: for each residency budget — one segment,
-/// two segments, the auto ⌈log2⌉ policy, and "everything fits" — and
-/// each sweep-thread count, the checkpointed tape's value gradients,
-/// reachability, and datadep liveness must be bit-identical to the
-/// unbounded recording of the same run, and the datadep analyzer must
-/// still agree with the structural sweep under replay.
+/// The bounded-memory matrix: for each residency budget — one, two and
+/// four segments, the auto ⌈log2⌉ policy, and "everything fits" — and each
+/// sweep-thread count, the checkpointed tape's value gradients,
+/// reachability and datadep bits must be bit-identical to the unbounded
+/// recording of the same run, whichever replayer re-records the evicted
+/// windows — the step-resumable one `record_resumable` returns, or the
+/// closure that can only start at the program start (the oracle) — and
+/// whether the kernels share one fused walk or each walks alone.
 fn check_checkpointed(app: &dyn ScrutinyApp) {
     const SEG: usize = 1 << 12;
     let name = app.spec().name;
@@ -100,59 +99,101 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
     assert!(segments > 1, "{name}: tape too small to exercise eviction");
     let (base_grads, _) = full.gradient_sweep(out, SweepConfig::serial()).unwrap();
     let (base_reach, _) = full.reachable_sweep(out, SweepConfig::serial()).unwrap();
-    let replay = || {
+    let base_dd = full.datadep_sweep(out, SweepConfig::serial()).unwrap();
+    let same_grads = |grads: &Gradient, what: &str| {
+        for i in 0..base_grads.len() {
+            assert_eq!(
+                base_grads.of_node(i as u64).to_bits(),
+                grads.of_node(i as u64).to_bits(),
+                "{name}: gradient of node {i} diverged under replay ({what})"
+            );
+        }
+    };
+    let program_start = || {
         let mut site = LeafSite::new();
         let _ = app.run_ad(&mut site);
     };
     let budgets = [
         TapeCheckpointConfig::with_ncheckpoints(1),
         TapeCheckpointConfig::with_ncheckpoints(2),
+        TapeCheckpointConfig::with_ncheckpoints(4),
         TapeCheckpointConfig::auto(),
         TapeCheckpointConfig::with_ncheckpoints(segments),
     ];
     for ckpt in budgets {
         let n = ckpt.ncheckpoints;
-        let (out_b, bounded) = record_with(app, SEG, Some(ckpt));
+        let (outcome, _, bounded, resumable) = record_resumable(
+            app,
+            TapeConfig {
+                capacity: app.tape_capacity_hint(),
+                segment_len: SEG,
+                checkpoint: Some(ckpt),
+                ..TapeConfig::default()
+            },
+        );
+        let out_b = outcome.output;
         assert_eq!(
             out_b.index(),
             out.index(),
             "{name}: checkpointed recording drifted (ncheckpoints={n})"
         );
         let budget = ckpt.budget_bytes(SEG, segments);
+        let replayers: [(&str, &dyn TapeReplay); 2] =
+            [("resumable", &resumable), ("program start", &program_start)];
         for threads in [1usize, 2, 4] {
-            let cfg = if threads == 1 {
-                SweepConfig::serial()
-            } else {
-                SweepConfig::with_threads(threads)
-            };
-            let (grads, gstats) = bounded.gradient_sweep_replay(out_b, cfg, &replay).unwrap();
-            assert!(
-                gstats.peak_resident_bytes <= budget,
-                "{name}: value sweep peak {} over budget {budget} \
-                 (ncheckpoints={n}, threads={threads})",
-                gstats.peak_resident_bytes
-            );
-            for i in 0..base_grads.len() {
+            for (which, replay) in replayers {
+                let what = format!("{which}, ncheckpoints={n}, threads={threads}");
+                let fused = bounded
+                    .sweep(
+                        out_b,
+                        &SweepRequest {
+                            kernels: &[Kernel::Value, Kernel::Reach, Kernel::DataDep],
+                            threads,
+                            replay: Some(replay),
+                            ..SweepRequest::default()
+                        },
+                    )
+                    .unwrap();
+                let (grads, gstats) = fused.value.unwrap();
+                assert!(
+                    gstats.peak_resident_bytes <= budget,
+                    "{name}: walk peak {} over budget {budget} ({what})",
+                    gstats.peak_resident_bytes
+                );
+                same_grads(&grads, &what);
+                let (reach, _) = fused.reach.unwrap();
+                assert_eq!(base_reach, reach, "{name}: reachability ({what})");
+                let dd = fused.datadep.unwrap();
+                assert_eq!(dd.live_bits(), &reach[..], "{name}: liveness ({what})");
+                for i in 0..reach.len() as u64 {
+                    assert_eq!(
+                        dd.used(i),
+                        base_dd.used(i),
+                        "{name}: def-use bit {i} ({what})"
+                    );
+                }
+                // Fused ≡ each kernel alone.
+                let cfg = if threads == 1 {
+                    SweepConfig::serial()
+                } else {
+                    SweepConfig::with_threads(threads)
+                };
+                let (grads, gstats) = bounded.gradient_sweep_replay(out_b, cfg, replay).unwrap();
+                assert!(
+                    gstats.peak_resident_bytes <= budget,
+                    "{name}: value sweep peak {} over budget {budget} ({what})",
+                    gstats.peak_resident_bytes
+                );
+                same_grads(&grads, &format!("alone, {what}"));
+                let (reach, _) = bounded.reachable_sweep_replay(out_b, cfg, replay).unwrap();
+                assert_eq!(base_reach, reach, "{name}: reachability (alone, {what})");
+                let dd = bounded.datadep_sweep_replay(out_b, cfg, replay).unwrap();
                 assert_eq!(
-                    base_grads.of_node(i as u64).to_bits(),
-                    grads.of_node(i as u64).to_bits(),
-                    "{name}: gradient of node {i} diverged under replay \
-                     (ncheckpoints={n}, threads={threads})"
+                    dd.live_bits(),
+                    &reach[..],
+                    "{name}: liveness (alone, {what})"
                 );
             }
-            let (reach, _) = bounded.reachable_sweep_replay(out_b, cfg, &replay).unwrap();
-            assert_eq!(
-                base_reach, reach,
-                "{name}: reachability diverged under replay \
-                 (ncheckpoints={n}, threads={threads})"
-            );
-            let dd = bounded.datadep_sweep_replay(out_b, cfg, &replay).unwrap();
-            assert_eq!(
-                dd.live_bits(),
-                &reach[..],
-                "{name}: datadep must agree with the structural sweep under \
-                 replay (ncheckpoints={n}, threads={threads})"
-            );
         }
         if n <= 2 {
             assert!(
@@ -164,11 +205,13 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
     }
 }
 
-// The matrix re-records the whole app once per evicted window — tens of
-// full AD re-runs per sweep at the one-segment budget. CI runs these in
-// release (where the matrix takes seconds per app); under a debug build
-// they are ignored, like the rest of this suite's raison d'être says:
-// debug-mode timing is not what these tests exist to check.
+// The program-start oracle re-records the whole app once per evicted
+// window — tens of full AD re-runs per sweep at the one-segment budget —
+// and the matrix walks every tape with it as well as with the resumable
+// replayer. CI runs these in release (where the matrix takes seconds per
+// app); under a debug build they are ignored, like the rest of this
+// suite's raison d'être says: debug-mode timing is not what these tests
+// exist to check.
 #[cfg_attr(debug_assertions, ignore = "replay matrix runs in release CI")]
 #[test]
 fn cg_checkpointed_sweeps_bit_identical_across_budgets_and_threads() {
