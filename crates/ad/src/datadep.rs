@@ -33,6 +33,7 @@
 use crate::replay::ReplayCtx;
 use crate::sweep::{SweepStats, Walked};
 use crate::tape::Tape;
+use std::sync::Arc;
 
 /// Result of a static data-dependency analysis of one tape.
 ///
@@ -42,7 +43,8 @@ use crate::tape::Tape;
 #[derive(Debug)]
 pub struct DataDep {
     /// `live[i]`: a chain of recorded edges connects node `i` to the seed.
-    live: Vec<bool>,
+    /// Shared with [`crate::Swept::reach`] when one sweep computed both.
+    live: Arc<Vec<bool>>,
     /// `used[i]`: node `i` appears as a parent of some later node.
     used: Vec<bool>,
     /// The seed node, `None` when the output folded to a constant.
@@ -72,11 +74,17 @@ impl DataDep {
         let (live, stats) = walked.reach.expect("reach kernel was requested");
         let used = walked.used.expect("def-use kernel was requested");
         DataDep {
-            live,
+            live: Arc::new(live),
             used,
             seed,
             stats,
         }
+    }
+
+    /// The liveness bits as the reach kernel's result (same vector, same
+    /// walk, same stats).
+    pub(crate) fn shared_live(&self) -> (Arc<Vec<bool>>, SweepStats) {
+        (self.live.clone(), self.stats)
     }
 
     /// True when a data-flow path connects node `idx` to the output.
@@ -87,12 +95,6 @@ impl DataDep {
     /// True when node `idx` is consumed by some later node.
     pub fn used(&self, idx: u64) -> bool {
         self.used[idx as usize]
-    }
-
-    /// Liveness bits for a contiguous node range (a checkpointed array's
-    /// leaves).
-    pub fn live_range(&self, start: u64, len: usize) -> &[bool] {
-        &self.live[start as usize..start as usize + len]
     }
 
     /// The seed node the analysis was run against, `None` when the output
@@ -187,7 +189,7 @@ impl DataDep {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AdError, Adj, Real, SweepConfig, TapeConfig, TapeSession};
+    use crate::{AdError, Adj, Real, TapeConfig, TapeSession};
 
     #[test]
     fn liveness_matches_reachability_and_used_is_def_use() {
@@ -295,11 +297,18 @@ mod tests {
 
     #[test]
     fn out_of_range_seed_is_a_typed_error() {
+        // An output from another, longer recording.
+        let s = TapeSession::new();
+        let mut foreign = Adj::leaf(1.0);
+        while foreign.index() != Some(9) {
+            foreign += 1.0;
+        }
+        drop(s);
         let s = TapeSession::new();
         let _x = Adj::leaf(1.0);
         let tape = s.finish();
         assert_eq!(
-            tape.datadep_of(9, SweepConfig::default()).unwrap_err(),
+            tape.datadep(foreign).unwrap_err(),
             AdError::NodeOutOfRange { node: 9, len: 1 }
         );
     }

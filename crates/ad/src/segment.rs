@@ -440,11 +440,6 @@ impl SegmentStore {
             .expect("a sweep panicked while holding the segment table")
     }
 
-    /// The bounded-residency policy, if any.
-    pub(crate) fn checkpoint(&self) -> Option<TapeCheckpointConfig> {
-        self.ckpt
-    }
-
     /// Total segments ever opened (resident, evicted, and the open one).
     pub(crate) fn seg_count(&self) -> usize {
         self.slots().table.len() + usize::from(self.open.is_some())

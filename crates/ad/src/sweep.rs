@@ -100,8 +100,7 @@ pub struct SweepStats {
     pub parallel: bool,
     /// Segments re-recorded by replay during the walk this sweep was part
     /// of; `0` when every segment was resident. Kernels fused into one
-    /// walk ([`crate::Tape::sweep`] with a replayer) all report that
-    /// walk's count.
+    /// walk ([`crate::Tape::sweep`]) all report that walk's count.
     pub replayed_segments: u64,
     /// Nodes the replayer re-ran to re-record those segments (counted
     /// from the point each replay resumed at, materialized or not) — the
@@ -202,12 +201,6 @@ impl Gradient {
     /// Derivative of the output with respect to tape node `idx`.
     pub fn of_node(&self, idx: u64) -> f64 {
         self.adj[idx as usize]
-    }
-
-    /// Adjoints for a contiguous range of node ids (as produced when a
-    /// whole checkpointed array is turned into leaves).
-    pub fn of_range(&self, start: u64, len: usize) -> &[f64] {
-        &self.adj[start as usize..start as usize + len]
     }
 
     /// Total number of adjoints (== tape length).

@@ -20,7 +20,6 @@ use crate::error::AdError;
 use crate::replay::{ReplayCtx, ReplaySink, TapeReplay};
 use crate::segment::{
     MemCounters, SegmentStore, TapeCheckpointConfig, DEFAULT_NODE_LIMIT, DEFAULT_SEGMENT_LEN,
-    NODE_BYTES,
 };
 use crate::sweep::{self, Gradient, Kernels, SweepConfig, SweepStats};
 use scrutiny_obs::Recorder;
@@ -132,11 +131,6 @@ impl Tape {
         self.store.limit()
     }
 
-    /// The bounded-residency policy this tape records under, if any.
-    pub fn checkpoint(&self) -> Option<TapeCheckpointConfig> {
-        self.store.checkpoint()
-    }
-
     /// Arena bytes currently resident. Without a checkpoint policy this
     /// equals the full allocated footprint; under one, evicted segments
     /// are not counted (their memory is freed).
@@ -207,12 +201,11 @@ impl Tape {
     /// The one sweep entry point: run every kernel `req` names, seeded at
     /// `output`, and return each one's result.
     ///
-    /// With a replayer (a checkpointed tape), all of them are fed by **one**
-    /// reverse walk that fetches — and, where evicted, re-records — each
+    /// All of them are fed by **one** reverse walk that fetches each
     /// segment window once; each kernel's result is bit-identical to
-    /// running it alone. Without one, every segment is resident (or the
-    /// sweep fails with [`AdError::SegmentEvicted`]) and the kernels run
-    /// concurrently, one thread each, as independent walks.
+    /// running it alone. With a replayer (a checkpointed tape) evicted
+    /// windows are re-recorded on the way; without one every segment must
+    /// be resident, or the sweep fails with [`AdError::SegmentEvicted`].
     ///
     /// A constant output (an [`crate::Adj`] that never touched the tape)
     /// yields all-zero results: nothing influenced it. A poisoned
@@ -220,10 +213,9 @@ impl Tape {
     /// another, longer recording [`AdError::NodeOutOfRange`]; a diverging
     /// replay [`AdError::ReplayDivergence`].
     ///
-    /// Reports through `req.recorder`: a span per walk (`ad.sweep.fused`,
-    /// or `ad.sweep.<kind>` per independent kernel), one `ad.replay` span
-    /// per re-recorded window, and the `ad.sweep.<kind>.*` gauges of every
-    /// kernel's [`SweepStats`].
+    /// Reports through `req.recorder`: the `ad.sweep.fused` span of the
+    /// walk, one `ad.replay` span per re-recorded window, and the
+    /// `ad.sweep.<kind>.*` gauges of every kernel's [`SweepStats`].
     pub fn sweep(&self, output: crate::Adj, req: &SweepRequest<'_>) -> Result<Swept, AdError> {
         let seed = output.index();
         let cfg = SweepConfig {
@@ -231,59 +223,37 @@ impl Tape {
         };
         let rec = &req.recorder;
         let wants = |k: Kernel| req.kernels.contains(&k);
-        let (value, reach, datadep) = (
-            wants(Kernel::Value),
-            wants(Kernel::Reach),
-            wants(Kernel::DataDep),
-        );
+        let (reach, datadep) = (wants(Kernel::Reach), wants(Kernel::DataDep));
         let shape = self.stats();
-        let mut swept = Swept::default();
-        if let Some(replay) = req.replay {
-            let _span = scrutiny_obs::span!(
-                rec,
-                "ad.sweep.fused",
-                nodes = shape.nodes,
-                segments = shape.segments,
-                kernels = req.kernels.len()
-            );
-            let ctx = ReplayCtx::new(replay, rec.clone());
-            let kernels = Kernels {
-                value,
-                reach: reach || datadep,
-                used: datadep,
-            };
-            let mut walked = sweep::walk(self, seed, kernels, cfg, &ctx)?;
-            swept.value = walked.value.take();
-            if reach {
-                swept.reach = walked.reach.clone();
-            }
-            if datadep {
-                // Liveness *is* the reach kernel's result.
-                swept.datadep = Some(DataDep::from_walk(walked, seed));
-            }
+        let _span = scrutiny_obs::span!(
+            rec,
+            "ad.sweep.fused",
+            nodes = shape.nodes,
+            segments = shape.segments,
+            kernels = req.kernels.len()
+        );
+        let ctx = match req.replay {
+            Some(replay) => ReplayCtx::new(replay, rec.clone()),
+            None => ReplayCtx::none(),
+        };
+        let kernels = Kernels {
+            value: wants(Kernel::Value),
+            reach: reach || datadep,
+            used: datadep,
+        };
+        let mut walked = sweep::walk(self, seed, kernels, cfg, &ctx)?;
+        let mut swept = Swept {
+            value: walked.value.take(),
+            ..Swept::default()
+        };
+        if datadep {
+            // Liveness *is* the reach kernel's result: both share the one
+            // vector the walk produced.
+            let dd = DataDep::from_walk(walked, seed);
+            swept.reach = reach.then(|| dd.shared_live());
+            swept.datadep = Some(dd);
         } else {
-            // Independent walks over resident segments: one thread each.
-            let observed = |kind: &str, kernels: Kernels| {
-                let _span = scrutiny_obs::span!(
-                    rec,
-                    &format!("ad.sweep.{kind}"),
-                    nodes = shape.nodes,
-                    segments = shape.segments
-                );
-                sweep::walk(self, seed, kernels, cfg, &ReplayCtx::none())
-            };
-            let (value_res, reach_res, dd_res) = std::thread::scope(|scope| {
-                let reach = reach.then(|| scope.spawn(|| observed("reach", Kernels::REACH)));
-                let dd = datadep.then(|| scope.spawn(|| observed("datadep", Kernels::DATADEP)));
-                let value = value.then(|| observed("value", Kernels::VALUE));
-                let join = |h: std::thread::ScopedJoinHandle<'_, _>| {
-                    h.join().expect("a sweep kernel panicked")
-                };
-                (value, reach.map(join), dd.map(join))
-            });
-            swept.value = value_res.transpose()?.and_then(|w| w.value);
-            swept.reach = reach_res.transpose()?.and_then(|w| w.reach);
-            swept.datadep = dd_res.transpose()?.map(|w| DataDep::from_walk(w, seed));
+            swept.reach = walked.reach.map(|(bits, stats)| (Arc::new(bits), stats));
         }
         for (kind, stats) in [
             ("value", swept.value.as_ref().map(|v| v.1)),
@@ -308,12 +278,6 @@ impl Tape {
             .map(|(g, _)| g)
     }
 
-    /// Reverse sweep seeded at an explicit node index.
-    pub fn gradient_of(&self, output: u64) -> Result<Gradient, AdError> {
-        self.value_walk(Some(output), SweepConfig::default(), &ReplayCtx::none())
-            .map(|(g, _)| g)
-    }
-
     /// Reverse sweep with an explicit [`SweepConfig`], also reporting
     /// [`SweepStats`] (segments visited, threads, frontier traffic).
     pub fn gradient_sweep(
@@ -321,7 +285,7 @@ impl Tape {
         output: crate::Adj,
         cfg: SweepConfig,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        self.value_walk(output.index(), cfg, &ReplayCtx::none())
+        self.value_walk(output, cfg, &ReplayCtx::none())
     }
 
     /// [`Tape::gradient_sweep`] on a checkpointed tape: evicted segments
@@ -335,24 +299,16 @@ impl Tape {
         cfg: SweepConfig,
         replay: &dyn TapeReplay,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        let ctx = ReplayCtx::new(replay, Recorder::disabled());
-        self.value_walk(output.index(), cfg, &ctx)
-    }
-
-    /// Serial reverse sweep (the seed algorithm); the reference the
-    /// property suite compares the parallel sweep against.
-    pub fn gradient_serial(&self, output: crate::Adj) -> Result<Gradient, AdError> {
-        self.gradient_sweep(output, SweepConfig::serial())
-            .map(|(g, _)| g)
+        self.value_walk(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
     }
 
     fn value_walk(
         &self,
-        seed: Option<u64>,
+        output: crate::Adj,
         cfg: SweepConfig,
         ctx: &ReplayCtx<'_>,
     ) -> Result<(Gradient, SweepStats), AdError> {
-        let walked = sweep::walk(self, seed, Kernels::VALUE, cfg, ctx)?;
+        let walked = sweep::walk(self, output.index(), Kernels::VALUE, cfg, ctx)?;
         Ok(walked.value.expect("value kernel was requested"))
     }
 
@@ -369,19 +325,13 @@ impl Tape {
             .map(|(r, _)| r)
     }
 
-    /// Structural sweep seeded at an explicit node index.
-    pub fn reachable_of(&self, output: u64) -> Result<Vec<bool>, AdError> {
-        self.reach_walk(Some(output), SweepConfig::default(), &ReplayCtx::none())
-            .map(|(r, _)| r)
-    }
-
     /// Structural sweep with an explicit [`SweepConfig`] and stats.
     pub fn reachable_sweep(
         &self,
         output: crate::Adj,
         cfg: SweepConfig,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        self.reach_walk(output.index(), cfg, &ReplayCtx::none())
+        self.reach_walk(output, cfg, &ReplayCtx::none())
     }
 
     /// [`Tape::reachable_sweep`] on a checkpointed tape, re-recording
@@ -393,23 +343,16 @@ impl Tape {
         cfg: SweepConfig,
         replay: &dyn TapeReplay,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let ctx = ReplayCtx::new(replay, Recorder::disabled());
-        self.reach_walk(output.index(), cfg, &ctx)
-    }
-
-    /// Serial structural sweep (the seed algorithm).
-    pub fn reachable_serial(&self, output: crate::Adj) -> Result<Vec<bool>, AdError> {
-        self.reachable_sweep(output, SweepConfig::serial())
-            .map(|(r, _)| r)
+        self.reach_walk(output, cfg, &ReplayCtx::new(replay, Recorder::disabled()))
     }
 
     fn reach_walk(
         &self,
-        seed: Option<u64>,
+        output: crate::Adj,
         cfg: SweepConfig,
         ctx: &ReplayCtx<'_>,
     ) -> Result<(Vec<bool>, SweepStats), AdError> {
-        let walked = sweep::walk(self, seed, Kernels::REACH, cfg, ctx)?;
+        let walked = sweep::walk(self, output.index(), Kernels::REACH, cfg, ctx)?;
         Ok(walked.reach.expect("reach kernel was requested"))
     }
 
@@ -424,36 +367,12 @@ impl Tape {
         self.datadep_sweep(output, SweepConfig::default())
     }
 
-    /// Data-dependency analysis with an explicit [`SweepConfig`].
+    /// Data-dependency analysis with an explicit [`SweepConfig`]. On a
+    /// checkpointed tape, request [`Kernel::DataDep`] from [`Tape::sweep`]
+    /// with a replayer.
     pub fn datadep_sweep(&self, output: crate::Adj, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        self.datadep_walk(output.index(), cfg, &ReplayCtx::none())
-    }
-
-    /// [`Tape::datadep_sweep`] on a checkpointed tape, re-recording
-    /// evicted segments through `replay` (liveness and the def-use bits
-    /// come out of the same reverse walk, within the residency budget).
-    pub fn datadep_sweep_replay(
-        &self,
-        output: crate::Adj,
-        cfg: SweepConfig,
-        replay: &dyn TapeReplay,
-    ) -> Result<DataDep, AdError> {
-        let ctx = ReplayCtx::new(replay, Recorder::disabled());
-        self.datadep_walk(output.index(), cfg, &ctx)
-    }
-
-    /// Data-dependency analysis seeded at an explicit node index.
-    pub fn datadep_of(&self, output: u64, cfg: SweepConfig) -> Result<DataDep, AdError> {
-        self.datadep_walk(Some(output), cfg, &ReplayCtx::none())
-    }
-
-    fn datadep_walk(
-        &self,
-        seed: Option<u64>,
-        cfg: SweepConfig,
-        ctx: &ReplayCtx<'_>,
-    ) -> Result<DataDep, AdError> {
-        let walked = sweep::walk(self, seed, Kernels::DATADEP, cfg, ctx)?;
+        let seed = output.index();
+        let walked = sweep::walk(self, seed, Kernels::DATADEP, cfg, &ReplayCtx::none())?;
         Ok(DataDep::from_walk(walked, seed))
     }
 }
@@ -478,8 +397,7 @@ pub struct SweepRequest<'a> {
     /// Threads per walk (`0` = one per available core, `1` = serial);
     /// see [`SweepConfig::threads`].
     pub threads: usize,
-    /// Re-records evicted segments of a checkpointed tape. When set, all
-    /// kernels share one reverse walk.
+    /// Re-records evicted segments of a checkpointed tape.
     pub replay: Option<&'a dyn TapeReplay>,
     /// Where spans and gauges go; disabled by default.
     pub recorder: Recorder,
@@ -490,8 +408,9 @@ pub struct SweepRequest<'a> {
 pub struct Swept {
     /// [`Kernel::Value`]: the adjoint of every node.
     pub value: Option<(Gradient, SweepStats)>,
-    /// [`Kernel::Reach`]: one reachability bit per node.
-    pub reach: Option<(Vec<bool>, SweepStats)>,
+    /// [`Kernel::Reach`]: one reachability bit per node — the same vector
+    /// [`Swept::datadep`] holds as its liveness when both were requested.
+    pub reach: Option<(Arc<Vec<bool>>, SweepStats)>,
     /// [`Kernel::DataDep`]: liveness, def-use bits, witness paths.
     pub datadep: Option<DataDep>,
 }
@@ -530,13 +449,6 @@ pub struct TapeStats {
     /// the dense adjoint vector (8 bytes/node) plus the reachability
     /// bitset (1 bit/node).
     pub sweep_bytes: usize,
-}
-
-impl TapeStats {
-    /// Allocated bytes per segment.
-    pub fn bytes_per_segment(&self) -> usize {
-        self.segment_len * NODE_BYTES
-    }
 }
 
 /// The thread-local recording target: a [`Tape`] during a normal session,
@@ -738,6 +650,7 @@ pub(crate) fn record_leaf() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::NODE_BYTES;
     use crate::Adj;
 
     #[test]
@@ -768,7 +681,6 @@ mod tests {
         // Both segments are fully allocated even though the second holds
         // only 3 nodes: bytes reports real capacity, not len × node-size.
         assert_eq!(stats.bytes, 2 * 8 * NODE_BYTES);
-        assert_eq!(stats.bytes, 2 * stats.bytes_per_segment());
         assert_eq!(stats.sweep_bytes, 11 * 8 + 2);
         // Nothing is evicted without a checkpoint policy: resident is the
         // full footprint and already the peak.
@@ -856,15 +768,22 @@ mod tests {
 
     #[test]
     fn out_of_range_seed_is_a_typed_error() {
+        // An output from another, longer recording.
+        let s = TapeSession::new();
+        let mut foreign = Adj::leaf(1.0);
+        while foreign.index() != Some(5) {
+            foreign += 1.0;
+        }
+        drop(s);
         let s = TapeSession::new();
         let _x = Adj::leaf(1.0);
         let tape = s.finish();
         assert_eq!(
-            tape.gradient_of(5).unwrap_err(),
+            tape.gradient(foreign).unwrap_err(),
             AdError::NodeOutOfRange { node: 5, len: 1 }
         );
         assert_eq!(
-            tape.reachable_of(5).unwrap_err(),
+            tape.reachable(foreign).unwrap_err(),
             AdError::NodeOutOfRange { node: 5, len: 1 }
         );
     }
@@ -913,19 +832,6 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(SweepStats::from_snapshot(&snap, "value"), Some(stats));
         assert_eq!(SweepStats::from_snapshot(&snap, "reach"), None);
-    }
-
-    #[test]
-    fn gradient_of_range_is_contiguous() {
-        let s = TapeSession::new();
-        let leaves: Vec<Adj> = (0..4).map(|i| Adj::leaf(i as f64)).collect();
-        let sum = leaves.iter().fold(Adj::constant(0.0), |acc, &v| acc + v);
-        let out = sum * 2.0;
-        let tape = s.finish();
-        let g = tape.gradient(out).unwrap();
-        let start = leaves[0].index().unwrap();
-        let grads = g.of_range(start, 4);
-        assert_eq!(grads, &[2.0, 2.0, 2.0, 2.0]);
     }
 
     // ----- checkpointed tapes ----------------------------------------

@@ -189,7 +189,14 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&base_reach, &reach);
         let dd = bounded
-            .datadep_sweep_replay(out_b, SweepConfig::serial(), &replay)
+            .sweep(out_b, &SweepRequest {
+                kernels: &[Kernel::DataDep],
+                threads: 1,
+                replay: Some(&replay),
+                ..SweepRequest::default()
+            })
+            .unwrap()
+            .datadep
             .unwrap();
         prop_assert_eq!(dd.live_bits(), &reach[..]);
         if n < segments {
@@ -214,7 +221,7 @@ proptest! {
                 fused_grads.of_node(i as u64).to_bits()
             );
         }
-        prop_assert_eq!(&base_reach, &fused.reach.unwrap().0);
+        prop_assert_eq!(&base_reach, &*fused.reach.unwrap().0);
         let dd = fused.datadep.unwrap();
         prop_assert_eq!(dd.live_bits(), &base_reach[..]);
         for i in 0..base.len() as u64 {
@@ -265,7 +272,7 @@ proptest! {
                     grads.of_node(i as u64).to_bits()
                 );
             }
-            prop_assert_eq!(&base_reach, &fused.reach.unwrap().0);
+            prop_assert_eq!(&base_reach, &*fused.reach.unwrap().0);
             let dd = fused.datadep.unwrap();
             prop_assert_eq!(dd.live_bits(), &base_reach[..]);
             prop_assert!(

@@ -12,7 +12,7 @@
 //! frontier-merge ordering races.
 
 use proptest::prelude::*;
-use scrutiny_ad::{AdError, Adj, Gradient, Real, SweepConfig, TapeConfig, TapeSession};
+use scrutiny_ad::{AdError, Adj, Gradient, Real, SweepConfig, Tape, TapeConfig, TapeSession};
 
 /// Deterministic splitmix64, so every generated tape reproduces exactly.
 fn splitmix(state: &mut u64) -> u64 {
@@ -21,6 +21,16 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The serial sweeps (the seed algorithm): the oracle every other
+/// configuration is compared against.
+fn gradient_serial(tape: &Tape, out: Adj) -> Gradient {
+    tape.gradient_sweep(out, SweepConfig::serial()).unwrap().0
+}
+
+fn reachable_serial(tape: &Tape, out: Adj) -> Vec<bool> {
+    tape.reachable_sweep(out, SweepConfig::serial()).unwrap().0
 }
 
 fn session(segment_len: usize) -> TapeSession {
@@ -109,7 +119,7 @@ proptest! {
         let s = session(16);
         let (_, out) = record_random(seed);
         let tape = s.finish();
-        let reach = tape.reachable_serial(out).unwrap();
+        let reach = reachable_serial(&tape, out);
         for threads in [1usize, 2, 3, 8] {
             let cfg = SweepConfig::with_threads(threads);
             let dd = tape.datadep_sweep(out, cfg).unwrap();
@@ -150,8 +160,8 @@ proptest! {
         let s = session(1 << 22); // effectively monolithic
         let (_, out_mono) = record_random(seed);
         let mono = s.finish();
-        let g_mono = mono.gradient_serial(out_mono).unwrap();
-        let r_mono = mono.reachable_serial(out_mono).unwrap();
+        let g_mono = gradient_serial(&mono, out_mono);
+        let r_mono = reachable_serial(&mono, out_mono);
         prop_assert_eq!(mono.stats().segments <= 1, true);
 
         let s = session(8);
@@ -175,9 +185,9 @@ fn pad_to_offset(s: &TapeSession, x: Adj, offset: usize) {
     }
 }
 
-fn check_all_configs(tape: &scrutiny_ad::Tape, out: Adj) {
-    let serial = tape.gradient_serial(out).unwrap();
-    let reach = tape.reachable_serial(out).unwrap();
+fn check_all_configs(tape: &Tape, out: Adj) {
+    let serial = gradient_serial(tape, out);
+    let reach = reachable_serial(tape, out);
     let dd = tape.datadep_sweep(out, SweepConfig::serial()).unwrap();
     assert_eq!(dd.live_bits(), &reach[..]);
     for threads in [2usize, 4] {
@@ -279,7 +289,7 @@ fn datadep_cross_segment_fan_in_is_live_with_deep_witness() {
     }
     let tape = s.finish();
     assert!(tape.segment_count() > 20);
-    let reach = tape.reachable_serial(out).unwrap();
+    let reach = reachable_serial(&tape, out);
     for threads in [1usize, 2, 4] {
         let dd = tape
             .datadep_sweep(out, SweepConfig::with_threads(threads))
@@ -324,10 +334,17 @@ fn overflow_surfaces_as_typed_error_not_abort() {
 
 #[test]
 fn out_of_range_seed_is_typed() {
+    // An output from another, longer recording.
+    let s = session(8);
+    let mut foreign = Adj::leaf(1.0);
+    while foreign.index() != Some(99) {
+        foreign += 1.0;
+    }
+    drop(s);
     let s = session(8);
     let _x = Adj::leaf(1.0);
     let tape = s.finish();
-    match tape.gradient_of(99) {
+    match tape.gradient(foreign) {
         Err(AdError::NodeOutOfRange { node: 99, len: 1 }) => {}
         other => panic!("expected NodeOutOfRange, got {other:?}"),
     }

@@ -416,24 +416,6 @@ impl ShardManifest {
     }
 }
 
-/// Reassemble the sharded data file of checkpoint `version` into the
-/// monolithic byte image the parser consumes. `fetch` resolves an object
-/// name (see [`crate::names`]) to its bytes — a directory read for the
-/// on-disk layout, a backend `get` for the async engine's stores. Every
-/// shard is length- and CRC-verified against the manifest.
-pub fn read_sharded_data(
-    version: u64,
-    mut fetch: impl FnMut(&str) -> Result<Vec<u8>, CkptError>,
-) -> Result<Vec<u8>, CkptError> {
-    let manifest = ShardManifest::from_bytes(&fetch(&crate::names::manifest(version))?)?;
-    let shards: Vec<Vec<u8>> = (0..manifest.shard_count())
-        .map(|i| {
-            fetch(&crate::names::shard(version, i)).and_then(crate::compress::maybe_decompress)
-        })
-        .collect::<Result<_, _>>()?;
-    manifest.assemble(&shards)
-}
-
 /// Append the whole-file CRC trailer to the last shard and describe the
 /// result in a [`ShardManifest`]. `shards` must be every
 /// [`serialize_shard`] output in plan order.

@@ -2,17 +2,16 @@
 //! for every checkpoint variable.
 //!
 //! The AD pass is the method's bottleneck, so this layer drives the
-//! segmented tape's **parallel** sweeps through [`Tape::sweep`]: on an
-//! unbounded tape the value-gradient sweep and the structural-reachability
-//! sweep run concurrently on two threads, and each sweep internally merges
-//! cross-segment adjoint frontiers on worker threads (see
-//! `scrutiny_ad::sweep`); on a bounded-memory tape
-//! ([`ScrutinyOptions::tape_checkpoints`]) they share one reverse walk
-//! whose evicted windows are re-recorded by resuming the application at
-//! the nearest step boundary. Results are bit-identical to the serial seed
-//! sweep by construction. Recording failures (tape overflow) and bad sweep
-//! seeds surface as typed [`AdError`]s instead of aborting a long NPB
-//! record.
+//! segmented tape through the one entry point [`Tape::sweep`]: the
+//! value-gradient sweep, the structural-reachability sweep and the
+//! data-dependency bits are fed by one reverse walk that reads each
+//! segment once and may merge cross-segment adjoint frontiers on worker
+//! threads (see `scrutiny_ad::sweep`); on a bounded-memory tape
+//! ([`ScrutinyOptions::tape_checkpoints`]) the same walk re-records its
+//! evicted windows by resuming the application at the nearest step
+//! boundary. Results are bit-identical to the serial seed sweep by
+//! construction. Recording failures (tape overflow) and bad sweep seeds
+//! surface as typed [`AdError`]s instead of aborting a long NPB record.
 //!
 //! Two analyzers share this front door, selected by
 //! [`ScrutinyOptions::analyzer`]:
@@ -24,7 +23,7 @@
 //!   consulted. It may over-approximate (mark extra elements critical) but
 //!   can never under-approximate — a non-zero adjoint only flows along
 //!   recorded edges — so its error direction is safe for checkpointing.
-//! * [`Analyzer::Both`] — run both concurrently and cross-check. The full
+//! * [`Analyzer::Both`] — run both over one walk and cross-check. The full
 //!   differential result, including a typed [`Disagreement`] list with
 //!   witness paths, comes from [`scrutinize_differential`].
 
@@ -108,7 +107,7 @@ pub enum Analyzer {
     /// in the safe direction; needs no adjoint values (1 bit/node of
     /// sweep state instead of 8 bytes/node).
     DataDep,
-    /// Run both concurrently and cross-check; [`scrutinize_with`] then
+    /// Run both over one walk and cross-check; [`scrutinize_with`] then
     /// returns the AD report, while [`scrutinize_differential`] exposes
     /// both reports plus the typed disagreement list.
     Both,
@@ -169,9 +168,8 @@ pub struct ScrutinyOptions {
     /// Tape segment length (power of two). Smaller segments expose more
     /// sweep parallelism; the default suits the NPB kernels.
     pub segment_len: usize,
-    /// Threads per reverse sweep (`0` = one per available core, `1` =
-    /// serial). The sweeps additionally run concurrently with each
-    /// other.
+    /// Threads of the reverse walk (`0` = one per available core, `1` =
+    /// serial).
     pub threads: usize,
     /// Recording budget in tape nodes; exceeding it yields
     /// [`AdError::TapeOverflow`].
@@ -284,8 +282,8 @@ impl DifferentialReport {
 ///
 /// Runs the application once under AD with leaves injected at the
 /// checkpoint boundary, then performs the reverse value sweep and the
-/// structural sweep (concurrently, each possibly parallel internally).
-/// See the crate docs for the method.
+/// structural sweep in one walk of the tape (possibly parallel
+/// internally). See the crate docs for the method.
 pub fn scrutinize(app: &dyn ScrutinyApp) -> Result<AnalysisReport, AdError> {
     scrutinize_with(app, &ScrutinyOptions::default())
 }
@@ -311,9 +309,9 @@ pub fn scrutinize_with(
 }
 
 /// Run *both* analyzers over one recording (value, reachability and
-/// datadep sweeps concurrently in one scope — or fused into one replaying
-/// walk on a bounded-memory tape) and classify every verdict mismatch into
-/// a typed, witnessed [`Disagreement`].
+/// datadep kernels fused into one reverse walk, which on a bounded-memory
+/// tape also re-records the evicted windows) and classify every verdict
+/// mismatch into a typed, witnessed [`Disagreement`].
 pub fn scrutinize_differential(
     app: &dyn ScrutinyApp,
     opts: &ScrutinyOptions,
@@ -536,9 +534,8 @@ fn record_and_sweep(
         output: outcome.output,
         ranges: site.ranges,
     };
-    // An unbounded tape keeps every segment: its kernels walk
-    // concurrently. A bounded one hands the sweep its replayer, and the
-    // kernels share the one walk that re-records evicted windows.
+    // The kernels share one walk; a bounded tape also hands it the
+    // replayer that re-records evicted windows.
     let _sweeps_span = scrutiny_obs::span!(obs, "core.analysis.sweeps");
     let swept = rec.tape.sweep(
         rec.output,
@@ -874,9 +871,9 @@ mod tests {
 
     #[test]
     fn checkpointed_differential_report_agrees_with_unbounded() {
-        // The differential harness (value + structural + datadep, all
-        // sequential under one residency budget) must reach the same
-        // verdicts as its concurrent unbounded form.
+        // The differential harness (value + structural + datadep, one
+        // walk under one residency budget) must reach the same verdicts
+        // as its unbounded form.
         let app = Heat1d::new(16, 8, 4);
         let base = scrutinize_differential(
             &app,

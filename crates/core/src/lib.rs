@@ -154,9 +154,8 @@ pub use report::{
     format_table1, format_table2, format_table3, table2_rows, table3_row, Table2Row, Table3Row,
 };
 pub use restart::{
-    checkpoint_recover_cycle_async, checkpoint_restart_cycle, checkpoint_restart_cycle_async,
-    recover_latest_checkpoint, submit_checkpoint, verify_restart_from, RecoverRestartReport,
-    RestartConfig, RestartReport,
+    checkpoint_restart_cycle, restart_cycle, verify_restart_from, CheckpointSource, RestartConfig,
+    RestartReport,
 };
 pub use site::{CaptureSite, CkptSite, LeafSite, RestoreSite, VarRefMut};
 pub use spec::{AppSpec, VarSpec};

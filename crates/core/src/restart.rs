@@ -16,9 +16,7 @@ use scrutiny_ckpt::{
     Checkpoint, CheckpointStore, CkptError, DType, FillPolicy, StorageBreakdown, VarData, VarPlan,
     VarRecord,
 };
-use scrutiny_engine::{
-    EngineError, EngineHandle, Recovered, RecoveryConfig, RecoveryManager, RecoveryReport,
-};
+use scrutiny_engine::{EngineError, EngineHandle, RecoveryConfig, RecoveryManager, RecoveryReport};
 use std::path::PathBuf;
 
 /// Configuration of a restart experiment.
@@ -44,7 +42,7 @@ impl Default for RestartConfig {
 }
 
 /// Outcome of one checkpoint/restart cycle.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RestartReport {
     /// Output of the uninterrupted run.
     pub golden: f64,
@@ -61,6 +59,10 @@ pub struct RestartReport {
     pub storage: StorageBreakdown,
     /// Storage of the full (baseline) checkpoint of the same state.
     pub full_storage: StorageBreakdown,
+    /// For a [`CheckpointSource::Recovered`] cycle: the version the run
+    /// restarted from, and the scan that chose it — what was rejected on
+    /// the way, and why. `None` for every other source.
+    pub recovery: Option<(u64, RecoveryReport)>,
 }
 
 /// Capture the checkpoint state of `app` as named records.
@@ -111,8 +113,6 @@ fn cycle_prefix(
 
 /// The back half: restore from a loaded checkpoint (holes filled,
 /// optionally corrupted), restart, and compare against the golden output.
-/// Both the blocking and the async cycle end here, so the verification
-/// semantics cannot diverge between them.
 fn cycle_finish(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
@@ -145,84 +145,100 @@ fn cycle_finish(
         verified: rel_err <= app.tolerance(),
         storage,
         full_storage: prefix.full_storage,
+        recovery: None,
     })
 }
 
-/// Run the full cycle; `mutate` may corrupt the restored buffers before
-/// the restart (fault injection). Pass a no-op closure for a clean cycle.
-pub fn restart_with_mutation(
+/// Where the checkpoint a [`restart_cycle`] restores from comes from.
+#[derive(Clone, Copy)]
+pub enum CheckpointSource<'a> {
+    /// A blocking save of the captured state, loaded back: through files
+    /// in [`RestartConfig::store_dir`] when set, through memory otherwise.
+    Blocking,
+    /// The asynchronous engine: capture → `submit` → `wait`, then read the
+    /// engine-written checkpoint back through whatever backend the engine
+    /// publishes into. [`RestartConfig::store_dir`] is ignored; the
+    /// engine's backend decides where bytes live.
+    Engine(&'a EngineHandle),
+    /// Nothing is written: the newest fully-verifiable checkpoint on the
+    /// engine's backend is recovered, falling back across damaged versions
+    /// (bad CRCs, missing shards, broken delta parents) instead of
+    /// erroring out. The engine should be drained first — in-flight
+    /// submissions look like partial writes to the scan. In the report's
+    /// [`RestartReport::storage`] the payload/aux fields hold the
+    /// recovered data/aux image sizes — the writer-side header split is
+    /// not recoverable after the fact.
+    Recovered(&'a EngineHandle, &'a RecoveryConfig),
+}
+
+/// The §IV.C verification cycle: golden run, a checkpoint of the boundary
+/// state obtained through `source`, restore with the pruned holes filled,
+/// restart, compare against the golden output. `mutate` may corrupt the
+/// restored buffers before the restart (fault injection); pass a no-op
+/// closure for a clean cycle. Every source ends in the same restore and
+/// comparison, so the verification semantics cannot diverge between them.
+pub fn restart_cycle(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
     cfg: &RestartConfig,
+    source: CheckpointSource<'_>,
     mutate: impl FnOnce(&mut [VarData], &AnalysisReport),
-) -> Result<RestartReport, CkptError> {
+) -> Result<RestartReport, EngineError> {
     let prefix = cycle_prefix(app, analysis, cfg)?;
-    // The policy decides the storage codec: `TieredCompressed` stores
-    // the lo tier as truncated-mantissa f64 (and, through a store, the
-    // data objects in the `SCRUTCZB` at-rest container); every other
-    // policy is the strict passthrough.
-    let codec = codec_for(cfg.policy);
-    let (checkpoint, storage) = match &cfg.store_dir {
-        Some(dir) => {
-            let mut store = CheckpointStore::open(dir, 2)?.with_codec(codec)?;
-            let (version, storage) = store.save(&prefix.vars, &prefix.plans)?;
-            (store.load(version)?, storage)
+    let mut recovery = None;
+    let (checkpoint, storage) = match source {
+        CheckpointSource::Blocking => {
+            // The policy decides the storage codec: `TieredCompressed`
+            // stores the lo tier as truncated-mantissa f64 (and, through a
+            // store, the data objects in the `SCRUTCZB` at-rest
+            // container); every other policy is the strict passthrough.
+            let codec = codec_for(cfg.policy);
+            match &cfg.store_dir {
+                Some(dir) => {
+                    let mut store = CheckpointStore::open(dir, 2)?.with_codec(codec)?;
+                    let (version, storage) = store.save(&prefix.vars, &prefix.plans)?;
+                    (store.load(version)?, storage)
+                }
+                None => {
+                    let ser = serialize_with(&prefix.vars, &prefix.plans, codec.lo)?;
+                    (Checkpoint::from_bytes(&ser.data, &ser.aux)?, ser.breakdown)
+                }
+            }
         }
-        None => {
-            let ser = serialize_with(&prefix.vars, &prefix.plans, codec.lo)?;
-            (Checkpoint::from_bytes(&ser.data, &ser.aux)?, ser.breakdown)
+        CheckpointSource::Engine(engine) => {
+            let ticket = engine.submit(&prefix.vars, &prefix.plans)?;
+            let version = ticket.version();
+            let storage = engine.wait(ticket)?;
+            // Consume the engine-written checkpoint through the existing
+            // reader.
+            let (data, aux) = scrutiny_engine::read_version(engine.backend().as_ref(), version)?;
+            (Checkpoint::from_bytes(&data, &aux)?, storage)
+        }
+        CheckpointSource::Recovered(engine, scan) => {
+            let recovered =
+                RecoveryManager::new(engine.backend(), scan.clone()).recover_latest()?;
+            let storage = StorageBreakdown {
+                payload_bytes: recovered.data.len(),
+                aux_bytes: recovered.aux.len(),
+                header_bytes: 0,
+            };
+            recovery = Some((recovered.version, recovered.report));
+            (recovered.checkpoint, storage)
         }
     };
-    cycle_finish(app, analysis, cfg, &prefix, &checkpoint, storage, mutate)
+    let mut report = cycle_finish(app, analysis, cfg, &prefix, &checkpoint, storage, mutate)?;
+    report.recovery = recovery;
+    Ok(report)
 }
 
-/// A clean (no corruption) checkpoint/restart cycle.
+/// A clean (no corruption) cycle through a blocking save
+/// ([`CheckpointSource::Blocking`]).
 pub fn checkpoint_restart_cycle(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
     cfg: &RestartConfig,
-) -> Result<RestartReport, CkptError> {
-    restart_with_mutation(app, analysis, cfg, |_, _| {})
-}
-
-/// Capture `app`'s checkpoint state and submit it to the async engine;
-/// the compute thread gets its [`scrutiny_engine::Ticket`] back as soon
-/// as the snapshot is staged.
-pub fn submit_checkpoint(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    policy: Policy,
-    engine: &EngineHandle,
-) -> Result<scrutiny_engine::Ticket, EngineError> {
-    let vars = capture_state(app);
-    let plans = plans_for(analysis, policy);
-    engine.submit(&vars, &plans)
-}
-
-/// The §IV.C verification cycle, but with the checkpoint written by the
-/// asynchronous engine instead of a blocking save: capture → `submit` →
-/// `wait` → restore **from the engine-written checkpoint** (read back
-/// through whatever backend the engine publishes into) → restart → verify
-/// against the golden output. `cfg.store_dir` is ignored; the engine's
-/// backend decides where bytes live.
-pub fn checkpoint_restart_cycle_async(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    cfg: &RestartConfig,
-    engine: &EngineHandle,
 ) -> Result<RestartReport, EngineError> {
-    let prefix = cycle_prefix(app, analysis, cfg).map_err(EngineError::from)?;
-
-    let ticket = engine.submit(&prefix.vars, &prefix.plans)?;
-    let version = ticket.version();
-    let storage = engine.wait(ticket)?;
-
-    // Consume the engine-written checkpoint through the existing reader.
-    let (data, aux) = scrutiny_engine::read_version(engine.backend().as_ref(), version)?;
-    let checkpoint = Checkpoint::from_bytes(&data, &aux).map_err(EngineError::from)?;
-
-    cycle_finish(app, analysis, cfg, &prefix, &checkpoint, storage, |_, _| {})
-        .map_err(EngineError::from)
+    restart_cycle(app, analysis, cfg, CheckpointSource::Blocking, |_, _| {})
 }
 
 /// Run the §IV.C verification cycle against an **already-loaded**
@@ -233,7 +249,7 @@ pub fn checkpoint_restart_cycle_async(
 /// verification semantics are identical. `storage` is whatever byte
 /// accounting the caller has for the checkpoint under test (recovery
 /// callers typically only know raw image sizes — see
-/// [`checkpoint_recover_cycle_async`]).
+/// [`CheckpointSource::Recovered`]).
 pub fn verify_restart_from(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
@@ -243,55 +259,6 @@ pub fn verify_restart_from(
 ) -> Result<RestartReport, CkptError> {
     let prefix = cycle_prefix(app, analysis, cfg)?;
     cycle_finish(app, analysis, cfg, &prefix, checkpoint, storage, |_, _| {})
-}
-
-/// Outcome of a recover-then-restart cycle: the §IV.C verification
-/// result plus the recovery scan that chose the checkpoint.
-#[derive(Debug)]
-pub struct RecoverRestartReport {
-    /// The restart verification against the golden output.
-    pub restart: RestartReport,
-    /// Which version recovered, what was rejected on the way, and why.
-    pub recovery: RecoveryReport,
-}
-
-/// The restore counterpart of [`submit_checkpoint`]: recover the newest
-/// fully-verifiable checkpoint from the engine's backend (falling back
-/// across damaged versions — bad CRCs, missing shards, broken delta
-/// parents — instead of erroring out) and run the §IV.C verification
-/// cycle from it. In the report's [`RestartReport::storage`], the
-/// payload/aux fields hold the recovered data/aux image sizes — the
-/// writer-side header split is not recoverable after the fact.
-pub fn checkpoint_recover_cycle_async(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    cfg: &RestartConfig,
-    engine: &EngineHandle,
-    recovery: &RecoveryConfig,
-) -> Result<RecoverRestartReport, EngineError> {
-    let recovered = recover_latest_checkpoint(engine, recovery)?;
-    let storage = StorageBreakdown {
-        payload_bytes: recovered.data.len(),
-        aux_bytes: recovered.aux.len(),
-        header_bytes: 0,
-    };
-    let restart = verify_restart_from(app, analysis, cfg, &recovered.checkpoint, storage)
-        .map_err(EngineError::from)?;
-    Ok(RecoverRestartReport {
-        restart,
-        recovery: recovered.report,
-    })
-}
-
-/// Recover the newest fully-verifiable checkpoint from `engine`'s
-/// backend (a thin [`RecoveryManager`] wrapper, so applications wire one
-/// crate). The engine should be drained first — in-flight submissions
-/// look like partial writes to the scan.
-pub fn recover_latest_checkpoint(
-    engine: &EngineHandle,
-    recovery: &RecoveryConfig,
-) -> Result<Recovered, EngineError> {
-    RecoveryManager::new(engine.backend(), recovery.clone()).recover_latest()
 }
 
 /// Materialize every variable of a loaded checkpoint into full-size
@@ -321,6 +288,17 @@ mod tests {
     use crate::analysis::scrutinize;
     use crate::tiny::Heat1d;
 
+    /// A clean cycle restoring from an `engine`-written checkpoint.
+    fn engine_cycle(
+        app: &Heat1d,
+        analysis: &AnalysisReport,
+        cfg: &RestartConfig,
+        engine: &EngineHandle,
+    ) -> RestartReport {
+        let source = CheckpointSource::Engine(engine);
+        restart_cycle(app, analysis, cfg, source, |_, _| {}).unwrap()
+    }
+
     #[test]
     fn clean_restart_verifies_with_garbage_fill() {
         let app = Heat1d::new(16, 10, 5);
@@ -349,10 +327,11 @@ mod tests {
     fn corrupting_uncritical_elements_is_harmless() {
         let app = Heat1d::new(16, 10, 5);
         let analysis = scrutinize(&app).unwrap();
-        let report = restart_with_mutation(
+        let report = restart_cycle(
             &app,
             &analysis,
             &RestartConfig::default(),
+            CheckpointSource::Blocking,
             |bufs, analysis| {
                 // Poison every uncritical element of every float variable.
                 for (buf, crit) in bufs.iter_mut().zip(&analysis.vars) {
@@ -372,10 +351,11 @@ mod tests {
     fn corrupting_critical_elements_breaks_verification() {
         let app = Heat1d::new(16, 10, 5);
         let analysis = scrutinize(&app).unwrap();
-        let report = restart_with_mutation(
+        let report = restart_cycle(
             &app,
             &analysis,
             &RestartConfig::default(),
+            CheckpointSource::Blocking,
             |bufs, analysis| {
                 let crit = &analysis.vars[0];
                 if let VarData::F64(v) = &mut bufs[0] {
@@ -426,8 +406,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-                let report =
-                    checkpoint_restart_cycle_async(&app, &analysis, &cfg, &engine).unwrap();
+                let report = engine_cycle(&app, &analysis, &cfg, &engine);
                 assert!(
                     report.verified,
                     "backend {label} / {layout:?}: rel err {}",
@@ -476,7 +455,7 @@ mod tests {
         // is itself a delta; restore walks base → deltas through the
         // existing reader, fills the pruned holes with garbage, and the
         // restarted run must still verify.
-        let report = checkpoint_restart_cycle_async(&app, &analysis, &cfg, &engine).unwrap();
+        let report = engine_cycle(&app, &analysis, &cfg, &engine);
         assert!(report.verified, "rel err {}", report.rel_err);
         assert!(
             report.storage.total() < report.full_storage.total(),
@@ -498,8 +477,9 @@ mod tests {
 
         // Two epochs of the same boundary state; then the newest loses a
         // payload byte on the storage tier.
+        let plans = plans_for(&analysis, cfg.policy);
         for _ in 0..2 {
-            let t = submit_checkpoint(&app, &analysis, cfg.policy, &engine).unwrap();
+            let t = engine.submit(&capture_state(&app), &plans).unwrap();
             engine.wait(t).unwrap();
         }
         let name = names::data(1);
@@ -508,20 +488,22 @@ mod tests {
         bytes[mid] ^= 0xFF;
         mem.put(&name, &bytes).unwrap();
 
-        let report = checkpoint_recover_cycle_async(
+        let report = restart_cycle(
             &app,
             &analysis,
             &cfg,
-            &engine,
-            &RecoveryConfig::default(),
+            CheckpointSource::Recovered(&engine, &RecoveryConfig::default()),
+            |_, _| {},
         )
         .unwrap();
-        assert_eq!(report.recovery.recovered, Some(0));
-        assert_eq!(report.recovery.rejected_versions(), vec![1]);
+        let (version, recovery) = report.recovery.as_ref().unwrap();
+        assert_eq!(*version, 0);
+        assert_eq!(recovery.recovered, Some(0));
+        assert_eq!(recovery.rejected_versions(), vec![1]);
         assert!(
-            report.restart.verified,
+            report.verified,
             "restart from the recovered version failed (rel err {})",
-            report.restart.rel_err
+            report.rel_err
         );
     }
 
@@ -536,7 +518,7 @@ mod tests {
         let blocking = checkpoint_restart_cycle(&app, &analysis, &cfg).unwrap();
         let engine =
             EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-        let asynced = checkpoint_restart_cycle_async(&app, &analysis, &cfg, &engine).unwrap();
+        let asynced = engine_cycle(&app, &analysis, &cfg, &engine);
         assert_eq!(asynced.storage, blocking.storage, "same bytes either path");
         assert_eq!(asynced.restarted, blocking.restarted, "same restart output");
     }

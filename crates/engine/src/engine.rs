@@ -283,7 +283,7 @@ struct Shared {
     next_version: AtomicU64,
     /// Held across version allocation *and* task enqueueing so queue
     /// order always matches version order — the delta turnstile relies
-    /// on it (see [`EngineHandle::enqueue`]). Serializes submitters only;
+    /// on it (see [`EngineHandle::submit`]). Serializes submitters only;
     /// workers never take it.
     submit_order: Mutex<()>,
     /// Delta-chain turnstile and parent image; `None` unless `cfg.delta`.
@@ -425,17 +425,6 @@ impl EngineHandle {
     pub fn submit(&self, vars: &[VarRecord], plans: &[VarPlan]) -> Result<Ticket, EngineError> {
         self.shared.gate.acquire();
         let snapshot = Snapshot::capture(vars, plans);
-        self.enqueue(snapshot)
-    }
-
-    /// Like [`EngineHandle::submit`] but consumes an already-owned
-    /// snapshot, skipping the staging copy.
-    pub fn submit_owned(&self, snapshot: Snapshot) -> Result<Ticket, EngineError> {
-        self.shared.gate.acquire();
-        self.enqueue(snapshot)
-    }
-
-    fn enqueue(&self, snapshot: Snapshot) -> Result<Ticket, EngineError> {
         let obs = &self.shared.obs;
         let t0 = obs.rec.is_enabled().then(std::time::Instant::now);
         let plan = match plan_shards_with(

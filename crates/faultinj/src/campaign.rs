@@ -8,8 +8,8 @@
 
 use crate::corruption::Corruption;
 use scrutiny_core::{
-    restart::restart_with_mutation, AnalysisReport, FillPolicy, Policy, RestartConfig, ScrutinyApp,
-    VarData,
+    restart_cycle, AnalysisReport, CheckpointSource, FillPolicy, Policy, RestartConfig,
+    ScrutinyApp, VarData,
 };
 
 /// Which element population to corrupt.
@@ -97,7 +97,8 @@ pub fn run_campaign(
         let corruption = cfg.corruption;
         let per_trial = cfg.elems_per_trial;
         let mut corrupted = 0usize;
-        let result = restart_with_mutation(app, analysis, &restart_cfg, |bufs, analysis| {
+        let source = CheckpointSource::Blocking;
+        let result = restart_cycle(app, analysis, &restart_cfg, source, |bufs, analysis| {
             let mut local = pick;
             for (buf, crit) in bufs.iter_mut().zip(&analysis.vars) {
                 let candidates: Vec<usize> = match target {

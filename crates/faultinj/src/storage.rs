@@ -13,7 +13,7 @@
 //! Every scenario must end, per §IV.C economics, in a *successful*
 //! recovery to an older verified version — asserted end to end by
 //! `tests/recovery_faultinj.rs` and the NPB wiring in
-//! `scrutiny-npb::pipeline::burn_in_recover`.
+//! `scrutiny-npb::pipeline::burn_in`.
 
 use scrutiny_ckpt::names::{self, CkptName};
 use scrutiny_ckpt::{delta, CkptError};

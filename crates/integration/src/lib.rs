@@ -25,8 +25,9 @@
 
 use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
 use scrutiny_core::{
-    record_resumable, scrutinize_differential, AdError, Adj, AnalysisReport, AppRun, CaptureSite,
-    CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real, ScrutinyApp, ScrutinyOptions,
+    record_resumable, scrutinize_differential, scrutinize_with, AdError, Adj, AnalysisReport,
+    AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real,
+    ScrutinyApp, ScrutinyOptions,
 };
 use scrutiny_faultinj::{campaign_matrix, CampaignConfig, CampaignReport, Corruption, Target};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -165,6 +166,46 @@ pub fn explain(report: &DifferentialReport) -> String {
         ));
     }
     out
+}
+
+/// Scrutinize `app` twice — once unbounded, once under `ckpt`'s tape
+/// residency budget — for the bounded ≡ unbounded oracle
+/// ([`first_divergence`] must find nothing between the two). Returns
+/// `(unbounded, bounded)`.
+pub fn scrutinize_bounded_vs_unbounded(
+    app: &dyn ScrutinyApp,
+    opts: &ScrutinyOptions,
+    ckpt: TapeCheckpointConfig,
+) -> Result<(AnalysisReport, AnalysisReport), AdError> {
+    let unbounded = scrutinize_with(app, opts)?;
+    let bounded = scrutinize_with(
+        app,
+        &ScrutinyOptions {
+            tape_checkpoints: Some(ckpt),
+            ..opts.clone()
+        },
+    )?;
+    Ok((unbounded, bounded))
+}
+
+/// First variable (or pseudo-field) on which two analyses disagree at
+/// the bit level — criticality maps, every gradient bit, the primal
+/// output — if any.
+pub fn first_divergence(a: &AnalysisReport, b: &AnalysisReport) -> Option<String> {
+    if a.output_value.to_bits() != b.output_value.to_bits() {
+        return Some("output_value".into());
+    }
+    for (va, vb) in a.vars.iter().zip(&b.vars) {
+        if va.value_map != vb.value_map || va.structural_map != vb.structural_map {
+            return Some(va.spec.name.clone());
+        }
+        for (ga, gb) in va.grad_mag.iter().zip(&vb.grad_mag) {
+            if ga.to_bits() != gb.to_bits() {
+                return Some(format!("{}.grad_mag", va.spec.name));
+            }
+        }
+    }
+    None
 }
 
 /// The corruption models the differential campaigns sweep.
@@ -442,7 +483,7 @@ mod tests {
     #[test]
     fn datadep_matrix_on_heat1d_never_fails() {
         let app = Heat1d::new(16, 10, 5);
-        let dd = scrutiny_core::scrutinize_with(
+        let dd = scrutinize_with(
             &app,
             &ScrutinyOptions {
                 analyzer: Analyzer::DataDep,

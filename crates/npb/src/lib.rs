@@ -37,10 +37,8 @@ pub use is::Is;
 pub use lu::Lu;
 pub use mg::Mg;
 pub use pipeline::{
-    burn_in, burn_in_bounded, burn_in_delta, burn_in_delta_observed, burn_in_observed,
-    burn_in_recover, burn_in_recover_observed, burn_in_suite, burn_in_suite_mini,
-    perturb_localized, perturb_uncritical, scrutinize_bounded_vs_unbounded, BoundedBurnInReport,
-    BurnInReport, DeltaBurnInReport, RecoveryBurnInReport,
+    burn_in, burn_in_suite_mini, perturb_localized, perturb_uncritical, BurnIn, BurnInRecovery,
+    BurnInReport, Drift,
 };
 pub use sp::Sp;
 

@@ -3,26 +3,82 @@
 //!
 //! HPC production runs checkpoint *periodically* inside a long main loop;
 //! the paper's single-boundary experiment is one period of that loop.
-//! [`burn_in`] replays the period `epochs` times against a live
-//! [`EngineHandle`]: each epoch captures the app's checkpoint state and
-//! `submit`s it — the next epoch's compute then overlaps the previous
-//! epoch's serialization and storage, exactly the overlap the engine
-//! exists for — and the run ends with a restart-verification from the
-//! newest engine-written checkpoint.
-//!
-//! [`burn_in_recover`] closes the lifecycle loop: burn in, damage the
-//! newest checkpoint on the storage tier
+//! [`burn_in`] replays the period [`BurnIn::epochs`] times against a live
+//! [`EngineHandle`]: each epoch takes the app's checkpoint state — captured
+//! afresh or drifted from the previous epoch ([`Drift`]) — and `submit`s
+//! it, so the next epoch's compute overlaps the previous epoch's
+//! serialization and storage, exactly the overlap the engine exists for.
+//! The run ends with a restart-verification from the newest engine-written
+//! checkpoint — or, with a [`BurnIn::fault`], closes the lifecycle loop:
+//! damage the newest checkpoint on the storage tier
 //! ([`scrutiny_faultinj::StorageScenario`]), recover the newest version
 //! that still verifies, and restart the benchmark trajectory from it.
 
 use crate::{Cg, Ft};
+use scrutiny_core::plan::plans_for;
 use scrutiny_core::restart::capture_state;
 use scrutiny_core::{
-    checkpoint_recover_cycle_async, checkpoint_restart_cycle_async, scrutinize_with,
-    submit_checkpoint, AnalysisReport, EngineError, EngineHandle, Policy, Recorder, RecoveryConfig,
-    RestartConfig, ScrutinyApp, ScrutinyOptions, TapeCheckpointConfig, VarData, VarRecord,
+    restart_cycle, AnalysisReport, CheckpointSource, EngineError, EngineHandle, Policy, Recorder,
+    RecoveryConfig, RestartConfig, ScrutinyApp, VarData, VarRecord,
 };
 use scrutiny_faultinj::StorageScenario;
+
+/// How each epoch's checkpoint state follows from the previous one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Drift {
+    /// Re-capture the app's boundary state every epoch: the capture run is
+    /// the compute that overlaps the previous epoch's storage.
+    Recapture,
+    /// [`perturb_localized`]: a small moving window of every variable
+    /// changes, the slowly-changing long-loop state a **delta-enabled**
+    /// engine ([`scrutiny_core::EngineConfig::delta`]) exists for — epoch 0
+    /// publishes a full base, later epochs only the dirty pages, crossing
+    /// a rebase whenever the configured chain length is reached.
+    Localized,
+    /// [`perturb_uncritical`]: epochs differ on disk while every epoch's
+    /// critical state stays bit-identical, so *any* of them restores a
+    /// verifying state — the §IV.C argument a recovery run rests on.
+    Uncritical,
+}
+
+/// What one [`burn_in`] run does.
+#[derive(Clone, Debug)]
+pub struct BurnIn {
+    /// Checkpoint periods to run: at least one, at least two when the
+    /// state drifts or a fault needs an older epoch to fall back to.
+    pub epochs: usize,
+    /// Storage policy of every epoch and of the closing verification.
+    pub policy: Policy,
+    /// How the state changes between epochs.
+    pub drift: Drift,
+    /// When set: once every epoch has resolved, damage the newest version
+    /// on the engine's backend this way, then recover the newest
+    /// fully-verifiable checkpoint and restart from *it*.
+    pub fault: Option<StorageScenario>,
+    /// Where the run reports: one `npb.epoch` event per resolved epoch
+    /// (`epoch`, `version`, `payload_bytes`, `total_bytes`, `wait_us`), the
+    /// injection as a `faultinj.inject` event, and the recovery scan's
+    /// candidate/reject/recovered events. With the engine opened on the
+    /// same recorder ([`scrutiny_core::EngineConfig::recorder`]) the JSONL
+    /// dump is a complete record of the lifecycle — every submit, publish,
+    /// commit, the injected damage, and the fallback walk — with no other
+    /// output needed (`tests/obs_lifecycle.rs` holds that contract).
+    pub recorder: Recorder,
+}
+
+impl BurnIn {
+    /// `epochs` re-captured periods under `policy`: no fault, nothing
+    /// recorded. The other runs are struct updates of this one.
+    pub fn new(epochs: usize, policy: Policy) -> BurnIn {
+        BurnIn {
+            epochs,
+            policy,
+            drift: Drift::Recapture,
+            fault: None,
+            recorder: Recorder::disabled(),
+        }
+    }
+}
 
 /// Outcome of one [`burn_in`] run.
 #[derive(Clone, Debug)]
@@ -36,115 +92,138 @@ pub struct BurnInReport {
     pub tape_segments: usize,
     /// What the analysis sweeps did, **aggregated across both sweeps**
     /// (value + reachability): frontier traffic sums, thread/segment
-    /// counts take the maximum. Earlier versions overwrote this with the
-    /// value sweep alone, silently dropping the reachability sweep's
-    /// share of the analysis cost.
+    /// counts take the maximum.
     pub sweep: scrutiny_core::SweepStats,
     /// Stored payload bytes of each epoch, in submission order.
     pub epoch_payload_bytes: Vec<usize>,
     /// Sum of stored payload bytes across all epochs.
     pub payload_bytes: usize,
-    /// Did a restart from the newest engine-written checkpoint reproduce
-    /// the golden output within the app's tolerance?
+    /// Bytes written by each epoch in order (under a delta engine index 0
+    /// is the base, and rebase epochs show up as full-sized entries
+    /// between runs of small deltas).
+    pub epoch_bytes: Vec<usize>,
+    /// Total bytes written across all epochs.
+    pub total_bytes: usize,
+    /// Did the closing restart — from the newest engine-written
+    /// checkpoint, or from the recovered one after a fault — reproduce the
+    /// golden output within the app's tolerance?
     pub verified: bool,
     /// Relative error of that restart.
     pub rel_err: f64,
+    /// What the fault damaged and what the run resumed from; `Some`
+    /// exactly when [`BurnIn::fault`] was set.
+    pub recovery: Option<BurnInRecovery>,
 }
 
-/// Run `epochs` checkpoint periods of `app` through `engine`, then verify
-/// by restarting from the engine's newest checkpoint.
+/// The fault-and-fallback part of a [`BurnInReport`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BurnInRecovery {
+    /// Name of the object the storage fault damaged.
+    pub damaged: String,
+    /// Newest version on the backend when the fault struck.
+    pub newest_version: u64,
+    /// Version the recovery scan actually restored.
+    pub recovered_version: u64,
+    /// Versions the scan rejected (newest first), from the
+    /// [`scrutiny_core::RecoveryReport`].
+    pub rejected_versions: Vec<u64>,
+}
+
+/// Run [`BurnIn::epochs`] checkpoint periods of `app` through `engine`,
+/// then verify by restarting — from the engine's newest checkpoint, or,
+/// after a [`BurnIn::fault`], from the newest version that still recovers.
 pub fn burn_in(
     app: &dyn ScrutinyApp,
     analysis: &AnalysisReport,
     engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
+    run: &BurnIn,
 ) -> Result<BurnInReport, EngineError> {
-    burn_in_observed(app, analysis, engine, epochs, policy, &Recorder::disabled())
-}
-
-/// [`burn_in`] reporting into a [`Recorder`]: each resolved epoch emits
-/// an `npb.epoch` event (`epoch`, `version`, `payload_bytes`,
-/// `total_bytes`, `wait_us`), so a JSONL dump of the recorder carries
-/// the whole per-epoch trajectory. Pass the same recorder the engine
-/// was opened with ([`scrutiny_core::EngineConfig::recorder`]) and the
-/// epoch events interleave with the engine's submit/publish/commit
-/// spans in one log.
-pub fn burn_in_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    rec: &Recorder,
-) -> Result<BurnInReport, EngineError> {
-    if epochs == 0 {
-        return Err(EngineError::InvalidConfig(
-            "a burn-in needs at least one epoch".into(),
-        ));
+    let least = if run.fault.is_some() || run.drift != Drift::Recapture {
+        2
+    } else {
+        1
+    };
+    if run.epochs < least {
+        return Err(EngineError::InvalidConfig(format!(
+            "this burn-in needs at least {least} epoch(s)"
+        )));
     }
-    let mut tickets = Vec::with_capacity(epochs);
-    for _ in 0..epochs {
-        // submit returns as soon as the snapshot is staged; the next
-        // epoch's capture run below is the compute that overlaps this
-        // epoch's serialization and storage.
-        tickets.push(submit_checkpoint(app, analysis, policy, engine)?);
+    let rec = &run.recorder;
+    let plans = plans_for(analysis, run.policy);
+    let mut vars = capture_state(app);
+    let mut tickets = Vec::with_capacity(run.epochs);
+    for epoch in 0..run.epochs {
+        if epoch > 0 {
+            match run.drift {
+                Drift::Recapture => vars = capture_state(app),
+                Drift::Localized => perturb_localized(&mut vars, epoch),
+                Drift::Uncritical => perturb_uncritical(&mut vars, analysis, epoch),
+            }
+        }
+        // submit returns as soon as the snapshot is staged; producing the
+        // next epoch's state is the compute that overlaps this epoch's
+        // serialization and storage.
+        tickets.push(engine.submit(&vars, &plans)?);
     }
-    let mut epoch_payload_bytes = Vec::with_capacity(epochs);
-    for (epoch, t) in tickets.into_iter().enumerate() {
-        let version = t.version();
+    let mut newest = 0;
+    let mut epoch_payload_bytes = Vec::with_capacity(run.epochs);
+    let mut epoch_bytes = Vec::with_capacity(run.epochs);
+    for (epoch, ticket) in tickets.into_iter().enumerate() {
+        newest = ticket.version();
         let t0 = rec.now_us();
-        let storage = engine.wait(t)?;
+        let storage = engine.wait(ticket)?;
         rec.event(
             "npb.epoch",
             &[
                 ("epoch", epoch.into()),
-                ("version", version.into()),
+                ("version", newest.into()),
                 ("payload_bytes", storage.payload_bytes.into()),
                 ("total_bytes", storage.total().into()),
                 ("wait_us", rec.now_us().saturating_sub(t0).into()),
             ],
         );
         epoch_payload_bytes.push(storage.payload_bytes);
+        epoch_bytes.push(storage.total());
     }
+    let damaged = run
+        .fault
+        .map(|scenario| scenario.inject_obs(engine.backend().as_ref(), newest, rec))
+        .transpose()?;
     let cfg = RestartConfig {
-        policy,
+        policy: run.policy,
         ..Default::default()
     };
-    let report = checkpoint_restart_cycle_async(app, analysis, &cfg, engine)?;
+    let scan = RecoveryConfig {
+        recorder: rec.clone(),
+        ..Default::default()
+    };
+    let source = match damaged {
+        Some(_) => CheckpointSource::Recovered(engine, &scan),
+        None => CheckpointSource::Engine(engine),
+    };
+    let restart = restart_cycle(app, analysis, &cfg, source, |_, _| {})?;
+    let recovery = damaged
+        .zip(restart.recovery)
+        .map(|(damaged, (recovered_version, scan))| BurnInRecovery {
+            damaged,
+            newest_version: newest,
+            recovered_version,
+            rejected_versions: scan.rejected_versions(),
+        });
     Ok(BurnInReport {
         app: app.spec().name,
-        epochs,
+        epochs: run.epochs,
         tape_segments: analysis.tape_stats.segments,
         // Sum, don't overwrite: both sweeps contributed to the maps.
         sweep: analysis.sweep.merged_with(&analysis.reach_sweep),
         payload_bytes: epoch_payload_bytes.iter().sum(),
         epoch_payload_bytes,
-        verified: report.verified,
-        rel_err: report.rel_err,
+        total_bytes: epoch_bytes.iter().sum(),
+        epoch_bytes,
+        verified: restart.verified,
+        rel_err: restart.rel_err,
+        recovery,
     })
-}
-
-/// Outcome of one [`burn_in_delta`] run.
-#[derive(Clone, Debug)]
-pub struct DeltaBurnInReport {
-    /// Benchmark name (from its spec).
-    pub app: String,
-    /// Epochs submitted (base + deltas + rebases) — all resolved.
-    pub epochs: usize,
-    /// Bytes written by the first (base) epoch.
-    pub base_bytes: usize,
-    /// Bytes written by each epoch in order (index 0 is the base; rebase
-    /// epochs show up as full-sized entries between runs of small
-    /// deltas).
-    pub epoch_bytes: Vec<usize>,
-    /// Total bytes written across all epochs.
-    pub total_bytes: usize,
-    /// Did a restart from the newest engine-written checkpoint reproduce
-    /// the golden output within the app's tolerance?
-    pub verified: bool,
-    /// Relative error of that restart.
-    pub rel_err: f64,
 }
 
 /// Apply a small localized update to every variable, the slowly-changing
@@ -178,100 +257,6 @@ pub fn perturb_localized(vars: &mut [VarRecord], epoch: usize) {
             }
         }
     }
-}
-
-/// Multi-epoch burn-in against a **delta-enabled** engine (one opened
-/// with [`scrutiny_core::EngineConfig::delta`] set): epoch 0 publishes a
-/// full base, later epochs perturb a localized window of every variable
-/// ([`perturb_localized`]) and publish only the dirty pages — crossing a
-/// rebase whenever the configured chain length is reached — and the run
-/// ends with a restart-verification from the newest engine-written
-/// checkpoint, which restores base → deltas through the standard reader.
-pub fn burn_in_delta(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-) -> Result<DeltaBurnInReport, EngineError> {
-    burn_in_delta_observed(app, analysis, engine, epochs, policy, &Recorder::disabled())
-}
-
-/// [`burn_in_delta`] reporting into a [`Recorder`]: each resolved epoch
-/// emits an `npb.epoch` event, like [`burn_in_observed`].
-pub fn burn_in_delta_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    rec: &Recorder,
-) -> Result<DeltaBurnInReport, EngineError> {
-    if epochs < 2 {
-        return Err(EngineError::InvalidConfig(
-            "a delta burn-in needs a base epoch and at least one delta epoch".into(),
-        ));
-    }
-    let mut vars = capture_state(app);
-    let plans = scrutiny_core::plan::plans_for(analysis, policy);
-    let mut bytes = Vec::with_capacity(epochs);
-    for epoch in 0..epochs {
-        if epoch > 0 {
-            perturb_localized(&mut vars, epoch);
-        }
-        let ticket = engine.submit(&vars, &plans)?;
-        let version = ticket.version();
-        let t0 = rec.now_us();
-        let storage = engine.wait(ticket)?;
-        rec.event(
-            "npb.epoch",
-            &[
-                ("epoch", epoch.into()),
-                ("version", version.into()),
-                ("payload_bytes", storage.payload_bytes.into()),
-                ("total_bytes", storage.total().into()),
-                ("wait_us", rec.now_us().saturating_sub(t0).into()),
-            ],
-        );
-        bytes.push(storage.total());
-    }
-    let cfg = RestartConfig {
-        policy,
-        ..Default::default()
-    };
-    let report = checkpoint_restart_cycle_async(app, analysis, &cfg, engine)?;
-    Ok(DeltaBurnInReport {
-        app: app.spec().name,
-        epochs,
-        base_bytes: bytes[0],
-        total_bytes: bytes.iter().sum(),
-        epoch_bytes: bytes,
-        verified: report.verified,
-        rel_err: report.rel_err,
-    })
-}
-
-/// Outcome of one [`burn_in_recover`] run.
-#[derive(Clone, Debug)]
-pub struct RecoveryBurnInReport {
-    /// Benchmark name (from its spec).
-    pub app: String,
-    /// Checkpoint epochs submitted before the fault — all resolved.
-    pub epochs: usize,
-    /// Name of the object the storage fault damaged.
-    pub damaged: String,
-    /// Newest version on the backend when the fault struck.
-    pub newest_version: u64,
-    /// Version the recovery scan actually restored.
-    pub recovered_version: u64,
-    /// Versions the scan rejected (newest first), from the
-    /// [`scrutiny_core::RecoveryReport`].
-    pub rejected_versions: Vec<u64>,
-    /// Did the restart from the recovered checkpoint reproduce the
-    /// golden output within the app's tolerance?
-    pub verified: bool,
-    /// Relative error of that restart.
-    pub rel_err: f64,
 }
 
 /// Perturb only elements the analysis proved **uncritical** (per-epoch
@@ -309,215 +294,9 @@ pub fn perturb_uncritical(vars: &mut [VarRecord], analysis: &AnalysisReport, epo
     }
 }
 
-/// Burn-in → corrupt → recover → verify: run `epochs` checkpoint
-/// periods through `engine` (each epoch perturbs a fresh window of
-/// *uncritical* elements via [`perturb_uncritical`], so epochs differ
-/// on disk while every epoch's critical state stays bit-identical),
-/// inject `scenario` against the newest version on the backend, then
-/// recover the newest fully-verifiable checkpoint and restart-verify
-/// the resumed trajectory from it. The report names the damaged object,
-/// the rejected versions, and the version the run actually resumed
-/// from.
-pub fn burn_in_recover(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    scenario: StorageScenario,
-) -> Result<RecoveryBurnInReport, EngineError> {
-    burn_in_recover_observed(
-        app,
-        analysis,
-        engine,
-        epochs,
-        policy,
-        scenario,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`burn_in_recover`] reporting into a [`Recorder`]: per-epoch
-/// `npb.epoch` events, the fault injection as a `faultinj.inject` event,
-/// and the recovery scan's candidate/reject/recovered events all land in
-/// one log. With the engine opened on the same recorder
-/// ([`scrutiny_core::EngineConfig::recorder`]), the resulting JSONL dump
-/// is a complete record of the lifecycle — every submit, publish,
-/// commit, the injected damage, and the fallback walk — with no other
-/// output needed (`tests/obs_lifecycle.rs` holds that contract).
-#[allow(clippy::too_many_arguments)]
-pub fn burn_in_recover_observed(
-    app: &dyn ScrutinyApp,
-    analysis: &AnalysisReport,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    scenario: StorageScenario,
-    rec: &Recorder,
-) -> Result<RecoveryBurnInReport, EngineError> {
-    if epochs < 2 {
-        return Err(EngineError::InvalidConfig(
-            "a recovery burn-in needs a victim epoch and at least one fallback epoch".into(),
-        ));
-    }
-    let mut vars = capture_state(app);
-    let plans = scrutiny_core::plan::plans_for(analysis, policy);
-    let mut newest = 0;
-    for epoch in 0..epochs {
-        if epoch > 0 {
-            perturb_uncritical(&mut vars, analysis, epoch);
-        }
-        let ticket = engine.submit(&vars, &plans)?;
-        newest = ticket.version();
-        let t0 = rec.now_us();
-        let storage = engine.wait(ticket)?;
-        rec.event(
-            "npb.epoch",
-            &[
-                ("epoch", epoch.into()),
-                ("version", newest.into()),
-                ("payload_bytes", storage.payload_bytes.into()),
-                ("total_bytes", storage.total().into()),
-                ("wait_us", rec.now_us().saturating_sub(t0).into()),
-            ],
-        );
-    }
-    let damaged = scenario
-        .inject_obs(engine.backend().as_ref(), newest, rec)
-        .map_err(EngineError::from)?;
-    let cfg = RestartConfig {
-        policy,
-        ..Default::default()
-    };
-    let recovery = RecoveryConfig {
-        recorder: rec.clone(),
-        ..Default::default()
-    };
-    let report = checkpoint_recover_cycle_async(app, analysis, &cfg, engine, &recovery)?;
-    let recovered_version = report
-        .recovery
-        .recovered
-        .expect("checkpoint_recover_cycle_async succeeded, so a version recovered");
-    Ok(RecoveryBurnInReport {
-        app: app.spec().name,
-        epochs,
-        damaged,
-        newest_version: newest,
-        recovered_version,
-        rejected_versions: report.recovery.rejected_versions(),
-        verified: report.restart.verified,
-        rel_err: report.restart.rel_err,
-    })
-}
-
-/// Outcome of one [`burn_in_bounded`] run: a burn-in whose criticality
-/// maps came from a **bounded-memory** analysis tape, cross-checked
-/// bit-for-bit against the unbounded analysis of the same run.
-#[derive(Clone, Debug)]
-pub struct BoundedBurnInReport {
-    /// The burn-in itself (driven by the *bounded* analysis).
-    pub burn_in: BurnInReport,
-    /// Full logical tape footprint of the unbounded recording, bytes.
-    pub unbounded_tape_bytes: usize,
-    /// Residency budget the bounded analysis ran under, bytes.
-    pub budget_bytes: usize,
-    /// Highest tape residency the bounded analysis ever reached, bytes.
-    pub peak_resident_bytes: usize,
-    /// Segments the bounded sweeps re-recorded on demand.
-    pub replayed_segments: u64,
-    /// Did the bounded analysis reproduce the unbounded one bit-for-bit
-    /// (criticality maps, every gradient bit, the primal output)?
-    pub bit_identical: bool,
-}
-
-/// Scrutinize `app` twice — once unbounded, once under `ckpt`'s tape
-/// residency budget — and verify the two analyses agree **bit for bit**:
-/// same criticality maps, same gradient bits, same primal output. The
-/// bounded report is returned for downstream use; divergence is an
-/// [`EngineError::InvalidConfig`] naming the first mismatching variable.
-pub fn scrutinize_bounded_vs_unbounded(
-    app: &dyn ScrutinyApp,
-    opts: &ScrutinyOptions,
-    ckpt: TapeCheckpointConfig,
-) -> Result<(AnalysisReport, AnalysisReport), EngineError> {
-    let unbounded = scrutinize_with(app, opts)
-        .map_err(|e| EngineError::InvalidConfig(format!("unbounded analysis failed: {e}")))?;
-    let bounded = scrutinize_with(
-        app,
-        &ScrutinyOptions {
-            tape_checkpoints: Some(ckpt),
-            ..opts.clone()
-        },
-    )
-    .map_err(|e| EngineError::InvalidConfig(format!("bounded analysis failed: {e}")))?;
-    if let Some(name) = first_divergence(&unbounded, &bounded) {
-        return Err(EngineError::InvalidConfig(format!(
-            "bounded analysis diverged from unbounded on {name}"
-        )));
-    }
-    Ok((unbounded, bounded))
-}
-
-/// First variable (or pseudo-field) on which two analyses disagree at
-/// the bit level, if any.
-fn first_divergence(a: &AnalysisReport, b: &AnalysisReport) -> Option<String> {
-    if a.output_value.to_bits() != b.output_value.to_bits() {
-        return Some("output_value".into());
-    }
-    for (va, vb) in a.vars.iter().zip(&b.vars) {
-        if va.value_map != vb.value_map || va.structural_map != vb.structural_map {
-            return Some(va.spec.name.clone());
-        }
-        for (ga, gb) in va.grad_mag.iter().zip(&vb.grad_mag) {
-            if ga.to_bits() != gb.to_bits() {
-                return Some(format!("{}.grad_mag", va.spec.name));
-            }
-        }
-    }
-    None
-}
-
-/// A burn-in whose analysis ran under **forced tape eviction**: the
-/// residency budget is `ncheckpoints` segments of `segment_len` nodes —
-/// callers pick values that make the full recording many times the
-/// budget — so the sweeps must re-record evicted segments through the
-/// replay closure. The bounded maps are verified bit-identical to the
-/// unbounded analysis first, then drive the ordinary multi-epoch
-/// engine burn-in with restart verification.
-pub fn burn_in_bounded(
-    app: &dyn ScrutinyApp,
-    engine: &EngineHandle,
-    epochs: usize,
-    policy: Policy,
-    segment_len: usize,
-    ncheckpoints: usize,
-) -> Result<BoundedBurnInReport, EngineError> {
-    let opts = ScrutinyOptions {
-        segment_len,
-        ..ScrutinyOptions::default()
-    };
-    let ckpt = TapeCheckpointConfig::with_ncheckpoints(ncheckpoints);
-    let (unbounded, bounded) = scrutinize_bounded_vs_unbounded(app, &opts, ckpt)?;
-    let burn_in = burn_in_observed(app, &bounded, engine, epochs, policy, &Recorder::disabled())?;
-    Ok(BoundedBurnInReport {
-        burn_in,
-        unbounded_tape_bytes: unbounded.tape_stats.bytes,
-        budget_bytes: ckpt.budget_bytes(segment_len, bounded.tape_stats.segments),
-        peak_resident_bytes: bounded.tape_stats.peak_resident_bytes,
-        replayed_segments: bounded.tape_stats.replayed_segments,
-        // scrutinize_bounded_vs_unbounded already errored otherwise.
-        bit_identical: true,
-    })
-}
-
-/// The two benchmarks wired into the engine burn-in by default: CG (the
+/// Reduced instances of the two benchmarks the burn-in tests drive: CG (the
 /// classic pruned float vector + integer control state) and FT (the large
 /// complex-typed state that exercises sharded serialization hardest).
-pub fn burn_in_suite() -> Vec<Box<dyn ScrutinyApp>> {
-    vec![Box::new(Cg::class_s()), Box::new(Ft::class_s())]
-}
-
-/// Reduced instances of the same two apps, for fast tests.
 pub fn burn_in_suite_mini() -> Vec<Box<dyn ScrutinyApp>> {
     vec![Box::new(Cg::mini()), Box::new(Ft::mini())]
 }
@@ -546,8 +325,11 @@ mod tests {
             .unwrap();
             // 6 epochs with rebase_every = 3: base, 3 deltas, a rebase
             // (epoch 4), another delta — the full chain lifecycle.
-            let report =
-                burn_in_delta(app.as_ref(), &analysis, &engine, 6, Policy::PrunedValue).unwrap();
+            let run = BurnIn {
+                drift: Drift::Localized,
+                ..BurnIn::new(6, Policy::PrunedValue)
+            };
+            let report = burn_in(app.as_ref(), &analysis, &engine, &run).unwrap();
             assert_eq!(report.epochs, 6);
             assert!(
                 report.verified,
@@ -556,11 +338,11 @@ mod tests {
             );
             for delta_epoch in [1, 2, 3, 5] {
                 assert!(
-                    report.epoch_bytes[delta_epoch] < report.base_bytes,
+                    report.epoch_bytes[delta_epoch] < report.epoch_bytes[0],
                     "{} epoch {delta_epoch}: delta ({}) must write less than the base ({})",
                     report.app,
                     report.epoch_bytes[delta_epoch],
-                    report.base_bytes
+                    report.epoch_bytes[0]
                 );
             }
             assert_eq!(engine.pending(), 0);
@@ -585,22 +367,20 @@ mod tests {
             .unwrap();
             // Full plans so the uncritical perturbations produce real
             // dirty pages between epochs.
-            let report = burn_in_recover(
-                app.as_ref(),
-                &analysis,
-                &engine,
-                4,
-                Policy::Full,
-                StorageScenario::FlippedPayloadByte,
-            )
-            .unwrap();
-            assert_eq!(report.newest_version, 3);
+            let run = BurnIn {
+                drift: Drift::Uncritical,
+                fault: Some(StorageScenario::FlippedPayloadByte),
+                ..BurnIn::new(4, Policy::Full)
+            };
+            let report = burn_in(app.as_ref(), &analysis, &engine, &run).unwrap();
+            let recovery = report.recovery.expect("a fault was injected");
+            assert_eq!(recovery.newest_version, 3);
             assert_eq!(
-                report.recovered_version, 2,
+                recovery.recovered_version, 2,
                 "{}: expected fallback to the previous epoch",
                 report.app
             );
-            assert_eq!(report.rejected_versions, vec![3], "{}", report.app);
+            assert_eq!(recovery.rejected_versions, vec![3], "{}", report.app);
             assert!(
                 report.verified,
                 "{}: resumed trajectory failed verification (rel err {})",
@@ -615,17 +395,15 @@ mod tests {
             let analysis = scrutinize(app.as_ref()).unwrap();
             let engine =
                 EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-            let report = burn_in_recover(
-                app.as_ref(),
-                &analysis,
-                &engine,
-                3,
-                Policy::PrunedValue,
-                StorageScenario::MissingCommitMarker,
-            )
-            .unwrap();
-            assert_eq!(report.recovered_version, 1, "{}", report.app);
-            assert_eq!(report.rejected_versions, vec![2], "{}", report.app);
+            let run = BurnIn {
+                drift: Drift::Uncritical,
+                fault: Some(StorageScenario::MissingCommitMarker),
+                ..BurnIn::new(3, Policy::PrunedValue)
+            };
+            let report = burn_in(app.as_ref(), &analysis, &engine, &run).unwrap();
+            let recovery = report.recovery.expect("a fault was injected");
+            assert_eq!(recovery.recovered_version, 1, "{}", report.app);
+            assert_eq!(recovery.rejected_versions, vec![2], "{}", report.app);
             assert!(
                 report.verified,
                 "{}: resumed trajectory failed verification (rel err {})",
@@ -640,7 +418,8 @@ mod tests {
             let analysis = scrutinize(app.as_ref()).unwrap();
             let engine =
                 EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-            let report = burn_in(app.as_ref(), &analysis, &engine, 3, Policy::PrunedValue).unwrap();
+            let run = BurnIn::new(3, Policy::PrunedValue);
+            let report = burn_in(app.as_ref(), &analysis, &engine, &run).unwrap();
             assert_eq!(report.epochs, 3);
             assert!(report.payload_bytes > 0);
             assert!(report.tape_segments > 0);
@@ -672,7 +451,8 @@ mod tests {
             .unwrap();
             let engine =
                 EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-            let report = burn_in(app.as_ref(), &analysis, &engine, 2, Policy::PrunedValue).unwrap();
+            let run = BurnIn::new(2, Policy::PrunedValue);
+            let report = burn_in(app.as_ref(), &analysis, &engine, &run).unwrap();
             assert!(
                 report.tape_segments > 1,
                 "{}: expected a segmented tape",

@@ -25,8 +25,9 @@
 //! `obs-schema-check` binary) enforce the documented JSONL schema in CI.
 //!
 //! The disabled recorder ([`Recorder::disabled`], also [`Recorder::default`])
-//! holds no allocation; every operation is a branch on `None`. The
-//! `obs_overhead` bench in `scrutiny-bench` pins this near zero.
+//! holds no allocation; every operation is a branch on `None`. What an
+//! enabled recorder costs against it is measured by the benchmark
+//! (`obs.traced_epoch_overhead_pct`, `obs.traced_analyze_overhead_pct`).
 //!
 //! ```
 //! use scrutiny_obs::{point, span, Recorder};

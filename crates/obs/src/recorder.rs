@@ -4,7 +4,8 @@
 //! A `Recorder` is a cheaply clonable handle (`Option<Arc<…>>`). The
 //! [`Recorder::disabled`] variant holds no allocation at all: every
 //! operation on it reduces to a branch on `None`, which is what pins its
-//! overhead near zero (measured by the `obs_overhead` bench).
+//! overhead near zero (the benchmark's `obs.traced_*_overhead_pct` metrics
+//! are what an enabled recorder costs against it).
 //!
 //! Metric handles ([`Counter`], [`Gauge`], [`HistHandle`]) are resolved
 //! once by name and then shared atomics — hot paths pay one relaxed RMW

@@ -6,10 +6,10 @@
 
 use scrutiny_core::restart::capture_state;
 use scrutiny_core::{
-    checkpoint_restart_cycle_async, plan::plans_for, scrutinize, DirBackend, EngineConfig,
+    plan::plans_for, restart_cycle, scrutinize, CheckpointSource, DirBackend, EngineConfig,
     EngineHandle, Layout, MemBackend, Policy, RestartConfig, ShardedBackend, StorageBackend,
 };
-use scrutiny_npb::{burn_in, Cg};
+use scrutiny_npb::{burn_in, BurnIn, Cg};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,9 +71,15 @@ fn main() {
             },
         )
         .unwrap();
-        let report =
-            checkpoint_restart_cycle_async(&app, &analysis, &RestartConfig::default(), &engine)
-                .unwrap();
+        let source = CheckpointSource::Engine(&engine);
+        let report = restart_cycle(
+            &app,
+            &analysis,
+            &RestartConfig::default(),
+            source,
+            |_, _| {},
+        )
+        .unwrap();
         println!(
             "restart via {name:<14} verified: {} (rel err {:.2e}, {} B vs full {} B)",
             report.verified,
@@ -85,7 +91,8 @@ fn main() {
 
     // --- multi-epoch burn-in: compute overlaps draining ------------------
     let engine = EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-    let report = burn_in(&app, &analysis, &engine, 4, Policy::PrunedValue).unwrap();
+    let run = BurnIn::new(4, Policy::PrunedValue);
+    let report = burn_in(&app, &analysis, &engine, &run).unwrap();
     println!(
         "burn-in {}: {} epochs, {} payload bytes, verified: {}",
         report.app, report.epochs, report.payload_bytes, report.verified

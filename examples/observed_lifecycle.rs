@@ -10,7 +10,7 @@ use scrutiny_core::{
     scrutinize_with, EngineConfig, EngineHandle, MemBackend, Policy, RecoveryWalk, ScrutinyOptions,
 };
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in_recover_observed, Cg};
+use scrutiny_npb::{burn_in, BurnIn, Cg, Drift};
 use scrutiny_obs::Recorder;
 use scrutiny_viz::timeline_svg;
 use std::path::PathBuf;
@@ -42,16 +42,14 @@ fn main() {
     .unwrap();
     // ...then damage the newest checkpoint and recover through the
     // fallback scan. Every step lands in the same event ring.
-    let report = burn_in_recover_observed(
-        &app,
-        &analysis,
-        &engine,
-        3,
-        Policy::PrunedValue,
-        StorageScenario::FlippedPayloadByte,
-        &rec,
-    )
-    .unwrap();
+    let run = BurnIn {
+        drift: Drift::Uncritical,
+        fault: Some(StorageScenario::FlippedPayloadByte),
+        recorder: rec.clone(),
+        ..BurnIn::new(3, Policy::PrunedValue)
+    };
+    let report = burn_in(&app, &analysis, &engine, &run).unwrap();
+    let recovery = report.recovery.expect("a fault was injected");
 
     let snap = rec.snapshot();
     std::fs::create_dir_all(&out).unwrap();
@@ -64,7 +62,7 @@ fn main() {
     let walk = RecoveryWalk::from_snapshot(&snap);
     println!(
         "damaged {}; recovery walked {:?}, rejected {:?}, recovered v{}",
-        report.damaged, walk.candidates, walk.rejected, report.recovered_version
+        recovery.damaged, walk.candidates, walk.rejected, recovery.recovered_version
     );
     println!(
         "restart verified: {} (rel_err {:.2e})",

@@ -18,7 +18,7 @@ use scrutiny_engine::{
     DirBackend, EngineConfig, EngineHandle, RecoveryConfig, RecoveryManager, StorageBackend,
 };
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in, Cg, Ft};
+use scrutiny_npb::{burn_in, BurnIn, Cg, Ft};
 use scrutiny_obs::Recorder;
 use scrutinyd::{Daemon, DaemonConfig, RemoteBackend};
 use std::path::PathBuf;
@@ -55,14 +55,15 @@ fn main() {
                     RemoteBackend::connect(endpoint, Some(Tenant::new(tenant).unwrap())).unwrap(),
                 );
                 let engine = EngineHandle::open(remote.clone(), EngineConfig::default()).unwrap();
+                let run = BurnIn::new(3, Policy::PrunedValue);
                 let report = if which == 0 {
                     let app = Cg::mini();
                     let analysis = scrutinize(&app).unwrap();
-                    burn_in(&app, &analysis, &engine, 3, Policy::PrunedValue).unwrap()
+                    burn_in(&app, &analysis, &engine, &run).unwrap()
                 } else {
                     let app = Ft::mini();
                     let analysis = scrutinize(&app).unwrap();
-                    burn_in(&app, &analysis, &engine, 3, Policy::PrunedValue).unwrap()
+                    burn_in(&app, &analysis, &engine, &run).unwrap()
                 };
                 drop(engine);
                 println!(

@@ -3,8 +3,10 @@
 //! central finite differences computed through the *restart* machinery —
 //! the strongest cross-check of analysis + capture + restore together.
 
-use scrutiny_core::restart::restart_with_mutation;
-use scrutiny_core::{scrutinize, FillPolicy, Policy, RestartConfig, ScrutinyApp, VarData};
+use scrutiny_core::{
+    restart_cycle, scrutinize, CheckpointSource, FillPolicy, Policy, RestartConfig, ScrutinyApp,
+    VarData,
+};
 use scrutiny_npb::{Bt, Cg};
 
 /// Output after perturbing element `idx` of float variable `var_i` by `d`.
@@ -20,11 +22,17 @@ fn perturbed_output(
         fill: FillPolicy::Zero,
         store_dir: None,
     };
-    let report = restart_with_mutation(app, analysis, &cfg, |bufs, _| {
-        if let VarData::F64(v) = &mut bufs[var_i] {
-            v[idx] += d;
-        }
-    })
+    let report = restart_cycle(
+        app,
+        analysis,
+        &cfg,
+        CheckpointSource::Blocking,
+        |bufs, _| {
+            if let VarData::F64(v) = &mut bufs[var_i] {
+                v[idx] += d;
+            }
+        },
+    )
     .unwrap();
     report.restarted
 }

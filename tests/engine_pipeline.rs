@@ -3,10 +3,11 @@
 //! engine-written checkpoints through the standard reader path.
 
 use scrutiny_core::{
-    checkpoint_restart_cycle, checkpoint_restart_cycle_async, scrutinize, DirBackend, EngineConfig,
-    EngineHandle, Layout, MemBackend, Policy, RestartConfig, ShardedBackend, StorageBackend,
+    checkpoint_restart_cycle, restart_cycle, scrutinize, CheckpointSource, DirBackend,
+    EngineConfig, EngineHandle, Layout, MemBackend, Policy, RestartConfig, ShardedBackend,
+    StorageBackend,
 };
-use scrutiny_npb::{burn_in, burn_in_suite_mini, Bt};
+use scrutiny_npb::{burn_in, burn_in_suite_mini, Bt, BurnIn};
 use std::sync::Arc;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -49,8 +50,9 @@ fn burn_in_wired_npb_apps_verify_through_every_backend() {
                 },
             )
             .unwrap();
-            let report = burn_in(app.as_ref(), &analysis, &engine, 3, Policy::PrunedValue)
-                .expect("burn-in must not error");
+            let run = BurnIn::new(3, Policy::PrunedValue);
+            let report =
+                burn_in(app.as_ref(), &analysis, &engine, &run).expect("burn-in must not error");
             assert!(
                 report.verified,
                 "{name} via {label}: restart failed (rel err {})",
@@ -68,7 +70,8 @@ fn async_and_blocking_cycles_agree_on_bt() {
     let cfg = RestartConfig::default();
     let blocking = checkpoint_restart_cycle(&app, &analysis, &cfg).unwrap();
     let engine = EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-    let asynced = checkpoint_restart_cycle_async(&app, &analysis, &cfg, &engine).unwrap();
+    let source = CheckpointSource::Engine(&engine);
+    let asynced = restart_cycle(&app, &analysis, &cfg, source, |_, _| {}).unwrap();
     assert!(asynced.verified);
     assert_eq!(
         asynced.storage, blocking.storage,

@@ -22,11 +22,10 @@
 //! (the safe direction), which `assert_safety_invariant` re-proves here
 //! on tapes where the expected disagreement is known exactly.
 
-use scrutiny_core::restart::restart_with_mutation;
 use scrutiny_core::{
-    checkpoint_restart_cycle, scrutinize, scrutinize_with, Analyzer, AppRun, AppSpec, Bitmap,
-    DisagreementKind, FillPolicy, Policy, Real, RestartConfig, ScrutinyApp, ScrutinyOptions,
-    VarData, VarRefMut, VarSpec,
+    checkpoint_restart_cycle, restart_cycle, scrutinize, scrutinize_with, Analyzer, AppRun,
+    AppSpec, Bitmap, CheckpointSource, DisagreementKind, FillPolicy, Policy, Real, RestartConfig,
+    ScrutinyApp, ScrutinyOptions, VarData, VarRefMut, VarSpec,
 };
 use scrutiny_integration::{
     assert_safety_invariant, assert_step_contract, differential_case, explain, CountingAlloc,
@@ -275,9 +274,12 @@ fn branch_blind_spot_breaks_restart_when_steering_value_is_corrupted() {
         fill: FillPolicy::Garbage(7),
         store_dir: None,
     };
-    let report = restart_with_mutation(&app, &analysis, &cfg, |bufs, _| match &mut bufs[0] {
-        VarData::F64(v) => v[0] = -1.0,
-        _ => unreachable!("single f64 variable"),
+    let source = CheckpointSource::Blocking;
+    let report = restart_cycle(&app, &analysis, &cfg, source, |bufs, _| {
+        match &mut bufs[0] {
+            VarData::F64(v) => v[0] = -1.0,
+            _ => unreachable!("single f64 variable"),
+        }
     })
     .unwrap();
     assert!(!report.verified, "branch flip must break verification");

@@ -9,7 +9,7 @@
 use scrutiny_core::{scrutinize, EngineConfig, EngineHandle, MemBackend, Policy, RecoveryWalk};
 use scrutiny_engine::{DeltaPolicy, StorageBackend};
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in_recover_observed, Cg};
+use scrutiny_npb::{burn_in, BurnIn, Cg, Drift};
 use scrutiny_obs::{validate_jsonl, FieldValue, Recorder, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -53,16 +53,13 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
     .unwrap();
     let app = Cg::mini();
     let analysis = scrutinize(&app).unwrap();
-    let report = burn_in_recover_observed(
-        &app,
-        &analysis,
-        &engine,
-        EPOCHS,
-        Policy::Full,
-        StorageScenario::FlippedPayloadByte,
-        &rec,
-    )
-    .unwrap();
+    let run = BurnIn {
+        drift: Drift::Uncritical,
+        fault: Some(StorageScenario::FlippedPayloadByte),
+        recorder: rec.clone(),
+        ..BurnIn::new(EPOCHS, Policy::Full)
+    };
+    let report = burn_in(&app, &analysis, &engine, &run).unwrap();
 
     // Serialize → validate → parse back. Everything below reads `snap`.
     let jsonl = rec.snapshot().to_jsonl();
@@ -171,10 +168,11 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
 
     // Only now consult the report: the log-derived story must agree
     // with what the run itself returned.
-    assert_eq!(report.newest_version, newest);
-    assert_eq!(report.recovered_version, recovered);
-    assert_eq!(report.rejected_versions, vec![newest]);
-    assert_eq!(report.damaged, damaged_object);
+    let recovery = report.recovery.expect("a fault was injected");
+    assert_eq!(recovery.newest_version, newest);
+    assert_eq!(recovery.recovered_version, recovered);
+    assert_eq!(recovery.rejected_versions, vec![newest]);
+    assert_eq!(recovery.damaged, damaged_object);
     assert!(report.verified);
 }
 

@@ -3,9 +3,10 @@
 
 use scrutiny_core::{
     checkpoint_restart_cycle, scrutinize, EngineConfig, EngineHandle, FillPolicy, MemBackend,
-    Policy, RestartConfig, ScrutinyApp,
+    Policy, RestartConfig, ScrutinyApp, ScrutinyOptions, TapeCheckpointConfig,
 };
-use scrutiny_npb::{burn_in_bounded, Bt, Cg, Ep, Ft, Lu, Mg, Sp};
+use scrutiny_integration::{first_divergence, scrutinize_bounded_vs_unbounded};
+use scrutiny_npb::{burn_in, Bt, BurnIn, Cg, Ep, Ft, Lu, Mg, Sp};
 use std::sync::Arc;
 
 fn minis() -> Vec<Box<dyn ScrutinyApp>> {
@@ -76,25 +77,37 @@ fn forced_eviction_burn_in_is_bit_identical_to_unbounded() {
     // multi-megabyte recording.
     let app = Cg::mini();
     let engine = EngineHandle::open(Arc::new(MemBackend::new()), EngineConfig::default()).unwrap();
-    let report = burn_in_bounded(&app, &engine, 3, Policy::PrunedValue, 256, 2).unwrap();
-    assert!(report.bit_identical);
+    let opts = ScrutinyOptions {
+        segment_len: 256,
+        ..ScrutinyOptions::default()
+    };
+    let ckpt = TapeCheckpointConfig::with_ncheckpoints(2);
+    let (unbounded, bounded) = scrutinize_bounded_vs_unbounded(&app, &opts, ckpt).unwrap();
+    assert_eq!(first_divergence(&unbounded, &bounded), None);
+    let budget_bytes = ckpt.budget_bytes(256, bounded.tape_stats.segments);
     assert!(
-        report.budget_bytes * 10 < report.unbounded_tape_bytes,
+        budget_bytes * 10 < unbounded.tape_stats.bytes,
         "budget ({}) must be under a tenth of the recording ({})",
-        report.budget_bytes,
-        report.unbounded_tape_bytes
+        budget_bytes,
+        unbounded.tape_stats.bytes
     );
     assert!(
-        report.peak_resident_bytes <= report.budget_bytes,
+        bounded.tape_stats.peak_resident_bytes <= budget_bytes,
         "peak residency ({}) exceeded the budget ({})",
-        report.peak_resident_bytes,
-        report.budget_bytes
+        bounded.tape_stats.peak_resident_bytes,
+        budget_bytes
     );
-    assert!(report.replayed_segments > 0, "eviction must force replays");
     assert!(
-        report.burn_in.verified,
+        bounded.tape_stats.replayed_segments > 0,
+        "eviction must force replays"
+    );
+    // The bounded maps drive the ordinary multi-epoch engine burn-in.
+    let run = BurnIn::new(3, Policy::PrunedValue);
+    let report = burn_in(&app, &bounded, &engine, &run).unwrap();
+    assert!(
+        report.verified,
         "restart from bounded-analysis maps failed (rel err {})",
-        report.burn_in.rel_err
+        report.rel_err
     );
 }
 

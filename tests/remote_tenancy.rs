@@ -22,7 +22,7 @@ use scrutiny_engine::{
     RecoveryManager, StorageBackend,
 };
 use scrutiny_faultinj::StorageScenario;
-use scrutiny_npb::{burn_in, Cg};
+use scrutiny_npb::{burn_in, BurnIn, Cg};
 use scrutiny_obs::{FieldValue, Recorder, Snapshot};
 use scrutinyd::{Daemon, DaemonConfig, RemoteBackend};
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,14 +141,8 @@ fn four_tenants_one_daemon_with_corruption_isolation_and_obs_history() {
                     // wire, restart-verified from the daemon's storage.
                     let app = Cg::mini();
                     let analysis = scrutinize(&app).unwrap();
-                    let report = burn_in(
-                        &app,
-                        &analysis,
-                        &engine,
-                        EPOCHS as usize,
-                        Policy::PrunedValue,
-                    )
-                    .unwrap();
+                    let run = BurnIn::new(EPOCHS as usize, Policy::PrunedValue);
+                    let report = burn_in(&app, &analysis, &engine, &run).unwrap();
                     assert!(report.verified, "remote restart-verify failed");
                 } else {
                     for epoch in 0..EPOCHS {

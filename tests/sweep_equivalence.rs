@@ -66,6 +66,53 @@ fn check_kernel(app: &dyn ScrutinyApp) {
             app.spec().name
         );
     }
+    // Fused ≡ each kernel alone, on the unbounded tape too: one
+    // `Tape::sweep` of all three kernels against each legacy sweep at the
+    // same thread count.
+    let name = app.spec().name;
+    for threads in [1usize, 2, 4] {
+        let cfg = SweepConfig::with_threads(threads);
+        let fused = tape
+            .sweep(
+                out,
+                &SweepRequest {
+                    kernels: &[Kernel::Value, Kernel::Reach, Kernel::DataDep],
+                    threads,
+                    ..SweepRequest::default()
+                },
+            )
+            .unwrap();
+        let (grads, _) = fused.value.unwrap();
+        let (alone, _) = tape.gradient_sweep(out, cfg).unwrap();
+        assert_eq!(alone.len(), grads.len());
+        for i in 0..alone.len() as u64 {
+            assert_eq!(
+                alone.of_node(i).to_bits(),
+                grads.of_node(i).to_bits(),
+                "{name}: fused gradient of node {i} diverged with {threads} threads"
+            );
+        }
+        let (reach, _) = fused.reach.unwrap();
+        let (reach_alone, _) = tape.reachable_sweep(out, cfg).unwrap();
+        assert_eq!(
+            reach_alone, *reach,
+            "{name}: fused reachability, {threads} threads"
+        );
+        let dd = fused.datadep.unwrap();
+        let dd_alone = tape.datadep_sweep(out, cfg).unwrap();
+        assert_eq!(
+            dd_alone.live_bits(),
+            dd.live_bits(),
+            "{name}: fused liveness, {threads} threads"
+        );
+        for i in 0..reach.len() as u64 {
+            assert_eq!(
+                dd_alone.used(i),
+                dd.used(i),
+                "{name}: fused def-use bit {i}, {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
@@ -162,7 +209,7 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
                 );
                 same_grads(&grads, &what);
                 let (reach, _) = fused.reach.unwrap();
-                assert_eq!(base_reach, reach, "{name}: reachability ({what})");
+                assert_eq!(base_reach, *reach, "{name}: reachability ({what})");
                 let dd = fused.datadep.unwrap();
                 assert_eq!(dd.live_bits(), &reach[..], "{name}: liveness ({what})");
                 for i in 0..reach.len() as u64 {
@@ -187,7 +234,19 @@ fn check_checkpointed(app: &dyn ScrutinyApp) {
                 same_grads(&grads, &format!("alone, {what}"));
                 let (reach, _) = bounded.reachable_sweep_replay(out_b, cfg, replay).unwrap();
                 assert_eq!(base_reach, reach, "{name}: reachability (alone, {what})");
-                let dd = bounded.datadep_sweep_replay(out_b, cfg, replay).unwrap();
+                let dd = bounded
+                    .sweep(
+                        out_b,
+                        &SweepRequest {
+                            kernels: &[Kernel::DataDep],
+                            threads,
+                            replay: Some(replay),
+                            ..SweepRequest::default()
+                        },
+                    )
+                    .unwrap()
+                    .datadep
+                    .unwrap();
                 assert_eq!(
                     dd.live_bits(),
                     &reach[..],
