@@ -27,14 +27,21 @@
 //!
 //! Dirty pages are detected by *exact byte comparison* against the parent
 //! image, not by hashing: a hash collision here would silently corrupt
-//! every later epoch in the chain. (The [`crate::incremental`] tracker
-//! keeps its cheap page hashes — it models `mprotect`-style bookkeeping
-//! cost, it does not reconstruct state.)
+//! every later epoch in the chain.
+//!
+//! This module also holds **the** publication routine,
+//! [`publish_epoch`]: every writer in the workspace — the blocking
+//! [`crate::CheckpointStore`] (`save`, `save_delta`) and the async
+//! engine in each of its layouts — hands it the epoch's serialized body
+//! and a `put`, and it alone decides object names, at-rest compression,
+//! write order (commit marker last) and the byte accounting.
 
+use crate::compress::AtRest;
 use crate::format::{crc32, CkptError, StorageBreakdown};
 use crate::names;
 use crate::shard::ShardManifest;
-use crate::writer::{put_u32, put_u64};
+use crate::writer::{put_u32, put_u64, rebalance_breakdown};
+use scrutiny_obs::{span, Recorder};
 
 pub(crate) const DELTA_MAGIC: &[u8; 8] = b"SCRUTDLT";
 const DELTA_VERSION: u32 = 1;
@@ -43,6 +50,9 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 /// Chains longer than this are rejected as corrupt (a healthy writer
 /// rebases long before; a cycle would otherwise loop forever).
 pub(crate) const MAX_CHAIN_LEN: usize = 100_000;
+/// Default diff granularity: one 4 KiB page, the unit `mprotect`-style
+/// dirty tracking (Vasavada et al.) works at.
+pub const PAGE_BYTES: usize = 4096;
 
 /// How a delta-checkpoint chain is grown.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +68,7 @@ pub struct DeltaPolicy {
 impl Default for DeltaPolicy {
     fn default() -> Self {
         DeltaPolicy {
-            page_bytes: crate::incremental::PAGE_BYTES,
+            page_bytes: PAGE_BYTES,
             rebase_every: 8,
         }
     }
@@ -212,29 +222,12 @@ pub fn diff_images(
 /// The parent version a delta file patches. Reads only the fixed header —
 /// no CRC pass — so retention sweeps can classify chains cheaply; a file
 /// too short to hold the header (or with the wrong magic) is rejected.
-/// A delta stored inside a `SCRUTCZB` container is decoded first (the
-/// caller holding full object bytes is the common retention path).
+/// A delta stored inside a `SCRUTCZB` container is decoded first.
 pub fn parent_version(delta: &[u8]) -> Result<u64, CkptError> {
     if crate::compress::is_container(delta) {
         return parent_header(&crate::compress::decompress(delta)?);
     }
     parent_header(delta)
-}
-
-/// [`parent_version`] of the delta file at `path`, reading only the
-/// header bytes from disk — retention runs on every save, and a prune
-/// must not pull whole dirty-page payloads into memory just to follow a
-/// 8-byte parent pointer. Compressed deltas (container magic in the
-/// prefix) are the exception: the whole file is read and decoded.
-pub fn parent_version_at(path: &std::path::Path) -> Result<u64, CkptError> {
-    use std::io::Read;
-    let f = std::fs::File::open(path)?;
-    let mut buf = Vec::with_capacity(HEADER_LEN + 4);
-    f.take((HEADER_LEN + 4) as u64).read_to_end(&mut buf)?;
-    if crate::compress::is_container(&buf) {
-        return parent_version(&std::fs::read(path)?);
-    }
-    parent_header(&buf)
 }
 
 fn parent_header(delta: &[u8]) -> Result<u64, CkptError> {
@@ -252,12 +245,7 @@ fn parent_header(delta: &[u8]) -> Result<u64, CkptError> {
 /// pipeline runs it concurrently across chain links and then patches
 /// with [`apply_delta_verified`] so each link is hashed exactly once.
 pub(crate) fn check_delta(delta: &[u8]) -> Result<(), CkptError> {
-    if delta.len() < HEADER_LEN + 4 {
-        return Err(CkptError::Corrupt("delta file too short".into()));
-    }
-    if &delta[..8] != DELTA_MAGIC {
-        return Err(CkptError::Corrupt("delta file has wrong magic".into()));
-    }
+    parent_header(delta)?;
     let body = &delta[..delta.len() - 4];
     let expected = u32::from_le_bytes(delta[delta.len() - 4..].try_into().unwrap());
     let actual = crc32(body);
@@ -422,55 +410,113 @@ pub fn read_data_image(
     Ok(image)
 }
 
-/// Publish one epoch of a base+delta chain through `put` (a backend
-/// `put` or an atomic file write): decides base-vs-delta from the chain
-/// state, writes the auxiliary object first and the commit marker (data
-/// or delta) last, and returns the epoch's byte accounting plus the new
-/// consecutive-delta count. Shared by [`crate::CheckpointStore::save_delta`]
-/// and the async engine's delta finisher, so the two writers cannot
-/// drift in layout, rebase cadence, or accounting.
+/// The serialized data one epoch publishes — one variant per layout.
+pub enum EpochBody<'a> {
+    /// One data-file image, published whole as `ckpt_v.data`.
+    Image(&'a [u8]),
+    /// One data-file image that is a member of a base+delta chain:
+    /// published as `ckpt_v.delta` (its dirty pages against `prev`) while
+    /// `prev` exists and fewer than `policy.rebase_every` consecutive
+    /// deltas were written, else whole as a fresh base `ckpt_v.data`.
+    Chained {
+        /// This epoch's data-file image.
+        image: &'a [u8],
+        /// Diff granularity and rebase cadence.
+        policy: &'a DeltaPolicy,
+        /// Version and raw image of the last published epoch.
+        prev: Option<&'a (u64, Vec<u8>)>,
+        /// Consecutive deltas written since the last full base.
+        deltas_since_base: usize,
+    },
+    /// Sealed shards and their manifest (see [`crate::shard`]): one
+    /// `ckpt_v.data.sNNN` object per shard plus `ckpt_v.smf`.
+    Sharded {
+        /// The sealed segments, in manifest order.
+        shards: &'a [Vec<u8>],
+        /// Their lengths and CRCs — the layout's commit marker.
+        manifest: &'a ShardManifest,
+    },
+}
+
+/// Publish checkpoint `version` through `put` — **the** publication
+/// routine: [`crate::CheckpointStore::save`] / `save_delta` and the async
+/// engine's finisher are its three callers, so the writers cannot drift
+/// in layout, write order, rebase cadence, compression or accounting.
 ///
-/// `image`/`image_payload_bytes` are the epoch's serialized data file
-/// and its element-payload share; `aux`/`aux_pair_bytes` likewise for
-/// the auxiliary file; `prev` is the last published epoch's image.
-#[allow(clippy::too_many_arguments)]
+/// `aux` is the epoch's auxiliary file and `full` the byte accounting of
+/// storing `body` whole and uncompressed beside it (what
+/// [`crate::writer::serialize_with`] reports). `at_rest` is applied here,
+/// per stored data/shard/delta object, from the borrowed slice and under
+/// a `ckpt.compress` span on `rec`; the auxiliary file and the shard
+/// manifest are never compressed, and diffing sees only raw images.
+///
+/// `put(name, bytes, compressed_from)` stores one object;
+/// `compressed_from` is `Some(raw_len)` when `bytes` is the `SCRUTCZB`
+/// container of `raw_len` raw bytes. Objects arrive in the order of
+/// FORMATS §7 — shards, then `aux`, then the commit marker (the one
+/// object for which [`names::committed_version`] is `Some(version)`)
+/// **last** — and the first failing `put` aborts the epoch with nothing
+/// committed.
+///
+/// Returns the bytes actually stored, split by kind, and the chain's new
+/// consecutive-delta count (0 unless a delta was written).
 pub fn publish_epoch(
     version: u64,
-    policy: &DeltaPolicy,
-    prev: Option<&(u64, Vec<u8>)>,
-    deltas_since_base: usize,
-    image: &[u8],
-    image_payload_bytes: usize,
+    body: EpochBody<'_>,
     aux: &[u8],
-    aux_pair_bytes: usize,
-    mut put: impl FnMut(&str, &[u8]) -> Result<(), CkptError>,
+    full: StorageBreakdown,
+    at_rest: AtRest,
+    rec: &Recorder,
+    mut put: impl FnMut(&str, &[u8], Option<usize>) -> Result<(), CkptError>,
 ) -> Result<(StorageBreakdown, usize), CkptError> {
-    let aux_header = aux.len() - aux_pair_bytes;
-    if let Some((parent_version, parent)) = prev.filter(|_| deltas_since_base < policy.rebase_every)
-    {
-        let (delta, stats) = diff_images(parent, image, *parent_version, policy.page_bytes)?;
-        put(&names::aux(version), aux)?;
-        put(&names::delta(version), &delta)?;
-        Ok((
-            StorageBreakdown {
-                payload_bytes: stats.payload_bytes,
-                aux_bytes: aux_pair_bytes,
-                header_bytes: delta.len() - stats.payload_bytes + aux_header,
-            },
-            deltas_since_base + 1,
-        ))
-    } else {
-        put(&names::aux(version), aux)?;
-        put(&names::data(version), image)?;
-        Ok((
-            StorageBreakdown {
-                payload_bytes: image_payload_bytes,
-                aux_bytes: aux_pair_bytes,
-                header_bytes: image.len() - image_payload_bytes + aux_header,
-            },
-            0,
-        ))
+    // (raw, stored) bytes of the objects that went through the codec.
+    let mut coded = (0usize, 0usize);
+    // `code`: a data-bearing object (image, shard, delta) the at-rest
+    // codec applies to; `aux` and the manifest pass `false`.
+    let mut emit = |name: &str, raw: &[u8], code: bool| {
+        if !code || at_rest == AtRest::None {
+            return put(name, raw, None);
+        }
+        let stored = {
+            let _span = span!(rec, "ckpt.compress", raw_bytes = raw.len());
+            crate::compress::compress(raw, at_rest)
+        };
+        coded.0 += raw.len();
+        coded.1 += stored.len();
+        put(name, &stored, Some(raw.len()))
+    };
+    if let EpochBody::Sharded { shards, .. } = &body {
+        for (i, shard) in shards.iter().enumerate() {
+            emit(&names::shard(version, i), shard, true)?;
+        }
     }
+    emit(&names::aux(version), aux, false)?;
+    let mut stored = full;
+    let mut deltas_since_base = 0;
+    match body {
+        EpochBody::Sharded { manifest, .. } => {
+            emit(&names::manifest(version), &manifest.to_bytes(), false)?
+        }
+        EpochBody::Chained {
+            image,
+            policy,
+            prev: Some((parent_version, parent)),
+            deltas_since_base: n,
+        } if n < policy.rebase_every => {
+            let (delta, stats) = diff_images(parent, image, *parent_version, policy.page_bytes)?;
+            stored.payload_bytes = stats.payload_bytes;
+            stored.header_bytes = delta.len() - stats.payload_bytes + aux.len() - full.aux_bytes;
+            deltas_since_base = n + 1;
+            emit(&names::delta(version), &delta, true)?
+        }
+        EpochBody::Image(image) | EpochBody::Chained { image, .. } => {
+            emit(&names::data(version), image, true)?
+        }
+    }
+    Ok((
+        rebalance_breakdown(stored, coded.0, coded.1),
+        deltas_since_base,
+    ))
 }
 
 /// Classify a listing of object/file names into committed versions and
@@ -733,18 +779,21 @@ mod tests {
 
     #[test]
     fn parent_version_at_reads_only_the_header() {
-        let dir = std::env::temp_dir().join(format!("scrutiny_dlt_hdr_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let a = image(5000, 4);
         let mut b = a.clone();
         b[0] ^= 1;
         let (d, _) = diff_images(&a, &b, 41, 64).unwrap();
-        let path = dir.join(names::delta(42));
-        std::fs::write(&path, &d).unwrap();
-        assert_eq!(parent_version_at(&path).unwrap(), 41);
-        assert!(parent_version_at(&dir.join(names::delta(7))).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(parent_version(&d).unwrap(), 41);
+        // No CRC pass, no page table: the fixed header prefix is enough,
+        // and damage behind it does not matter to a retention sweep.
+        assert_eq!(parent_version(&d[..HEADER_LEN + 4]).unwrap(), 41);
+        let mut torn = d.clone();
+        *torn.last_mut().unwrap() ^= 0xFF;
+        assert_eq!(parent_version(&torn).unwrap(), 41);
+        assert!(parent_version(&d[..HEADER_LEN + 3]).is_err());
+        // Through the at-rest container too.
+        let z = crate::compress::compress(&d, AtRest::Auto);
+        assert_eq!(parent_version(&z).unwrap(), 41);
     }
 
     #[test]

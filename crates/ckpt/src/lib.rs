@@ -18,21 +18,25 @@
 //!   explicit lengths) with byte-exact storage accounting, written either
 //!   to memory or to disk; restore materializes full-size buffers, filling
 //!   uncritical holes according to a [`FillPolicy`].
+//! * [`backend`] — the object-store seam ([`StorageBackend`], the
+//!   durable [`DirBackend`], the in-process [`MemBackend`]) and the one
+//!   version scan, one version reader and one chain-aware pruner over it
+//!   that the store, the async engine and the daemon all share.
 //! * [`store`] — a versioned multi-checkpoint directory (keep-last-k), the
-//!   usual operational shape of application-level C/R, with chain-aware
-//!   retention for delta checkpoints.
+//!   usual operational shape of application-level C/R: the blocking face
+//!   of the same publisher, scan, reader and pruner the engine runs.
 //! * [`delta`] — base+delta checkpoints (`SCRUTDLT`): epoch N stores a
 //!   full image, epochs N+1… store only the dirty pages of the AD-pruned
 //!   data file, so temporal and semantic pruning compose; reconstruction
-//!   is bit-identical to a monolithic save.
+//!   is bit-identical to a monolithic save. Also home of
+//!   [`delta::publish_epoch`], the one publication routine for every
+//!   layout (monolithic, sharded, delta): names, at-rest compression,
+//!   commit-marker-last write order and byte accounting.
 //! * [`compress`] — the optional `SCRUTCZB` at-rest compression
 //!   container (self-written RLE and bit-plane codecs, byte-exact) and
 //!   the lossy lo-tier element codec ([`LoCodec`]) that turns the
 //!   paper's uncritical verdict into truncated-mantissa storage,
 //!   gated by §IV.C restart-verification.
-//! * [`incremental`] — a page-granularity incremental *accounting*
-//!   baseline (à la dirty-page tracking, cf. Vasavada et al. in the
-//!   paper's related work) for storage comparisons.
 //! * [`restore`] — the read-side mirror of the sharded writer: a
 //!   parallel restore pipeline that fetches and CRC-verifies shards and
 //!   delta-chain links concurrently, assembling an image bit-identical
@@ -40,11 +44,11 @@
 
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod bitmap;
 pub mod compress;
 pub mod delta;
 pub mod format;
-pub mod incremental;
 pub mod names;
 pub mod reader;
 pub mod regions;
@@ -53,6 +57,7 @@ pub mod shard;
 pub mod store;
 pub mod writer;
 
+pub use backend::{DirBackend, MemBackend, StorageBackend};
 pub use bitmap::Bitmap;
 pub use compress::{AtRest, CodecConfig, LoCodec};
 pub use delta::{DeltaPolicy, DeltaStats};
@@ -71,6 +76,5 @@ pub use shard::{
 pub use store::CheckpointStore;
 pub use writer::{
     rebalance_breakdown, serialize, serialize_aux, serialize_data, serialize_data_with,
-    serialize_with, write_checkpoint, write_checkpoint_with, write_file_atomic,
-    SerializedCheckpoint,
+    serialize_with, write_file_atomic, SerializedCheckpoint,
 };

@@ -171,6 +171,19 @@ pub enum CkptName {
     Other,
 }
 
+impl CkptName {
+    /// The checkpoint version this object belongs to, marker or not.
+    pub fn version(self) -> Option<u64> {
+        match self {
+            CkptName::Data(v) | CkptName::Aux(v) | CkptName::Manifest(v) | CkptName::Delta(v) => {
+                Some(v)
+            }
+            CkptName::Shard { version, .. } => Some(version),
+            CkptName::Tmp | CkptName::Foreign | CkptName::Other => None,
+        }
+    }
+}
+
 /// Parse a name against the grammar above, at default-tenant scope:
 /// any name containing `/` is [`CkptName::Foreign`]. To classify inside
 /// a namespace, use [`classify_scoped`].
@@ -294,5 +307,8 @@ mod tests {
         assert_eq!(committed_version(&aux(9)), None);
         assert_eq!(committed_version(&shard(9, 0)), None);
         assert_eq!(committed_version("junk"), None);
+        assert_eq!(classify(&shard(9, 0)).version(), Some(9));
+        assert_eq!(classify(&aux(9)).version(), Some(9));
+        assert_eq!(classify("ckpt_000009.data.tmp").version(), None);
     }
 }

@@ -7,10 +7,8 @@
 //! require the application to still verify.
 
 use crate::format::{crc32, CkptError, DType, FillPolicy, VarPlan};
-use crate::writer::{file_names, MODE_FULL, MODE_PRUNED, MODE_TIERED};
+use crate::writer::{MODE_FULL, MODE_PRUNED, MODE_TIERED};
 use crate::{Region, Regions};
-use std::fs;
-use std::path::Path;
 
 /// One variable loaded from a checkpoint (sparse form).
 pub struct LoadedVar {
@@ -319,43 +317,6 @@ impl Checkpoint {
         Ok(Checkpoint { vars })
     }
 
-    /// Load checkpoint `version` from a store directory.
-    ///
-    /// Accepts every on-disk layout: the monolithic `ckpt_v.data` file,
-    /// the sharded layout the async engine's workers produce
-    /// (`ckpt_v.data.sNNN` segments described by a `ckpt_v.smf`
-    /// manifest, reassembled and CRC-verified shard by shard), and the
-    /// base+delta layout (`ckpt_v.delta`, whose parent chain is walked
-    /// back to a full image and replayed forward — see [`crate::delta`]).
-    pub fn load(dir: &Path, version: u64) -> Result<Self, CkptError> {
-        let (_, aux_path) = file_names(dir, version);
-        let aux = fs::read(&aux_path)?;
-        let data = crate::delta::read_data_image(version, |name| {
-            fs::read(dir.join(name)).map_err(CkptError::from)
-        })?;
-        Self::from_bytes(&data, &aux)
-    }
-
-    /// [`Checkpoint::load`] through the parallel restore pipeline
-    /// ([`crate::restore`]): shards and delta-chain links are fetched
-    /// and CRC-verified concurrently, and the assembled image — being
-    /// bit-identical to the serial path's — parses identically. Returns
-    /// the checkpoint plus what the pipeline did.
-    pub fn load_parallel(
-        dir: &Path,
-        version: u64,
-        opts: &crate::restore::RestoreOptions,
-    ) -> Result<(Self, crate::restore::RestoreStats), CkptError> {
-        let (_, aux_path) = file_names(dir, version);
-        let aux = fs::read(&aux_path)?;
-        let (data, stats) = crate::restore::read_data_image_parallel(
-            version,
-            &|name: &str| fs::read(dir.join(name)).map_err(CkptError::from),
-            opts,
-        )?;
-        Ok((Self::from_bytes(&data, &aux)?, stats))
-    }
-
     /// Look up a variable by name.
     pub fn var(&self, name: &str) -> Result<&LoadedVar, CkptError> {
         self.vars
@@ -527,12 +488,15 @@ mod tests {
 
     #[test]
     fn load_accepts_sharded_dir_layout() {
+        use crate::backend::{DirBackend, StorageBackend};
         use crate::shard::{plan_shards, seal_shards, serialize_shard};
-        use crate::writer::{manifest_file_name, serialize_aux, shard_file_name};
+        use crate::writer::serialize_aux;
+        use crate::{names, CheckpointStore};
+        use std::fs;
 
         let dir = std::env::temp_dir().join(format!("scrutiny_shard_load_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let files = DirBackend::open(&dir).unwrap();
 
         let vals: Vec<f64> = (0..300).map(|i| (i as f64).sin()).collect();
         let crit = Bitmap::from_fn(300, |i| i % 7 != 0);
@@ -545,14 +509,16 @@ mod tests {
             .collect();
         let (sealed, manifest) = seal_shards(shards);
         for (i, shard) in sealed.iter().enumerate() {
-            fs::write(shard_file_name(&dir, 5, i), shard).unwrap();
+            files.put(&names::shard(5, i), shard).unwrap();
         }
-        fs::write(manifest_file_name(&dir, 5), manifest.to_bytes()).unwrap();
+        files
+            .put(&names::manifest(5), &manifest.to_bytes())
+            .unwrap();
         let (aux, _) = serialize_aux(&vars, &plans);
-        fs::write(dir.join("ckpt_000005.aux"), aux).unwrap();
+        files.put("ckpt_000005.aux", &aux).unwrap();
 
         // No ckpt_000005.data exists — the reader must reassemble shards.
-        let ck = Checkpoint::load(&dir, 5).unwrap();
+        let ck = CheckpointStore::open(&dir, 1).unwrap().load(5).unwrap();
         let got = ck
             .var("u")
             .unwrap()

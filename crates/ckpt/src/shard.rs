@@ -20,8 +20,8 @@
 //!   and verify the segments.
 //!
 //! A checkpoint may be *stored* sharded too (`ckpt_v.data.sNNN` files plus
-//! a `ckpt_v.smf` manifest); [`crate::reader::Checkpoint::load`] accepts
-//! both layouts.
+//! a `ckpt_v.smf` manifest); [`crate::delta::read_data_image`] — and so
+//! every loader above it — accepts both layouts.
 
 use crate::compress::LoCodec;
 use crate::format::{crc32, CkptError, Crc32, VarData, VarPlan, VarRecord};

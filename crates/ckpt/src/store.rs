@@ -2,28 +2,27 @@
 //! ("save several versions of checkpoint files to make the data more
 //! durable" — paper §II.A), with keep-last-k retention.
 //!
-//! Retention is *chain-aware*: a delta checkpoint (see [`crate::delta`])
-//! only restores through its ancestors, so pruning keeps every version a
-//! retained delta transitively patches — a base is never deleted out from
-//! under a live chain; old chains fall away wholesale once a newer full
-//! checkpoint ages them out.
+//! The store is the *blocking face* of the code the async engine runs:
+//! it holds a [`DirBackend`], and saving, listing, loading and chain-aware
+//! retention are [`publish_epoch`], [`list_versions`], [`read_version`]
+//! and [`prune_chain_aware`] over it — so a directory the engine
+//! published into opens here unchanged, and the two write byte-identical
+//! objects for the same state.
 
-use crate::compress::{AtRest, CodecConfig};
-use crate::delta::{self, DeltaPolicy};
+use crate::backend::{list_versions, prune_chain_aware, read_version, DirBackend, StorageBackend};
+use crate::compress::CodecConfig;
+use crate::delta::{publish_epoch, DeltaPolicy, EpochBody};
 use crate::format::{CkptError, StorageBreakdown, VarPlan, VarRecord};
 use crate::names::{classify, CkptName};
 use crate::reader::Checkpoint;
-use crate::writer::{
-    rebalance_breakdown, serialize_with, write_checkpoint_with, write_file_atomic,
-};
+use crate::writer::serialize_with;
+use scrutiny_obs::Recorder;
 use std::collections::BTreeSet;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A directory of numbered checkpoints with bounded retention.
-#[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    backend: Box<dyn StorageBackend>,
     keep: usize,
     next_version: u64,
     /// Delta-chain state: the last saved data-file image and its version,
@@ -35,6 +34,17 @@ pub struct CheckpointStore {
     chain: Option<(u64, Vec<u8>)>,
     deltas_since_base: usize,
     codec: CodecConfig,
+}
+
+impl std::fmt::Debug for CheckpointStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CheckpointStore")
+            .field("backend", &self.backend.label())
+            .field("keep", &self.keep)
+            .field("next_version", &self.next_version)
+            .field("codec", &self.codec)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CheckpointStore {
@@ -49,17 +59,21 @@ impl CheckpointStore {
     /// directory an async engine is concurrently publishing into —
     /// `drain()` the engine (or wait its tickets) first.
     pub fn open(dir: impl Into<PathBuf>, keep: usize) -> Result<Self, CkptError> {
+        Self::over(Box::new(DirBackend::open(dir)?), keep)
+    }
+
+    /// [`CheckpointStore::open`] over any backend — how the crate's tests
+    /// watch the store's write sequence.
+    pub(crate) fn over(backend: Box<dyn StorageBackend>, keep: usize) -> Result<Self, CkptError> {
         if keep == 0 {
             return Err(CkptError::InvalidConfig(
                 "a store must retain at least one checkpoint (keep >= 1)".into(),
             ));
         }
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Self::sweep_orphans(&dir)?;
-        let next_version = Self::scan_versions(&dir)?.last().map_or(0, |v| v + 1);
+        Self::sweep_orphans(backend.as_ref())?;
+        let next_version = list_versions(backend.as_ref())?.last().map_or(0, |v| v + 1);
         Ok(CheckpointStore {
-            dir,
+            backend,
             keep,
             next_version,
             chain: None,
@@ -81,53 +95,17 @@ impl CheckpointStore {
         Ok(self)
     }
 
-    /// The codec applied to subsequent saves.
-    pub fn codec(&self) -> &CodecConfig {
-        &self.codec
-    }
-
-    /// Open (or create) `tenant`'s store inside a shared pool directory:
-    /// the store rooted at `<pool>/<tenant>`, where the tenant's objects
-    /// live under the pool-level names `<tenant>/ckpt_v...` (see
-    /// [`crate::names`], "Tenant namespaces"). The open-time orphan
-    /// sweep, retention, and version scans all operate on that
-    /// subdirectory only — one tenant's sweep can never touch a
-    /// sibling's files, and the pool root (the default tenant) never
-    /// descends into tenant subdirectories.
-    pub fn open_tenant(
-        pool: impl AsRef<Path>,
-        tenant: &crate::names::Tenant,
-        keep: usize,
-    ) -> Result<Self, CkptError> {
-        Self::open(pool.as_ref().join(tenant.as_str()), keep)
-    }
-
-    /// A version exists once its data file (monolithic layout) or shard
-    /// manifest (sharded layout) is published.
-    fn scan_versions(dir: &Path) -> Result<Vec<u64>, CkptError> {
-        let mut versions = BTreeSet::new();
-        for entry in fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            if let Some(v) = crate::names::committed_version(&name.to_string_lossy()) {
-                versions.insert(v);
-            }
-        }
-        Ok(versions.into_iter().collect())
-    }
-
-    /// Delete files interrupted writes leave behind. Writers publish
-    /// `.tmp` → rename, data/shards before the manifest, and data before
-    /// aux is *read*, so: `.tmp` files are always debris, an `.aux` with
-    /// no commit marker (data file, manifest, or delta) is unreachable,
-    /// and shards with no manifest were never committed.
-    fn sweep_orphans(dir: &Path) -> Result<(), CkptError> {
+    /// Delete objects interrupted writes leave behind. Every writer puts
+    /// the commit marker last (see [`publish_epoch`]), so: `.tmp` files
+    /// are always debris, an `.aux` with no commit marker (data file,
+    /// manifest, or delta) is unreachable, and shards with no manifest
+    /// were never committed.
+    fn sweep_orphans(backend: &dyn StorageBackend) -> Result<(), CkptError> {
+        let listing = backend.list()?;
         let mut committed = BTreeSet::new();
         let mut manifests = BTreeSet::new();
-        let mut entries = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            match classify(&name) {
+        for name in &listing {
+            match classify(name) {
                 CkptName::Data(v) | CkptName::Delta(v) => {
                     committed.insert(v);
                 }
@@ -137,25 +115,19 @@ impl CheckpointStore {
                 }
                 _ => {}
             }
-            entries.push((name, entry.path()));
         }
-        for (name, path) in entries {
-            let doomed = match classify(&name) {
+        for name in &listing {
+            let doomed = match classify(name) {
                 CkptName::Tmp => true,
                 CkptName::Aux(v) => !committed.contains(&v),
                 CkptName::Shard { version, .. } => !manifests.contains(&version),
                 _ => false,
             };
             if doomed {
-                let _ = fs::remove_file(path);
+                let _ = backend.delete(name);
             }
         }
         Ok(())
-    }
-
-    /// Directory backing this store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Write the next checkpoint version; prunes old versions beyond the
@@ -165,15 +137,7 @@ impl CheckpointStore {
         vars: &[VarRecord],
         plans: &[VarPlan],
     ) -> Result<(u64, StorageBreakdown), CkptError> {
-        let version = self.next_version;
-        let breakdown = write_checkpoint_with(&self.dir, version, vars, plans, &self.codec)?;
-        self.next_version += 1;
-        // A full save outside the delta API breaks the in-memory chain
-        // state; the next save_delta starts a fresh base.
-        self.chain = None;
-        self.deltas_since_base = 0;
-        self.prune()?;
-        Ok((version, breakdown))
+        self.publish(vars, plans, None)
     }
 
     /// Write the next checkpoint version as part of a base+delta chain:
@@ -190,115 +154,61 @@ impl CheckpointStore {
         policy: &DeltaPolicy,
     ) -> Result<(u64, StorageBreakdown), CkptError> {
         policy.validate()?;
-        let version = self.next_version;
-        let ser = serialize_with(vars, plans, self.codec.lo)?;
-        fs::create_dir_all(&self.dir)?;
-        // Diffing happens on raw serialized images inside publish_epoch;
-        // at-rest compression is applied here, per stored object, so the
-        // delta machinery never sees a container. Aux files stay raw.
-        let at_rest = self.codec.at_rest;
-        let saved = std::cell::Cell::new((0usize, 0usize)); // (raw, stored)
-        let (breakdown, deltas_since_base) = delta::publish_epoch(
-            version,
-            policy,
-            self.chain.as_ref(),
-            self.deltas_since_base,
-            &ser.data,
-            ser.breakdown.payload_bytes,
-            &ser.aux,
-            ser.breakdown.aux_bytes,
-            |name, bytes| {
-                let stored;
-                let bytes = match (at_rest, classify(name)) {
-                    (AtRest::None, _) | (_, CkptName::Aux(_)) => bytes,
-                    _ => {
-                        stored = crate::compress::compress(bytes, at_rest);
-                        let (r, s) = saved.get();
-                        saved.set((r + bytes.len(), s + stored.len()));
-                        stored.as_slice()
-                    }
-                };
-                write_file_atomic(&self.dir.join(name), bytes)
-            },
-        )?;
-        let (raw, stored) = saved.get();
-        let breakdown = rebalance_breakdown(breakdown, raw, stored);
-        self.deltas_since_base = deltas_since_base;
-        self.chain = Some((version, ser.data));
-        self.next_version += 1;
-        self.prune()?;
-        Ok((version, breakdown))
+        self.publish(vars, plans, Some(policy))
     }
 
-    /// Remove every file of each version beyond the retention limit, in
-    /// any layout, with a single directory scan — except versions a
-    /// retained delta chain still depends on (computed by
-    /// [`crate::delta::live_versions`]). Commit markers go first (newest
-    /// version first) so a crash mid-removal leaves orphans the next
-    /// `open` sweeps, not a committed-looking checkpoint that is half
-    /// gone or whose chain ancestors are gone.
-    fn prune(&self) -> Result<(), CkptError> {
-        let mut entries = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            entries.push((name, entry.path()));
-        }
-        let committed = delta::committed_kinds(entries.iter().map(|(n, _)| n.as_str()));
-        if committed.len() <= self.keep {
-            return Ok(());
-        }
-        let live = delta::live_versions(&committed, self.keep, |v| {
-            delta::parent_version_at(&self.dir.join(crate::names::delta(v)))
-        })?;
-        let doomed: BTreeSet<u64> = committed
-            .iter()
-            .map(|&(v, _)| v)
-            .filter(|v| !live.contains(v))
-            .collect();
-        if doomed.is_empty() {
-            return Ok(());
-        }
-        // Commit markers first, newest version first: a doomed chain's
-        // child deltas must stop looking committed before their base
-        // disappears, so a crash mid-prune leaves (at worst) an intact,
-        // still-loadable prefix of the chain plus orphans the next
-        // `open` sweeps — never a committed-looking version whose
-        // ancestors are gone.
-        for &v in doomed.iter().rev() {
-            let _ = fs::remove_file(self.dir.join(crate::names::delta(v)));
-            let _ = fs::remove_file(crate::writer::manifest_file_name(&self.dir, v));
-            let _ = fs::remove_file(self.dir.join(crate::names::data(v)));
-        }
-        for (name, path) in &entries {
-            let version = match classify(name) {
-                CkptName::Data(v)
-                | CkptName::Aux(v)
-                | CkptName::Manifest(v)
-                | CkptName::Delta(v) => Some(v),
-                CkptName::Shard { version, .. } => Some(version),
-                CkptName::Tmp | CkptName::Foreign | CkptName::Other => None,
-            };
-            if version.is_some_and(|v| doomed.contains(&v)) {
-                let _ = fs::remove_file(path);
-            }
-        }
-        Ok(())
+    /// Serialize, publish through the one publisher ([`publish_epoch`] —
+    /// layout, compression, write order and accounting are its), then
+    /// apply retention.
+    fn publish(
+        &mut self,
+        vars: &[VarRecord],
+        plans: &[VarPlan],
+        chained: Option<&DeltaPolicy>,
+    ) -> Result<(u64, StorageBreakdown), CkptError> {
+        let version = self.next_version;
+        let ser = serialize_with(vars, plans, self.codec.lo)?;
+        let body = match chained {
+            None => EpochBody::Image(&ser.data),
+            Some(policy) => EpochBody::Chained {
+                image: &ser.data,
+                policy,
+                prev: self.chain.as_ref(),
+                deltas_since_base: self.deltas_since_base,
+            },
+        };
+        let (breakdown, deltas_since_base) = publish_epoch(
+            version,
+            body,
+            &ser.aux,
+            ser.breakdown,
+            self.codec.at_rest,
+            &Recorder::disabled(),
+            |name, bytes, _| self.backend.put(name, bytes),
+        )?;
+        self.deltas_since_base = deltas_since_base;
+        // A full save outside the delta API breaks the in-memory chain
+        // state; the next save_delta starts a fresh base.
+        self.chain = chained.map(|_| (version, ser.data));
+        self.next_version += 1;
+        prune_chain_aware(self.backend.as_ref(), self.keep)?;
+        Ok((version, breakdown))
     }
 
     /// Versions currently on disk, oldest first.
     pub fn versions(&self) -> Result<Vec<u64>, CkptError> {
-        Self::scan_versions(&self.dir)
+        list_versions(self.backend.as_ref())
     }
 
     /// Newest version, if any checkpoint exists.
     pub fn latest(&self) -> Result<Option<u64>, CkptError> {
-        Ok(Self::scan_versions(&self.dir)?.last().copied())
+        Ok(self.versions()?.last().copied())
     }
 
-    /// Load a specific version.
+    /// Load a specific version, in whatever layout it was published.
     pub fn load(&self, version: u64) -> Result<Checkpoint, CkptError> {
-        Checkpoint::load(&self.dir, version)
+        let (data, aux) = read_version(self.backend.as_ref(), version)?;
+        Checkpoint::from_bytes(&data, &aux)
     }
 
     /// Load the newest checkpoint (the restart path after a failure).
@@ -314,6 +224,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::{FillPolicy, VarData};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("scrutiny_store_{tag}_{}", std::process::id()));
@@ -605,6 +516,80 @@ mod tests {
         // must read parent pointers through the container).
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&dir_raw).unwrap();
+    }
+
+    /// FORMATS §7 as a property of the recorded write sequence of
+    /// versions `0..` saved in order: each commit marker is the last
+    /// object put for its version, and a crash just before it — the log
+    /// replayed up to that put into a fresh directory — opens as a store
+    /// whose latest checkpoint is the previous version, intact (`x[0]`
+    /// holds the version number).
+    fn assert_marker_last_and_crash_safe(log: &[(String, Option<Vec<u8>>)], tag: &str) {
+        let version_of = |name: &str| classify(name).version();
+        let mut markers = 0;
+        for (i, (name, bytes)) in log.iter().enumerate() {
+            let (Some(v), Some(_)) = (crate::names::committed_version(name), bytes) else {
+                continue;
+            };
+            markers += 1;
+            for (later, put) in &log[i + 1..] {
+                assert!(
+                    put.is_none() || version_of(later) != Some(v),
+                    "{tag}: {later} is put after version {v}'s commit marker {name}"
+                );
+            }
+            let dir = tmpdir(&format!("crash_{tag}_{i}"));
+            let files = DirBackend::open(&dir).unwrap();
+            for (name, bytes) in &log[..i] {
+                match bytes {
+                    Some(bytes) => files.put(name, bytes).unwrap(),
+                    None => files.delete(name).unwrap(),
+                }
+            }
+            let store = CheckpointStore::open(&dir, 64).unwrap();
+            assert_eq!(store.latest().unwrap(), v.checked_sub(1), "{tag}: {name}");
+            if let Some(prev) = v.checked_sub(1) {
+                let x = store.load_latest().unwrap();
+                let x = x.var("x").unwrap().materialize_f64(FillPolicy::Zero);
+                assert_eq!(x.unwrap()[0], prev as f64, "{tag}: cut at {name}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(markers >= 3, "{tag}: the log holds {markers} commits");
+    }
+
+    #[test]
+    fn every_store_writer_puts_its_commit_marker_last() {
+        use crate::backend::tests::LogBackend;
+        let policy = DeltaPolicy {
+            page_bytes: 64,
+            rebase_every: 2,
+        };
+        // `save` (monolithic), then `save_delta` (base, delta, delta,
+        // rebase, delta, delta) — both with retention running between
+        // epochs, so the replayed prefixes hold deletes too.
+        for chained in [None, Some(&policy)] {
+            let backend = LogBackend::default();
+            let log = backend.log.clone();
+            let mut store = CheckpointStore::over(Box::new(backend), 2).unwrap();
+            let mut vals = vec![0.5f64; 64];
+            for i in 0..6 {
+                vals[0] = i as f64;
+                let vars = vec![VarRecord::new("x", VarData::F64(vals.clone()))];
+                match chained {
+                    None => store.save(&vars, &[VarPlan::Full]).unwrap(),
+                    Some(policy) => store.save_delta(&vars, &[VarPlan::Full], policy).unwrap(),
+                };
+            }
+            let log = log.lock().unwrap();
+            let deltas: Vec<u64> = (0..6)
+                .filter(|&v| log.iter().any(|(n, _)| *n == crate::names::delta(v)))
+                .collect();
+            assert_eq!(deltas.is_empty(), chained.is_none());
+            assert!(chained.is_none() || deltas == [1, 2, 4, 5]);
+            assert!(log.iter().any(|(_, put)| put.is_none()), "retention ran");
+            assert_marker_last_and_crash_safe(&log, &format!("{:?}", chained.is_some()));
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! every contiguous critical region, so restart can place each stored
 //! element at its original offset.
 
-use crate::compress::{AtRest, CodecConfig, LoCodec};
+use crate::compress::LoCodec;
 use crate::format::{crc32, CkptError, StorageBreakdown, VarData, VarPlan, VarRecord};
 use crate::Regions;
 use std::fs;
@@ -304,24 +304,6 @@ pub fn rebalance_breakdown(
     bd
 }
 
-/// File names used for checkpoint `version` inside a store directory.
-pub fn file_names(dir: &Path, version: u64) -> (PathBuf, PathBuf) {
-    (
-        dir.join(crate::names::data(version)),
-        dir.join(crate::names::aux(version)),
-    )
-}
-
-/// Shard-manifest file name for a checkpoint stored in sharded layout.
-pub fn manifest_file_name(dir: &Path, version: u64) -> PathBuf {
-    dir.join(crate::names::manifest(version))
-}
-
-/// Name of data shard `shard` of checkpoint `version` in sharded layout.
-pub fn shard_file_name(dir: &Path, version: u64, shard: usize) -> PathBuf {
-    dir.join(crate::names::shard(version, shard))
-}
-
 /// Durably publish `bytes` at `path`: write a `.tmp` sibling, `fsync` it,
 /// rename it over `path`, then best-effort `fsync` the directory so the
 /// rename itself survives a crash. Without the file `fsync`, a crash after
@@ -343,46 +325,6 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
         }
     }
     Ok(())
-}
-
-/// Write checkpoint `version` (data + aux files) into `dir`.
-pub fn write_checkpoint(
-    dir: &Path,
-    version: u64,
-    vars: &[VarRecord],
-    plans: &[VarPlan],
-) -> Result<StorageBreakdown, CkptError> {
-    write_checkpoint_with(dir, version, vars, plans, &CodecConfig::default())
-}
-
-/// [`write_checkpoint`] with an explicit [`CodecConfig`]: the lo-tier
-/// codec shapes the serialized data file, and an at-rest codec wraps the
-/// data file in a `SCRUTCZB` container on disk (the aux file is never
-/// compressed — it is the tiny region table restart needs first). The
-/// returned breakdown accounts the bytes actually stored.
-pub fn write_checkpoint_with(
-    dir: &Path,
-    version: u64,
-    vars: &[VarRecord],
-    plans: &[VarPlan],
-    codec: &CodecConfig,
-) -> Result<StorageBreakdown, CkptError> {
-    let ser = serialize_with(vars, plans, codec.lo)?;
-    fs::create_dir_all(dir)?;
-    let (data_path, aux_path) = file_names(dir, version);
-    // Write-then-fsync-then-rename so a crash mid-write never leaves a
-    // checkpoint that parses: the reader only ever sees complete files,
-    // and a renamed file is guaranteed to hold its full contents.
-    let mut breakdown = ser.breakdown;
-    if codec.at_rest == AtRest::None {
-        write_file_atomic(&data_path, &ser.data)?;
-    } else {
-        let stored = crate::compress::compress(&ser.data, codec.at_rest);
-        breakdown = rebalance_breakdown(breakdown, ser.data.len(), stored.len());
-        write_file_atomic(&data_path, &stored)?;
-    }
-    write_file_atomic(&aux_path, &ser.aux)?;
-    Ok(breakdown)
 }
 
 #[cfg(test)]
@@ -454,10 +396,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let vars = sample_vars();
         let plans = vec![VarPlan::Full, VarPlan::Full, VarPlan::Full];
-        let bd = write_checkpoint(&dir, 3, &vars, &plans).unwrap();
-        let (d, a) = file_names(&dir, 3);
+        let mut store = crate::CheckpointStore::open(&dir, 1).unwrap();
+        let (v, bd) = store.save(&vars, &plans).unwrap();
+        let len = |name: String| fs::metadata(dir.join(name)).unwrap().len() as usize;
         assert_eq!(
-            fs::metadata(&d).unwrap().len() as usize + fs::metadata(&a).unwrap().len() as usize,
+            len(crate::names::data(v)) + len(crate::names::aux(v)),
             bd.total()
         );
         fs::remove_dir_all(&dir).unwrap();

@@ -1,65 +1,22 @@
-//! Pluggable storage backends: where the worker pool puts checkpoint
-//! bytes.
+//! Storage backends for the worker pool.
 //!
-//! A backend is a flat, named object store — deliberately minimal so new
-//! tiers (compressed, remote, batched) only implement five methods. The
-//! engine layers the checkpoint layout on top, using the same file names
-//! as [`scrutiny_ckpt::CheckpointStore`]:
-//!
-//! * monolithic: `ckpt_v.data` + `ckpt_v.aux`
-//! * sharded: `ckpt_v.data.sNNN` + `ckpt_v.smf` manifest + `ckpt_v.aux`
-//!
-//! so a [`DirBackend`] directory is readable by the existing
-//! [`scrutiny_ckpt::Checkpoint::load`] / restart path with no conversion.
+//! The object-store seam itself — [`StorageBackend`], [`DirBackend`],
+//! [`MemBackend`], and the version-level [`list_versions`],
+//! [`read_version`] and [`prune_chain_aware`] — lives in
+//! [`scrutiny_ckpt::backend`], below the blocking
+//! [`scrutiny_ckpt::CheckpointStore`], and is re-exported here under the
+//! names it always had. What stays in this crate is what only a pool
+//! needs: [`ShardedBackend`] (stripes objects across child backends),
+//! [`NamespacedBackend`] (one tenant's view) and [`list_tenants`].
 
 use crate::error::EngineError;
 use scrutiny_ckpt::names::{self, CkptName, Tenant};
-use scrutiny_ckpt::{write_file_atomic, CkptError};
-use std::collections::HashMap;
-use std::fs;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use scrutiny_ckpt::CkptError;
+use std::sync::Arc;
 
-/// A named-object store the engine writes checkpoints into. Object names
-/// follow the grammar of [`scrutiny_ckpt::names`].
-///
-/// Implementations must be safe to call from multiple worker threads at
-/// once. `put` must be atomic per object: a reader never observes a
-/// half-written object under its final name.
-pub trait StorageBackend: Send + Sync {
-    /// Durably store `bytes` under `name`, replacing any previous object.
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError>;
-    /// Fetch a whole object. A missing object is
-    /// [`CkptError::Io`] with [`std::io::ErrorKind::NotFound`] (the
-    /// signal layout probing relies on); other errors mean the object
-    /// may exist but could not be read.
-    fn get(&self, name: &str) -> Result<Vec<u8>, CkptError>;
-    /// All object names, in no particular order.
-    fn list(&self) -> Result<Vec<String>, CkptError>;
-    /// Remove an object (idempotent: missing objects are not an error).
-    fn delete(&self, name: &str) -> Result<(), CkptError>;
-    /// Human-readable description for reports and error messages.
-    fn label(&self) -> String;
-}
-
-/// Committed checkpoint versions in a backend, ascending.
-///
-/// Tenant-scoped by construction: `committed_version` parses the
-/// default-tenant grammar only, so over a raw pool this sees the default
-/// tenant's chain, and over a [`NamespacedBackend`] it sees exactly that
-/// tenant's chain (same for [`prune_chain_aware`], `committed_kinds`,
-/// and [`crate::RecoveryManager`] scans — namespacing the backend scopes
-/// every consumer at once).
-pub fn list_versions(backend: &dyn StorageBackend) -> Result<Vec<u64>, EngineError> {
-    let mut versions: Vec<u64> = backend
-        .list()?
-        .iter()
-        .filter_map(|n| names::committed_version(n))
-        .collect();
-    versions.sort_unstable();
-    versions.dedup();
-    Ok(versions)
-}
+pub use scrutiny_ckpt::backend::{
+    list_versions, prune_chain_aware, read_version, DirBackend, MemBackend, StorageBackend,
+};
 
 /// Every tenant namespace with at least one object in the pool,
 /// ascending. The default tenant (un-prefixed names) is not listed —
@@ -74,210 +31,6 @@ pub fn list_tenants(backend: &dyn StorageBackend) -> Result<Vec<Tenant>, EngineE
     tenants.sort_unstable();
     tenants.dedup();
     Ok(tenants)
-}
-
-/// Read checkpoint `version` back out of a backend as `(data, aux)` byte
-/// images for [`scrutiny_ckpt::Checkpoint::from_bytes`] — reassembling
-/// and CRC-verifying the sharded layout, or reconstructing a delta chain
-/// (see [`scrutiny_ckpt::delta`]), when no monolithic object exists.
-/// Layout probing only follows a definite "no such object"; a permission
-/// or I/O failure surfaces as itself.
-pub fn read_version(
-    backend: &dyn StorageBackend,
-    version: u64,
-) -> Result<(Vec<u8>, Vec<u8>), EngineError> {
-    let aux = backend.get(&names::aux(version))?;
-    let data = scrutiny_ckpt::delta::read_data_image(version, |name| backend.get(name))?;
-    Ok((data, aux))
-}
-
-/// Delete every object of checkpoint `version` (commit markers — manifest
-/// and delta — first, so a partial delete reads as uncommitted, never as
-/// a corrupt checkpoint).
-pub fn delete_version(backend: &dyn StorageBackend, version: u64) -> Result<(), EngineError> {
-    backend.delete(&names::manifest(version))?;
-    backend.delete(&names::delta(version))?;
-    backend.delete(&names::data(version))?;
-    backend.delete(&names::aux(version))?;
-    for name in backend.list()? {
-        if matches!(names::classify(&name), CkptName::Shard { version: v, .. } if v == version) {
-            backend.delete(&name)?;
-        }
-    }
-    Ok(())
-}
-
-/// Chain-aware keep-last-`keep` retention over a backend: delete every
-/// committed version that is neither among the newest `keep` nor an
-/// ancestor a retained delta chain still restores through (computed by
-/// [`scrutiny_ckpt::delta::live_versions`]).
-pub fn prune_chain_aware(backend: &dyn StorageBackend, keep: usize) -> Result<(), EngineError> {
-    let committed = scrutiny_ckpt::delta::committed_kinds(backend.list()?);
-    if committed.len() <= keep {
-        return Ok(());
-    }
-    let live = scrutiny_ckpt::delta::live_versions(&committed, keep, |v| {
-        scrutiny_ckpt::delta::parent_version(&backend.get(&names::delta(v))?)
-    })?;
-    // Newest first: a doomed chain's child deltas must stop looking
-    // committed before their base disappears (`delete_version` removes
-    // commit markers first within a version), so a crash mid-sweep never
-    // leaves a committed-looking version whose ancestors are gone.
-    for &(v, _) in committed.iter().rev() {
-        if !live.contains(&v) {
-            delete_version(backend, v)?;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// DirBackend — today's file layout, durable and reader-compatible.
-// ---------------------------------------------------------------------------
-
-/// Stores objects as files in one directory with write-fsync-rename
-/// publication; the directory doubles as a [`scrutiny_ckpt::CheckpointStore`]
-/// directory, so engine-written checkpoints restore through the existing
-/// reader/restart path directly.
-pub struct DirBackend {
-    dir: PathBuf,
-}
-
-impl DirBackend {
-    /// Open (creating if needed) a directory-backed object store.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CkptError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(DirBackend { dir })
-    }
-
-    /// The backing directory (hand this to `CheckpointStore::open` or
-    /// `Checkpoint::load` to restore through the standard path — but
-    /// `drain()` the engine first: the store's open-time orphan sweep
-    /// cannot tell a live writer's in-flight shards from crash debris).
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-}
-
-impl StorageBackend for DirBackend {
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let path = self.dir.join(name);
-        // Tenant-namespaced names (`t1/ckpt_v...`) map to subdirectories;
-        // create them on first write so a fresh pool needs no layout step.
-        if name.contains('/') {
-            if let Some(parent) = path.parent() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        write_file_atomic(&path, bytes)
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        Ok(fs::read(self.dir.join(name))?)
-    }
-
-    fn list(&self) -> Result<Vec<String>, CkptError> {
-        // Recursive: tenant objects list under their pool-level names
-        // (`t1/ckpt_v...`, `/`-joined regardless of platform separator).
-        fn walk(dir: &std::path::Path, prefix: &str, out: &mut Vec<String>) -> std::io::Result<()> {
-            for entry in fs::read_dir(dir)? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let rel = if prefix.is_empty() {
-                    name
-                } else {
-                    format!("{prefix}/{name}")
-                };
-                if entry.file_type()?.is_dir() {
-                    walk(&entry.path(), &rel, out)?;
-                } else {
-                    out.push(rel);
-                }
-            }
-            Ok(())
-        }
-        let mut names = Vec::new();
-        walk(&self.dir, "", &mut names)?;
-        Ok(names)
-    }
-
-    fn delete(&self, name: &str) -> Result<(), CkptError> {
-        match fs::remove_file(self.dir.join(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("dir:{}", self.dir.display())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MemBackend — in-process store for tests, burn-in and benchmarks.
-// ---------------------------------------------------------------------------
-
-/// Keeps objects in a process-local map. No durability — meant for tests,
-/// engine burn-in and as the fast tier in a [`ShardedBackend`] stripe.
-#[derive(Default)]
-pub struct MemBackend {
-    objects: Mutex<HashMap<String, Vec<u8>>>,
-}
-
-impl MemBackend {
-    /// Fresh empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of objects currently held.
-    pub fn object_count(&self) -> usize {
-        self.objects.lock().unwrap().len()
-    }
-
-    /// Total payload bytes currently held.
-    pub fn total_bytes(&self) -> usize {
-        self.objects.lock().unwrap().values().map(Vec::len).sum()
-    }
-}
-
-impl StorageBackend for MemBackend {
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        self.objects
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        self.objects
-            .lock()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| {
-                CkptError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("no object named {name:?}"),
-                ))
-            })
-    }
-
-    fn list(&self) -> Result<Vec<String>, CkptError> {
-        Ok(self.objects.lock().unwrap().keys().cloned().collect())
-    }
-
-    fn delete(&self, name: &str) -> Result<(), CkptError> {
-        self.objects.lock().unwrap().remove(name);
-        Ok(())
-    }
-
-    fn label(&self) -> String {
-        "mem".into()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -460,35 +213,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mem_backend_roundtrip_and_listing() {
-        let b = MemBackend::new();
-        b.put("a", b"one").unwrap();
-        b.put("b", b"two").unwrap();
-        assert_eq!(b.get("a").unwrap(), b"one");
-        assert!(b.get("missing").is_err());
-        let mut names = b.list().unwrap();
-        names.sort();
-        assert_eq!(names, ["a", "b"]);
-        b.delete("a").unwrap();
-        b.delete("a").unwrap(); // idempotent
-        assert_eq!(b.object_count(), 1);
-    }
-
-    #[test]
-    fn dir_backend_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("scrutiny_dirbk_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let b = DirBackend::open(&dir).unwrap();
-        b.put("x.data", b"payload").unwrap();
-        assert_eq!(b.get("x.data").unwrap(), b"payload");
-        assert_eq!(b.list().unwrap(), ["x.data"]);
-        b.delete("x.data").unwrap();
-        b.delete("x.data").unwrap(); // idempotent on missing
-        assert!(b.list().unwrap().is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn sharded_backend_routes_deterministically_and_stripes_shards() {
         let kids: Vec<Arc<dyn StorageBackend>> = vec![
             Arc::new(MemBackend::new()),
@@ -558,59 +282,5 @@ mod tests {
             .collect();
         tenants.sort();
         assert_eq!(tenants, ["t2"]);
-    }
-
-    #[test]
-    fn dir_backend_lists_tenant_subdirectories() {
-        let dir = std::env::temp_dir().join(format!("scrutiny_dirbk_ns_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let b = DirBackend::open(&dir).unwrap();
-        b.put("ckpt_000001.data", b"root").unwrap();
-        b.put("t1/ckpt_000001.data", b"tenant").unwrap();
-        assert_eq!(b.get("t1/ckpt_000001.data").unwrap(), b"tenant");
-        let mut all = b.list().unwrap();
-        all.sort();
-        assert_eq!(all, ["ckpt_000001.data", "t1/ckpt_000001.data"]);
-        b.delete("t1/ckpt_000001.data").unwrap();
-        assert_eq!(b.list().unwrap(), ["ckpt_000001.data"]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_version_propagates_non_notfound_errors() {
-        /// Aux reads succeed; the monolithic data read fails with a
-        /// *permission* error, which must surface as-is instead of being
-        /// masked by a sharded-layout probe.
-        struct DeniedData;
-        impl StorageBackend for DeniedData {
-            fn put(&self, _: &str, _: &[u8]) -> Result<(), CkptError> {
-                Ok(())
-            }
-            fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-                match names::classify(name) {
-                    CkptName::Aux(_) => Ok(b"aux".to_vec()),
-                    CkptName::Data(_) => Err(CkptError::Io(std::io::Error::new(
-                        std::io::ErrorKind::PermissionDenied,
-                        "denied",
-                    ))),
-                    _ => panic!("sharded probe must not run: asked for {name:?}"),
-                }
-            }
-            fn list(&self) -> Result<Vec<String>, CkptError> {
-                Ok(Vec::new())
-            }
-            fn delete(&self, _: &str) -> Result<(), CkptError> {
-                Ok(())
-            }
-            fn label(&self) -> String {
-                "denied".into()
-            }
-        }
-        match read_version(&DeniedData, 3) {
-            Err(EngineError::Ckpt(CkptError::Io(e))) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied)
-            }
-            other => panic!("expected the permission error, got {other:?}"),
-        }
     }
 }

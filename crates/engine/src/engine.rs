@@ -12,21 +12,20 @@
 //!    so one large array does not serialize on a single core.
 //! 3. The worker that finishes the *last* shard of a submission seals the
 //!    segments (whole-file CRC + shard manifest), serializes the tiny
-//!    auxiliary file, writes everything through the backend (commit
-//!    marker last), applies retention, records the result, and frees the
-//!    staging slot.
+//!    auxiliary file, hands the epoch to the one publisher
+//!    ([`scrutiny_ckpt::delta::publish_epoch`] — commit marker last, in
+//!    every layout), applies retention, records the result, and frees
+//!    the staging slot.
 //! 4. `wait(ticket)` / `drain()` deliver the [`StorageBreakdown`] — or
 //!    the worker's failure — back on the compute thread.
 
 use crate::backend::{list_versions, prune_chain_aware, StorageBackend};
 use crate::error::EngineError;
 use crate::snapshot::{Snapshot, StagingGate};
-use scrutiny_ckpt::delta::{publish_epoch, DeltaPolicy};
+use scrutiny_ckpt::delta::{publish_epoch, DeltaPolicy, EpochBody};
 use scrutiny_ckpt::names;
 use scrutiny_ckpt::shard::{plan_shards_with, seal_shards, serialize_shard, ShardPlan};
-use scrutiny_ckpt::{
-    rebalance_breakdown, serialize_aux, AtRest, CodecConfig, StorageBreakdown, VarPlan, VarRecord,
-};
+use scrutiny_ckpt::{serialize_aux, CodecConfig, StorageBreakdown, VarPlan, VarRecord};
 use scrutiny_obs::{point, span, Counter, Gauge, HistHandle, Recorder};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -252,20 +251,6 @@ impl EngineObs {
             rec,
         }
     }
-}
-
-/// Compress one storage object under a `ckpt.compress` span, feeding the
-/// `engine.raw_bytes` / `engine.compressed_bytes` counters. Passthrough
-/// (no span, no counters) when the codec's at-rest method is `None`.
-fn compress_object(obs: &EngineObs, at_rest: AtRest, raw: Vec<u8>) -> Vec<u8> {
-    if at_rest == AtRest::None {
-        return raw;
-    }
-    let _span = span!(obs.rec, "ckpt.compress", raw_bytes = raw.len());
-    let stored = scrutiny_ckpt::compress::compress(&raw, at_rest);
-    obs.raw_bytes.add(raw.len() as u64);
-    obs.compressed_bytes.add(stored.len() as u64);
-    stored
 }
 
 struct Shared {
@@ -612,6 +597,14 @@ fn process_task(shared: &Shared, task: &Task) -> Result<(), EngineError> {
     Ok(())
 }
 
+/// Publish one fully serialized submission: seal the shards, hand the
+/// epoch to the one publisher ([`publish_epoch`] decides object names,
+/// at-rest compression, write order and accounting for every layout),
+/// apply retention, resolve the ticket.
+///
+/// In delta mode the finisher first waits for its turn in version order,
+/// so the publisher diffs against the last image that actually reached
+/// the backend; serialization already happened in parallel.
 fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineError> {
     let segments = std::mem::take(&mut *sub.segments.lock().unwrap());
     if segments.iter().any(Option::is_none) {
@@ -627,205 +620,108 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
     }
     let (sealed, manifest) = seal_shards(shards);
     let (aux, pair_bytes) = serialize_aux(&sub.snapshot.vars, &sub.snapshot.plans);
-
-    if shared.chain.is_some() {
-        return finish_delta(shared, sub, sealed, aux, pair_bytes, payload_bytes);
-    }
-
     let data_len: usize = sealed.iter().map(Vec::len).sum();
-    let mut breakdown = StorageBreakdown {
+    let full = StorageBreakdown {
         payload_bytes,
         aux_bytes: pair_bytes,
         header_bytes: data_len - payload_bytes + (aux.len() - pair_bytes),
     };
 
     let v = sub.version;
-    let backend = shared.backend.as_ref();
-    let obs = &shared.obs;
-    let at_rest = shared.cfg.codec.at_rest;
-    let publish = span!(obs.rec, "engine.publish", version = v);
-    match shared.cfg.layout {
-        Layout::Monolithic => {
-            let mut data = Vec::with_capacity(data_len);
-            for s in &sealed {
-                data.extend_from_slice(s);
-            }
-            let data = compress_object(obs, at_rest, data);
-            breakdown = rebalance_breakdown(breakdown, data_len, data.len());
-            // Aux first: once the data object (the commit marker the
-            // store scans for) exists, the checkpoint is complete.
-            backend.put(&names::aux(v), &aux)?;
-            // The commit span is emitted only after the marker write
-            // succeeded, so the log never shows a commit for an
-            // unpublished version.
-            let t_commit = obs.rec.now_us();
-            backend.put(&names::data(v), &data)?;
-            commit_span(obs, t_commit, v, &names::data(v), data.len());
-        }
-        Layout::Sharded => {
-            // The manifest (sealed above) carries the *raw* shard
-            // lengths and CRCs; readers decode each container before
-            // checking it. The manifest itself is never compressed —
-            // it is the commit marker and stays directly inspectable.
-            let mut stored_len = 0usize;
-            for (i, s) in sealed.into_iter().enumerate() {
-                let s = compress_object(obs, at_rest, s);
-                stored_len += s.len();
-                backend.put(&names::shard(v, i), &s)?;
-            }
-            breakdown = rebalance_breakdown(breakdown, data_len, stored_len);
-            backend.put(&names::aux(v), &aux)?;
-            // Manifest last: it is the sharded layout's commit marker.
-            let t_commit = obs.rec.now_us();
-            let manifest_bytes = manifest.to_bytes();
-            backend.put(&names::manifest(v), &manifest_bytes)?;
-            commit_span(obs, t_commit, v, &names::manifest(v), manifest_bytes.len());
-        }
-    }
-
-    apply_retention(shared);
-    // Close the publish span before the ticket resolves: a waiter may
-    // snapshot the recorder the moment `wait` returns, and must not see
-    // its own completed epoch as an open span.
-    drop(publish);
-    shared.resolve(sub, Ok(breakdown));
-    Ok(())
-}
-
-/// Emit the per-version `engine.commit` span retroactively, wrapping the
-/// (successful) commit-marker write. Exactly one of these exists per
-/// *published* version — a failed epoch emits `engine.publish_failed`
-/// instead — which is what makes a recovery walk reconstructable from the
-/// log alone.
-fn commit_span(obs: &EngineObs, start_us: u64, version: u64, object: &str, marker_bytes: usize) {
-    if !obs.rec.is_enabled() {
-        return;
-    }
-    obs.rec.closed_span(
-        "engine.commit",
-        start_us,
-        &[
-            ("version", version.into()),
-            ("object", object.into()),
-            ("marker_bytes", marker_bytes.into()),
-        ],
-    );
-}
-
-/// The checkpoint is durably committed when this runs, so retention is
-/// best-effort: a transient sweep failure must not resolve the ticket as
-/// Err (a caller would resubmit a checkpoint that exists). A version the
-/// sweep misses is retried by the next submission's sweep. The sweep is
-/// chain-aware: it keeps every ancestor a retained delta restores through.
-fn apply_retention(shared: &Shared) {
-    if let Some(keep) = shared.cfg.keep {
-        let _ = prune_chain_aware(shared.backend.as_ref(), keep);
-    }
-}
-
-/// Publish one epoch of a delta chain. Serialization already happened in
-/// parallel (the sealed shards); this worker assembles the full image,
-/// waits for its turn in version order, then either diffs against the
-/// previous epoch's image (delta) or publishes the image whole (base —
-/// the first epoch, or a rebase after `rebase_every` deltas).
-fn finish_delta(
-    shared: &Shared,
-    sub: &Submission,
-    sealed: Vec<Vec<u8>>,
-    aux: Vec<u8>,
-    pair_bytes: usize,
-    payload_bytes: usize,
-) -> Result<(), EngineError> {
-    let chain = shared.chain.as_ref().expect("delta mode");
-    let policy = shared.cfg.delta.as_ref().expect("delta mode");
-    let v = sub.version;
-
-    // Assemble before taking the turnstile: pure CPU work that can
+    let chain = shared.chain.as_ref().zip(shared.cfg.delta.as_ref());
+    // Every layout but `Sharded` publishes one image (delta mode ignores
+    // `layout`). Assembled before the turnstile: pure CPU work that can
     // overlap other epochs' publishes.
-    let data_len: usize = sealed.iter().map(Vec::len).sum();
-    let mut image = Vec::with_capacity(data_len);
-    for s in &sealed {
-        image.extend_from_slice(s);
-    }
+    let image =
+        (chain.is_some() || shared.cfg.layout == Layout::Monolithic).then(|| sealed.concat());
 
     // Wait for every older version to resolve; while we hold the turn
     // (turn == v, and only `resolve` advances it) no other finisher can
     // touch the chain, so the lock itself is dropped during I/O.
-    let (prev, deltas_since_base) = {
-        let mut s = chain.state.lock().unwrap();
-        while s.turn < v {
-            s = chain.cv.wait(s).unwrap();
+    let (prev, deltas_since_base) = match chain {
+        Some((chain, _)) => {
+            let mut s = chain.state.lock().unwrap();
+            while s.turn < v {
+                s = chain.cv.wait(s).unwrap();
+            }
+            (s.prev.take(), s.deltas_since_base)
         }
-        (s.prev.take(), s.deltas_since_base)
+        None => (None, 0),
+    };
+    let body = match (&image, chain) {
+        (Some(image), Some((_, policy))) => EpochBody::Chained {
+            image,
+            policy,
+            prev: prev.as_ref(),
+            deltas_since_base,
+        },
+        (Some(image), None) => EpochBody::Image(image),
+        (None, _) => EpochBody::Sharded {
+            shards: &sealed,
+            manifest: &manifest,
+        },
     };
 
     let backend = shared.backend.as_ref();
     let obs = &shared.obs;
-    let at_rest = shared.cfg.codec.at_rest;
     let publish = span!(obs.rec, "engine.publish", version = v);
-    // The base-vs-delta decision, write order, and accounting are the
-    // store's exact `publish_epoch` — the two writers cannot drift.
-    // Diffing inside `publish_epoch` sees only raw images (the chain's
-    // cached parent stays uncompressed); at-rest compression happens
-    // here, per stored data/delta object, never for the aux file. The
-    // put closure spots the commit marker (the object whose name carries
-    // a committed version) and wraps that one write in the commit span.
-    let saved = std::cell::Cell::new((0usize, 0usize)); // (raw, stored)
+    // What stays the engine's own in the put: the byte counters of the
+    // at-rest codec, and the `engine.commit` span around the marker write
+    // (the one object whose name carries this committed version). The
+    // span is emitted retroactively, only after that write succeeded, so
+    // exactly one exists per *published* version — a failed epoch emits
+    // `engine.publish_failed` instead — which is what makes a recovery
+    // walk reconstructable from the log alone.
     let result = publish_epoch(
         v,
-        policy,
-        prev.as_ref(),
-        deltas_since_base,
-        &image,
-        payload_bytes,
+        body,
         &aux,
-        pair_bytes,
-        |name, bytes| {
-            let stored_vec;
-            let bytes = match (at_rest, names::classify(name)) {
-                (AtRest::None, _) | (_, names::CkptName::Aux(_)) => bytes,
-                _ => {
-                    stored_vec = compress_object(obs, at_rest, bytes.to_vec());
-                    let (r, s) = saved.get();
-                    saved.set((r + bytes.len(), s + stored_vec.len()));
-                    stored_vec.as_slice()
-                }
-            };
-            if names::committed_version(name) == Some(v) {
-                let t_commit = obs.rec.now_us();
-                backend.put(name, bytes)?;
-                commit_span(obs, t_commit, v, name, bytes.len());
-                Ok(())
-            } else {
-                backend.put(name, bytes)
+        full,
+        shared.cfg.codec.at_rest,
+        &obs.rec,
+        |name, bytes, compressed_from| {
+            if let Some(raw_len) = compressed_from {
+                obs.raw_bytes.add(raw_len as u64);
+                obs.compressed_bytes.add(bytes.len() as u64);
             }
+            let t_commit = obs.rec.now_us();
+            backend.put(name, bytes)?;
+            if obs.rec.is_enabled() && names::committed_version(name) == Some(v) {
+                let fields = [
+                    ("version", v.into()),
+                    ("object", name.into()),
+                    ("marker_bytes", bytes.len().into()),
+                ];
+                obs.rec.closed_span("engine.commit", t_commit, &fields);
+            }
+            Ok(())
         },
     );
-    let result = result.map(|(bd, n)| {
-        let (raw, stored) = saved.get();
-        (rebalance_breakdown(bd, raw, stored), n)
-    });
 
-    let mut s = chain.state.lock().unwrap();
-    match result {
-        Ok((breakdown, new_deltas_since_base)) => {
-            s.prev = Some((v, image));
-            s.deltas_since_base = new_deltas_since_base;
-            drop(s);
-            apply_retention(shared);
-            // Span end before resolve — see `finish_submission`.
-            drop(publish);
-            shared.resolve(sub, Ok(breakdown));
-        }
-        Err(e) => {
+    if let Some((chain, _)) = chain {
+        let mut s = chain.state.lock().unwrap();
+        match &result {
+            Ok((_, new_deltas_since_base)) => {
+                s.prev = image.map(|image| (v, image));
+                s.deltas_since_base = *new_deltas_since_base;
+            }
             // This epoch never reached the backend: the chain's parent is
             // still the previous image; the next epoch patches that.
-            s.prev = prev;
-            drop(s);
-            drop(publish);
-            shared.resolve(sub, Err(e.into()));
+            Err(_) => s.prev = prev,
         }
     }
+    // The checkpoint is durably committed here, so retention is
+    // best-effort: a transient sweep failure must not resolve the ticket
+    // as Err (a caller would resubmit a checkpoint that exists). A
+    // version the sweep misses is retried by the next submission's sweep.
+    if let (Ok(_), Some(keep)) = (&result, shared.cfg.keep) {
+        let _ = prune_chain_aware(backend, keep);
+    }
+    // Close the publish span before the ticket resolves: a waiter may
+    // snapshot the recorder the moment `wait` returns, and must not see
+    // its own completed epoch as an open span.
+    drop(publish);
+    shared.resolve(sub, result.map(|(bd, _)| bd).map_err(Into::into));
     Ok(())
 }
 
@@ -834,7 +730,7 @@ mod tests {
     use super::*;
     use crate::backend::{read_version, MemBackend};
     use scrutiny_ckpt::writer::serialize;
-    use scrutiny_ckpt::{Bitmap, Checkpoint, FillPolicy, Regions, VarData};
+    use scrutiny_ckpt::{AtRest, Bitmap, Checkpoint, FillPolicy, Regions, VarData};
 
     fn sample(n: usize, scale: f64) -> (Vec<VarRecord>, Vec<VarPlan>) {
         let vars = vec![

@@ -17,11 +17,16 @@
 //!   [`scrutiny_ckpt::shard::plan_shards`]) so a single big array does
 //!   not serialize on one core. Output is bit-identical to the blocking
 //!   writer's.
-//! * [`StorageBackend`] — pluggable object stores: [`DirBackend`]
-//!   (today's file layout, fsync-durable, readable by the existing
-//!   reader/restart path), [`MemBackend`] (in-process, for tests and
-//!   burn-in), and [`ShardedBackend`] (stripes shards across child
-//!   backends).
+//! * [`StorageBackend`] — pluggable object stores. The trait,
+//!   [`DirBackend`] (today's file layout, fsync-durable — the same
+//!   backend a [`scrutiny_ckpt::CheckpointStore`] holds) and
+//!   [`MemBackend`] (in-process, for tests and burn-in) live in
+//!   [`scrutiny_ckpt::backend`] and are re-exported here, together with
+//!   the one version scan, reader and chain-aware pruner over them; this
+//!   crate adds [`ShardedBackend`] (stripes shards across child
+//!   backends) and [`NamespacedBackend`] (one tenant's view of a pool).
+//!   Every layout is written by the one publisher the blocking store
+//!   also uses, [`scrutiny_ckpt::delta::publish_epoch`].
 //! * [`EngineHandle`] — `submit(vars, plans) -> Ticket`,
 //!   `wait(ticket) -> StorageBreakdown`, `drain()`, with worker
 //!   failures (including panics) propagated to the caller.

@@ -12,10 +12,13 @@
 use proptest::prelude::*;
 use scrutiny_ckpt::writer::{serialize, serialize_data};
 use scrutiny_ckpt::{
-    delta, names, Bitmap, CheckpointStore, DeltaPolicy, FillPolicy, Regions, VarData, VarPlan,
-    VarRecord,
+    delta, names, AtRest, Bitmap, CheckpointStore, CodecConfig, DeltaPolicy, FillPolicy, Regions,
+    VarData, VarPlan, VarRecord,
 };
-use scrutiny_engine::{read_version, EngineConfig, EngineHandle, MemBackend, StorageBackend};
+use scrutiny_engine::{
+    read_version, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
+};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One state with all three dtypes; `epoch` drives localized updates.
@@ -169,6 +172,72 @@ fn store_and_engine_agree_on_chain_layout() {
         assert_eq!(engine_data, store_data, "version {v} image");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // And structurally, since both run the one publisher and the one
+    // pruner: a store directory and an engine-over-`DirBackend` directory
+    // hold the same object names with the same bytes after every epoch,
+    // retention (keep = 2) included, raw and under the at-rest codec.
+    let contents = |dir: &std::path::Path| -> BTreeMap<String, Vec<u8>> {
+        let files = DirBackend::open(dir).unwrap();
+        let names = files.list().unwrap();
+        names
+            .into_iter()
+            .map(|n| {
+                let bytes = files.get(&n).unwrap();
+                (n, bytes)
+            })
+            .collect()
+    };
+    for at_rest in [AtRest::None, AtRest::Auto] {
+        for delta in [None, Some(policy)] {
+            let tag = format!("{at_rest:?}_{}_{}", delta.is_some(), std::process::id());
+            let store_dir = std::env::temp_dir().join(format!("scrutiny_agree_store_{tag}"));
+            let engine_dir = std::env::temp_dir().join(format!("scrutiny_agree_engine_{tag}"));
+            let _ = std::fs::remove_dir_all(&store_dir);
+            let _ = std::fs::remove_dir_all(&engine_dir);
+            let codec = CodecConfig {
+                at_rest,
+                ..Default::default()
+            };
+            let mut store = CheckpointStore::open(&store_dir, 2)
+                .unwrap()
+                .with_codec(codec)
+                .unwrap();
+            let engine = EngineHandle::open(
+                Arc::new(DirBackend::open(&engine_dir).unwrap()),
+                EngineConfig {
+                    layout: Layout::Monolithic,
+                    keep: Some(2),
+                    delta,
+                    codec,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for epoch in 0..7u64 {
+                let (vars, plans) = epoch_state(epoch);
+                let (v, store_bd) = match &delta {
+                    Some(policy) => store.save_delta(&vars, &plans, policy).unwrap(),
+                    None => store.save(&vars, &plans).unwrap(),
+                };
+                let t = engine.submit(&vars, &plans).unwrap();
+                assert_eq!(t.version(), v);
+                let engine_bd = engine.wait(t).unwrap();
+                assert_eq!(store_bd, engine_bd, "{tag} epoch {epoch}: accounting");
+                let on_disk = contents(&store_dir);
+                assert_eq!(on_disk, contents(&engine_dir), "{tag} epoch {epoch}");
+                // Monolithic retires version 0 at epoch 2; the chain
+                // (base 0, deltas 1-2, rebase 3) lets go of it at epoch 4.
+                assert_eq!(
+                    on_disk.contains_key(&names::aux(0)),
+                    epoch < if delta.is_some() { 4 } else { 2 },
+                    "{tag} epoch {epoch}: retention"
+                );
+            }
+            std::fs::remove_dir_all(&store_dir).unwrap();
+            std::fs::remove_dir_all(&engine_dir).unwrap();
+        }
+    }
 }
 
 #[test]

@@ -291,6 +291,7 @@ fn every_version_corrupt_is_a_typed_unrecoverable_error() {
 #[test]
 fn load_parallel_matches_serial_load_on_a_store_chain() {
     use scrutiny_ckpt::CheckpointStore;
+    use scrutiny_engine::DirBackend;
     let dir = std::env::temp_dir().join(format!("scrutiny_loadpar_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let policy = DeltaPolicy {
@@ -302,10 +303,19 @@ fn load_parallel_matches_serial_load_on_a_store_chain() {
         let (vars, plans) = epoch_state(e);
         store.save_delta(&vars, &plans, &policy).unwrap();
     }
+    // The same directory, read object by object: the parallel pipeline
+    // over `DirBackend::get` against the store's (serial) load.
+    let files = DirBackend::open(&dir).unwrap();
     for v in 0..5u64 {
-        let serial = Checkpoint::load(&dir, v).unwrap();
-        let (parallel, stats) =
-            Checkpoint::load_parallel(&dir, v, &RestoreOptions { threads: 3 }).unwrap();
+        let serial = store.load(v).unwrap();
+        let (data, stats) = read_data_image_parallel(
+            v,
+            &|name: &str| files.get(name),
+            &RestoreOptions { threads: 3 },
+        )
+        .unwrap();
+        let aux = files.get(&names::aux(v)).unwrap();
+        let parallel = Checkpoint::from_bytes(&data, &aux).unwrap();
         assert!(stats.image_bytes > 0);
         let (vars, _) = epoch_state(v);
         let VarData::F64(_) = &vars[0].data else {
