@@ -15,7 +15,7 @@ use crate::format::CkptError;
 use crate::names;
 use crate::writer::write_file_atomic;
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -75,6 +75,13 @@ pub fn read_version(
 /// `keep` nor an ancestor a retained delta chain still restores through
 /// (computed by [`crate::delta::live_versions`]).
 ///
+/// `parents` is what the caller knows of the chains: delta version →
+/// the version it patches. A writer records each delta it publishes
+/// ([`crate::delta::Published::parent`]), so its steady-state retention
+/// reads no object; a live delta the map does not cover — inherited from
+/// before the writer opened — is fetched once for its header and
+/// remembered. Entries of versions no longer live are dropped.
+///
 /// One listing drives the whole prune. Commit markers go first, newest
 /// version first: a doomed chain's child deltas stop looking committed
 /// before their base disappears, so a crash (or a failed delete, which
@@ -83,15 +90,25 @@ pub fn read_version(
 /// never a committed-looking version that is half gone or whose
 /// ancestors are gone. Objects of *uncommitted* versions are left alone:
 /// they may belong to a writer that has not put its marker yet.
-pub fn prune_chain_aware(backend: &dyn StorageBackend, keep: usize) -> Result<(), CkptError> {
+pub fn prune_chain_aware(
+    backend: &dyn StorageBackend,
+    keep: usize,
+    parents: &mut BTreeMap<u64, u64>,
+) -> Result<(), CkptError> {
     let listing = backend.list()?;
     let committed = crate::delta::committed_kinds(&listing);
     if committed.len() <= keep {
         return Ok(());
     }
     let live = crate::delta::live_versions(&committed, keep, |v| {
-        crate::delta::parent_version(&backend.get(&names::delta(v))?)
+        if let Some(&parent) = parents.get(&v) {
+            return Ok(parent);
+        }
+        let parent = crate::delta::parent_version(&backend.get(&names::delta(v))?)?;
+        parents.insert(v, parent);
+        Ok(parent)
     })?;
+    parents.retain(|v, _| live.contains(v));
     let doomed =
         |v: &u64| !live.contains(v) && committed.binary_search_by_key(v, |&(c, _)| c).is_ok();
     // Sort key: markers before the rest, then newest version first.
@@ -261,13 +278,26 @@ pub(crate) mod tests {
     /// the write sequence a crash can cut short.
     pub(crate) type WriteLog = std::sync::Arc<Mutex<Vec<(String, Option<Vec<u8>>)>>>;
 
-    /// Forwards to an inner [`MemBackend`], recording a [`WriteLog`] and
-    /// counting listings.
+    /// Forwards to an inner [`MemBackend`], recording a [`WriteLog`],
+    /// every `get` with whether it found its object, and counting
+    /// listings.
     #[derive(Default)]
     pub(crate) struct LogBackend {
-        inner: MemBackend,
+        pub(crate) inner: std::sync::Arc<MemBackend>,
         pub(crate) log: WriteLog,
+        pub(crate) gets: std::sync::Arc<Mutex<Vec<(String, bool)>>>,
         lists: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LogBackend {
+        /// A fresh log over the objects another `LogBackend` holds — what
+        /// a reopened writer sees.
+        pub(crate) fn over(inner: std::sync::Arc<MemBackend>) -> Self {
+            LogBackend {
+                inner,
+                ..Default::default()
+            }
+        }
     }
 
     impl StorageBackend for LogBackend {
@@ -277,7 +307,10 @@ pub(crate) mod tests {
             self.inner.put(name, bytes)
         }
         fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-            self.inner.get(name)
+            let got = self.inner.get(name);
+            let entry = (name.to_string(), got.is_ok());
+            self.gets.lock().unwrap().push(entry);
+            got
         }
         fn list(&self) -> Result<Vec<String>, CkptError> {
             self.lists
@@ -398,8 +431,13 @@ pub(crate) mod tests {
         for v in 0..6 {
             b.inner.put(&names::aux(v), b"a").unwrap();
         }
-        prune_chain_aware(&b, 2).unwrap();
+        // The writer knew delta 4's parent; nothing else live is a delta,
+        // so the prune reads no object — and forgets nothing live.
+        let mut parents = BTreeMap::from([(2, 1), (4, 3)]);
+        prune_chain_aware(&b, 2, &mut parents).unwrap();
         assert_eq!(b.lists.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert!(b.gets.lock().unwrap().is_empty());
+        assert_eq!(parents, BTreeMap::from([(4, 3)]));
         let log = b.log.lock().unwrap();
         assert!(log.iter().all(|(_, put)| put.is_none()), "deletes only");
         let deleted: Vec<&str> = log.iter().map(|(name, _)| name.as_str()).collect();

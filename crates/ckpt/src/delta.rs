@@ -458,8 +458,7 @@ pub enum EpochBody<'a> {
 /// **last** — and the first failing `put` aborts the epoch with nothing
 /// committed.
 ///
-/// Returns the bytes actually stored, split by kind, and the chain's new
-/// consecutive-delta count (0 unless a delta was written).
+/// Returns what was [`Published`].
 pub fn publish_epoch(
     version: u64,
     body: EpochBody<'_>,
@@ -468,7 +467,7 @@ pub fn publish_epoch(
     at_rest: AtRest,
     rec: &Recorder,
     mut put: impl FnMut(&str, &[u8], Option<usize>) -> Result<(), CkptError>,
-) -> Result<(StorageBreakdown, usize), CkptError> {
+) -> Result<Published, CkptError> {
     // (raw, stored) bytes of the objects that went through the codec.
     let mut coded = (0usize, 0usize);
     // `code`: a data-bearing object (image, shard, delta) the at-rest
@@ -493,6 +492,7 @@ pub fn publish_epoch(
     emit(&names::aux(version), aux, false)?;
     let mut stored = full;
     let mut deltas_since_base = 0;
+    let mut parent = None;
     match body {
         EpochBody::Sharded { manifest, .. } => {
             emit(&names::manifest(version), &manifest.to_bytes(), false)?
@@ -500,23 +500,41 @@ pub fn publish_epoch(
         EpochBody::Chained {
             image,
             policy,
-            prev: Some((parent_version, parent)),
+            prev: Some((parent_version, parent_image)),
             deltas_since_base: n,
         } if n < policy.rebase_every => {
-            let (delta, stats) = diff_images(parent, image, *parent_version, policy.page_bytes)?;
+            let (delta, stats) =
+                diff_images(parent_image, image, *parent_version, policy.page_bytes)?;
             stored.payload_bytes = stats.payload_bytes;
             stored.header_bytes = delta.len() - stats.payload_bytes + aux.len() - full.aux_bytes;
             deltas_since_base = n + 1;
+            parent = Some(*parent_version);
             emit(&names::delta(version), &delta, true)?
         }
         EpochBody::Image(image) | EpochBody::Chained { image, .. } => {
             emit(&names::data(version), image, true)?
         }
     }
-    Ok((
-        rebalance_breakdown(stored, coded.0, coded.1),
+    Ok(Published {
+        stored: rebalance_breakdown(stored, coded.0, coded.1),
         deltas_since_base,
-    ))
+        parent,
+    })
+}
+
+/// What [`publish_epoch`] wrote.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Published {
+    /// The bytes actually stored, split by kind.
+    pub stored: StorageBreakdown,
+    /// The chain's new consecutive-delta count (0 unless a delta was
+    /// written).
+    pub deltas_since_base: usize,
+    /// The version the epoch's delta patches; `None` when it was stored
+    /// whole. A writer hands these to
+    /// [`crate::backend::prune_chain_aware`], which then needs no read
+    /// to learn what the writer already knew.
+    pub parent: Option<u64>,
 }
 
 /// Classify a listing of object/file names into committed versions and

@@ -17,7 +17,7 @@ use crate::names::{classify, CkptName};
 use crate::reader::Checkpoint;
 use crate::writer::serialize_with;
 use scrutiny_obs::Recorder;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 /// A directory of numbered checkpoints with bounded retention.
@@ -33,6 +33,10 @@ pub struct CheckpointStore {
     /// bytes — deltas diff canonical images, never stored containers.
     chain: Option<(u64, Vec<u8>)>,
     deltas_since_base: usize,
+    /// Parent of every live delta saved since `open`: what retention
+    /// would otherwise fetch each delta to read (see
+    /// [`prune_chain_aware`]).
+    parents: BTreeMap<u64, u64>,
     codec: CodecConfig,
 }
 
@@ -78,6 +82,7 @@ impl CheckpointStore {
             next_version,
             chain: None,
             deltas_since_base: 0,
+            parents: BTreeMap::new(),
             codec: CodecConfig::default(),
         })
     }
@@ -177,7 +182,7 @@ impl CheckpointStore {
                 deltas_since_base: self.deltas_since_base,
             },
         };
-        let (breakdown, deltas_since_base) = publish_epoch(
+        let published = publish_epoch(
             version,
             body,
             &ser.aux,
@@ -186,13 +191,14 @@ impl CheckpointStore {
             &Recorder::disabled(),
             |name, bytes, _| self.backend.put(name, bytes),
         )?;
-        self.deltas_since_base = deltas_since_base;
+        self.deltas_since_base = published.deltas_since_base;
+        self.parents.extend(published.parent.map(|p| (version, p)));
         // A full save outside the delta API breaks the in-memory chain
         // state; the next save_delta starts a fresh base.
         self.chain = chained.map(|_| (version, ser.data));
         self.next_version += 1;
-        prune_chain_aware(self.backend.as_ref(), self.keep)?;
-        Ok((version, breakdown))
+        prune_chain_aware(self.backend.as_ref(), self.keep, &mut self.parents)?;
+        Ok((version, published.stored))
     }
 
     /// Versions currently on disk, oldest first.
@@ -590,6 +596,47 @@ mod tests {
             assert!(log.iter().any(|(_, put)| put.is_none()), "retention ran");
             assert_marker_last_and_crash_safe(&log, &format!("{:?}", chained.is_some()));
         }
+    }
+
+    #[test]
+    fn save_delta_retention_reads_nothing_the_store_wrote_and_a_reopen_falls_back() {
+        use crate::backend::tests::LogBackend;
+        use crate::names;
+        let policy = DeltaPolicy {
+            page_bytes: 64,
+            rebase_every: 8,
+        };
+        let mut vals = vec![0.5f64; 64];
+        let mut save = |store: &mut CheckpointStore, epochs: std::ops::Range<u64>| {
+            for i in epochs {
+                vals[0] = i as f64;
+                let vars = vec![VarRecord::new("x", VarData::F64(vals.clone()))];
+                let (v, _) = store.save_delta(&vars, &[VarPlan::Full], &policy).unwrap();
+                assert_eq!(v, i);
+            }
+        };
+        // 20 epochs, keep = 4: bases at 0, 9, 18; the newest four pin
+        // 9..=19 — the same sets, and the same fallback reads after a
+        // reopen, as the engine's in `engine/tests/publish_order.rs`.
+        let backend = LogBackend::default();
+        let (objects, gets) = (backend.inner.clone(), backend.gets.clone());
+        let mut store = CheckpointStore::over(Box::new(backend), 4).unwrap();
+        save(&mut store, 0..20);
+        assert_eq!(*gets.lock().unwrap(), []);
+        assert_eq!(store.versions().unwrap(), (9..=19).collect::<Vec<u64>>());
+
+        let backend = LogBackend::over(objects);
+        let gets = backend.gets.clone();
+        let mut store = CheckpointStore::over(Box::new(backend), 4).unwrap();
+        save(&mut store, 20..21);
+        assert_eq!(store.versions().unwrap(), (9..=20).collect::<Vec<u64>>());
+        let mut fetched = std::mem::take(&mut *gets.lock().unwrap());
+        fetched.sort();
+        let inherited = (10..=17).chain([19]).map(|v| (names::delta(v), true));
+        assert_eq!(fetched, inherited.collect::<Vec<_>>());
+        save(&mut store, 21..22);
+        assert_eq!(store.versions().unwrap(), [18, 19, 20, 21]);
+        assert_eq!(*gets.lock().unwrap(), []);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use scrutiny_ckpt::names;
 use scrutiny_ckpt::shard::{plan_shards_with, seal_shards, serialize_shard, ShardPlan};
 use scrutiny_ckpt::{serialize_aux, CodecConfig, StorageBreakdown, VarPlan, VarRecord};
 use scrutiny_obs::{point, span, Counter, Gauge, HistHandle, Recorder};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -183,6 +183,10 @@ struct ChainState {
     prev: Option<(u64, Vec<u8>)>,
     /// Consecutive delta epochs since the last full base.
     deltas_since_base: usize,
+    /// Parent of every live delta published since `open` — handed to
+    /// [`prune_chain_aware`] so retention does not fetch a delta to
+    /// learn what its publisher knew.
+    parents: BTreeMap<u64, u64>,
 }
 
 impl Chain {
@@ -193,6 +197,7 @@ impl Chain {
                 resolved: BTreeSet::new(),
                 prev: None,
                 deltas_since_base: 0,
+                parents: BTreeMap::new(),
             }),
             cv: Condvar::new(),
         }
@@ -618,7 +623,7 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
         payload_bytes += payload;
         shards.push(bytes);
     }
-    let (sealed, manifest) = seal_shards(shards);
+    let (mut sealed, manifest) = seal_shards(shards);
     let (aux, pair_bytes) = serialize_aux(&sub.snapshot.vars, &sub.snapshot.plans);
     let data_len: usize = sealed.iter().map(Vec::len).sum();
     let full = StorageBreakdown {
@@ -630,23 +635,28 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
     let v = sub.version;
     let chain = shared.chain.as_ref().zip(shared.cfg.delta.as_ref());
     // Every layout but `Sharded` publishes one image (delta mode ignores
-    // `layout`). Assembled before the turnstile: pure CPU work that can
+    // `layout`): a lone shard already is that image and moves; several
+    // are joined. Assembled before the turnstile: pure CPU work that can
     // overlap other epochs' publishes.
-    let image =
-        (chain.is_some() || shared.cfg.layout == Layout::Monolithic).then(|| sealed.concat());
+    let one_image = chain.is_some() || shared.cfg.layout == Layout::Monolithic;
+    let image = one_image.then(|| match sealed.as_mut_slice() {
+        [only] => std::mem::take(only),
+        many => many.concat(),
+    });
 
     // Wait for every older version to resolve; while we hold the turn
     // (turn == v, and only `resolve` advances it) no other finisher can
-    // touch the chain, so the lock itself is dropped during I/O.
-    let (prev, deltas_since_base) = match chain {
+    // touch the chain, so its state leaves the lock for the I/O below.
+    let (prev, deltas_since_base, mut parents) = match chain {
         Some((chain, _)) => {
             let mut s = chain.state.lock().unwrap();
             while s.turn < v {
                 s = chain.cv.wait(s).unwrap();
             }
-            (s.prev.take(), s.deltas_since_base)
+            let parents = std::mem::take(&mut s.parents);
+            (s.prev.take(), s.deltas_since_base, parents)
         }
-        None => (None, 0),
+        None => (None, 0, BTreeMap::new()),
     };
     let body = match (&image, chain) {
         (Some(image), Some((_, policy))) => EpochBody::Chained {
@@ -698,30 +708,32 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
         },
     );
 
+    // The checkpoint is durably committed here, so retention is
+    // best-effort: a transient sweep failure must not resolve the ticket
+    // as Err (a caller would resubmit a checkpoint that exists). A
+    // version the sweep misses is retried by the next submission's sweep.
+    if let (Ok(published), Some(keep)) = (&result, shared.cfg.keep) {
+        parents.extend(published.parent.map(|p| (v, p)));
+        let _ = prune_chain_aware(backend, keep, &mut parents);
+    }
     if let Some((chain, _)) = chain {
         let mut s = chain.state.lock().unwrap();
         match &result {
-            Ok((_, new_deltas_since_base)) => {
+            Ok(published) => {
                 s.prev = image.map(|image| (v, image));
-                s.deltas_since_base = *new_deltas_since_base;
+                s.deltas_since_base = published.deltas_since_base;
             }
             // This epoch never reached the backend: the chain's parent is
             // still the previous image; the next epoch patches that.
             Err(_) => s.prev = prev,
         }
-    }
-    // The checkpoint is durably committed here, so retention is
-    // best-effort: a transient sweep failure must not resolve the ticket
-    // as Err (a caller would resubmit a checkpoint that exists). A
-    // version the sweep misses is retried by the next submission's sweep.
-    if let (Ok(_), Some(keep)) = (&result, shared.cfg.keep) {
-        let _ = prune_chain_aware(backend, keep);
+        s.parents = parents;
     }
     // Close the publish span before the ticket resolves: a waiter may
     // snapshot the recorder the moment `wait` returns, and must not see
     // its own completed epoch as an open span.
     drop(publish);
-    shared.resolve(sub, result.map(|(bd, _)| bd).map_err(Into::into));
+    shared.resolve(sub, result.map(|p| p.stored).map_err(Into::into));
     Ok(())
 }
 

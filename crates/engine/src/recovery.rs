@@ -35,8 +35,8 @@ use scrutiny_ckpt::names::{self, CkptName};
 use scrutiny_ckpt::restore::{read_data_image_parallel_obs, RestoreOptions, RestoreStats};
 use scrutiny_ckpt::{Checkpoint, CkptError};
 use scrutiny_obs::{span, Recorder, Snapshot};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for a recovery scan.
 #[derive(Clone, Debug, Default)]
@@ -140,6 +140,64 @@ fn is_integrity_failure(e: &CkptError) -> bool {
     }
 }
 
+/// One scan's view of the backend: the listing the scan took answers
+/// "is there such an object" — layout probing (`.data`, then `.smf`,
+/// then `.delta`, per chain link) costs no round trip for the names that
+/// are not there — and the objects fetched for a candidate's *ancestors*
+/// are kept, because a fallback candidate restores through the same
+/// links and base. An object is written once under its versioned name,
+/// so a kept copy is the object. A candidate's own objects are not kept
+/// (or no longer, once it is their turn): no older version restores
+/// through them.
+struct ScanReads<'a> {
+    backend: &'a dyn StorageBackend,
+    listed: HashSet<&'a str>,
+    kept: Mutex<HashMap<String, Vec<u8>>>,
+}
+
+impl<'a> ScanReads<'a> {
+    fn new(backend: &'a dyn StorageBackend, listing: &'a [String]) -> Self {
+        ScanReads {
+            backend,
+            listed: listing.iter().map(String::as_str).collect(),
+            kept: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Fetch `name` while restoring `candidate`. A name the listing does
+    /// not hold is `NotFound` without asking; an object that vanished
+    /// since the listing still is, from the backend.
+    fn get(&self, candidate: u64, name: &str) -> Result<Vec<u8>, CkptError> {
+        if !self.listed.contains(name) {
+            return Err(CkptError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no object named {name:?} in the scan's listing"),
+            )));
+        }
+        // Kept only if an older candidate could ask again; the
+        // candidate's own objects are handed over for good.
+        let ancestor = names::classify(name)
+            .version()
+            .is_some_and(|v| v < candidate);
+        let mut kept = self.kept.lock().unwrap();
+        let hit = if ancestor {
+            kept.get(name).cloned()
+        } else {
+            kept.remove(name)
+        };
+        drop(kept);
+        if let Some(bytes) = hit {
+            return Ok(bytes);
+        }
+        let bytes = self.backend.get(name)?;
+        if ancestor {
+            let mut kept = self.kept.lock().unwrap();
+            kept.insert(name.to_string(), bytes.clone());
+        }
+        Ok(bytes)
+    }
+}
+
 /// The corruption-tolerant read side of the engine: restores the newest
 /// fully-verifiable checkpoint from a backend, walking back across
 /// damaged versions. See the [module docs](self) for the scan contract.
@@ -204,19 +262,23 @@ impl RecoveryManager {
         &self,
         version: u64,
     ) -> Result<(Vec<u8>, Vec<u8>, Checkpoint, RestoreStats), CkptError> {
-        let (_, committed) = Self::scan_listing(&self.backend.list()?);
-        self.restore_committed(version, &committed)
+        let listing = self.backend.list()?;
+        let (_, committed) = Self::scan_listing(&listing);
+        let reads = ScanReads::new(self.backend.as_ref(), &listing);
+        self.restore_committed(version, &committed, &reads)
     }
 
     /// [`RecoveryManager::restore_version`] against an already-derived
     /// committed set (one [`RecoveryManager::scan_listing`] pass serves
     /// a whole scan). Cheap checks run first: the commit marker and the
     /// small auxiliary file reject a broken candidate before any shard
-    /// is fetched or hashed.
+    /// is fetched or hashed. Every read goes through `reads`, the scan's
+    /// view of the backend.
     fn restore_committed(
         &self,
         version: u64,
         committed: &BTreeSet<u64>,
+        reads: &ScanReads<'_>,
     ) -> Result<(Vec<u8>, Vec<u8>, Checkpoint, RestoreStats), CkptError> {
         if !committed.contains(&version) {
             return Err(CkptError::Corrupt(format!(
@@ -224,11 +286,10 @@ impl RecoveryManager {
                  (data, manifest, or delta file)"
             )));
         }
-        let backend = self.backend.as_ref();
-        let aux = backend.get(&names::aux(version))?;
+        let aux = reads.get(version, &names::aux(version))?;
         let (data, stats) = read_data_image_parallel_obs(
             version,
-            &|name: &str| backend.get(name),
+            &|name: &str| reads.get(version, name),
             &RestoreOptions {
                 threads: self.cfg.threads,
             },
@@ -245,7 +306,9 @@ impl RecoveryManager {
     /// [`EngineError::Unrecoverable`] carries the same report.
     pub fn recover_latest(&self) -> Result<Recovered, EngineError> {
         let rec = &self.cfg.recorder;
-        let (candidates, committed) = Self::scan_listing(&self.backend.list()?);
+        let listing = self.backend.list()?;
+        let (candidates, committed) = Self::scan_listing(&listing);
+        let reads = ScanReads::new(self.backend.as_ref(), &listing);
         let _scan = span!(
             rec,
             "engine.recovery.scan",
@@ -263,7 +326,7 @@ impl RecoveryManager {
             }
             report.scanned += 1;
             rec.event("engine.recovery.candidate", &[("version", version.into())]);
-            match self.restore_committed(version, &committed) {
+            match self.restore_committed(version, &committed, &reads) {
                 Ok((data, aux, checkpoint, stats)) => {
                     rec.event(
                         "engine.recovery.recovered",

@@ -4,19 +4,35 @@
 //! marker — the puts up to it replayed into a fresh directory — opens as
 //! a `CheckpointStore` whose latest checkpoint is the previous epoch.
 //! (`CheckpointStore`'s own writers are held to the same property in
-//! `crates/ckpt/src/store.rs`.)
+//! `crates/ckpt/src/store.rs`.) The same log counts what the engine
+//! *reads*: steady-state publish + retention fetches nothing, and one
+//! faulted recovery fetches each object it needs once and asks for none
+//! that is not there.
 
 use scrutiny_ckpt::{
     names, AtRest, CheckpointStore, CkptError, CodecConfig, FillPolicy, VarData, VarPlan, VarRecord,
 };
 use scrutiny_engine::{
-    DeltaPolicy, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
+    list_versions, read_version, DeltaPolicy, DirBackend, EngineConfig, EngineHandle, Layout,
+    MemBackend, RecoveryConfig, RecoveryManager, StorageBackend,
 };
 use std::sync::{Arc, Mutex};
 
-/// Forwards to memory, recording every put in call order.
+/// Forwards to memory, recording every put in call order, and every get
+/// with whether it found its object.
 #[derive(Default)]
-struct PutLog(MemBackend, Mutex<Vec<(String, Vec<u8>)>>);
+struct PutLog(
+    MemBackend,
+    Mutex<Vec<(String, Vec<u8>)>>,
+    Mutex<Vec<(String, bool)>>,
+);
+
+impl PutLog {
+    /// The gets logged since the last call.
+    fn take_gets(&self) -> Vec<(String, bool)> {
+        std::mem::take(&mut *self.2.lock().unwrap())
+    }
+}
 
 impl StorageBackend for PutLog {
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
@@ -25,7 +41,10 @@ impl StorageBackend for PutLog {
         self.0.put(name, bytes)
     }
     fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        self.0.get(name)
+        let got = self.0.get(name);
+        let entry = (name.to_string(), got.is_ok());
+        self.2.lock().unwrap().push(entry);
+        got
     }
     fn list(&self) -> Result<Vec<String>, CkptError> {
         self.0.list()
@@ -107,4 +126,103 @@ fn every_layout_puts_its_commit_marker_last_and_a_cut_before_it_recovers() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
+}
+
+/// A delta-chain engine over `backend`: rebase every 8 deltas (a chain
+/// is one base + 8 deltas = 9 epochs), keep the newest four versions.
+fn chain_engine(backend: Arc<PutLog>) -> EngineHandle {
+    let cfg = EngineConfig {
+        workers: 2,
+        keep: Some(4),
+        delta: Some(DeltaPolicy {
+            page_bytes: 256,
+            rebase_every: 8,
+        }),
+        ..Default::default()
+    };
+    EngineHandle::open(backend, cfg).unwrap()
+}
+
+/// Submit and wait epochs `epochs`, each a localized update.
+fn run_chain_epochs(engine: &EngineHandle, epochs: std::ops::Range<u64>) {
+    let mut u: Vec<f64> = (0..400).map(|i| i as f64).collect();
+    for epoch in epochs {
+        u[1] = epoch as f64;
+        let vars = vec![VarRecord::new("u", VarData::F64(u.clone()))];
+        let t = engine.submit(&vars, &[VarPlan::Full]).unwrap();
+        assert_eq!(t.version(), epoch);
+        engine.wait(t).unwrap();
+    }
+}
+
+#[test]
+fn steady_state_publish_and_retention_fetch_nothing_and_a_reopen_falls_back() {
+    let backend = Arc::new(PutLog::default());
+    let engine = chain_engine(backend.clone());
+    run_chain_epochs(&engine, 0..20);
+    // Bases at 0, 9, 18. The newest four are 16..=19; 16 and 17 restore
+    // through base 9, so 9..=19 stay — decided from the parents the
+    // publisher handed the pruner, without reading one object.
+    assert_eq!(backend.take_gets(), []);
+    let kept = list_versions(backend.as_ref()).unwrap();
+    assert_eq!(kept, (9..=19).collect::<Vec<u64>>());
+
+    // A reopened engine knows no parents. Epoch 20 is its fresh base;
+    // the newest four (17..=20) pin 9..=17 and 18 → retention keeps the
+    // same set a header-reading pruner keeps, reading each inherited
+    // live delta's header once: 17 down to 10, and 19.
+    drop(engine);
+    let engine = chain_engine(backend.clone());
+    run_chain_epochs(&engine, 20..21);
+    assert_eq!(
+        list_versions(backend.as_ref()).unwrap(),
+        (9..=20).collect::<Vec<u64>>()
+    );
+    let mut fetched = backend.take_gets();
+    fetched.sort();
+    let inherited = (10..=17).chain([19]).map(|v| (names::delta(v), true));
+    assert_eq!(fetched, inherited.collect::<Vec<_>>());
+    // Epoch 21 is a delta on 20: the old chain 9..=17 retires, and what
+    // was read once (19's parent) is not read again.
+    run_chain_epochs(&engine, 21..22);
+    assert_eq!(list_versions(backend.as_ref()).unwrap(), [18, 19, 20, 21]);
+    assert_eq!(backend.take_gets(), []);
+}
+
+#[test]
+fn a_faulted_recovery_fetches_each_object_once_and_none_that_is_missing() {
+    let backend = Arc::new(PutLog::default());
+    // 14 epochs: base 9, deltas 10..=13 — the newest version is the
+    // fourth delta of its chain.
+    run_chain_epochs(&chain_engine(backend.clone()), 0..14);
+    let newest = names::delta(13);
+    let mut flipped = backend.0.get(&newest).unwrap();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x40;
+    backend.0.put(&newest, &flipped).unwrap();
+    let want = read_version(&backend.0, 12).unwrap();
+    backend.take_gets();
+
+    let recovered = RecoveryManager::new(backend.clone(), RecoveryConfig::default())
+        .recover_latest()
+        .unwrap();
+    assert_eq!(recovered.version, 12);
+    assert_eq!(recovered.report.rejected_versions(), [13]);
+    assert!(matches!(
+        recovered.report.rejected[0].error,
+        CkptError::ChecksumMismatch { .. }
+    ));
+    assert_eq!((recovered.data, recovered.aux), want);
+    // Two aux files, four deltas, one base: the rejected candidate's
+    // links 12..=10 and base 9 serve the fallback, and no `.data` /
+    // `.smf` probe of a delta version ever reaches the backend.
+    let mut fetched = backend.take_gets();
+    fetched.sort();
+    let mut expected: Vec<(String, bool)> = [names::aux(13), names::aux(12), names::data(9)]
+        .into_iter()
+        .chain((10..=13).map(names::delta))
+        .map(|name| (name, true))
+        .collect();
+    expected.sort();
+    assert_eq!(fetched, expected);
 }

@@ -9,7 +9,10 @@
 //! (pass-through), [`FaultProxy::arm`] primes the next matching
 //! traffic, and after firing once the proxy passes traffic cleanly
 //! again — exactly the shape the no-wedge contract needs (one epoch
-//! fails with a typed error, the next succeeds).
+//! fails with a typed error, the next succeeds). The exception is
+//! [`NetFault::Dribble`], which damages nothing and so stays on while
+//! armed. Both legs run with `TCP_NODELAY`, like the endpoints they
+//! stand between: the proxy adds a hop, not a Nagle stall.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -41,6 +44,12 @@ pub enum NetFault {
     /// refuse it *before allocating*
     /// ([`std::io::ErrorKind::InvalidData`]).
     GarbageResponseLength,
+    /// Pass every byte through unchanged, in both directions, **one byte
+    /// per write** for as long as the proxy stays armed (not one-shot):
+    /// the receiver sees each frame in as many fragments as the
+    /// transport can make of it, so a decoder that assumes a frame
+    /// arrives in one `read` — as it now leaves in one `write` — fails.
+    Dribble,
 }
 
 /// A live fault proxy; dropping it stops the listener.
@@ -73,6 +82,7 @@ impl FaultProxy {
                         let _ = client.shutdown(Shutdown::Both);
                         continue;
                     };
+                    let _ = (client.set_nodelay(true), server.set_nodelay(true));
                     let armed3 = armed2.clone();
                     let _ = std::thread::Builder::new()
                         .name("faultinj-pipe".into())
@@ -93,7 +103,8 @@ impl FaultProxy {
     }
 
     /// Prime the fault: the next matching traffic on *any* proxied
-    /// connection is damaged, once.
+    /// connection is damaged, once ([`NetFault::Dribble`]: all traffic
+    /// from here on is fragmented).
     pub fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
@@ -159,6 +170,12 @@ fn pump(
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
+        if fault == NetFault::Dribble && armed.load(Ordering::SeqCst) {
+            if buf[..n].iter().any(|b| to.write_all(&[*b]).is_err()) {
+                break;
+            }
+            continue;
+        }
         // `swap` claims the one shot; a lost race means the other
         // direction (or another connection) fired first and this pump
         // just forwards.
@@ -180,6 +197,7 @@ fn pump(
                     }
                     continue;
                 }
+                NetFault::Dribble => unreachable!("handled above; never claims the shot"),
             }
         }
         if to.write_all(&buf[..n]).is_err() {
@@ -229,6 +247,25 @@ mod tests {
         conn.read_to_end(&mut got).unwrap();
         assert_eq!(got, b"wo");
         assert!(!proxy.is_armed(), "fault fired and disarmed");
+        drop(proxy);
+        let _ = h.join();
+    }
+
+    #[test]
+    fn dribble_changes_no_byte_and_stays_armed() {
+        let (up, h) = echo_server();
+        let proxy = FaultProxy::spawn(up, NetFault::Dribble).unwrap();
+        proxy.arm();
+        let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+        let sent: Vec<u8> = (0..=255).collect();
+        for _ in 0..2 {
+            conn.write_all(&sent).unwrap();
+            let mut got = vec![0u8; sent.len()];
+            conn.read_exact(&mut got).unwrap();
+            assert_eq!(got, sent);
+            assert!(proxy.is_armed(), "not a one-shot fault");
+        }
+        drop(conn);
         drop(proxy);
         let _ = h.join();
     }

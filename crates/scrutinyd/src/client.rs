@@ -10,9 +10,7 @@
 //! submitting engine's chain: the broken socket dies with the error, and
 //! the engine's next submission starts clean.
 
-use crate::proto::{
-    read_frame, write_frame, RejectReason, Request, Response, TenantStats, PROTO_VERSION,
-};
+use crate::proto::{RejectReason, Request, Response, TenantStats, PROTO_VERSION};
 use crate::sock::{Endpoint, Stream};
 use scrutiny_ckpt::names::Tenant;
 use scrutiny_ckpt::CkptError;
@@ -89,14 +87,10 @@ impl RemoteBackend {
         let mut conn = Stream::connect(&self.endpoint)?;
         let hello = Request::Hello {
             version: PROTO_VERSION,
-            tenant: self
-                .tenant
-                .as_ref()
-                .map(|t| t.as_str().to_string())
-                .unwrap_or_default(),
+            tenant: self.tenant.as_ref().map_or("", Tenant::as_str),
         };
-        write_frame(&mut conn, &hello.encode())?;
-        match Response::decode(&read_frame(&mut conn)?)? {
+        hello.write_to(&mut conn)?;
+        match Response::read_from(&mut conn)? {
             Response::Ok => Ok(conn),
             other => Err(status_err(other)),
         }
@@ -105,14 +99,14 @@ impl RemoteBackend {
     /// One request/response exchange. On any wire failure the connection
     /// is dropped (not returned to the pool) so no later operation can
     /// read a stale or torn response off it.
-    fn rpc(&self, req: &Request) -> Result<Response, CkptError> {
+    fn rpc(&self, req: &Request<'_>) -> Result<Response, CkptError> {
         let mut conn = match self.idle.lock().unwrap().pop() {
             Some(c) => c,
             None => self.dial()?,
         };
         let exchange = (|| -> io::Result<Response> {
-            write_frame(&mut conn, &req.encode())?;
-            Response::decode(&read_frame(&mut conn)?)
+            req.write_to(&mut conn)?;
+            Response::read_from(&mut conn)
         })();
         match exchange {
             Ok(resp) => {
@@ -146,11 +140,8 @@ impl RemoteBackend {
     /// keys must fit the obs naming scheme.
     pub fn mark(&self, label: &str, fields: &[(&str, &str)]) -> Result<(), CkptError> {
         let req = Request::Mark {
-            label: label.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            label,
+            fields: fields.to_vec(),
         };
         match self.rpc(&req)? {
             Response::Ok => Ok(()),
@@ -176,21 +167,14 @@ impl RemoteBackend {
 
 impl StorageBackend for RemoteBackend {
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let req = Request::Put {
-            name: name.to_string(),
-            bytes: bytes.to_vec(),
-        };
-        match self.rpc(&req)? {
+        match self.rpc(&Request::Put { name, bytes })? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }
     }
 
     fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        let req = Request::Get {
-            name: name.to_string(),
-        };
-        match self.rpc(&req)? {
+        match self.rpc(&Request::Get { name })? {
             Response::Bytes(b) => Ok(b),
             other => Err(status_err(other)),
         }
@@ -204,10 +188,7 @@ impl StorageBackend for RemoteBackend {
     }
 
     fn delete(&self, name: &str) -> Result<(), CkptError> {
-        let req = Request::Delete {
-            name: name.to_string(),
-        };
-        match self.rpc(&req)? {
+        match self.rpc(&Request::Delete { name })? {
             Response::Ok => Ok(()),
             other => Err(status_err(other)),
         }

@@ -25,9 +25,7 @@
 //! [`Recorder`] snapshot to one JSONL log with every tenant's submit /
 //! publish / marker history in it.
 
-use crate::proto::{
-    write_frame, RejectReason, Request, Response, TenantStats, MAX_FRAME, PROTO_VERSION,
-};
+use crate::proto::{read_frame, RejectReason, Request, Response, TenantStats, PROTO_VERSION};
 use crate::sock::{Endpoint, Stream};
 use scrutiny_ckpt::names::{self, Tenant};
 use scrutiny_ckpt::CkptError;
@@ -66,7 +64,7 @@ pub struct DaemonConfig {
     pub max_inflight_bytes: Option<u64>,
     /// Per-object payload cap; larger PUTs are refused with
     /// `object_too_large`. `None` = no cap (frames are still bounded by
-    /// [`MAX_FRAME`]).
+    /// [`MAX_FRAME`](crate::MAX_FRAME)).
     pub max_object_bytes: Option<u64>,
     /// Per-tenant cap on *committed* checkpoint versions; a PUT that
     /// would commit a version beyond it is refused with `version_quota`.
@@ -145,7 +143,13 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => Ok(Stream::Tcp(l.accept()?.0)),
+            // A socket `TCP_NODELAY` cannot be set on was reset before it
+            // was served: its own loss, not a reason to stop listening.
+            Listener::Tcp(l) => loop {
+                if let Ok(stream) = Stream::tcp(l.accept()?.0) {
+                    return Ok(stream);
+                }
+            },
             #[cfg(unix)]
             Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
         }
@@ -318,8 +322,7 @@ fn serve(shared: Arc<Shared>, mut stream: Stream) {
             Err(e) => {
                 // A malformed frame leaves the stream position
                 // undefined; answer once, then close.
-                let resp = Response::Err(format!("protocol error: {e}"));
-                let _ = write_frame(&mut stream, &resp.encode());
+                let _ = Response::Err(format!("protocol error: {e}")).write_to(&mut stream);
                 break;
             }
         };
@@ -328,7 +331,7 @@ fn serve(shared: Arc<Shared>, mut stream: Stream) {
         if matches!(resp, Response::Rejected { .. }) {
             shared.rec.add("scrutinyd.rejections", 1);
         }
-        if write_frame(&mut stream, &resp.encode()).is_err() {
+        if resp.write_to(&mut stream).is_err() {
             break;
         }
         if shutdown_after {
@@ -384,22 +387,10 @@ fn read_frame_polled(shared: &Shared, stream: &mut Stream) -> Option<Vec<u8>> {
             Err(_) => return None,
         }
     };
-    // Committed to a frame: finish it under a bounded timeout.
+    // Committed to a frame: finish it under a bounded timeout, through
+    // the one frame reader (cap check, growth as bytes arrive).
     let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-    let result = (|| -> io::Result<Vec<u8>> {
-        let mut rest = [0u8; 3];
-        stream.read_exact(&mut rest)?;
-        let n = u32::from_le_bytes([first, rest[0], rest[1], rest[2]]);
-        if n > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {n:#x} exceeds cap"),
-            ));
-        }
-        let mut payload = vec![0u8; n as usize];
-        stream.read_exact(&mut payload)?;
-        Ok(payload)
-    })();
+    let result = read_frame(&mut [first].as_slice().chain(&mut *stream));
     let _ = stream.set_read_timeout(Some(POLL));
     result.ok()
 }
@@ -411,9 +402,9 @@ fn reject(reason: RejectReason, message: impl Into<String>) -> Response {
     }
 }
 
-fn handle(shared: &Shared, session: &mut Option<Session>, req: Request) -> Response {
-    if let Request::Hello { version, tenant } = &req {
-        return handle_hello(shared, session, *version, tenant);
+fn handle(shared: &Shared, session: &mut Option<Session>, req: Request<'_>) -> Response {
+    if let Request::Hello { version, tenant } = req {
+        return handle_hello(shared, session, version, tenant);
     }
     if matches!(req, Request::Shutdown) {
         // Control plane: allowed pre-HELLO (operational tooling).
@@ -423,8 +414,8 @@ fn handle(shared: &Shared, session: &mut Option<Session>, req: Request) -> Respo
         return reject(RejectReason::NoHello, "first frame must be HELLO");
     };
     match req {
-        Request::Put { name, bytes } => handle_put(shared, sess, &name, &bytes),
-        Request::Get { name } => handle_get(shared, sess, &name),
+        Request::Put { name, bytes } => handle_put(shared, sess, name, bytes),
+        Request::Get { name } => handle_get(shared, sess, name),
         Request::List => match sess.view.list() {
             Ok(names) => Response::Names(names),
             Err(e) => Response::Err(e.to_string()),
@@ -433,12 +424,12 @@ fn handle(shared: &Shared, session: &mut Option<Session>, req: Request) -> Respo
             if name.contains('/') {
                 return reject(RejectReason::BadName, "object names must not contain '/'");
             }
-            match sess.view.delete(&name) {
+            match sess.view.delete(name) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(e.to_string()),
             }
         }
-        Request::Mark { label, fields } => handle_mark(shared, sess, &label, &fields),
+        Request::Mark { label, fields } => handle_mark(shared, sess, label, &fields),
         Request::Stats => handle_stats(sess),
         Request::Ping => Response::Ok,
         Request::Hello { .. } | Request::Shutdown => unreachable!("handled above"),
@@ -603,12 +594,7 @@ fn handle_get(shared: &Shared, sess: &Session, name: &str) -> Response {
     }
 }
 
-fn handle_mark(
-    shared: &Shared,
-    sess: &Session,
-    label: &str,
-    fields: &[(String, String)],
-) -> Response {
+fn handle_mark(shared: &Shared, sess: &Session, label: &str, fields: &[(&str, &str)]) -> Response {
     for (k, _) in fields {
         if !scrutiny_obs::schema::valid_name(k) {
             return reject(
@@ -621,7 +607,7 @@ fn handle_mark(
     all.push(("tenant", sess.state.obs_name.as_str().into()));
     all.push(("label", label.into()));
     for (k, v) in fields {
-        all.push((k.as_str(), v.as_str().into()));
+        all.push((k, (*v).into()));
     }
     shared.rec.event("scrutinyd.mark", &all);
     Response::Ok

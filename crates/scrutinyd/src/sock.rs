@@ -2,7 +2,7 @@
 //! one [`Endpoint`] address type and one [`Stream`] that speaks either
 //! TCP or Unix-domain sockets, std-only.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -33,9 +33,18 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
+    /// Wrap a dialed or accepted TCP socket. The protocol is strictly
+    /// request/response and a frame leaves in one write, so Nagle's
+    /// algorithm has nothing to coalesce and can only hold a frame back:
+    /// it is off on every TCP stream, both ends.
+    pub(crate) fn tcp(s: TcpStream) -> io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
+    }
+
     pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
         match endpoint {
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr)?)),
+            Endpoint::Tcp(addr) => Stream::tcp(TcpStream::connect(addr)?),
             #[cfg(unix)]
             Endpoint::Unix(path) => {
                 Ok(Stream::Unix(std::os::unix::net::UnixStream::connect(path)?))
@@ -73,6 +82,15 @@ impl Write for Stream {
             Stream::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+    // The default writes only the first buffer; a frame is a header and
+    // a borrowed payload that must leave in one `writev`.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> io::Result<()> {

@@ -84,6 +84,46 @@ fn unix_socket_submit_recover_shutdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// 250 small request/response exchanges on one connection. With a frame
+/// split over two writes and Nagle on, each TCP exchange waits out a
+/// delayed ACK (~88 ms: 22 s for this loop); the bound is 10× slack over
+/// a slow, loaded host and 10× under that stall.
+fn assert_small_requests_do_not_stall(daemon: Daemon) {
+    let endpoint = daemon.endpoint();
+    let remote =
+        RemoteBackend::connect(endpoint.clone(), Some(Tenant::new("lat").unwrap())).unwrap();
+    let t0 = std::time::Instant::now();
+    for _ in 0..200 {
+        remote.ping().unwrap();
+    }
+    for i in 0..50 {
+        remote.put(&names::aux(i), &[i as u8; 64]).unwrap();
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "200 PINGs + 50 small PUTs over {endpoint} took {took:?}: a per-request socket stall is back"
+    );
+    daemon.join().unwrap();
+}
+
+#[test]
+fn small_requests_run_at_loopback_speed_on_tcp_and_unix_sockets() {
+    let pool = || Arc::new(scrutiny_engine::MemBackend::new());
+    assert_small_requests_do_not_stall(
+        Daemon::spawn_tcp("127.0.0.1:0", pool(), DaemonConfig::default()).unwrap(),
+    );
+    #[cfg(unix)]
+    {
+        let dir = scratch("latency");
+        assert_small_requests_do_not_stall(
+            Daemon::spawn_unix(dir.join("scrutinyd.sock"), pool(), DaemonConfig::default())
+                .unwrap(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn quotas_surface_as_typed_rejections() {
     let pool = Arc::new(scrutiny_engine::MemBackend::new());

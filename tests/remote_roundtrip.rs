@@ -7,7 +7,10 @@
 //!
 //! The named tests pin each layout on real directories (including the
 //! raw pool files under the tenant prefix); the property test sweeps
-//! layout × epochs × sizes on in-memory pools.
+//! layout × epochs × sizes on in-memory pools; and every layout runs once
+//! more through a proxy that forwards one byte per write, because a frame
+//! that leaves in one `write` must still never be assumed to arrive in
+//! one `read`.
 
 use proptest::prelude::*;
 use scrutiny_ckpt::names::Tenant;
@@ -15,8 +18,9 @@ use scrutiny_ckpt::{Bitmap, Regions, VarData, VarPlan, VarRecord};
 use scrutiny_engine::{
     DeltaPolicy, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
 };
+use scrutiny_faultinj::{FaultProxy, NetFault};
 use scrutiny_obs::Recorder;
-use scrutinyd::{Daemon, DaemonConfig, RemoteBackend};
+use scrutinyd::{Daemon, DaemonConfig, Endpoint, RemoteBackend};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -84,13 +88,16 @@ fn objects(b: &dyn StorageBackend) -> BTreeMap<String, Vec<u8>> {
 
 /// The core equivalence: same epochs via the daemon and directly; the
 /// tenant's remote view, and optionally the raw pool under the tenant
-/// prefix, must equal the direct backend byte for byte.
+/// prefix, must equal the direct backend byte for byte. With `dribble`
+/// the client's traffic — both directions, reads back included — crosses
+/// a [`FaultProxy`] one byte per write.
 fn assert_bit_identical(
     direct: Arc<dyn StorageBackend>,
     pool: Arc<dyn StorageBackend>,
     layout: usize,
     epochs: u64,
     n: usize,
+    dribble: bool,
 ) {
     run_epochs(direct.clone(), layout_cfg(layout), epochs, n);
 
@@ -103,9 +110,18 @@ fn assert_bit_identical(
         },
     )
     .unwrap();
-    let remote = Arc::new(
-        RemoteBackend::connect(daemon.endpoint(), Some(Tenant::new(TENANT).unwrap())).unwrap(),
-    );
+    let mut endpoint = daemon.endpoint();
+    let proxy = dribble.then(|| {
+        let Endpoint::Tcp(addr) = &endpoint else {
+            unreachable!("spawn_tcp yields a TCP endpoint")
+        };
+        let proxy = FaultProxy::spawn(addr.as_str(), NetFault::Dribble).unwrap();
+        proxy.arm();
+        endpoint = Endpoint::Tcp(proxy.addr().to_string());
+        proxy
+    });
+    let remote =
+        Arc::new(RemoteBackend::connect(endpoint, Some(Tenant::new(TENANT).unwrap())).unwrap());
     run_epochs(remote.clone(), layout_cfg(layout), epochs, n);
 
     let want = objects(direct.as_ref());
@@ -123,6 +139,10 @@ fn assert_bit_identical(
         .map(|(k, v)| (format!("{TENANT}/{k}"), v.clone()))
         .collect();
     assert_eq!(pooled, reprefixed, "raw pool ≠ prefixed direct objects");
+    if let Some(proxy) = &proxy {
+        assert!(proxy.is_armed(), "dribbled to the end");
+    }
+    drop(remote);
     daemon.join().unwrap();
 }
 
@@ -135,6 +155,7 @@ fn monolithic_layout_is_bit_identical_over_the_wire() {
         0,
         3,
         400,
+        false,
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -148,6 +169,7 @@ fn sharded_layout_is_bit_identical_over_the_wire() {
         1,
         3,
         400,
+        false,
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -161,8 +183,23 @@ fn delta_chain_layout_is_bit_identical_over_the_wire() {
         2,
         4,
         400,
+        false,
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_layout_is_bit_identical_through_a_one_byte_at_a_time_proxy() {
+    for layout in 0..3 {
+        assert_bit_identical(
+            Arc::new(MemBackend::new()),
+            Arc::new(MemBackend::new()),
+            layout,
+            3,
+            200,
+            true,
+        );
+    }
 }
 
 proptest! {
@@ -182,6 +219,7 @@ proptest! {
             layout,
             epochs,
             n,
+            false,
         );
     }
 }
