@@ -37,7 +37,7 @@
 //! additionally pins the decoded bytes, so a codec bug cannot silently
 //! hand back a wrong image.
 
-use crate::format::{crc32, CkptError};
+use crate::format::{check_envelope, crc32, CkptError};
 
 /// Magic prefix of an at-rest compression container.
 pub const CONTAINER_MAGIC: &[u8; 8] = b"SCRUTCZB";
@@ -231,20 +231,12 @@ pub fn compress(raw: &[u8], method: AtRest) -> Vec<u8> {
 /// corrupted container always surfaces as a typed error, never as wrong
 /// data.
 pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
-    if stored.len() < CONTAINER_HEADER + 4 {
-        return Err(CkptError::Corrupt("compression container too short".into()));
-    }
-    if &stored[..8] != CONTAINER_MAGIC {
-        return Err(CkptError::Corrupt(
-            "compression container has wrong magic".into(),
-        ));
-    }
-    let body = &stored[..stored.len() - 4];
-    let expected = u32::from_le_bytes(stored[stored.len() - 4..].try_into().unwrap());
-    let actual = crc32(body);
-    if expected != actual {
-        return Err(CkptError::ChecksumMismatch { expected, actual });
-    }
+    let body = check_envelope(
+        stored,
+        CONTAINER_MAGIC,
+        CONTAINER_HEADER + 4,
+        "compression container",
+    )?;
     let version = u32::from_le_bytes(stored[8..12].try_into().unwrap());
     if version != CONTAINER_VERSION {
         return Err(CkptError::Corrupt(format!(
@@ -255,6 +247,14 @@ pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
     let raw_len = u64::from_le_bytes(stored[13..21].try_into().unwrap()) as usize;
     let raw_crc = u32::from_le_bytes(stored[21..25].try_into().unwrap());
     let payload = &body[CONTAINER_HEADER..];
+    // A run of `MAX_RUN` bytes costs two, so nothing decodes to more than
+    // that ratio of its payload; a longer claim must not size a buffer.
+    if raw_len > payload.len().saturating_mul(MAX_RUN / 2) {
+        return Err(CkptError::Corrupt(format!(
+            "container declares {raw_len} raw bytes, more than its {}-byte payload can decode to",
+            payload.len()
+        )));
+    }
     let raw = match method {
         METHOD_STORED => {
             if payload.len() != raw_len {

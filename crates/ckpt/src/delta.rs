@@ -37,10 +37,11 @@
 //! write order (commit marker last) and the byte accounting.
 
 use crate::compress::AtRest;
-use crate::format::{crc32, CkptError, StorageBreakdown};
+use crate::format::{check_envelope, crc32, CkptError, StorageBreakdown};
 use crate::names;
-use crate::shard::ShardManifest;
-use crate::writer::{put_u32, put_u64, rebalance_breakdown};
+use crate::restore::{read_data_image_parallel, RestoreOptions};
+use crate::shard::{seal_shards, ShardManifest};
+use crate::writer::{full_breakdown, put_u32, put_u64, rebalance_breakdown};
 use scrutiny_obs::{span, Recorder};
 
 pub(crate) const DELTA_MAGIC: &[u8; 8] = b"SCRUTDLT";
@@ -118,8 +119,8 @@ pub struct DeltaStats {
 /// 8-byte word (a dirty page almost always differs immediately — the
 /// diff loop runs once per page, so the prefix check short-circuits the
 /// common dirty case), then 16-byte word compares, then a byte tail.
-/// Must agree with [`pages_equal_scalar`] on every input — the
-/// round-trip proptest pins that.
+/// Must agree with a byte-at-a-time comparison on every input — the
+/// module's tests pin that at every length and position.
 #[inline]
 pub fn pages_equal(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
@@ -146,12 +147,6 @@ pub fn pages_equal(a: &[u8], b: &[u8]) -> bool {
         .all(|(x, y)| x == y)
 }
 
-/// Byte-at-a-time reference for [`pages_equal`] — the baseline the
-/// vectorized comparison is proven bit-identical to.
-pub fn pages_equal_scalar(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
-}
-
 /// Copy a page with unaligned 16-byte word loads/stores plus a byte
 /// tail. `dst` and `src` must be the same length.
 #[inline]
@@ -164,14 +159,6 @@ pub fn copy_page(dst: &mut [u8], src: &[u8]) {
         d.copy_from_slice(&w.to_ne_bytes());
     }
     for (d, s) in wd.into_remainder().iter_mut().zip(ws.remainder()) {
-        *d = *s;
-    }
-}
-
-/// Byte-at-a-time reference for [`copy_page`].
-pub fn copy_page_scalar(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
         *d = *s;
     }
 }
@@ -245,14 +232,7 @@ fn parent_header(delta: &[u8]) -> Result<u64, CkptError> {
 /// pipeline runs it concurrently across chain links and then patches
 /// with [`apply_delta_verified`] so each link is hashed exactly once.
 pub(crate) fn check_delta(delta: &[u8]) -> Result<(), CkptError> {
-    parent_header(delta)?;
-    let body = &delta[..delta.len() - 4];
-    let expected = u32::from_le_bytes(delta[delta.len() - 4..].try_into().unwrap());
-    let actual = crc32(body);
-    if expected != actual {
-        return Err(CkptError::ChecksumMismatch { expected, actual });
-    }
-    Ok(())
+    check_envelope(delta, DELTA_MAGIC, HEADER_LEN + 4, "delta file").map(|_| ())
 }
 
 /// Parse and CRC-verify a delta file, then patch `parent` with it:
@@ -274,8 +254,19 @@ pub(crate) fn apply_delta_verified(parent: &[u8], delta: &[u8]) -> Result<Vec<u8
             "delta file declares zero page size".into(),
         ));
     }
-    let full_len = u64::from_le_bytes(delta[24..32].try_into().unwrap()) as usize;
+    let full_len = u64::from_le_bytes(delta[24..32].try_into().unwrap());
     let npages = u64::from_le_bytes(delta[32..40].try_into().unwrap()) as usize;
+    // The writer stores every page that reaches past the parent, so an
+    // image is never longer than what the two inputs hold; a CRC-consistent
+    // length beyond that must not size an allocation.
+    if full_len > (parent.len() + delta.len()) as u64 {
+        return Err(CkptError::Corrupt(format!(
+            "delta declares a {full_len}-byte image, more than its parent ({}) and itself ({}) hold",
+            parent.len(),
+            delta.len()
+        )));
+    }
+    let full_len = full_len as usize;
 
     let mut out = vec![0u8; full_len];
     let keep = parent.len().min(full_len);
@@ -318,8 +309,7 @@ pub(crate) enum ChainBase {
     /// One `ckpt_v.data` object, fetched whole.
     Monolithic(Vec<u8>),
     /// A parsed `ckpt_v.smf` manifest; the shards themselves are not yet
-    /// fetched — the caller decides whether to read them serially or on
-    /// a worker pool.
+    /// fetched — the reader's job pool does that.
     Sharded {
         /// Version holding the manifest (the chain's anchor).
         version: u64,
@@ -331,36 +321,33 @@ pub(crate) enum ChainBase {
 /// Walk `version`'s parent pointers newest-first until a full
 /// (monolithic or sharded) image anchors the chain; returns the base and
 /// the delta files in walk order (newest first, **not** yet
-/// CRC-verified). One discovery routine shared by the serial
-/// [`read_data_image`] and the parallel
-/// [`crate::restore::read_data_image_parallel`], so layout probing,
-/// cycle rejection, and the chain-length bound cannot drift between the
-/// two readers. Objects stored inside `SCRUTCZB` compression containers
-/// are decoded transparently here, so both readers (and everything above
-/// them: store loads, engine recovery, the daemon) handle compressed and
-/// raw checkpoints interchangeably.
+/// CRC-verified). The discovery phase of the one reader
+/// ([`crate::restore::read_data_image_parallel`]): layout probing, cycle
+/// rejection and the chain-length bound live here. `fetch` hands over raw
+/// objects — the reader decodes `SCRUTCZB` containers before this sees
+/// them.
 pub(crate) fn walk_chain(
     version: u64,
-    mut fetch: impl FnMut(&str) -> Result<Vec<u8>, CkptError>,
+    fetch: impl Fn(&str) -> Result<Vec<u8>, CkptError>,
 ) -> Result<(ChainBase, Vec<Vec<u8>>), CkptError> {
-    let mut fetch = |name: &str| fetch(name).and_then(crate::compress::maybe_decompress);
     let mut deltas: Vec<Vec<u8>> = Vec::new();
     let mut v = version;
+    // Layout probing only follows a definite "no such object".
+    let probe = |name: &str| match fetch(name) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if is_not_found(&e) => Ok(None),
+        Err(e) => Err(e),
+    };
     let base = loop {
-        match fetch(&names::data(v)) {
-            Ok(data) => break ChainBase::Monolithic(data),
-            Err(e) if is_not_found(&e) => {}
-            Err(e) => return Err(e),
+        if let Some(data) = probe(&names::data(v))? {
+            break ChainBase::Monolithic(data);
         }
-        match fetch(&names::manifest(v)) {
-            Ok(m) => {
-                break ChainBase::Sharded {
-                    version: v,
-                    manifest: ShardManifest::from_bytes(&m)?,
-                }
-            }
-            Err(e) if is_not_found(&e) => {}
-            Err(e) => return Err(e),
+        if let Some(m) = probe(&names::manifest(v))? {
+            let manifest = ShardManifest::from_bytes(&m)?;
+            break ChainBase::Sharded {
+                version: v,
+                manifest,
+            };
         }
         let delta = fetch(&names::delta(v))?;
         let parent = parent_version(&delta)?;
@@ -385,29 +372,15 @@ pub(crate) fn walk_chain(
 /// (`ckpt_v.delta`, walking the parent chain back to a full image and
 /// replaying the deltas forward). `fetch` resolves an object name (see
 /// [`crate::names`]) to its bytes — a directory read for the on-disk
-/// store, a backend `get` for the async engine. Every layer is
-/// CRC-verified: shards against their manifest, deltas against their own
-/// trailer, and the final image still carries the data file's envelope.
+/// store, a backend `get` for the async engine. This is the one reader,
+/// [`read_data_image_parallel`], on one thread; every layer is
+/// CRC-verified there.
 pub fn read_data_image(
     version: u64,
-    mut fetch: impl FnMut(&str) -> Result<Vec<u8>, CkptError>,
+    fetch: impl Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
 ) -> Result<Vec<u8>, CkptError> {
-    let (base, deltas) = walk_chain(version, &mut fetch)?;
-    let mut image = match base {
-        ChainBase::Monolithic(data) => data,
-        ChainBase::Sharded { version, manifest } => {
-            let shards: Vec<Vec<u8>> = (0..manifest.shard_count())
-                .map(|i| {
-                    fetch(&names::shard(version, i)).and_then(crate::compress::maybe_decompress)
-                })
-                .collect::<Result<_, _>>()?;
-            manifest.assemble(&shards)?
-        }
-    };
-    for delta in deltas.iter().rev() {
-        image = apply_delta(&image, delta)?;
-    }
-    Ok(image)
+    let serial = RestoreOptions { threads: 1 };
+    Ok(read_data_image_parallel(version, &fetch, &serial)?.0)
 }
 
 /// The serialized data one epoch publishes — one variant per layout.
@@ -428,13 +401,14 @@ pub enum EpochBody<'a> {
         /// Consecutive deltas written since the last full base.
         deltas_since_base: usize,
     },
-    /// Sealed shards and their manifest (see [`crate::shard`]): one
-    /// `ckpt_v.data.sNNN` object per shard plus `ckpt_v.smf`.
+    /// Every [`crate::shard::serialize_shard`] output of one plan, in plan
+    /// order and not yet sealed: the publisher seals them
+    /// ([`seal_shards`] — the one place a [`ShardManifest`] is built, for
+    /// the one layout that stores it) into one `ckpt_v.data.sNNN` object
+    /// per shard plus `ckpt_v.smf`, the layout's commit marker.
     Sharded {
-        /// The sealed segments, in manifest order.
-        shards: &'a [Vec<u8>],
-        /// Their lengths and CRCs — the layout's commit marker.
-        manifest: &'a ShardManifest,
+        /// The serialized segments, in plan order.
+        shards: Vec<Vec<u8>>,
     },
 }
 
@@ -443,11 +417,15 @@ pub enum EpochBody<'a> {
 /// engine's finisher are its three callers, so the writers cannot drift
 /// in layout, write order, rebase cadence, compression or accounting.
 ///
-/// `aux` is the epoch's auxiliary file and `full` the byte accounting of
-/// storing `body` whole and uncompressed beside it (what
-/// [`crate::writer::serialize_with`] reports). `at_rest` is applied here,
-/// per stored data/shard/delta object, from the borrowed slice and under
-/// a `ckpt.compress` span on `rec`; the auxiliary file and the shard
+/// `payload_bytes` is the element payload inside `body` (what
+/// [`crate::shard::serialize_shard`] reports beside its bytes) and `aux`
+/// the epoch's auxiliary file with its region-pair bytes (what
+/// [`crate::writer::serialize_aux`] returns); the accounting of storing
+/// `body` whole and uncompressed beside it — what
+/// [`crate::writer::serialize_with`] reports — is derived here, from the
+/// sealed length, for every layout. `at_rest` is applied here, per stored
+/// data/shard/delta object, from the borrowed slice and under a
+/// `ckpt.compress` span on `rec`; the auxiliary file and the shard
 /// manifest are never compressed, and diffing sees only raw images.
 ///
 /// `put(name, bytes, compressed_from)` stores one object;
@@ -462,12 +440,15 @@ pub enum EpochBody<'a> {
 pub fn publish_epoch(
     version: u64,
     body: EpochBody<'_>,
-    aux: &[u8],
-    full: StorageBreakdown,
+    payload_bytes: usize,
+    aux: (&[u8], usize),
     at_rest: AtRest,
     rec: &Recorder,
     mut put: impl FnMut(&str, &[u8], Option<usize>) -> Result<(), CkptError>,
 ) -> Result<Published, CkptError> {
+    let (aux, pair_bytes) = aux;
+    // Accounting of one data-bearing object stored raw beside `aux`.
+    let account = |len, payload| full_breakdown(len, payload, aux.len(), pair_bytes);
     // (raw, stored) bytes of the objects that went through the codec.
     let mut coded = (0usize, 0usize);
     // `code`: a data-bearing object (image, shard, delta) the at-rest
@@ -484,18 +465,17 @@ pub fn publish_epoch(
         coded.1 += stored.len();
         put(name, &stored, Some(raw.len()))
     };
-    if let EpochBody::Sharded { shards, .. } = &body {
-        for (i, shard) in shards.iter().enumerate() {
-            emit(&names::shard(version, i), shard, true)?;
-        }
-    }
-    emit(&names::aux(version), aux, false)?;
-    let mut stored = full;
     let mut deltas_since_base = 0;
     let mut parent = None;
-    match body {
-        EpochBody::Sharded { manifest, .. } => {
-            emit(&names::manifest(version), &manifest.to_bytes(), false)?
+    let stored = match body {
+        EpochBody::Sharded { shards } => {
+            let (sealed, manifest) = seal_shards(shards);
+            for (i, shard) in sealed.iter().enumerate() {
+                emit(&names::shard(version, i), shard, true)?;
+            }
+            emit(&names::aux(version), aux, false)?;
+            emit(&names::manifest(version), &manifest.to_bytes(), false)?;
+            account(manifest.total_len as usize, payload_bytes)
         }
         EpochBody::Chained {
             image,
@@ -505,16 +485,18 @@ pub fn publish_epoch(
         } if n < policy.rebase_every => {
             let (delta, stats) =
                 diff_images(parent_image, image, *parent_version, policy.page_bytes)?;
-            stored.payload_bytes = stats.payload_bytes;
-            stored.header_bytes = delta.len() - stats.payload_bytes + aux.len() - full.aux_bytes;
             deltas_since_base = n + 1;
             parent = Some(*parent_version);
-            emit(&names::delta(version), &delta, true)?
+            emit(&names::aux(version), aux, false)?;
+            emit(&names::delta(version), &delta, true)?;
+            account(delta.len(), stats.payload_bytes)
         }
         EpochBody::Image(image) | EpochBody::Chained { image, .. } => {
-            emit(&names::data(version), image, true)?
+            emit(&names::aux(version), aux, false)?;
+            emit(&names::data(version), image, true)?;
+            account(image.len(), payload_bytes)
         }
-    }
+    };
     Ok(Published {
         stored: rebalance_breakdown(stored, coded.0, coded.1),
         deltas_since_base,
@@ -593,9 +575,23 @@ pub fn live_versions(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// Byte-at-a-time reference for [`pages_equal`] — the baseline the
+    /// vectorized comparison is proven bit-identical to.
+    fn pages_equal_scalar(a: &[u8], b: &[u8]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+    }
+
+    /// Byte-at-a-time reference for [`copy_page`].
+    fn copy_page_scalar(dst: &mut [u8], src: &[u8]) {
+        debug_assert_eq!(dst.len(), src.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = *s;
+        }
+    }
 
     fn image(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
@@ -723,9 +719,10 @@ mod tests {
         DeltaPolicy::default().validate().unwrap();
     }
 
-    fn mem_fetch(
+    /// A name → bytes map as the fetch callback the reader takes.
+    pub(crate) fn mem_fetch(
         objects: &HashMap<String, Vec<u8>>,
-    ) -> impl FnMut(&str) -> Result<Vec<u8>, CkptError> + '_ {
+    ) -> impl Fn(&str) -> Result<Vec<u8>, CkptError> + Sync + '_ {
         |name| {
             objects.get(name).cloned().ok_or_else(|| {
                 CkptError::Io(std::io::Error::new(

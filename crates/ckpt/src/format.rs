@@ -288,8 +288,8 @@ const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 /// as separately produced segments, without concatenating them first.
 ///
 /// [`Crc32::update`] consumes eight bytes per step (slice-by-8); the
-/// byte-at-a-time reference lives on as [`Crc32::update_scalar`], and the
-/// two are proven identical by the round-trip property suite. Every CRC in
+/// byte-at-a-time loop it replaced is the oracle of this module's tests,
+/// which prove the two identical at every length and split. Every CRC in
 /// the workspace — writer trailers, shard seals, delta envelopes, restore
 /// verification, the compression container — streams through this one
 /// implementation.
@@ -334,16 +334,6 @@ impl Crc32 {
         self.state = c;
     }
 
-    /// The pre-slicing byte-at-a-time loop, kept as the reference the
-    /// vectorized [`Crc32::update`] is checked (and benchmarked) against.
-    pub fn update_scalar(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
     /// Final CRC value.
     pub fn finish(self) -> u32 {
         !self.state
@@ -357,17 +347,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
-/// One-shot byte-at-a-time CRC-32 ([`Crc32::update_scalar`]): the baseline
-/// the benches compare the slice-by-8 path against.
-pub fn crc32_scalar(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update_scalar(bytes);
-    c.finish()
+/// The envelope every `scrutiny-ckpt` file shares: at least `min_len`
+/// bytes, an 8-byte magic, and a CRC-32 trailer over everything before
+/// it. Returns the body (the file minus its trailer).
+pub(crate) fn check_envelope<'a>(
+    buf: &'a [u8],
+    magic: &[u8; 8],
+    min_len: usize,
+    what: &str,
+) -> Result<&'a [u8], CkptError> {
+    if buf.len() < min_len {
+        return Err(CkptError::Corrupt(format!("{what} too short")));
+    }
+    if &buf[..8] != magic {
+        return Err(CkptError::Corrupt(format!("{what} has wrong magic")));
+    }
+    let (body, trailer) = buf.split_at(buf.len() - 4);
+    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
+    let actual = crc32(body);
+    if expected != actual {
+        return Err(CkptError::ChecksumMismatch { expected, actual });
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-slicing byte-at-a-time loop: the reference the slice-by-8
+    /// [`Crc32::update`] is checked against.
+    fn update_scalar(c: &mut Crc32, bytes: &[u8]) {
+        for &b in bytes {
+            c.state = CRC_TABLES[0][((c.state ^ b as u32) & 0xFF) as usize] ^ (c.state >> 8);
+        }
+    }
+
+    fn crc32_scalar(bytes: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        update_scalar(&mut c, bytes);
+        c.finish()
+    }
 
     #[test]
     fn crc32_known_vector() {
@@ -397,7 +417,7 @@ mod tests {
             a.update(&buf[..len / 3]);
             a.update(&buf[len / 3..len]);
             let mut b = Crc32::new();
-            b.update_scalar(&buf[..len]);
+            update_scalar(&mut b, &buf[..len]);
             assert_eq!(a.finish(), b.finish(), "split at {} of {len}", len / 3);
         }
     }

@@ -37,10 +37,13 @@
 //!   the lossy lo-tier element codec ([`LoCodec`]) that turns the
 //!   paper's uncritical verdict into truncated-mantissa storage,
 //!   gated by §IV.C restart-verification.
-//! * [`restore`] — the read-side mirror of the sharded writer: a
-//!   parallel restore pipeline that fetches and CRC-verifies shards and
-//!   delta-chain links concurrently, assembling an image bit-identical
-//!   to the serial reader's.
+//! * [`shard`] — the one `SCRUTCKP` encoder: a shard-plan interpreter
+//!   whose one-shard plan is the blocking writer, plus the two seals
+//!   (one image, or shards beside a manifest).
+//! * [`restore`] — the one reader, the read-side mirror of the sharded
+//!   writer: it fetches and CRC-verifies shards and delta-chain links as
+//!   pool jobs, assembling the same image at every thread count;
+//!   `threads: 1` is the serial reader every blocking loader uses.
 
 #![warn(missing_docs)]
 
@@ -71,7 +74,8 @@ pub use restore::{
     read_data_image_parallel, read_data_image_parallel_obs, RestoreOptions, RestoreStats,
 };
 pub use shard::{
-    plan_shards, plan_shards_with, seal_shards, serialize_shard, ShardManifest, ShardPlan,
+    plan_shards, plan_shards_with, seal_image, seal_shards, serialize_shard, ShardManifest,
+    ShardPlan,
 };
 pub use store::CheckpointStore;
 pub use writer::{

@@ -6,7 +6,7 @@
 //! a [`FillPolicy`] — the §IV.C experiments fill them with garbage and
 //! require the application to still verify.
 
-use crate::format::{crc32, CkptError, DType, FillPolicy, VarPlan};
+use crate::format::{check_envelope, CkptError, DType, FillPolicy, VarPlan};
 use crate::writer::{MODE_FULL, MODE_PRUNED, MODE_TIERED};
 use crate::{Region, Regions};
 
@@ -155,6 +155,19 @@ impl<'a> Cursor<'a> {
     fn i64(&mut self) -> Result<i64, CkptError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// Admit a count a file declares of items at least `item_bytes` wide:
+    /// never more than the bytes left could hold, so a CRC-consistent but
+    /// hostile count cannot size an allocation or a loop.
+    fn count(&self, n: u64, item_bytes: usize) -> Result<usize, CkptError> {
+        let room = (self.buf.len() - self.pos) / item_bytes;
+        if n > room as u64 {
+            return Err(CkptError::Corrupt(format!(
+                "count {n} at offset {} exceeds the {room} items the file has room for",
+                self.pos
+            )));
+        }
+        Ok(n as usize)
+    }
     fn name(&mut self) -> Result<String, CkptError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
@@ -163,27 +176,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn check_envelope<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<&'a [u8], CkptError> {
-    if buf.len() < 12 + 4 {
-        return Err(CkptError::Corrupt(format!("{what} file too short")));
-    }
-    if &buf[..8] != magic {
-        return Err(CkptError::Corrupt(format!("{what} file has wrong magic")));
-    }
-    let body = &buf[..buf.len() - 4];
-    let expected = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-    let actual = crc32(body);
-    if expected != actual {
-        return Err(CkptError::ChecksumMismatch { expected, actual });
-    }
-    Ok(body)
-}
-
 fn read_runs(c: &mut Cursor) -> Result<Regions, CkptError> {
-    let n = c.u64()? as usize;
-    if n > 1 << 32 {
-        return Err(CkptError::Corrupt(format!("implausible run count {n}")));
-    }
+    let n = c.u64()?;
+    let n = c.count(n, 16)?;
     let mut runs = Vec::with_capacity(n);
     for _ in 0..n {
         let start = c.u64()?;
@@ -200,11 +195,13 @@ impl Checkpoint {
     /// Parse a checkpoint from in-memory data + auxiliary file images.
     pub fn from_bytes(data: &[u8], aux: &[u8]) -> Result<Self, CkptError> {
         // --- auxiliary file first: it carries the region tables ----------
-        let body = check_envelope(aux, b"SCRUTAUX", "auxiliary")?;
+        let body = check_envelope(aux, b"SCRUTAUX", 16, "auxiliary file")?;
         let mut c = Cursor { buf: body, pos: 8 };
         let _ver = c.u32()?;
-        let nvars = c.u32()? as usize;
-        let mut plans: Vec<(String, VarPlan)> = Vec::with_capacity(nvars);
+        let nvars = c.u32()?;
+        // Every variable takes at least a name length and a mode byte.
+        let nvars = c.count(nvars.into(), 3)?;
+        let mut plans: Vec<(String, VarPlan)> = Vec::new();
         for _ in 0..nvars {
             let name = c.name()?;
             let mode = c.u8()?;
@@ -221,7 +218,7 @@ impl Checkpoint {
         }
 
         // --- data file ----------------------------------------------------
-        let body = check_envelope(data, b"SCRUTCKP", "data")?;
+        let body = check_envelope(data, b"SCRUTCKP", 16, "data file")?;
         let mut c = Cursor { buf: body, pos: 8 };
         let ver = c.u32()?;
         let lo_codec = match ver {
@@ -239,7 +236,7 @@ impl Checkpoint {
                 "data file has {nvars_d} variables, auxiliary file has {nvars}"
             )));
         }
-        let mut vars = Vec::with_capacity(nvars);
+        let mut vars = Vec::new();
         for (aux_name, plan) in plans {
             let name = c.name()?;
             if name != aux_name {
@@ -254,37 +251,30 @@ impl Checkpoint {
             let mut stored_i = Vec::new();
             match mode {
                 MODE_FULL | MODE_PRUNED => {
-                    let count = c.u64()? as usize;
-                    match dtype {
-                        DType::F64 => {
-                            stored.reserve(count);
-                            for _ in 0..count {
-                                stored.push(c.f64()?);
-                            }
+                    let count = c.u64()?;
+                    let count = c.count(count, dtype.elem_bytes())?;
+                    if dtype == DType::I64 {
+                        stored_i.reserve(count);
+                        for _ in 0..count {
+                            stored_i.push(c.i64()?);
                         }
-                        DType::C128 => {
-                            stored.reserve(2 * count);
-                            for _ in 0..count {
-                                stored.push(c.f64()?);
-                                stored.push(c.f64()?);
-                            }
-                        }
-                        DType::I64 => {
-                            stored_i.reserve(count);
-                            for _ in 0..count {
-                                stored_i.push(c.i64()?);
-                            }
+                    } else {
+                        // A complex element is two doubles, re then im.
+                        let doubles = count * (dtype.elem_bytes() / 8);
+                        stored.reserve(doubles);
+                        for _ in 0..doubles {
+                            stored.push(c.f64()?);
                         }
                     }
                 }
                 MODE_TIERED => {
-                    let hi = c.u64()? as usize;
-                    for _ in 0..hi {
+                    let hi = c.u64()?;
+                    for _ in 0..c.count(hi, 8)? {
                         stored.push(c.f64()?);
                     }
-                    let lo = c.u64()? as usize;
+                    let lo = c.u64()?;
                     let width = lo_codec.width();
-                    for _ in 0..lo {
+                    for _ in 0..c.count(lo, width)? {
                         stored.push(lo_codec.decode(c.take(width)?));
                     }
                 }
@@ -295,10 +285,7 @@ impl Checkpoint {
             let actual = match dtype {
                 DType::C128 => stored.len() as u64 / 2,
                 DType::I64 => stored_i.len() as u64,
-                DType::F64 => match &plan {
-                    VarPlan::Tiered { .. } => stored.len() as u64, // hi+lo
-                    _ => stored.len() as u64,
-                },
+                DType::F64 => stored.len() as u64, // tiered: hi + lo
             };
             if planned != actual {
                 return Err(CkptError::Corrupt(format!(
@@ -489,7 +476,7 @@ mod tests {
     #[test]
     fn load_accepts_sharded_dir_layout() {
         use crate::backend::{DirBackend, StorageBackend};
-        use crate::shard::{plan_shards, seal_shards, serialize_shard};
+        use crate::shard::{plan_shards, seal_shards, serialize_all};
         use crate::writer::serialize_aux;
         use crate::{names, CheckpointStore};
         use std::fs;
@@ -504,10 +491,7 @@ mod tests {
         let plans = vec![VarPlan::Pruned(Regions::from_bitmap(&crit))];
 
         let plan = plan_shards(&vars, &plans, 4).unwrap();
-        let shards: Vec<Vec<u8>> = (0..plan.shard_count())
-            .map(|i| serialize_shard(&vars, &plans, &plan, i).0)
-            .collect();
-        let (sealed, manifest) = seal_shards(shards);
+        let (sealed, manifest) = seal_shards(serialize_all(&vars, &plans, &plan).0);
         for (i, shard) in sealed.iter().enumerate() {
             files.put(&names::shard(5, i), shard).unwrap();
         }

@@ -1,17 +1,22 @@
-//! Parallel, CRC-verifying checkpoint restore.
+//! The checkpoint reader: CRC-verifying, parallel at `threads > 1`.
 //!
 //! The write path is scale-out (the async engine serializes shards on a
 //! worker pool); this module is its read-side mirror, because the
 //! paper's whole value proposition is cheap *restart* (§IV.C): a
 //! scrutinized checkpoint only matters if getting it back into memory is
-//! fast and trustworthy. [`read_data_image_parallel`] reconstructs the
-//! data-file image of a checkpoint in **any** layout — monolithic,
-//! sharded, or delta chain — exactly like the serial
-//! [`crate::delta::read_data_image`], but:
+//! fast and trustworthy. [`read_data_image_parallel`] is the **one**
+//! routine that reconstructs the data-file image of a checkpoint in any
+//! layout — monolithic, sharded, or delta chain — for
+//! [`crate::CheckpointStore::load`], [`crate::backend::read_version`] and
+//! the engine's `RecoveryManager` alike; `threads: 1` is the serial
+//! reader, not a second one:
 //!
-//! * data shards are fetched **and CRC-verified concurrently**, one job
-//!   per shard on a bounded thread pool (mirroring the write-side worker
-//!   pool), then concatenated in manifest order;
+//! * every fetched object passes one adapter that decodes a `SCRUTCZB`
+//!   container (under a `ckpt.decompress` span) — the only decompress
+//!   point on the read path;
+//! * data shards are fetched **and checked against their manifest entry**
+//!   one job per shard on a bounded thread pool (mirroring the write-side
+//!   worker pool), then concatenated in manifest order;
 //! * delta-chain links are envelope-verified (magic + CRC trailer)
 //!   concurrently with each other and with the shard jobs of a sharded
 //!   base (a monolithic base's bytes necessarily arrive during
@@ -19,7 +24,7 @@
 //!   replay itself stays oldest-first (it is inherently sequential),
 //!   re-using the already verified links so every byte is hashed
 //!   exactly once;
-//! * the assembled image is **bit-identical** to the serial reader's —
+//! * the assembled image is **bit-identical** at every thread count —
 //!   property-tested in `tests/recovery_faultinj.rs` — so the auxiliary
 //!   file, every [`crate::FillPolicy`], and
 //!   [`crate::reader::Checkpoint::from_bytes`] apply unchanged.
@@ -29,14 +34,15 @@
 //! are cheap (one object fetch per link); the expensive work — hashing
 //! and shard transfer — is what parallelizes.
 //!
-//! Integrity failures surface as the same typed [`CkptError`]s the
-//! serial path produces ([`CkptError::ChecksumMismatch`],
-//! [`CkptError::Corrupt`], not-found I/O); the engine's
-//! `RecoveryManager` maps them to fall-back decisions.
+//! Integrity failures surface as typed [`CkptError`]s
+//! ([`CkptError::ChecksumMismatch`], [`CkptError::Corrupt`], not-found
+//! I/O), the same at every thread count; the engine's `RecoveryManager`
+//! maps them to fall-back decisions.
 
 use crate::delta::{apply_delta_verified, check_delta, walk_chain, ChainBase};
-use crate::format::{crc32, CkptError};
+use crate::format::CkptError;
 use crate::names;
+use crate::shard::ShardManifest;
 use scrutiny_obs::{span, Recorder, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -46,7 +52,7 @@ use std::sync::Mutex;
 pub struct RestoreOptions {
     /// Worker threads fetching and verifying objects. `0` (the default)
     /// picks `available_parallelism` (capped at 8); `1` runs fully
-    /// serial — useful as the bit-identity reference and on single-core
+    /// serial — what the blocking loaders use, and right on single-core
     /// hosts where thread spawn overhead outweighs the overlap.
     pub threads: usize,
 }
@@ -108,20 +114,19 @@ fn resolve_threads(requested: usize, jobs: usize) -> usize {
 enum Job<'a> {
     Shard {
         version: u64,
+        manifest: &'a ShardManifest,
         idx: usize,
-        len: u64,
-        crc: u32,
     },
     Delta(&'a [u8]),
 }
 
 /// Reconstruct the data-file image of checkpoint `version` through
 /// `fetch`, using up to [`RestoreOptions::threads`] workers to fetch and
-/// CRC-verify shards and delta links concurrently. The returned image is
-/// bit-identical to [`crate::delta::read_data_image`]'s; the stats say
-/// what the pipeline did. `fetch` must resolve an object name (see
+/// CRC-verify shards and delta links concurrently; the stats say what the
+/// pipeline did. `fetch` must resolve an object name (see
 /// [`crate::names`]) to its bytes and be callable from several threads
-/// at once — a directory read or a backend `get` both qualify.
+/// at once — a directory read or a backend `get` both qualify. This is
+/// [`read_data_image_parallel_obs`] with a disabled recorder.
 pub fn read_data_image_parallel<F>(
     version: u64,
     fetch: &F,
@@ -130,44 +135,63 @@ pub fn read_data_image_parallel<F>(
 where
     F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
 {
-    // --- Phase 1: discovery — the same `walk_chain` the serial reader
-    // uses (probe order, cycle rejection, and the chain-length bound
-    // cannot drift between the two). Serial by nature: the parent
-    // version is inside each delta file.
-    let (base, deltas) = walk_chain(version, |name| fetch(name))?;
+    read_data_image_parallel_obs(version, fetch, opts, &Recorder::disabled())
+}
+
+/// The reader, reporting into a [`Recorder`]: the whole restore runs
+/// under a `ckpt.restore` span (emitted even when the restore fails, so
+/// rejected recovery candidates leave a trace), each
+/// `SCRUTCZB`-compressed object decodes under a `ckpt.decompress` span,
+/// a `ckpt.restore.image` point carries what the pipeline did, and the
+/// stats land as `ckpt.restore.*` gauges ([`RestoreStats::emit`]).
+pub fn read_data_image_parallel_obs<F>(
+    version: u64,
+    fetch: &F,
+    opts: &RestoreOptions,
+    rec: &Recorder,
+) -> Result<(Vec<u8>, RestoreStats), CkptError>
+where
+    F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
+{
+    let _restore = span!(rec, "ckpt.restore", version = version);
+    // The read path's one decompress point: every object — base, manifest,
+    // shard, delta — reaches the phases below raw.
+    let fetch = |name: &str| {
+        let bytes = fetch(name)?;
+        let _d = crate::compress::is_container(&bytes)
+            .then(|| span!(rec, "ckpt.decompress", stored_bytes = bytes.len() as u64));
+        crate::compress::maybe_decompress(bytes)
+    };
+
+    // --- Phase 1: discovery. Serial by nature: the parent version is
+    // inside each delta file.
+    let (base, deltas) = walk_chain(version, fetch)?;
 
     // --- Phase 2: fan out the expensive work — shard fetches and CRC
     // passes — across the pool, first failure wins.
     let mut jobs: Vec<Job> = Vec::new();
     if let ChainBase::Sharded { version, manifest } = &base {
-        for idx in 0..manifest.shard_count() {
-            jobs.push(Job::Shard {
-                version: *version,
-                idx,
-                len: manifest.shard_lens[idx],
-                crc: manifest.shard_crcs[idx],
-            });
-        }
+        jobs.extend((0..manifest.shard_count()).map(|idx| Job::Shard {
+            version: *version,
+            manifest,
+            idx,
+        }));
     }
-    for delta in &deltas {
-        jobs.push(Job::Delta(delta));
-    }
-
-    let base_shards = match &base {
-        ChainBase::Sharded { manifest, .. } => manifest.shard_count(),
-        ChainBase::Monolithic(_) => 0,
-    };
+    let base_shards = jobs.len();
+    jobs.extend(deltas.iter().map(|delta| Job::Delta(delta)));
     let threads = resolve_threads(opts.threads, jobs.len().max(1));
 
     let shard_bytes: Vec<Mutex<Option<Vec<u8>>>> =
         (0..base_shards).map(|_| Mutex::new(None)).collect();
-    run_jobs(&jobs, threads, fetch, &shard_bytes)?;
+    run_jobs(&jobs, threads, &fetch, &shard_bytes)?;
 
-    // --- Phase 3: assemble, exactly as the serial path does: shards
-    // concatenated in manifest order, then deltas replayed oldest-first.
+    // --- Phase 3: assemble: verified shards concatenated in manifest
+    // order, then deltas replayed oldest-first.
     let mut image = match base {
         ChainBase::Monolithic(data) => data,
         ChainBase::Sharded { manifest, .. } => {
+            // Every shard matched its manifest length, so `total_len` is
+            // the bytes in hand, not a number a file merely claims.
             let mut out = Vec::with_capacity(manifest.total_len as usize);
             for slot in &shard_bytes {
                 out.extend_from_slice(
@@ -189,39 +213,6 @@ where
         delta_links: deltas.len(),
         image_bytes: image.len(),
     };
-    Ok((image, stats))
-}
-
-/// [`read_data_image_parallel`] reporting into a [`Recorder`]: the whole
-/// restore runs under a `ckpt.restore` span (emitted even when the
-/// restore fails, so rejected recovery candidates leave a trace), each
-/// `SCRUTCZB`-compressed object decodes under a `ckpt.decompress` span,
-/// a `ckpt.restore.image` point carries what the pipeline did, and the
-/// stats land as `ckpt.restore.*` gauges ([`RestoreStats::emit`]). With
-/// a disabled recorder this is exactly the unobserved function.
-pub fn read_data_image_parallel_obs<F>(
-    version: u64,
-    fetch: &F,
-    opts: &RestoreOptions,
-    rec: &Recorder,
-) -> Result<(Vec<u8>, RestoreStats), CkptError>
-where
-    F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
-{
-    let _restore = span!(rec, "ckpt.restore", version = version);
-    // Decode compressed objects up here, under an explicit span; the
-    // sniffing decode points further down then see raw bytes and no-op.
-    let fetch = |name: &str| {
-        let bytes = fetch(name)?;
-        if crate::compress::is_container(&bytes) {
-            let stored = bytes.len();
-            let _d = span!(rec, "ckpt.decompress", stored_bytes = stored as u64);
-            crate::compress::decompress(&bytes)
-        } else {
-            Ok(bytes)
-        }
-    };
-    let (image, stats) = read_data_image_parallel(version, &fetch, opts)?;
     stats.emit(rec);
     rec.event(
         "ckpt.restore.image",
@@ -239,6 +230,7 @@ where
 /// Run `jobs` on `threads` workers: each worker claims the next job from
 /// a shared counter, so a slow shard does not leave siblings idle. A
 /// failed job flags the first error and the rest of the pool winds down.
+/// One worker runs the jobs in order on the calling thread.
 fn run_jobs<F>(
     jobs: &[Job],
     threads: usize,
@@ -252,25 +244,11 @@ where
         match *job {
             Job::Shard {
                 version,
+                manifest,
                 idx,
-                len,
-                crc,
             } => {
-                let bytes = fetch(&names::shard(version, idx))
-                    .and_then(crate::compress::maybe_decompress)?;
-                if bytes.len() as u64 != len {
-                    return Err(CkptError::Corrupt(format!(
-                        "shard {idx} is {} bytes, manifest says {len}",
-                        bytes.len()
-                    )));
-                }
-                let actual = crc32(&bytes);
-                if actual != crc {
-                    return Err(CkptError::ChecksumMismatch {
-                        expected: crc,
-                        actual,
-                    });
-                }
+                let bytes = fetch(&names::shard(version, idx))?;
+                manifest.check_shard(idx, &bytes)?;
                 *shard_bytes[idx].lock().unwrap() = Some(bytes);
                 Ok(())
             }
@@ -279,10 +257,7 @@ where
     };
 
     if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            run_one(job)?;
-        }
-        return Ok(());
+        return jobs.iter().try_for_each(run_one);
     }
 
     let next = AtomicUsize::new(0);
@@ -313,8 +288,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::tests::mem_fetch;
     use crate::delta::{diff_images, read_data_image};
-    use crate::shard::{plan_shards, seal_shards, serialize_shard};
+    use crate::shard::{plan_shards, seal_shards, serialize_all};
     use crate::writer::serialize_data;
     use crate::{Bitmap, Regions, VarData, VarPlan, VarRecord};
     use std::collections::HashMap;
@@ -332,19 +308,6 @@ mod tests {
         (vars, plans)
     }
 
-    fn mem_fetch(
-        objects: &HashMap<String, Vec<u8>>,
-    ) -> impl Fn(&str) -> Result<Vec<u8>, CkptError> + Sync + '_ {
-        |name| {
-            objects.get(name).cloned().ok_or_else(|| {
-                CkptError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    name.to_string(),
-                ))
-            })
-        }
-    }
-
     /// Monolithic v0, sharded v1, delta chain v2..=v4 on top of v1.
     fn build_layouts() -> HashMap<String, Vec<u8>> {
         let mut objects = HashMap::new();
@@ -355,10 +318,7 @@ mod tests {
 
         let (vars, plans) = sample(600, 1.5);
         let plan = plan_shards(&vars, &plans, 4).unwrap();
-        let shards: Vec<Vec<u8>> = (0..plan.shard_count())
-            .map(|i| serialize_shard(&vars, &plans, &plan, i).0)
-            .collect();
-        let (sealed, manifest) = seal_shards(shards);
+        let (sealed, manifest) = seal_shards(serialize_all(&vars, &plans, &plan).0);
         for (i, s) in sealed.iter().enumerate() {
             objects.insert(names::shard(1, i), s.clone());
         }

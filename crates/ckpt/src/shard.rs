@@ -1,34 +1,39 @@
-//! Shard-aware checkpoint serialization.
+//! The `SCRUTCKP` data-file encoder, and its shard-aware metadata.
 //!
-//! The monolithic [`crate::writer::serialize_data`] walks every stored
-//! element on one thread. For large variables that serialization *is* the
-//! checkpoint stall the paper's storage reduction is meant to shrink, so
-//! the async engine splits the data file into independently serializable
-//! byte segments ("shards") that worker threads produce concurrently:
+//! Serializing every stored element of a large variable on one thread *is*
+//! the checkpoint stall the paper's storage reduction is meant to shrink,
+//! so the data file is encoded as a plan of independently serializable
+//! byte segments ("shards") that worker threads can produce concurrently:
 //!
 //! * [`plan_shards`] — deterministically partition the data file into
 //!   roughly equal payload segments, splitting *inside* large variables at
 //!   stored-element granularity (via [`crate::Regions::covered_range`]) so one
 //!   big array does not serialize on a single core.
-//! * [`serialize_shard`] — produce the bytes of one segment. The
-//!   concatenation of all segments plus the CRC trailer is **bit-identical**
-//!   to the monolithic writer's output, so the existing reader accepts it
-//!   unchanged.
-//! * [`seal_shards`] — append the CRC trailer and compute a
-//!   [`ShardManifest`]: the shard-aware format metadata (per-shard length
-//!   and CRC) that lets a reader or a striped storage backend reassemble
-//!   and verify the segments.
+//! * [`serialize_shard`] — produce the bytes of one segment. This is the
+//!   **only** code that emits a file header, a variable header or an
+//!   element section: the blocking [`crate::writer::serialize_data`] is its
+//!   one-shard plan, so "sharded ≡ monolithic" is a property of one
+//!   routine's chunking, whatever the shard count.
+//! * [`seal_image`] — append the whole-file CRC trailer and hand back one
+//!   data-file image (a lone shard moves, several are joined): what every
+//!   one-image layout publishes.
+//! * [`seal_shards`] — append the same trailer but keep the segments apart,
+//!   described by a [`ShardManifest`]: the shard-aware format metadata
+//!   (per-shard length and CRC) that lets a reader or a striped storage
+//!   backend reassemble and verify them.
 //!
 //! A checkpoint may be *stored* sharded too (`ckpt_v.data.sNNN` files plus
-//! a `ckpt_v.smf` manifest); [`crate::delta::read_data_image`] — and so
-//! every loader above it — accepts both layouts.
+//! a `ckpt_v.smf` manifest); the one reader
+//! ([`crate::restore::read_data_image_parallel`]) — and so every loader
+//! above it — accepts both layouts.
 
 use crate::compress::LoCodec;
-use crate::format::{crc32, CkptError, Crc32, VarData, VarPlan, VarRecord};
+use crate::format::{check_envelope, crc32, CkptError, Crc32, VarData, VarPlan, VarRecord};
 use crate::writer::{
-    plan_mode, put_u16, put_u32, put_u64, validate, write_elements, DATA_MAGIC, FORMAT_VERSION,
+    plan_mode, put_u16, put_u32, put_u64, validate, DATA_MAGIC, FORMAT_VERSION,
     FORMAT_VERSION_TIERED,
 };
+use crate::Regions;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"SCRUTSHM";
 const MANIFEST_VERSION: u32 = 1;
@@ -91,21 +96,28 @@ fn section_elem_bytes(dtype: crate::DType, section: Section, lo_codec: LoCodec) 
     }
 }
 
-fn section_covered(plan: &VarPlan, section: Section, total: u64) -> u64 {
+/// The regions whose elements a section stores, ascending; `None` for a
+/// `Full` variable, which stores every index.
+fn section_regions(plan: &VarPlan, section: Section) -> Option<&Regions> {
     match (plan, section) {
-        (VarPlan::Full, Section::Main) => total,
-        (VarPlan::Pruned(r), Section::Main) => r.covered(),
-        (VarPlan::Tiered { hi, .. }, Section::Hi) => hi.covered(),
-        (VarPlan::Tiered { lo, .. }, Section::Lo) => lo.covered(),
+        (VarPlan::Full, Section::Main) => None,
+        (VarPlan::Pruned(r), Section::Main) => Some(r),
+        (VarPlan::Tiered { hi, .. }, Section::Hi) => Some(hi),
+        (VarPlan::Tiered { lo, .. }, Section::Lo) => Some(lo),
         _ => unreachable!("section does not exist for this plan"),
     }
+}
+
+/// Stored element count of a section — the `count` field in front of it.
+fn section_covered(plan: &VarPlan, section: Section, total: u64) -> u64 {
+    section_regions(plan, section).map_or(total, Regions::covered)
 }
 
 /// Partition the data file for `vars`/`plans` into roughly
 /// `target_shards` segments of roughly equal payload size (rounding at
 /// element boundaries can produce a few more than the target — see
-/// [`ShardPlan::shard_count`]). Validates the plans exactly as the
-/// monolithic writer does.
+/// [`ShardPlan::shard_count`]). Validates the plans — the one check every
+/// writer passes through.
 pub fn plan_shards(
     vars: &[VarRecord],
     plans: &[VarPlan],
@@ -132,50 +144,31 @@ pub fn plan_shards_with(
     validate(vars, plans)?;
     lo_codec.validate()?;
 
-    // Flatten the file into ops, tracking payload bytes per element op.
-    struct SizedOp {
-        op: Op,
-        elem_bytes: u64, // 0 for header ops
-        elems: u64,
-    }
-    let mut ops: Vec<SizedOp> = vec![SizedOp {
-        op: Op::FileHeader,
-        elem_bytes: 0,
-        elems: 0,
-    }];
+    // Flatten the file into ops, each with its payload bytes per element
+    // (0 for header ops).
+    let mut ops: Vec<(Op, u64)> = vec![(Op::FileHeader, 0)];
     let mut total_payload = 0u64;
     for (i, (v, p)) in vars.iter().zip(plans).enumerate() {
-        ops.push(SizedOp {
-            op: Op::VarHeader(i),
-            elem_bytes: 0,
-            elems: 0,
-        });
+        ops.push((Op::VarHeader(i), 0));
         let sections: &[Section] = match p {
             VarPlan::Tiered { .. } => &[Section::Hi, Section::Lo],
             _ => &[Section::Main],
         };
-        for &s in sections {
-            if s == Section::Lo {
-                ops.push(SizedOp {
-                    op: Op::LoCount(i),
-                    elem_bytes: 0,
-                    elems: 0,
-                });
+        for &section in sections {
+            if section == Section::Lo {
+                ops.push((Op::LoCount(i), 0));
             }
-            let covered = section_covered(p, s, v.data.len() as u64);
-            let eb = section_elem_bytes(v.data.dtype(), s, lo_codec);
-            total_payload += covered * eb;
-            if covered > 0 {
-                ops.push(SizedOp {
-                    op: Op::Elems {
-                        var: i,
-                        section: s,
-                        k0: 0,
-                        k1: covered,
-                    },
-                    elem_bytes: eb,
-                    elems: covered,
-                });
+            let k1 = section_covered(p, section, v.data.len() as u64);
+            let eb = section_elem_bytes(v.data.dtype(), section, lo_codec);
+            total_payload += k1 * eb;
+            if k1 > 0 {
+                let elems = Op::Elems {
+                    var: i,
+                    section,
+                    k0: 0,
+                    k1,
+                };
+                ops.push((elems, eb));
             }
         }
     }
@@ -186,30 +179,33 @@ pub fn plan_shards_with(
     let mut chunks: Vec<Vec<Op>> = Vec::new();
     let mut cur: Vec<Op> = Vec::new();
     let mut cur_payload = 0u64;
-    for sized in ops {
-        if sized.elem_bytes == 0 {
-            cur.push(sized.op);
+    for (op, elem_bytes) in ops {
+        let Op::Elems {
+            var,
+            section,
+            k1: elems,
+            ..
+        } = op
+        else {
+            cur.push(op);
             continue;
-        }
-        let Op::Elems { var, section, .. } = sized.op else {
-            unreachable!("payload op is always Elems")
         };
         let mut k = 0u64;
-        while k < sized.elems {
-            let room = (target.saturating_sub(cur_payload)) / sized.elem_bytes;
+        while k < elems {
+            let room = (target.saturating_sub(cur_payload)) / elem_bytes;
             if room == 0 {
                 chunks.push(std::mem::take(&mut cur));
                 cur_payload = 0;
                 continue;
             }
-            let take = room.min(sized.elems - k);
+            let take = room.min(elems - k);
             cur.push(Op::Elems {
                 var,
                 section,
                 k0: k,
                 k1: k + take,
             });
-            cur_payload += take * sized.elem_bytes;
+            cur_payload += take * elem_bytes;
             k += take;
         }
     }
@@ -220,8 +216,9 @@ pub fn plan_shards_with(
 }
 
 /// Serialize shard `idx` of `plan`. Returns `(bytes, payload_bytes)`;
-/// concatenating all shards in order and appending the [`seal_shards`]
-/// CRC trailer reproduces [`crate::writer::serialize_data`] byte for byte.
+/// all shards in order, sealed by [`seal_image`] or [`seal_shards`], are
+/// the data file of `docs/FORMATS.md` §3 — the same bytes for every shard
+/// count.
 pub fn serialize_shard(
     vars: &[VarRecord],
     plans: &[VarPlan],
@@ -245,65 +242,81 @@ pub fn serialize_shard(
             Op::VarHeader(i) => {
                 let (v, p) = (&vars[i], &plans[i]);
                 let name = v.name.as_bytes();
-                assert!(name.len() <= u16::MAX as usize, "variable name too long");
                 put_u16(&mut out, name.len() as u16);
                 out.extend_from_slice(name);
                 out.push(v.data.dtype().tag());
                 out.push(plan_mode(p));
-                put_u64(&mut out, v.data.len() as u64);
-                let first_count = match p {
-                    VarPlan::Full => v.data.len() as u64,
-                    VarPlan::Pruned(r) => r.covered(),
-                    VarPlan::Tiered { hi, .. } => hi.covered(),
+                let total = v.data.len() as u64;
+                put_u64(&mut out, total);
+                let first = match p {
+                    VarPlan::Tiered { .. } => Section::Hi,
+                    _ => Section::Main,
                 };
-                put_u64(&mut out, first_count);
+                put_u64(&mut out, section_covered(p, first, total));
             }
-            Op::LoCount(i) => {
-                let VarPlan::Tiered { lo, .. } = &plans[i] else {
-                    unreachable!("LoCount only planned for tiered variables")
-                };
-                put_u64(&mut out, lo.covered());
-            }
+            Op::LoCount(i) => put_u64(&mut out, section_covered(&plans[i], Section::Lo, 0)),
             Op::Elems {
                 var,
                 section,
                 k0,
                 k1,
             } => {
-                let (v, p) = (&vars[var], &plans[var]);
-                match (p, section) {
-                    (VarPlan::Full, Section::Main) => {
-                        payload += write_elements(&mut out, &v.data, k0..k1);
-                    }
-                    (VarPlan::Pruned(r), Section::Main) => {
-                        payload +=
-                            write_elements(&mut out, &v.data, r.covered_range(k0, k1).indices());
-                    }
-                    (VarPlan::Tiered { hi, .. }, Section::Hi) => {
-                        let VarData::F64(vals) = &v.data else {
+                let data = &vars[var].data;
+                let before = out.len();
+                match (section_regions(&plans[var], section), section) {
+                    (None, _) => write_elements(&mut out, data, k0..k1),
+                    (Some(lo), Section::Lo) => {
+                        let VarData::F64(vals) = data else {
                             unreachable!("validated: tiered requires f64")
                         };
-                        for i in hi.covered_range(k0, k1).indices() {
-                            out.extend_from_slice(&vals[i as usize].to_le_bytes());
-                            payload += 8;
-                        }
-                    }
-                    (VarPlan::Tiered { lo, .. }, Section::Lo) => {
-                        let VarData::F64(vals) = &v.data else {
-                            unreachable!("validated: tiered requires f64")
-                        };
-                        let width = plan.lo_codec.width();
                         for i in lo.covered_range(k0, k1).indices() {
                             plan.lo_codec.encode_into(&mut out, vals[i as usize]);
-                            payload += width;
                         }
                     }
-                    _ => unreachable!("planned section matches the plan"),
+                    (Some(r), _) => {
+                        write_elements(&mut out, data, r.covered_range(k0, k1).indices())
+                    }
                 }
+                payload += out.len() - before;
             }
         }
     }
     (out, payload)
+}
+
+/// Append the elements of `data` at `indices`, raw per dtype.
+fn write_elements(out: &mut Vec<u8>, data: &VarData, indices: impl Iterator<Item = u64>) {
+    match data {
+        VarData::F64(v) => {
+            indices.for_each(|i| out.extend_from_slice(&v[i as usize].to_le_bytes()))
+        }
+        VarData::I64(v) => {
+            indices.for_each(|i| out.extend_from_slice(&v[i as usize].to_le_bytes()))
+        }
+        VarData::C128(v) => indices.for_each(|i| {
+            let (re, im) = v[i as usize];
+            out.extend_from_slice(&re.to_le_bytes());
+            out.extend_from_slice(&im.to_le_bytes());
+        }),
+    }
+}
+
+/// Serialize every shard of `plan` in order on the calling thread; returns
+/// the segments and their summed payload bytes.
+pub(crate) fn serialize_all(
+    vars: &[VarRecord],
+    plans: &[VarPlan],
+    plan: &ShardPlan,
+) -> (Vec<Vec<u8>>, usize) {
+    let mut payload = 0usize;
+    let shards = (0..plan.shard_count())
+        .map(|i| {
+            let (bytes, p) = serialize_shard(vars, plans, plan, i);
+            payload += p;
+            bytes
+        })
+        .collect();
+    (shards, payload)
 }
 
 /// Shard-aware format metadata: how a data file was split, so segments can
@@ -342,18 +355,7 @@ impl ShardManifest {
 
     /// Parse and checksum-verify a manifest.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CkptError> {
-        if buf.len() < 8 + 4 + 4 + 8 + 4 {
-            return Err(CkptError::Corrupt("shard manifest too short".into()));
-        }
-        if &buf[..8] != MANIFEST_MAGIC {
-            return Err(CkptError::Corrupt("shard manifest has wrong magic".into()));
-        }
-        let body = &buf[..buf.len() - 4];
-        let expected = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        let actual = crc32(body);
-        if expected != actual {
-            return Err(CkptError::ChecksumMismatch { expected, actual });
-        }
+        check_envelope(buf, MANIFEST_MAGIC, 8 + 4 + 4 + 8 + 4, "shard manifest")?;
         let nshards = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
         let total_len = u64::from_le_bytes(buf[16..24].try_into().unwrap());
         let need = 24 + nshards * 12 + 4;
@@ -372,7 +374,8 @@ impl ShardManifest {
                 buf[off + 8..off + 12].try_into().unwrap(),
             ));
         }
-        if shard_lens.iter().sum::<u64>() != total_len {
+        let sum = shard_lens.iter().try_fold(0u64, |a, &l| a.checked_add(l));
+        if sum != Some(total_len) {
             return Err(CkptError::Corrupt(
                 "shard manifest lengths do not sum to the total".into(),
             ));
@@ -384,52 +387,60 @@ impl ShardManifest {
         })
     }
 
-    /// Verify each segment against the manifest and concatenate them back
-    /// into the monolithic data file the reader parses.
-    pub fn assemble(&self, shards: &[Vec<u8>]) -> Result<Vec<u8>, CkptError> {
-        if shards.len() != self.shard_count() {
+    /// Verify shard `idx`'s bytes against its manifest entry — length,
+    /// then CRC-32, so a damaged shard is pinned individually. The one
+    /// place a shard meets its manifest.
+    pub(crate) fn check_shard(&self, idx: usize, shard: &[u8]) -> Result<(), CkptError> {
+        if shard.len() as u64 != self.shard_lens[idx] {
             return Err(CkptError::Corrupt(format!(
-                "manifest describes {} shards, {} provided",
-                self.shard_count(),
-                shards.len()
+                "shard {idx} is {} bytes, manifest says {}",
+                shard.len(),
+                self.shard_lens[idx]
             )));
         }
-        let mut out = Vec::with_capacity(self.total_len as usize);
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.len() as u64 != self.shard_lens[i] {
-                return Err(CkptError::Corrupt(format!(
-                    "shard {i} is {} bytes, manifest says {}",
-                    shard.len(),
-                    self.shard_lens[i]
-                )));
-            }
-            let actual = crc32(shard);
-            if actual != self.shard_crcs[i] {
-                return Err(CkptError::ChecksumMismatch {
-                    expected: self.shard_crcs[i],
-                    actual,
-                });
-            }
-            out.extend_from_slice(shard);
+        let actual = crc32(shard);
+        if actual != self.shard_crcs[idx] {
+            return Err(CkptError::ChecksumMismatch {
+                expected: self.shard_crcs[idx],
+                actual,
+            });
         }
-        Ok(out)
+        Ok(())
+    }
+}
+
+/// Append the whole-file CRC-32 trailer — rolled over the segments in
+/// order, so they are never joined just to be hashed — to the last shard.
+fn append_file_crc(shards: &mut [Vec<u8>]) {
+    let mut rolling = Crc32::new();
+    for s in shards.iter() {
+        rolling.update(s);
+    }
+    let last = shards
+        .last_mut()
+        .expect("a sealed checkpoint has at least one shard");
+    put_u32(last, rolling.finish());
+}
+
+/// Seal every [`serialize_shard`] output of one plan, in plan order, into
+/// the one data-file image: append the CRC trailer, then move a lone shard
+/// or join several. What the blocking writer returns and what the engine
+/// publishes in every layout that stores one image.
+pub fn seal_image(mut shards: Vec<Vec<u8>>) -> Vec<u8> {
+    append_file_crc(&mut shards);
+    match shards.as_mut_slice() {
+        [only] => std::mem::take(only),
+        many => many.concat(),
     }
 }
 
 /// Append the whole-file CRC trailer to the last shard and describe the
-/// result in a [`ShardManifest`]. `shards` must be every
-/// [`serialize_shard`] output in plan order.
+/// result in a [`ShardManifest`] — the sharded layout's seal, run by
+/// [`crate::delta::publish_epoch`] for the one layout that stores a
+/// manifest. `shards` must be every [`serialize_shard`] output in plan
+/// order.
 pub fn seal_shards(mut shards: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, ShardManifest) {
-    assert!(
-        !shards.is_empty(),
-        "a sealed checkpoint has at least one shard"
-    );
-    let mut rolling = Crc32::new();
-    for s in &shards {
-        rolling.update(s);
-    }
-    let file_crc = rolling.finish();
-    put_u32(shards.last_mut().unwrap(), file_crc);
+    append_file_crc(&mut shards);
     let shard_lens: Vec<u64> = shards.iter().map(|s| s.len() as u64).collect();
     let shard_crcs: Vec<u32> = shards.iter().map(|s| crc32(s)).collect();
     let manifest = ShardManifest {
@@ -443,8 +454,21 @@ pub fn seal_shards(mut shards: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, ShardManifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{MemBackend, StorageBackend};
+    use crate::delta::read_data_image;
     use crate::writer::serialize_data;
-    use crate::{Bitmap, Region, Regions};
+    use crate::{names, Bitmap, Region, Regions};
+
+    /// Store sealed shards and their manifest as version 0 and read them
+    /// back through the one reader — where a shard meets its manifest.
+    fn read_back(sealed: &[Vec<u8>], manifest: &ShardManifest) -> Result<Vec<u8>, CkptError> {
+        let mem = MemBackend::new();
+        for (i, shard) in sealed.iter().enumerate() {
+            mem.put(&names::shard(0, i), shard).unwrap();
+        }
+        mem.put(&names::manifest(0), &manifest.to_bytes()).unwrap();
+        read_data_image(0, |name| mem.get(name))
+    }
 
     fn sample() -> (Vec<VarRecord>, Vec<VarPlan>) {
         let vars = vec![
@@ -469,50 +493,34 @@ mod tests {
         (vars, plans)
     }
 
-    #[test]
-    fn sharded_serialization_is_bit_identical() {
+    /// Every chunking of `sample()` under `lo_codec`, sealed as one image
+    /// or as shards read back through their manifest, is the one-shard
+    /// file with the same payload count.
+    fn assert_chunkings_agree(lo_codec: LoCodec, targets: &[usize]) {
         let (vars, plans) = sample();
-        let (mono, mono_payload) = serialize_data(&vars, &plans).unwrap();
-        for target in [1usize, 2, 3, 5, 8, 64] {
-            let plan = plan_shards(&vars, &plans, target).unwrap();
+        let (mono, mono_payload) =
+            crate::writer::serialize_data_with(&vars, &plans, lo_codec).unwrap();
+        for &target in targets {
+            let what = format!("{lo_codec:?}, target {target}");
+            let plan = plan_shards_with(&vars, &plans, target, lo_codec).unwrap();
             assert!(plan.shard_count() >= 1);
-            let mut payload = 0;
-            let shards: Vec<Vec<u8>> = (0..plan.shard_count())
-                .map(|i| {
-                    let (bytes, p) = serialize_shard(&vars, &plans, &plan, i);
-                    payload += p;
-                    bytes
-                })
-                .collect();
+            let (shards, payload) = serialize_all(&vars, &plans, &plan);
+            assert_eq!(payload, mono_payload, "{what}: payload bytes");
+            assert_eq!(seal_image(shards.clone()), mono, "{what}: image");
             let (sealed, manifest) = seal_shards(shards);
-            let assembled = manifest.assemble(&sealed).unwrap();
-            assert_eq!(assembled, mono, "target {target} shards");
-            assert_eq!(payload, mono_payload, "target {target} payload bytes");
+            assert_eq!(read_back(&sealed, &manifest).unwrap(), mono, "{what}");
         }
     }
 
     #[test]
+    fn sharded_serialization_is_bit_identical() {
+        assert_chunkings_agree(LoCodec::F32, &[1, 2, 3, 5, 8, 64]);
+    }
+
+    #[test]
     fn sharded_v2_tiered_codec_is_bit_identical_to_monolithic() {
-        use crate::writer::serialize_data_with;
-        let (vars, plans) = sample();
         for keep in [2u8, 5, 7] {
-            let lo_codec = LoCodec::Trunc { keep };
-            let (mono, mono_payload) = serialize_data_with(&vars, &plans, lo_codec).unwrap();
-            for target in [1usize, 3, 8] {
-                let plan = plan_shards_with(&vars, &plans, target, lo_codec).unwrap();
-                let mut payload = 0;
-                let shards: Vec<Vec<u8>> = (0..plan.shard_count())
-                    .map(|i| {
-                        let (bytes, p) = serialize_shard(&vars, &plans, &plan, i);
-                        payload += p;
-                        bytes
-                    })
-                    .collect();
-                let (sealed, manifest) = seal_shards(shards);
-                let assembled = manifest.assemble(&sealed).unwrap();
-                assert_eq!(assembled, mono, "keep={keep} target={target}");
-                assert_eq!(payload, mono_payload, "keep={keep} target={target}");
-            }
+            assert_chunkings_agree(LoCodec::Trunc { keep }, &[1, 3, 8]);
         }
     }
 
@@ -531,10 +539,7 @@ mod tests {
     fn manifest_roundtrip_and_verification() {
         let (vars, plans) = sample();
         let plan = plan_shards(&vars, &plans, 3).unwrap();
-        let shards: Vec<Vec<u8>> = (0..plan.shard_count())
-            .map(|i| serialize_shard(&vars, &plans, &plan, i).0)
-            .collect();
-        let (sealed, manifest) = seal_shards(shards);
+        let (sealed, manifest) = seal_shards(serialize_all(&vars, &plans, &plan).0);
         let parsed = ShardManifest::from_bytes(&manifest.to_bytes()).unwrap();
         assert_eq!(parsed, manifest);
 
@@ -542,8 +547,15 @@ mod tests {
         let mut bad = sealed.clone();
         bad[1][0] ^= 0xFF;
         assert!(matches!(
-            manifest.assemble(&bad),
+            read_back(&bad, &manifest),
             Err(CkptError::ChecksumMismatch { .. })
+        ));
+        // So is a shard of the wrong length.
+        let mut short = sealed.clone();
+        short[0].pop();
+        assert!(matches!(
+            read_back(&short, &manifest),
+            Err(CkptError::Corrupt(_))
         ));
         // A truncated manifest is rejected.
         let bytes = manifest.to_bytes();
@@ -566,7 +578,7 @@ mod tests {
         let (bytes, payload) = serialize_shard(&[], &[], &plan, 0);
         assert_eq!(payload, 0);
         let (sealed, manifest) = seal_shards(vec![bytes]);
-        let assembled = manifest.assemble(&sealed).unwrap();
+        let assembled = read_back(&sealed, &manifest).unwrap();
         let (mono, _) = serialize_data(&[], &[]).unwrap();
         assert_eq!(assembled, mono);
     }

@@ -185,8 +185,8 @@ impl CheckpointStore {
         let published = publish_epoch(
             version,
             body,
-            &ser.aux,
-            ser.breakdown,
+            ser.breakdown.payload_bytes,
+            (&ser.aux, ser.breakdown.aux_bytes),
             self.codec.at_rest,
             &Recorder::disabled(),
             |name, bytes, _| self.backend.put(name, bytes),

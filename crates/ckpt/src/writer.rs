@@ -1,5 +1,9 @@
 //! Checkpoint serialization: data file + auxiliary region file.
 //!
+//! The data file has one encoder, [`crate::shard::serialize_shard`];
+//! [`serialize_data`] here is its one-shard plan. This module owns plan
+//! validation, the auxiliary file, and the byte accounting.
+//!
 //! Layout (all little-endian, lengths explicit, CRC-32 trailer):
 //!
 //! ```text
@@ -25,7 +29,8 @@
 //! element at its original offset.
 
 use crate::compress::LoCodec;
-use crate::format::{crc32, CkptError, StorageBreakdown, VarData, VarPlan, VarRecord};
+use crate::format::{crc32, CkptError, StorageBreakdown, VarPlan, VarRecord};
+use crate::shard::{plan_shards_with, seal_image, serialize_all};
 use crate::Regions;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,19 +90,16 @@ pub(crate) fn validate(vars: &[VarRecord], plans: &[VarPlan]) -> Result<(), Ckpt
         )));
     }
     for (v, p) in vars.iter().zip(plans) {
-        let total = v.data.len() as u64;
-        match p {
-            VarPlan::Full => {}
-            VarPlan::Pruned(r) => {
-                if let Some(last) = r.runs().last() {
-                    if last.end > total {
-                        return Err(CkptError::PlanMismatch(format!(
-                            "regions for {:?} end at {} but the variable has {} elements",
-                            v.name, last.end, total
-                        )));
-                    }
-                }
-            }
+        // Both files store the name behind a u16 length.
+        if v.name.len() > u16::MAX as usize {
+            return Err(CkptError::PlanMismatch(format!(
+                "variable name of {} bytes exceeds the format's u16 limit",
+                v.name.len()
+            )));
+        }
+        let regions = match p {
+            VarPlan::Full => [None, None],
+            VarPlan::Pruned(r) => [Some(r), None],
             VarPlan::Tiered { hi, lo } => {
                 if v.data.dtype() != crate::DType::F64 {
                     return Err(CkptError::PlanMismatch(format!(
@@ -112,16 +114,20 @@ pub(crate) fn validate(vars: &[VarRecord], plans: &[VarPlan]) -> Result<(), Ckpt
                         v.name
                     )));
                 }
-                for (which, r) in [("hi", hi), ("lo", lo)] {
-                    if let Some(last) = r.runs().last() {
-                        if last.end > total {
-                            return Err(CkptError::PlanMismatch(format!(
-                                "{which} regions for {:?} exceed its {} elements",
-                                v.name, total
-                            )));
-                        }
-                    }
-                }
+                [Some(hi), Some(lo)]
+            }
+        };
+        let total = v.data.len() as u64;
+        for last in regions
+            .into_iter()
+            .flatten()
+            .filter_map(|r| r.runs().last())
+        {
+            if last.end > total {
+                return Err(CkptError::PlanMismatch(format!(
+                    "regions for {:?} end at {} but the variable has {total} elements",
+                    v.name, last.end
+                )));
             }
         }
     }
@@ -139,93 +145,17 @@ pub fn serialize_data(
 /// [`serialize_data`] with an explicit lo-tier codec. `LoCodec::F32`
 /// emits format version 1 bit-identically; any other codec emits
 /// version 2 with its tag byte in the header.
+///
+/// This is the one-shard plan of the data file's one encoder,
+/// [`crate::shard::serialize_shard`], sealed by [`seal_image`].
 pub fn serialize_data_with(
     vars: &[VarRecord],
     plans: &[VarPlan],
     lo_codec: LoCodec,
 ) -> Result<(Vec<u8>, usize), CkptError> {
-    validate(vars, plans)?;
-    lo_codec.validate()?;
-    let mut out = Vec::new();
-    out.extend_from_slice(DATA_MAGIC);
-    if lo_codec == LoCodec::F32 {
-        put_u32(&mut out, FORMAT_VERSION);
-    } else {
-        put_u32(&mut out, FORMAT_VERSION_TIERED);
-        out.push(lo_codec.tag());
-    }
-    put_u32(&mut out, vars.len() as u32);
-    let mut payload = 0usize;
-    for (v, p) in vars.iter().zip(plans) {
-        let name = v.name.as_bytes();
-        assert!(name.len() <= u16::MAX as usize, "variable name too long");
-        put_u16(&mut out, name.len() as u16);
-        out.extend_from_slice(name);
-        out.push(v.data.dtype().tag());
-        out.push(plan_mode(p));
-        put_u64(&mut out, v.data.len() as u64);
-        match p {
-            VarPlan::Full => {
-                let n = v.data.len();
-                put_u64(&mut out, n as u64);
-                payload += write_elements(&mut out, &v.data, 0..n as u64);
-            }
-            VarPlan::Pruned(r) => {
-                put_u64(&mut out, r.covered());
-                payload += write_elements(&mut out, &v.data, r.indices());
-            }
-            VarPlan::Tiered { hi, lo } => {
-                let VarData::F64(ref vals) = v.data else {
-                    unreachable!("validated above")
-                };
-                put_u64(&mut out, hi.covered());
-                for i in hi.indices() {
-                    out.extend_from_slice(&vals[i as usize].to_le_bytes());
-                    payload += 8;
-                }
-                put_u64(&mut out, lo.covered());
-                let width = lo_codec.width();
-                for i in lo.indices() {
-                    lo_codec.encode_into(&mut out, vals[i as usize]);
-                    payload += width;
-                }
-            }
-        }
-    }
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    Ok((out, payload))
-}
-
-pub(crate) fn write_elements(
-    out: &mut Vec<u8>,
-    data: &VarData,
-    indices: impl Iterator<Item = u64>,
-) -> usize {
-    let mut bytes = 0;
-    match data {
-        VarData::F64(v) => {
-            for i in indices {
-                out.extend_from_slice(&v[i as usize].to_le_bytes());
-                bytes += 8;
-            }
-        }
-        VarData::C128(v) => {
-            for i in indices {
-                let (re, im) = v[i as usize];
-                out.extend_from_slice(&re.to_le_bytes());
-                out.extend_from_slice(&im.to_le_bytes());
-                bytes += 16;
-            }
-        }
-        VarData::I64(v) => {
-            for i in indices {
-                out.extend_from_slice(&v[i as usize].to_le_bytes());
-                bytes += 8;
-            }
-        }
-    }
-    bytes
+    let plan = plan_shards_with(vars, plans, 1, lo_codec)?;
+    let (shards, payload) = serialize_all(vars, plans, &plan);
+    Ok((seal_image(shards), payload))
 }
 
 /// Serialize the auxiliary region file; returns `(bytes, region_pair_bytes)`.
@@ -268,16 +198,31 @@ pub fn serialize_with(
 ) -> Result<SerializedCheckpoint, CkptError> {
     let (data, payload_bytes) = serialize_data_with(vars, plans, lo_codec)?;
     let (aux, pair_bytes) = serialize_aux(vars, plans);
-    let header_bytes = data.len() - payload_bytes + (aux.len() - pair_bytes);
     Ok(SerializedCheckpoint {
-        breakdown: StorageBreakdown {
-            payload_bytes,
-            aux_bytes: pair_bytes,
-            header_bytes,
-        },
+        breakdown: full_breakdown(data.len(), payload_bytes, aux.len(), pair_bytes),
         data,
         aux,
     })
+}
+
+/// Byte accounting of one data-bearing object (a sealed data file, or a
+/// delta) of `data_len` bytes holding `payload_bytes` of elements, stored
+/// uncompressed beside an auxiliary file of `aux_len` bytes holding
+/// `pair_bytes` of region pairs. What is neither is header.
+/// [`serialize_with`] reports it for the data file, and
+/// [`crate::delta::publish_epoch`] starts every layout's accounting from
+/// it.
+pub(crate) fn full_breakdown(
+    data_len: usize,
+    payload_bytes: usize,
+    aux_len: usize,
+    pair_bytes: usize,
+) -> StorageBreakdown {
+    StorageBreakdown {
+        payload_bytes,
+        aux_bytes: pair_bytes,
+        header_bytes: data_len - payload_bytes + (aux_len - pair_bytes),
+    }
 }
 
 /// Rebalance a [`StorageBreakdown`] after at-rest compression changed a
@@ -330,7 +275,7 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bitmap, DType};
+    use crate::{Bitmap, DType, VarData};
 
     fn sample_vars() -> Vec<VarRecord> {
         vec![

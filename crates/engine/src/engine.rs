@@ -11,11 +11,12 @@
 //! 2. Workers pop shard tasks and serialize their segments concurrently,
 //!    so one large array does not serialize on a single core.
 //! 3. The worker that finishes the *last* shard of a submission seals the
-//!    segments (whole-file CRC + shard manifest), serializes the tiny
-//!    auxiliary file, hands the epoch to the one publisher
-//!    ([`scrutiny_ckpt::delta::publish_epoch`] — commit marker last, in
-//!    every layout), applies retention, records the result, and frees
-//!    the staging slot.
+//!    segments into one image ([`seal_image`]) unless the layout stores
+//!    them apart, serializes the tiny auxiliary file, hands the epoch to
+//!    the one publisher ([`scrutiny_ckpt::delta::publish_epoch`] — commit
+//!    marker last, in every layout; it seals a sharded epoch and builds
+//!    its manifest), applies retention, records the result, and frees the
+//!    staging slot.
 //! 4. `wait(ticket)` / `drain()` deliver the [`StorageBreakdown`] — or
 //!    the worker's failure — back on the compute thread.
 
@@ -24,7 +25,7 @@ use crate::error::EngineError;
 use crate::snapshot::{Snapshot, StagingGate};
 use scrutiny_ckpt::delta::{publish_epoch, DeltaPolicy, EpochBody};
 use scrutiny_ckpt::names;
-use scrutiny_ckpt::shard::{plan_shards_with, seal_shards, serialize_shard, ShardPlan};
+use scrutiny_ckpt::shard::{plan_shards_with, seal_image, serialize_shard, ShardPlan};
 use scrutiny_ckpt::{serialize_aux, CodecConfig, StorageBreakdown, VarPlan, VarRecord};
 use scrutiny_obs::{point, span, Counter, Gauge, HistHandle, Recorder};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -38,10 +39,13 @@ use std::thread::JoinHandle;
 pub enum Layout {
     /// One `ckpt_v.data` object, byte-identical to the blocking writer's
     /// file (workers still serialize shards in parallel; the finisher
-    /// concatenates them).
+    /// seals them into one image with [`seal_image`] and no manifest is
+    /// ever computed).
     Monolithic,
     /// One object per shard plus a manifest — segments stay separate so a
     /// [`crate::backend::ShardedBackend`] can stripe them across tiers.
+    /// The publisher seals them and builds the manifest, the layout's
+    /// commit marker.
     Sharded,
 }
 
@@ -623,26 +627,16 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
         payload_bytes += payload;
         shards.push(bytes);
     }
-    let (mut sealed, manifest) = seal_shards(shards);
     let (aux, pair_bytes) = serialize_aux(&sub.snapshot.vars, &sub.snapshot.plans);
-    let data_len: usize = sealed.iter().map(Vec::len).sum();
-    let full = StorageBreakdown {
-        payload_bytes,
-        aux_bytes: pair_bytes,
-        header_bytes: data_len - payload_bytes + (aux.len() - pair_bytes),
-    };
 
     let v = sub.version;
     let chain = shared.chain.as_ref().zip(shared.cfg.delta.as_ref());
     // Every layout but `Sharded` publishes one image (delta mode ignores
-    // `layout`): a lone shard already is that image and moves; several
-    // are joined. Assembled before the turnstile: pure CPU work that can
-    // overlap other epochs' publishes.
+    // `layout`), sealed before the turnstile: pure CPU work that can
+    // overlap other epochs' publishes. Sharded segments go to the
+    // publisher as they are; it seals them beside their manifest.
     let one_image = chain.is_some() || shared.cfg.layout == Layout::Monolithic;
-    let image = one_image.then(|| match sealed.as_mut_slice() {
-        [only] => std::mem::take(only),
-        many => many.concat(),
-    });
+    let image = one_image.then(|| seal_image(std::mem::take(&mut shards)));
 
     // Wait for every older version to resolve; while we hold the turn
     // (turn == v, and only `resolve` advances it) no other finisher can
@@ -666,10 +660,7 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
             deltas_since_base,
         },
         (Some(image), None) => EpochBody::Image(image),
-        (None, _) => EpochBody::Sharded {
-            shards: &sealed,
-            manifest: &manifest,
-        },
+        (None, _) => EpochBody::Sharded { shards },
     };
 
     let backend = shared.backend.as_ref();
@@ -685,8 +676,8 @@ fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineErro
     let result = publish_epoch(
         v,
         body,
-        &aux,
-        full,
+        payload_bytes,
+        (&aux, pair_bytes),
         shared.cfg.codec.at_rest,
         &obs.rec,
         |name, bytes, compressed_from| {

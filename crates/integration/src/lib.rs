@@ -20,10 +20,16 @@
 //! kernels, the demo app and the pitfall apps. One clause of it — a run's
 //! `snapshot_bytes` is what a fork of it really allocates — needs the test
 //! binary to install [`CountingAlloc`] as its global allocator.
+//!
+//! The format oracles live here too, outside the product:
+//! [`direct_serialize_data`] (the `SCRUTCKP` data file written variable by
+//! variable) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
+//! one encoder and its slice-by-8 CRC but `docs/FORMATS.md`.
 
 #![warn(missing_docs)]
 
 use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
+use scrutiny_ckpt::{LoCodec, VarData, VarPlan, VarRecord};
 use scrutiny_core::{
     record_resumable, scrutinize_differential, scrutinize_with, AdError, Adj, AnalysisReport,
     AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real,
@@ -272,6 +278,89 @@ fn tape_witness(tape: &Tape, out: Adj) -> (Vec<u64>, Vec<bool>) {
     (bits, reach)
 }
 
+/// Bit-at-a-time IEEE CRC-32 (reflected, poly `0xEDB88320`): the oracle
+/// for `scrutiny_ckpt::format::crc32`, table-free so the two share no
+/// code.
+pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+        }
+    }
+    !c
+}
+
+/// The `SCRUTCKP` data file of `docs/FORMATS.md` §3 written directly,
+/// variable by variable — what `scrutiny_ckpt::serialize_data_with` was
+/// before the shard-plan interpreter became the only encoder, kept as
+/// the oracle it is checked against. Returns `(bytes, payload_bytes)`;
+/// `vars`/`plans` must be a valid pairing.
+pub fn direct_serialize_data(
+    vars: &[VarRecord],
+    plans: &[VarPlan],
+    lo_codec: LoCodec,
+) -> (Vec<u8>, usize) {
+    let mut out = b"SCRUTCKP".to_vec();
+    match lo_codec {
+        LoCodec::F32 => out.extend(1u32.to_le_bytes()),
+        LoCodec::Trunc { keep } => {
+            out.extend(2u32.to_le_bytes());
+            out.push(keep);
+        }
+    }
+    out.extend((vars.len() as u32).to_le_bytes());
+    let mut payload = 0;
+    for (v, p) in vars.iter().zip(plans) {
+        out.extend((v.name.len() as u16).to_le_bytes());
+        out.extend(v.name.as_bytes());
+        out.push(match v.data {
+            VarData::F64(_) => 0,
+            VarData::C128(_) => 1,
+            VarData::I64(_) => 2,
+        });
+        // Sections in file order: (stored element indices, lo tier?).
+        let (mode, sections): (u8, Vec<(Vec<u64>, bool)>) = match p {
+            VarPlan::Full => (0, vec![((0..v.data.len() as u64).collect(), false)]),
+            VarPlan::Pruned(r) => (1, vec![(r.indices().collect(), false)]),
+            VarPlan::Tiered { hi, lo } => (
+                2,
+                vec![
+                    (hi.indices().collect(), false),
+                    (lo.indices().collect(), true),
+                ],
+            ),
+        };
+        out.push(mode);
+        out.extend((v.data.len() as u64).to_le_bytes());
+        for (indices, lo_tier) in sections {
+            out.extend((indices.len() as u64).to_le_bytes());
+            let before = out.len();
+            for i in indices {
+                let i = i as usize;
+                match (&v.data, lo_tier, lo_codec) {
+                    (VarData::F64(x), false, _) => out.extend(x[i].to_le_bytes()),
+                    (VarData::F64(x), true, LoCodec::F32) => {
+                        out.extend((x[i] as f32).to_le_bytes())
+                    }
+                    (VarData::F64(x), true, LoCodec::Trunc { keep }) => {
+                        out.extend(&x[i].to_le_bytes()[8 - keep as usize..])
+                    }
+                    (VarData::C128(x), ..) => {
+                        out.extend(x[i].0.to_le_bytes());
+                        out.extend(x[i].1.to_le_bytes());
+                    }
+                    (VarData::I64(x), ..) => out.extend(x[i].to_le_bytes()),
+                }
+            }
+            payload += out.len() - before;
+        }
+    }
+    out.extend(crc32_bitwise(&out).to_le_bytes());
+    (out, payload)
+}
+
 thread_local! {
     /// Bytes this thread has allocated and not yet freed.
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
@@ -500,8 +589,100 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use scrutiny_ckpt::{
+        plan_shards_with, seal_image, seal_shards, serialize_data_with, serialize_shard, Bitmap,
+        Regions,
+    };
     use scrutiny_core::tiny::Heat1d;
     use scrutiny_core::Analyzer;
+
+    /// A random valid state: 0..=4 variables of every dtype and length
+    /// 0..160 under Full, Pruned and (f64 only) Tiered plans with random,
+    /// fragmented regions.
+    fn random_state(seed: u64) -> (Vec<VarRecord>, Vec<VarPlan>) {
+        let mut z = seed;
+        let mut next = move || {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = z;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        };
+        let mut vars = Vec::new();
+        let mut plans = Vec::new();
+        for i in 0..next() % 5 {
+            let n = (next() % 160) as usize;
+            let val = |bits: u64| f64::from_bits(bits).clamp(-1e300, 1e300);
+            let data = match next() % 3 {
+                0 => VarData::F64((0..n).map(|_| val(next())).collect()),
+                1 => VarData::C128((0..n).map(|_| (val(next()), val(next()))).collect()),
+                _ => VarData::I64((0..n).map(|_| next() as i64).collect()),
+            };
+            let kind = next() % 3;
+            let mut regions =
+                |density: u64| Regions::from_bitmap(&Bitmap::from_fn(n, |_| next() % 8 < density));
+            plans.push(match (kind, &data) {
+                (0, _) => VarPlan::Full,
+                (1, VarData::F64(_)) => {
+                    let hi = regions(4);
+                    let lo = regions(5).intersect(&hi.complement(n as u64));
+                    VarPlan::Tiered { hi, lo }
+                }
+                _ => VarPlan::Pruned(regions(6)),
+            });
+            vars.push(VarRecord::new(format!("v{i}"), data));
+        }
+        (vars, plans)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The format is pinned from outside the encoder: for random
+        /// states × plans × lo codecs, the one-shard plan
+        /// (`serialize_data_with`) and every 1..=7-shard plan, sealed as
+        /// one image or as shards, are the direct oracle's bytes and
+        /// payload count.
+        #[test]
+        fn the_one_encoder_equals_the_direct_oracle(
+            seed in 0u64..1_000_000,
+            target in 1usize..8,
+            codec in 0u8..7,
+        ) {
+            let lo_codec = match codec {
+                0 => LoCodec::F32,
+                k => LoCodec::Trunc { keep: k + 1 },
+            };
+            let (vars, plans) = random_state(seed);
+            let (want, want_payload) = direct_serialize_data(&vars, &plans, lo_codec);
+            let (mono, payload) = serialize_data_with(&vars, &plans, lo_codec).unwrap();
+            prop_assert_eq!(&mono, &want);
+            prop_assert_eq!(payload, want_payload);
+
+            let plan = plan_shards_with(&vars, &plans, target, lo_codec).unwrap();
+            let mut payload = 0;
+            let shards: Vec<Vec<u8>> = (0..plan.shard_count())
+                .map(|i| {
+                    let (bytes, p) = serialize_shard(&vars, &plans, &plan, i);
+                    payload += p;
+                    bytes
+                })
+                .collect();
+            prop_assert_eq!(payload, want_payload);
+            prop_assert_eq!(&seal_image(shards.clone()), &want);
+            let (sealed, manifest) = seal_shards(shards);
+            prop_assert_eq!(manifest.total_len as usize, want.len());
+            prop_assert_eq!(&sealed.concat(), &want);
+        }
+    }
+
+    #[test]
+    fn bitwise_crc_known_vector() {
+        // The canonical check value for CRC-32/ISO-HDLC.
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b""), 0);
+    }
 
     #[test]
     fn heat1d_case_is_safe_and_explained() {

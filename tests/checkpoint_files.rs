@@ -116,3 +116,39 @@ fn garbage_fill_is_deterministic_across_loads() {
         .unwrap();
     assert_eq!(a, b);
 }
+
+#[test]
+fn overlong_variable_name_is_a_typed_plan_mismatch_in_every_writer() {
+    use scrutiny_ckpt::{plan_shards_with, serialize_with, LoCodec};
+    use scrutiny_engine::StorageBackend;
+    use scrutiny_engine::{read_version, EngineConfig, EngineError, EngineHandle, MemBackend};
+    use std::sync::Arc;
+    // One byte past the u16 both files store a name length in: the one
+    // validation rejects it, so neither the encoder nor `serialize_aux`
+    // ever truncates (or asserts on) a name.
+    let named = |len: usize| vec![VarRecord::new("n".repeat(len), VarData::I64(vec![1]))];
+    let vars = named(u16::MAX as usize + 1);
+    let plans = [VarPlan::Full];
+    assert!(matches!(
+        serialize_with(&vars, &plans, LoCodec::F32),
+        Err(CkptError::PlanMismatch(_))
+    ));
+    assert!(matches!(
+        plan_shards_with(&vars, &plans, 3, LoCodec::F32),
+        Err(CkptError::PlanMismatch(_))
+    ));
+    let mem = Arc::new(MemBackend::new());
+    let engine = EngineHandle::open(mem.clone(), EngineConfig::default()).unwrap();
+    match engine.submit(&vars, &plans) {
+        Err(EngineError::Ckpt(CkptError::PlanMismatch(_))) => {}
+        other => panic!("expected a typed plan mismatch, got {other:?}"),
+    }
+    assert!(mem.list().unwrap().is_empty());
+    // The longest legal name still round-trips.
+    let ticket = engine.submit(&named(u16::MAX as usize), &plans).unwrap();
+    let version = ticket.version();
+    engine.wait(ticket).unwrap();
+    let (data, aux) = read_version(mem.as_ref(), version).unwrap();
+    let ck = Checkpoint::from_bytes(&data, &aux).unwrap();
+    assert_eq!(ck.names()[0].len(), u16::MAX as usize);
+}

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use scrutiny_ckpt::compress::{compress, decompress, is_container, maybe_decompress};
-use scrutiny_ckpt::format::{crc32, crc32_scalar};
+use scrutiny_ckpt::format::crc32;
 use scrutiny_ckpt::writer::{serialize, serialize_with};
 use scrutiny_ckpt::{AtRest, CodecConfig, DeltaPolicy, LoCodec, RestoreOptions};
 use scrutiny_core::restart::{capture_state, checkpoint_restart_cycle};
@@ -229,8 +229,8 @@ proptest! {
         }
     }
 
-    /// The vectorized slice-by-8 CRC equals the byte-at-a-time reference
-    /// on random buffers, including every sub-word alignment and length
+    /// The vectorized slice-by-8 CRC equals the bit-at-a-time oracle
+    /// (`scrutiny_integration::crc32_bitwise`) on random buffers, including every sub-word alignment and length
     /// remainder around the 8-byte stride.
     #[test]
     fn sliced_crc_equals_scalar(
@@ -244,6 +244,6 @@ proptest! {
             (z ^ (z >> 31)) as u8
         }).collect();
         let view = &buf[offset.min(buf.len())..];
-        prop_assert_eq!(crc32(view), crc32_scalar(view));
+        prop_assert_eq!(crc32(view), scrutiny_integration::crc32_bitwise(view));
     }
 }

@@ -1,0 +1,223 @@
+//! The on-disk formats pinned by bytes: the `SCRUTCKP` data file (version
+//! 1 and version 2), the `SCRUTAUX` region file and the `SCRUTSHM` shard
+//! manifest of one tiny state, spelled here byte by byte from
+//! `docs/FORMATS.md` §3–§5 — not produced by a second encoder — and
+//! compared with what the one encoder emits. Trailers come from the
+//! bit-at-a-time CRC oracle, so not even the checksum code is shared.
+
+use scrutiny_ckpt::writer::serialize_with;
+use scrutiny_ckpt::{
+    plan_shards_with, seal_image, seal_shards, serialize_shard, Checkpoint, FillPolicy, LoCodec,
+    Region, Regions, ShardManifest, VarData, VarPlan, VarRecord,
+};
+use scrutiny_integration::crc32_bitwise;
+
+/// One variable per plan kind and dtype: a `Full` i64, a `Pruned` f64, a
+/// `Tiered` f64 and a (`Full`) c128.
+fn tiny_state() -> (Vec<VarRecord>, Vec<VarPlan>) {
+    let runs = |a, b| Regions::from_runs(vec![Region { start: a, end: b }]);
+    (
+        vec![
+            VarRecord::new("it", VarData::I64(vec![7, -2])),
+            VarRecord::new("u", VarData::F64(vec![1.0, 2.0, 3.0, 4.0])),
+            VarRecord::new("t", VarData::F64(vec![0.5, 1.5, 2.5, -3.25])),
+            VarRecord::new("z", VarData::C128(vec![(1.0, -1.0)])),
+        ],
+        vec![
+            VarPlan::Full,
+            VarPlan::Pruned(runs(1, 3)),
+            VarPlan::Tiered {
+                hi: runs(0, 1),
+                lo: runs(2, 4),
+            },
+            VarPlan::Full,
+        ],
+    )
+}
+
+/// Concatenate the fields and append the CRC-32 trailer over them.
+fn sealed(fields: &[&[u8]]) -> Vec<u8> {
+    let mut out = fields.concat();
+    out.extend(crc32_bitwise(&out).to_le_bytes());
+    out
+}
+
+/// A little-endian u64 field.
+fn u64le(v: u64) -> [u8; 8] {
+    v.to_le_bytes()
+}
+
+// IEEE-754 doubles, little-endian.
+const F_0_5: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+const F_1_0: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
+const F_2_0: [u8; 8] = [0, 0, 0, 0, 0, 0, 0x00, 0x40];
+const F_3_0: [u8; 8] = [0, 0, 0, 0, 0, 0, 0x08, 0x40];
+const F_NEG_1_0: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xF0, 0xBF];
+
+/// The data file of [`tiny_state`]: `version_and_tag` is the format
+/// version (plus the version-2 codec tag), `lo` the two lo-tier elements
+/// (2.5 and −3.25) in that version's encoding.
+fn data_file(version_and_tag: &[u8], lo: &[u8]) -> Vec<u8> {
+    sealed(&[
+        b"SCRUTCKP",
+        version_and_tag,
+        &[4, 0, 0, 0], // nvars
+        // "it": i64, Full, total 2, count 2, then 7 and -2.
+        &[2, 0],
+        b"it",
+        &[2, 0],
+        &u64le(2),
+        &u64le(2),
+        &[7, 0, 0, 0, 0, 0, 0, 0],
+        &[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF],
+        // "u": f64, Pruned, total 4, count 2: elements 1 and 2.
+        &[1, 0],
+        b"u",
+        &[0, 1],
+        &u64le(4),
+        &u64le(2),
+        &F_2_0,
+        &F_3_0,
+        // "t": f64, Tiered, total 4; hi count 1 (element 0), lo count 2.
+        &[1, 0],
+        b"t",
+        &[0, 2],
+        &u64le(4),
+        &u64le(1),
+        &F_0_5,
+        &u64le(2),
+        lo,
+        // "z": c128, Full, total 1, count 1: re then im.
+        &[1, 0],
+        b"z",
+        &[1, 0],
+        &u64le(1),
+        &u64le(1),
+        &F_1_0,
+        &F_NEG_1_0,
+    ])
+}
+
+/// Version 1: lo elements are f32 (2.5 = 0x40200000, −3.25 = 0xC0500000).
+fn data_v1() -> Vec<u8> {
+    data_file(&[1, 0, 0, 0], &[0, 0, 0x20, 0x40, 0, 0, 0x50, 0xC0])
+}
+
+/// Version 2, tag 3: lo elements are the top three bytes of the f64
+/// (2.5 = 0x4004…, −3.25 = 0xC00A…).
+fn data_v2_keep3() -> Vec<u8> {
+    data_file(&[2, 0, 0, 0, 3], &[0, 0x04, 0x40, 0, 0x0A, 0xC0])
+}
+
+fn aux_file() -> Vec<u8> {
+    sealed(&[
+        b"SCRUTAUX",
+        &[1, 0, 0, 0], // version
+        &[4, 0, 0, 0], // nvars
+        &[2, 0],
+        b"it",
+        &[0], // Full: no runs
+        &[1, 0],
+        b"u",
+        &[1], // Pruned: one run [1, 3)
+        &u64le(1),
+        &u64le(1),
+        &u64le(3),
+        &[1, 0],
+        b"t",
+        &[2], // Tiered: hi one run [0, 1), lo one run [2, 4)
+        &u64le(1),
+        &u64le(0),
+        &u64le(1),
+        &u64le(1),
+        &u64le(2),
+        &u64le(4),
+        &[1, 0],
+        b"z",
+        &[0],
+    ])
+}
+
+#[test]
+fn the_encoder_emits_exactly_the_documented_bytes() {
+    let (vars, plans) = tiny_state();
+    for (codec, want) in [
+        (LoCodec::F32, data_v1()),
+        (LoCodec::Trunc { keep: 3 }, data_v2_keep3()),
+    ] {
+        let ser = serialize_with(&vars, &plans, codec).unwrap();
+        assert_eq!(ser.data, want, "{codec:?} data file");
+        assert_eq!(ser.aux, aux_file(), "{codec:?} aux file");
+        // 16 bytes each of i64, pruned f64 and c128 payload, 8 of hi, and
+        // two lo elements; three region pairs; the rest is header.
+        let payload = 16 + 16 + 8 + 2 * codec.width() + 16;
+        assert_eq!(ser.breakdown.payload_bytes, payload);
+        assert_eq!(ser.breakdown.aux_bytes, 3 * 16);
+        assert_eq!(ser.breakdown.total(), want.len() + aux_file().len());
+
+        // Any chunking of the same plan is the same file.
+        let plan = plan_shards_with(&vars, &plans, 3, codec).unwrap();
+        assert!(plan.shard_count() >= 3);
+        let shards: Vec<Vec<u8>> = (0..plan.shard_count())
+            .map(|i| serialize_shard(&vars, &plans, &plan, i).0)
+            .collect();
+        assert_eq!(seal_image(shards.clone()), want, "{codec:?} image");
+        assert_eq!(seal_shards(shards).0.concat(), want, "{codec:?} shards");
+    }
+}
+
+#[test]
+fn the_manifest_is_exactly_the_documented_bytes() {
+    // The version-1 file cut at two arbitrary offsets — shard boundaries
+    // are the writer's choice — and sealed: the trailer lands on the last
+    // shard, and the manifest lists each shard's length and CRC.
+    let file = data_v1();
+    let body = &file[..file.len() - 4];
+    let cuts = [&body[..21], &body[21..90], &body[90..]];
+    let (shards, manifest) = seal_shards(cuts.iter().map(|c| c.to_vec()).collect());
+    assert_eq!(shards.concat(), file);
+    assert_eq!(&shards[2][..], &file[90..]);
+
+    let entry = |shard: &[u8]| {
+        [
+            &u64le(shard.len() as u64)[..],
+            &crc32_bitwise(shard).to_le_bytes(),
+        ]
+        .concat()
+    };
+    let want = sealed(&[
+        b"SCRUTSHM",
+        &[1, 0, 0, 0], // version
+        &[3, 0, 0, 0], // nshards
+        &u64le(file.len() as u64),
+        &entry(&file[..21]),
+        &entry(&file[21..90]),
+        &entry(&file[90..]),
+    ]);
+    assert_eq!(manifest.to_bytes(), want);
+    assert_eq!(ShardManifest::from_bytes(&want).unwrap(), manifest);
+}
+
+#[test]
+fn the_documented_bytes_read_back() {
+    let aux = aux_file();
+    // 2.5 and −3.25 are exact in an f32 and in three bytes alike.
+    for data in [data_v1(), data_v2_keep3()] {
+        let ck = Checkpoint::from_bytes(&data, &aux).unwrap();
+        assert_eq!(ck.names(), ["it", "u", "t", "z"]);
+        assert_eq!(ck.var("it").unwrap().materialize_i64(0).unwrap(), [7, -2]);
+        let hole = FillPolicy::Sentinel(-9.0);
+        assert_eq!(
+            ck.var("u").unwrap().materialize_f64(hole).unwrap(),
+            [-9.0, 2.0, 3.0, -9.0]
+        );
+        assert_eq!(
+            ck.var("t").unwrap().materialize_f64(hole).unwrap(),
+            [0.5, -9.0, 2.5, -3.25]
+        );
+        assert_eq!(
+            ck.var("z").unwrap().materialize_c128(hole).unwrap(),
+            [(1.0, -1.0)]
+        );
+    }
+}

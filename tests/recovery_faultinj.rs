@@ -5,8 +5,11 @@
 //! version's blocking save and a `RecoveryReport` naming each rejected
 //! version. Plus the parallel-restore bit-identity property: on all
 //! three layouts (monolithic, sharded, delta chain) and any thread
-//! count, `read_data_image_parallel` equals the serial reader byte for
-//! byte.
+//! count, the one reader (`read_data_image_parallel`) returns the same
+//! bytes as at `threads: 1`. And the hostile-length cases: a length field
+//! that is CRC-consistent but absurd is a typed `Corrupt`, decided before
+//! it sizes an allocation — this binary counts allocations
+//! (`CountingAlloc`) to check the last clause.
 //!
 //! CI runs this suite in release next to the stress/delta/segmented
 //! suites: the restore pipeline is multi-threaded, and debug-mode
@@ -24,7 +27,11 @@ use scrutiny_engine::{
     StorageBackend,
 };
 use scrutiny_faultinj::StorageScenario;
+use scrutiny_integration::{allocated_during, CountingAlloc};
 use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One distinct state per epoch (all three dtypes; pruned + full plans).
 fn epoch_state(epoch: u64) -> (Vec<VarRecord>, Vec<VarPlan>) {
@@ -286,6 +293,137 @@ fn every_version_corrupt_is_a_typed_unrecoverable_error() {
         }
         other => panic!("expected Unrecoverable, got {other}"),
     }
+}
+
+/// Overwrite the field at `at` of a CRC-trailed object and re-seal the
+/// trailer, so only the field itself — not the envelope — is wrong.
+fn with_field(object: &[u8], at: usize, field: &[u8]) -> Vec<u8> {
+    let mut out = object.to_vec();
+    out[at..at + field.len()].copy_from_slice(field);
+    let body = out.len() - 4;
+    let crc = scrutiny_ckpt::format::crc32(&out[..body]);
+    out[body..].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// `decode` must refuse its `input_len`-byte hostile input as `Corrupt`
+/// having allocated no more than the input's own size (plus slack for
+/// error strings and small headers).
+fn assert_refused<T>(what: &str, input_len: usize, decode: impl FnOnce() -> Result<T, CkptError>) {
+    let (result, allocated) = allocated_during(decode).expect("this binary counts allocations");
+    match result {
+        Err(CkptError::Corrupt(_)) => {}
+        Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+        Ok(_) => panic!("{what}: hostile input decoded"),
+    }
+    assert!(
+        allocated <= input_len + (64 << 10),
+        "{what}: allocated {allocated} bytes deciding about {input_len} input bytes"
+    );
+}
+
+#[test]
+fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
+    use scrutiny_ckpt::compress::{compress, decompress};
+    use scrutiny_ckpt::delta::{apply_delta, diff_images};
+    use scrutiny_ckpt::{AtRest, Region, ShardManifest};
+    let huge = (1u64 << 60).to_le_bytes();
+
+    // SCRUTDLT: `full_len` (offset 24) sizes the reconstructed image.
+    let parent = vec![7u8; 1000];
+    let mut child = parent.clone();
+    child[500] ^= 1;
+    let (delta, _) = diff_images(&parent, &child, 0, 64).unwrap();
+    let bad = with_field(&delta, 24, &(1u64 << 46).to_le_bytes());
+    assert_refused("delta full_len", parent.len() + bad.len(), || {
+        apply_delta(&parent, &bad)
+    });
+    // The largest honest length — every byte past the parent stored — is fine.
+    let grown = vec![7u8; 1900];
+    let (delta, _) = diff_images(&parent, &grown, 0, 64).unwrap();
+    assert_eq!(apply_delta(&parent, &delta).unwrap(), grown);
+
+    // SCRUTCKP / SCRUTAUX of one Pruned variable "u": the data file's
+    // element count sits at offset 29, the aux file's `nvars` at 12 and
+    // its run count at 20.
+    let runs = |a: u64, b: u64| Regions::from_runs(vec![Region { start: a, end: b }]);
+    let vars = vec![VarRecord::new("u", VarData::F64(vec![1.5; 64]))];
+    let ser = serialize(&vars, &[VarPlan::Pruned(runs(8, 40))]).unwrap();
+    let both = ser.data.len() + ser.aux.len();
+    for (what, at, field) in [
+        ("data element count", 29, &huge[..]),
+        ("data nvars", 12, &u32::MAX.to_le_bytes()[..]),
+    ] {
+        let bad = with_field(&ser.data, at, field);
+        assert_refused(what, both, || Checkpoint::from_bytes(&bad, &ser.aux));
+    }
+    for (what, at, field) in [
+        ("aux nvars", 12, &u32::MAX.to_le_bytes()[..]),
+        ("aux run count", 20, &huge[..]),
+        // Under the old plausibility cap of 2^32 runs, still 32 GiB.
+        ("aux run count 2^31", 20, &(1u64 << 31).to_le_bytes()[..]),
+    ] {
+        let bad = with_field(&ser.aux, at, field);
+        assert_refused(what, both, || Checkpoint::from_bytes(&ser.data, &bad));
+    }
+
+    // A Tiered variable "t": hi count at 29, then 4 hi elements, lo count
+    // at 69; aux hi run count at 20, one run, lo run count at 44.
+    let vars = vec![VarRecord::new("t", VarData::F64(vec![2.5; 16]))];
+    let plan = VarPlan::Tiered {
+        hi: runs(0, 4),
+        lo: runs(8, 12),
+    };
+    let ser = serialize(&vars, &[plan]).unwrap();
+    let both = ser.data.len() + ser.aux.len();
+    for (what, at) in [("tiered hi count", 29), ("tiered lo count", 69)] {
+        let bad = with_field(&ser.data, at, &huge);
+        assert_refused(what, both, || Checkpoint::from_bytes(&bad, &ser.aux));
+    }
+    let bad = with_field(&ser.aux, 44, &huge);
+    assert_refused("aux lo run count", both, || {
+        Checkpoint::from_bytes(&ser.data, &bad)
+    });
+
+    // SCRUTCZB: `raw_len` (offset 13) sizes the decode buffer.
+    let stored = compress(&vec![0u8; 4096], AtRest::Rle);
+    let bad = with_field(&stored, 13, &(1u64 << 46).to_le_bytes());
+    assert_refused("container raw_len", bad.len(), || decompress(&bad));
+
+    // SCRUTSHM: shard lengths whose sum overflows (entries at 24 and 36).
+    let (_, manifest) = scrutiny_ckpt::seal_shards(vec![vec![1u8; 10], vec![2u8; 10]]);
+    let bad = with_field(&manifest.to_bytes(), 24, &u64::MAX.to_le_bytes());
+    assert_refused("manifest length sum", bad.len(), || {
+        ShardManifest::from_bytes(&bad)
+    });
+}
+
+#[test]
+fn inflated_delta_length_falls_back_to_the_previous_version() {
+    let (mem, expected) = filled(
+        EngineConfig {
+            delta: Some(DeltaPolicy {
+                page_bytes: 128,
+                rebase_every: 4,
+            }),
+            ..Default::default()
+        },
+        3,
+    );
+    let name = names::delta(2);
+    let bad = with_field(&mem.get(&name).unwrap(), 24, &(1u64 << 46).to_le_bytes());
+    mem.put(&name, &bad).unwrap();
+
+    let r = recover(mem);
+    assert_eq!(r.version, 1);
+    assert_eq!(r.report.rejected_versions(), vec![2]);
+    assert!(
+        matches!(r.report.rejected[0].error, CkptError::Corrupt(_)),
+        "reason: {}",
+        r.report.rejected[0].error
+    );
+    assert_eq!(r.data, expected[1].0);
+    assert_eq!(r.aux, expected[1].1);
 }
 
 #[test]
