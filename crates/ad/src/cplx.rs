@@ -94,15 +94,6 @@ impl<R: Real> Cplx<R> {
     pub fn abs(self) -> R {
         self.norm_sqr().sqrt()
     }
-
-    /// Multiplication by `i` (cheaper than a full complex multiply).
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        Cplx {
-            re: -self.im,
-            im: self.re,
-        }
-    }
 }
 
 impl<R: Real> Add for Cplx<R> {
@@ -203,7 +194,7 @@ mod tests {
     #[test]
     fn mul_i_rotates() {
         let a: Cplx<f64> = Cplx::new(3.0, 4.0);
-        let r = a.mul_i();
+        let r = a * Cplx::new(0.0, 1.0);
         assert_eq!((r.re, r.im), (-4.0, 3.0));
     }
 

@@ -1,5 +1,6 @@
 //! Regenerates the paper's Table II: uncritical element counts per
-//! checkpoint variable, class S, with paper-vs-measured deltas.
+//! checkpoint variable, class S, with paper-vs-measured deltas. Exits
+//! non-zero when a row differs from `expectations::TABLE2`.
 
 use scrutiny_bench::expectations::expected2;
 use scrutiny_core::{scrutinize, table2_rows};
@@ -16,13 +17,8 @@ fn main() {
         let t0 = std::time::Instant::now();
         let report = scrutinize(app.as_ref()).unwrap();
         let secs = t0.elapsed().as_secs_f64();
-        for (row, var) in table2_rows(&report).iter().zip(
-            report
-                .vars
-                .iter()
-                .filter(|v| v.spec.dtype != scrutiny_core::DType::I64 && v.total() > 1),
-        ) {
-            let paper = expected2(&report.app.name, &var.spec.name);
+        for row in table2_rows(&report) {
+            let paper = expected2(&report.app.name, &row.var);
             let (paper_str, matched) = match paper {
                 Some(e) => (
                     format!("{}", e.uncritical),
@@ -53,4 +49,7 @@ fn main() {
         "\nall rows match the paper: {}",
         if all_match { "YES" } else { "NO" }
     );
+    if !all_match {
+        std::process::exit(1);
+    }
 }

@@ -1,7 +1,8 @@
 //! The paper's §IV.C experiment: restart every benchmark from a pruned
 //! checkpoint (uncritical holes filled with garbage) and require its
 //! verification to pass; then fault-inject to show uncritical corruption
-//! is harmless while critical corruption is caught.
+//! is harmless while critical corruption is caught. Exits non-zero when
+//! any of its own verdict columns says no.
 
 use scrutiny_core::{checkpoint_restart_cycle, scrutinize, FillPolicy, Policy, RestartConfig};
 use scrutiny_faultinj::{run_campaign, CampaignConfig, Corruption, Target};
@@ -13,6 +14,7 @@ fn main() {
         "{:<6} {:>9} {:>12} {:>12} {:>10} {:>13} {:>13}",
         "Bench", "verified", "rel err", "pruned kb", "full kb", "inj-unc pass", "inj-crit fail"
     );
+    let mut all_ok = true;
     let dir = std::env::temp_dir().join(format!("scrutiny_verify_{}", std::process::id()));
     for app in ad_suite() {
         let analysis = scrutinize(app.as_ref()).unwrap();
@@ -41,6 +43,7 @@ fn main() {
                 ..Default::default()
             },
         );
+        all_ok &= r.verified && unc.failed == 0 && crit.verified == 0;
         println!(
             "{:<6} {:>9} {:>12.2e} {:>10.1}kb {:>8.1}kb {:>10}/{:<2} {:>10}/{:<2}",
             analysis.app.name,
@@ -63,10 +66,12 @@ fn main() {
     is.run(IsSite::Capture(&mut captured));
     captured[1].iter_mut().for_each(|v| *v = -1); // dead bucket_ptrs
     let restarted = is.run(IsSite::Restore(&captured));
+    let is_ok = restarted.passed_verification == golden.passed_verification;
     println!(
         "IS     {:>9} (passed_verification {} == {})",
-        restarted.passed_verification == golden.passed_verification,
-        restarted.passed_verification,
-        golden.passed_verification
+        is_ok, restarted.passed_verification, golden.passed_verification
     );
+    if !(all_ok && is_ok) {
+        std::process::exit(1);
+    }
 }

@@ -1,5 +1,5 @@
-//! The paper's published numbers (Tables II and III), used by the
-//! harness binaries and integration tests to report paper-vs-measured.
+//! The paper's published numbers (Tables II and III) — the one copy the
+//! artifact binaries and `tests/paper_counts_class_s.rs` check against.
 
 /// One expected Table II row.
 #[derive(Clone, Copy, Debug)]

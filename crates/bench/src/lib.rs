@@ -1,10 +1,10 @@
 //! # scrutiny-bench — experiment harness
 //!
-//! Binaries and criterion benches that regenerate every table and figure
-//! of the paper; see DESIGN.md §5 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! Plain binaries (`src/bin/`) that regenerate every table and figure of
+//! the paper and check them against [`expectations`]; the experiment
+//! index and the paper-vs-measured deviations are `docs/PAPER_MAPPING.md`.
+//! The lifecycle is timed by `benchmark/` (see `benchmark/README.md`);
+//! the one binary here that times anything, `ad_overhead`, prints three
+//! AD-layer comparisons no benchmark metric carries.
 
 pub mod expectations;
-pub mod summary;
-
-pub use summary::{BenchSummary, BENCH_DIR_ENV};

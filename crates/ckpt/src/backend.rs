@@ -221,11 +221,6 @@ impl MemBackend {
         Self::default()
     }
 
-    /// Number of objects currently held.
-    pub fn object_count(&self) -> usize {
-        self.objects.lock().unwrap().len()
-    }
-
     /// Total payload bytes currently held.
     pub fn total_bytes(&self) -> usize {
         self.objects.lock().unwrap().values().map(Vec::len).sum()
@@ -338,7 +333,7 @@ pub(crate) mod tests {
         assert_eq!(names, ["a", "b"]);
         b.delete("a").unwrap();
         b.delete("a").unwrap(); // idempotent
-        assert_eq!(b.object_count(), 1);
+        assert_eq!(b.list().unwrap(), ["b"]);
     }
 
     #[test]

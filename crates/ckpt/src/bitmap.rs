@@ -28,17 +28,6 @@ impl Bitmap {
         b
     }
 
-    /// Build from a boolean slice.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut b = Self::new(bits.len());
-        for (i, &v) in bits.iter().enumerate() {
-            if v {
-                b.set(i, true);
-            }
-        }
-        b
-    }
-
     /// Build from a predicate over element indices.
     pub fn from_fn(len: usize, mut pred: impl FnMut(usize) -> bool) -> Self {
         let mut b = Self::new(len);
@@ -98,22 +87,6 @@ impl Bitmap {
         }
     }
 
-    /// Element-wise OR with another bitmap of the same length.
-    pub fn or_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Element-wise AND with another bitmap of the same length.
-    pub fn and_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Indices whose bits differ from `other`.
     pub fn diff_indices(&self, other: &Bitmap) -> Vec<usize> {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
@@ -166,20 +139,6 @@ mod tests {
         let b = Bitmap::full(77);
         assert_eq!(b.count_ones(), 77);
         assert_eq!(b.uncritical_rate(), 0.0);
-    }
-
-    #[test]
-    fn or_and_combinators() {
-        let a = Bitmap::from_fn(64, |i| i % 2 == 0);
-        let b = Bitmap::from_fn(64, |i| i % 3 == 0);
-        let mut or = a.clone();
-        or.or_with(&b);
-        let mut and = a.clone();
-        and.and_with(&b);
-        for i in 0..64 {
-            assert_eq!(or.get(i), i % 2 == 0 || i % 3 == 0);
-            assert_eq!(and.get(i), i % 6 == 0);
-        }
     }
 
     #[test]

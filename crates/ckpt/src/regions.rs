@@ -96,8 +96,10 @@ impl Regions {
         Regions { runs }
     }
 
-    /// Expand back to a bitmap of `total` elements.
-    pub fn to_bitmap(&self, total: usize) -> Bitmap {
+    /// Expand back to a bitmap of `total` elements (the inverse
+    /// [`Regions::from_bitmap`] is tested against).
+    #[cfg(test)]
+    pub(crate) fn to_bitmap(&self, total: usize) -> Bitmap {
         let mut b = Bitmap::new(total);
         for r in &self.runs {
             for i in r.start..r.end {

@@ -25,6 +25,8 @@ pub fn format_table1(specs: &[AppSpec]) -> String {
 pub struct Table2Row {
     /// `Benchmark(variable)` label, e.g. `BT(u)`.
     pub label: String,
+    /// Name of the variable the row was built from, e.g. `u`.
+    pub var: String,
     /// Uncritical element count.
     pub uncritical: usize,
     /// Total element count.
@@ -47,6 +49,7 @@ pub fn table2_rows(report: &AnalysisReport) -> Vec<Table2Row> {
         .filter(|v| v.spec.dtype != scrutiny_ckpt::DType::I64 && v.total() > 1)
         .map(|v| Table2Row {
             label: format!("{}({})", report.app.name, v.spec.name),
+            var: v.spec.name.clone(),
             uncritical: v.uncritical(),
             total: v.total(),
         })

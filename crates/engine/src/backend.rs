@@ -57,11 +57,6 @@ impl ShardedBackend {
         Ok(ShardedBackend { children })
     }
 
-    /// Number of child backends in the stripe.
-    pub fn child_count(&self) -> usize {
-        self.children.len()
-    }
-
     fn route(&self, name: &str) -> &dyn StorageBackend {
         // Classify within whatever namespace the object lives in, so a
         // tenant's data shards stripe by index exactly like the default

@@ -254,26 +254,12 @@ impl RecoveryManager {
     /// present, parallel image reconstruction with every CRC checked,
     /// auxiliary file read, and the pair parsed through
     /// [`Checkpoint::from_bytes`]. No fallback — the typed error says
-    /// exactly what is wrong with *this* version. (Lists the backend
-    /// once to find the commit markers; a scan over many candidates
-    /// should go through [`RecoveryManager::recover_latest`], which
-    /// shares one listing across the whole walk.)
-    pub fn restore_version(
-        &self,
-        version: u64,
-    ) -> Result<(Vec<u8>, Vec<u8>, Checkpoint, RestoreStats), CkptError> {
-        let listing = self.backend.list()?;
-        let (_, committed) = Self::scan_listing(&listing);
-        let reads = ScanReads::new(self.backend.as_ref(), &listing);
-        self.restore_committed(version, &committed, &reads)
-    }
-
-    /// [`RecoveryManager::restore_version`] against an already-derived
-    /// committed set (one [`RecoveryManager::scan_listing`] pass serves
-    /// a whole scan). Cheap checks run first: the commit marker and the
-    /// small auxiliary file reject a broken candidate before any shard
-    /// is fetched or hashed. Every read goes through `reads`, the scan's
-    /// view of the backend.
+    /// exactly what is wrong with *this* version. `committed` is the
+    /// already-derived committed set (one [`RecoveryManager::scan_listing`]
+    /// pass serves a whole scan). Cheap checks run first: the commit
+    /// marker and the small auxiliary file reject a broken candidate
+    /// before any shard is fetched or hashed. Every read goes through
+    /// `reads`, the scan's view of the backend.
     fn restore_committed(
         &self,
         version: u64,

@@ -12,8 +12,8 @@
 //! then implicit block-tridiagonal line solves (5×5 blocks, forward
 //! elimination + back substitution) along x, y, z, then `add`. Our
 //! implicit Jacobian blocks are state-independent diagonally-dominant
-//! approximations (DESIGN.md §4), so the factorization is literal and
-//! only right-hand sides carry tape values.
+//! approximations (`docs/PAPER_MAPPING.md`, "Table II"), so the
+//! factorization is literal and only right-hand sides carry tape values.
 
 use crate::common::Arr4;
 use crate::pde::{

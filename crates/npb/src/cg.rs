@@ -194,13 +194,6 @@ impl ScrutinyApp for Cg {
     }
 }
 
-/// Reference eigen-estimate by plain power iteration on `A⁻¹`-free CG —
-/// used by tests to sanity-check that `zeta` approaches `shift + 1/λ`.
-pub fn zeta_reference(cg: &Cg) -> f64 {
-    let mut site = scrutiny_core::site::NoopSite;
-    cg.run_f64(&mut site).output
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

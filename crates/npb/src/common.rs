@@ -29,14 +29,6 @@ impl Randlc {
         }
     }
 
-    /// Generator with an explicit multiplier (both mod 2^46).
-    pub fn with_multiplier(seed: u64, a: u64) -> Self {
-        Randlc {
-            x: seed & M46,
-            a: a & M46,
-        }
-    }
-
     /// Next uniform deviate in (0, 1).
     #[inline]
     #[allow(clippy::should_implement_trait)]
@@ -286,8 +278,9 @@ impl SparseMatrix {
         }
     }
 
-    /// Symmetry check (testing aid).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    /// Symmetry check, validating [`SparseMatrix::random_spd`].
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
             for k in self.rowptr[i]..self.rowptr[i + 1] {
                 let j = self.col[k] as usize;

@@ -12,7 +12,8 @@
 //! paper's reasoning for `key_array`/`passed_verification`/`iteration`
 //! and *refines* it for `bucket_ptrs`, which `rank()` recomputes from
 //! scratch every iteration (prefix sums written before any read) — dead
-//! state at every checkpoint boundary. See EXPERIMENTS.md.
+//! state at every checkpoint boundary. See `docs/PAPER_MAPPING.md`,
+//! "Table II" (deviations).
 
 use crate::common::Randlc;
 

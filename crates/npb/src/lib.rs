@@ -8,8 +8,8 @@
 //! The ports keep NPB's **state layout, loop bounds and element access
 //! patterns** exactly (that is what the paper's results are functions of)
 //! while replacing NPB's physics constants by unconditionally stable
-//! equivalents; see DESIGN.md §1 and §4 for the substitution argument and
-//! per-benchmark notes.
+//! equivalents; see `docs/PAPER_MAPPING.md`, "Table II", for the
+//! substitution argument, and each port's module docs for its notes.
 
 // The ports keep NPB's explicit index loops so element access patterns match
 // what the paper's criticality results are functions of; don't suggest

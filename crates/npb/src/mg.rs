@@ -16,7 +16,8 @@
 //!   whose stencil covers fine indices `0..=32` per dimension ⇒
 //!   33³ = 35937 critical, 10543 uncritical (Table II), appearing as the
 //!   period-34 repetitive pattern of Fig. 5. The running text's 10479 is
-//!   inconsistent with the paper's own table; see EXPERIMENTS.md.
+//!   inconsistent with the paper's own table; see
+//!   `docs/PAPER_MAPPING.md`, "Table II" (deviations).
 
 use crate::common::Randlc;
 use scrutiny_ad::{Adj, Real};
@@ -104,12 +105,6 @@ impl Mg {
     /// Total flat array length (u and r).
     pub fn total_elems(&self) -> usize {
         self.total
-    }
-
-    /// Finest-level element count (the expected critical block of `u`).
-    pub fn finest_elems(&self) -> usize {
-        let n = self.m[self.lt];
-        n * n * n
     }
 
     /// NPB's `zran3` analogue: ±1 charges at pseudo-random interior cells.
@@ -501,7 +496,6 @@ mod tests {
         assert_eq!(mg.ir[5], 0);
         assert_eq!(mg.ir[4], 34 * 34 * 34);
         assert_eq!(mg.total_elems(), 46_480);
-        assert_eq!(mg.finest_elems(), 39_304);
     }
 
     #[test]

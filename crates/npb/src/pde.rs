@@ -74,9 +74,10 @@ pub fn blend_init<R: Real>(u: &mut Arr4<R>, exact: &ExactSolution) {
     // solution *bitwise*; then the squared error of corner/edge cells is
     // exactly zero and its first derivative vanishes, so an AD analysis
     // would see them as zero-gradient despite being read — an unsafe
-    // artifact (see DESIGN.md §4). We offset the boundary data by a small
-    // smooth field so every read element has a robustly non-zero impact,
-    // matching the clean Fig. 3 pattern the paper reports.
+    // artifact (see docs/PAPER_MAPPING.md, "Table II"). We offset the
+    // boundary data by a small smooth field so every read element has a
+    // robustly non-zero impact, matching the clean Fig. 3 pattern the
+    // paper reports.
     for k in 0..GP {
         let z = ExactSolution::coord(k);
         for j in 0..GP {
@@ -245,7 +246,8 @@ pub fn mat5_apply<R: Real>(m: &Mat5, x: &[R; NCOMP]) -> [R; NCOMP] {
 /// Constant-block tridiagonal line solver: factorizes
 /// `tri(A, D, C)` of a given length once (f64), then solves for
 /// differentiable right-hand sides. This is BT's x/y/z line solve with
-/// state-independent Jacobian blocks (see DESIGN.md §4).
+/// state-independent Jacobian blocks (see `docs/PAPER_MAPPING.md`,
+/// "Table II").
 #[derive(Clone, Debug)]
 pub struct BlockTriSolver {
     /// `D̃_l⁻¹` after forward elimination.

@@ -1,9 +1,8 @@
 //! A minimal JSON value model, parser and encoder.
 //!
 //! The workspace is std-only (no serde), yet the observability layer must
-//! round-trip its snapshots through JSONL and the bench harnesses must
-//! write `BENCH_<name>.json` summaries. This module is the smallest JSON
-//! subset that supports those uses:
+//! round-trip its snapshots through JSONL and validate logs it did not
+//! write. This module is the smallest JSON subset that supports that:
 //!
 //! * Integers are kept exact: a non-negative integer literal parses to
 //!   [`Json::U64`], a negative one to [`Json::I64`]. Anything with a
@@ -13,6 +12,9 @@
 //!   [`encode`] maps them to `null`.
 //! * Object key order is preserved (objects are `Vec<(String, Json)>`),
 //!   so encode ∘ parse is the identity on well-formed input.
+//! * Input is hostile: arrays and objects nest at most 64 deep, so the
+//!   recursive parser's stack is bounded by a constant, not by the input;
+//!   a deeper document is a [`JsonError`] at the offending bracket.
 
 use std::fmt::Write as _;
 
@@ -115,11 +117,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document, requiring it to span the whole input.
+/// Deepest array/object nesting [`parse`] accepts (the JSONL schema
+/// nests three deep).
+const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document, requiring it to span the whole input and
+/// to nest no deeper than 64 arrays/objects.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
@@ -210,12 +217,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// `depth` is the number of arrays/objects already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, &format!("nesting deeper than {MAX_DEPTH}")))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -326,7 +337,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -335,7 +346,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -348,7 +359,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -367,7 +378,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(err(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -423,6 +434,22 @@ mod tests {
         assert!(parse("[1,2").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_constant_not_by_the_input() {
+        // Two million open brackets used to cost two million stack frames.
+        for unit in ["[", "{\"a\":"] {
+            let e = parse(&unit.repeat(2_000_000)).unwrap_err();
+            assert_eq!(e.offset, MAX_DEPTH * unit.len(), "{e}");
+            assert!(e.message.contains("nesting"), "{e}");
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().offset, MAX_DEPTH);
+        // The deepest record the schema emits (a histogram's bucket pairs).
+        let hist = r#"{"type":"histogram","name":"h","buckets":[[0,2],[3,1]]}"#;
+        assert_eq!(encode(&parse(hist).unwrap()), hist);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!
 //! [`Recorder::snapshot`] freezes everything into a [`Snapshot`],
 //! exportable as JSONL ([`Snapshot::to_jsonl`], round-tripped by
-//! [`Snapshot::from_jsonl`]), as one JSON object for bench summaries
-//! ([`Snapshot::to_json`]), or as a one-page text exposition
+//! [`Snapshot::from_jsonl`]) or as a one-page text exposition
 //! ([`Snapshot::render_text`]). [`schema::validate_jsonl`] (and the
 //! `obs-schema-check` binary) enforce the documented JSONL schema in CI.
 //!

@@ -286,5 +286,13 @@ mod tests {
         // Bad name.
         let text = "{\"type\":\"meta\",\"version\":1,\"dropped_events\":0}\n{\"type\":\"counter\",\"name\":\"BAD NAME\",\"value\":0}\n";
         assert!(validate_jsonl(text).is_err());
+        // Hostile nesting is a violation naming its line, not a stack overflow.
+        let text = format!(
+            "{{\"type\":\"meta\",\"version\":1,\"dropped_events\":0}}\n{}\n",
+            "[".repeat(2_000_000)
+        );
+        let err = validate_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

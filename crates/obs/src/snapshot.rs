@@ -1,6 +1,5 @@
 //! Point-in-time snapshots of a [`crate::Recorder`] and their exports:
-//! JSONL event logs, a single-object JSON form (bench summaries), and a
-//! one-page text exposition.
+//! JSONL event logs and a one-page text exposition.
 //!
 //! The JSONL schema is documented in `docs/OBSERVABILITY.md` and enforced
 //! by [`crate::schema::validate_jsonl`]; [`Snapshot::from_jsonl`] is its
@@ -289,63 +288,6 @@ impl Snapshot {
         file.write_all(self.to_jsonl().as_bytes())
     }
 
-    // ----- single-object JSON (bench summaries) ----------------------
-
-    /// Encodes the snapshot as one JSON object (`BENCH_<name>.json` form):
-    /// `{"meta":…,"counters":{…},"gauges":{…},"histograms":{…},"events":[…]}`.
-    pub fn to_json(&self, extra_meta: &[(&str, FieldValue)]) -> String {
-        let mut meta = vec![
-            ("jsonl_version".to_string(), Json::U64(JSONL_VERSION)),
-            ("dropped_events".to_string(), Json::U64(self.dropped_events)),
-        ];
-        for (k, v) in extra_meta {
-            meta.push((k.to_string(), field_to_json(v)));
-        }
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::U64(*v)))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    if *v >= 0 {
-                        Json::U64(*v as u64)
-                    } else {
-                        Json::I64(*v)
-                    },
-                )
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::U64(h.count)),
-                        ("sum".into(), Json::U64(h.sum)),
-                        ("min".into(), Json::U64(h.min)),
-                        ("max".into(), Json::U64(h.max)),
-                        ("mean".into(), Json::F64(h.mean())),
-                    ]),
-                )
-            })
-            .collect();
-        let events = self.events.iter().map(event_to_json).collect();
-        encode(&Json::Obj(vec![
-            ("meta".into(), Json::Obj(meta)),
-            ("counters".into(), Json::Obj(counters)),
-            ("gauges".into(), Json::Obj(gauges)),
-            ("histograms".into(), Json::Obj(histograms)),
-            ("events".into(), Json::Arr(events)),
-        ]))
-    }
-
     // ----- text exposition -------------------------------------------
 
     /// Renders a one-page human-readable summary: counters, gauges,
@@ -571,24 +513,11 @@ mod tests {
     }
 
     #[test]
-    fn to_json_is_parseable_single_object() {
-        let snap = sample();
-        let text = snap.to_json(&[("bench", FieldValue::Str("demo".into()))]);
-        let obj = parse(&text).unwrap();
-        assert_eq!(
-            obj.get("meta")
-                .and_then(|m| m.get("bench"))
-                .and_then(Json::as_str),
-            Some("demo")
-        );
-        assert!(obj.get("counters").is_some());
-        assert!(obj.get("events").and_then(Json::as_arr).is_some());
-    }
-
-    #[test]
     fn from_jsonl_rejects_garbage() {
         assert!(Snapshot::from_jsonl("{\"type\":\"nope\"}").is_err());
         assert!(Snapshot::from_jsonl("not json").is_err());
         assert!(Snapshot::from_jsonl("{\"type\":\"counter\",\"name\":\"x\"}").is_err());
+        let deep = format!("{{\"type\":\"event\",\"fields\":{}", "[".repeat(2_000_000));
+        assert!(Snapshot::from_jsonl(&deep).is_err());
     }
 }

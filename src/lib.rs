@@ -54,7 +54,7 @@ pub use scrutinyd as daemon;
 /// ASCII/PGM/SVG visualization of criticality distributions.
 pub use scrutiny_viz as viz;
 
-/// Experiment harness: paper-expectation tables used by benches and bins.
+/// Experiment harness: the paper-expectation tables the artifact binaries and tests check against.
 pub use scrutiny_bench as bench;
 
 /// Host crate for the repo-root integration suites.

@@ -6,7 +6,9 @@
 //! the cited file must have that line, and when the anchor names a symbol
 //! the line must mention the symbol's last `::` segment. A stale anchor
 //! fails with the line(s) where the symbol is defined now, so the fix is
-//! to copy a number.
+//! to copy a number. A span that is a bare path (`dir/…/file.rs`, also
+//! `.md`, `.yml`, `.toml`, `.json`) must name a file in the tree, so a
+//! deleted or moved file cannot leave its citations behind.
 
 use std::fs;
 use std::path::Path;
@@ -27,6 +29,16 @@ fn as_anchor(span: &str) -> Option<(&str, usize)> {
         return None;
     }
     Some((path, line.parse().ok()?))
+}
+
+/// `span` cites one file by its path from the repo root: it contains a `/`,
+/// ends in a source or document extension, and is no glob, brace set,
+/// elision or command line.
+fn is_bare_path(span: &str) -> bool {
+    const EXTENSIONS: [&str; 5] = [".rs", ".md", ".yml", ".toml", ".json"];
+    span.contains('/')
+        && EXTENSIONS.iter().any(|e| span.ends_with(e))
+        && !span.contains(['*', '{', '…', ' ', '\n'])
 }
 
 /// The identifier a symbol span is looked up by: the last `::` segment
@@ -94,7 +106,16 @@ fn every_file_line_anchor_in_the_docs_points_at_the_symbol_it_names() {
         for (i, part) in parts.iter().enumerate() {
             let at_line = doc_line;
             doc_line += part.matches('\n').count();
-            let Some((path, line)) = (i % 2 == 1).then(|| as_anchor(part)).flatten() else {
+            if i % 2 == 0 {
+                continue;
+            }
+            let Some((path, line)) = as_anchor(part) else {
+                if is_bare_path(part) {
+                    checked += 1;
+                    if !root.join(part).is_file() {
+                        stale.push(format!("{doc_name}:{at_line}: `{part}`: no such file"));
+                    }
+                }
                 continue;
             };
             checked += 1;
