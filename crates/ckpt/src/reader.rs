@@ -179,16 +179,32 @@ impl<'a> Cursor<'a> {
 fn read_runs(c: &mut Cursor) -> Result<Regions, CkptError> {
     let n = c.u64()?;
     let n = c.count(n, 16)?;
-    let mut runs = Vec::with_capacity(n);
+    let mut runs: Vec<Region> = Vec::with_capacity(n);
     for _ in 0..n {
         let start = c.u64()?;
         let end = c.u64()?;
         if end <= start {
             return Err(CkptError::Corrupt(format!("empty region [{start},{end})")));
         }
+        // `Regions::from_runs` asserts what a hostile file may break.
+        if runs.last().is_some_and(|prev| start <= prev.end) {
+            return Err(CkptError::Corrupt(format!(
+                "region [{start},{end}) is unsorted, overlapping or touching its predecessor"
+            )));
+        }
         runs.push(Region { start, end });
     }
     Ok(Regions::from_runs(runs))
+}
+
+/// One past the last element `plan`'s region tables name (0 for `Full`).
+fn plan_end(plan: &VarPlan) -> u64 {
+    let end = |r: &Regions| r.runs().last().map_or(0, |r| r.end);
+    match plan {
+        VarPlan::Full => 0,
+        VarPlan::Pruned(r) => end(r),
+        VarPlan::Tiered { hi, lo } => end(hi).max(end(lo)),
+    }
 }
 
 impl Checkpoint {
@@ -247,6 +263,12 @@ impl Checkpoint {
             let dtype = DType::from_tag(c.u8()?)?;
             let mode = c.u8()?;
             let total = c.u64()?;
+            let end = plan_end(&plan);
+            if end > total {
+                return Err(CkptError::Corrupt(format!(
+                    "{name:?}: a region ends at {end}, past its {total} elements"
+                )));
+            }
             let mut stored = Vec::new();
             let mut stored_i = Vec::new();
             match mode {

@@ -1,7 +1,7 @@
 //! The checkpoint reader: CRC-verifying, parallel at `threads > 1`.
 //!
-//! The write path is scale-out (the async engine serializes shards on a
-//! worker pool); this module is its read-side mirror, because the
+//! The write path is scale-out (the async engine serializes shards on
+//! [`run_jobs`]); this module is its read-side mirror, because the
 //! paper's whole value proposition is cheap *restart* (§IV.C): a
 //! scrutinized checkpoint only matters if getting it back into memory is
 //! fast and trustworthy. [`read_data_image_parallel`] is the **one**
@@ -15,8 +15,8 @@
 //!   container (under a `ckpt.decompress` span) — the only decompress
 //!   point on the read path;
 //! * data shards are fetched **and checked against their manifest entry**
-//!   one job per shard on a bounded thread pool (mirroring the write-side
-//!   worker pool), then concatenated in manifest order;
+//!   one job per shard on the same bounded runner the engine's shard
+//!   serialization uses, then concatenated in manifest order;
 //! * delta-chain links are envelope-verified (magic + CRC trailer)
 //!   concurrently with each other and with the shard jobs of a sharded
 //!   base (a monolithic base's bytes necessarily arrive during
@@ -42,7 +42,6 @@
 use crate::delta::{apply_delta_verified, check_delta, walk_chain, ChainBase};
 use crate::format::CkptError;
 use crate::names;
-use crate::shard::ShardManifest;
 use scrutiny_obs::{span, Recorder, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -109,17 +108,6 @@ fn resolve_threads(requested: usize, jobs: usize) -> usize {
     cap.min(jobs).max(1)
 }
 
-/// One unit of parallel work: fetch+verify a shard, or verify an
-/// already-fetched delta link.
-enum Job<'a> {
-    Shard {
-        version: u64,
-        manifest: &'a ShardManifest,
-        idx: usize,
-    },
-    Delta(&'a [u8]),
-}
-
 /// Reconstruct the data-file image of checkpoint `version` through
 /// `fetch`, using up to [`RestoreOptions::threads`] workers to fetch and
 /// CRC-verify shards and delta links concurrently; the stats say what the
@@ -168,41 +156,30 @@ where
     let (base, deltas) = walk_chain(version, fetch)?;
 
     // --- Phase 2: fan out the expensive work — shard fetches and CRC
-    // passes — across the pool, first failure wins.
-    let mut jobs: Vec<Job> = Vec::new();
-    if let ChainBase::Sharded { version, manifest } = &base {
-        jobs.extend((0..manifest.shard_count()).map(|idx| Job::Shard {
-            version: *version,
-            manifest,
-            idx,
-        }));
-    }
-    let base_shards = jobs.len();
-    jobs.extend(deltas.iter().map(|delta| Job::Delta(delta)));
-    let threads = resolve_threads(opts.threads, jobs.len().max(1));
-
-    let shard_bytes: Vec<Mutex<Option<Vec<u8>>>> =
-        (0..base_shards).map(|_| Mutex::new(None)).collect();
-    run_jobs(&jobs, threads, &fetch, &shard_bytes)?;
+    // passes — across the pool, first failure wins. Job `i` below
+    // `base_shards` fetches shard `i`; the rest verify one delta link each.
+    let base_shards = match &base {
+        ChainBase::Sharded { manifest, .. } => manifest.shard_count(),
+        ChainBase::Monolithic(_) => 0,
+    };
+    let jobs = base_shards + deltas.len();
+    let threads = resolve_threads(opts.threads, jobs.max(1));
+    let shards = run_jobs(jobs, threads, |i| match &base {
+        ChainBase::Sharded { version, manifest } if i < base_shards => {
+            let bytes = fetch(&names::shard(*version, i))?;
+            manifest.check_shard(i, &bytes)?;
+            Ok(Some(bytes))
+        }
+        _ => check_delta(&deltas[i - base_shards]).map(|()| None),
+    })?;
 
     // --- Phase 3: assemble: verified shards concatenated in manifest
     // order, then deltas replayed oldest-first.
     let mut image = match base {
         ChainBase::Monolithic(data) => data,
-        ChainBase::Sharded { manifest, .. } => {
-            // Every shard matched its manifest length, so `total_len` is
-            // the bytes in hand, not a number a file merely claims.
-            let mut out = Vec::with_capacity(manifest.total_len as usize);
-            for slot in &shard_bytes {
-                out.extend_from_slice(
-                    slot.lock()
-                        .unwrap()
-                        .as_ref()
-                        .expect("run_jobs succeeded, every shard slot is filled"),
-                );
-            }
-            out
-        }
+        // Every shard matched its manifest length, so the concatenation is
+        // the bytes in hand, not a number a file merely claims.
+        ChainBase::Sharded { .. } => shards.into_iter().flatten().collect::<Vec<_>>().concat(),
     };
     for delta in deltas.iter().rev() {
         image = apply_delta_verified(&image, delta)?;
@@ -227,62 +204,58 @@ where
     Ok((image, stats))
 }
 
-/// Run `jobs` on `threads` workers: each worker claims the next job from
-/// a shared counter, so a slow shard does not leave siblings idle. A
-/// failed job flags the first error and the rest of the pool winds down.
-/// One worker runs the jobs in order on the calling thread.
-fn run_jobs<F>(
-    jobs: &[Job],
-    threads: usize,
-    fetch: &F,
-    shard_bytes: &[Mutex<Option<Vec<u8>>>],
-) -> Result<(), CkptError>
+/// Run jobs `0..n` on up to `threads` threads — the caller and
+/// `threads - 1` helpers — and return their results in job order. Each
+/// thread claims the next job from a shared counter, so a slow job does
+/// not leave its siblings idle; a failed job stops the claiming and its
+/// error is returned, and a panicking job panics the caller with its own
+/// payload. At one thread the jobs run in order on the calling thread.
+/// The restore pipeline and the checkpoint engine's shard serialization
+/// share this one pool.
+pub fn run_jobs<T, E, F>(n: usize, threads: usize, job: F) -> Result<Vec<T>, E>
 where
-    F: Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let run_one = |job: &Job| -> Result<(), CkptError> {
-        match *job {
-            Job::Shard {
-                version,
-                manifest,
-                idx,
-            } => {
-                let bytes = fetch(&names::shard(version, idx))?;
-                manifest.check_shard(idx, &bytes)?;
-                *shard_bytes[idx].lock().unwrap() = Some(bytes);
-                Ok(())
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let first_err: Mutex<Option<E>> = Mutex::new(None);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n || first_err.lock().unwrap().is_some() {
+                return done;
             }
-            Job::Delta(delta) => check_delta(delta),
+            match job(i) {
+                Ok(t) => done.push((i, t)),
+                Err(e) => {
+                    first_err.lock().unwrap().get_or_insert(e);
+                    return done;
+                }
+            }
         }
     };
-
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().try_for_each(run_one);
-    }
-
-    let next = AtomicUsize::new(0);
-    let first_err: Mutex<Option<CkptError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() || first_err.lock().unwrap().is_some() {
-                    return;
-                }
-                if let Err(e) = run_one(&jobs[i]) {
-                    let mut slot = first_err.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    return;
-                }
-            });
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(n)).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
         }
+        done
     });
-    match first_err.into_inner().unwrap() {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let Some(e) = first_err.into_inner().unwrap() {
+        return Err(e);
     }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    Ok(done.into_iter().map(|(_, t)| t).collect())
 }
 
 #[cfg(test)]
@@ -359,6 +332,28 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn run_jobs_keeps_job_order_the_error_and_the_panic_payload() {
+        for threads in [1usize, 3] {
+            let squares = run_jobs(10, threads, |i| Ok::<_, String>(i * i)).unwrap();
+            assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+            let failed = run_jobs(10, threads, |i| match i {
+                7 => Err(format!("job {i}")),
+                _ => Ok(i),
+            });
+            assert_eq!(failed, Err("job 7".to_string()));
+            let panic = std::panic::catch_unwind(|| {
+                run_jobs(10, threads, |i| {
+                    assert_ne!(i, 4, "job four");
+                    Ok::<_, String>(i)
+                })
+            })
+            .unwrap_err();
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("job four"), "{threads} threads: {msg}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Storage backends for the worker pool.
+//! Storage backends for the engine's publisher.
 //!
 //! The object-store seam itself — [`StorageBackend`], [`DirBackend`],
 //! [`MemBackend`], and the version-level [`list_versions`],

@@ -1,36 +1,39 @@
-//! The asynchronous checkpoint engine: a bounded worker pool that takes a
-//! staged snapshot off the compute thread, serializes it in shards, and
-//! publishes it through a [`StorageBackend`].
+//! The asynchronous checkpoint engine: one publisher thread takes staged
+//! snapshots off the compute thread, serializes each in shards, and
+//! publishes it through a [`StorageBackend`] — in version order.
 //!
 //! Lifecycle of one submission:
 //!
-//! 1. `submit` acquires a staging slot (double-buffered by default),
-//!    memcpys the variables into an owned [`Snapshot`], plans the shard
-//!    split, enqueues one task per shard on the bounded queue, and
-//!    returns a [`Ticket`] — the compute thread resumes immediately.
-//! 2. Workers pop shard tasks and serialize their segments concurrently,
-//!    so one large array does not serialize on a single core.
-//! 3. The worker that finishes the *last* shard of a submission seals the
-//!    segments into one image ([`seal_image`]) unless the layout stores
-//!    them apart, serializes the tiny auxiliary file, hands the epoch to
-//!    the one publisher ([`scrutiny_ckpt::delta::publish_epoch`] — commit
-//!    marker last, in every layout; it seals a sharded epoch and builds
-//!    its manifest), applies retention, records the result, and frees the
-//!    staging slot.
-//! 4. `wait(ticket)` / `drain()` deliver the [`StorageBreakdown`] — or
-//!    the worker's failure — back on the compute thread.
+//! 1. `submit` acquires a staging slot (`queue_depth` of them, two by
+//!    default: double buffering), memcpys the variables into an owned
+//!    [`Snapshot`], plans the shard split, and — under the one lock that
+//!    allocates its version — sends it to the publisher, returning a
+//!    [`Ticket`]; the compute thread resumes immediately.
+//! 2. The publisher takes submissions in version order and runs each to
+//!    completion: it serializes the shards on up to `workers` threads
+//!    ([`run_jobs`], the pool the restore pipeline runs on too), seals
+//!    them into one image ([`seal_image`]) unless the layout stores them
+//!    apart, serializes the tiny auxiliary file, hands the epoch to
+//!    [`publish_epoch`] (commit marker last, in every layout; it seals a
+//!    sharded epoch and builds its manifest), applies retention, resolves
+//!    the ticket and frees the staging slot. One epoch publishes after
+//!    another, so a delta always patches the last image that reached the
+//!    backend.
+//! 3. `wait(ticket)` / `drain()` deliver the [`StorageBreakdown`] — or
+//!    the epoch's failure, panics included — back on the compute thread.
 
 use crate::backend::{list_versions, prune_chain_aware, StorageBackend};
 use crate::error::EngineError;
 use crate::snapshot::{Snapshot, StagingGate};
 use scrutiny_ckpt::delta::{publish_epoch, DeltaPolicy, EpochBody};
 use scrutiny_ckpt::names;
+use scrutiny_ckpt::restore::run_jobs;
 use scrutiny_ckpt::shard::{plan_shards_with, seal_image, serialize_shard, ShardPlan};
 use scrutiny_ckpt::{serialize_aux, CodecConfig, StorageBreakdown, VarPlan, VarRecord};
 use scrutiny_obs::{point, span, Counter, Gauge, HistHandle, Recorder};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -38,13 +41,13 @@ use std::thread::JoinHandle;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Layout {
     /// One `ckpt_v.data` object, byte-identical to the blocking writer's
-    /// file (workers still serialize shards in parallel; the finisher
-    /// seals them into one image with [`seal_image`] and no manifest is
-    /// ever computed).
+    /// file (shards still serialize in parallel; the publisher seals them
+    /// into one image with [`seal_image`] and no manifest is ever
+    /// computed). The only layout delta mode accepts.
     Monolithic,
     /// One object per shard plus a manifest — segments stay separate so a
     /// [`crate::backend::ShardedBackend`] can stripe them across tiers.
-    /// The publisher seals them and builds the manifest, the layout's
+    /// [`publish_epoch`] seals them and builds the manifest, the layout's
     /// commit marker.
     Sharded,
 }
@@ -52,12 +55,12 @@ pub enum Layout {
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads serializing and writing (≥ 1).
+    /// Threads serializing one epoch's shards (≥ 1): the publisher thread
+    /// and `workers - 1` helpers.
     pub workers: usize,
-    /// Bounded task-queue depth; `submit` applies backpressure beyond it.
+    /// Submissions staged and not yet resolved (≥ 1); `submit` blocks
+    /// beyond it. 2 = double buffering.
     pub queue_depth: usize,
-    /// Staged snapshots allowed in flight (2 = double buffering).
-    pub max_staged: usize,
     /// Shard-split target per submission (usually = `workers`).
     pub target_shards: usize,
     /// Storage layout for published checkpoints.
@@ -70,9 +73,9 @@ pub struct EngineConfig {
     /// the first epoch after `open` is a full base, later epochs store
     /// only the dirty pages of the serialized (AD-pruned) data file, and
     /// the chain rebases to a fresh full checkpoint every
-    /// `rebase_every` deltas. Page diffing runs in the worker pool — the
-    /// compute thread still pays only the staging memcpy. Bases are
-    /// published monolithically; `layout` is ignored in delta mode.
+    /// `rebase_every` deltas. Page diffing runs on the publisher thread —
+    /// the compute thread still pays only the staging memcpy. Bases are
+    /// one image, so `open` rejects delta mode with [`Layout::Sharded`].
     pub delta: Option<DeltaPolicy>,
     /// Storage codec (see [`scrutiny_ckpt::compress`]): the lo-tier
     /// element codec applied during shard serialization, and the
@@ -98,8 +101,7 @@ impl Default for EngineConfig {
             .unwrap_or(2);
         EngineConfig {
             workers,
-            queue_depth: 4 * workers,
-            max_staged: 2,
+            queue_depth: 2,
             target_shards: workers,
             layout: Layout::Monolithic,
             keep: None,
@@ -115,7 +117,6 @@ impl Default for EngineConfig {
 /// once.
 #[derive(Debug)]
 pub struct Ticket {
-    id: u64,
     version: u64,
 }
 
@@ -126,109 +127,30 @@ impl Ticket {
     }
 }
 
-/// One serialized shard: `(bytes, payload_bytes)`.
-type Segment = (Vec<u8>, usize);
-
 struct Submission {
-    id: u64,
     version: u64,
     snapshot: Snapshot,
     plan: ShardPlan,
-    /// Per-shard `(bytes, payload_bytes)`, filled by workers.
-    segments: Mutex<Vec<Option<Segment>>>,
-    remaining: AtomicUsize,
-    /// Set by the first `resolve` for this submission. Guards against a
-    /// second failing shard resolving again after `wait` already drained
-    /// the first result from the `done` map (which would underflow
-    /// `pending` and over-release the staging gate).
-    resolved: AtomicBool,
 }
 
-struct Task {
-    sub: Arc<Submission>,
-    shard: usize,
-}
-
-struct QueueState {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-struct ResultsState {
-    /// Tickets issued and not yet redeemed by `wait`/`drain`.
-    outstanding: HashSet<u64>,
-    /// Resolved `(version, result)` pairs awaiting redemption.
-    done: HashMap<u64, (u64, Result<StorageBreakdown, EngineError>)>,
-    /// Submissions not yet resolved (outstanding minus done).
-    pending: usize,
-    next_id: u64,
-}
-
-/// Delta-chain bookkeeping (present only when `cfg.delta` is set).
-///
-/// Deltas are diffs against the *previous published epoch*, so publishes
-/// must happen in version order even though shard serialization is
-/// concurrent. `turn` is a version-ordered turnstile: a finisher waits
-/// until every older version has **resolved** (published or failed), so a
-/// failed epoch never wedges the chain — the next delta simply patches
-/// the last image that actually reached the backend.
-struct Chain {
-    state: Mutex<ChainState>,
-    cv: Condvar,
-}
-
-struct ChainState {
-    /// Every version below this has resolved.
-    turn: u64,
-    /// Resolved versions at or above `turn` (out-of-order failures).
-    resolved: BTreeSet<u64>,
-    /// Last successfully published data-file image and its version — the
-    /// parent of the next delta.
-    prev: Option<(u64, Vec<u8>)>,
-    /// Consecutive delta epochs since the last full base.
-    deltas_since_base: usize,
-    /// Parent of every live delta published since `open` — handed to
-    /// [`prune_chain_aware`] so retention does not fetch a delta to
-    /// learn what its publisher knew.
-    parents: BTreeMap<u64, u64>,
-}
-
-impl Chain {
-    fn new(turn: u64) -> Self {
-        Chain {
-            state: Mutex::new(ChainState {
-                turn,
-                resolved: BTreeSet::new(),
-                prev: None,
-                deltas_since_base: 0,
-                parents: BTreeMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Mark `version` resolved and advance the turnstile past every
-    /// consecutively resolved version. Called from `Shared::resolve` —
-    /// the one point every submission passes exactly once.
-    fn mark_resolved(&self, version: u64) {
-        let mut s = self.state.lock().unwrap();
-        s.resolved.insert(version);
-        loop {
-            let turn = s.turn;
-            if !s.resolved.remove(&turn) {
-                break;
-            }
-            s.turn += 1;
-        }
-        drop(s);
-        self.cv.notify_all();
-    }
+struct Tickets {
+    /// The version the next submission publishes as.
+    next_version: u64,
+    /// The publisher's inbox; `None` once the handle drops. Every send
+    /// happens under the lock that allocated its version, so the
+    /// publisher receives submissions in version order.
+    inbox: Option<Sender<Submission>>,
+    /// Versions submitted and not yet resolved.
+    pending: HashSet<u64>,
+    /// Resolved results awaiting redemption, by version.
+    done: HashMap<u64, Result<StorageBreakdown, EngineError>>,
 }
 
 /// Pre-resolved obs handles for the engine's hot paths: one registry
 /// lookup at `open`, then a relaxed atomic per update.
 struct EngineObs {
     rec: Recorder,
+    /// Submissions sent and not yet taken by the publisher.
     queue_depth: Gauge,
     inflight: Gauge,
     submit_us: HistHandle,
@@ -266,36 +188,17 @@ struct Shared {
     backend: Arc<dyn StorageBackend>,
     cfg: EngineConfig,
     obs: EngineObs,
-    queue: Mutex<QueueState>,
-    /// Workers sleep here waiting for tasks.
-    task_cv: Condvar,
-    /// Submitters sleep here waiting for queue space.
-    space_cv: Condvar,
-    results: Mutex<ResultsState>,
-    results_cv: Condvar,
+    tickets: Mutex<Tickets>,
+    resolved: Condvar,
     gate: StagingGate,
-    next_version: AtomicU64,
-    /// Held across version allocation *and* task enqueueing so queue
-    /// order always matches version order — the delta turnstile relies
-    /// on it (see [`EngineHandle::submit`]). Serializes submitters only;
-    /// workers never take it.
-    submit_order: Mutex<()>,
-    /// Delta-chain turnstile and parent image; `None` unless `cfg.delta`.
-    chain: Option<Chain>,
 }
 
 impl Shared {
-    /// Record the outcome of a submission exactly once and free its
-    /// staging slot. Later calls for the same submission (e.g. the last
-    /// shard finishing after a sibling already failed, or two shards
-    /// failing independently) are no-ops — the guard is the submission's
-    /// own flag, not the `done` map, which `wait` drains concurrently.
-    fn resolve(&self, sub: &Submission, result: Result<StorageBreakdown, EngineError>) {
-        if sub.resolved.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Every submission passes here exactly once: the single place the
-        // published/failed events and the inflight gauge are emitted.
+    /// Record the outcome of version `version` and free its staging slot.
+    /// The publisher calls this exactly once per submission: the single
+    /// place the published/failed events and the inflight gauge are
+    /// emitted.
+    fn resolve(&self, version: u64, result: Result<StorageBreakdown, EngineError>) {
         match &result {
             Ok(bd) => {
                 self.obs.commits.inc();
@@ -303,7 +206,7 @@ impl Shared {
                 point!(
                     self.obs.rec,
                     "engine.published",
-                    version = sub.version,
+                    version = version,
                     payload_bytes = bd.payload_bytes,
                     aux_bytes = bd.aux_bytes,
                     header_bytes = bd.header_bytes,
@@ -315,30 +218,27 @@ impl Shared {
                 point!(
                     self.obs.rec,
                     "engine.publish_failed",
-                    version = sub.version,
+                    version = version,
                     error = e.to_string()
                 );
             }
         }
         {
-            let mut r = self.results.lock().unwrap();
-            r.done.insert(sub.id, (sub.version, result));
-            r.pending -= 1;
-            self.obs.inflight.set(r.pending as i64);
+            let mut t = self.tickets.lock().unwrap();
+            t.pending.remove(&version);
+            t.done.insert(version, result);
+            self.obs.inflight.set(t.pending.len() as i64);
         }
-        self.results_cv.notify_all();
-        if let Some(chain) = &self.chain {
-            chain.mark_resolved(sub.version);
-        }
+        self.resolved.notify_all();
         self.gate.release();
     }
 }
 
-/// Handle to a running engine. Dropping it drains queued work and joins
-/// the workers.
+/// Handle to a running engine. Dropping it lets the publisher finish
+/// every submission already sent, then joins it.
 pub struct EngineHandle {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    publisher: Option<JoinHandle<()>>,
 }
 
 impl EngineHandle {
@@ -351,7 +251,6 @@ impl EngineHandle {
         for (what, v) in [
             ("workers", cfg.workers),
             ("queue_depth", cfg.queue_depth),
-            ("max_staged", cfg.max_staged),
             ("target_shards", cfg.target_shards),
         ] {
             if v == 0 {
@@ -365,41 +264,39 @@ impl EngineHandle {
         }
         if let Some(delta) = &cfg.delta {
             delta.validate()?;
+            if cfg.layout != Layout::Monolithic {
+                return Err(EngineError::InvalidConfig(
+                    "delta chains publish one image per epoch: use Layout::Monolithic".into(),
+                ));
+            }
         }
         cfg.codec.validate()?;
         let next_version = list_versions(backend.as_ref())?.last().map_or(0, |v| v + 1);
+        let (inbox, submissions) = mpsc::channel();
         let shared = Arc::new(Shared {
-            chain: cfg.delta.as_ref().map(|_| Chain::new(next_version)),
             obs: EngineObs::new(cfg.recorder.clone()),
-            cfg: cfg.clone(),
-            backend,
-            queue: Mutex::new(QueueState {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            task_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-            results: Mutex::new(ResultsState {
-                outstanding: HashSet::new(),
+            tickets: Mutex::new(Tickets {
+                next_version,
+                inbox: Some(inbox),
+                pending: HashSet::new(),
                 done: HashMap::new(),
-                pending: 0,
-                next_id: 0,
             }),
-            results_cv: Condvar::new(),
-            gate: StagingGate::new(cfg.max_staged),
-            next_version: AtomicU64::new(next_version),
-            submit_order: Mutex::new(()),
+            resolved: Condvar::new(),
+            gate: StagingGate::new(cfg.queue_depth),
+            cfg,
+            backend,
         });
-        let workers = (0..cfg.workers)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("scrutiny-ckpt-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn checkpoint worker")
-            })
-            .collect();
-        Ok(EngineHandle { shared, workers })
+        let publisher = {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("scrutiny-ckpt-publisher".into())
+                .spawn(move || publish_loop(&shared, submissions))
+                .expect("spawn checkpoint publisher")
+        };
+        Ok(EngineHandle {
+            shared,
+            publisher: Some(publisher),
+        })
     }
 
     /// The backend this engine publishes into.
@@ -413,319 +310,218 @@ impl EngineHandle {
         &self.shared.obs.rec
     }
 
-    /// Stage a copy of `vars`/`plans` and hand it to the worker pool;
-    /// returns as soon as the copy is staged and enqueued. Blocks only
-    /// for backpressure (staging gate full or task queue full).
+    /// Stage a copy of `vars`/`plans` and hand it to the publisher;
+    /// returns as soon as the copy is staged and sent. Blocks only for
+    /// backpressure: `queue_depth` submissions staged and unresolved.
     pub fn submit(&self, vars: &[VarRecord], plans: &[VarPlan]) -> Result<Ticket, EngineError> {
-        self.shared.gate.acquire();
+        let shared = &*self.shared;
+        shared.gate.acquire();
         let snapshot = Snapshot::capture(vars, plans);
-        let obs = &self.shared.obs;
+        let obs = &shared.obs;
         let t0 = obs.rec.is_enabled().then(std::time::Instant::now);
         let plan = match plan_shards_with(
             &snapshot.vars,
             &snapshot.plans,
-            self.shared.cfg.target_shards,
-            self.shared.cfg.codec.lo,
+            shared.cfg.target_shards,
+            shared.cfg.codec.lo,
         ) {
             Ok(p) => p,
             Err(e) => {
-                self.shared.gate.release();
+                shared.gate.release();
                 return Err(e.into());
             }
         };
-        let nshards = plan.shard_count();
-        // Version allocation and task enqueueing must be one atomic step
-        // with respect to other submitters: if submitter B could push its
-        // tasks before submitter A with the older version, a delta-mode
-        // finisher for B would park in the turnstile waiting for A while
-        // A's tasks sit behind B's in the queue — with few workers (or a
-        // full queue) nothing would ever run them. `submit_order` is held
-        // across both, so queue order always equals version order.
-        // Backpressure waits happen while holding it; workers free queue
-        // space without ever taking it, so the wait always makes progress.
-        let _order = self.shared.submit_order.lock().unwrap();
-        let (id, version) = {
-            let mut r = self.shared.results.lock().unwrap();
-            let id = r.next_id;
-            r.next_id += 1;
-            r.outstanding.insert(id);
-            r.pending += 1;
-            obs.inflight.set(r.pending as i64);
-            (id, self.shared.next_version.fetch_add(1, Ordering::Relaxed))
-        };
-        // The submit span covers task enqueueing — including any
-        // backpressure wait on the bounded queue, which is exactly what
-        // an operator wants attributed to the submitting thread.
+        let mut t = shared.tickets.lock().unwrap();
+        let version = t.next_version;
+        t.next_version += 1;
         let submit_span = span!(
             obs.rec,
             "engine.submit",
             version = version,
-            shards = nshards
+            shards = plan.shard_count()
         );
         obs.submissions.inc();
-        let sub = Arc::new(Submission {
-            id,
-            version,
-            snapshot,
-            plan,
-            segments: Mutex::new((0..nshards).map(|_| None).collect()),
-            remaining: AtomicUsize::new(nshards),
-            resolved: AtomicBool::new(false),
-        });
-        let mut q = self.shared.queue.lock().unwrap();
-        for shard in 0..nshards {
-            while q.tasks.len() >= self.shared.cfg.queue_depth {
-                q = self.shared.space_cv.wait(q).unwrap();
-            }
-            q.tasks.push_back(Task {
-                sub: sub.clone(),
-                shard,
-            });
-            self.shared.task_cv.notify_one();
-        }
-        obs.queue_depth.set(q.tasks.len() as i64);
-        drop(q);
+        t.pending.insert(version);
+        obs.inflight.set(t.pending.len() as i64);
+        obs.queue_depth.adjust(1);
+        t.inbox
+            .as_ref()
+            .expect("the inbox lives as long as the handle")
+            .send(Submission {
+                version,
+                snapshot,
+                plan,
+            })
+            .expect("the publisher outlives the handle");
+        drop(t);
         drop(submit_span);
         if let Some(t0) = t0 {
             obs.submit_us.record_duration(t0.elapsed());
         }
-        Ok(Ticket { id, version })
+        Ok(Ticket { version })
     }
 
     /// Block until `ticket`'s submission is durably stored (or failed),
-    /// returning its storage accounting. Worker-side failures — backend
-    /// errors, serialization errors, even worker panics — surface here.
+    /// returning its storage accounting. Publisher-side failures —
+    /// backend errors, serialization errors, even panics — surface here.
     pub fn wait(&self, ticket: Ticket) -> Result<StorageBreakdown, EngineError> {
-        let mut r = self.shared.results.lock().unwrap();
+        let mut t = self.shared.tickets.lock().unwrap();
         loop {
-            if let Some((_version, res)) = r.done.remove(&ticket.id) {
-                r.outstanding.remove(&ticket.id);
+            if let Some(res) = t.done.remove(&ticket.version) {
                 return res;
             }
-            if !r.outstanding.contains(&ticket.id) {
-                return Err(EngineError::UnknownTicket(ticket.id));
+            if !t.pending.contains(&ticket.version) {
+                return Err(EngineError::UnknownTicket(ticket.version));
             }
-            r = self.shared.results_cv.wait(r).unwrap();
+            t = self.shared.resolved.wait(t).unwrap();
         }
     }
 
     /// Block until every outstanding submission resolves; returns
     /// `(version, breakdown)` per unredeemed ticket, oldest first. The
-    /// first worker failure (if any) is returned instead.
+    /// first failure (if any) is returned instead.
     pub fn drain(&self) -> Result<Vec<(u64, StorageBreakdown)>, EngineError> {
-        let mut r = self.shared.results.lock().unwrap();
-        while r.pending > 0 {
-            r = self.shared.results_cv.wait(r).unwrap();
+        let mut t = self.shared.tickets.lock().unwrap();
+        while !t.pending.is_empty() {
+            t = self.shared.resolved.wait(t).unwrap();
         }
-        let mut ids: Vec<u64> = r.done.keys().copied().collect();
-        ids.sort_unstable();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let (version, res) = r.done.remove(&id).expect("id taken from done");
-            r.outstanding.remove(&id);
-            match res {
-                Ok(bd) => out.push((version, bd)),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+        let mut versions: Vec<u64> = t.done.keys().copied().collect();
+        versions.sort_unstable();
+        versions
+            .into_iter()
+            .map(|v| {
+                t.done
+                    .remove(&v)
+                    .expect("taken from done")
+                    .map(|bd| (v, bd))
+            })
+            .collect()
     }
 
     /// Submissions not yet resolved (diagnostic).
     pub fn pending(&self) -> usize {
-        self.shared.results.lock().unwrap().pending
+        self.shared.tickets.lock().unwrap().pending.len()
     }
 }
 
 impl Drop for EngineHandle {
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.shutdown = true;
-        }
-        self.shared.task_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        self.shared.tickets.lock().unwrap().inbox = None;
+        if let Some(publisher) = self.publisher.take() {
+            let _ = publisher.join();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let task = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(t) = q.tasks.pop_front() {
-                    shared.obs.queue_depth.set(q.tasks.len() as i64);
-                    shared.space_cv.notify_one();
-                    break t;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.task_cv.wait(q).unwrap();
-            }
-        };
-        let sub = task.sub.clone();
-        match catch_unwind(AssertUnwindSafe(|| process_task(&shared, &task))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => shared.resolve(&sub, Err(e)),
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked with a non-string payload".into());
-                shared.resolve(&sub, Err(EngineError::WorkerPanic(msg)));
-            }
-        }
-    }
-}
-
-fn process_task(shared: &Shared, task: &Task) -> Result<(), EngineError> {
-    let sub = &task.sub;
-    let seg = {
-        let _span = span!(
-            shared.obs.rec,
-            "engine.shard_serialize",
-            version = sub.version,
-            shard = task.shard
-        );
-        serialize_shard(
-            &sub.snapshot.vars,
-            &sub.snapshot.plans,
-            &sub.plan,
-            task.shard,
-        )
-    };
-    sub.segments.lock().unwrap()[task.shard] = Some(seg);
-    // The worker finishing the last shard publishes the checkpoint.
-    if sub.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_submission(shared, sub)?;
-    }
-    Ok(())
-}
-
-/// Publish one fully serialized submission: seal the shards, hand the
-/// epoch to the one publisher ([`publish_epoch`] decides object names,
-/// at-rest compression, write order and accounting for every layout),
-/// apply retention, resolve the ticket.
-///
-/// In delta mode the finisher first waits for its turn in version order,
-/// so the publisher diffs against the last image that actually reached
-/// the backend; serialization already happened in parallel.
-fn finish_submission(shared: &Shared, sub: &Submission) -> Result<(), EngineError> {
-    let segments = std::mem::take(&mut *sub.segments.lock().unwrap());
-    if segments.iter().any(Option::is_none) {
-        // A sibling shard failed and already resolved this submission.
-        return Ok(());
-    }
-    let mut shards = Vec::with_capacity(segments.len());
-    let mut payload_bytes = 0usize;
-    for seg in segments {
-        let (bytes, payload) = seg.expect("checked above");
-        payload_bytes += payload;
-        shards.push(bytes);
-    }
-    let (aux, pair_bytes) = serialize_aux(&sub.snapshot.vars, &sub.snapshot.plans);
-
-    let v = sub.version;
-    let chain = shared.chain.as_ref().zip(shared.cfg.delta.as_ref());
-    // Every layout but `Sharded` publishes one image (delta mode ignores
-    // `layout`), sealed before the turnstile: pure CPU work that can
-    // overlap other epochs' publishes. Sharded segments go to the
-    // publisher as they are; it seals them beside their manifest.
-    let one_image = chain.is_some() || shared.cfg.layout == Layout::Monolithic;
-    let image = one_image.then(|| seal_image(std::mem::take(&mut shards)));
-
-    // Wait for every older version to resolve; while we hold the turn
-    // (turn == v, and only `resolve` advances it) no other finisher can
-    // touch the chain, so its state leaves the lock for the I/O below.
-    let (prev, deltas_since_base, mut parents) = match chain {
-        Some((chain, _)) => {
-            let mut s = chain.state.lock().unwrap();
-            while s.turn < v {
-                s = chain.cv.wait(s).unwrap();
-            }
-            let parents = std::mem::take(&mut s.parents);
-            (s.prev.take(), s.deltas_since_base, parents)
-        }
-        None => (None, 0, BTreeMap::new()),
-    };
-    let body = match (&image, chain) {
-        (Some(image), Some((_, policy))) => EpochBody::Chained {
-            image,
-            policy,
-            prev: prev.as_ref(),
-            deltas_since_base,
-        },
-        (Some(image), None) => EpochBody::Image(image),
-        (None, _) => EpochBody::Sharded { shards },
-    };
-
+/// The publisher thread: takes submissions in version order and runs each
+/// to completion. A failed or panicking epoch resolves its own ticket as
+/// `Err` and leaves the chain state as it was, so the next delta patches
+/// the last image that actually reached the backend.
+fn publish_loop(shared: &Shared, submissions: Receiver<Submission>) {
+    let (cfg, obs) = (&shared.cfg, &shared.obs);
     let backend = shared.backend.as_ref();
-    let obs = &shared.obs;
-    let publish = span!(obs.rec, "engine.publish", version = v);
-    // What stays the engine's own in the put: the byte counters of the
-    // at-rest codec, and the `engine.commit` span around the marker write
-    // (the one object whose name carries this committed version). The
-    // span is emitted retroactively, only after that write succeeded, so
-    // exactly one exists per *published* version — a failed epoch emits
-    // `engine.publish_failed` instead — which is what makes a recovery
-    // walk reconstructable from the log alone.
-    let result = publish_epoch(
-        v,
-        body,
-        payload_bytes,
-        (&aux, pair_bytes),
-        shared.cfg.codec.at_rest,
-        &obs.rec,
-        |name, bytes, compressed_from| {
-            if let Some(raw_len) = compressed_from {
-                obs.raw_bytes.add(raw_len as u64);
-                obs.compressed_bytes.add(bytes.len() as u64);
+    // The chain: the last published image (the next delta's parent), the
+    // deltas since its base, and the parent of every live delta published
+    // since `open` — handed to [`prune_chain_aware`] so retention does not
+    // fetch a delta to learn what its publisher knew.
+    let mut prev: Option<(u64, Vec<u8>)> = None;
+    let mut deltas_since_base = 0;
+    let mut parents = BTreeMap::new();
+    for sub in submissions {
+        obs.queue_depth.adjust(-1);
+        let v = sub.version;
+        let epoch = || -> Result<StorageBreakdown, EngineError> {
+            let Snapshot { vars, plans } = &sub.snapshot;
+            let segments = run_jobs(sub.plan.shard_count(), cfg.workers, |shard| {
+                let _span = span!(
+                    obs.rec,
+                    "engine.shard_serialize",
+                    version = v,
+                    shard = shard
+                );
+                Ok::<_, EngineError>(serialize_shard(vars, plans, &sub.plan, shard))
+            })?;
+            let payload_bytes = segments.iter().map(|(_, payload)| payload).sum();
+            let mut shards: Vec<Vec<u8>> = segments.into_iter().map(|(bytes, _)| bytes).collect();
+            let (aux, pair_bytes) = serialize_aux(vars, plans);
+            // Sharded segments go to `publish_epoch` as they are; it seals
+            // them beside their manifest.
+            let image =
+                (cfg.layout == Layout::Monolithic).then(|| seal_image(std::mem::take(&mut shards)));
+            let body = match (&image, &cfg.delta) {
+                (Some(image), Some(policy)) => EpochBody::Chained {
+                    image,
+                    policy,
+                    prev: prev.as_ref(),
+                    deltas_since_base,
+                },
+                (Some(image), None) => EpochBody::Image(image),
+                (None, _) => EpochBody::Sharded { shards },
+            };
+            // Closes before the ticket resolves: a waiter may snapshot the
+            // recorder the moment `wait` returns, and must not see its own
+            // completed epoch as an open span.
+            let _publish = span!(obs.rec, "engine.publish", version = v);
+            // What stays the engine's own in the put: the byte counters of
+            // the at-rest codec, and the `engine.commit` span around the
+            // marker write (the one object whose name carries this
+            // committed version). The span is emitted retroactively, only
+            // after that write succeeded, so exactly one exists per
+            // *published* version — a failed epoch emits
+            // `engine.publish_failed` instead — which is what makes a
+            // recovery walk reconstructable from the log alone.
+            let published = publish_epoch(
+                v,
+                body,
+                payload_bytes,
+                (&aux, pair_bytes),
+                cfg.codec.at_rest,
+                &obs.rec,
+                |name, bytes, compressed_from| {
+                    if let Some(raw_len) = compressed_from {
+                        obs.raw_bytes.add(raw_len as u64);
+                        obs.compressed_bytes.add(bytes.len() as u64);
+                    }
+                    let t_commit = obs.rec.now_us();
+                    backend.put(name, bytes)?;
+                    if obs.rec.is_enabled() && names::committed_version(name) == Some(v) {
+                        let fields = [
+                            ("version", v.into()),
+                            ("object", name.into()),
+                            ("marker_bytes", bytes.len().into()),
+                        ];
+                        obs.rec.closed_span("engine.commit", t_commit, &fields);
+                    }
+                    Ok(())
+                },
+            )?;
+            // The checkpoint is durably committed here, so retention is
+            // best-effort: a transient sweep failure must not resolve the
+            // ticket as Err (a caller would resubmit a checkpoint that
+            // exists). A version the sweep misses is retried by the next
+            // epoch's sweep.
+            if let Some(keep) = cfg.keep {
+                parents.extend(published.parent.map(|p| (v, p)));
+                let _ = prune_chain_aware(backend, keep, &mut parents);
             }
-            let t_commit = obs.rec.now_us();
-            backend.put(name, bytes)?;
-            if obs.rec.is_enabled() && names::committed_version(name) == Some(v) {
-                let fields = [
-                    ("version", v.into()),
-                    ("object", name.into()),
-                    ("marker_bytes", bytes.len().into()),
-                ];
-                obs.rec.closed_span("engine.commit", t_commit, &fields);
+            if let Some(image) = image.filter(|_| cfg.delta.is_some()) {
+                prev = Some((v, image));
+                deltas_since_base = published.deltas_since_base;
             }
-            Ok(())
-        },
-    );
-
-    // The checkpoint is durably committed here, so retention is
-    // best-effort: a transient sweep failure must not resolve the ticket
-    // as Err (a caller would resubmit a checkpoint that exists). A
-    // version the sweep misses is retried by the next submission's sweep.
-    if let (Ok(published), Some(keep)) = (&result, shared.cfg.keep) {
-        parents.extend(published.parent.map(|p| (v, p)));
-        let _ = prune_chain_aware(backend, keep, &mut parents);
+            Ok(published.stored)
+        };
+        let result = catch_unwind(AssertUnwindSafe(epoch)).unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "publisher panicked with a non-string payload".into());
+            Err(EngineError::WorkerPanic(msg))
+        });
+        // The staged copy goes before the slot it held is freed.
+        drop(sub);
+        shared.resolve(v, result);
     }
-    if let Some((chain, _)) = chain {
-        let mut s = chain.state.lock().unwrap();
-        match &result {
-            Ok(published) => {
-                s.prev = image.map(|image| (v, image));
-                s.deltas_since_base = published.deltas_since_base;
-            }
-            // This epoch never reached the backend: the chain's parent is
-            // still the previous image; the next epoch patches that.
-            Err(_) => s.prev = prev,
-        }
-        s.parents = parents;
-    }
-    // Close the publish span before the ticket resolves: a waiter may
-    // snapshot the recorder the moment `wait` returns, and must not see
-    // its own completed epoch as an open span.
-    drop(publish);
-    shared.resolve(sub, result.map(|p| p.stored).map_err(Into::into));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -734,6 +530,7 @@ mod tests {
     use crate::backend::{read_version, MemBackend};
     use scrutiny_ckpt::writer::serialize;
     use scrutiny_ckpt::{AtRest, Bitmap, Checkpoint, FillPolicy, Regions, VarData};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn sample(n: usize, scale: f64) -> (Vec<VarRecord>, Vec<VarPlan>) {
         let vars = vec![
@@ -850,6 +647,44 @@ mod tests {
     }
 
     #[test]
+    fn publisher_panic_reaches_wait_and_the_engine_keeps_publishing() {
+        /// Panics on the first put, then forwards to memory.
+        struct PanicOnce(MemBackend, AtomicBool);
+        impl StorageBackend for PanicOnce {
+            fn put(&self, name: &str, bytes: &[u8]) -> Result<(), scrutiny_ckpt::CkptError> {
+                assert!(
+                    self.1.swap(true, Ordering::Relaxed),
+                    "disk controller on fire"
+                );
+                self.0.put(name, bytes)
+            }
+            fn get(&self, name: &str) -> Result<Vec<u8>, scrutiny_ckpt::CkptError> {
+                self.0.get(name)
+            }
+            fn list(&self) -> Result<Vec<String>, scrutiny_ckpt::CkptError> {
+                self.0.list()
+            }
+            fn delete(&self, name: &str) -> Result<(), scrutiny_ckpt::CkptError> {
+                self.0.delete(name)
+            }
+            fn label(&self) -> String {
+                "panic-once".into()
+            }
+        }
+        let backend = Arc::new(PanicOnce(MemBackend::new(), AtomicBool::new(false)));
+        let eng = EngineHandle::open(backend.clone(), EngineConfig::default()).unwrap();
+        let (vars, plans) = sample(64, 1.0);
+        match eng.wait(eng.submit(&vars, &plans).unwrap()) {
+            Err(EngineError::WorkerPanic(m)) => assert!(m.contains("on fire"), "{m}"),
+            other => panic!("expected the panic, got {other:?}"),
+        }
+        let t = eng.submit(&vars, &plans).unwrap();
+        let v = t.version();
+        eng.wait(t).unwrap();
+        assert!(read_version(&backend.0, v).is_ok());
+    }
+
+    #[test]
     fn retention_keeps_newest_k() {
         let mem = Arc::new(MemBackend::new());
         let cfg = EngineConfig {
@@ -887,11 +722,12 @@ mod tests {
                 ..Default::default()
             },
             EngineConfig {
-                max_staged: 0,
+                keep: Some(0),
                 ..Default::default()
             },
             EngineConfig {
-                keep: Some(0),
+                delta: Some(DeltaPolicy::default()),
+                layout: Layout::Sharded,
                 ..Default::default()
             },
         ] {
@@ -1156,7 +992,7 @@ mod tests {
         let (vars, plans) = sample(2000, 0.5);
         let t = eng.submit(&vars, &plans).unwrap();
         let v = t.version();
-        drop(eng); // joins workers; queued serialization must complete
+        drop(eng); // joins the publisher; a sent epoch must still publish
         assert!(read_version(mem.as_ref(), v).is_ok());
     }
 }

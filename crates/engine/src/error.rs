@@ -1,4 +1,4 @@
-//! Engine error type: checkpoint failures plus worker-pool failure modes.
+//! Engine error type: checkpoint failures plus publisher failure modes.
 
 use scrutiny_ckpt::CkptError;
 use std::fmt;
@@ -7,14 +7,14 @@ use std::fmt;
 #[derive(Debug)]
 pub enum EngineError {
     /// A checkpoint serialization/storage error (propagated from the
-    /// worker that hit it to the `wait`/`drain` caller).
+    /// publisher that hit it to the `wait`/`drain` caller).
     Ckpt(CkptError),
-    /// A worker panicked while processing a submission; the payload is
-    /// the panic message. The engine keeps running — only the affected
+    /// The publisher (or one of its serializing threads) panicked while
+    /// processing a submission; the payload is the panic message. The engine keeps running — only the affected
     /// ticket fails.
     WorkerPanic(String),
     /// The engine was configured unusably (zero workers, zero staging
-    /// buffers, …).
+    /// slots, delta mode over the sharded layout, …).
     InvalidConfig(String),
     /// `wait` was called with a ticket this engine never issued (or one
     /// that was already waited on).

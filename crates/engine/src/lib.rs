@@ -10,13 +10,15 @@
 //!
 //! * [`Snapshot`] / staging — `submit` memcpys the variables into an
 //!   owned snapshot (double-buffered: a new snapshot stages while the
-//!   previous one drains) and the compute loop resumes immediately.
-//! * worker pool — `std::thread` workers behind a bounded queue
-//!   serialize the pruned/tiered payload off-thread, **sharding large
-//!   variables across workers** (via
-//!   [`scrutiny_ckpt::shard::plan_shards`]) so a single big array does
-//!   not serialize on one core. Output is bit-identical to the blocking
-//!   writer's.
+//!   previous one publishes; [`EngineConfig::queue_depth`] is the one
+//!   admission bound) and the compute loop resumes immediately.
+//! * one publisher thread per engine — takes submissions in version
+//!   order and runs each to completion, serializing the pruned/tiered
+//!   payload off-thread and **sharding large variables across up to
+//!   `workers` threads** (via [`scrutiny_ckpt::shard::plan_shards`] and
+//!   [`scrutiny_ckpt::restore::run_jobs`], the restore pipeline's job
+//!   runner) so a single big array does not serialize on one core.
+//!   Output is bit-identical to the blocking writer's.
 //! * [`StorageBackend`] — pluggable object stores. The trait,
 //!   [`DirBackend`] (today's file layout, fsync-durable — the same
 //!   backend a [`scrutiny_ckpt::CheckpointStore`] holds) and
@@ -28,14 +30,15 @@
 //!   Every layout is written by the one publisher the blocking store
 //!   also uses, [`scrutiny_ckpt::delta::publish_epoch`].
 //! * [`EngineHandle`] — `submit(vars, plans) -> Ticket`,
-//!   `wait(ticket) -> StorageBreakdown`, `drain()`, with worker
+//!   `wait(ticket) -> StorageBreakdown`, `drain()`, with publisher
 //!   failures (including panics) propagated to the caller.
 //! * delta mode ([`EngineConfig::delta`]) — epochs publish as base+delta
 //!   chains ([`scrutiny_ckpt::delta`]): only the dirty pages of the
 //!   AD-pruned serialized state are written after the base, with
 //!   periodic rebases and chain-aware retention, so temporal and
-//!   semantic redundancy removal compose. Page diffing happens in the
-//!   worker pool, ordered by a version turnstile.
+//!   semantic redundancy removal compose. Page diffing happens on the
+//!   publisher thread, one epoch after another, so each delta patches
+//!   the last image that reached the backend.
 //! * [`RecoveryManager`] — the corruption-tolerant read side: restores
 //!   the newest checkpoint that fully verifies (shards and delta links
 //!   fetched and CRC-checked concurrently by
@@ -56,11 +59,11 @@
 //! let mem = Arc::new(MemBackend::new());
 //! let engine = EngineHandle::open(mem.clone(), EngineConfig::default()).unwrap();
 //!
-//! // Two checkpoint epochs; compute overlaps the workers' serialization.
+//! // Two checkpoint epochs; compute overlaps the publisher's serialization.
 //! for epoch in 0..2 {
 //!     let vars = vec![VarRecord::new("u", VarData::F64(vec![epoch as f64; 1000]))];
 //!     let ticket = engine.submit(&vars, &[VarPlan::Full]).unwrap();
-//!     // … compute continues here while workers serialize and store …
+//!     // … compute continues here while the publisher serializes and stores …
 //!     let storage = engine.wait(ticket).unwrap();
 //!     assert!(storage.total() > 8000);
 //! }

@@ -1,12 +1,12 @@
 //! Staging layer: owned snapshots of application state, gated so a
 //! bounded number are in flight.
 //!
-//! The compute thread cannot keep mutating its arrays while workers
-//! serialize them, so `submit` first *stages* the variables — a plain
-//! memcpy into an owned [`Snapshot`] — and returns; serialization and
-//! I/O happen off-thread against the staged copy. An internal staging
-//! gate bounds how many staged snapshots exist at once (two by default:
-//! classic double buffering — a new snapshot can stage while the
+//! The compute thread cannot keep mutating its arrays while the
+//! publisher serializes them, so `submit` first *stages* the variables —
+//! a plain memcpy into an owned [`Snapshot`] — and returns; serialization
+//! and I/O happen off-thread against the staged copy. An internal staging
+//! gate bounds how many staged snapshots exist at once
+//! (`EngineConfig::queue_depth`, two by default: classic double buffering — a new snapshot can stage while the
 //! previous one drains, and a third `submit` blocks instead of letting
 //! checkpoint memory grow without bound).
 

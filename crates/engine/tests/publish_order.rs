@@ -7,8 +7,10 @@
 //! `crates/ckpt/src/store.rs`.) The same log counts what the engine
 //! *reads*: steady-state publish + retention fetches nothing, and one
 //! faulted recovery fetches each object it needs once and asks for none
-//! that is not there.
+//! that is not there. And with concurrent submitters and several
+//! serializing threads, the markers still land in version order.
 
+use scrutiny_ckpt::writer::serialize;
 use scrutiny_ckpt::{
     names, AtRest, CheckpointStore, CkptError, CodecConfig, FillPolicy, VarData, VarPlan, VarRecord,
 };
@@ -124,6 +126,79 @@ fn every_layout_puts_its_commit_marker_last_and_a_cut_before_it_recovers() {
                 assert_eq!(got.unwrap()[1], prev as f64, "{tag} v{v}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+#[test]
+fn concurrent_submitters_commit_in_version_order_in_every_layout() {
+    const PER_THREAD: u64 = 6;
+    let delta = Some(DeltaPolicy {
+        page_bytes: 256,
+        rebase_every: 3,
+    });
+    for (tag, layout, delta) in [
+        ("mono", Layout::Monolithic, None),
+        ("sharded", Layout::Sharded, None),
+        ("delta", Layout::Monolithic, delta),
+    ] {
+        for at_rest in [AtRest::None, AtRest::Rle, AtRest::BitPlane, AtRest::Auto] {
+            let backend = Arc::new(PutLog::default());
+            let cfg = EngineConfig {
+                workers: 3,
+                target_shards: 3,
+                layout,
+                delta,
+                codec: CodecConfig {
+                    at_rest,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let engine = EngineHandle::open(backend.clone(), cfg).unwrap();
+            // Two compute threads, each submitting its own localized
+            // updates and waiting on them: `(version, state)` per epoch.
+            let submitted: Vec<(u64, Vec<VarRecord>)> = std::thread::scope(|scope| {
+                let submitters: Vec<_> = (0..2u64)
+                    .map(|t| {
+                        let engine = &engine;
+                        scope.spawn(move || {
+                            (0..PER_THREAD)
+                                .map(|k| {
+                                    let mut u: Vec<f64> = (0..400).map(|i| i as f64).collect();
+                                    u[(t * PER_THREAD + k) as usize] = -1.0;
+                                    let vars = vec![VarRecord::new("u", VarData::F64(u))];
+                                    let ticket = engine.submit(&vars, &[VarPlan::Full]).unwrap();
+                                    let v = ticket.version();
+                                    engine.wait(ticket).unwrap();
+                                    (v, vars)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                submitters
+                    .into_iter()
+                    .flat_map(|s| s.join().unwrap())
+                    .collect()
+            });
+            let markers: Vec<u64> = backend
+                .1
+                .lock()
+                .unwrap()
+                .iter()
+                .filter_map(|(name, _)| names::committed_version(name))
+                .collect();
+            assert_eq!(
+                markers,
+                (0..2 * PER_THREAD).collect::<Vec<u64>>(),
+                "{tag} {at_rest:?}: commit markers out of version order"
+            );
+            for (v, vars) in &submitted {
+                let (data, _) = read_version(backend.as_ref(), *v).unwrap();
+                let want = serialize(vars, &[VarPlan::Full]).unwrap().data;
+                assert_eq!(data, want, "{tag} {at_rest:?} v{v}");
+            }
         }
     }
 }

@@ -47,8 +47,7 @@ fn stress_every_ticket_resolves_and_bytes_match_blocking_save() {
     let mem = Arc::new(MemBackend::new());
     let cfg = EngineConfig {
         workers: 4,
-        queue_depth: 6,
-        max_staged: 2,
+        queue_depth: 2,
         target_shards: 4,
         layout: Layout::Monolithic,
         ..Default::default()
@@ -153,19 +152,17 @@ fn stress_sharded_layout_on_striped_dirs_roundtrips_through_the_reader() {
 
 #[test]
 fn stress_delta_mode_with_concurrent_submitters_and_one_worker() {
-    // Delta mode publishes in version order behind a turnstile, which is
-    // only safe because `submit` holds the engine's submit-order lock
-    // across version allocation *and* task enqueueing. With concurrent
-    // submitters and a single worker, any version/queue-order inversion
-    // would park the worker forever on an earlier version whose tasks
-    // nothing can run — this test deadlocks (and times out) if that
-    // ordering ever breaks.
+    // A delta is a diff against the previous version, so the publisher
+    // must receive submissions in version order. `submit` allocates the
+    // version and sends to the publisher under one lock; with concurrent
+    // submitters a send that raced ahead of an older version would diff
+    // against the wrong parent, and the chain reader below would reject
+    // (or mis-restore) what it published.
     use scrutiny_ckpt::DeltaPolicy;
     let mem = Arc::new(MemBackend::new());
     let cfg = EngineConfig {
         workers: 1,
-        queue_depth: 2,
-        max_staged: 4,
+        queue_depth: 4,
         target_shards: 2,
         delta: Some(DeltaPolicy {
             page_bytes: 256,

@@ -6,8 +6,8 @@
 //! reconstruction must equal a monolithic save byte for byte.
 //!
 //! CI runs this suite in release alongside the engine stress tests:
-//! debug-mode timing serializes the engine's delta turnstile enough to
-//! hide ordering races.
+//! debug-mode timing can hide a submit-side ordering race, and the
+//! publisher thread diffs each epoch against the one it published before.
 
 use proptest::prelude::*;
 use scrutiny_ckpt::writer::{serialize, serialize_data};

@@ -7,9 +7,9 @@
 //! three layouts (monolithic, sharded, delta chain) and any thread
 //! count, the one reader (`read_data_image_parallel`) returns the same
 //! bytes as at `threads: 1`. And the hostile-length cases: a length field
-//! that is CRC-consistent but absurd is a typed `Corrupt`, decided before
-//! it sizes an allocation — this binary counts allocations
-//! (`CountingAlloc`) to check the last clause.
+//! (or a region table) that is CRC-consistent but absurd is a typed
+//! `Corrupt`, decided before it sizes an allocation — this binary counts
+//! allocations (`CountingAlloc`) to check the last clause.
 //!
 //! CI runs this suite in release next to the stress/delta/segmented
 //! suites: the restore pipeline is multi-threaded, and debug-mode
@@ -384,6 +384,39 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_refused("aux lo run count", both, || {
         Checkpoint::from_bytes(&ser.data, &bad)
     });
+
+    // Region tables themselves: ten elements stored as [0,4),[6,10), run 1
+    // at aux offset 44 rewritten to overlap run 0, or to end past the
+    // variable. Both still store eight elements, so only the tables are
+    // wrong — and recovery must step over the version that carries them.
+    let vars = vec![VarRecord::new("u", VarData::F64(vec![0.5; 10]))];
+    let plans = [VarPlan::Pruned(Regions::from_runs(vec![
+        Region { start: 0, end: 4 },
+        Region { start: 6, end: 10 },
+    ]))];
+    let ser = serialize(&vars, &plans).unwrap();
+    let both = ser.data.len() + ser.aux.len();
+    for (what, start, end) in [("overlapping runs", 2u64, 6u64), ("run past total", 20, 24)] {
+        let run = [start.to_le_bytes(), end.to_le_bytes()].concat();
+        let bad = with_field(&ser.aux, 44, &run);
+        assert_refused(what, both, || Checkpoint::from_bytes(&ser.data, &bad));
+
+        let mem = Arc::new(MemBackend::new());
+        let engine = EngineHandle::open(mem.clone(), EngineConfig::default()).unwrap();
+        for _ in 0..3 {
+            let t = engine.submit(&vars, &plans).unwrap();
+            engine.wait(t).unwrap();
+        }
+        mem.put(&names::aux(2), &bad).unwrap();
+        let r = recover(mem);
+        assert_eq!(r.version, 1, "{what}");
+        assert_eq!(r.report.rejected_versions(), vec![2], "{what}");
+        assert!(
+            matches!(r.report.rejected[0].error, CkptError::Corrupt(_)),
+            "{what}: {}",
+            r.report.rejected[0].error
+        );
+    }
 
     // SCRUTCZB: `raw_len` (offset 13) sizes the decode buffer.
     let stored = compress(&vec![0u8; 4096], AtRest::Rle);
