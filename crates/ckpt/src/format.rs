@@ -249,6 +249,10 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
+/// The reflected CRC-32/ISO-HDLC polynomial. In the reflected form a `u32`
+/// is a polynomial of degree < 32 with bit 31 the coefficient of x⁰.
+const POLY: u32 = 0xEDB88320;
+
 /// The 8 slicing tables. `t[0]` is the classic byte-at-a-time table;
 /// `t[j][b]` is the CRC of byte `b` followed by `j` zero bytes, so eight
 /// input bytes can be folded per iteration with independent lookups.
@@ -259,11 +263,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 == 1 {
-                0xEDB88320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 == 1 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         t[0][i] = c;
@@ -283,16 +283,132 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// `a·b mod P` over GF(2), both operands and the result reflected.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 == 1 { POLY ^ (b >> 1) } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `t[k]` = x^(8·2^k) mod P, by repeated squaring of x⁸ (reflected, x⁸ is
+/// bit 23).
+const fn zero_run_powers() -> [u32; 64] {
+    let mut t = [0u32; 64];
+    let mut p = 1u32 << 23;
+    let mut k = 0;
+    while k < 64 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+}
+
+const ZERO_RUN_POWERS: [u32; 64] = zero_run_powers();
+
+/// x^(8·n) mod P: multiplying a CRC register by it is feeding it `n` zero
+/// bytes, since a register's update is GF(2)-linear in the register.
+const fn zero_run_op(mut n: u64) -> u32 {
+    let mut op = 1u32 << 31;
+    let mut k = 0;
+    while n != 0 {
+        if n & 1 == 1 {
+            op = mul_mod_p(ZERO_RUN_POWERS[k], op);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    op
+}
+
+/// Bytes per lane of [`Crc32::update`]'s block.
+const LANE: usize = 4096;
+/// Independent slice-by-8 chains per block. Measured on one core of a
+/// shared x86-64 Xeon over 559–620 KB buffers (best of 7 × 200 passes
+/// per run, runs alternated): one chain 1.1–1.4 GB/s, three 4 KiB lanes
+/// 2.5–3.7 GB/s, four 3.1–4.3 GB/s. Three keep most of the gain while the
+/// lane path starts at 12 KiB rather than 16.
+const LANES: usize = 3;
+/// The shortest input that takes the lane path.
+const BLOCK: usize = LANES * LANE;
+
+/// The register operator "feed [`LANE`] zero bytes", split by input byte:
+/// `t[j][b]` is `b << 8j` advanced over one lane of zeros. Built from
+/// x^(8·LANE) mod P by one multiplication per entry — stepping each entry
+/// through the zeros would overrun the const-eval budget.
+const fn lane_fold_tables() -> [[u32; 256]; 4] {
+    let op = zero_run_op(LANE as u64);
+    let mut t = [[0u32; 256]; 4];
+    let mut j = 0;
+    while j < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[j][b] = mul_mod_p(op, (b as u32) << (8 * j));
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+const LANE_FOLD: [[u32; 256]; 4] = lane_fold_tables();
+
+/// Advance register `c` over [`LANE`] zero bytes.
+fn skip_lane(c: u32) -> u32 {
+    LANE_FOLD[0][(c & 0xFF) as usize]
+        ^ LANE_FOLD[1][((c >> 8) & 0xFF) as usize]
+        ^ LANE_FOLD[2][((c >> 16) & 0xFF) as usize]
+        ^ LANE_FOLD[3][(c >> 24) as usize]
+}
+
+/// One slice-by-8 step: fold eight input bytes into register `c` with
+/// eight independent table lookups.
+#[inline(always)]
+fn step8(c: u32, chunk: &[u8; 8]) -> u32 {
+    let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+    let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+    CRC_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(lo >> 24) as usize]
+        ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(hi >> 24) as usize]
+}
+
+/// Slice-by-8 over `bytes`, then byte at a time over the last `len % 8`.
+fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        c = step8(c, chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
 /// Streaming IEEE CRC-32 (reflected, poly 0xEDB88320 — same polynomial as
 /// zip/png). Lets the sharded writer checksum a data file that exists only
 /// as separately produced segments, without concatenating them first.
 ///
-/// [`Crc32::update`] consumes eight bytes per step (slice-by-8); the
-/// byte-at-a-time loop it replaced is the oracle of this module's tests,
-/// which prove the two identical at every length and split. Every CRC in
-/// the workspace — writer trailers, shard seals, delta envelopes, restore
-/// verification, the compression container — streams through this one
-/// implementation.
+/// [`Crc32::update`] hashes every whole 12 KiB block of its input as three
+/// 4 KiB lanes, three independent slice-by-8 chains the CPU runs side by
+/// side, and folds them with the operator "advance over 4 096 zero bytes";
+/// a shorter input, and the tail of any input, is plain slice-by-8. A
+/// byte-at-a-time loop is the oracle of this module's tests, which prove
+/// the two paths identical to it at every length and split, on and off
+/// block boundaries. Every CRC in the workspace — writer trailers, shard
+/// seals, delta envelopes, restore verification, the compression
+/// container — streams through this one implementation.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32 {
     state: u32,
@@ -310,33 +426,42 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feed `bytes` into the running checksum (slice-by-8).
+    /// Feed `bytes` into the running checksum: three-lane blocks, then
+    /// slice-by-8 over what is left.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            // One unaligned little-endian load pair, eight table lookups;
-            // the XOR tree has no loop-carried dependency besides `c`.
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            c = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            // Lane 0 continues the register; the others start from zero
+            // and are shifted into place by the fold, since feeding `a‖b`
+            // to `c` is feeding `a` to `c`, advanced over |b| zeros, XOR
+            // `b` fed to zero.
+            let mut lanes = [0u32; LANES];
+            lanes[0] = c;
+            let block: &[u8; BLOCK] = block.try_into().expect("a whole block");
+            for i in 0..LANE / 8 {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let at = l * LANE + 8 * i;
+                    let chunk = block[at..at + 8].try_into().expect("an 8-byte range");
+                    *lane = step8(*lane, chunk);
+                }
+            }
+            c = lanes[1..].iter().fold(lanes[0], |c, &l| skip_lane(c) ^ l);
         }
-        for &b in chunks.remainder() {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = slice8(c, blocks.remainder());
     }
 
     /// Final CRC value.
     pub fn finish(self) -> u32 {
         !self.state
+    }
+
+    /// The CRC of `a‖b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+    /// `len_b = b.len()`, without touching a byte of either: `crc_a`
+    /// advanced over `len_b` zero bytes, XOR `crc_b` (the init and final
+    /// complements cancel).
+    pub(crate) fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+        mul_mod_p(zero_run_op(len_b), crc_a) ^ crc_b
     }
 }
 
@@ -375,8 +500,8 @@ pub(crate) fn check_envelope<'a>(
 mod tests {
     use super::*;
 
-    /// The pre-slicing byte-at-a-time loop: the reference the slice-by-8
-    /// [`Crc32::update`] is checked against.
+    /// The byte-at-a-time loop: the reference [`Crc32::update`]'s lane and
+    /// slice-by-8 paths are checked against.
     fn update_scalar(c: &mut Crc32, bytes: &[u8]) {
         for &b in bytes {
             c.state = CRC_TABLES[0][((c.state ^ b as u32) & 0xFF) as usize] ^ (c.state >> 8);
@@ -399,26 +524,32 @@ mod tests {
 
     #[test]
     fn sliced_crc_matches_scalar_at_every_length_and_split() {
-        // Deterministic pseudo-random buffer; exercise every remainder
-        // length around the 8-byte fold plus uneven streaming splits.
+        // Deterministic pseudo-random buffer of four lane blocks; exercise
+        // every length around the 8-byte fold and every remainder around
+        // each block multiple, streamed whole, across a random split, and
+        // combined from the two halves' CRCs (empty halves included).
         let mut z = 0x1234_5678_9ABC_DEF0u64;
-        let buf: Vec<u8> = (0..257)
-            .map(|_| {
-                z = z
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (z >> 33) as u8
-            })
-            .collect();
-        for len in 0..buf.len() {
-            assert_eq!(crc32(&buf[..len]), crc32_scalar(&buf[..len]), "len {len}");
-            // Streaming across an arbitrary split must match too.
-            let mut a = Crc32::new();
-            a.update(&buf[..len / 3]);
-            a.update(&buf[len / 3..len]);
-            let mut b = Crc32::new();
-            update_scalar(&mut b, &buf[..len]);
-            assert_eq!(a.finish(), b.finish(), "split at {} of {len}", len / 3);
+        let mut next = move || {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (z >> 33) as usize
+        };
+        let buf: Vec<u8> = (0..4 * BLOCK + 8).map(|_| next() as u8).collect();
+        let lens = (0..257).chain((1..=4).flat_map(|k| k * BLOCK - 8..=k * BLOCK + 8));
+        for len in lens {
+            let whole = &buf[..len];
+            let want = crc32_scalar(whole);
+            assert_eq!(crc32(whole), want, "len {len}");
+            for split in [0, next() % (len + 1), len] {
+                let (a, b) = whole.split_at(split);
+                let mut streamed = Crc32::new();
+                streamed.update(a);
+                streamed.update(b);
+                assert_eq!(streamed.finish(), want, "split at {split} of {len}");
+                let combined = Crc32::combine(crc32(a), crc32(b), b.len() as u64);
+                assert_eq!(combined, want, "combine at {split} of {len}");
+            }
         }
     }
 

@@ -409,25 +409,24 @@ impl ShardManifest {
     }
 }
 
-/// Append the whole-file CRC-32 trailer — rolled over the segments in
-/// order, so they are never joined just to be hashed — to the last shard.
-fn append_file_crc(shards: &mut [Vec<u8>]) {
-    let mut rolling = Crc32::new();
-    for s in shards.iter() {
-        rolling.update(s);
-    }
-    let last = shards
+/// The last of a sealed checkpoint's shards, which carries the trailer.
+fn last_shard(shards: &mut [Vec<u8>]) -> &mut Vec<u8> {
+    shards
         .last_mut()
-        .expect("a sealed checkpoint has at least one shard");
-    put_u32(last, rolling.finish());
+        .expect("a sealed checkpoint has at least one shard")
 }
 
 /// Seal every [`serialize_shard`] output of one plan, in plan order, into
-/// the one data-file image: append the CRC trailer, then move a lone shard
-/// or join several. What the blocking writer returns and what the engine
-/// publishes in every layout that stores one image.
+/// the one data-file image: append the CRC trailer — rolled over the
+/// segments in order, so they are never joined just to be hashed — then
+/// move a lone shard or join several. What the blocking writer returns
+/// and what the engine publishes in every layout that stores one image.
 pub fn seal_image(mut shards: Vec<Vec<u8>>) -> Vec<u8> {
-    append_file_crc(&mut shards);
+    let mut rolling = Crc32::new();
+    for s in &shards {
+        rolling.update(s);
+    }
+    put_u32(last_shard(&mut shards), rolling.finish());
     match shards.as_mut_slice() {
         [only] => std::mem::take(only),
         many => many.concat(),
@@ -439,10 +438,23 @@ pub fn seal_image(mut shards: Vec<Vec<u8>>) -> Vec<u8> {
 /// [`crate::delta::publish_epoch`] for the one layout that stores a
 /// manifest. `shards` must be every [`serialize_shard`] output in plan
 /// order.
+///
+/// Each shard is hashed once: the trailer is combined from the shards'
+/// CRCs (`Crc32::combine`), and the last shard's CRC is extended over the
+/// four trailer bytes it gains.
 pub fn seal_shards(mut shards: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, ShardManifest) {
-    append_file_crc(&mut shards);
+    let mut shard_crcs: Vec<u32> = shards.iter().map(|s| crc32(s)).collect();
+    let file_crc = shards
+        .iter()
+        .zip(&shard_crcs)
+        .fold(crc32(&[]), |file, (s, &crc)| {
+            Crc32::combine(file, crc, s.len() as u64)
+        });
+    put_u32(last_shard(&mut shards), file_crc);
+    let trailer = file_crc.to_le_bytes();
+    let last_crc = shard_crcs.last_mut().expect("one CRC per shard");
+    *last_crc = Crc32::combine(*last_crc, crc32(&trailer), trailer.len() as u64);
     let shard_lens: Vec<u64> = shards.iter().map(|s| s.len() as u64).collect();
-    let shard_crcs: Vec<u32> = shards.iter().map(|s| crc32(s)).collect();
     let manifest = ShardManifest {
         total_len: shard_lens.iter().sum(),
         shard_lens,

@@ -24,7 +24,7 @@
 //! The format oracles live here too, outside the product:
 //! [`direct_serialize_data`] (the `SCRUTCKP` data file written variable by
 //! variable) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
-//! one encoder and its slice-by-8 CRC but `docs/FORMATS.md`.
+//! one encoder and its three-lane CRC but `docs/FORMATS.md`.
 
 #![warn(missing_docs)]
 
@@ -597,9 +597,10 @@ mod tests {
     use scrutiny_core::tiny::Heat1d;
     use scrutiny_core::Analyzer;
 
-    /// A random valid state: 0..=4 variables of every dtype and length
-    /// 0..160 under Full, Pruned and (f64 only) Tiered plans with random,
-    /// fragmented regions.
+    /// A random valid state: 0..=4 variables of every dtype under Full,
+    /// Pruned and (f64 only) Tiered plans with random, fragmented regions.
+    /// Most variables have length 0..160; one in four has up to 8 192
+    /// elements, so many images span several of the CRC's 12 KiB blocks.
     fn random_state(seed: u64) -> (Vec<VarRecord>, Vec<VarPlan>) {
         let mut z = seed;
         let mut next = move || {
@@ -612,7 +613,8 @@ mod tests {
         let mut vars = Vec::new();
         let mut plans = Vec::new();
         for i in 0..next() % 5 {
-            let n = (next() % 160) as usize;
+            let max_len = if next() % 4 == 0 { 8192 } else { 160 };
+            let n = (next() % max_len) as usize;
             let val = |bits: u64| f64::from_bits(bits).clamp(-1e300, 1e300);
             let data = match next() % 3 {
                 0 => VarData::F64((0..n).map(|_| val(next())).collect()),
@@ -643,7 +645,8 @@ mod tests {
         /// states × plans × lo codecs, the one-shard plan
         /// (`serialize_data_with`) and every 1..=7-shard plan, sealed as
         /// one image or as shards, are the direct oracle's bytes and
-        /// payload count.
+        /// payload count, and every manifest entry is the bitwise CRC of
+        /// its sealed shard.
         #[test]
         fn the_one_encoder_equals_the_direct_oracle(
             seed in 0u64..1_000_000,
@@ -674,6 +677,9 @@ mod tests {
             let (sealed, manifest) = seal_shards(shards);
             prop_assert_eq!(manifest.total_len as usize, want.len());
             prop_assert_eq!(&sealed.concat(), &want);
+            for (i, shard) in sealed.iter().enumerate() {
+                prop_assert_eq!(manifest.shard_crcs[i], crc32_bitwise(shard));
+            }
         }
     }
 

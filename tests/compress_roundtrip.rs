@@ -9,8 +9,9 @@
 //! * **Restore equivalence** — an engine publishing with `AtRest::Auto`
 //!   restores bit-identically to one publishing raw, in every layout
 //!   (monolithic, sharded, delta) and at every reader thread count.
-//! * **CRC equivalence** — the vectorized slice-by-8 CRC equals the
-//!   byte-at-a-time reference on random buffers at every alignment.
+//! * **CRC equivalence** — the three-lane CRC equals the bit-at-a-time
+//!   reference on random buffers at every alignment, short and spanning
+//!   several lane blocks, whole and streamed in two calls.
 //! * **§IV.C with lossy tiers** — every NPB mini passes the paper's
 //!   restart verification under `Policy::TieredCompressed`, with a
 //!   checkpoint measurably smaller than prune-only.
@@ -20,7 +21,7 @@
 
 use proptest::prelude::*;
 use scrutiny_ckpt::compress::{compress, decompress, is_container, maybe_decompress};
-use scrutiny_ckpt::format::crc32;
+use scrutiny_ckpt::format::{crc32, Crc32};
 use scrutiny_ckpt::writer::{serialize, serialize_with};
 use scrutiny_ckpt::{AtRest, CodecConfig, DeltaPolicy, LoCodec, RestoreOptions};
 use scrutiny_core::restart::{capture_state, checkpoint_restart_cycle};
@@ -229,21 +230,37 @@ proptest! {
         }
     }
 
-    /// The vectorized slice-by-8 CRC equals the bit-at-a-time oracle
-    /// (`scrutiny_integration::crc32_bitwise`) on random buffers, including every sub-word alignment and length
-    /// remainder around the 8-byte stride.
+    /// The three-lane CRC equals the bit-at-a-time oracle
+    /// (`scrutiny_integration::crc32_bitwise`) on random buffers at every
+    /// sub-word alignment: short ones around the 8-byte stride, and ones
+    /// of up to four 12 KiB lane blocks with every remainder `k·12288 ±
+    /// 0..8` — whole, and streamed as two `update` calls split at random.
     #[test]
     fn sliced_crc_equals_scalar(
         seed in 0u64..1_000_000,
-        len in 0usize..2048,
+        short_len in 0usize..2048,
+        blocks in 0usize..5,
+        near in 0usize..17,
         offset in 0usize..8,
+        split in 0usize..1 << 20,
     ) {
+        const BLOCK: usize = 3 * 4096;
+        let len = match blocks {
+            0 => short_len,
+            k => k * BLOCK + near - 8,
+        };
         let mut z = seed;
         let buf: Vec<u8> = (0..len + offset).map(|_| {
             z = z.wrapping_add(0x9E3779B97F4A7C15);
             (z ^ (z >> 31)) as u8
         }).collect();
-        let view = &buf[offset.min(buf.len())..];
-        prop_assert_eq!(crc32(view), scrutiny_integration::crc32_bitwise(view));
+        let view = &buf[offset..];
+        let want = scrutiny_integration::crc32_bitwise(view);
+        prop_assert_eq!(crc32(view), want);
+        let (a, b) = view.split_at(split % (len + 1));
+        let mut streamed = Crc32::new();
+        streamed.update(a);
+        streamed.update(b);
+        prop_assert_eq!(streamed.finish(), want);
     }
 }
