@@ -209,7 +209,7 @@ impl StorageBackend for DirBackend {
 // ---------------------------------------------------------------------------
 
 /// Keeps objects in a process-local map. No durability — meant for tests,
-/// engine burn-in and as the fast tier in a striped backend.
+/// engine burn-in and benchmarks.
 #[derive(Default)]
 pub struct MemBackend {
     objects: Mutex<HashMap<String, Vec<u8>>>,

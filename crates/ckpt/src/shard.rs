@@ -19,8 +19,8 @@
 //!   one-image layout publishes.
 //! * [`seal_shards`] — append the same trailer but keep the segments apart,
 //!   described by a [`ShardManifest`]: the shard-aware format metadata
-//!   (per-shard length and CRC) that lets a reader or a striped storage
-//!   backend reassemble and verify them.
+//!   (per-shard length and CRC) that lets a reader reassemble and verify
+//!   them.
 //!
 //! A checkpoint may be *stored* sharded too (`ckpt_v.data.sNNN` files plus
 //! a `ckpt_v.smf` manifest); the one reader

@@ -174,5 +174,5 @@ pub use scrutiny_obs::{point, span, FieldValue, Recorder, Snapshot as ObsSnapsho
 pub use scrutiny_engine::{
     DeltaPolicy, DirBackend, EngineConfig, EngineError, EngineHandle, Layout, MemBackend,
     Recovered, RecoveryConfig, RecoveryManager, RecoveryReport, RecoveryWalk, RejectedVersion,
-    RestoreOptions, RestoreStats, ShardedBackend, Snapshot, StorageBackend, Ticket,
+    RestoreOptions, RestoreStats, Snapshot, StorageBackend, Ticket,
 };

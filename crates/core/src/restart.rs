@@ -370,9 +370,7 @@ mod tests {
 
     #[test]
     fn async_engine_restart_verifies_on_all_backends() {
-        use scrutiny_engine::{
-            DirBackend, EngineConfig, MemBackend, ShardedBackend, StorageBackend,
-        };
+        use scrutiny_engine::{DirBackend, EngineConfig, MemBackend, StorageBackend};
         use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!("scrutiny_async_rs_{}", std::process::id()));
@@ -384,13 +382,6 @@ mod tests {
         let backends: Vec<Arc<dyn StorageBackend>> = vec![
             Arc::new(MemBackend::new()),
             Arc::new(DirBackend::open(&dir).unwrap()),
-            Arc::new(
-                ShardedBackend::new(vec![
-                    Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
-                    Arc::new(MemBackend::new()),
-                ])
-                .unwrap(),
-            ),
         ];
         for backend in backends {
             let label = backend.label();

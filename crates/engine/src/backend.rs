@@ -6,11 +6,10 @@
 //! [`scrutiny_ckpt::backend`], below the blocking
 //! [`scrutiny_ckpt::CheckpointStore`], and is re-exported here under the
 //! names it always had. What stays in this crate is what only a pool
-//! needs: [`ShardedBackend`] (stripes objects across child backends),
-//! [`NamespacedBackend`] (one tenant's view) and [`list_tenants`].
+//! needs: [`NamespacedBackend`] (one tenant's view) and [`list_tenants`].
 
 use crate::error::EngineError;
-use scrutiny_ckpt::names::{self, CkptName, Tenant};
+use scrutiny_ckpt::names::{self, Tenant};
 use scrutiny_ckpt::CkptError;
 use std::sync::Arc;
 
@@ -31,80 +30,6 @@ pub fn list_tenants(backend: &dyn StorageBackend) -> Result<Vec<Tenant>, EngineE
     tenants.sort_unstable();
     tenants.dedup();
     Ok(tenants)
-}
-
-// ---------------------------------------------------------------------------
-// ShardedBackend — stripe objects across child backends.
-// ---------------------------------------------------------------------------
-
-/// Routes each object to one of several child backends: data shards are
-/// striped round-robin by shard index (shard `i` → child `i mod n`, the
-/// point of the combinator — each child absorbs a slice of the write
-/// bandwidth), everything else by a stable hash of the name. Routing is
-/// deterministic, so `get` finds what `put` stored.
-pub struct ShardedBackend {
-    children: Vec<Arc<dyn StorageBackend>>,
-}
-
-impl ShardedBackend {
-    /// Build a stripe over `children` (at least one).
-    pub fn new(children: Vec<Arc<dyn StorageBackend>>) -> Result<Self, EngineError> {
-        if children.is_empty() {
-            return Err(EngineError::InvalidConfig(
-                "a sharded backend needs at least one child".into(),
-            ));
-        }
-        Ok(ShardedBackend { children })
-    }
-
-    fn route(&self, name: &str) -> &dyn StorageBackend {
-        // Classify within whatever namespace the object lives in, so a
-        // tenant's data shards stripe by index exactly like the default
-        // tenant's.
-        let idx = match names::classify_scoped(name).1 {
-            // Data shards stripe round-robin by shard index.
-            CkptName::Shard { shard, .. } => shard % self.children.len(),
-            _ => {
-                // FNV-1a over the name: stable across runs and platforms.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in name.bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-                (h % self.children.len() as u64) as usize
-            }
-        };
-        self.children[idx].as_ref()
-    }
-}
-
-impl StorageBackend for ShardedBackend {
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        self.route(name).put(name, bytes)
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-        self.route(name).get(name)
-    }
-
-    fn list(&self) -> Result<Vec<String>, CkptError> {
-        let mut all = Vec::new();
-        for c in &self.children {
-            all.extend(c.list()?);
-        }
-        all.sort_unstable();
-        all.dedup();
-        Ok(all)
-    }
-
-    fn delete(&self, name: &str) -> Result<(), CkptError> {
-        self.route(name).delete(name)
-    }
-
-    fn label(&self) -> String {
-        let inner: Vec<String> = self.children.iter().map(|c| c.label()).collect();
-        format!("sharded[{}]", inner.join(", "))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,38 +131,6 @@ impl StorageBackend for NamespacedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_backend_routes_deterministically_and_stripes_shards() {
-        let kids: Vec<Arc<dyn StorageBackend>> = vec![
-            Arc::new(MemBackend::new()),
-            Arc::new(MemBackend::new()),
-            Arc::new(MemBackend::new()),
-        ];
-        let handles: Vec<Arc<dyn StorageBackend>> = kids.clone();
-        let s = ShardedBackend::new(kids).unwrap();
-        // Shard objects stripe round-robin by index.
-        for i in 0..6 {
-            s.put(&names::shard(0, i), &[i as u8]).unwrap();
-        }
-        for (i, h) in handles.iter().enumerate() {
-            let names = h.list().unwrap();
-            assert_eq!(names.len(), 2, "child {i} got {names:?}");
-        }
-        // Everything routed is findable again and the union lists all.
-        s.put(&names::aux(0), b"aux").unwrap();
-        assert_eq!(s.get(&names::aux(0)).unwrap(), b"aux");
-        assert_eq!(s.list().unwrap().len(), 7);
-        assert_eq!(s.get(&names::shard(0, 4)).unwrap(), [4u8]);
-    }
-
-    #[test]
-    fn empty_stripe_rejected() {
-        assert!(matches!(
-            ShardedBackend::new(Vec::new()),
-            Err(EngineError::InvalidConfig(_))
-        ));
-    }
 
     #[test]
     fn namespaced_views_partition_one_pool() {

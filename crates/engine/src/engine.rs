@@ -45,10 +45,9 @@ pub enum Layout {
     /// into one image with [`seal_image`] and no manifest is ever
     /// computed). The only layout delta mode accepts.
     Monolithic,
-    /// One object per shard plus a manifest — segments stay separate so a
-    /// [`crate::backend::ShardedBackend`] can stripe them across tiers.
-    /// [`publish_epoch`] seals them and builds the manifest, the layout's
-    /// commit marker.
+    /// One object per shard plus a manifest — segments stay separate
+    /// objects a backend may place independently. [`publish_epoch`] seals
+    /// them and builds the manifest, the layout's commit marker.
     Sharded,
 }
 

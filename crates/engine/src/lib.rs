@@ -25,8 +25,7 @@
 //!   [`MemBackend`] (in-process, for tests and burn-in) live in
 //!   [`scrutiny_ckpt::backend`] and are re-exported here, together with
 //!   the one version scan, reader and chain-aware pruner over them; this
-//!   crate adds [`ShardedBackend`] (stripes shards across child
-//!   backends) and [`NamespacedBackend`] (one tenant's view of a pool).
+//!   crate adds [`NamespacedBackend`] (one tenant's view of a pool).
 //!   Every layout is written by the one publisher the blocking store
 //!   also uses, [`scrutiny_ckpt::delta::publish_epoch`].
 //! * [`EngineHandle`] — `submit(vars, plans) -> Ticket`,
@@ -92,7 +91,7 @@ pub mod snapshot;
 
 pub use backend::{
     list_tenants, list_versions, prune_chain_aware, read_version, DirBackend, MemBackend,
-    NamespacedBackend, ShardedBackend, StorageBackend,
+    NamespacedBackend, StorageBackend,
 };
 pub use engine::{EngineConfig, EngineHandle, Layout, Ticket};
 pub use error::EngineError;

@@ -10,8 +10,7 @@ use scrutiny_ckpt::{
     Bitmap, Checkpoint, CheckpointStore, FillPolicy, Region, Regions, VarData, VarPlan, VarRecord,
 };
 use scrutiny_engine::{
-    read_version, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, ShardedBackend,
-    StorageBackend,
+    read_version, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
 };
 use std::sync::Arc;
 
@@ -99,16 +98,11 @@ fn stress_every_ticket_resolves_and_bytes_match_blocking_save() {
 }
 
 #[test]
-fn stress_sharded_layout_on_striped_dirs_roundtrips_through_the_reader() {
+fn stress_sharded_layout_on_a_dir_roundtrips_through_the_reader() {
     let root = std::env::temp_dir().join(format!("scrutiny_stress_dirs_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    let stripe = ShardedBackend::new(vec![
-        Arc::new(DirBackend::open(root.join("tier0")).unwrap()) as Arc<dyn StorageBackend>,
-        Arc::new(DirBackend::open(root.join("tier1")).unwrap()),
-    ])
-    .unwrap();
-    let backend: Arc<dyn StorageBackend> = Arc::new(stripe);
+    let backend: Arc<dyn StorageBackend> = Arc::new(DirBackend::open(&root).unwrap());
     let cfg = EngineConfig {
         workers: 3,
         target_shards: 5,
@@ -125,8 +119,8 @@ fn stress_sharded_layout_on_striped_dirs_roundtrips_through_the_reader() {
     let resolved = engine.drain().unwrap();
     assert_eq!(resolved.len(), 10);
 
-    // Retention kept the newest 4; each survivor reassembles from the
-    // stripe and parses through the standard reader.
+    // Retention kept the newest 4; each survivor reassembles from its
+    // shard objects and parses through the standard reader.
     let versions = scrutiny_engine::list_versions(backend.as_ref()).unwrap();
     assert_eq!(versions, vec![6, 7, 8, 9]);
     for &v in &versions {

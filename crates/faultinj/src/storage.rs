@@ -8,7 +8,7 @@
 //! the structurally interesting object of a version (a shard, a delta
 //! link's base, the commit marker) and damages it through the
 //! [`StorageBackend`] interface, so the same campaigns run against a
-//! directory store, an in-memory backend, or a striped stripe.
+//! directory store, an in-memory backend, or a remote daemon.
 //!
 //! Every scenario must end, per §IV.C economics, in a *successful*
 //! recovery to an older verified version — asserted end to end by

@@ -24,13 +24,22 @@
 //! storage numbers confirm the unswapped assignment we reproduce.
 
 use crate::common::{Arr3, Arr4};
-use crate::pde::{blend_init, error_norm_interior, ExactSolution, GP, GP1, NCOMP};
+use crate::pde::{
+    add_interior, blend_init, coord, cube, error_norm, exact_field, line_index, rms, FULL, GP, GP1,
+    INTERIOR, NCOMP,
+};
 use scrutiny_ad::{Adj, Real};
 use scrutiny_core::{AppRun, AppSpec, ScrutinyApp, VarRefMut, VarSpec};
 use std::ops::RangeInclusive;
 
 /// Ratio of specific heats' role in the pressure closure (NPB's c2).
 const C2: f64 = 0.4;
+/// Pseudo-time step.
+const DT: f64 = 0.1;
+/// SSOR relaxation factor.
+const OMEGA: f64 = 0.2;
+/// Dissipation coefficient of the flux sweeps.
+const NU: f64 = 0.35;
 
 /// The LU benchmark.
 pub struct Lu {
@@ -38,10 +47,6 @@ pub struct Lu {
     pub niter: usize,
     /// Iteration index at whose boundary the checkpoint is taken (1-based).
     pub ckpt_at: usize,
-    dt: f64,
-    omega: f64,
-    nu: f64,
-    exact: ExactSolution,
     frct: Arr4<f64>,
 }
 
@@ -62,33 +67,23 @@ impl Lu {
             ckpt_at >= 1 && ckpt_at <= niter,
             "checkpoint must fall inside the main loop"
         );
-        let mut lu = Lu {
+        Lu {
             niter,
             ckpt_at,
-            dt: 0.1,
-            omega: 0.2,
-            nu: 0.35,
-            exact: ExactSolution,
-            frct: Arr4::zeros(GP, GP1, GP1, NCOMP),
-        };
-        lu.frct = lu.exact_forcing();
-        lu
+            frct: Self::exact_forcing(),
+        }
     }
 
     /// Derived state from the conserved variables, over the **full 12³**
     /// (NPB computes `rho_i`/`qs` everywhere the grid is defined).
     fn compute_aux<R: Real>(u: &Arr4<R>, rho_i: &mut Arr3<R>, qs: &mut Arr3<R>) {
-        for k in 0..GP {
-            for j in 0..GP {
-                for i in 0..GP {
-                    let inv = R::one() / u[(k, j, i, 0)];
-                    rho_i[(k, j, i)] = inv;
-                    let ke = u[(k, j, i, 1)] * u[(k, j, i, 1)]
-                        + u[(k, j, i, 2)] * u[(k, j, i, 2)]
-                        + u[(k, j, i, 3)] * u[(k, j, i, 3)];
-                    qs[(k, j, i)] = ke * inv * 0.5;
-                }
-            }
+        for (k, j, i) in cube(FULL) {
+            let inv = R::one() / u[(k, j, i, 0)];
+            rho_i[(k, j, i)] = inv;
+            let ke = u[(k, j, i, 1)] * u[(k, j, i, 1)]
+                + u[(k, j, i, 2)] * u[(k, j, i, 2)]
+                + u[(k, j, i, 3)] * u[(k, j, i, 3)];
+            qs[(k, j, i)] = ke * inv * 0.5;
         }
     }
 
@@ -100,9 +95,7 @@ impl Lu {
         u: &Arr4<R>,
         rho_i: &Arr3<R>,
         qs: &Arr3<R>,
-        k: usize,
-        j: usize,
-        i: usize,
+        (k, j, i): (usize, usize, usize),
         d: usize,
     ) -> [R; NCOMP] {
         let vel = u[(k, j, i, d + 1)] * rho_i[(k, j, i)];
@@ -119,150 +112,71 @@ impl Lu {
         f
     }
 
+    /// Add `dt·N(u)` to `rsd`: per direction, a centred flux difference
+    /// plus dissipation at every interior point of every line. The line
+    /// along `dir` runs over the full `0..12` while the other two indices
+    /// stay interior, so the x, y and z sweeps read the slabs
+    /// `[1-10][1-10][0-11]`, `[1-10][0-11][1-10]` and `[0-11][1-10][1-10]`.
+    fn add_flux<R: Real>(u: &Arr4<R>, rho_i: &Arr3<R>, qs: &Arr3<R>, rsd: &mut Arr4<R>) {
+        let mut flux: Vec<[R; NCOMP]> = vec![[R::zero(); NCOMP]; GP];
+        for dir in 0..3 {
+            for a in INTERIOR {
+                for b in INTERIOR {
+                    for (l, f) in flux.iter_mut().enumerate() {
+                        *f = Self::flux_at(u, rho_i, qs, line_index(dir, a, b, l), dir);
+                    }
+                    for l in INTERIOR {
+                        let [lo, (k, j, i), hi] =
+                            [l - 1, l, l + 1].map(|l| line_index(dir, a, b, l));
+                        for m in 0..NCOMP {
+                            let conv = (flux[l + 1][m] - flux[l - 1][m]) * 0.5;
+                            let diss = (u[(lo.0, lo.1, lo.2, m)] - u[(k, j, i, m)] * 2.0
+                                + u[(hi.0, hi.1, hi.2, m)])
+                                * NU;
+                            rsd[(k, j, i, m)] += (diss - conv) * DT;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `rhs`: `rsd = dt·(N(u) + frct)`. The forcing extends to boundary
     /// cells (NPB initializes `rsd = -frct` over the whole grid), so
     /// boundary residuals are non-zero — they are read by the norm and by
     /// nothing else.
     fn compute_rsd<R: Real>(&self, u: &Arr4<R>, rho_i: &Arr3<R>, qs: &Arr3<R>, rsd: &mut Arr4<R>) {
-        for k in 0..GP {
-            for j in 0..GP {
-                for i in 0..GP {
-                    for m in 0..NCOMP {
-                        rsd[(k, j, i, m)] = R::lit(self.frct[(k, j, i, m)] * self.dt);
-                    }
-                }
+        for (k, j, i) in cube(FULL) {
+            for m in 0..NCOMP {
+                rsd[(k, j, i, m)] = R::lit(self.frct[(k, j, i, m)] * DT);
             }
         }
-        let mut flux: Vec<[R; NCOMP]> = vec![[R::zero(); NCOMP]; GP];
-        // x sweep: slab [1-10][1-10][0-11].
-        for k in 1..GP - 1 {
-            for j in 1..GP - 1 {
-                for (i, f) in flux.iter_mut().enumerate() {
-                    *f = Self::flux_at(u, rho_i, qs, k, j, i, 0);
-                }
-                for i in 1..GP - 1 {
-                    for m in 0..NCOMP {
-                        let conv = (flux[i + 1][m] - flux[i - 1][m]) * 0.5;
-                        let diss = (u[(k, j, i - 1, m)] - u[(k, j, i, m)] * 2.0
-                            + u[(k, j, i + 1, m)])
-                            * self.nu;
-                        rsd[(k, j, i, m)] += (diss - conv) * self.dt;
-                    }
-                }
-            }
-        }
-        // y sweep: slab [1-10][0-11][1-10].
-        for k in 1..GP - 1 {
-            for i in 1..GP - 1 {
-                for (j, f) in flux.iter_mut().enumerate() {
-                    *f = Self::flux_at(u, rho_i, qs, k, j, i, 1);
-                }
-                for j in 1..GP - 1 {
-                    for m in 0..NCOMP {
-                        let conv = (flux[j + 1][m] - flux[j - 1][m]) * 0.5;
-                        let diss = (u[(k, j - 1, i, m)] - u[(k, j, i, m)] * 2.0
-                            + u[(k, j + 1, i, m)])
-                            * self.nu;
-                        rsd[(k, j, i, m)] += (diss - conv) * self.dt;
-                    }
-                }
-            }
-        }
-        // z sweep: slab [0-11][1-10][1-10].
-        for j in 1..GP - 1 {
-            for i in 1..GP - 1 {
-                for (k, f) in flux.iter_mut().enumerate() {
-                    *f = Self::flux_at(u, rho_i, qs, k, j, i, 2);
-                }
-                for k in 1..GP - 1 {
-                    for m in 0..NCOMP {
-                        let conv = (flux[k + 1][m] - flux[k - 1][m]) * 0.5;
-                        let diss = (u[(k - 1, j, i, m)] - u[(k, j, i, m)] * 2.0
-                            + u[(k + 1, j, i, m)])
-                            * self.nu;
-                        rsd[(k, j, i, m)] += (diss - conv) * self.dt;
-                    }
-                }
-            }
-        }
+        Self::add_flux(u, rho_i, qs, rsd);
     }
 
     /// Manufactured forcing: `frct = −N(u_exact)` on the interior; smooth
     /// non-zero values on the boundary shell (read only by the norm).
-    fn exact_forcing(&self) -> Arr4<f64> {
-        let mut ue: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        for k in 0..GP {
-            for j in 0..GP {
-                for i in 0..GP {
-                    let e = self.exact.eval(
-                        ExactSolution::coord(i),
-                        ExactSolution::coord(j),
-                        ExactSolution::coord(k),
-                    );
-                    for m in 0..NCOMP {
-                        ue[(k, j, i, m)] = e[m];
-                    }
-                }
-            }
-        }
-        let mut rho_i: Arr3<f64> = Arr3::zeros(GP, GP1, GP1);
-        let mut qs: Arr3<f64> = Arr3::zeros(GP, GP1, GP1);
+    fn exact_forcing() -> Arr4<f64> {
+        let ue = exact_field();
+        let mut rho_i = Arr3::zeros(GP, GP1, GP1);
+        let mut qs = Arr3::zeros(GP, GP1, GP1);
         Self::compute_aux(&ue, &mut rho_i, &mut qs);
-        // Run the operator with zero forcing to measure N(u_exact).
-        let mut probe = Lu {
-            niter: 1,
-            ckpt_at: 1,
-            dt: self.dt,
-            omega: self.omega,
-            nu: self.nu,
-            exact: self.exact,
-            frct: Arr4::zeros(GP, GP1, GP1, NCOMP),
-        };
-        let mut n_of_exact: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        probe.frct = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        probe.compute_rsd(&ue, &rho_i, &qs, &mut n_of_exact);
-        let mut f: Arr4<f64> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        for k in 0..GP {
-            let z = ExactSolution::coord(k);
-            for j in 0..GP {
-                let y = ExactSolution::coord(j);
-                for i in 0..GP {
-                    let x = ExactSolution::coord(i);
-                    let interior = (1..GP - 1).contains(&k)
-                        && (1..GP - 1).contains(&j)
-                        && (1..GP - 1).contains(&i);
-                    for m in 0..NCOMP {
-                        f[(k, j, i, m)] = if interior {
-                            // compute_rsd produced dt·N(u_exact); cancel it.
-                            -n_of_exact[(k, j, i, m)] / self.dt
-                        } else {
-                            // Non-zero boundary forcing: read by the norm,
-                            // never by the update.
-                            0.01 * (1.0 + x + y + z + 0.1 * m as f64)
-                        };
-                    }
-                }
+        let mut f = Arr4::zeros(GP, GP1, GP1, NCOMP);
+        Self::add_flux(&ue, &rho_i, &qs, &mut f);
+        for (k, j, i) in cube(FULL) {
+            let interior = [k, j, i].iter().all(|x| INTERIOR.contains(x));
+            for m in 0..NCOMP {
+                f[(k, j, i, m)] = if interior {
+                    // `add_flux` produced dt·N(u_exact); cancel it.
+                    -f[(k, j, i, m)] / DT
+                } else {
+                    // Non-zero boundary forcing: read by the norm, never
+                    // by the update.
+                    0.01 * (1.0 + coord(i) + coord(j) + coord(k) + 0.1 * m as f64)
+                };
             }
         }
         f
-    }
-
-    /// Residual norm over the **full 12³×5** — part of LU's convergence
-    /// history, folded into the verification output (the read that makes
-    /// all of `rsd` critical).
-    fn rsd_norm<R: Real>(rsd: &Arr4<R>) -> R {
-        let mut s = R::zero();
-        for k in 0..GP {
-            for j in 0..GP {
-                for i in 0..GP {
-                    for m in 0..NCOMP {
-                        let v = rsd[(k, j, i, m)];
-                        s += v * v;
-                    }
-                }
-            }
-        }
-        (s / (GP * GP * GP * NCOMP) as f64).sqrt()
     }
 
     /// Global relaxation scale: a CFL-style smooth reduction over the
@@ -270,23 +184,19 @@ impl Lu {
     /// is the read that gives `rho_i`/`qs` their Fig. 3 criticality.
     fn relaxation_scale<R: Real>(rho_i: &Arr3<R>, qs: &Arr3<R>) -> R {
         let mut acc = R::zero();
-        for k in 0..GP {
-            for j in 0..GP {
-                for i in 0..GP {
-                    acc += rho_i[(k, j, i)] + qs[(k, j, i)];
-                }
-            }
+        for p in cube(FULL) {
+            acc += rho_i[p] + qs[p];
         }
         R::one() / (R::one() + acc * (1e-3 / (GP * GP * GP) as f64))
     }
 
     fn start<R: Real>(&self) -> Box<LuRun<'_, R>> {
-        let mut u: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
-        blend_init(&mut u, &self.exact);
-        let mut rho_i: Arr3<R> = Arr3::zeros(GP, GP1, GP1);
-        let mut qs: Arr3<R> = Arr3::zeros(GP, GP1, GP1);
+        let mut u = Arr4::zeros(GP, GP1, GP1, NCOMP);
+        blend_init(&mut u);
+        let mut rho_i = Arr3::zeros(GP, GP1, GP1);
+        let mut qs = Arr3::zeros(GP, GP1, GP1);
         Self::compute_aux(&u, &mut rho_i, &mut qs);
-        let mut rsd: Arr4<R> = Arr4::zeros(GP, GP1, GP1, NCOMP);
+        let mut rsd = Arr4::zeros(GP, GP1, GP1, NCOMP);
         self.compute_rsd(&u, &rho_i, &qs, &mut rsd);
         Box::new(LuRun {
             lu: self,
@@ -305,7 +215,7 @@ impl Lu {
         for istep in self.steps() {
             run.step(istep);
         }
-        error_norm_interior(&run.u, &self.exact).iter().sum()
+        error_norm(&run.u, INTERIOR).iter().sum()
     }
 }
 
@@ -326,53 +236,37 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for LuRun<'a, R> {
         let lu = self.lu;
         let (u, rho_i, qs, rsd) = (&mut self.u, &mut self.rho_i, &mut self.qs, &mut self.rsd);
         // Convergence history (reads rsd over the full grid).
-        self.history += Lu::rsd_norm(rsd);
+        self.history += rms(rsd, FULL);
         // Pseudo-time-step control (reads rho_i/qs over the full grid).
         let scale = Lu::relaxation_scale(rho_i, qs);
+        let dcoef = |p| R::one() / (R::one() + (rho_i[p] + qs[p] * 0.1) * DT);
 
         // Lower-triangular sweep (NPB jacld/blts).
-        for k in 1..GP - 1 {
-            for j in 1..GP - 1 {
-                for i in 1..GP - 1 {
-                    let dcoef =
-                        R::one() / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * lu.dt);
-                    for m in 0..NCOMP {
-                        let tv = rsd[(k, j, i, m)]
-                            + (rsd[(k - 1, j, i, m)]
-                                + rsd[(k, j - 1, i, m)]
-                                + rsd[(k, j, i - 1, m)])
-                                * lu.omega;
-                        rsd[(k, j, i, m)] = tv * dcoef * scale;
-                    }
-                }
+        for (k, j, i) in cube(INTERIOR) {
+            let dcoef = dcoef((k, j, i));
+            for m in 0..NCOMP {
+                let tv = rsd[(k, j, i, m)]
+                    + (rsd[(k - 1, j, i, m)] + rsd[(k, j - 1, i, m)] + rsd[(k, j, i - 1, m)])
+                        * OMEGA;
+                rsd[(k, j, i, m)] = tv * dcoef * scale;
             }
         }
         // Upper-triangular sweep (NPB jacu/buts).
-        for k in (1..GP - 1).rev() {
-            for j in (1..GP - 1).rev() {
-                for i in (1..GP - 1).rev() {
-                    let dcoef =
-                        R::one() / (R::one() + (rho_i[(k, j, i)] + qs[(k, j, i)] * 0.1) * lu.dt);
+        for k in INTERIOR.rev() {
+            for j in INTERIOR.rev() {
+                for i in INTERIOR.rev() {
+                    let dcoef = dcoef((k, j, i));
                     for m in 0..NCOMP {
                         let corr =
                             (rsd[(k + 1, j, i, m)] + rsd[(k, j + 1, i, m)] + rsd[(k, j, i + 1, m)])
-                                * (lu.omega);
+                                * OMEGA;
                         rsd[(k, j, i, m)] += corr * dcoef * scale;
                     }
                 }
             }
         }
         // Fold the increment into the solution.
-        for k in 1..GP - 1 {
-            for j in 1..GP - 1 {
-                for i in 1..GP - 1 {
-                    for m in 0..NCOMP {
-                        let inc = rsd[(k, j, i, m)];
-                        u[(k, j, i, m)] += inc;
-                    }
-                }
-            }
-        }
+        add_interior(u, rsd);
         // Refresh derived state and residual for the next iteration.
         Lu::compute_aux(u, rho_i, qs);
         lu.compute_rsd(u, rho_i, qs, rsd);
@@ -390,7 +284,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for LuRun<'a, R> {
     }
 
     fn output(&self) -> R {
-        let err = error_norm_interior(&self.u, &self.lu.exact);
+        let err = error_norm(&self.u, INTERIOR);
         let mut out = self.history * 0.05;
         for e in err {
             out += e;

@@ -7,7 +7,7 @@
 use scrutiny_core::restart::capture_state;
 use scrutiny_core::{
     plan::plans_for, restart_cycle, scrutinize, CheckpointSource, DirBackend, EngineConfig,
-    EngineHandle, Layout, MemBackend, Policy, RestartConfig, ShardedBackend, StorageBackend,
+    EngineHandle, Layout, MemBackend, Policy, RestartConfig, StorageBackend,
 };
 use scrutiny_npb::{burn_in, BurnIn, Cg};
 use std::sync::Arc;
@@ -49,17 +49,6 @@ fn main() {
         (
             "dir",
             Arc::new(DirBackend::open(dir.join("verify")).unwrap()),
-        ),
-        (
-            "sharded(mem×3)",
-            Arc::new(
-                ShardedBackend::new(vec![
-                    Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
-                    Arc::new(MemBackend::new()),
-                    Arc::new(MemBackend::new()),
-                ])
-                .unwrap(),
-            ),
         ),
     ];
     for (name, backend) in backends {

@@ -35,7 +35,7 @@ pub use scrutiny_ckpt as ckpt;
 
 /// Asynchronous, sharded checkpoint pipeline with pluggable storage
 /// backends: [`scrutiny_engine::EngineHandle`], [`scrutiny_engine::DirBackend`],
-/// [`scrutiny_engine::MemBackend`], [`scrutiny_engine::ShardedBackend`].
+/// [`scrutiny_engine::MemBackend`].
 pub use scrutiny_engine as engine;
 
 /// The analysis pipeline: scrutinize → plan → restart-verify.

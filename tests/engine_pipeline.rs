@@ -4,8 +4,7 @@
 
 use scrutiny_core::{
     checkpoint_restart_cycle, restart_cycle, scrutinize, CheckpointSource, DirBackend,
-    EngineConfig, EngineHandle, Layout, MemBackend, Policy, RestartConfig, ShardedBackend,
-    StorageBackend,
+    EngineConfig, EngineHandle, Layout, MemBackend, Policy, RestartConfig, StorageBackend,
 };
 use scrutiny_npb::{burn_in, burn_in_suite_mini, Bt, BurnIn};
 use std::sync::Arc;
@@ -28,16 +27,7 @@ fn burn_in_wired_npb_apps_verify_through_every_backend() {
                 Arc::new(DirBackend::open(dir.join(&name)).unwrap()),
                 Layout::Sharded,
             ),
-            (
-                Arc::new(
-                    ShardedBackend::new(vec![
-                        Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
-                        Arc::new(DirBackend::open(dir.join(format!("{name}_stripe"))).unwrap()),
-                    ])
-                    .unwrap(),
-                ),
-                Layout::Sharded,
-            ),
+            (Arc::new(MemBackend::new()), Layout::Sharded),
         ];
         for (backend, layout) in backends {
             let label = backend.label();
