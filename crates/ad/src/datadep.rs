@@ -7,10 +7,10 @@
 //! module packages that verdict as a first-class analysis result:
 //!
 //! * **liveness** — the structural reachability bits, computed by the
-//!   exact per-segment bitset sweep in [`crate::sweep`] (serial or
-//!   parallel, identical bits either way). A node is *live* when some
-//!   chain of recorded edges connects it to the output, regardless of
-//!   whether the partial derivatives along the chain multiply to zero.
+//!   reach kernel of [`crate::sweep`] (serial or parallel, identical bits
+//!   either way). A node is *live* when some chain of recorded edges
+//!   connects it to the output, regardless of whether the partial
+//!   derivatives along the chain multiply to zero.
 //! * **def-use bits** — every node that is *used* (appears as a parent of
 //!   a later node), marked segment by segment on the same walk. A leaf
 //!   that is never used can only be live if it *is* the output; the
@@ -150,38 +150,34 @@ impl DataDep {
         }
         let store = tape.store();
         let shift = store.shift();
-        let mask = store.mask();
         let ctx = ReplayCtx::none();
-        let mut cur_s = usize::MAX;
-        let mut seg_view = None;
         let mut nodes = vec![from];
         let mut hops = 0usize;
         let mut current = from;
-        let mut j = from + 1;
+        // Scan forward for the first live consumer of `current`, then of
+        // that consumer, and so on. The scan never rewinds: the consumer
+        // found is > current, and its own consumers are later still.
+        let mut s = ((from + 1) >> shift) as usize;
+        let mut off = ((from + 1) & store.mask()) as usize;
         while current != seed {
-            // Scan forward for the first live consumer of `current`. The
-            // scan cursor never rewinds: the consumer found is > current,
-            // and its own consumers are later still.
-            loop {
+            let base = (s as u64) << shift;
+            let seg = store.view(s, &ctx).ok()?;
+            for node in seg.fwd(base, off) {
+                let j = base + node.off as u64;
                 debug_assert!(j <= seed, "live non-output node with no live consumer");
-                let s = (j >> shift) as usize;
-                if s != cur_s {
-                    seg_view = Some(store.view(s, &ctx).ok()?);
-                    cur_s = s;
+                if self.live[j as usize] && node.edges.iter().any(|&(p, _)| p == current) {
+                    current = j;
+                    hops += 1;
+                    if nodes.len() < max_nodes {
+                        nodes.push(current);
+                    }
+                    if current == seed {
+                        break;
+                    }
                 }
-                let seg = seg_view.as_ref().expect("view cached for this segment");
-                let off = (j & mask) as usize;
-                if self.live[j as usize] && (seg.p1[off] == current || seg.p2[off] == current) {
-                    break;
-                }
-                j += 1;
             }
-            current = j;
-            hops += 1;
-            if nodes.len() < max_nodes {
-                nodes.push(current);
-            }
-            j += 1;
+            s += 1;
+            off = 0;
         }
         Some(Witness { nodes, hops })
     }

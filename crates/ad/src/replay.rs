@@ -5,7 +5,7 @@
 //! [`crate::segment`]). When a sweep needs one, the *same computation that
 //! produced the tape* is run again with a replay sink installed in
 //! place of the recording tape: the sink counts every node so ids come out
-//! identical, but materializes columns only for the window of segments the
+//! identical, but materializes nodes only for the window of segments the
 //! sweep asked for. The re-recorded bytes are then checked against the
 //! stored digests — any nondeterminism in the replayed computation is a
 //! typed [`crate::AdError::ReplayDivergence`], never a silently wrong
@@ -304,7 +304,7 @@ impl<S: Resume, F: Fn() -> S> TapeReplay for Ladder<S, F> {
 }
 
 /// The thread-local recording target during a replay: assigns ids by
-/// counting (so they match the original recording) and stores columns only
+/// counting (so they match the original recording) and stores nodes only
 /// for segments inside the requested window.
 pub(crate) struct ReplaySink {
     /// Next node id (== nodes of the original recording replayed or
@@ -348,10 +348,7 @@ impl ReplaySink {
         let s = (idx >> self.shift) as usize;
         if let Some(local) = s.checked_sub(self.win_start) {
             if let Some(seg) = self.segs.get_mut(local) {
-                seg.p1.push(p1);
-                seg.p2.push(p2);
-                seg.d1.push(d1);
-                seg.d2.push(d2);
+                seg.push(idx, p1, d1, p2, d2);
             }
         }
         idx
@@ -527,7 +524,7 @@ mod tests {
         least: Rc<Cell<usize>>,
     }
 
-    const PROBE_SEG: usize = 128 * NODE_BYTES;
+    const PROBE_SEG: usize = 256 * NODE_BYTES;
 
     impl Resume for Probe {
         fn advance(&mut self) -> bool {
@@ -548,7 +545,7 @@ mod tests {
         let mem = Rc::new(RefCell::new(None));
         let least = Rc::new(Cell::new(usize::MAX));
         let cfg = TapeConfig {
-            segment_len: 128,
+            segment_len: 256,
             checkpoint: Some(TapeCheckpointConfig::with_ncheckpoints(4)),
             ..TapeConfig::default()
         };

@@ -6,13 +6,33 @@
 //! (multi-hundred-MiB `memcpy` spikes mid-kernel on NPB tapes), and node
 //! ids were `u32`, capping a tape at 2³²−1 nodes with an `assert!` behind
 //! it. Segmented storage removes both. Nodes live in fixed-size segments
-//! whose columns are allocated exactly once and never move; a node id is a
+//! whose streams are allocated exactly once and never move; a node id is a
 //! `u64` that splits into `segment = id >> shift` and `offset = id & mask`
 //! (segment-local indexing), so capacity is bounded by the configured
 //! [`node budget`](crate::TapeConfig::node_limit) rather than an index
 //! type; and exhausting that budget *poisons* the store instead of
 //! aborting — the error surfaces as a typed
 //! [`AdError`] at sweep time.
+//!
+//! **Encoding.** A node is up to two `(parent, partial)` edges, stored in
+//! three streams plus a side stream, and only this module knows the
+//! layout:
+//!
+//! * one *kind* byte per node, two 2-bit codes (parent 1 in bits 0–1,
+//!   parent 2 in bits 2–3): absent, partial `+1.0`, partial `−1.0`, or
+//!   explicit. The codes compare bit patterns, so `−0.0` and every NaN
+//!   are explicit;
+//! * one `u32` backward distance (node id − parent id) per present
+//!   parent; `0` escapes to a `u64` side stream, so any id fits;
+//! * one `f64` per explicit partial.
+//!
+//! An absent parent's partial (what `x * c` records for `c`) is dropped:
+//! no sweep reads it. Every reader decodes through one of two cursors —
+//! `Segment::rev` for the reverse walks, `Segment::fwd` for the witness
+//! scan — which hand back `u64` ids and the partials' exact bits.
+//! On the NPB tapes a node takes ≈ 11 bytes instead of the 32 of four
+//! fixed columns: most edges point a few nodes back and most partials are
+//! ±1.
 //!
 //! Segments are also the unit of parallelism for the reverse sweeps in
 //! [`crate::sweep`] — and, since the bounded-memory refactor, the unit of
@@ -35,18 +55,24 @@ use std::sync::{Arc, Mutex};
 /// Sentinel node id meaning "no parent" (constant operand or leaf).
 pub(crate) const NONE: u64 = u64::MAX;
 
-/// Default nodes per segment: 2 MiB of node storage per segment, small
-/// enough that a dozen segments exist on any interesting tape (exposing
-/// sweep parallelism) and large enough that per-segment overheads vanish.
+/// Default nodes per segment: 1.6 MB reserved per segment (of which the
+/// NPB tapes fill ≈ 0.7 MB), small enough that a dozen segments exist on
+/// any interesting tape (exposing sweep parallelism) and large enough
+/// that per-segment overheads vanish.
 pub const DEFAULT_SEGMENT_LEN: usize = 1 << 16;
 
 /// Default recording budget in nodes. Far beyond what fits in memory
-/// (2⁴⁸ nodes ≈ 9 PiB); the budget exists so runaway recordings become a
-/// typed error instead of an OOM kill, and so tests can shrink it.
+/// (2⁴⁸ nodes ≈ 7 PB reserved); the budget exists so runaway recordings
+/// become a typed error instead of an OOM kill, and so tests can shrink
+/// it.
 pub const DEFAULT_NODE_LIMIT: u64 = 1 << 48;
 
-/// Bytes per recorded node: two `u64` parent ids + two `f64` partials.
-pub const NODE_BYTES: usize = 2 * 8 + 2 * 8;
+/// Bytes a segment reserves per node, and what residency budgets charge
+/// per node: one kind byte, two `u32` distances and two `f64` partials —
+/// room for the widest node, so a segment never reallocates (the rare
+/// escaped distance aside). Encoded nodes fill ≈ 11 of them on the NPB
+/// tapes; [`crate::TapeStats::bytes`] reports the encoded size.
+pub const NODE_BYTES: usize = 1 + 2 * 4 + 2 * 8;
 
 /// Bounded-memory policy for a tape: keep at most `ncheckpoints` segments
 /// resident, evicting the rest to `(len, digest)` summaries that are
@@ -121,54 +147,241 @@ fn rounded_segment_len(segment_len: usize) -> usize {
     segment_len.next_power_of_two().clamp(8, 1 << 31)
 }
 
-/// One fixed-capacity arena of nodes, in structure-of-arrays layout.
+/// Edge codes, two bits each in a node's kind byte.
+const ABSENT: u8 = 0;
+const PLUS_ONE: u8 = 1;
+const MINUS_ONE: u8 = 2;
+const EXPLICIT: u8 = 3;
+
+/// One fixed-capacity arena of nodes in the variable-length encoding (see
+/// the module docs).
 ///
-/// The columns are allocated at full segment capacity on construction and
-/// never reallocate: a `push` into a non-full segment is a plain append,
-/// and a full segment simply stops growing (the store opens a new one).
+/// The streams are allocated at full segment capacity on construction and
+/// never reallocate (the escape stream, empty on any tape under 2³² nodes,
+/// aside): a `push` into a non-full segment is a plain append, and a full
+/// segment simply stops growing (the store opens a new one).
 pub(crate) struct Segment {
-    pub(crate) p1: Vec<u64>,
-    pub(crate) p2: Vec<u64>,
-    pub(crate) d1: Vec<f64>,
-    pub(crate) d2: Vec<f64>,
+    /// One byte per node: parent 1's code in bits 0–1, parent 2's in 2–3.
+    kinds: Vec<u8>,
+    /// Node id − parent id per present parent, node order, parent 1
+    /// first; `0` means the distance is the next entry of `escapes`.
+    dists: Vec<u32>,
+    /// One partial per `EXPLICIT` code, in the same order.
+    partials: Vec<f64>,
+    /// The distances that do not fit a non-zero `u32`, in order.
+    escapes: Vec<u64>,
+}
+
+/// One decoded node: its offset in the segment and its two `(parent id,
+/// partial)` edges, parent 1 first. An absent parent reads `(NONE, 0.0)`.
+pub(crate) struct Node {
+    pub(crate) off: usize,
+    pub(crate) edges: [(u64, f64); 2],
 }
 
 impl Segment {
     pub(crate) fn with_capacity(seg_len: usize) -> Segment {
         Segment {
-            p1: Vec::with_capacity(seg_len),
-            p2: Vec::with_capacity(seg_len),
-            d1: Vec::with_capacity(seg_len),
-            d2: Vec::with_capacity(seg_len),
+            kinds: Vec::with_capacity(seg_len),
+            dists: Vec::with_capacity(2 * seg_len),
+            partials: Vec::with_capacity(2 * seg_len),
+            escapes: Vec::new(),
         }
     }
 
     /// Nodes recorded into this segment.
     pub(crate) fn len(&self) -> usize {
-        self.p1.len()
+        self.kinds.len()
+    }
+
+    /// Bytes the encoded nodes occupy (the reservation is
+    /// [`NODE_BYTES`] per node of capacity).
+    pub(crate) fn encoded_bytes(&self) -> usize {
+        self.kinds.len() + 4 * self.dists.len() + 8 * (self.partials.len() + self.escapes.len())
+    }
+
+    /// Append node `id` with parents `p1`, `p2` ([`NONE`] when absent) and
+    /// partials `d1`, `d2`.
+    #[inline]
+    pub(crate) fn push(&mut self, id: u64, p1: u64, d1: f64, p2: u64, d2: f64) {
+        let c1 = self.push_edge(id, p1, d1);
+        let c2 = self.push_edge(id, p2, d2);
+        self.kinds.push(c1 | c2 << 2);
+    }
+
+    #[inline]
+    fn push_edge(&mut self, id: u64, p: u64, d: f64) -> u8 {
+        if p == NONE {
+            return ABSENT;
+        }
+        // Wrapping, so that any id round-trips, even one from another
+        // recording.
+        let dist = id.wrapping_sub(p);
+        match u32::try_from(dist) {
+            Ok(near) if near != 0 => self.dists.push(near),
+            _ => {
+                self.dists.push(0);
+                self.escapes.push(dist);
+            }
+        }
+        let bits = d.to_bits();
+        if bits == 1f64.to_bits() {
+            PLUS_ONE
+        } else if bits == (-1f64).to_bits() {
+            MINUS_ONE
+        } else {
+            self.partials.push(d);
+            EXPLICIT
+        }
+    }
+
+    /// Empty the streams, keeping their capacity.
+    fn clear(&mut self) {
+        self.kinds.clear();
+        self.dists.clear();
+        self.partials.clear();
+        self.escapes.clear();
+    }
+
+    /// The nodes in decreasing offset order, for a segment whose first
+    /// node has id `base`. O(1) per node.
+    pub(crate) fn rev(&self, base: u64) -> Cursor<'_, true> {
+        self.cursor(base, 0)
+    }
+
+    /// The nodes from offset `off` on, in increasing order, for a segment
+    /// whose first node has id `base`. Seeking costs one pass over the
+    /// `off` kind bytes before it; every node after that is O(1).
+    pub(crate) fn fwd(&self, base: u64, off: usize) -> Cursor<'_, false> {
+        self.cursor(base, off)
+    }
+
+    /// A cursor over the nodes from offset `off` on.
+    fn cursor<const BACK: bool>(&self, base: u64, off: usize) -> Cursor<'_, BACK> {
+        let codes = self.kinds[..off].iter().flat_map(|&k| [k & 3, k >> 2]);
+        let (dists, partials) = codes.fold((0, 0), |(n, x), c| {
+            (n + usize::from(c != ABSENT), x + usize::from(c == EXPLICIT))
+        });
+        let escapes = self.dists[..dists].iter().filter(|&&d| d == 0).count();
+        Cursor {
+            base,
+            len: self.len(),
+            kinds: &self.kinds[off..],
+            dists: &self.dists[dists..],
+            partials: &self.partials[partials..],
+            escapes: &self.escapes[escapes..],
+        }
     }
 }
 
-/// An order-sensitive multiply-rotate fold over the segment's length and
-/// columns (`f64` partials via `to_bits`), one `u64` word per multiply —
-/// the bit-exactness witness an evicted segment leaves behind. It lives
-/// only in memory, next to the slot it summarizes. Re-recorded segments
-/// must reproduce it exactly or the sweep fails with
+/// A cursor over a [`Segment`]'s nodes: backwards from the end
+/// (`BACK = true`, [`Segment::rev`]) or forwards from an offset
+/// ([`Segment::fwd`]). Each stream is the slice of entries not yet
+/// decoded, which decoding pops from the end the cursor moves towards.
+/// Holding the slices (not the segment) keeps them in registers across
+/// the walk's scattered stores.
+pub(crate) struct Cursor<'a, const BACK: bool> {
+    /// Id of the segment's first node.
+    base: u64,
+    /// Nodes in the segment.
+    len: usize,
+    kinds: &'a [u8],
+    dists: &'a [u32],
+    partials: &'a [f64],
+    escapes: &'a [u64],
+}
+
+/// The entry at the `BACK` end of `stream`, which then loses it.
+#[inline]
+fn pop<T: Copy, const BACK: bool>(stream: &mut &[T]) -> T {
+    let split = if BACK {
+        stream.split_last()
+    } else {
+        stream.split_first()
+    };
+    let (&entry, rest) = split.expect("the kind bytes promise another entry");
+    *stream = rest;
+    entry
+}
+
+impl<const BACK: bool> Cursor<'_, BACK> {
+    /// Decode one edge of node `id`, with code `code`.
+    #[inline]
+    fn edge(&mut self, id: u64, code: u8) -> (u64, f64) {
+        if code == ABSENT {
+            return (NONE, 0.0);
+        }
+        let dist = match pop::<_, BACK>(&mut self.dists) {
+            0 => pop::<_, BACK>(&mut self.escapes),
+            near => u64::from(near),
+        };
+        let d = match code {
+            PLUS_ONE => 1.0,
+            MINUS_ONE => -1.0,
+            _ => pop::<_, BACK>(&mut self.partials),
+        };
+        (id.wrapping_sub(dist), d)
+    }
+}
+
+impl<const BACK: bool> Iterator for Cursor<'_, BACK> {
+    type Item = Node;
+
+    #[inline]
+    fn next(&mut self) -> Option<Node> {
+        if self.kinds.is_empty() {
+            return None;
+        }
+        let kind = pop::<_, BACK>(&mut self.kinds);
+        let off = if BACK {
+            self.kinds.len()
+        } else {
+            self.len - self.kinds.len() - 1
+        };
+        let id = self.base + off as u64;
+        // Parent 1's entries precede parent 2's in every stream.
+        let edges = if BACK {
+            let e2 = self.edge(id, kind >> 2);
+            [self.edge(id, kind & 3), e2]
+        } else {
+            let e1 = self.edge(id, kind & 3);
+            [e1, self.edge(id, kind >> 2)]
+        };
+        Some(Node { off, edges })
+    }
+}
+
+/// An order-sensitive multiply-rotate fold over the segment's stream
+/// lengths and streams (kind bytes eight to a word, distances two to a
+/// word, `f64` partials via `to_bits`), one `u64` word per multiply — the
+/// bit-exactness witness an evicted segment leaves behind. It lives only
+/// in memory, next to the slot it summarizes. Re-recorded segments must
+/// reproduce it exactly or the sweep fails with
 /// [`AdError::ReplayDivergence`].
 pub(crate) fn segment_digest(seg: &Segment) -> u64 {
     const SEED: u64 = 0xcbf2_9ce4_8422_2325;
     const MUL: u64 = 0x517c_c1b7_2722_0a95;
     // The rotation carries high bits back down, so no bit position is a
-    // blind spot that two flips could cancel in.
+    // blind spot that two flips could cancel in. Each step is a bijection
+    // of `h` for a fixed word, so any one changed word changes the result.
     let eat = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(MUL);
-    let mut h = eat(SEED, seg.len() as u64);
-    for off in 0..seg.len() {
-        h = eat(h, seg.p1[off]);
-        h = eat(h, seg.p2[off]);
-        h = eat(h, seg.d1[off].to_bits());
-        h = eat(h, seg.d2[off].to_bits());
+    let lens = [
+        seg.kinds.len(),
+        seg.dists.len(),
+        seg.partials.len(),
+        seg.escapes.len(),
+    ];
+    let mut h = lens.iter().fold(SEED, |h, &n| eat(h, n as u64));
+    for chunk in seg.kinds.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = eat(h, u64::from_le_bytes(word));
     }
-    h
+    for pair in seg.dists.chunks(2) {
+        h = eat(h, pair.iter().fold(0, |w, &d| w << 32 | u64::from(d)));
+    }
+    let words = seg.partials.iter().map(|d| d.to_bits());
+    words.chain(seg.escapes.iter().copied()).fold(h, eat)
 }
 
 /// Resident-byte accounting shared by everything one store's budget
@@ -254,12 +467,9 @@ impl SegGuard {
         }
     }
 
-    /// Empty the columns, keeping their capacity for the next occupant.
+    /// Empty the streams, keeping their capacity for the next occupant.
     fn clear(&mut self) {
-        self.seg.p1.clear();
-        self.seg.p2.clear();
-        self.seg.d1.clear();
-        self.seg.d2.clear();
+        self.seg.clear();
     }
 }
 
@@ -287,6 +497,8 @@ enum SlotState {
     },
     Evicted {
         len: usize,
+        /// [`Segment::encoded_bytes`] of the evicted data.
+        bytes: usize,
         digest: u64,
     },
 }
@@ -296,6 +508,13 @@ impl SlotState {
         match self {
             SlotState::Resident { seg, .. } => seg.len(),
             SlotState::Evicted { len, .. } => *len,
+        }
+    }
+
+    fn encoded_bytes(&self) -> usize {
+        match self {
+            SlotState::Resident { seg, .. } => seg.encoded_bytes(),
+            SlotState::Evicted { bytes, .. } => *bytes,
         }
     }
 
@@ -315,6 +534,7 @@ impl SlotState {
         }
         let summary = SlotState::Evicted {
             len: seg.len(),
+            bytes: seg.encoded_bytes(),
             digest: digest.unwrap_or_else(|| segment_digest(seg)),
         };
         match std::mem::replace(self, summary) {
@@ -465,10 +685,18 @@ impl SegmentStore {
         self.replayed.load(Ordering::Relaxed)
     }
 
-    /// Full logical footprint: what an unbounded tape would allocate
-    /// (every segment at fixed capacity, evicted or not).
-    pub(crate) fn total_bytes(&self) -> usize {
-        self.seg_count() * self.seg_bytes()
+    /// Encoded bytes of every recorded node, evicted or not: what the
+    /// nodes of an unbounded tape occupy (each segment reserves
+    /// [`NODE_BYTES`] per node of capacity, but only the encoded bytes
+    /// are ever written).
+    pub(crate) fn encoded_bytes(&self) -> usize {
+        let sealed: usize = self
+            .slots()
+            .table
+            .iter()
+            .map(SlotState::encoded_bytes)
+            .sum();
+        sealed + self.open.as_ref().map_or(0, |seg| seg.encoded_bytes())
     }
 
     /// Bytes currently resident: arenas (evicted segments excluded) plus
@@ -550,10 +778,7 @@ impl SegmentStore {
             .open
             .as_mut()
             .expect("an open segment exists after the open-on-boundary check");
-        seg.p1.push(p1);
-        seg.p2.push(p2);
-        seg.d1.push(d1);
-        seg.d2.push(d2);
+        seg.push(idx, p1, d1, p2, d2);
         self.len += 1;
         idx
     }
@@ -672,7 +897,7 @@ impl SegmentStore {
         for (i, seg) in done.segs.into_iter().enumerate() {
             let idx = w0 + i;
             let (len, digest) = match slots.table[idx] {
-                SlotState::Evicted { len, digest } => (len, digest),
+                SlotState::Evicted { len, digest, .. } => (len, digest),
                 // A resident slot inside the window cannot occur: the
                 // window is a sub-range of the contiguous evicted run.
                 SlotState::Resident { .. } => unreachable!("window slot {idx} is resident"),
@@ -709,6 +934,7 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn segment_len_rounds_to_power_of_two() {
@@ -722,19 +948,25 @@ mod tests {
     fn push_crosses_segment_boundaries_without_moving_data() {
         let mut s = SegmentStore::new(0, 8, DEFAULT_NODE_LIMIT, None);
         for i in 0..20u64 {
-            assert_eq!(s.push(NONE, 0.0, NONE, i as f64), i);
+            // A chain: each node's parent is the one before it.
+            assert_eq!(s.push(i.wrapping_sub(1), 0.5, NONE, i as f64), i);
         }
         s.seal_open();
         assert_eq!(s.seg_count(), 3);
         assert_eq!(s.seg_nodes(0), 8);
         assert_eq!(s.seg_nodes(2), 4);
-        // Column capacity is exact: no segment ever reallocates.
+        // Stream capacity is exactly the widest node's: no segment ever
+        // reallocates, and no escape stream is allocated.
         let ctx = ReplayCtx::none();
         for seg in 0..3 {
             let view = s.view(seg, &ctx).unwrap();
-            assert_eq!(view.d2.capacity(), 8);
+            assert_eq!(view.kinds.capacity(), 8);
+            assert_eq!(view.dists.capacity(), 16);
+            assert_eq!(view.partials.capacity(), 16);
+            assert_eq!(view.escapes.capacity(), 0);
         }
-        assert_eq!(s.total_bytes(), 3 * 8 * NODE_BYTES);
+        // Node 0 is a leaf; the 19 others hold a distance and a partial.
+        assert_eq!(s.encoded_bytes(), 20 + 19 * (4 + 8));
         assert_eq!(s.resident_bytes(), 3 * 8 * NODE_BYTES);
         assert_eq!(s.peak_resident_bytes(), 3 * 8 * NODE_BYTES);
     }
@@ -788,40 +1020,174 @@ mod tests {
         assert_eq!(fixed.resolved(1024), 5);
     }
 
+    /// Ids far enough from 0 that every test distance fits below them.
+    const BASE: u64 = 1 << 41;
+
+    /// A node as `(p1, d1, p2, d2)`.
+    type Tuple = (u64, f64, u64, f64);
+
+    /// A segment holding `nodes`, node `i` having id `BASE + i`.
+    fn build(nodes: &[Tuple]) -> Segment {
+        let mut seg = Segment::with_capacity(nodes.len());
+        for (i, &(p1, d1, p2, d2)) in nodes.iter().enumerate() {
+            seg.push(BASE + i as u64, p1, d1, p2, d2);
+        }
+        seg
+    }
+
     #[test]
     fn digest_is_content_sensitive() {
-        let node = |seg: &mut Segment, p1: u64, p2: u64, d1: f64, d2: f64| {
-            seg.p1.push(p1);
-            seg.p2.push(p2);
-            seg.d1.push(d1);
-            seg.d2.push(d2);
+        let digest = |nodes: &[Tuple]| segment_digest(&build(nodes));
+        let base = [
+            (BASE - 3, 1.5, NONE, 0.0),
+            (BASE - 1, -2.0, BASE - 2, 4.0),
+            (BASE + 1, 1.0, BASE - (1 << 32), -1.0),
+        ];
+        let a = digest(&base);
+        assert_eq!(a, digest(&base));
+        let edited = |f: &dyn Fn(&mut [Tuple; 3])| {
+            let mut nodes = base;
+            f(&mut nodes);
+            digest(&nodes)
         };
-        let build = |nodes: &[(u64, u64, f64, f64)]| {
-            let mut seg = Segment::with_capacity(8);
-            for &(p1, p2, d1, d2) in nodes {
-                node(&mut seg, p1, p2, d1, d2);
-            }
-            seg
-        };
-        let base = [(3, NONE, 1.5, 0.0), (0, 1, -2.0, 4.0)];
-        let a = build(&base);
-        assert_eq!(segment_digest(&a), segment_digest(&build(&base)));
-        // One bit of one partial.
-        let mut b = build(&base);
-        b.d1[0] = 1.5000000001;
-        assert_ne!(segment_digest(&a), segment_digest(&b));
-        // A node's two (parent, partial) columns swapped.
-        let swapped = build(&[base[0], (1, 0, 4.0, -2.0)]);
-        assert_ne!(segment_digest(&a), segment_digest(&swapped));
-        // A length change: a trailing all-zero-bits node, and a lost node.
-        let longer = build(&[base[0], base[1], (0, 0, 0.0, 0.0)]);
-        assert_ne!(segment_digest(&a), segment_digest(&longer));
-        assert_ne!(segment_digest(&a), segment_digest(&build(&base[..1])));
+        // A ±1 kind flipped.
+        assert_ne!(a, edited(&|n| n[2].1 = -1.0));
+        assert_ne!(a, edited(&|n| n[2].3 = 1.0));
+        // A distance off by one.
+        assert_ne!(a, edited(&|n| n[1].2 = BASE - 3));
+        // An escape swapped for an inline distance.
+        assert_ne!(a, edited(&|n| n[2].2 = BASE + 2 - u64::from(u32::MAX)));
+        // One bit of one explicit partial.
+        assert_ne!(
+            a,
+            edited(&|n| n[0].1 = f64::from_bits(1.5f64.to_bits() ^ 1))
+        );
+        // One dropped node, and one trailing all-zero-bits node.
+        assert_ne!(a, digest(&base[..2]));
+        assert_ne!(
+            a,
+            digest(&[base[0], base[1], base[2], (NONE, 0.0, NONE, 0.0)])
+        );
+        // A node's two edges swapped.
+        assert_ne!(a, edited(&|n| n[1] = (BASE - 2, 4.0, BASE - 1, -2.0)));
         // Two sign flips (top bit of two words) do not cancel.
-        let mut c = build(&base);
-        c.d1[0] = -c.d1[0];
-        c.d1[1] = -c.d1[1];
-        assert_ne!(segment_digest(&a), segment_digest(&c));
+        assert_ne!(a, edited(&|n| (n[0].1, n[1].1) = (-1.5, 2.0)));
+        // The partial of an absent parent is not stored.
+        assert_eq!(a, edited(&|n| n[0].3 = 7.0));
+    }
+
+    /// The fixed four-column layout the encoding replaced: two parent ids
+    /// and two partials per node, stored as given. The cursors must read
+    /// back exactly what it holds.
+    #[derive(Default)]
+    struct Wide {
+        p1: Vec<u64>,
+        p2: Vec<u64>,
+        d1: Vec<f64>,
+        d2: Vec<f64>,
+    }
+
+    impl Wide {
+        fn push(&mut self, p1: u64, d1: f64, p2: u64, d2: f64) {
+            self.p1.push(p1);
+            self.p2.push(p2);
+            self.d1.push(d1);
+            self.d2.push(d2);
+        }
+
+        /// Node `off`'s edges as bits, the partial of an absent parent
+        /// ignored (read as `+0.0`, as the cursors do).
+        fn edges(&self, off: usize) -> [(u64, u64); 2] {
+            let edge = |p: u64, d: f64| (p, if p == NONE { 0 } else { d.to_bits() });
+            [
+                edge(self.p1[off], self.d1[off]),
+                edge(self.p2[off], self.d2[off]),
+            ]
+        }
+    }
+
+    fn edge_bits(node: &Node) -> [(u64, u64); 2] {
+        node.edges.map(|(p, d)| (p, d.to_bits()))
+    }
+
+    /// Deterministic splitmix64.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random `(parent, partial)` edge of node `id`: absent (with a
+    /// non-zero partial), at one of the boundary distances or ahead of
+    /// `id` (an id from another recording), with a ±1, signed-zero, NaN,
+    /// subnormal or arbitrary partial.
+    fn random_edge(st: &mut u64, id: u64) -> (u64, f64) {
+        const DISTS: [u64; 7] = [
+            1,
+            2,
+            17,
+            (1 << 32) - 1,
+            1 << 32,
+            1 << 40,
+            0u64.wrapping_sub(5),
+        ];
+        let partials = [
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(splitmix(st)),
+        ];
+        let d = partials[(splitmix(st) % partials.len() as u64) as usize];
+        match splitmix(st) % 9 {
+            0 | 1 => (NONE, 3.5),
+            k => (id.wrapping_sub(DISTS[k as usize - 2]), d),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both cursors read back every pushed tuple bit for bit, ids and
+        /// partials alike.
+        #[test]
+        fn cursors_match_the_wide_layout(seed in 0u64..u64::MAX) {
+            let mut st = seed;
+            let n = 1 + (splitmix(&mut st) % 64) as usize;
+            let mut seg = Segment::with_capacity(n);
+            let mut wide = Wide::default();
+            for off in 0..n {
+                let id = BASE + off as u64;
+                let (p1, d1) = random_edge(&mut st, id);
+                let (p2, d2) = if splitmix(&mut st) % 8 == 0 {
+                    (p1, -d1) // the same parent twice
+                } else {
+                    random_edge(&mut st, id)
+                };
+                seg.push(id, p1, d1, p2, d2);
+                wide.push(p1, d1, p2, d2);
+            }
+            prop_assert_eq!(seg.len(), n);
+            let back: Vec<Node> = seg.rev(BASE).collect();
+            prop_assert_eq!(back.len(), n);
+            for (k, node) in back.iter().enumerate() {
+                prop_assert_eq!(node.off, n - 1 - k);
+                prop_assert_eq!(edge_bits(node), wide.edges(node.off));
+            }
+            let from = (splitmix(&mut st) % (n as u64 + 1)) as usize;
+            let ahead: Vec<Node> = seg.fwd(BASE, from).collect();
+            prop_assert_eq!(ahead.len(), n - from);
+            for (k, node) in ahead.iter().enumerate() {
+                prop_assert_eq!(node.off, from + k);
+                prop_assert_eq!(edge_bits(node), wide.edges(node.off));
+            }
+        }
     }
 
     #[test]

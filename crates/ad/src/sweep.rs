@@ -34,7 +34,10 @@
 //! analyzer's def-use bits. The kernels keep separate accumulators and
 //! separate frontier buffers, so each one's result is bit-identical to a
 //! walk of its own — and on a checkpointed tape every evicted window is
-//! re-recorded once per walk instead of once per kernel.
+//! re-recorded once per walk instead of once per kernel. Nodes are read
+//! through the segment's reverse cursor ([`crate::segment`] alone knows
+//! the encoding); the serial walk decodes each node once for every
+//! kernel.
 //!
 //! **Bounded memory.** Under a [`crate::TapeCheckpointConfig`] the sweep
 //! thread fetches each segment through [`crate::segment`]'s windowed
@@ -42,13 +45,13 @@
 //! (and digest-verified) on demand through the replay context, and
 //! segments behind the sweep are demoted again, so tape residency stays at
 //! `O(ncheckpoints · segment)` for the whole walk. Only the single sweep
-//! thread touches segment columns — the merge workers operate on adjoint
+//! thread decodes segments — the merge workers operate on adjoint
 //! chunks alone — so the frontier schedule (and its bit-identity argument)
 //! is untouched by eviction.
 
 use crate::error::AdError;
 use crate::replay::ReplayCtx;
-use crate::segment::{Segment, NONE};
+use crate::segment::{Node, Segment, NONE};
 use crate::tape::Tape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -304,19 +307,36 @@ pub(crate) fn walk(
     Ok(walked)
 }
 
-/// Mark every parent named in `seg` as used.
-fn mark_used(seg: &Segment, used: &mut [bool]) {
-    for (&p1, &p2) in seg.p1.iter().zip(&seg.p2) {
-        for p in [p1, p2] {
-            if p != NONE {
-                used[p as usize] = true;
-            }
+/// `n` copies of `zero`, written rather than allocated zeroed: the pages
+/// of a `vec![0.0; n]` are first read (mapping the shared zero page) and
+/// then written (a second, copy-on-write fault); writing the zeros faults
+/// each page once.
+fn zeroed<T: Copy>(n: usize, zero: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(n);
+    v.resize(n, zero);
+    v
+}
+
+/// Mark every parent `node` names as used.
+#[inline]
+fn mark_parents(node: &Node, used: &mut [bool]) {
+    for (p, _) in node.edges {
+        if p != NONE {
+            used[p as usize] = true;
         }
     }
 }
 
-/// The serial walk (the seed algorithm, segment by segment): each kernel
-/// scatters straight into its own dense per-node state.
+/// Mark every parent named in `seg` (first node id `base`) as used.
+fn mark_used(seg: &Segment, base: u64, used: &mut [bool]) {
+    for node in seg.rev(base) {
+        mark_parents(&node, used);
+    }
+}
+
+/// The serial walk (the seed algorithm, segment by segment): each node is
+/// decoded once, and each kernel scatters straight into its own dense
+/// per-node state.
 fn walk_serial(
     tape: &Tape,
     seed: Option<u64>,
@@ -325,9 +345,9 @@ fn walk_serial(
 ) -> Result<Walked, AdError> {
     let store = tape.store();
     let shift = store.shift();
-    let mut adj = kernels.value.then(|| vec![0.0f64; tape.len()]);
-    let mut reach = kernels.reach.then(|| vec![false; tape.len()]);
-    let mut used = kernels.used.then(|| vec![false; tape.len()]);
+    let mut adj = kernels.value.then(|| zeroed(tape.len(), 0.0f64));
+    let mut reach = kernels.reach.then(|| zeroed(tape.len(), false));
+    let mut used = kernels.used.then(|| zeroed(tape.len(), false));
     if let Some(out) = seed {
         if let Some(adj) = &mut adj {
             adj[out as usize] = 1.0;
@@ -347,46 +367,39 @@ fn walk_serial(
     };
     for s in (0..top).rev() {
         let seg = store.view(s, ctx)?;
-        if let Some(used) = &mut used {
-            mark_used(&seg, used);
-        }
-        let Some(out) = seed.filter(|_| s < segments) else {
-            continue;
-        };
         let base = s << shift;
-        let top_off = if Some(s) == seed_seg {
-            out as usize - base
-        } else {
-            seg.len() - 1
+        // The reverse kernels sweep the offsets below `swept`: none past
+        // the seed's segment, none above the seed within it.
+        let swept = match seed {
+            Some(out) if Some(s) == seed_seg => out as usize - base + 1,
+            Some(_) if s < segments => seg.len(),
+            _ => 0,
         };
-        if let Some(adj) = &mut adj {
-            for off in (0..=top_off).rev() {
-                let a = adj[base + off];
-                if a == 0.0 {
-                    continue;
-                }
-                let p1 = seg.p1[off];
-                if p1 != NONE {
-                    adj[p1 as usize] += a * seg.d1[off];
-                }
-                let p2 = seg.p2[off];
-                if p2 != NONE {
-                    adj[p2 as usize] += a * seg.d2[off];
+        for node in seg.rev(base as u64) {
+            if let Some(used) = &mut used {
+                mark_parents(&node, used);
+            }
+            if node.off >= swept {
+                continue;
+            }
+            let i = base + node.off;
+            if let Some(adj) = &mut adj {
+                let a = adj[i];
+                if a != 0.0 {
+                    for (p, d) in node.edges {
+                        if p != NONE {
+                            adj[p as usize] += a * d;
+                        }
+                    }
                 }
             }
-        }
-        if let Some(reach) = &mut reach {
-            for off in (0..=top_off).rev() {
-                if !reach[base + off] {
-                    continue;
-                }
-                let p1 = seg.p1[off];
-                if p1 != NONE {
-                    reach[p1 as usize] = true;
-                }
-                let p2 = seg.p2[off];
-                if p2 != NONE {
-                    reach[p2 as usize] = true;
+            if let Some(reach) = &mut reach {
+                if reach[i] {
+                    for (p, _) in node.edges {
+                        if p != NONE {
+                            reach[p as usize] = true;
+                        }
+                    }
                 }
             }
         }
@@ -436,14 +449,15 @@ impl Kernels {
     /// A zeroed accumulator for a segment holding `nodes` nodes.
     fn new_chunk(&self, nodes: usize) -> Chunk {
         Chunk {
-            adj: vec![0.0; if self.value { nodes } else { 0 }],
-            bits: vec![0; if self.reach { nodes.div_ceil(64) } else { 0 }],
+            adj: zeroed(if self.value { nodes } else { 0 }, 0.0),
+            bits: zeroed(if self.reach { nodes.div_ceil(64) } else { 0 }, 0),
         }
     }
 
-    /// Sweep one segment in decreasing offset order, one kernel after the
-    /// other: apply same-segment contributions directly to `chunk`, push
-    /// cross-segment ones onto `frontier[target]` in emission order.
+    /// Sweep one segment in decreasing offset order, decoding each node
+    /// once for both kernels: apply same-segment contributions directly to
+    /// `chunk`, push cross-segment ones onto `frontier[target]` in
+    /// emission order.
     fn sweep_segment(
         &self,
         seg: &Segment,
@@ -454,38 +468,30 @@ impl Kernels {
         frontier: &mut [Frontier],
     ) {
         // Offsets above the seed (in the seed segment) hold 0 and are
-        // skipped, matching the serial walk's `top_off` bound.
-        for off in (0..chunk.adj.len()).rev() {
-            let a = chunk.adj[off];
-            if a == 0.0 {
+        // skipped, matching the serial walk's bound.
+        for node in seg.rev((s as u64) << shift) {
+            let a = if self.value { chunk.adj[node.off] } else { 0.0 };
+            let live = self.reach && bit_get(&chunk.bits, node.off);
+            if a == 0.0 && !live {
                 continue;
             }
-            for (p, d) in [(seg.p1[off], seg.d1[off]), (seg.p2[off], seg.d2[off])] {
+            for (p, d) in node.edges {
                 if p == NONE {
                     continue;
                 }
-                let ps = (p >> shift) as usize;
-                if ps == s {
-                    chunk.adj[(p & mask) as usize] += a * d;
-                } else {
-                    frontier[ps].adj.push(((p & mask) as u32, a * d));
-                }
-            }
-        }
-        if self.reach {
-            for off in (0..seg.len()).rev() {
-                if !bit_get(&chunk.bits, off) {
-                    continue;
-                }
-                for p in [seg.p1[off], seg.p2[off]] {
-                    if p == NONE {
-                        continue;
-                    }
-                    let ps = (p >> shift) as usize;
+                let (ps, po) = ((p >> shift) as usize, (p & mask) as usize);
+                if a != 0.0 {
                     if ps == s {
-                        bit_set(&mut chunk.bits, (p & mask) as usize);
+                        chunk.adj[po] += a * d;
                     } else {
-                        frontier[ps].bits.push((p & mask) as u32);
+                        frontier[ps].adj.push((po as u32, a * d));
+                    }
+                }
+                if live {
+                    if ps == s {
+                        bit_set(&mut chunk.bits, po);
+                    } else {
+                        frontier[ps].bits.push(po as u32);
                     }
                 }
             }
@@ -543,7 +549,7 @@ impl Gate {
 /// later source can send to `s` again, so per-slot merge order equals the
 /// serial contribution order.
 ///
-/// Segment columns are fetched through windowed views — only this thread
+/// Segments are fetched through windowed views — only this thread
 /// touches them, so eviction/replay composes with the merge schedule
 /// without changing it. A replay failure aborts the sweep with its typed
 /// error once the workers have drained.
@@ -574,7 +580,7 @@ fn walk_parallel(
     }
     let applied: Vec<AtomicU64> = (0..=last_seg).map(|_| AtomicU64::new(0)).collect();
     let gate = Gate::new();
-    let mut used = kernels.used.then(|| vec![false; tape.len()]);
+    let mut used = kernels.used.then(|| zeroed(tape.len(), false));
     let (mut cross_value, mut cross_reach) = (0u64, 0u64);
     let mut failed = None;
 
@@ -625,7 +631,7 @@ fn walk_parallel(
                 }
             };
             if let Some(used) = &mut used {
-                mark_used(&seg, used);
+                mark_used(&seg, (s as u64) << shift, used);
             }
             if s > last_seg {
                 continue;

@@ -62,12 +62,14 @@ impl Default for TapeConfig {
     }
 }
 
-/// A recorded computation graph in segmented structure-of-arrays layout.
+/// A recorded computation graph in segmented, variable-length storage.
 ///
-/// Node `i` has up to two parents `p1[i], p2[i]` with local partial
-/// derivatives `d1[i], d2[i]` (computed when the node was recorded).
-/// Leaves have no parents. 32 bytes per node; values are *not* stored
-/// because the reverse sweep only needs partials.
+/// Node `i` has up to two parents, each with the local partial derivative
+/// computed when the node was recorded; leaves have no parents. Each
+/// parent is stored as a `u32` backward distance and each partial as a
+/// 2-bit code when it is ±1, as an `f64` otherwise — ≈ 11 bytes per node
+/// on the NPB tapes ([`crate::segment`]). Values are *not* stored because
+/// the reverse sweep only needs partials.
 pub struct Tape {
     store: SegmentStore,
     leaves: usize,
@@ -170,12 +172,12 @@ impl Tape {
             leaves: self.leaves,
             segments: self.segment_count(),
             segment_len: self.segment_len(),
-            bytes: self.store.total_bytes(),
+            bytes: self.store.encoded_bytes(),
             resident_bytes: self.store.resident_bytes(),
             peak_resident_bytes: self.store.peak_resident_bytes(),
             evicted_segments: self.store.evicted_count(),
             replayed_segments: self.store.replayed_total(),
-            sweep_bytes: nodes * 8 + nodes.div_ceil(8),
+            sweep_bytes: nodes * (8 + 1),
         }
     }
 
@@ -417,13 +419,14 @@ pub struct Swept {
 
 /// Memory/size counters for a recorded tape.
 ///
-/// `bytes` is the full logical footprint — what every opened segment
-/// reserves at fixed capacity, whether currently resident or evicted.
-/// Under a [`TapeCheckpointConfig`] the memory actually held is
-/// `resident_bytes`, and the bounded-memory guarantee is stated over
-/// `peak_resident_bytes` — the high-water mark across recording and every
-/// sweep, which eviction keeps at `O(ncheckpoints · segment)` instead of
-/// `O(bytes)`.
+/// `bytes` is what the recorded nodes occupy in their encoding, whether
+/// currently resident or evicted — the memory an unbounded tape actually
+/// touches. Residency is charged by reservation instead: every resident
+/// segment counts [`crate::NODE_BYTES`] per node of capacity. Under a
+/// [`TapeCheckpointConfig`] the memory held is `resident_bytes`, and the
+/// bounded-memory guarantee is stated over `peak_resident_bytes` — the
+/// high-water mark across recording and every sweep, which eviction keeps
+/// at `O(ncheckpoints · segment)` instead of `O(nodes)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeStats {
     /// Total nodes recorded (leaves included).
@@ -434,10 +437,11 @@ pub struct TapeStats {
     pub segments: usize,
     /// Nodes per segment.
     pub segment_len: usize,
-    /// Full logical footprint of the recording: every segment at its
-    /// fixed capacity, evicted or not. What an unbounded tape allocates.
+    /// Encoded bytes of every recorded node, evicted or not: what an
+    /// unbounded tape writes (≈ 11 per node on the NPB tapes).
     pub bytes: usize,
-    /// Arena bytes currently resident (evicted segments excluded).
+    /// Arena bytes currently resident, at [`crate::NODE_BYTES`] per node
+    /// of segment capacity (evicted segments excluded).
     pub resident_bytes: usize,
     /// High-water mark of resident arena bytes over the tape's lifetime.
     pub peak_resident_bytes: usize,
@@ -445,9 +449,9 @@ pub struct TapeStats {
     pub evicted_segments: usize,
     /// Segments re-recorded by replay over the tape's lifetime.
     pub replayed_segments: u64,
-    /// Additional transient heap a full analysis needs while sweeping:
+    /// Additional transient heap a full AD analysis needs while sweeping:
     /// the dense adjoint vector (8 bytes/node) plus the reachability
-    /// bitset (1 bit/node).
+    /// vector (a `Vec<bool>`, 1 byte/node) the serial walk allocates.
     pub sweep_bytes: usize,
 }
 
@@ -678,14 +682,31 @@ mod tests {
         assert_eq!(stats.nodes, 11);
         assert_eq!(stats.segments, 2);
         assert_eq!(stats.segment_len, 8);
-        // Both segments are fully allocated even though the second holds
-        // only 3 nodes: bytes reports real capacity, not len × node-size.
-        assert_eq!(stats.bytes, 2 * 8 * NODE_BYTES);
-        assert_eq!(stats.sweep_bytes, 11 * 8 + 2);
-        // Nothing is evicted without a checkpoint policy: resident is the
-        // full footprint and already the peak.
-        assert_eq!(stats.resident_bytes, stats.bytes);
-        assert_eq!(stats.peak_resident_bytes, stats.bytes);
+        // Encoded: a kind byte per node, and one distance per product
+        // plus its explicit 2.0 partial (the constant's edge is absent).
+        assert_eq!(stats.bytes, 11 + 10 * (4 + 8));
+        // An adjoint (8 B) and a reach flag (1 B) per node: what the
+        // serial walk allocates for a value + reach analysis.
+        let walked = sweep::walk(
+            &tape,
+            y.index(),
+            Kernels {
+                value: true,
+                reach: true,
+                used: false,
+            },
+            SweepConfig::serial(),
+            &ReplayCtx::none(),
+        )
+        .unwrap();
+        let (grad, reach) = (walked.value.unwrap().0, walked.reach.unwrap().0);
+        let allocated = grad.adj.capacity() * 8 + reach.capacity();
+        assert_eq!(stats.sweep_bytes, allocated);
+        // Both segments are reserved in full even though the second holds
+        // only 3 nodes, and nothing is evicted without a checkpoint
+        // policy: resident is the whole reservation and already the peak.
+        assert_eq!(stats.resident_bytes, 2 * 8 * NODE_BYTES);
+        assert_eq!(stats.peak_resident_bytes, stats.resident_bytes);
         assert_eq!(stats.evicted_segments, 0);
         assert_eq!(stats.replayed_segments, 0);
     }

@@ -56,7 +56,7 @@ fn record_random(seed: u64) -> (Vec<Adj>, Adj) {
     for _ in 0..n_ops {
         let a = pool[(splitmix(&mut st) as usize) % pool.len()];
         let b = pool[(splitmix(&mut st) as usize) % pool.len()];
-        let v = match splitmix(&mut st) % 8 {
+        let v = match splitmix(&mut st) % 10 {
             0 => a + b,
             1 => a - b,
             2 => a * b,
@@ -64,6 +64,8 @@ fn record_random(seed: u64) -> (Vec<Adj>, Adj) {
             4 => a.sin(),
             5 => (a * a + 1.0).sqrt(),
             6 => a.rmax(b),
+            7 => -a,                      // a −1.0 partial
+            8 => a * Adj::constant(-0.0), // a −0.0 partial, stored explicitly
             _ => a * 0.5 + b * 2.0,
         };
         pool.push(v);

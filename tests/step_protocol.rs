@@ -104,7 +104,7 @@ fn oversized_snapshot_degrades_to_the_program_start_within_budget() {
     // FT's fork holds the whole frequency-domain field: 8·8·9 complex
     // values of two 16-byte scalars here (18 KiB), 8.5 MB at class S. With
     // 512-node segments and two residency slots the ladder's share would
-    // be one segment's 16 KiB, taken only if three snapshots fit: the
+    // be one segment's 12.5 KiB, taken only if three snapshots fit: the
     // segments keep both slots and every window is replayed from the
     // program start — exactly what a closure does.
     const SEG: usize = 1 << 9;
