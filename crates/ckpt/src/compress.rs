@@ -191,35 +191,63 @@ pub fn is_container(bytes: &[u8]) -> bool {
     bytes.len() >= 8 && &bytes[..8] == CONTAINER_MAGIC
 }
 
-/// Wrap `raw` in a `SCRUTCZB` container using `method`.
-/// [`AtRest::None`] is rejected by returning the bytes unmodified is
-/// *not* done here — callers gate on `at_rest != None` and this function
-/// always produces a container (with [`AtRest::Auto`] falling back to a
-/// stored payload when neither codec helps).
+/// Wrap `raw` in a `SCRUTCZB` container using `method`. Every method,
+/// [`AtRest::None`] included, yields a container: `None` a stored one
+/// (callers that want no container at all gate on `at_rest != None`), and
+/// [`AtRest::Auto`] the smallest of the three encodings — bit-plane if it
+/// is strictly smaller than both RLE and the raw bytes, else RLE if it is
+/// smaller than the raw bytes, else stored. The bytes are the canonical
+/// encoding of `docs/FORMATS.md` §9.
 pub fn compress(raw: &[u8], method: AtRest) -> Vec<u8> {
-    let (tag, payload) = match method {
-        AtRest::None => (METHOD_STORED, raw.to_vec()),
-        AtRest::Rle => (METHOD_RLE, rle_compress(raw)),
-        AtRest::BitPlane => (METHOD_BITPLANE, bitplane_compress(raw)),
+    compress_known_crc(raw, method, crc32(raw))
+}
+
+/// [`compress`] for a caller that already holds `raw`'s CRC-32 (the
+/// sharded publisher, from the manifest it just sealed), so the raw bytes
+/// are not hashed a second time.
+pub(crate) fn compress_known_crc(raw: &[u8], method: AtRest, raw_crc: u32) -> Vec<u8> {
+    // Room for the worst case, one control byte per 128 literals, so no
+    // encoding reallocates.
+    let mut out = Vec::with_capacity(CONTAINER_HEADER + raw.len() + raw.len() / MAX_LIT + 8 + 4);
+    out.extend_from_slice(CONTAINER_MAGIC);
+    out.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
+    out.push(METHOD_STORED); // patched below, once the method is known
+    out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+    out.extend_from_slice(&raw_crc.to_le_bytes());
+    let tag = match method {
+        AtRest::None => {
+            out.extend_from_slice(raw);
+            METHOD_STORED
+        }
+        AtRest::Rle => {
+            rle_encode(raw, &mut out);
+            METHOD_RLE
+        }
+        AtRest::BitPlane => {
+            bitplane_encode(raw, &mut out);
+            METHOD_BITPLANE
+        }
         AtRest::Auto => {
-            let rle = rle_compress(raw);
-            let bp = bitplane_compress(raw);
-            if bp.len() < rle.len() && bp.len() < raw.len() {
-                (METHOD_BITPLANE, bp)
-            } else if rle.len() < raw.len() {
-                (METHOD_RLE, rle)
+            // The bit-plane payload goes straight into place; RLE is only
+            // counted, and encoded over it if it wins.
+            let rle = rle_len(raw);
+            bitplane_encode(raw, &mut out);
+            let bitplane = out.len() - CONTAINER_HEADER;
+            if bitplane < rle && bitplane < raw.len() {
+                METHOD_BITPLANE
             } else {
-                (METHOD_STORED, raw.to_vec())
+                out.truncate(CONTAINER_HEADER);
+                if rle < raw.len() {
+                    rle_encode(raw, &mut out);
+                    METHOD_RLE
+                } else {
+                    out.extend_from_slice(raw);
+                    METHOD_STORED
+                }
             }
         }
     };
-    let mut out = Vec::with_capacity(CONTAINER_HEADER + payload.len() + 4);
-    out.extend_from_slice(CONTAINER_MAGIC);
-    out.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(raw).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out[12] = tag;
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -231,6 +259,13 @@ pub fn compress(raw: &[u8], method: AtRest) -> Vec<u8> {
 /// corrupted container always surfaces as a typed error, never as wrong
 /// data.
 pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
+    decode(stored).map(|(raw, _)| raw)
+}
+
+/// [`decompress`], also returning the CRC-32 of the decoded bytes it
+/// verified — so the reader checks a shard against its manifest entry
+/// without hashing the shard again.
+pub(crate) fn decode(stored: &[u8]) -> Result<(Vec<u8>, u32), CkptError> {
     let body = check_envelope(
         stored,
         CONTAINER_MAGIC,
@@ -265,15 +300,15 @@ pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
             payload.to_vec()
         }
         METHOD_RLE => {
-            let (raw, consumed) = rle_decompress(payload, raw_len)?;
-            if consumed != payload.len() {
+            let mut raw = vec![0u8; raw_len];
+            if rle_decode(payload, &mut raw)? != payload.len() {
                 return Err(CkptError::Corrupt(
                     "rle container has trailing bytes".into(),
                 ));
             }
             raw
         }
-        METHOD_BITPLANE => bitplane_decompress(payload, raw_len)?,
+        METHOD_BITPLANE => bitplane_decode(payload, raw_len)?,
         other => {
             return Err(CkptError::Corrupt(format!(
                 "unknown compression method {other}"
@@ -287,12 +322,11 @@ pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
             actual,
         });
     }
-    Ok(raw)
+    Ok((raw, actual))
 }
 
 /// Decode `bytes` if (and only if) they are a `SCRUTCZB` container;
-/// non-container bytes pass through untouched. The one call every
-/// read path makes on fetched objects.
+/// non-container bytes pass through untouched.
 pub fn maybe_decompress(bytes: Vec<u8>) -> Result<Vec<u8>, CkptError> {
     if is_container(&bytes) {
         decompress(&bytes)
@@ -308,119 +342,227 @@ pub fn maybe_decompress(bytes: Vec<u8>) -> Result<Vec<u8>, CkptError> {
 // Control byte `c ≥ 128`: the next byte repeats `c - 125` times
 // (runs of 3..=130). Runs shorter than 3 are folded into literals, so
 // worst-case expansion is 1 byte per 128 (incompressible input).
+//
+// The writer is greedy (FORMATS §9): where three equal bytes begin, a run
+// group takes as many as there are, up to 130; anywhere else a literal
+// group runs to the next place three equal bytes begin, up to 128 bytes.
+// Both scans read 8 bytes at a time.
 // ---------------------------------------------------------------------
 
 const MAX_RUN: usize = 130;
 const MAX_LIT: usize = 128;
 
-fn run_len_at(src: &[u8], i: usize, cap: usize) -> usize {
-    let b = src[i];
-    let mut n = 1;
-    while n < cap && i + n < src.len() && src[i + n] == b {
-        n += 1;
-    }
-    n
+/// The low seven bits of every byte.
+const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+
+/// The 8 bytes at `at`, the first in the low byte.
+fn load(src: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(src[at..at + 8].try_into().expect("an 8-byte slice"))
 }
 
-fn rle_compress(src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() / 4 + 16);
+/// Do three equal bytes begin at `i`?
+fn triple_at(src: &[u8], i: usize) -> bool {
+    i + 2 < src.len() && src[i] == src[i + 1] && src[i] == src[i + 2]
+}
+
+/// How many bytes equal to `src[i]` begin at `i`, up to `cap`: the first
+/// non-zero byte of each word XOR the byte broadcast ends the run.
+fn run_len(src: &[u8], i: usize, cap: usize) -> usize {
+    let end = (i + cap).min(src.len());
+    let b = src[i];
+    let splat = u64::from_le_bytes([b; 8]);
+    let mut j = i + 1;
+    while j + 8 <= end {
+        let diff = load(src, j) ^ splat;
+        if diff != 0 {
+            return j + (diff.trailing_zeros() / 8) as usize - i;
+        }
+        j += 8;
+    }
+    while j < end && src[j] == b {
+        j += 1;
+    }
+    j - i
+}
+
+/// The first `p ≥ from` where three equal bytes begin, else `src.len()`.
+/// Per word `w` at `p`, byte `k` of `(w ^ w₊₁) | (w ^ w₊₂)` is zero
+/// exactly when a triple begins at `p + k`; the exact zero-byte mask (no
+/// borrow between bytes) finds the lowest.
+fn next_triple(src: &[u8], from: usize) -> usize {
+    let mut p = from;
+    while p + 10 <= src.len() {
+        let w = load(src, p);
+        let v = (w ^ load(src, p + 1)) | (w ^ load(src, p + 2));
+        let zero = !(((v & LOW7) + LOW7) | v | LOW7);
+        if zero != 0 {
+            return p + (zero.trailing_zeros() / 8) as usize;
+        }
+        p += 8;
+    }
+    while p < src.len() && !triple_at(src, p) {
+        p += 1;
+    }
+    p
+}
+
+/// Walk `src` under the greedy rule, calling `group(start, len, is_run)`
+/// for each run group and for each literal *stretch* — the bytes up to
+/// the next triple, of any length, which are the literal groups cut
+/// every 128 bytes.
+fn rle_groups(src: &[u8], mut group: impl FnMut(usize, usize, bool)) {
     let mut i = 0;
     while i < src.len() {
-        let run = run_len_at(src, i, MAX_RUN);
-        if run >= 3 {
-            out.push((125 + run) as u8);
-            out.push(src[i]);
-            i += run;
-            continue;
+        if triple_at(src, i) {
+            let n = run_len(src, i, MAX_RUN);
+            group(i, n, true);
+            i += n;
+        } else {
+            let end = next_triple(src, i + 1);
+            group(i, end - i, false);
+            i = end;
         }
-        // Literal block: advance until a run of ≥ 3 starts or the block
-        // fills.
-        let start = i;
-        i += run;
-        while i < src.len() && i - start < MAX_LIT {
-            let r = run_len_at(src, i, 3);
-            if r >= 3 {
-                break;
-            }
-            i += r;
-        }
-        let lit = (i - start).min(MAX_LIT);
-        i = start + lit;
-        out.push((lit - 1) as u8);
-        out.extend_from_slice(&src[start..start + lit]);
     }
-    out
 }
 
-/// Decode exactly `expected_len` bytes, returning them plus how many
-/// input bytes were consumed. Malformed streams (truncation, overshoot)
-/// are typed corruption, not panics.
-fn rle_decompress(src: &[u8], expected_len: usize) -> Result<(Vec<u8>, usize), CkptError> {
-    let mut out = Vec::with_capacity(expected_len);
-    let mut pos = 0;
-    while out.len() < expected_len {
+/// The length of `src`'s RLE encoding, without writing it.
+fn rle_len(src: &[u8]) -> usize {
+    let mut len = 0;
+    rle_groups(src, |_, n, run| {
+        len += if run { 2 } else { n + n.div_ceil(MAX_LIT) }
+    });
+    len
+}
+
+/// Append `src`'s RLE encoding to `out`.
+fn rle_encode(src: &[u8], out: &mut Vec<u8>) {
+    rle_groups(src, |at, n, run| {
+        if run {
+            out.extend_from_slice(&[(125 + n) as u8, src[at]]);
+        } else {
+            for lit in src[at..at + n].chunks(MAX_LIT) {
+                out.push((lit.len() - 1) as u8);
+                out.extend_from_slice(lit);
+            }
+        }
+    });
+}
+
+/// Decode exactly `out.len()` bytes into `out`, returning how many input
+/// bytes were consumed. Malformed streams (truncation, overshoot) are
+/// typed corruption, not panics.
+fn rle_decode(src: &[u8], out: &mut [u8]) -> Result<usize, CkptError> {
+    let (mut pos, mut o) = (0, 0);
+    while o < out.len() {
         let Some(&c) = src.get(pos) else {
             return Err(CkptError::Corrupt("rle stream truncated".into()));
         };
         pos += 1;
         if c < 128 {
             let n = c as usize + 1;
-            if pos + n > src.len() || out.len() + n > expected_len {
+            let (Some(lit), Some(dst)) = (src.get(pos..pos + n), out.get_mut(o..o + n)) else {
                 return Err(CkptError::Corrupt("rle literal overruns".into()));
-            }
-            out.extend_from_slice(&src[pos..pos + n]);
+            };
+            dst.copy_from_slice(lit);
             pos += n;
+            o += n;
         } else {
             let n = c as usize - 125;
             let Some(&b) = src.get(pos) else {
                 return Err(CkptError::Corrupt("rle run truncated".into()));
             };
             pos += 1;
-            if out.len() + n > expected_len {
+            let Some(dst) = out.get_mut(o..o + n) else {
                 return Err(CkptError::Corrupt("rle run overruns".into()));
-            }
-            out.resize(out.len() + n, b);
+            };
+            dst.fill(b);
+            o += n;
         }
     }
-    Ok((out, pos))
+    Ok(pos)
 }
 
 // ---------------------------------------------------------------------
 // Bit-plane transpose: regroup the k-th byte of every 8-byte word into
 // contiguous planes (plane 7 holds f64 sign+exponent bytes, which are
 // near-constant across an array), then RLE the planes. Bytes past the
-// last full word are appended raw after the RLE stream.
+// last full word are appended raw after the RLE stream. Eight words at
+// a time are one 8×8 byte block, transposed in registers.
 // ---------------------------------------------------------------------
 
-fn bitplane_compress(src: &[u8]) -> Vec<u8> {
-    let words = src.len() / 8;
-    let mut planes = vec![0u8; words * 8];
-    for (j, w) in src.chunks_exact(8).enumerate() {
-        for k in 0..8 {
-            planes[k * words + j] = w[k];
+/// Transpose the 8×8 byte matrix whose row `i` is `r[i]` (byte `k` of
+/// row `i` in bits `8k..8k + 8`): swap the off-diagonal 4×4 blocks, then
+/// the 2×2 blocks inside each, then the single bytes — three masked
+/// swap rounds. Its own inverse.
+fn transpose8(r: &mut [u64; 8]) {
+    for (step, shift, mask) in [
+        (4, 32, 0x0000_0000_FFFF_FFFF_u64),
+        (2, 16, 0x0000_FFFF_0000_FFFF),
+        (1, 8, 0x00FF_00FF_00FF_00FF),
+    ] {
+        for i in (0..8).filter(|i| i & step == 0) {
+            let t = ((r[i] >> shift) ^ r[i + step]) & mask;
+            r[i] ^= t << shift;
+            r[i + step] ^= t;
         }
     }
-    let mut out = rle_compress(&planes);
-    out.extend_from_slice(&src[words * 8..]);
-    out
 }
 
-fn bitplane_decompress(payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CkptError> {
+/// Append the bit-plane payload of `src` to `out`.
+fn bitplane_encode(src: &[u8], out: &mut Vec<u8>) {
+    let words = src.len() / 8;
+    let mut planes = vec![0u8; words * 8];
+    let blocks = src.chunks_exact(64);
+    let done = blocks.len() * 8;
+    for (b, block) in blocks.enumerate() {
+        let mut r = [0u64; 8];
+        for (i, row) in r.iter_mut().enumerate() {
+            *row = load(block, 8 * i);
+        }
+        transpose8(&mut r);
+        for (k, plane) in r.iter().enumerate() {
+            planes[k * words + 8 * b..][..8].copy_from_slice(&plane.to_le_bytes());
+        }
+    }
+    for j in done..words {
+        for k in 0..8 {
+            planes[k * words + j] = src[8 * j + k];
+        }
+    }
+    rle_encode(&planes, out);
+    out.extend_from_slice(&src[words * 8..]);
+}
+
+/// Decode a bit-plane payload back to its `raw_len` raw bytes.
+fn bitplane_decode(payload: &[u8], raw_len: usize) -> Result<Vec<u8>, CkptError> {
     let words = raw_len / 8;
-    let tail = raw_len % 8;
-    let (planes, consumed) = rle_decompress(payload, words * 8)?;
-    if payload.len() - consumed != tail {
+    let mut planes = vec![0u8; words * 8];
+    let consumed = rle_decode(payload, &mut planes)?;
+    let tail = &payload[consumed..];
+    if tail.len() != raw_len % 8 {
         return Err(CkptError::Corrupt(
             "bit-plane container tail length mismatch".into(),
         ));
     }
     let mut out = vec![0u8; raw_len];
-    for j in 0..words {
-        for k in 0..8 {
-            out[j * 8 + k] = planes[k * words + j];
+    let blocks = out.chunks_exact_mut(64);
+    let done = blocks.len() * 8;
+    for (b, block) in blocks.enumerate() {
+        let mut r = [0u64; 8];
+        for (k, row) in r.iter_mut().enumerate() {
+            *row = load(&planes, k * words + 8 * b);
+        }
+        transpose8(&mut r);
+        for (word, row) in block.chunks_exact_mut(8).zip(r) {
+            word.copy_from_slice(&row.to_le_bytes());
         }
     }
-    out[words * 8..].copy_from_slice(&payload[consumed..]);
+    for j in done..words {
+        for k in 0..8 {
+            out[8 * j + k] = planes[k * words + j];
+        }
+    }
+    out[words * 8..].copy_from_slice(tail);
     Ok(out)
 }
 
@@ -447,11 +589,30 @@ mod tests {
             lcg_bytes(4097, 42),             // incompressible
             [vec![1u8; 2], vec![2u8; 300], vec![3u8, 4, 3, 4]].concat(),
         ] {
-            let enc = rle_compress(&src);
-            let (dec, consumed) = rle_decompress(&enc, src.len()).unwrap();
+            let mut enc = Vec::new();
+            rle_encode(&src, &mut enc);
+            assert_eq!(rle_len(&src), enc.len());
+            let mut dec = vec![0u8; src.len()];
+            assert_eq!(rle_decode(&enc, &mut dec).unwrap(), enc.len());
             assert_eq!(dec, src);
-            assert_eq!(consumed, enc.len());
         }
+    }
+
+    #[test]
+    fn transpose8_is_the_byte_matrix_transpose_and_its_own_inverse() {
+        let rows: [u64; 8] = std::array::from_fn(|i| {
+            u64::from_le_bytes(std::array::from_fn(|k| (16 * i + k) as u8))
+        });
+        let mut t = rows;
+        transpose8(&mut t);
+        for (k, col) in t.iter().enumerate() {
+            assert_eq!(
+                col.to_le_bytes(),
+                std::array::from_fn(|i| (16 * i + k) as u8)
+            );
+        }
+        transpose8(&mut t);
+        assert_eq!(t, rows);
     }
 
     #[test]
@@ -461,14 +622,15 @@ mod tests {
             raw.extend_from_slice(&(1.0 + (i as f64) * 1e-9).to_le_bytes());
         }
         raw.extend_from_slice(&[9, 9, 9]); // non-word tail
-        let bp = bitplane_compress(&raw);
-        assert_eq!(bitplane_decompress(&bp, raw.len()).unwrap(), raw);
-        let rle = rle_compress(&raw);
+        let mut bp = Vec::new();
+        bitplane_encode(&raw, &mut bp);
+        assert_eq!(bitplane_decode(&bp, raw.len()).unwrap(), raw);
+        let rle = rle_len(&raw);
         assert!(
-            bp.len() < rle.len() && bp.len() < raw.len() / 2,
+            bp.len() < rle && bp.len() < raw.len() / 2,
             "bitplane {} vs rle {} vs raw {}",
             bp.len(),
-            rle.len(),
+            rle,
             raw.len()
         );
     }

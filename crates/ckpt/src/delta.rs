@@ -452,14 +452,17 @@ pub fn publish_epoch(
     // (raw, stored) bytes of the objects that went through the codec.
     let mut coded = (0usize, 0usize);
     // `code`: a data-bearing object (image, shard, delta) the at-rest
-    // codec applies to; `aux` and the manifest pass `false`.
-    let mut emit = |name: &str, raw: &[u8], code: bool| {
+    // codec applies to; `aux` and the manifest pass `false`. `raw_crc`:
+    // the object's CRC-32 when the seal already computed it (a shard's
+    // manifest entry), so the codec does not hash it again.
+    let mut emit = |name: &str, raw: &[u8], code: bool, raw_crc: Option<u32>| {
         if !code || at_rest == AtRest::None {
             return put(name, raw, None);
         }
         let stored = {
             let _span = span!(rec, "ckpt.compress", raw_bytes = raw.len());
-            crate::compress::compress(raw, at_rest)
+            let raw_crc = raw_crc.unwrap_or_else(|| crc32(raw));
+            crate::compress::compress_known_crc(raw, at_rest, raw_crc)
         };
         coded.0 += raw.len();
         coded.1 += stored.len();
@@ -470,11 +473,11 @@ pub fn publish_epoch(
     let stored = match body {
         EpochBody::Sharded { shards } => {
             let (sealed, manifest) = seal_shards(shards);
-            for (i, shard) in sealed.iter().enumerate() {
-                emit(&names::shard(version, i), shard, true)?;
+            for (i, (shard, &crc)) in sealed.iter().zip(&manifest.shard_crcs).enumerate() {
+                emit(&names::shard(version, i), shard, true, Some(crc))?;
             }
-            emit(&names::aux(version), aux, false)?;
-            emit(&names::manifest(version), &manifest.to_bytes(), false)?;
+            emit(&names::aux(version), aux, false, None)?;
+            emit(&names::manifest(version), &manifest.to_bytes(), false, None)?;
             account(manifest.total_len as usize, payload_bytes)
         }
         EpochBody::Chained {
@@ -487,13 +490,13 @@ pub fn publish_epoch(
                 diff_images(parent_image, image, *parent_version, policy.page_bytes)?;
             deltas_since_base = n + 1;
             parent = Some(*parent_version);
-            emit(&names::aux(version), aux, false)?;
-            emit(&names::delta(version), &delta, true)?;
+            emit(&names::aux(version), aux, false, None)?;
+            emit(&names::delta(version), &delta, true, None)?;
             account(delta.len(), stats.payload_bytes)
         }
         EpochBody::Image(image) | EpochBody::Chained { image, .. } => {
-            emit(&names::aux(version), aux, false)?;
-            emit(&names::data(version), image, true)?;
+            emit(&names::aux(version), aux, false, None)?;
+            emit(&names::data(version), image, true, None)?;
             account(image.len(), payload_bytes)
         }
     };

@@ -16,7 +16,9 @@
 //!   point on the read path;
 //! * data shards are fetched **and checked against their manifest entry**
 //!   one job per shard on the same bounded runner the engine's shard
-//!   serialization uses, then concatenated in manifest order;
+//!   serialization uses, then concatenated in manifest order; a shard
+//!   that arrived in a container is checked by the CRC the container
+//!   verified over its decoded bytes, so no byte is hashed twice;
 //! * delta-chain links are envelope-verified (magic + CRC trailer)
 //!   concurrently with each other and with the shard jobs of a sharded
 //!   base (a monolithic base's bytes necessarily arrive during
@@ -143,17 +145,21 @@ where
 {
     let _restore = span!(rec, "ckpt.restore", version = version);
     // The read path's one decompress point: every object — base, manifest,
-    // shard, delta — reaches the phases below raw.
-    let fetch = |name: &str| {
+    // shard, delta — reaches the phases below raw, with the CRC-32 of its
+    // raw bytes when a container verified one.
+    let fetch = |name: &str| -> Result<(Vec<u8>, Option<u32>), CkptError> {
         let bytes = fetch(name)?;
-        let _d = crate::compress::is_container(&bytes)
-            .then(|| span!(rec, "ckpt.decompress", stored_bytes = bytes.len() as u64));
-        crate::compress::maybe_decompress(bytes)
+        if !crate::compress::is_container(&bytes) {
+            return Ok((bytes, None));
+        }
+        let _d = span!(rec, "ckpt.decompress", stored_bytes = bytes.len() as u64);
+        let (raw, crc) = crate::compress::decode(&bytes)?;
+        Ok((raw, Some(crc)))
     };
 
     // --- Phase 1: discovery. Serial by nature: the parent version is
     // inside each delta file.
-    let (base, deltas) = walk_chain(version, fetch)?;
+    let (base, deltas) = walk_chain(version, |name| Ok(fetch(name)?.0))?;
 
     // --- Phase 2: fan out the expensive work — shard fetches and CRC
     // passes — across the pool, first failure wins. Job `i` below
@@ -166,8 +172,8 @@ where
     let threads = resolve_threads(opts.threads, jobs.max(1));
     let shards = run_jobs(jobs, threads, |i| match &base {
         ChainBase::Sharded { version, manifest } if i < base_shards => {
-            let bytes = fetch(&names::shard(*version, i))?;
-            manifest.check_shard(i, &bytes)?;
+            let (bytes, crc) = fetch(&names::shard(*version, i))?;
+            manifest.check_shard(i, &bytes, crc)?;
             Ok(Some(bytes))
         }
         _ => check_delta(&deltas[i - base_shards]).map(|()| None),

@@ -389,8 +389,15 @@ impl ShardManifest {
 
     /// Verify shard `idx`'s bytes against its manifest entry — length,
     /// then CRC-32, so a damaged shard is pinned individually. The one
-    /// place a shard meets its manifest.
-    pub(crate) fn check_shard(&self, idx: usize, shard: &[u8]) -> Result<(), CkptError> {
+    /// place a shard meets its manifest. `crc` is the shard's CRC-32 when
+    /// the caller already verified it over these bytes (a decoded
+    /// `SCRUTCZB` container's `raw_crc`); without it the shard is hashed.
+    pub(crate) fn check_shard(
+        &self,
+        idx: usize,
+        shard: &[u8],
+        crc: Option<u32>,
+    ) -> Result<(), CkptError> {
         if shard.len() as u64 != self.shard_lens[idx] {
             return Err(CkptError::Corrupt(format!(
                 "shard {idx} is {} bytes, manifest says {}",
@@ -398,7 +405,7 @@ impl ShardManifest {
                 self.shard_lens[idx]
             )));
         }
-        let actual = crc32(shard);
+        let actual = crc.unwrap_or_else(|| crc32(shard));
         if actual != self.shard_crcs[idx] {
             return Err(CkptError::ChecksumMismatch {
                 expected: self.shard_crcs[idx],

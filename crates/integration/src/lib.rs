@@ -23,13 +23,15 @@
 //!
 //! The format oracles live here too, outside the product:
 //! [`direct_serialize_data`] (the `SCRUTCKP` data file written variable by
-//! variable) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
-//! one encoder and its three-lane CRC but `docs/FORMATS.md`.
+//! variable), [`czb_bytewise`] (the `SCRUTCZB` container encoded a byte
+//! at a time) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
+//! one encoder, its word-at-a-time codec and its three-lane CRC but
+//! `docs/FORMATS.md`.
 
 #![warn(missing_docs)]
 
 use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
-use scrutiny_ckpt::{LoCodec, VarData, VarPlan, VarRecord};
+use scrutiny_ckpt::{AtRest, LoCodec, VarData, VarPlan, VarRecord};
 use scrutiny_core::{
     record_resumable, scrutinize_differential, scrutinize_with, AdError, Adj, AnalysisReport,
     AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real,
@@ -290,6 +292,93 @@ pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
         }
     }
     !c
+}
+
+/// The `SCRUTCZB` container of `docs/FORMATS.md` §9 encoded a byte at a
+/// time — what `scrutiny_ckpt::compress::compress` was before its scans
+/// went word-at-a-time, kept as the oracle it is checked against: the
+/// greedy run-length rule, the bit-plane transpose scattered one byte at
+/// a time, `Auto`'s pick, and both CRCs from [`crc32_bitwise`].
+pub fn czb_bytewise(raw: &[u8], method: AtRest) -> Vec<u8> {
+    let (tag, payload) = match method {
+        AtRest::None => (0u8, raw.to_vec()),
+        AtRest::Rle => (1, rle_bytewise(raw)),
+        AtRest::BitPlane => (2, bitplane_bytewise(raw)),
+        AtRest::Auto => {
+            let rle = rle_bytewise(raw);
+            let bp = bitplane_bytewise(raw);
+            if bp.len() < rle.len() && bp.len() < raw.len() {
+                (2, bp)
+            } else if rle.len() < raw.len() {
+                (1, rle)
+            } else {
+                (0, raw.to_vec())
+            }
+        }
+    };
+    let mut out = b"SCRUTCZB".to_vec();
+    out.extend(1u32.to_le_bytes());
+    out.push(tag);
+    out.extend((raw.len() as u64).to_le_bytes());
+    out.extend(crc32_bitwise(raw).to_le_bytes());
+    out.extend(payload);
+    out.extend(crc32_bitwise(&out).to_le_bytes());
+    out
+}
+
+/// How many bytes equal to `src[i]` start at `i`, up to `cap`.
+fn run_len_at(src: &[u8], i: usize, cap: usize) -> usize {
+    let b = src[i];
+    let mut n = 1;
+    while n < cap && i + n < src.len() && src[i + n] == b {
+        n += 1;
+    }
+    n
+}
+
+/// Runs of 3..=130 as `125 + n, byte`; everything else in literal groups
+/// of 1..=128 as `n − 1, bytes…`, each ending where a run of 3 begins.
+fn rle_bytewise(src: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < src.len() {
+        let run = run_len_at(src, i, 130);
+        if run >= 3 {
+            out.push((125 + run) as u8);
+            out.push(src[i]);
+            i += run;
+            continue;
+        }
+        let start = i;
+        i += run;
+        while i < src.len() && i - start < 128 {
+            let r = run_len_at(src, i, 3);
+            if r >= 3 {
+                break;
+            }
+            i += r;
+        }
+        let lit = (i - start).min(128);
+        i = start + lit;
+        out.push((lit - 1) as u8);
+        out.extend_from_slice(&src[start..start + lit]);
+    }
+    out
+}
+
+/// Byte `k` of every 8-byte word into plane `k`, the planes run-length
+/// encoded, the tail past the last whole word appended verbatim.
+fn bitplane_bytewise(src: &[u8]) -> Vec<u8> {
+    let words = src.len() / 8;
+    let mut planes = vec![0u8; words * 8];
+    for (j, w) in src.chunks_exact(8).enumerate() {
+        for k in 0..8 {
+            planes[k * words + j] = w[k];
+        }
+    }
+    let mut out = rle_bytewise(&planes);
+    out.extend_from_slice(&src[words * 8..]);
+    out
 }
 
 /// The `SCRUTCKP` data file of `docs/FORMATS.md` §3 written directly,

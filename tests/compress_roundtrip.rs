@@ -9,6 +9,11 @@
 //! * **Restore equivalence** — an engine publishing with `AtRest::Auto`
 //!   restores bit-identically to one publishing raw, in every layout
 //!   (monolithic, sharded, delta) and at every reader thread count.
+//! * **One encoding** — the word-at-a-time codec emits exactly the
+//!   containers of the byte-at-a-time oracle
+//!   (`scrutiny_integration::czb_bytewise`) under every method, on the
+//!   inputs where a greedy scan can be off by one, and on MG class S's
+//!   shards; the oracle's containers decode back.
 //! * **CRC equivalence** — the three-lane CRC equals the bit-at-a-time
 //!   reference on random buffers at every alignment, short and spanning
 //!   several lane blocks, whole and streamed in two calls.
@@ -23,12 +28,19 @@ use proptest::prelude::*;
 use scrutiny_ckpt::compress::{compress, decompress, is_container, maybe_decompress};
 use scrutiny_ckpt::format::{crc32, Crc32};
 use scrutiny_ckpt::writer::{serialize, serialize_with};
-use scrutiny_ckpt::{AtRest, CodecConfig, DeltaPolicy, LoCodec, RestoreOptions};
+use scrutiny_ckpt::{
+    plan_shards_with, seal_shards, serialize_shard, AtRest, CodecConfig, DeltaPolicy, LoCodec,
+    RestoreOptions,
+};
 use scrutiny_core::restart::{capture_state, checkpoint_restart_cycle};
-use scrutiny_core::{plan::plans_for, scrutinize, Policy, RestartConfig, ScrutinyApp};
+use scrutiny_core::{
+    plan::{codec_for, plans_for},
+    scrutinize, Policy, RestartConfig, ScrutinyApp,
+};
 use scrutiny_engine::{
     read_version, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
 };
+use scrutiny_integration::czb_bytewise;
 use scrutiny_npb::{perturb_localized, Bt, Cg, Ep, Ft, Lu, Mg, Sp};
 use std::sync::Arc;
 
@@ -187,6 +199,101 @@ fn compressed_engines_restore_bit_identically_in_every_layout() {
                 .unwrap();
                 assert_eq!(want.0, image, "{label} v{version} parallel x{threads}");
             }
+        }
+    }
+}
+
+/// The sealed shards of MG class S's checkpoint as the benchmark's
+/// sharded disk workload publishes them: tiered plans, four-byte lo
+/// tier, a four-shard target.
+fn mg_class_s_shards() -> Vec<Vec<u8>> {
+    let app = Mg::class_s();
+    let policy = Policy::TieredCompressed {
+        hi_threshold: 1e-6,
+        keep: 4,
+    };
+    let plans = plans_for(&scrutinize(&app).unwrap(), policy);
+    let vars = capture_state(&app);
+    let plan = plan_shards_with(&vars, &plans, 4, codec_for(policy).lo).unwrap();
+    let shards = (0..plan.shard_count())
+        .map(|i| serialize_shard(&vars, &plans, &plan, i).0)
+        .collect();
+    seal_shards(shards).0
+}
+
+/// The first `8·⌊len/8⌋` bytes of `planes` read as the bit-plane
+/// transpose of a word buffer, turned back into that buffer, then the
+/// tail: the input whose bit-plane RLE scans exactly `planes`.
+fn words_of_planes(planes: &[u8]) -> Vec<u8> {
+    let words = planes.len() / 8;
+    let mut out: Vec<u8> = (0..words * 8)
+        .map(|i| planes[(i % 8) * words + i / 8])
+        .collect();
+    out.extend_from_slice(&planes[words * 8..]);
+    out
+}
+
+/// `compress(x, m) == czb_bytewise(x, m)` for all four methods, and the
+/// oracle's container decodes to `x`. The inputs aim at a greedy scan's
+/// edges, each also as the words whose bit planes it is: runs of every
+/// length 1..=300 (past the 130 cap, twice) at every offset mod 8;
+/// literal blocks of 126..=131 (around the 128 cap) at every offset; a
+/// triple, a pair, and a pair beside a triple at every offset mod 8;
+/// every length 0..=17 and every tail 0..8 from a two-letter alphabet;
+/// and MG class S's shards.
+#[test]
+fn the_codec_emits_the_bytewise_oracles_containers() {
+    // Distinct bytes: no run, no triple.
+    let distinct =
+        |n: usize, from: usize| -> Vec<u8> { (0..n).map(|i| ((from + i) * 7) as u8).collect() };
+    let mut z = 0x5EED_u64;
+    let mut coin = move || {
+        z = z
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (z >> 63) as u8
+    };
+    let mut edges: Vec<Vec<u8>> = Vec::new();
+    for off in 0..8 {
+        for run in 1..=300 {
+            edges.push([distinct(off, 1), vec![0x5A; run], distinct(11, 40)].concat());
+        }
+        for lit in 126..=131 {
+            edges.push([distinct(off + lit, 3), vec![0xC3; 4], distinct(9, 60)].concat());
+        }
+        for at in off..off + 16 {
+            for pattern in [
+                &[0xEE, 0xEE, 0xEE][..],
+                &[0xEE, 0xEE],
+                &[0xEE, 0xEE, 1, 1, 1],
+            ] {
+                let mut v = distinct(40, 5);
+                v[at..at + pattern.len()].copy_from_slice(pattern);
+                edges.push(v);
+            }
+        }
+    }
+    for len in 0..=17 {
+        for _ in 0..8 {
+            edges.push((0..len).map(|_| coin()).collect());
+        }
+    }
+    for words in 0..6 {
+        for tail in 0..8 {
+            edges.push((0..8 * words + tail).map(|_| coin()).collect());
+        }
+    }
+    let planed: Vec<Vec<u8>> = edges.iter().map(|e| words_of_planes(e)).collect();
+    for raw in edges.iter().chain(&planed).chain(&mg_class_s_shards()) {
+        for method in [AtRest::None, AtRest::Rle, AtRest::BitPlane, AtRest::Auto] {
+            let want = czb_bytewise(raw, method);
+            assert!(
+                compress(raw, method) == want,
+                "{method:?} differs from the oracle on {} bytes {:?}",
+                raw.len(),
+                &raw[..raw.len().min(64)]
+            );
+            assert_eq!(&decompress(&want).unwrap(), raw, "{method:?}");
         }
     }
 }

@@ -1,14 +1,16 @@
 //! The on-disk formats pinned by bytes: the `SCRUTCKP` data file (version
 //! 1 and version 2), the `SCRUTAUX` region file and the `SCRUTSHM` shard
-//! manifest of one tiny state, spelled here byte by byte from
-//! `docs/FORMATS.md` §3–§5 — not produced by a second encoder — and
-//! compared with what the one encoder emits. Trailers come from the
+//! manifest of one tiny state, and the `SCRUTCZB` containers of one short
+//! input under every at-rest method, spelled here byte by byte from
+//! `docs/FORMATS.md` §3–§5 and §9 — not produced by a second encoder —
+//! and compared with what the one encoder emits. Trailers come from the
 //! bit-at-a-time CRC oracle, so not even the checksum code is shared.
 
+use scrutiny_ckpt::compress::{compress, decompress};
 use scrutiny_ckpt::writer::serialize_with;
 use scrutiny_ckpt::{
-    plan_shards_with, seal_image, seal_shards, serialize_shard, Checkpoint, FillPolicy, LoCodec,
-    Region, Regions, ShardManifest, VarData, VarPlan, VarRecord,
+    plan_shards_with, seal_image, seal_shards, serialize_shard, AtRest, Checkpoint, FillPolicy,
+    LoCodec, Region, Regions, ShardManifest, VarData, VarPlan, VarRecord,
 };
 use scrutiny_integration::crc32_bitwise;
 
@@ -219,5 +221,93 @@ fn the_documented_bytes_read_back() {
             ck.var("z").unwrap().materialize_c128(hole).unwrap(),
             [(1.0, -1.0)]
         );
+    }
+}
+
+/// The `SCRUTCZB` input: a run of 3, a run of 131 (encoded 130 + 1), then
+/// 128 distinct bytes, so the run's last byte opens a 129-byte literal
+/// (encoded 128 + 1). 262 bytes: 32 words and a 6-byte tail.
+fn czb_input() -> Vec<u8> {
+    [vec![7u8; 3], vec![0xAA; 131], (0..128).collect()].concat()
+}
+
+/// The container of [`czb_input`] with method tag `method` around
+/// `payload`.
+fn czb_container(method: u8, payload: &[u8]) -> Vec<u8> {
+    let raw = czb_input();
+    sealed(&[
+        b"SCRUTCZB",
+        &[1, 0, 0, 0], // version
+        &[method],
+        &u64le(raw.len() as u64),
+        &crc32_bitwise(&raw).to_le_bytes(),
+        payload,
+    ])
+}
+
+/// Fifteen bytes `from, from + 8, …, from + 112`.
+fn step8(from: u8) -> Vec<u8> {
+    (0..15).map(|m| from + 8 * m).collect()
+}
+
+/// Method 1: groups in input order, greedy.
+fn czb_rle_payload() -> Vec<u8> {
+    [
+        &[128, 7][..],                  // run of 3: 125 + 3
+        &[255, 0xAA],                   // run of 130, the cap
+        &[127, 0xAA],                   // literal of 128: the run's last byte…
+        &(0..127).collect::<Vec<u8>>(), // …and 0..=126
+        &[0, 127],                      // literal of 1: the literal cap's remainder
+    ]
+    .concat()
+}
+
+/// Method 2: plane `k` is byte `k` of each of the 32 words; position
+/// `8j + k` holds 7 below 3, 0xAA below 134, and `8j + k − 134` above.
+/// So planes 0–2 are `7, 0xAA×16, step8(k + 2)`, planes 3–5
+/// `0xAA×17, step8(k + 2)`, planes 6–7 `0xAA×16, k − 6, step8(k + 2)`;
+/// a plane's leading 7 ends the literal of the plane before it.
+fn czb_bitplane_payload() -> Vec<u8> {
+    let group = |parts: &[&[u8]]| parts.concat();
+    [
+        group(&[&[0, 7]]),                // plane 0's 7
+        group(&[&[141, 0xAA]]),           // run of 16
+        group(&[&[15], &step8(2), &[7]]), // plane 0's tail, plane 1's 7
+        group(&[&[141, 0xAA]]),
+        group(&[&[15], &step8(3), &[7]]), // plane 1's tail, plane 2's 7
+        group(&[&[141, 0xAA]]),
+        group(&[&[14], &step8(4)]), // plane 2's tail
+        group(&[&[142, 0xAA]]),     // run of 17
+        group(&[&[14], &step8(5)]), // plane 3
+        group(&[&[142, 0xAA]]),
+        group(&[&[14], &step8(6)]), // plane 4
+        group(&[&[142, 0xAA]]),
+        group(&[&[14], &step8(7)]), // plane 5
+        group(&[&[141, 0xAA]]),
+        group(&[&[15, 0], &step8(8)]), // plane 6
+        group(&[&[141, 0xAA]]),
+        group(&[&[15, 1], &step8(9)]), // plane 7
+        (122..128).collect(),          // the 6-byte tail, verbatim
+    ]
+    .concat()
+}
+
+#[test]
+fn the_compression_container_is_exactly_the_documented_bytes() {
+    let raw = czb_input();
+    let rle = czb_container(1, &czb_rle_payload());
+    let bitplane = czb_container(2, &czb_bitplane_payload());
+    assert_eq!(czb_rle_payload().len(), 135);
+    assert_eq!(czb_bitplane_payload().len(), 156);
+    for (method, want) in [
+        (AtRest::None, czb_container(0, &raw)),
+        (AtRest::Rle, rle.clone()),
+        (AtRest::BitPlane, bitplane),
+        // The RLE payload is strictly smaller than the bit-plane one and
+        // than the raw bytes.
+        (AtRest::Auto, rle),
+    ] {
+        assert_eq!(compress(&raw, method), want, "{method:?}");
+        assert_eq!(decompress(&want).unwrap(), raw, "{method:?}");
     }
 }

@@ -9,7 +9,11 @@
 //! bytes as at `threads: 1`. And the hostile-length cases: a length field
 //! (or a region table) that is CRC-consistent but absurd is a typed
 //! `Corrupt`, decided before it sizes an allocation — this binary counts
-//! allocations (`CountingAlloc`) to check the last clause.
+//! allocations (`CountingAlloc`) to check the last clause. And the
+//! `SCRUTCZB` decoder behind forged CRCs: mutated payloads whose CRCs are
+//! re-sealed decode exactly as FORMATS §9 reads them or are typed
+//! `Corrupt`, and a verified container of another version's shard is
+//! still a `ChecksumMismatch` against the manifest.
 //!
 //! CI runs this suite in release next to the stress/delta/segmented
 //! suites: the restore pipeline is multi-threaded, and debug-mode
@@ -429,6 +433,161 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_refused("manifest length sum", bad.len(), || {
         ShardManifest::from_bytes(&bad)
     });
+}
+
+/// FORMATS §9 read a byte at a time: what `payload` decodes to under
+/// `method` for a `raw_len`-byte object, or `None` if it is malformed.
+fn spec_decode(method: u8, payload: &[u8], raw_len: usize) -> Option<Vec<u8>> {
+    let rle = |src: &[u8], len: usize| -> Option<(Vec<u8>, usize)> {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while out.len() < len {
+            let c = *src.get(pos)?;
+            pos += 1;
+            if c < 128 {
+                out.extend_from_slice(src.get(pos..pos + c as usize + 1)?);
+                pos += c as usize + 1;
+            } else {
+                let b = *src.get(pos)?;
+                out.resize(out.len() + c as usize - 125, b);
+                pos += 1;
+            }
+        }
+        (out.len() == len).then_some((out, pos))
+    };
+    match method {
+        1 => rle(payload, raw_len).and_then(|(out, used)| (used == payload.len()).then_some(out)),
+        2 => {
+            let words = raw_len / 8;
+            let (planes, used) = rle(payload, words * 8)?;
+            let tail = &payload[used..];
+            if tail.len() != raw_len % 8 {
+                return None;
+            }
+            let mut out: Vec<u8> = (0..words * 8)
+                .map(|i| planes[(i % 8) * words + i / 8])
+                .collect();
+            out.extend_from_slice(tail);
+            Some(out)
+        }
+        _ => None,
+    }
+}
+
+/// The decoder indexes slices, and the trailer CRC stops any plain
+/// mutation before it runs. So every mutation of a small `Rle` and
+/// `BitPlane` payload here is forged: both CRCs re-sealed (`raw_crc` to
+/// what the byte-at-a-time reading of FORMATS §9 decodes, where it
+/// decodes). Every truncation, every byte set to each of 0, 127, 128 and
+/// 255 (so every control byte), and every wrong tail length must decode
+/// to exactly the spec's bytes or be a typed `Corrupt` — never a panic,
+/// never an allocation past the input plus 64 KiB.
+#[test]
+fn forged_container_payloads_decode_as_the_spec_says_or_are_typed_corruption() {
+    use scrutiny_ckpt::compress::{compress, decompress};
+    use scrutiny_ckpt::AtRest;
+    let raw: Vec<u8> = [
+        vec![4u8; 21],
+        (0..45).collect(),
+        vec![0xF0; 7],
+        1.5f64.to_le_bytes().repeat(5),
+        vec![9, 9, 1],
+    ]
+    .concat();
+    assert_ne!(raw.len() % 8, 0, "a non-word tail");
+    const HEADER: usize = 25;
+    for (method, tag) in [(AtRest::Rle, 1u8), (AtRest::BitPlane, 2)] {
+        let good = compress(&raw, method);
+        assert_eq!(good[12], tag);
+        let payload = &good[HEADER..good.len() - 4];
+        assert_eq!(spec_decode(tag, payload, raw.len()).as_ref(), Some(&raw));
+        let mut forged: Vec<Vec<u8>> = (0..payload.len()).map(|n| payload[..n].to_vec()).collect();
+        for at in 0..payload.len() {
+            for c in [0u8, 127, 128, 255] {
+                let mut p = payload.to_vec();
+                p[at] = c;
+                forged.push(p);
+            }
+        }
+        for extra in 1..=9 {
+            forged.push([payload, &vec![0xAB; extra]].concat());
+        }
+        // (forgeries that decoded to other bytes, forgeries refused)
+        let mut outcomes = (0, 0);
+        for p in forged {
+            let want = spec_decode(tag, &p, raw.len());
+            let mut container = good[..HEADER].to_vec();
+            if let Some(bytes) = &want {
+                container[21..25]
+                    .copy_from_slice(&scrutiny_integration::crc32_bitwise(bytes).to_le_bytes());
+            }
+            container.extend_from_slice(&p);
+            container.extend(scrutiny_integration::crc32_bitwise(&container).to_le_bytes());
+            let (got, allocated) = allocated_during(|| decompress(&container))
+                .expect("this binary counts allocations");
+            assert!(
+                allocated <= container.len() + (64 << 10),
+                "{method:?}: allocated {allocated}"
+            );
+            match (got, want) {
+                (Ok(got), Some(want)) => {
+                    assert_eq!(got, want, "{method:?} {p:?}");
+                    outcomes.0 += usize::from(got != raw);
+                }
+                (Err(CkptError::Corrupt(_)), None) => outcomes.1 += 1,
+                (got, want) => panic!("{method:?} {p:?}: decoded {got:?}, the spec says {want:?}"),
+            }
+        }
+        assert!(outcomes.0 > 0 && outcomes.1 > 0, "{method:?}: {outcomes:?}");
+    }
+}
+
+/// A shard whose container verifies but which belongs to another version
+/// is still rejected by its manifest entry — the CRC the container
+/// verified stands in for hashing the shard again, it does not skip the
+/// comparison — and recovery falls back past it.
+#[test]
+fn a_verified_container_of_another_versions_shard_is_a_checksum_mismatch() {
+    let (mem, expected) = filled(
+        EngineConfig {
+            layout: Layout::Sharded,
+            target_shards: 4,
+            codec: scrutiny_ckpt::CodecConfig {
+                at_rest: scrutiny_ckpt::AtRest::Auto,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        3,
+    );
+    let older = mem.get(&names::shard(1, 0)).unwrap();
+    let newer = mem.get(&names::shard(2, 0)).unwrap();
+    assert_ne!(older, newer);
+    let older_raw = scrutiny_ckpt::compress::decompress(&older).unwrap();
+    assert_eq!(
+        older_raw.len(),
+        scrutiny_ckpt::compress::decompress(&newer).unwrap().len(),
+        "the swap must get past the length check"
+    );
+    mem.put(&names::shard(2, 0), &older).unwrap();
+
+    let fetch = |name: &str| mem.get(name);
+    let err = read_data_image_parallel(2, &fetch, &RestoreOptions { threads: 1 }).unwrap_err();
+    match err {
+        CkptError::ChecksumMismatch { expected, actual } => {
+            assert_eq!(actual, scrutiny_integration::crc32_bitwise(&older_raw));
+            assert_ne!(expected, actual);
+        }
+        other => panic!("expected a checksum mismatch, got {other}"),
+    }
+    let r = recover(mem);
+    assert_eq!(r.version, 1);
+    assert_eq!(r.report.rejected_versions(), vec![2]);
+    assert!(matches!(
+        r.report.rejected[0].error,
+        CkptError::ChecksumMismatch { .. }
+    ));
+    assert_eq!(r.data, expected[1].0);
+    assert_eq!(r.aux, expected[1].1);
 }
 
 #[test]
