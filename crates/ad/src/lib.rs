@@ -29,10 +29,8 @@
 //!   literals fold to constants and record nothing, which keeps
 //!   data-independent computation (random streams, FFT twiddle factors,
 //!   loop bookkeeping) off the tape.
-//! * [`Dual`] — forward-mode dual numbers, used to cross-check the reverse
-//!   sweep in tests (and usable on its own for single-direction derivatives).
-//! * [`Real`] — the scalar abstraction implemented by `f64`, `Adj` and
-//!   [`Dual`]; the NPB kernels are written once, generically, against it.
+//! * [`Real`] — the scalar abstraction implemented by `f64` and `Adj`; the
+//!   NPB kernels are written once, generically, against it.
 //! * [`Cplx`] — a complex number over any [`Real`], needed by the FT
 //!   benchmark (`dcomplex` in NPB).
 //! * [`Tape::reachable`] — *structural* activity analysis on the same tape:
@@ -76,7 +74,6 @@
 pub mod adj;
 pub mod cplx;
 pub mod datadep;
-pub mod dual;
 pub mod error;
 pub mod real;
 pub mod replay;
@@ -87,7 +84,6 @@ pub mod tape;
 pub use adj::Adj;
 pub use cplx::Cplx;
 pub use datadep::{DataDep, Witness};
-pub use dual::Dual;
 pub use error::AdError;
 pub use real::Real;
 pub use replay::{Ladder, Resume, TapeReplay};

@@ -3,16 +3,15 @@
 //! The NPB kernels (and any user application analyzed by `scrutiny`) are
 //! written once, generically over `Real`. Instantiated with `f64` they run
 //! at native speed (golden/restart runs); instantiated with [`crate::Adj`]
-//! the identical code path records the tape for the criticality analysis;
-//! instantiated with [`crate::Dual`] it provides a forward-mode oracle for
-//! tests.
+//! the identical code path records the tape for the criticality analysis.
+//! (The test suites' forward-mode oracle, `scrutiny_integration::Dual`,
+//! implements it too.)
 
-use crate::{Adj, Dual};
+use crate::Adj;
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A differentiable scalar: `f64`, [`Adj`] (reverse mode) or [`Dual`]
-/// (forward mode).
+/// A differentiable scalar: `f64` or [`Adj`] (reverse mode).
 ///
 /// Comparisons go through [`Real::value`] — control flow is evaluated on
 /// primal values, which matches what an LLVM-level tool like Enzyme
@@ -173,119 +172,5 @@ impl Real for Adj {
     #[inline]
     fn rmin(self, other: Self) -> Self {
         Adj::min(self, other)
-    }
-}
-
-impl Real for Dual {
-    #[inline]
-    fn lit(v: f64) -> Self {
-        Dual::constant(v)
-    }
-    #[inline]
-    fn value(self) -> f64 {
-        Dual::value(self)
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        Dual::sqrt(self)
-    }
-    #[inline]
-    fn exp(self) -> Self {
-        Dual::exp(self)
-    }
-    #[inline]
-    fn ln(self) -> Self {
-        Dual::ln(self)
-    }
-    #[inline]
-    fn sin(self) -> Self {
-        Dual::sin(self)
-    }
-    #[inline]
-    fn cos(self) -> Self {
-        Dual::cos(self)
-    }
-    #[inline]
-    fn powi(self, n: i32) -> Self {
-        Dual::powi(self, n)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        Dual::abs(self)
-    }
-    #[inline]
-    fn rmax(self, other: Self) -> Self {
-        Dual::max(self, other)
-    }
-    #[inline]
-    fn rmin(self, other: Self) -> Self {
-        Dual::min(self, other)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::TapeSession;
-
-    /// A generic kernel: the same source evaluated for all three scalars.
-    fn kernel<R: Real>(x: R) -> R {
-        let a = x * x + R::lit(1.0);
-        let b = a.sqrt().ln();
-        (b.sin() + x.exp() * 0.5).abs()
-    }
-
-    #[test]
-    fn all_scalars_agree_on_values() {
-        let x = 0.83;
-        let vf = kernel(x);
-        let vd = kernel(Dual::variable(x)).value();
-        let s = TapeSession::new();
-        let va = kernel(Adj::leaf(x)).value();
-        drop(s);
-        assert!((vf - vd).abs() < 1e-15);
-        assert!((vf - va).abs() < 1e-15);
-    }
-
-    #[test]
-    fn forward_equals_reverse() {
-        let x = 0.83;
-        let dd = kernel(Dual::variable(x)).tangent();
-        let s = TapeSession::new();
-        let leaf = Adj::leaf(x);
-        let y = kernel(leaf);
-        let tape = s.finish();
-        let da = tape.gradient(y).unwrap().wrt(leaf);
-        assert!(
-            (dd - da).abs() < 1e-13,
-            "forward {dd} vs reverse {da} disagree"
-        );
-    }
-
-    #[test]
-    fn rmax_rmin_consistent_across_scalars() {
-        let a = 2.0;
-        let b = 5.0;
-        assert_eq!(a.rmax(b), 5.0);
-        assert_eq!(a.rmin(b), 2.0);
-        assert_eq!(Dual::variable(a).rmax(Dual::constant(b)).value(), 5.0);
-        let s = TapeSession::new();
-        assert_eq!(Adj::leaf(a).rmax(Adj::constant(b)).value(), 5.0);
-        drop(s);
-    }
-
-    #[test]
-    fn f64_scalar_ops_compile_and_match() {
-        fn poly<R: Real>(x: R) -> R {
-            let mut acc = R::zero();
-            acc += x * 2.0;
-            acc -= 1.0;
-            acc *= 3.0;
-            acc /= 2.0;
-            acc + R::one()
-        }
-        let direct = |x: f64| ((x * 2.0 - 1.0) * 3.0) / 2.0 + 1.0;
-        assert!((poly(1.7f64) - direct(1.7)).abs() < 1e-15);
-        assert!((poly(Dual::variable(1.7)).value() - direct(1.7)).abs() < 1e-15);
     }
 }

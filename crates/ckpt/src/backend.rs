@@ -265,61 +265,8 @@ impl StorageBackend for MemBackend {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::names::CkptName;
-
-    /// Every `put` (`Some(bytes)`) and `delete` (`None`) in call order —
-    /// the write sequence a crash can cut short.
-    pub(crate) type WriteLog = std::sync::Arc<Mutex<Vec<(String, Option<Vec<u8>>)>>>;
-
-    /// Forwards to an inner [`MemBackend`], recording a [`WriteLog`],
-    /// every `get` with whether it found its object, and counting
-    /// listings.
-    #[derive(Default)]
-    pub(crate) struct LogBackend {
-        pub(crate) inner: std::sync::Arc<MemBackend>,
-        pub(crate) log: WriteLog,
-        pub(crate) gets: std::sync::Arc<Mutex<Vec<(String, bool)>>>,
-        lists: std::sync::atomic::AtomicUsize,
-    }
-
-    impl LogBackend {
-        /// A fresh log over the objects another `LogBackend` holds — what
-        /// a reopened writer sees.
-        pub(crate) fn over(inner: std::sync::Arc<MemBackend>) -> Self {
-            LogBackend {
-                inner,
-                ..Default::default()
-            }
-        }
-    }
-
-    impl StorageBackend for LogBackend {
-        fn put(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-            let entry = (name.to_string(), Some(bytes.to_vec()));
-            self.log.lock().unwrap().push(entry);
-            self.inner.put(name, bytes)
-        }
-        fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-            let got = self.inner.get(name);
-            let entry = (name.to_string(), got.is_ok());
-            self.gets.lock().unwrap().push(entry);
-            got
-        }
-        fn list(&self) -> Result<Vec<String>, CkptError> {
-            self.lists
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.list()
-        }
-        fn delete(&self, name: &str) -> Result<(), CkptError> {
-            self.log.lock().unwrap().push((name.to_string(), None));
-            self.inner.delete(name)
-        }
-        fn label(&self) -> String {
-            "log".into()
-        }
-    }
 
     #[test]
     fn mem_backend_roundtrip_and_listing() {
@@ -364,83 +311,5 @@ pub(crate) mod tests {
         b.delete("t1/ckpt_000001.data").unwrap();
         assert_eq!(b.list().unwrap(), ["ckpt_000001.data"]);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_version_propagates_non_notfound_errors() {
-        /// Aux reads succeed; the monolithic data read fails with a
-        /// *permission* error, which must surface as-is instead of being
-        /// masked by a sharded-layout probe.
-        struct DeniedData;
-        impl StorageBackend for DeniedData {
-            fn put(&self, _: &str, _: &[u8]) -> Result<(), CkptError> {
-                Ok(())
-            }
-            fn get(&self, name: &str) -> Result<Vec<u8>, CkptError> {
-                match names::classify(name) {
-                    CkptName::Aux(_) => Ok(b"aux".to_vec()),
-                    CkptName::Data(_) => Err(CkptError::Io(std::io::Error::new(
-                        std::io::ErrorKind::PermissionDenied,
-                        "denied",
-                    ))),
-                    _ => panic!("sharded probe must not run: asked for {name:?}"),
-                }
-            }
-            fn list(&self) -> Result<Vec<String>, CkptError> {
-                Ok(Vec::new())
-            }
-            fn delete(&self, _: &str) -> Result<(), CkptError> {
-                Ok(())
-            }
-            fn label(&self) -> String {
-                "denied".into()
-            }
-        }
-        match read_version(&DeniedData, 3) {
-            Err(CkptError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied)
-            }
-            other => panic!("expected the permission error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn prune_lists_once_and_deletes_markers_first_newest_first() {
-        // 0 full, 1 and 2 deltas on it, 3 full (sharded), 4 delta on 3:
-        // keep = 2 retires the old chain 0..=2. Version 5 has no marker
-        // yet — an in-flight writer's objects, not the pruner's.
-        let b = LogBackend::default();
-        let img: Vec<u8> = (0..200u8).collect();
-        let delta_on = |parent| crate::delta::diff_images(&img, &img, parent, 64).unwrap().0;
-        for (name, bytes) in [
-            (names::data(0), img.clone()),
-            (names::delta(1), delta_on(0)),
-            (names::delta(2), delta_on(1)),
-            (names::shard(3, 0), img.clone()),
-            (names::manifest(3), b"m".to_vec()),
-            (names::delta(4), delta_on(3)),
-            (names::shard(5, 0), img.clone()),
-        ] {
-            b.inner.put(&name, &bytes).unwrap();
-        }
-        for v in 0..6 {
-            b.inner.put(&names::aux(v), b"a").unwrap();
-        }
-        // The writer knew delta 4's parent; nothing else live is a delta,
-        // so the prune reads no object — and forgets nothing live.
-        let mut parents = BTreeMap::from([(2, 1), (4, 3)]);
-        prune_chain_aware(&b, 2, &mut parents).unwrap();
-        assert_eq!(b.lists.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert!(b.gets.lock().unwrap().is_empty());
-        assert_eq!(parents, BTreeMap::from([(4, 3)]));
-        let log = b.log.lock().unwrap();
-        assert!(log.iter().all(|(_, put)| put.is_none()), "deletes only");
-        let deleted: Vec<&str> = log.iter().map(|(name, _)| name.as_str()).collect();
-        let (d2, d1, d0) = (names::delta(2), names::delta(1), names::data(0));
-        let (a2, a1, a0) = (names::aux(2), names::aux(1), names::aux(0));
-        assert_eq!(deleted, [&d2, &d1, &d0, &a2, &a1, &a0]);
-        assert_eq!(list_versions(&b).unwrap(), [3, 4]);
-        assert!(b.get(&names::aux(5)).is_ok(), "uncommitted objects stay");
-        assert!(b.get(&names::shard(5, 0)).is_ok());
     }
 }

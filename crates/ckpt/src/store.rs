@@ -3,11 +3,11 @@
 //! durable" — paper §II.A), with keep-last-k retention.
 //!
 //! The store is the *blocking face* of the code the async engine runs:
-//! it holds a [`DirBackend`], and saving, listing, loading and chain-aware
-//! retention are [`publish_epoch`], [`list_versions`], [`read_version`]
-//! and [`prune_chain_aware`] over it — so a directory the engine
-//! published into opens here unchanged, and the two write byte-identical
-//! objects for the same state.
+//! it holds a [`DirBackend`] (any backend, through `over`), and saving,
+//! listing, loading and chain-aware retention are [`publish_epoch`],
+//! [`list_versions`], [`read_version`] and [`prune_chain_aware`] over it —
+//! so a directory the engine published into opens here unchanged, and the
+//! two write byte-identical objects for the same state.
 
 use crate::backend::{list_versions, prune_chain_aware, read_version, DirBackend, StorageBackend};
 use crate::compress::CodecConfig;
@@ -66,9 +66,8 @@ impl CheckpointStore {
         Self::over(Box::new(DirBackend::open(dir)?), keep)
     }
 
-    /// [`CheckpointStore::open`] over any backend — how the crate's tests
-    /// watch the store's write sequence.
-    pub(crate) fn over(backend: Box<dyn StorageBackend>, keep: usize) -> Result<Self, CkptError> {
+    /// [`CheckpointStore::open`] over any backend.
+    pub fn over(backend: Box<dyn StorageBackend>, keep: usize) -> Result<Self, CkptError> {
         if keep == 0 {
             return Err(CkptError::InvalidConfig(
                 "a store must retain at least one checkpoint (keep >= 1)".into(),
@@ -522,121 +521,6 @@ mod tests {
         // must read parent pointers through the container).
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&dir_raw).unwrap();
-    }
-
-    /// FORMATS §7 as a property of the recorded write sequence of
-    /// versions `0..` saved in order: each commit marker is the last
-    /// object put for its version, and a crash just before it — the log
-    /// replayed up to that put into a fresh directory — opens as a store
-    /// whose latest checkpoint is the previous version, intact (`x[0]`
-    /// holds the version number).
-    fn assert_marker_last_and_crash_safe(log: &[(String, Option<Vec<u8>>)], tag: &str) {
-        let version_of = |name: &str| classify(name).version();
-        let mut markers = 0;
-        for (i, (name, bytes)) in log.iter().enumerate() {
-            let (Some(v), Some(_)) = (crate::names::committed_version(name), bytes) else {
-                continue;
-            };
-            markers += 1;
-            for (later, put) in &log[i + 1..] {
-                assert!(
-                    put.is_none() || version_of(later) != Some(v),
-                    "{tag}: {later} is put after version {v}'s commit marker {name}"
-                );
-            }
-            let dir = tmpdir(&format!("crash_{tag}_{i}"));
-            let files = DirBackend::open(&dir).unwrap();
-            for (name, bytes) in &log[..i] {
-                match bytes {
-                    Some(bytes) => files.put(name, bytes).unwrap(),
-                    None => files.delete(name).unwrap(),
-                }
-            }
-            let store = CheckpointStore::open(&dir, 64).unwrap();
-            assert_eq!(store.latest().unwrap(), v.checked_sub(1), "{tag}: {name}");
-            if let Some(prev) = v.checked_sub(1) {
-                let x = store.load_latest().unwrap();
-                let x = x.var("x").unwrap().materialize_f64(FillPolicy::Zero);
-                assert_eq!(x.unwrap()[0], prev as f64, "{tag}: cut at {name}");
-            }
-            fs::remove_dir_all(&dir).unwrap();
-        }
-        assert!(markers >= 3, "{tag}: the log holds {markers} commits");
-    }
-
-    #[test]
-    fn every_store_writer_puts_its_commit_marker_last() {
-        use crate::backend::tests::LogBackend;
-        let policy = DeltaPolicy {
-            page_bytes: 64,
-            rebase_every: 2,
-        };
-        // `save` (monolithic), then `save_delta` (base, delta, delta,
-        // rebase, delta, delta) — both with retention running between
-        // epochs, so the replayed prefixes hold deletes too.
-        for chained in [None, Some(&policy)] {
-            let backend = LogBackend::default();
-            let log = backend.log.clone();
-            let mut store = CheckpointStore::over(Box::new(backend), 2).unwrap();
-            let mut vals = vec![0.5f64; 64];
-            for i in 0..6 {
-                vals[0] = i as f64;
-                let vars = vec![VarRecord::new("x", VarData::F64(vals.clone()))];
-                match chained {
-                    None => store.save(&vars, &[VarPlan::Full]).unwrap(),
-                    Some(policy) => store.save_delta(&vars, &[VarPlan::Full], policy).unwrap(),
-                };
-            }
-            let log = log.lock().unwrap();
-            let deltas: Vec<u64> = (0..6)
-                .filter(|&v| log.iter().any(|(n, _)| *n == crate::names::delta(v)))
-                .collect();
-            assert_eq!(deltas.is_empty(), chained.is_none());
-            assert!(chained.is_none() || deltas == [1, 2, 4, 5]);
-            assert!(log.iter().any(|(_, put)| put.is_none()), "retention ran");
-            assert_marker_last_and_crash_safe(&log, &format!("{:?}", chained.is_some()));
-        }
-    }
-
-    #[test]
-    fn save_delta_retention_reads_nothing_the_store_wrote_and_a_reopen_falls_back() {
-        use crate::backend::tests::LogBackend;
-        use crate::names;
-        let policy = DeltaPolicy {
-            page_bytes: 64,
-            rebase_every: 8,
-        };
-        let mut vals = vec![0.5f64; 64];
-        let mut save = |store: &mut CheckpointStore, epochs: std::ops::Range<u64>| {
-            for i in epochs {
-                vals[0] = i as f64;
-                let vars = vec![VarRecord::new("x", VarData::F64(vals.clone()))];
-                let (v, _) = store.save_delta(&vars, &[VarPlan::Full], &policy).unwrap();
-                assert_eq!(v, i);
-            }
-        };
-        // 20 epochs, keep = 4: bases at 0, 9, 18; the newest four pin
-        // 9..=19 — the same sets, and the same fallback reads after a
-        // reopen, as the engine's in `engine/tests/publish_order.rs`.
-        let backend = LogBackend::default();
-        let (objects, gets) = (backend.inner.clone(), backend.gets.clone());
-        let mut store = CheckpointStore::over(Box::new(backend), 4).unwrap();
-        save(&mut store, 0..20);
-        assert_eq!(*gets.lock().unwrap(), []);
-        assert_eq!(store.versions().unwrap(), (9..=19).collect::<Vec<u64>>());
-
-        let backend = LogBackend::over(objects);
-        let gets = backend.gets.clone();
-        let mut store = CheckpointStore::over(Box::new(backend), 4).unwrap();
-        save(&mut store, 20..21);
-        assert_eq!(store.versions().unwrap(), (9..=20).collect::<Vec<u64>>());
-        let mut fetched = std::mem::take(&mut *gets.lock().unwrap());
-        fetched.sort();
-        let inherited = (10..=17).chain([19]).map(|v| (names::delta(v), true));
-        assert_eq!(fetched, inherited.collect::<Vec<_>>());
-        save(&mut store, 21..22);
-        assert_eq!(store.versions().unwrap(), [18, 19, 20, 21]);
-        assert_eq!(*gets.lock().unwrap(), []);
     }
 
     #[test]

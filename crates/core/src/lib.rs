@@ -150,9 +150,7 @@ pub use analysis::{
 };
 pub use app::{AppRun, RunOutcome, ScrutinyApp};
 pub use plan::{codec_for, Policy};
-pub use report::{
-    format_table1, format_table2, format_table3, table2_rows, table3_row, Table2Row, Table3Row,
-};
+pub use report::{format_table1, format_table2, table2_rows, table3_row, Table2Row, Table3Row};
 pub use restart::{
     checkpoint_restart_cycle, restart_cycle, verify_restart_from, CheckpointSource, RestartConfig,
     RestartReport,
@@ -162,8 +160,8 @@ pub use spec::{AppSpec, VarSpec};
 
 // Re-export the scalar abstraction so applications depend on one crate.
 pub use scrutiny_ad::{
-    AdError, Adj, Cplx, DataDep, Dual, Real, SweepConfig, SweepStats, TapeCheckpointConfig,
-    TapeConfig, TapeReplay, Witness,
+    AdError, Adj, Cplx, DataDep, Real, SweepConfig, SweepStats, TapeCheckpointConfig, TapeConfig,
+    TapeReplay, Witness,
 };
 // Re-export the observability substrate: every layer below reports into a
 // [`Recorder`], and the stats structs are views over its snapshots.

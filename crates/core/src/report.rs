@@ -110,26 +110,6 @@ pub fn table3_row(report: &AnalysisReport, captured: &[VarRecord]) -> Result<Tab
     })
 }
 
-/// Render Table III.
-pub fn format_table3(rows: &[Table3Row]) -> String {
-    let mut out = String::from("Table III: checkpointing storage\n");
-    out.push_str(&format!(
-        "{:<10} {:>12} {:>12} {:>13} {:>10}\n",
-        "Benchmark", "Original", "Optimized", "Storage saved", "Aux file"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>10.1}kb {:>10.1}kb {:>12.1}% {:>8.2}kb\n",
-            r.bench,
-            r.original_kib,
-            r.optimized_kib,
-            r.saved_pct(),
-            r.aux_kib
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +154,5 @@ mod tests {
         let row = table3_row(&report, &captured).unwrap();
         assert!(row.optimized_kib < row.original_kib);
         assert!(row.saved_pct() > 0.0);
-        let rendered = format_table3(&[row]);
-        assert!(rendered.contains("HEAT1D"));
     }
 }

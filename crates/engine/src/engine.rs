@@ -529,7 +529,6 @@ mod tests {
     use crate::backend::{read_version, MemBackend};
     use scrutiny_ckpt::writer::serialize;
     use scrutiny_ckpt::{AtRest, Bitmap, Checkpoint, FillPolicy, Regions, VarData};
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn sample(n: usize, scale: f64) -> (Vec<VarRecord>, Vec<VarPlan>) {
         let vars = vec![
@@ -609,78 +608,6 @@ mod tests {
         assert_eq!(resolved.len(), 5);
         assert_eq!(versions, vec![0, 1, 2, 3, 4]);
         assert_eq!(eng.pending(), 0);
-    }
-
-    #[test]
-    fn backend_failure_propagates_to_wait() {
-        struct FailingBackend;
-        impl StorageBackend for FailingBackend {
-            fn put(&self, _: &str, _: &[u8]) -> Result<(), scrutiny_ckpt::CkptError> {
-                Err(scrutiny_ckpt::CkptError::Corrupt("disk on fire".into()))
-            }
-            fn get(&self, n: &str) -> Result<Vec<u8>, scrutiny_ckpt::CkptError> {
-                Err(scrutiny_ckpt::CkptError::MissingVar(n.into()))
-            }
-            fn list(&self) -> Result<Vec<String>, scrutiny_ckpt::CkptError> {
-                Ok(Vec::new())
-            }
-            fn delete(&self, _: &str) -> Result<(), scrutiny_ckpt::CkptError> {
-                Ok(())
-            }
-            fn label(&self) -> String {
-                "failing".into()
-            }
-        }
-        let eng = EngineHandle::open(Arc::new(FailingBackend), EngineConfig::default()).unwrap();
-        let (vars, plans) = sample(32, 1.0);
-        let ticket = eng.submit(&vars, &plans).unwrap();
-        match eng.wait(ticket) {
-            Err(EngineError::Ckpt(scrutiny_ckpt::CkptError::Corrupt(m))) => {
-                assert!(m.contains("disk on fire"))
-            }
-            other => panic!("expected the backend failure, got {other:?}"),
-        }
-        // The engine stays usable for the next submission's failure too.
-        let t2 = eng.submit(&vars, &plans).unwrap();
-        assert!(eng.wait(t2).is_err());
-    }
-
-    #[test]
-    fn publisher_panic_reaches_wait_and_the_engine_keeps_publishing() {
-        /// Panics on the first put, then forwards to memory.
-        struct PanicOnce(MemBackend, AtomicBool);
-        impl StorageBackend for PanicOnce {
-            fn put(&self, name: &str, bytes: &[u8]) -> Result<(), scrutiny_ckpt::CkptError> {
-                assert!(
-                    self.1.swap(true, Ordering::Relaxed),
-                    "disk controller on fire"
-                );
-                self.0.put(name, bytes)
-            }
-            fn get(&self, name: &str) -> Result<Vec<u8>, scrutiny_ckpt::CkptError> {
-                self.0.get(name)
-            }
-            fn list(&self) -> Result<Vec<String>, scrutiny_ckpt::CkptError> {
-                self.0.list()
-            }
-            fn delete(&self, name: &str) -> Result<(), scrutiny_ckpt::CkptError> {
-                self.0.delete(name)
-            }
-            fn label(&self) -> String {
-                "panic-once".into()
-            }
-        }
-        let backend = Arc::new(PanicOnce(MemBackend::new(), AtomicBool::new(false)));
-        let eng = EngineHandle::open(backend.clone(), EngineConfig::default()).unwrap();
-        let (vars, plans) = sample(64, 1.0);
-        match eng.wait(eng.submit(&vars, &plans).unwrap()) {
-            Err(EngineError::WorkerPanic(m)) => assert!(m.contains("on fire"), "{m}"),
-            other => panic!("expected the panic, got {other:?}"),
-        }
-        let t = eng.submit(&vars, &plans).unwrap();
-        let v = t.version();
-        eng.wait(t).unwrap();
-        assert!(read_version(&backend.0, v).is_ok());
     }
 
     #[test]
@@ -791,66 +718,6 @@ mod tests {
             totals[0]
         );
         assert!(totals[4] < totals[3] / 2);
-    }
-
-    #[test]
-    fn delta_chain_survives_a_failed_epoch() {
-        /// Fails every put of version 1; everything else goes to memory.
-        struct FailV1(MemBackend);
-        impl StorageBackend for FailV1 {
-            fn put(&self, name: &str, bytes: &[u8]) -> Result<(), scrutiny_ckpt::CkptError> {
-                if names::committed_version(name) == Some(1)
-                    || matches!(
-                        names::classify(name),
-                        scrutiny_ckpt::names::CkptName::Aux(1)
-                    )
-                {
-                    return Err(scrutiny_ckpt::CkptError::Corrupt("epoch 1 lost".into()));
-                }
-                self.0.put(name, bytes)
-            }
-            fn get(&self, name: &str) -> Result<Vec<u8>, scrutiny_ckpt::CkptError> {
-                self.0.get(name)
-            }
-            fn list(&self) -> Result<Vec<String>, scrutiny_ckpt::CkptError> {
-                self.0.list()
-            }
-            fn delete(&self, name: &str) -> Result<(), scrutiny_ckpt::CkptError> {
-                self.0.delete(name)
-            }
-            fn label(&self) -> String {
-                "fail-v1".into()
-            }
-        }
-        let backend = Arc::new(FailV1(MemBackend::new()));
-        let cfg = EngineConfig {
-            workers: 2,
-            delta: Some(DeltaPolicy {
-                page_bytes: 256,
-                rebase_every: 10,
-            }),
-            ..Default::default()
-        };
-        let eng = EngineHandle::open(backend.clone(), cfg).unwrap();
-        let (mut vars, plans) = sample(300, 2.0);
-        let mut wanted = Vec::new();
-        let mut results = Vec::new();
-        for epoch in 0..3u64 {
-            if let VarData::F64(v) = &mut vars[0].data {
-                v[0] = epoch as f64 + 0.25;
-            }
-            let t = eng.submit(&vars, &plans).unwrap();
-            wanted.push(serialize(&vars, &plans).unwrap().data);
-            results.push(eng.wait(t));
-        }
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err(), "epoch 1's failure must surface");
-        assert!(results[2].is_ok(), "the chain continues past a failure");
-        // Epoch 2's delta patches epoch 0 (the last image that landed),
-        // and still reconstructs epoch 2's state bit-identically.
-        let (data, _) = read_version(backend.as_ref(), 2).unwrap();
-        assert_eq!(data, wanted[2]);
-        assert!(read_version(backend.as_ref(), 1).is_err());
     }
 
     #[test]

@@ -547,43 +547,4 @@ mod tests {
             other => panic!("expected Unrecoverable, got {:?}", other.map(|r| r.version)),
         }
     }
-
-    #[test]
-    fn environmental_errors_abort_instead_of_degrading() {
-        /// Listing works; every get is a permission failure.
-        struct Denied(MemBackend);
-        impl StorageBackend for Denied {
-            fn put(&self, n: &str, b: &[u8]) -> Result<(), CkptError> {
-                self.0.put(n, b)
-            }
-            fn get(&self, _: &str) -> Result<Vec<u8>, CkptError> {
-                Err(CkptError::Io(std::io::Error::new(
-                    std::io::ErrorKind::PermissionDenied,
-                    "denied",
-                )))
-            }
-            fn list(&self) -> Result<Vec<String>, CkptError> {
-                self.0.list()
-            }
-            fn delete(&self, n: &str) -> Result<(), CkptError> {
-                self.0.delete(n)
-            }
-            fn label(&self) -> String {
-                "denied".into()
-            }
-        }
-        let inner = MemBackend::new();
-        inner.put(&names::data(0), b"x").unwrap();
-        inner.put(&names::aux(0), b"x").unwrap();
-        let mgr = RecoveryManager::new(Arc::new(Denied(inner)), RecoveryConfig::default());
-        match mgr.recover_latest() {
-            Err(EngineError::Ckpt(CkptError::Io(e))) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied)
-            }
-            other => panic!(
-                "expected the permission error, got {:?}",
-                other.map(|r| r.version)
-            ),
-        }
-    }
 }

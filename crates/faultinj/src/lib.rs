@@ -18,15 +18,24 @@
 //! frames, dropped connections mid-publish, garbage length prefixes),
 //! validating that remote clients surface typed errors and never wedge
 //! a submitting engine's chain.
+//!
+//! The test doubles live here too: [`ScriptedBackend`] is the one
+//! [`scrutiny_engine::StorageBackend`] wrapper that logs every call and
+//! scripts its faults, and [`CountingAlloc`] counts what a call
+//! allocates.
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod campaign;
 pub mod corruption;
 pub mod net;
+pub mod scripted;
 pub mod storage;
 
+pub use alloc::{allocated_by, allocated_during, CountingAlloc};
 pub use campaign::{campaign_matrix, run_campaign, CampaignConfig, CampaignReport, Target};
 pub use corruption::Corruption;
 pub use net::{FaultProxy, NetFault};
+pub use scripted::{Call, Op, Rule, ScriptedBackend};
 pub use storage::{StorageFault, StorageScenario};

@@ -1,10 +1,12 @@
 //! Forward-mode AD with dual numbers.
 //!
 //! `Dual` carries a value and a single directional derivative. It is the
-//! independent oracle used by the test suite to validate the reverse-mode
-//! tape (forward and reverse must agree to machine precision on the same
-//! program), and it is also useful on its own when only a few input
-//! directions matter.
+//! independent oracle the test suites validate the reverse-mode tape
+//! against: forward and reverse must agree to machine precision on the
+//! same program, written once over [`Real`].
+
+use scrutiny_ad::Real;
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A dual number `v + d·ε` with `ε² = 0`.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -96,25 +98,6 @@ impl Dual {
         }
     }
 
-    /// Real power with a constant exponent.
-    #[inline]
-    pub fn powf(self, p: f64) -> Dual {
-        Dual {
-            v: self.v.powf(p),
-            d: self.d * p * self.v.powf(p - 1.0),
-        }
-    }
-
-    /// Reciprocal.
-    #[inline]
-    pub fn recip(self) -> Dual {
-        let inv = 1.0 / self.v;
-        Dual {
-            v: inv,
-            d: -self.d * inv * inv,
-        }
-    }
-
     /// Absolute value (a.e. derivative).
     #[inline]
     pub fn abs(self) -> Dual {
@@ -125,7 +108,7 @@ impl Dual {
         }
     }
 
-    /// Maximum, branch semantics matching [`crate::Adj::max`].
+    /// Maximum, branch semantics matching [`scrutiny_ad::Adj::max`].
     #[inline]
     pub fn max(self, rhs: Dual) -> Dual {
         if self.v >= rhs.v {
@@ -135,7 +118,7 @@ impl Dual {
         }
     }
 
-    /// Minimum, branch semantics matching [`crate::Adj::min`].
+    /// Minimum, branch semantics matching [`scrutiny_ad::Adj::min`].
     #[inline]
     pub fn min(self, rhs: Dual) -> Dual {
         if self.v <= rhs.v {
@@ -145,8 +128,6 @@ impl Dual {
         }
     }
 }
-
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 impl Add for Dual {
     type Output = Dual;
@@ -213,13 +194,6 @@ macro_rules! scalar_rhs {
                 self.$m(Dual::constant(rhs))
             }
         }
-        impl $trait<Dual> for f64 {
-            type Output = Dual;
-            #[inline]
-            fn $m(self, rhs: Dual) -> Dual {
-                Dual::constant(self).$m(rhs)
-            }
-        }
     };
 }
 scalar_rhs!(Add, add);
@@ -255,9 +229,57 @@ impl PartialOrd for Dual {
     }
 }
 
+impl Real for Dual {
+    #[inline]
+    fn lit(v: f64) -> Self {
+        Dual::constant(v)
+    }
+    #[inline]
+    fn value(self) -> f64 {
+        Dual::value(self)
+    }
+    #[inline]
+    fn sqrt(self) -> Self {
+        Dual::sqrt(self)
+    }
+    #[inline]
+    fn exp(self) -> Self {
+        Dual::exp(self)
+    }
+    #[inline]
+    fn ln(self) -> Self {
+        Dual::ln(self)
+    }
+    #[inline]
+    fn sin(self) -> Self {
+        Dual::sin(self)
+    }
+    #[inline]
+    fn cos(self) -> Self {
+        Dual::cos(self)
+    }
+    #[inline]
+    fn powi(self, n: i32) -> Self {
+        Dual::powi(self, n)
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        Dual::abs(self)
+    }
+    #[inline]
+    fn rmax(self, other: Self) -> Self {
+        Dual::max(self, other)
+    }
+    #[inline]
+    fn rmin(self, other: Self) -> Self {
+        Dual::min(self, other)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrutiny_ad::{Adj, TapeSession};
 
     #[test]
     fn product_rule() {
@@ -290,5 +312,66 @@ mod tests {
         let x = Dual::variable(1.0);
         let c = Dual::constant(5.0);
         assert_eq!((x * 0.0 + c).d, 0.0);
+    }
+
+    /// A generic kernel: the same source evaluated for all three scalars.
+    fn kernel<R: Real>(x: R) -> R {
+        let a = x * x + R::lit(1.0);
+        let b = a.sqrt().ln();
+        (b.sin() + x.exp() * 0.5).abs()
+    }
+
+    #[test]
+    fn all_scalars_agree_on_values() {
+        let x = 0.83;
+        let vf = kernel(x);
+        let vd = kernel(Dual::variable(x)).value();
+        let s = TapeSession::new();
+        let va = kernel(Adj::leaf(x)).value();
+        drop(s);
+        assert!((vf - vd).abs() < 1e-15);
+        assert!((vf - va).abs() < 1e-15);
+    }
+
+    #[test]
+    fn forward_equals_reverse() {
+        let x = 0.83;
+        let dd = kernel(Dual::variable(x)).tangent();
+        let s = TapeSession::new();
+        let leaf = Adj::leaf(x);
+        let y = kernel(leaf);
+        let tape = s.finish();
+        let da = tape.gradient(y).unwrap().wrt(leaf);
+        assert!(
+            (dd - da).abs() < 1e-13,
+            "forward {dd} vs reverse {da} disagree"
+        );
+    }
+
+    #[test]
+    fn rmax_rmin_consistent_across_scalars() {
+        let a = 2.0;
+        let b = 5.0;
+        assert_eq!(a.rmax(b), 5.0);
+        assert_eq!(a.rmin(b), 2.0);
+        assert_eq!(Dual::variable(a).rmax(Dual::constant(b)).value(), 5.0);
+        let s = TapeSession::new();
+        assert_eq!(Adj::leaf(a).rmax(Adj::constant(b)).value(), 5.0);
+        drop(s);
+    }
+
+    #[test]
+    fn f64_scalar_ops_compile_and_match() {
+        fn poly<R: Real>(x: R) -> R {
+            let mut acc = R::zero();
+            acc += x * 2.0;
+            acc -= 1.0;
+            acc *= 3.0;
+            acc /= 2.0;
+            acc + R::one()
+        }
+        let direct = |x: f64| ((x * 2.0 - 1.0) * 3.0) / 2.0 + 1.0;
+        assert!((poly(1.7f64) - direct(1.7)).abs() < 1e-15);
+        assert!((poly(Dual::variable(1.7)).value() - direct(1.7)).abs() < 1e-15);
     }
 }

@@ -19,27 +19,39 @@
 //! `ScrutinyApp` owes the step protocol, checked the same way for the NPB
 //! kernels, the demo app and the pitfall apps. One clause of it — a run's
 //! `snapshot_bytes` is what a fork of it really allocates — needs the test
-//! binary to install [`CountingAlloc`] as its global allocator.
+//! binary to install `scrutiny_faultinj::CountingAlloc` as its global
+//! allocator.
 //!
 //! The format oracles live here too, outside the product:
 //! [`direct_serialize_data`] (the `SCRUTCKP` data file written variable by
 //! variable), [`czb_bytewise`] (the `SCRUTCZB` container encoded a byte
 //! at a time) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
 //! one encoder, its word-at-a-time codec and its three-lane CRC but
-//! `docs/FORMATS.md`.
+//! `docs/FORMATS.md`; [`Dual`], forward-mode dual numbers, shares nothing
+//! with the reverse-mode tape but [`Real`].
+//!
+//! [`assert_cuts_recover`] holds every writer to FORMATS §7 over the
+//! write sequence a `scrutiny_faultinj::ScriptedBackend` logged.
 
 #![warn(missing_docs)]
 
+mod dual;
+
+pub use dual::Dual;
+
 use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
-use scrutiny_ckpt::{AtRest, LoCodec, VarData, VarPlan, VarRecord};
+use scrutiny_ckpt::{
+    names, AtRest, CheckpointStore, DirBackend, FillPolicy, LoCodec, StorageBackend, VarData,
+    VarPlan, VarRecord,
+};
 use scrutiny_core::{
     record_resumable, scrutinize_differential, scrutinize_with, AdError, Adj, AnalysisReport,
     AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real,
     ScrutinyApp, ScrutinyOptions,
 };
-use scrutiny_faultinj::{campaign_matrix, CampaignConfig, CampaignReport, Corruption, Target};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use scrutiny_faultinj::{
+    allocated_by, campaign_matrix, Call, CampaignConfig, CampaignReport, Corruption, Op, Target,
+};
 
 /// One application's differential run, labeled for failure messages.
 #[derive(Debug)]
@@ -63,17 +75,6 @@ pub fn differential_case(
         class: report.ad.app.class.clone(),
         report,
     })
-}
-
-/// [`differential_case`] over a whole suite, stopping at the first
-/// recording/sweep error.
-pub fn differential_suite(
-    apps: &[Box<dyn ScrutinyApp>],
-    opts: &ScrutinyOptions,
-) -> Result<Vec<DifferentialCase>, AdError> {
-    apps.iter()
-        .map(|app| differential_case(app.as_ref(), opts))
-        .collect()
 }
 
 /// Assert everything the differential contract promises for one case:
@@ -450,84 +451,6 @@ pub fn direct_serialize_data(
     (out, payload)
 }
 
-thread_local! {
-    /// Bytes this thread has allocated and not yet freed.
-    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
-    /// Bytes this thread has ever asked for: every allocation, and every
-    /// growth of one. Never decreases — the unit a "copies nothing" claim
-    /// is made in, since a copy needs somewhere to land.
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting per thread the bytes currently
-/// allocated and the bytes ever allocated. A test binary installs it with
-/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` so that
-/// [`assert_step_contract`] can weigh a fork and [`allocated_during`] a
-/// call.
-pub struct CountingAlloc;
-
-impl CountingAlloc {
-    fn count(delta: isize) {
-        // A thread being torn down has no counter left; nothing measures
-        // there.
-        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
-        if delta > 0 {
-            let _ = ALLOCATED.try_with(|all| all.set(all.get() + delta as usize));
-        }
-    }
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters are
-// plain thread-local integers with no destructor and no allocation.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::count(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-
-    // Forwarded so a growing buffer is charged its growth, as `System`
-    // serves it (in place where it can), not a fresh block plus a copy.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-/// Whether [`CountingAlloc`] is this binary's global allocator: a probe
-/// allocation moves the thread's counter.
-fn counting() -> bool {
-    let all = || ALLOCATED.with(Cell::get);
-    let before = all();
-    drop(std::hint::black_box(Box::new(0u64)));
-    all() != before
-}
-
-/// Bytes `make`'s result keeps allocated (on this thread), with the
-/// result; `None` when [`CountingAlloc`] is not the global allocator.
-pub fn allocated_by<T>(make: impl FnOnce() -> T) -> Option<(T, usize)> {
-    let live = || LIVE_BYTES.with(Cell::get);
-    let counting = counting();
-    let before = live();
-    let made = make();
-    counting.then(|| (made, (live() - before).max(0) as usize))
-}
-
-/// Bytes this thread allocated while `call` ran — kept or freed alike —
-/// with its result; `None` when [`CountingAlloc`] is not the global
-/// allocator.
-pub fn allocated_during<T>(call: impl FnOnce() -> T) -> Option<(T, usize)> {
-    let all = || ALLOCATED.with(Cell::get);
-    let counting = counting();
-    let before = all();
-    let result = call();
-    counting.then(|| (result, all() - before))
-}
-
 /// Assert that `run.snapshot_bytes()` is what a fork of `run` really
 /// allocates — never less (the residency budget is charged that number),
 /// and no more than a sixteenth over. Skipped when the binary does not
@@ -553,7 +476,7 @@ fn assert_snapshot_bytes<'a, R: Real>(name: &str, run: &(dyn AppRun<'a, R> + 'a)
 ///    to the end reproduces the output bit for bit, and forking leaves
 ///    the run it was taken from untouched.
 ///    Its `snapshot_bytes` is what the fork allocates (checked when the
-///    test binary installs [`CountingAlloc`]).
+///    test binary installs [`CountingAlloc`](scrutiny_faultinj::CountingAlloc)).
 /// 3. **Resumed re-recording is exact:** on a tape bounded to two and to
 ///    four residency slots (the segment length chosen so the tape has a
 ///    few dozen segments), sweeps that re-record every evicted window by
@@ -673,6 +596,61 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
             stats.peak_resident_bytes
         );
     }
+}
+
+/// Assert FORMATS §7 over `log`, the calls a
+/// [`ScriptedBackend`](scrutiny_faultinj::ScriptedBackend) logged
+/// while a writer saved versions `0..` in order, each holding its own
+/// version number in element `at` of variable `var`:
+///
+/// 1. **The marker is last:** no object of a version is put after that
+///    version's commit marker.
+/// 2. **Every cut recovers:** a crash just before any marker — the
+///    log's successful puts and deletes up to it replayed into a fresh
+///    `DirBackend` — opens as a `CheckpointStore` whose latest version
+///    is the previous one, intact.
+///
+/// Returns the committed versions in log order. Panics naming `tag` and
+/// the cut on any failure.
+pub fn assert_cuts_recover(log: &[Call], var: &str, at: usize, tag: &str) -> Vec<u64> {
+    let mut committed = Vec::new();
+    for (i, call) in log.iter().enumerate() {
+        let put = call.op == Op::Put && call.ok;
+        let Some(v) = names::committed_version(&call.name).filter(|_| put) else {
+            continue;
+        };
+        committed.push(v);
+        let cut = format!("{tag}: cut before {}", call.name);
+        for later in log[i + 1..].iter().filter(|c| c.op == Op::Put) {
+            assert_ne!(
+                names::classify(&later.name).version(),
+                Some(v),
+                "{tag}: {} is put after version {v}'s commit marker {}",
+                later.name,
+                call.name
+            );
+        }
+        let dir =
+            std::env::temp_dir().join(format!("scrutiny_cut_{tag}_{i}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = DirBackend::open(&dir).unwrap();
+        for done in log[..i].iter().filter(|c| c.ok) {
+            match done.op {
+                Op::Put => files.put(&done.name, &done.bytes).unwrap(),
+                Op::Delete => files.delete(&done.name).unwrap(),
+                Op::Get | Op::List => {}
+            }
+        }
+        let store = CheckpointStore::open(&dir, 64).unwrap();
+        assert_eq!(store.latest().unwrap(), v.checked_sub(1), "{cut}");
+        if let Some(prev) = v.checked_sub(1) {
+            let ck = store.load_latest().unwrap();
+            let got = ck.var(var).unwrap().materialize_f64(FillPolicy::Zero);
+            assert_eq!(got.unwrap()[at], prev as f64, "{cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    committed
 }
 
 #[cfg(test)]

@@ -24,9 +24,9 @@
 /// into: [`scrutiny_obs::Recorder`], spans, JSONL export.
 pub use scrutiny_obs as obs;
 
-/// Tape-based reverse-mode AD: [`scrutiny_ad::Adj`], [`scrutiny_ad::Tape`],
-/// forward-mode [`scrutiny_ad::Dual`], and the [`scrutiny_ad::Real`] scalar
-/// abstraction the NPB kernels are generic over.
+/// Tape-based reverse-mode AD: [`scrutiny_ad::Adj`], [`scrutiny_ad::Tape`]
+/// and the [`scrutiny_ad::Real`] scalar abstraction the NPB kernels are
+/// generic over.
 pub use scrutiny_ad as ad;
 
 /// Criticality-pruned checkpoint/restart: bitmaps, run-length regions,

@@ -27,8 +27,9 @@ use scrutiny_core::{
     AppSpec, Bitmap, CheckpointSource, DisagreementKind, FillPolicy, Policy, Real, RestartConfig,
     ScrutinyApp, ScrutinyOptions, VarData, VarRefMut, VarSpec,
 };
+use scrutiny_faultinj::CountingAlloc;
 use scrutiny_integration::{
-    assert_safety_invariant, assert_step_contract, differential_case, explain, CountingAlloc,
+    assert_safety_invariant, assert_step_contract, differential_case, explain,
 };
 
 /// Lets the step contract weigh every fork against its `snapshot_bytes`.

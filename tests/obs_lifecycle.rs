@@ -6,9 +6,10 @@
 //! must contain exactly one commit span per *published* version, none
 //! for versions whose publish failed.
 
+use scrutiny_ckpt::names;
 use scrutiny_core::{scrutinize, EngineConfig, EngineHandle, MemBackend, Policy, RecoveryWalk};
 use scrutiny_engine::{DeltaPolicy, StorageBackend};
-use scrutiny_faultinj::StorageScenario;
+use scrutiny_faultinj::{Op, Rule, ScriptedBackend, StorageScenario};
 use scrutiny_npb::{burn_in, BurnIn, Cg, Drift};
 use scrutiny_obs::{validate_jsonl, FieldValue, Recorder, Snapshot};
 use std::collections::BTreeMap;
@@ -184,38 +185,14 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
 /// chain writer rather than the monolithic marker put.
 #[test]
 fn exactly_one_commit_span_per_published_version_including_failed_delta_epochs() {
-    /// Fails every put belonging to version 1; everything else goes to
-    /// the wrapped in-memory backend.
-    struct FailV1(MemBackend);
-    impl StorageBackend for FailV1 {
-        fn put(&self, name: &str, bytes: &[u8]) -> Result<(), scrutiny_ckpt::CkptError> {
-            if scrutiny_ckpt::names::committed_version(name) == Some(1)
-                || matches!(
-                    scrutiny_ckpt::names::classify(name),
-                    scrutiny_ckpt::names::CkptName::Aux(1)
-                )
-            {
-                return Err(scrutiny_ckpt::CkptError::Corrupt("epoch 1 lost".into()));
-            }
-            self.0.put(name, bytes)
-        }
-        fn get(&self, name: &str) -> Result<Vec<u8>, scrutiny_ckpt::CkptError> {
-            self.0.get(name)
-        }
-        fn list(&self) -> Result<Vec<String>, scrutiny_ckpt::CkptError> {
-            self.0.list()
-        }
-        fn delete(&self, name: &str) -> Result<(), scrutiny_ckpt::CkptError> {
-            self.0.delete(name)
-        }
-        fn label(&self) -> String {
-            "fail-v1".into()
-        }
-    }
-
+    // Every put belonging to version 1 fails; everything else goes to
+    // the wrapped in-memory backend.
+    let v1 = |op, name: &str| op == Op::Put && names::classify(name).version() == Some(1);
+    let lost = |_: &str| scrutiny_ckpt::CkptError::Corrupt("epoch 1 lost".into());
+    let backend = ScriptedBackend::new(Arc::new(MemBackend::new())).rule(Rule::fail(v1, lost));
     let rec = Recorder::with_capacity(1 << 14);
     let engine = EngineHandle::open(
-        Arc::new(FailV1(MemBackend::new())),
+        Arc::new(backend),
         EngineConfig {
             workers: 2,
             delta: Some(DeltaPolicy {

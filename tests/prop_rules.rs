@@ -5,7 +5,8 @@
 //! differences, and checks calculus identities hold.
 
 use proptest::prelude::*;
-use scrutiny_ad::{Adj, Dual, Real, TapeSession};
+use scrutiny_ad::{Adj, Real, TapeSession};
+use scrutiny_integration::Dual;
 
 /// Reverse-mode gradient of a 2-input scalar function.
 fn rev_grad2(f: impl Fn(Adj, Adj) -> Adj, x: f64, y: f64) -> (f64, f64, f64) {

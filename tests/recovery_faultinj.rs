@@ -30,8 +30,7 @@ use scrutiny_engine::{
     DeltaPolicy, EngineConfig, EngineHandle, Layout, MemBackend, RecoveryConfig, RecoveryManager,
     StorageBackend,
 };
-use scrutiny_faultinj::StorageScenario;
-use scrutiny_integration::{allocated_during, CountingAlloc};
+use scrutiny_faultinj::{allocated_during, CountingAlloc, StorageScenario};
 use std::sync::Arc;
 
 #[global_allocator]

@@ -7,7 +7,7 @@
 
 use scrutiny_ckpt::names::{self, Tenant};
 use scrutiny_engine::{MemBackend, StorageBackend};
-use scrutiny_integration::{allocated_during, CountingAlloc};
+use scrutiny_faultinj::{allocated_during, CountingAlloc};
 use scrutinyd::proto::{read_frame, Request};
 use scrutinyd::{Daemon, DaemonConfig, RemoteBackend, MAX_FRAME};
 use std::sync::Arc;

@@ -18,7 +18,8 @@
 use scrutiny_ad::{Kernel, SweepConfig, SweepRequest, TapeCheckpointConfig, TapeConfig};
 use scrutiny_core::tiny::Heat1d;
 use scrutiny_core::{record_resumable, LeafSite, ScrutinyApp};
-use scrutiny_integration::{allocated_by, assert_step_contract, CountingAlloc};
+use scrutiny_faultinj::{allocated_by, CountingAlloc};
+use scrutiny_integration::assert_step_contract;
 use scrutiny_npb::{ad_suite_mini, Ft};
 
 /// Lets the contract weigh every fork against its `snapshot_bytes`.
