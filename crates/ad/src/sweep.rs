@@ -150,22 +150,6 @@ impl SweepStats {
         );
     }
 
-    /// Reconstructs the stats of the most recent `which` sweep from a
-    /// snapshot — the inverse of [`SweepStats::emit`]. `None` when no such
-    /// sweep was recorded.
-    pub fn from_snapshot(snap: &scrutiny_obs::Snapshot, which: &str) -> Option<SweepStats> {
-        Some(SweepStats {
-            segments: snap.gauge(&format!("ad.sweep.{which}.segments"))? as usize,
-            threads: snap.gauge(&format!("ad.sweep.{which}.threads"))? as usize,
-            cross_contribs: snap.gauge(&format!("ad.sweep.{which}.cross_contribs"))? as u64,
-            parallel: snap.gauge(&format!("ad.sweep.{which}.parallel"))? != 0,
-            replayed_segments: snap.gauge(&format!("ad.sweep.{which}.replayed_segments"))? as u64,
-            replayed_nodes: snap.gauge(&format!("ad.sweep.{which}.replayed_nodes"))? as u64,
-            peak_resident_bytes: snap.gauge(&format!("ad.sweep.{which}.peak_resident_bytes"))?
-                as usize,
-        })
-    }
-
     /// Merges stats from repeated sweeps over the same tape (burn-in
     /// aggregation): structural fields (`segments`, `threads`,
     /// `peak_resident_bytes`) take the maximum, traffic counters

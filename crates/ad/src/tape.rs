@@ -851,8 +851,15 @@ mod tests {
         };
         stats.emit(&rec, "value");
         let snap = rec.snapshot();
-        assert_eq!(SweepStats::from_snapshot(&snap, "value"), Some(stats));
-        assert_eq!(SweepStats::from_snapshot(&snap, "reach"), None);
+        let gauge = |name: &str| snap.gauge(&format!("ad.sweep.value.{name}"));
+        assert_eq!(gauge("segments"), Some(3));
+        assert_eq!(gauge("threads"), Some(2));
+        assert_eq!(gauge("cross_contribs"), Some(7));
+        assert_eq!(gauge("parallel"), Some(1));
+        assert_eq!(gauge("replayed_segments"), Some(5));
+        assert_eq!(gauge("replayed_nodes"), Some(11));
+        assert_eq!(gauge("peak_resident_bytes"), Some(4096));
+        assert_eq!(snap.gauges.len(), 7, "no other sweep kind was emitted");
     }
 
     // ----- checkpointed tapes ----------------------------------------

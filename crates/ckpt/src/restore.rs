@@ -44,7 +44,7 @@
 use crate::delta::{apply_delta_verified, check_delta, walk_chain, ChainBase};
 use crate::format::CkptError;
 use crate::names;
-use scrutiny_obs::{span, Recorder, Snapshot};
+use scrutiny_obs::{span, Recorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -69,33 +69,6 @@ pub struct RestoreStats {
     pub delta_links: usize,
     /// Bytes of the reconstructed data-file image.
     pub image_bytes: usize,
-}
-
-impl RestoreStats {
-    /// Publish these stats as `ckpt.restore.*` gauges on `rec`. The
-    /// stats struct is a *view* over the recorder's data: what `emit`
-    /// writes, [`RestoreStats::from_snapshot`] reads back losslessly.
-    pub fn emit(&self, rec: &Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
-        rec.set_gauge("ckpt.restore.threads", self.threads as i64);
-        rec.set_gauge("ckpt.restore.base_shards", self.base_shards as i64);
-        rec.set_gauge("ckpt.restore.delta_links", self.delta_links as i64);
-        rec.set_gauge("ckpt.restore.image_bytes", self.image_bytes as i64);
-    }
-
-    /// Reconstruct the stats of the most recent emitted restore from an
-    /// observability snapshot. `None` if the snapshot holds no
-    /// `ckpt.restore.*` gauges (no restore was observed).
-    pub fn from_snapshot(snap: &Snapshot) -> Option<RestoreStats> {
-        Some(RestoreStats {
-            threads: snap.gauge("ckpt.restore.threads")? as usize,
-            base_shards: snap.gauge("ckpt.restore.base_shards")? as usize,
-            delta_links: snap.gauge("ckpt.restore.delta_links")? as usize,
-            image_bytes: snap.gauge("ckpt.restore.image_bytes")? as usize,
-        })
-    }
 }
 
 fn resolve_threads(requested: usize, jobs: usize) -> usize {
@@ -132,8 +105,7 @@ where
 /// under a `ckpt.restore` span (emitted even when the restore fails, so
 /// rejected recovery candidates leave a trace), each
 /// `SCRUTCZB`-compressed object decodes under a `ckpt.decompress` span,
-/// a `ckpt.restore.image` point carries what the pipeline did, and the
-/// stats land as `ckpt.restore.*` gauges ([`RestoreStats::emit`]).
+/// and a `ckpt.restore.image` point carries what the pipeline did.
 pub fn read_data_image_parallel_obs<F>(
     version: u64,
     fetch: &F,
@@ -196,7 +168,6 @@ where
         delta_links: deltas.len(),
         image_bytes: image.len(),
     };
-    stats.emit(rec);
     rec.event(
         "ckpt.restore.image",
         &[

@@ -376,42 +376,24 @@ impl RecoveryWalk {
     /// snapshot (live, or parsed back from JSONL).
     pub fn from_snapshot(snap: &Snapshot) -> RecoveryWalk {
         let mut walk = RecoveryWalk::default();
-        let field_u64 = |ev: &scrutiny_obs::Event, key: &str| -> Option<u64> {
-            ev.fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-                if let scrutiny_obs::FieldValue::U64(n) = v {
-                    Some(*n)
-                } else {
-                    None
-                }
-            })
-        };
-        let field_str = |ev: &scrutiny_obs::Event, key: &str| -> Option<String> {
-            ev.fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-                if let scrutiny_obs::FieldValue::Str(s) = v {
-                    Some(s.clone())
-                } else {
-                    None
-                }
-            })
-        };
         for ev in &snap.events {
             if ev.kind != scrutiny_obs::EventKind::Point {
                 continue;
             }
             match ev.name.as_str() {
                 "engine.recovery.candidate" => {
-                    if let Some(v) = field_u64(ev, "version") {
+                    if let Some(v) = ev.field_u64("version") {
                         walk.candidates.push(v);
                     }
                 }
                 "engine.recovery.reject" => {
-                    if let Some(v) = field_u64(ev, "version") {
-                        walk.rejected
-                            .push((v, field_str(ev, "reason").unwrap_or_default()));
+                    if let Some(v) = ev.field_u64("version") {
+                        let reason = ev.field_str("reason").unwrap_or_default();
+                        walk.rejected.push((v, reason.to_string()));
                     }
                 }
                 "engine.recovery.recovered" => {
-                    walk.recovered = field_u64(ev, "version");
+                    walk.recovered = ev.field_u64("version");
                 }
                 _ => {}
             }

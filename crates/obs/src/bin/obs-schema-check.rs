@@ -1,12 +1,13 @@
 //! Self-contained checker for obs JSONL event logs.
 //!
-//! Usage: `obs-schema-check <log.jsonl>...` — validates each file against
-//! the schema in `docs/OBSERVABILITY.md` and prints a per-file summary.
-//! Exits non-zero on the first violation, so CI can gate on it.
+//! Usage: `obs-schema-check <log.jsonl>...` — reads each file with
+//! `Snapshot::from_jsonl`, the one reader and the one definition of the
+//! schema in `docs/OBSERVABILITY.md`, and prints a per-file summary.
+//! Exits non-zero if any file breaks the schema, so CI can gate on it.
 
 use std::process::ExitCode;
 
-use scrutiny_obs::schema::validate_jsonl;
+use scrutiny_obs::{EventKind, Snapshot};
 
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
@@ -24,16 +25,19 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        match validate_jsonl(&text) {
-            Ok(summary) => println!(
-                "{path}: OK ({} lines: {} counters, {} gauges, {} histograms, {} spans, {} points)",
-                summary.lines,
-                summary.counters,
-                summary.gauges,
-                summary.histograms,
-                summary.span_starts,
-                summary.points
-            ),
+        match Snapshot::from_jsonl(&text) {
+            Ok(snap) => {
+                let count = |kind| snap.events.iter().filter(|e| e.kind == kind).count();
+                println!(
+                    "{path}: OK ({} counters, {} gauges, {} histograms, {} spans, {} points, {} dropped events)",
+                    snap.counters.len(),
+                    snap.gauges.len(),
+                    snap.histograms.len(),
+                    count(EventKind::SpanStart),
+                    count(EventKind::Point),
+                    snap.dropped_events
+                )
+            }
             Err(violation) => {
                 eprintln!("{path}: SCHEMA VIOLATION at {violation}");
                 ok = false;

@@ -7,8 +7,8 @@
 //! * **Counters** ([`Recorder::counter`]) — monotonic totals
 //!   (`engine.submissions`), one relaxed atomic add per update.
 //! * **Gauges** ([`Recorder::gauge`]) — last-write-wins signed levels
-//!   (`engine.queue_depth`), also used as the export surface for the
-//!   per-run stats structs (`SweepStats`, `RestoreStats`).
+//!   (`engine.queue_depth`), also the export surface of the sweep stats
+//!   (`SweepStats`).
 //! * **Histograms** ([`Recorder::histogram`]) — power-of-two-bucket
 //!   distributions for bytes and latency-µs; the snapshot count is derived
 //!   from the buckets so concurrent reads can never tear.
@@ -18,10 +18,11 @@
 //!   fault injections).
 //!
 //! [`Recorder::snapshot`] freezes everything into a [`Snapshot`],
-//! exportable as JSONL ([`Snapshot::to_jsonl`], round-tripped by
-//! [`Snapshot::from_jsonl`]) or as a one-page text exposition
-//! ([`Snapshot::render_text`]). [`schema::validate_jsonl`] (and the
-//! `obs-schema-check` binary) enforce the documented JSONL schema in CI.
+//! exportable as JSONL ([`Snapshot::to_jsonl`]) or as a one-page text
+//! exposition ([`Snapshot::render_text`]). [`Snapshot::from_jsonl`] is
+//! the one reader of a log: it round-trips every export and enforces the
+//! documented JSONL schema, returning a [`SchemaViolation`] that names
+//! the first bad line; the `obs-schema-check` binary runs it in CI.
 //!
 //! The disabled recorder ([`Recorder::disabled`], also [`Recorder::default`])
 //! holds no allocation; every operation is a branch on `None`. What an
@@ -41,7 +42,8 @@
 //! assert_eq!(snap.spans().len(), 1);
 //! let log = snap.to_jsonl();
 //! assert_eq!(scrutiny_obs::Snapshot::from_jsonl(&log).unwrap(), snap);
-//! scrutiny_obs::schema::validate_jsonl(&log).unwrap();
+//! let future = log.replace("\"version\":1", "\"version\":9");
+//! assert_eq!(scrutiny_obs::Snapshot::from_jsonl(&future).unwrap_err().line, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +51,6 @@
 pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod schema;
 pub mod snapshot;
 
 pub use hist::{bucket_of, bucket_range, HistSnapshot, Histogram, HIST_BUCKETS};
@@ -57,5 +58,4 @@ pub use recorder::{
     Counter, Event, EventKind, FieldValue, Gauge, HistHandle, Recorder, SpanGuard,
     DEFAULT_RING_CAPACITY,
 };
-pub use schema::{validate_jsonl, SchemaSummary, SchemaViolation};
-pub use snapshot::{Snapshot, SpanView, JSONL_VERSION};
+pub use snapshot::{SchemaViolation, Snapshot, SpanView, JSONL_VERSION};

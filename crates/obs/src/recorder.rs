@@ -39,7 +39,8 @@ pub enum FieldValue {
     U64(u64),
     /// Negative integer (non-negative `i64`s canonicalize to [`FieldValue::U64`]).
     I64(i64),
-    /// Floating-point value.
+    /// Floating-point value. JSON has no non-finite number: NaN and
+    /// ±∞ are written to JSONL as `null`, which reads back as NaN.
     F64(f64),
     /// String value.
     Str(String),
@@ -124,6 +125,29 @@ pub struct Event {
     pub name: String,
     /// Attached fields, in emission order.
     pub fields: Vec<(String, FieldValue)>,
+}
+
+impl Event {
+    /// Looks up a field by key.
+    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Looks up a `u64` field by key.
+    pub fn field_u64(&self, key: &str) -> Option<u64> {
+        match self.field(key) {
+            Some(FieldValue::U64(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Looks up a string field by key.
+    pub fn field_str(&self, key: &str) -> Option<&str> {
+        match self.field(key) {
+            Some(FieldValue::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Default)]

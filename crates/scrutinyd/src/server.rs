@@ -596,7 +596,7 @@ fn handle_get(shared: &Shared, sess: &Session, name: &str) -> Response {
 
 fn handle_mark(shared: &Shared, sess: &Session, label: &str, fields: &[(&str, &str)]) -> Response {
     for (k, _) in fields {
-        if !scrutiny_obs::schema::valid_name(k) {
+        if !scrutiny_obs::snapshot::valid_name(k) {
             return reject(
                 RejectReason::BadName,
                 format!("marker field key {k:?} violates the obs naming scheme"),

@@ -75,9 +75,16 @@ fn unix_socket_submit_recover_shutdown() {
     daemon.join().unwrap();
     assert!(!sock.exists(), "socket file removed on join");
     let log = std::fs::read_to_string(&obs).unwrap();
-    scrutiny_obs::validate_jsonl(&log).unwrap();
-    assert!(log.contains("scrutinyd.publish"), "publish events logged");
-    assert!(log.contains("smoke_done"), "marker in the daemon log");
+    let snap = scrutiny_obs::Snapshot::from_jsonl(&log).unwrap();
+    let mut marks = snap.events_named("scrutinyd.mark");
+    assert!(
+        snap.events_named("scrutinyd.publish").next().is_some(),
+        "publish events logged"
+    );
+    assert!(
+        marks.any(|e| e.field_str("label") == Some("smoke_done")),
+        "marker in the daemon log"
+    );
 
     // After shutdown the endpoint is dead.
     assert!(RemoteBackend::connect(scrutinyd::Endpoint::Unix(sock), None).is_err());

@@ -11,29 +11,9 @@ use scrutiny_core::{scrutinize, EngineConfig, EngineHandle, MemBackend, Policy, 
 use scrutiny_engine::{DeltaPolicy, StorageBackend};
 use scrutiny_faultinj::{Op, Rule, ScriptedBackend, StorageScenario};
 use scrutiny_npb::{burn_in, BurnIn, Cg, Drift};
-use scrutiny_obs::{validate_jsonl, FieldValue, Recorder, Snapshot};
+use scrutiny_obs::{Recorder, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn field_u64(fields: &[(String, FieldValue)], key: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-        if let FieldValue::U64(n) = v {
-            Some(*n)
-        } else {
-            None
-        }
-    })
-}
-
-fn field_str<'a>(fields: &'a [(String, FieldValue)], key: &str) -> Option<&'a str> {
-    fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-        if let FieldValue::Str(s) = v {
-            Some(s.as_str())
-        } else {
-            None
-        }
-    })
-}
 
 /// The ISSUE's acceptance criterion, end to end: run the NPB recovery
 /// burn-in with a live recorder, serialize the log to JSONL, parse it
@@ -62,11 +42,9 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
     };
     let report = burn_in(&app, &analysis, &engine, &run).unwrap();
 
-    // Serialize → validate → parse back. Everything below reads `snap`.
+    // Serialize → parse back under the schema. Everything below reads `snap`.
     let jsonl = rec.snapshot().to_jsonl();
-    let summary = validate_jsonl(&jsonl).expect("emitted JSONL violates its own schema");
-    assert!(summary.points > 0 && summary.span_starts > 0);
-    let snap = Snapshot::from_jsonl(&jsonl).unwrap();
+    let snap = Snapshot::from_jsonl(&jsonl).expect("emitted JSONL violates its own schema");
     let spans = snap.spans();
 
     // 1. Submissions: one `engine.submit` span per epoch, versions 0..N,
@@ -89,13 +67,13 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
     //    point whose byte breakdown sums to total_bytes.
     let mut published: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in snap.events_named("engine.published") {
-        let v = field_u64(&ev.fields, "version").unwrap();
-        let total = field_u64(&ev.fields, "total_bytes").unwrap();
-        let parts = field_u64(&ev.fields, "payload_bytes").unwrap()
-            + field_u64(&ev.fields, "aux_bytes").unwrap()
-            + field_u64(&ev.fields, "header_bytes").unwrap();
+        let v = ev.field_u64("version").unwrap();
+        let total = ev.field_u64("total_bytes").unwrap();
+        let parts = ev.field_u64("payload_bytes").unwrap()
+            + ev.field_u64("aux_bytes").unwrap()
+            + ev.field_u64("header_bytes").unwrap();
         assert_eq!(total, parts, "v{v} byte breakdown does not sum");
-        assert!(field_u64(&ev.fields, "payload_bytes").unwrap() > 0);
+        assert!(ev.field_u64("payload_bytes").unwrap() > 0);
         published.insert(v, total);
     }
     assert_eq!(
@@ -133,12 +111,9 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
         .events_named("faultinj.inject")
         .next()
         .expect("injection left a trace");
-    assert_eq!(
-        field_str(&inject.fields, "scenario"),
-        Some("flipped_payload_byte")
-    );
-    assert_eq!(field_u64(&inject.fields, "version"), Some(newest));
-    let damaged_object = field_str(&inject.fields, "object").unwrap().to_string();
+    assert_eq!(inject.field_str("scenario"), Some("flipped_payload_byte"));
+    assert_eq!(inject.field_u64("version"), Some(newest));
+    let damaged_object = inject.field_str("object").unwrap().to_string();
 
     // 5. The recovery walk: newest examined first and rejected with a
     //    reason, an older intact version recovered.
@@ -159,12 +134,9 @@ fn recovery_lifecycle_reconstructs_from_jsonl_alone() {
     let epochs: Vec<_> = snap.events_named("npb.epoch").collect();
     assert_eq!(epochs.len(), EPOCHS);
     for (i, ev) in epochs.iter().enumerate() {
-        assert_eq!(field_u64(&ev.fields, "epoch"), Some(i as u64));
-        let v = field_u64(&ev.fields, "version").unwrap();
-        assert_eq!(
-            field_u64(&ev.fields, "total_bytes"),
-            published.get(&v).copied()
-        );
+        assert_eq!(ev.field_u64("epoch"), Some(i as u64));
+        let v = ev.field_u64("version").unwrap();
+        assert_eq!(ev.field_u64("total_bytes"), published.get(&v).copied());
     }
 
     // Only now consult the report: the log-derived story must agree
@@ -228,7 +200,7 @@ fn exactly_one_commit_span_per_published_version_including_failed_delta_epochs()
 
     let published: Vec<u64> = snap
         .events_named("engine.published")
-        .filter_map(|ev| field_u64(&ev.fields, "version"))
+        .filter_map(|ev| ev.field_u64("version"))
         .collect();
     assert_eq!(published, vec![0, 2, 3]);
 
@@ -254,8 +226,8 @@ fn exactly_one_commit_span_per_published_version_including_failed_delta_epochs()
         .events_named("engine.publish_failed")
         .next()
         .expect("the failed publish left a point event");
-    assert_eq!(field_u64(&failed.fields, "version"), Some(1));
-    assert!(field_str(&failed.fields, "error").is_some());
+    assert_eq!(failed.field_u64("version"), Some(1));
+    assert!(failed.field_str("error").is_some());
 
     assert_eq!(snap.counter("engine.submissions"), Some(4));
     assert_eq!(snap.counter("engine.commits"), Some(3));
@@ -314,8 +286,7 @@ fn compression_spans_and_byte_counters_cover_publish_and_restore() {
     assert!(!image.is_empty());
 
     let jsonl = rec.snapshot().to_jsonl();
-    validate_jsonl(&jsonl).expect("emitted JSONL violates its own schema");
-    let snap = Snapshot::from_jsonl(&jsonl).unwrap();
+    let snap = Snapshot::from_jsonl(&jsonl).expect("emitted JSONL violates its own schema");
     let spans = snap.spans();
 
     let compresses: Vec<_> = spans.iter().filter(|s| s.name == "ckpt.compress").collect();

@@ -23,7 +23,7 @@ use scrutiny_engine::{
 };
 use scrutiny_faultinj::StorageScenario;
 use scrutiny_npb::{burn_in, BurnIn, Cg};
-use scrutiny_obs::{FieldValue, Recorder, Snapshot};
+use scrutiny_obs::{Recorder, Snapshot};
 use scrutinyd::{Daemon, DaemonConfig, RemoteBackend};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -93,17 +93,6 @@ fn objects(b: &dyn StorageBackend) -> BTreeMap<String, Vec<u8>> {
             (name, bytes)
         })
         .collect()
-}
-
-fn field<'a>(fields: &'a [(String, FieldValue)], key: &str) -> Option<&'a FieldValue> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, FieldValue)], key: &str) -> Option<String> {
-    match field(fields, key) {
-        Some(FieldValue::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
 }
 
 #[test]
@@ -244,25 +233,22 @@ fn four_tenants_one_daemon_with_corruption_isolation_and_obs_history() {
     victim.shutdown_daemon().unwrap();
     daemon.join().unwrap();
     let log = std::fs::read_to_string(&obs).unwrap();
-    scrutiny_obs::validate_jsonl(&log).unwrap();
     let snap = Snapshot::from_jsonl(&log).unwrap();
     assert_eq!(snap.dropped_events, 0, "event ring kept the full history");
 
     // Per-tenant publish history: exactly versions 0..EPOCHS each.
-    let mut published: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
+    let mut published: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
     for e in snap.events.iter().filter(|e| e.name == "scrutinyd.publish") {
-        let tenant = str_field(&e.fields, "tenant").expect("publish carries tenant");
-        let Some(FieldValue::U64(v)) = field(&e.fields, "version") else {
-            panic!("publish carries version");
-        };
-        published.entry(tenant).or_default().insert(*v);
+        let tenant = e.field_str("tenant").expect("publish carries tenant");
+        let v = e.field_u64("version").expect("publish carries version");
+        published.entry(tenant).or_default().insert(v);
     }
     assert_eq!(
-        published.keys().cloned().collect::<Vec<_>>(),
-        TENANTS.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
+        published.keys().copied().collect::<Vec<_>>(),
+        TENANTS,
         "publish events name exactly the four tenants"
     );
-    for (tenant, versions) in &published {
+    for (&tenant, versions) in &published {
         // `alpha` (the NPB tenant) publishes one extra version for its
         // restart verification; everyone else publishes one per epoch —
         // including the retention tenant's later-pruned versions: the
@@ -281,24 +267,24 @@ fn four_tenants_one_daemon_with_corruption_isolation_and_obs_history() {
 
     // Markers: all four burn-ins completed; recovery phases belong to
     // the victim alone.
-    let marks: Vec<(String, String)> = snap
+    let marks: Vec<(&str, &str)> = snap
         .events
         .iter()
         .filter(|e| e.name == "scrutinyd.mark")
         .map(|e| {
             (
-                str_field(&e.fields, "tenant").unwrap(),
-                str_field(&e.fields, "label").unwrap(),
+                e.field_str("tenant").unwrap(),
+                e.field_str("label").unwrap(),
             )
         })
         .collect();
     for tenant in TENANTS {
         assert!(
-            marks.contains(&(tenant.to_string(), "burn_in_done".to_string())),
+            marks.contains(&(tenant, "burn_in_done")),
             "tenant {tenant} burn-in marker missing"
         );
     }
-    for (tenant, label) in &marks {
+    for &(tenant, label) in &marks {
         if label.starts_with("recovery_") {
             assert_eq!(tenant, VICTIM, "recovery markers tagged to the victim only");
         }
