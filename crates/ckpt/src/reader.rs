@@ -5,10 +5,27 @@
 //! uncritical elements the paper proved removable) are filled according to
 //! a [`FillPolicy`] — the §IV.C experiments fill them with garbage and
 //! require the application to still verify.
+//!
+//! Both halves work in bulk. Each stored section is decoded as one slice
+//! whose count was admitted against the bytes left, and each variable is
+//! rebuilt run by run: one copy per stored run of the auxiliary file, and
+//! the fill evaluated only over the holes between runs.
 
+use crate::compress::LoCodec;
 use crate::format::{check_envelope, CkptError, DType, FillPolicy, VarPlan};
 use crate::writer::{MODE_FULL, MODE_PRUNED, MODE_TIERED};
 use crate::{Region, Regions};
+use std::iter::Peekable;
+use std::slice::ChunksExact;
+
+/// A variable's stored elements in region order, one vector per dtype
+/// (a tiered variable's `hi` section, then its `lo` section upcast to
+/// `f64`).
+enum Stored {
+    F64(Vec<f64>),
+    C128(Vec<(f64, f64)>),
+    I64(Vec<i64>),
+}
 
 /// One variable loaded from a checkpoint (sparse form).
 pub struct LoadedVar {
@@ -20,98 +37,100 @@ pub struct LoadedVar {
     pub total: u64,
     /// Storage plan reconstructed from the auxiliary file.
     pub plan: VarPlan,
-    /// Stored elements in region order (f64 view; complex uses two slots
-    /// per element; tiered `lo` values were upcast from f32 on read).
-    stored: Vec<f64>,
-    /// Stored integer elements (only for [`DType::I64`]).
-    stored_i: Vec<i64>,
+    /// The stored elements, in region order.
+    stored: Stored,
 }
 
 impl LoadedVar {
     /// Reassemble the full `f64` array, filling unsaved holes.
     pub fn materialize_f64(&self, fill: FillPolicy) -> Result<Vec<f64>, CkptError> {
-        if self.dtype != DType::F64 {
-            return Err(CkptError::PlanMismatch(format!(
-                "{:?} is {:?}, not F64",
-                self.name, self.dtype
-            )));
+        match &self.stored {
+            Stored::F64(v) => Ok(self.assemble(v, |i| fill.value(i))),
+            _ => Err(self.wrong_dtype(DType::F64)),
         }
-        let n = self.total as usize;
-        let mut out: Vec<f64> = (0..n).map(|i| fill.value(i)).collect();
-        match &self.plan {
-            VarPlan::Full => out.copy_from_slice(&self.stored),
-            VarPlan::Pruned(regions) => {
-                scatter(&mut out, regions, &self.stored);
-            }
-            VarPlan::Tiered { hi, lo } => {
-                let hi_n = hi.covered() as usize;
-                scatter(&mut out, hi, &self.stored[..hi_n]);
-                scatter(&mut out, lo, &self.stored[hi_n..]);
-            }
-        }
-        Ok(out)
     }
 
     /// Reassemble the full complex array, filling holes in both components.
     pub fn materialize_c128(&self, fill: FillPolicy) -> Result<Vec<(f64, f64)>, CkptError> {
-        if self.dtype != DType::C128 {
-            return Err(CkptError::PlanMismatch(format!(
-                "{:?} is {:?}, not C128",
-                self.name, self.dtype
-            )));
+        match &self.stored {
+            Stored::C128(v) => Ok(self.assemble(v, |i| (fill.value(2 * i), fill.value(2 * i + 1)))),
+            _ => Err(self.wrong_dtype(DType::C128)),
         }
-        let n = self.total as usize;
-        let mut out: Vec<(f64, f64)> = (0..n)
-            .map(|i| (fill.value(2 * i), fill.value(2 * i + 1)))
-            .collect();
-        let pairs: Vec<(f64, f64)> = self.stored.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        match &self.plan {
-            VarPlan::Full => out.copy_from_slice(&pairs),
-            VarPlan::Pruned(regions) => {
-                for (i, &p) in regions.indices().zip(pairs.iter()) {
-                    out[i as usize] = p;
-                }
-            }
-            VarPlan::Tiered { .. } => {
-                return Err(CkptError::PlanMismatch(
-                    "tiered complex variables are not supported".into(),
-                ))
-            }
-        }
-        Ok(out)
     }
 
     /// Reassemble the full integer array; holes get `fill`.
     pub fn materialize_i64(&self, fill: i64) -> Result<Vec<i64>, CkptError> {
-        if self.dtype != DType::I64 {
-            return Err(CkptError::PlanMismatch(format!(
-                "{:?} is {:?}, not I64",
-                self.name, self.dtype
-            )));
+        match &self.stored {
+            Stored::I64(v) => Ok(self.assemble(v, |_| fill)),
+            _ => Err(self.wrong_dtype(DType::I64)),
         }
-        let n = self.total as usize;
-        let mut out = vec![fill; n];
+    }
+
+    fn wrong_dtype(&self, want: DType) -> CkptError {
+        CkptError::PlanMismatch(format!("{:?} is {:?}, not {want:?}", self.name, self.dtype))
+    }
+
+    /// The `total` elements of this variable: each stored run copied in
+    /// one piece, `hole(i)` evaluated only for the indices no run covers.
+    /// A hole's value depends on its index alone, so the bits are those of
+    /// filling every element and then overwriting the stored ones.
+    fn assemble<T: Copy>(&self, stored: &[T], hole: impl Fn(usize) -> T) -> Vec<T> {
+        let total = self.total as usize;
         match &self.plan {
-            VarPlan::Full => out.copy_from_slice(&self.stored_i),
-            VarPlan::Pruned(regions) => {
-                for (i, &v) in regions.indices().zip(self.stored_i.iter()) {
-                    out[i as usize] = v;
-                }
-            }
-            VarPlan::Tiered { .. } => {
-                return Err(CkptError::PlanMismatch(
-                    "tiered integer variables are not supported".into(),
-                ))
+            VarPlan::Full => stored.to_vec(),
+            VarPlan::Pruned(r) => fill_between(total, hole, run_values(r, stored)),
+            VarPlan::Tiered { hi, lo } => {
+                let (h, l) = stored.split_at(hi.covered() as usize);
+                let (mut h, mut l) = (run_values(hi, h), run_values(lo, l));
+                // Disjoint and each ascending: merge by start.
+                let merged = std::iter::from_fn(|| {
+                    let lo_first = match (h.peek(), l.peek()) {
+                        (Some(a), Some(b)) => b.0.start < a.0.start,
+                        (a, _) => a.is_none(),
+                    };
+                    if lo_first {
+                        l.next()
+                    } else {
+                        h.next()
+                    }
+                });
+                fill_between(total, hole, merged)
             }
         }
-        Ok(out)
     }
 }
 
-fn scatter(out: &mut [f64], regions: &Regions, stored: &[f64]) {
-    for (i, &v) in regions.indices().zip(stored.iter()) {
-        out[i as usize] = v;
+/// Each run of `regions` beside its slice of `stored`, which holds the
+/// covered elements in ascending order.
+fn run_values<'s, T>(
+    regions: &'s Regions,
+    mut stored: &'s [T],
+) -> Peekable<impl Iterator<Item = (&'s Region, &'s [T])>> {
+    regions
+        .runs()
+        .iter()
+        .map(move |r| {
+            let (run, rest) = stored.split_at(r.len() as usize);
+            stored = rest;
+            (r, run)
+        })
+        .peekable()
+}
+
+/// `total` elements: the `(run, values)` pairs, ascending and disjoint,
+/// copied in place, and `hole(i)` at every index between them.
+fn fill_between<'s, T: Copy + 's>(
+    total: usize,
+    hole: impl Fn(usize) -> T,
+    runs: impl Iterator<Item = (&'s Region, &'s [T])>,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(total);
+    for (run, values) in runs {
+        out.extend((out.len()..run.start as usize).map(&hole));
+        out.extend_from_slice(values);
     }
+    out.extend((out.len()..total).map(&hole));
+    out
 }
 
 /// A parsed checkpoint (all variables).
@@ -122,6 +141,10 @@ pub struct Checkpoint {
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+}
+
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_le_bytes(b.try_into().unwrap())
 }
 
 impl<'a> Cursor<'a> {
@@ -149,12 +172,6 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, CkptError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, CkptError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
     /// Admit a count a file declares of items at least `item_bytes` wide:
     /// never more than the bytes left could hold, so a CRC-consistent but
     /// hostile count cannot size an allocation or a loop.
@@ -168,11 +185,43 @@ impl<'a> Cursor<'a> {
         }
         Ok(n as usize)
     }
+    /// A section of `n` items exactly `width` bytes wide: the count
+    /// admitted, then the section taken as one slice.
+    fn items(&mut self, n: u64, width: usize) -> Result<ChunksExact<'a, u8>, CkptError> {
+        let n = self.count(n, width)?;
+        Ok(self.take(n * width)?.chunks_exact(width))
+    }
+    fn f64s(&mut self, n: u64) -> Result<Vec<f64>, CkptError> {
+        Ok(self.items(n, 8)?.map(le_f64).collect())
+    }
+    fn i64s(&mut self, n: u64) -> Result<Vec<i64>, CkptError> {
+        let int = |b: &[u8]| i64::from_le_bytes(b.try_into().unwrap());
+        Ok(self.items(n, 8)?.map(int).collect())
+    }
+    /// A complex element is two doubles, re then im.
+    fn c128s(&mut self, n: u64) -> Result<Vec<(f64, f64)>, CkptError> {
+        let pair = |b: &[u8]| (le_f64(&b[..8]), le_f64(&b[8..]));
+        Ok(self.items(n, 16)?.map(pair).collect())
+    }
+    /// Append a tiered `lo` section of `n` elements in `codec`'s encoding.
+    fn los(&mut self, n: u64, codec: LoCodec, out: &mut Vec<f64>) -> Result<(), CkptError> {
+        out.extend(self.items(n, codec.width())?.map(|b| codec.decode(b)));
+        Ok(())
+    }
     fn name(&mut self) -> Result<String, CkptError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| CkptError::Corrupt("variable name is not UTF-8".into()))
+    }
+    /// The body must end where the last variable does.
+    fn finish(&self, what: &str) -> Result<(), CkptError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(CkptError::Corrupt(format!(
+                "{n} trailing bytes after the last variable of the {what}"
+            ))),
+        }
     }
 }
 
@@ -217,29 +266,35 @@ impl Checkpoint {
         let nvars = c.u32()?;
         // Every variable takes at least a name length and a mode byte.
         let nvars = c.count(nvars.into(), 3)?;
-        let mut plans: Vec<(String, VarPlan)> = Vec::new();
+        let mut plans: Vec<(String, u8, VarPlan)> = Vec::new();
         for _ in 0..nvars {
             let name = c.name()?;
             let mode = c.u8()?;
             let plan = match mode {
                 MODE_FULL => VarPlan::Full,
                 MODE_PRUNED => VarPlan::Pruned(read_runs(&mut c)?),
-                MODE_TIERED => VarPlan::Tiered {
-                    hi: read_runs(&mut c)?,
-                    lo: read_runs(&mut c)?,
-                },
+                MODE_TIERED => {
+                    let (hi, lo) = (read_runs(&mut c)?, read_runs(&mut c)?);
+                    if !hi.intersect(&lo).is_empty() {
+                        return Err(CkptError::Corrupt(format!(
+                            "{name:?}: hi and lo regions intersect"
+                        )));
+                    }
+                    VarPlan::Tiered { hi, lo }
+                }
                 m => return Err(CkptError::Corrupt(format!("unknown plan mode {m}"))),
             };
-            plans.push((name, plan));
+            plans.push((name, mode, plan));
         }
+        c.finish("auxiliary file")?;
 
         // --- data file ----------------------------------------------------
         let body = check_envelope(data, b"SCRUTCKP", 16, "data file")?;
         let mut c = Cursor { buf: body, pos: 8 };
         let ver = c.u32()?;
         let lo_codec = match ver {
-            crate::writer::FORMAT_VERSION => crate::compress::LoCodec::F32,
-            crate::writer::FORMAT_VERSION_TIERED => crate::compress::LoCodec::from_tag(c.u8()?)?,
+            crate::writer::FORMAT_VERSION => LoCodec::F32,
+            crate::writer::FORMAT_VERSION_TIERED => LoCodec::from_tag(c.u8()?)?,
             v => {
                 return Err(CkptError::Corrupt(format!(
                     "unsupported data format version {v}"
@@ -253,7 +308,7 @@ impl Checkpoint {
             )));
         }
         let mut vars = Vec::new();
-        for (aux_name, plan) in plans {
+        for (aux_name, aux_mode, plan) in plans {
             let name = c.name()?;
             if name != aux_name {
                 return Err(CkptError::Corrupt(format!(
@@ -262,6 +317,11 @@ impl Checkpoint {
             }
             let dtype = DType::from_tag(c.u8()?)?;
             let mode = c.u8()?;
+            if mode != aux_mode {
+                return Err(CkptError::Corrupt(format!(
+                    "{name:?}: data file mode {mode}, auxiliary file mode {aux_mode}"
+                )));
+            }
             let total = c.u64()?;
             let end = plan_end(&plan);
             if end > total {
@@ -269,46 +329,37 @@ impl Checkpoint {
                     "{name:?}: a region ends at {end}, past its {total} elements"
                 )));
             }
-            let mut stored = Vec::new();
-            let mut stored_i = Vec::new();
-            match mode {
-                MODE_FULL | MODE_PRUNED => {
-                    let count = c.u64()?;
-                    let count = c.count(count, dtype.elem_bytes())?;
-                    if dtype == DType::I64 {
-                        stored_i.reserve(count);
-                        for _ in 0..count {
-                            stored_i.push(c.i64()?);
-                        }
-                    } else {
-                        // A complex element is two doubles, re then im.
-                        let doubles = count * (dtype.elem_bytes() / 8);
-                        stored.reserve(doubles);
-                        for _ in 0..doubles {
-                            stored.push(c.f64()?);
-                        }
+            let count = c.u64()?;
+            let stored = match (&plan, dtype) {
+                (VarPlan::Tiered { hi, .. }, DType::F64) => {
+                    // `assemble` splits the stored values at `hi.covered()`.
+                    let planned = hi.covered();
+                    if count != planned {
+                        return Err(CkptError::Corrupt(format!(
+                            "{name:?}: auxiliary file plans {planned} hi elements, data file stores {count}"
+                        )));
                     }
-                }
-                MODE_TIERED => {
-                    let hi = c.u64()?;
-                    for _ in 0..c.count(hi, 8)? {
-                        stored.push(c.f64()?);
-                    }
+                    let mut v = c.f64s(count)?;
                     let lo = c.u64()?;
-                    let width = lo_codec.width();
-                    for _ in 0..c.count(lo, width)? {
-                        stored.push(lo_codec.decode(c.take(width)?));
-                    }
+                    c.los(lo, lo_codec, &mut v)?;
+                    Stored::F64(v)
                 }
-                m => return Err(CkptError::Corrupt(format!("unknown data mode {m}"))),
-            }
+                (VarPlan::Tiered { .. }, _) => {
+                    return Err(CkptError::Corrupt(format!(
+                        "{name:?}: a tiered variable must be F64, not {dtype:?}"
+                    )))
+                }
+                (_, DType::F64) => Stored::F64(c.f64s(count)?),
+                (_, DType::C128) => Stored::C128(c.c128s(count)?),
+                (_, DType::I64) => Stored::I64(c.i64s(count)?),
+            };
             // Cross-check the two files agree on how much was stored.
             let planned = plan.stored_elems(total);
-            let actual = match dtype {
-                DType::C128 => stored.len() as u64 / 2,
-                DType::I64 => stored_i.len() as u64,
-                DType::F64 => stored.len() as u64, // tiered: hi + lo
-            };
+            let actual = match &stored {
+                Stored::F64(v) => v.len(), // tiered: hi + lo
+                Stored::C128(v) => v.len(),
+                Stored::I64(v) => v.len(),
+            } as u64;
             if planned != actual {
                 return Err(CkptError::Corrupt(format!(
                     "{name:?}: auxiliary file plans {planned} elements, data file stores {actual}"
@@ -320,9 +371,9 @@ impl Checkpoint {
                 total,
                 plan,
                 stored,
-                stored_i,
             });
         }
+        c.finish("data file")?;
         Ok(Checkpoint { vars })
     }
 
@@ -538,6 +589,58 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Beyond the element counts, the two files must agree on each
+    /// variable's mode; a tiered variable must be f64 with disjoint tiers.
+    #[test]
+    fn disagreeing_files_are_corrupt() {
+        let resealed = |file: &[u8], at: usize, byte: u8| {
+            let mut f = file.to_vec();
+            f[at] = byte;
+            let body = f.len() - 4;
+            let crc = crate::format::crc32(&f[..body]);
+            f[body..].copy_from_slice(&crc.to_le_bytes());
+            f
+        };
+        let refusal = |data: &[u8], aux: &[u8]| match Checkpoint::from_bytes(data, aux) {
+            Err(CkptError::Corrupt(m)) => m,
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(_) => panic!("disagreeing files parsed"),
+        };
+        // "u" of 8: dtype at data offset 19, mode at 20; the aux file's
+        // mode at 19, and (tiered) the lo run's start at 52.
+        let vars = vec![VarRecord::new("u", VarData::F64(vec![0.5; 8]))];
+        let runs = |a, b| Regions::from_runs(vec![Region { start: a, end: b }]);
+        let ser = serialize(&vars, &[VarPlan::Pruned(runs(0, 4))]).unwrap();
+        let m = refusal(&resealed(&ser.data, 20, MODE_FULL), &ser.aux);
+        assert!(m.contains("mode"), "{m}");
+        let tiered = VarPlan::Tiered {
+            hi: runs(0, 2),
+            lo: runs(4, 8),
+        };
+        let ser = serialize(&vars, &[tiered]).unwrap();
+        let m = refusal(&resealed(&ser.data, 19, DType::I64.tag()), &ser.aux);
+        assert!(m.contains("must be F64"), "{m}");
+        let m = refusal(&ser.data, &resealed(&ser.aux, 52, 1));
+        assert!(m.contains("intersect"), "{m}");
+        // One element moved from lo to hi, the data file rebuilt so every
+        // length still adds up: hi count 2 at 29, lo count 4 at 53, then
+        // four f32s to the trailer. hi + lo still matches the plan.
+        let (hi_at, lo_at) = (29, 53);
+        assert_eq!(ser.data[hi_at..hi_at + 8], 2u64.to_le_bytes());
+        assert_eq!(ser.data[lo_at..lo_at + 8], 4u64.to_le_bytes());
+        assert_eq!(ser.data.len() - 4, lo_at + 8 + 16);
+        let mut body = ser.data[..hi_at].to_vec();
+        body.extend(3u64.to_le_bytes());
+        body.extend(&ser.data[hi_at + 8..lo_at]);
+        body.extend(0.5f64.to_le_bytes());
+        body.extend(3u64.to_le_bytes());
+        body.extend(&ser.data[lo_at + 8..lo_at + 8 + 12]);
+        let crc = crate::format::crc32(&body);
+        body.extend(crc.to_le_bytes());
+        let m = refusal(&body, &ser.aux);
+        assert!(m.contains("plans 2 hi elements"), "{m}");
     }
 
     #[test]

@@ -18,18 +18,27 @@
 //!   one job per shard on the same bounded runner the engine's shard
 //!   serialization uses, then concatenated in manifest order; a shard
 //!   that arrived in a container is checked by the CRC the container
-//!   verified over its decoded bytes, so no byte is hashed twice;
+//!   verified over its decoded bytes, so the pipeline hashes no shard
+//!   twice;
 //! * delta-chain links are envelope-verified (magic + CRC trailer)
 //!   concurrently with each other and with the shard jobs of a sharded
 //!   base (a monolithic base's bytes necessarily arrive during
 //!   discovery — probing its existence *is* fetching it); the patch
 //!   replay itself stays oldest-first (it is inherently sequential),
-//!   re-using the already verified links so every byte is hashed
-//!   exactly once;
+//!   re-using the already verified links so each link is hashed once;
 //! * the assembled image is **bit-identical** at every thread count —
 //!   property-tested in `tests/recovery_faultinj.rs` — so the auxiliary
 //!   file, every [`crate::FillPolicy`], and
 //!   [`crate::reader::Checkpoint::from_bytes`] apply unchanged.
+//!
+//! One double hash remains, after this module: every caller parses the
+//! image with the public [`crate::reader::Checkpoint::from_bytes`],
+//! whose envelope check hashes the whole image again. For a sharded
+//! image that is a second pass over bytes whose shards were already
+//! verified here; a monolithic image that arrived in a container was
+//! likewise verified by the container's CRC. Handing the verified image
+//! to the parser without a second pass waits on one recovery walk for
+//! the store and the engine, since the engine calls the public parser.
 //!
 //! Chain *discovery* (walking parent pointers) is serial by nature: a
 //! delta's parent version lives inside the delta file. Discovery reads

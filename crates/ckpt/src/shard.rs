@@ -33,7 +33,7 @@ use crate::writer::{
     plan_mode, put_u16, put_u32, put_u64, validate, DATA_MAGIC, FORMAT_VERSION,
     FORMAT_VERSION_TIERED,
 };
-use crate::Regions;
+use crate::{Region, Regions};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"SCRUTSHM";
 const MANIFEST_VERSION: u32 = 1;
@@ -263,19 +263,19 @@ pub fn serialize_shard(
             } => {
                 let data = &vars[var].data;
                 let before = out.len();
-                match (section_regions(&plans[var], section), section) {
-                    (None, _) => write_elements(&mut out, data, k0..k1),
-                    (Some(lo), Section::Lo) => {
-                        let VarData::F64(vals) = data else {
-                            unreachable!("validated: tiered requires f64")
-                        };
-                        for i in lo.covered_range(k0, k1).indices() {
-                            plan.lo_codec.encode_into(&mut out, vals[i as usize]);
+                let stored = section_regions(&plans[var], section).map(|r| r.covered_range(k0, k1));
+                let whole = [Region { start: k0, end: k1 }];
+                let runs = stored.as_ref().map_or(&whole[..], Regions::runs);
+                match (section, data) {
+                    (Section::Lo, VarData::F64(vals)) => {
+                        for run in runs {
+                            for &v in &vals[run.start as usize..run.end as usize] {
+                                plan.lo_codec.encode_into(&mut out, v);
+                            }
                         }
                     }
-                    (Some(r), _) => {
-                        write_elements(&mut out, data, r.covered_range(k0, k1).indices())
-                    }
+                    (Section::Lo, _) => unreachable!("validated: tiered requires f64"),
+                    _ => runs.iter().for_each(|&run| write_run(&mut out, data, run)),
                 }
                 payload += out.len() - before;
             }
@@ -284,20 +284,28 @@ pub fn serialize_shard(
     (out, payload)
 }
 
-/// Append the elements of `data` at `indices`, raw per dtype.
-fn write_elements(out: &mut Vec<u8>, data: &VarData, indices: impl Iterator<Item = u64>) {
+/// Append the elements of `data` in `run`, raw per dtype: the bytes are
+/// sized once, then each element is written into its slot.
+fn write_run(out: &mut Vec<u8>, data: &VarData, run: Region) {
+    let (i, j) = (run.start as usize, run.end as usize);
     match data {
-        VarData::F64(v) => {
-            indices.for_each(|i| out.extend_from_slice(&v[i as usize].to_le_bytes()))
-        }
-        VarData::I64(v) => {
-            indices.for_each(|i| out.extend_from_slice(&v[i as usize].to_le_bytes()))
-        }
-        VarData::C128(v) => indices.for_each(|i| {
-            let (re, im) = v[i as usize];
-            out.extend_from_slice(&re.to_le_bytes());
-            out.extend_from_slice(&im.to_le_bytes());
+        VarData::F64(v) => put_each(out, &v[i..j], |x| x.to_le_bytes()),
+        VarData::I64(v) => put_each(out, &v[i..j], |x| x.to_le_bytes()),
+        VarData::C128(v) => put_each(out, &v[i..j], |&(re, im)| {
+            let mut b = [0u8; 16];
+            b[..8].copy_from_slice(&re.to_le_bytes());
+            b[8..].copy_from_slice(&im.to_le_bytes());
+            b
         }),
+    }
+}
+
+/// Append `W` bytes per element of `vals`, as `bytes` encodes each.
+fn put_each<T, const W: usize>(out: &mut Vec<u8>, vals: &[T], bytes: impl Fn(&T) -> [u8; W]) {
+    let at = out.len();
+    out.resize(at + vals.len() * W, 0);
+    for (slot, v) in out[at..].chunks_exact_mut(W).zip(vals) {
+        slot.copy_from_slice(&bytes(v));
     }
 }
 

@@ -311,3 +311,133 @@ fn the_compression_container_is_exactly_the_documented_bytes() {
         assert_eq!(decompress(&want).unwrap(), raw, "{method:?}");
     }
 }
+
+/// Fill every element, then overwrite the stored ones index by index: the
+/// reader's reassembly as the paper describes it, computed here from the
+/// saved values alone.
+fn fill_then_scatter<T: Copy>(
+    total: usize,
+    hole: impl Fn(usize) -> T,
+    stored: &[(&Regions, &dyn Fn(usize) -> T)],
+) -> Vec<T> {
+    let mut out: Vec<T> = (0..total).map(hole).collect();
+    for (regions, value) in stored {
+        for i in regions.indices() {
+            out[i as usize] = value(i as usize);
+        }
+    }
+    out
+}
+
+/// Materialization pinned against [`fill_then_scatter`] bit for bit, under
+/// every fill policy: `Full`; `Pruned` with a run at index 0, a run ending
+/// at `total`, and no runs at all; `Tiered` with interleaved hi and lo
+/// runs under every lo codec; a pruned c128; a pruned i64; and a
+/// zero-length variable. The CRC-32 of every materialized bit is pinned
+/// too, as read from the element-at-a-time reader.
+#[test]
+fn materialize_is_fill_then_scatter_bit_for_bit() {
+    let runs = |rs: &[(u64, u64)]| {
+        Regions::from_runs(
+            rs.iter()
+                .map(|&(start, end)| Region { start, end })
+                .collect(),
+        )
+    };
+    let n = 41usize;
+    let f: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.731).sin() * 1e3 + 0.1)
+        .collect();
+    let z: Vec<(f64, f64)> = (0..n)
+        .map(|i| (i as f64 + 0.25, -(i as f64) * 1.5))
+        .collect();
+    let ints: Vec<i64> = (0..n as i64).map(|i| i * 1_000_003 - 7).collect();
+    let edges = runs(&[(0, 3), (7, 8), (12, 20), (33, 41)]);
+    let hi = runs(&[(0, 2), (5, 9), (20, 21), (36, 41)]);
+    let lo = runs(&[(2, 4), (9, 14), (22, 30), (31, 36)]);
+    let vars = vec![
+        VarRecord::new("full", VarData::F64(f.clone())),
+        VarRecord::new("edges", VarData::F64(f.clone())),
+        VarRecord::new("holes", VarData::F64(f.clone())),
+        VarRecord::new("tiered", VarData::F64(f.clone())),
+        VarRecord::new("z", VarData::C128(z.clone())),
+        VarRecord::new("ints", VarData::I64(ints.clone())),
+        VarRecord::new("empty", VarData::F64(Vec::new())),
+    ];
+    let plans = vec![
+        VarPlan::Full,
+        VarPlan::Pruned(edges.clone()),
+        VarPlan::Pruned(Regions::empty()),
+        VarPlan::Tiered {
+            hi: hi.clone(),
+            lo: lo.clone(),
+        },
+        VarPlan::Pruned(edges.clone()),
+        VarPlan::Pruned(edges.clone()),
+        VarPlan::Full,
+    ];
+    let all = Regions::all(n as u64);
+    let codecs = [LoCodec::F32]
+        .into_iter()
+        .chain((2..=7).map(|keep| LoCodec::Trunc { keep }));
+    let mut bits: Vec<u8> = Vec::new();
+    for codec in codecs {
+        let ser = serialize_with(&vars, &plans, codec).unwrap();
+        let ck = Checkpoint::from_bytes(&ser.data, &ser.aux).unwrap();
+        for fill in [
+            FillPolicy::Zero,
+            FillPolicy::Sentinel(-9.5),
+            FillPolicy::Garbage(0x5EED),
+        ] {
+            let what = format!("{codec:?}, {fill:?}");
+            let exact = |i: usize| f[i];
+            let lossy = |i: usize| codec.apply(f[i]);
+            let hole = |i: usize| fill.value(i);
+            let f64_cases: [(&str, Vec<f64>); 5] = [
+                ("full", fill_then_scatter(n, hole, &[(&all, &exact)])),
+                ("edges", fill_then_scatter(n, hole, &[(&edges, &exact)])),
+                ("holes", fill_then_scatter(n, hole, &[])),
+                (
+                    "tiered",
+                    fill_then_scatter(n, hole, &[(&hi, &exact), (&lo, &lossy)]),
+                ),
+                ("empty", Vec::new()),
+            ];
+            for (name, want) in f64_cases {
+                let got = ck.var(name).unwrap().materialize_f64(fill).unwrap();
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{what}: {name}");
+                got.iter().for_each(|b| bits.extend(b.to_le_bytes()));
+            }
+
+            let pair = |i: usize| z[i];
+            let want = fill_then_scatter(
+                n,
+                |i| (fill.value(2 * i), fill.value(2 * i + 1)),
+                &[(&edges, &pair)],
+            );
+            let got = ck.var("z").unwrap().materialize_c128(fill).unwrap();
+            let to_bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
+            };
+            assert_eq!(to_bits(&got), to_bits(&want), "{what}: z");
+            for (re, im) in to_bits(&got) {
+                bits.extend(re.to_le_bytes());
+                bits.extend(im.to_le_bytes());
+            }
+
+            let hole_i = fill.value(0).to_bits() as i64;
+            let int = |i: usize| ints[i];
+            let want = fill_then_scatter(n, |_| hole_i, &[(&edges, &int)]);
+            let got = ck.var("ints").unwrap().materialize_i64(hole_i).unwrap();
+            assert_eq!(got, want, "{what}: ints");
+            got.iter().for_each(|v| bits.extend(v.to_le_bytes()));
+        }
+    }
+    assert_eq!(
+        crc32_bitwise(&bits),
+        0x98D2_29A7,
+        "CRC-32 of every materialized bit"
+    );
+}

@@ -301,12 +301,58 @@ fn every_version_corrupt_is_a_typed_unrecoverable_error() {
 /// Overwrite the field at `at` of a CRC-trailed object and re-seal the
 /// trailer, so only the field itself — not the envelope — is wrong.
 fn with_field(object: &[u8], at: usize, field: &[u8]) -> Vec<u8> {
-    let mut out = object.to_vec();
-    out[at..at + field.len()].copy_from_slice(field);
-    let body = out.len() - 4;
-    let crc = scrutiny_ckpt::format::crc32(&out[..body]);
-    out[body..].copy_from_slice(&crc.to_le_bytes());
-    out
+    let mut body = object[..object.len() - 4].to_vec();
+    body[at..at + field.len()].copy_from_slice(field);
+    resealed(&body)
+}
+
+/// `body` sealed with its CRC-32 trailer.
+fn resealed(body: &[u8]) -> Vec<u8> {
+    let crc = scrutiny_ckpt::format::crc32(body);
+    [body, &crc.to_le_bytes()].concat()
+}
+
+/// `object` with eight zero bytes appended to its body and the trailer
+/// re-sealed over them: well-formed in every field, but longer than its
+/// last variable.
+fn padded(object: &[u8]) -> Vec<u8> {
+    resealed(&[&object[..object.len() - 4], &[0; 8]].concat())
+}
+
+/// Bytes after the last variable of either file are corruption, not
+/// slack: each padded file is refused on its own, and a padded newest
+/// version is rejected by name while recovery falls back one version.
+#[test]
+fn trailing_bytes_after_the_last_variable_are_corruption() {
+    let (vars, plans) = epoch_state(0);
+    let ser = serialize(&vars, &plans).unwrap();
+    for (what, data, aux) in [
+        ("data file", padded(&ser.data), ser.aux.clone()),
+        ("auxiliary file", ser.data.clone(), padded(&ser.aux)),
+    ] {
+        match Checkpoint::from_bytes(&data, &aux) {
+            Err(CkptError::Corrupt(m)) => assert!(
+                m.contains("8 trailing bytes") && m.contains(what),
+                "{what}: {m}"
+            ),
+            Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("{what}: a padded file parsed"),
+        }
+    }
+    for name in [names::data(2), names::aux(2)] {
+        let (mem, expected) = filled(EngineConfig::default(), 3);
+        mem.put(&name, &padded(&mem.get(&name).unwrap())).unwrap();
+        let r = recover(mem);
+        assert_eq!(r.version, 1, "{name}");
+        assert_eq!(r.report.rejected_versions(), vec![2], "{name}");
+        assert!(
+            matches!(r.report.rejected[0].error, CkptError::Corrupt(_)),
+            "{name}: {}",
+            r.report.rejected[0].error
+        );
+        assert_eq!(r.data, expected[1].0, "{name}");
+        assert_eq!(r.aux, expected[1].1, "{name}");
+    }
 }
 
 /// `decode` must refuse its `input_len`-byte hostile input as `Corrupt`
@@ -387,6 +433,56 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_refused("aux lo run count", both, || {
         Checkpoint::from_bytes(&ser.data, &bad)
     });
+
+    // Every count the bulk decoders admit, inflated far past the file and
+    // by one past what is stored (which the bytes behind it could still
+    // hold). A Tiered "t" under a two-byte lo codec — the widest decode
+    // per stored byte — then a Pruned c128 "z", a Full i64 "it" and a
+    // Pruned f64 "u": t's hi count at 30 and lo count at 70 (the codec
+    // tag shifts them by one), z's count at 103, it's at 189.
+    let vars = vec![
+        VarRecord::new("t", VarData::F64(vec![2.5; 16])),
+        VarRecord::new(
+            "z",
+            VarData::C128((0..12).map(|j| (j as f64, -0.5)).collect()),
+        ),
+        VarRecord::new("it", VarData::I64((0..6).collect())),
+        VarRecord::new("u", VarData::F64(vec![-1.25; 8])),
+    ];
+    let plans = [
+        VarPlan::Tiered {
+            hi: runs(0, 4),
+            lo: runs(8, 14),
+        },
+        VarPlan::Pruned(runs(2, 6)),
+        VarPlan::Full,
+        VarPlan::Pruned(runs(1, 5)),
+    ];
+    let lo2 = scrutiny_ckpt::LoCodec::Trunc { keep: 2 };
+    let ser = scrutiny_ckpt::writer::serialize_with(&vars, &plans, lo2).unwrap();
+    let both = ser.data.len() + ser.aux.len();
+    for (what, at, stored) in [
+        ("bulk tiered hi count", 30, 4u64),
+        ("bulk tiered lo count", 70, 6),
+        ("bulk c128 count", 103, 4),
+        ("bulk i64 count", 189, 6),
+    ] {
+        let field = |v: u64| ser.data[at..at + 8] == v.to_le_bytes();
+        assert!(field(stored), "{what}: the count sits at {at}");
+        for inflated in [1u64 << 60, stored + 1] {
+            let bad = with_field(&ser.data, at, &inflated.to_le_bytes());
+            assert_refused(what, both, || Checkpoint::from_bytes(&bad, &ser.aux));
+        }
+    }
+    // Cut the file's body at every byte and re-seal it: each cut is a
+    // typed error, never a panic.
+    for cut in 0..ser.data.len() - 4 {
+        let bad = resealed(&ser.data[..cut]);
+        assert!(
+            Checkpoint::from_bytes(&bad, &ser.aux).is_err(),
+            "cut at {cut} parsed"
+        );
+    }
 
     // Region tables themselves: ten elements stored as [0,4),[6,10), run 1
     // at aux offset 44 rewritten to overlap run 0, or to end past the
