@@ -5,14 +5,17 @@
 //! tiers (compressed, remote, batched) only implement five methods; the
 //! checkpoint layout on top of it is the grammar of [`crate::names`].
 //! Everything that writes goes through [`crate::delta::publish_epoch`];
-//! "which versions exist", "give me version v" and "retire old versions"
-//! are [`list_versions`], [`read_version`] and [`prune_chain_aware`] —
-//! for the blocking [`crate::CheckpointStore`], the async engine and the
-//! daemon alike, so a directory written by one is read and pruned
-//! identically by the others.
+//! "which versions exist", "give me version v", "retire old versions" and
+//! "restart from the newest intact one" are [`list_versions`],
+//! [`read_version`], [`prune_chain_aware`] and
+//! [`crate::recovery::recover_latest`] — for the blocking
+//! [`crate::CheckpointStore`], the async engine and the daemon alike, so
+//! a directory written by one is read, pruned and recovered identically
+//! by the others.
 
 use crate::format::CkptError;
 use crate::names;
+use crate::restore::{read_data_image_parallel, RestoreOptions};
 use crate::writer::write_file_atomic;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -66,7 +69,8 @@ pub fn read_version(
     version: u64,
 ) -> Result<(Vec<u8>, Vec<u8>), CkptError> {
     let aux = backend.get(&names::aux(version))?;
-    let data = crate::delta::read_data_image(version, |name| backend.get(name))?;
+    let serial = RestoreOptions { threads: 1 };
+    let (data, _) = read_data_image_parallel(version, &|name: &str| backend.get(name), &serial)?;
     Ok((data, aux))
 }
 

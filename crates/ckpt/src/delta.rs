@@ -39,7 +39,6 @@
 use crate::compress::AtRest;
 use crate::format::{check_envelope, crc32, CkptError, StorageBreakdown};
 use crate::names;
-use crate::restore::{read_data_image_parallel, RestoreOptions};
 use crate::shard::{seal_shards, ShardManifest};
 use crate::writer::{full_breakdown, put_u32, put_u64, rebalance_breakdown};
 use scrutiny_obs::{span, Recorder};
@@ -367,22 +366,6 @@ pub(crate) fn walk_chain(
     Ok((base, deltas))
 }
 
-/// Fetch the data-file image of checkpoint `version` in **any** layout:
-/// monolithic (`ckpt_v.data`), sharded (`ckpt_v.smf` + shards), or delta
-/// (`ckpt_v.delta`, walking the parent chain back to a full image and
-/// replaying the deltas forward). `fetch` resolves an object name (see
-/// [`crate::names`]) to its bytes — a directory read for the on-disk
-/// store, a backend `get` for the async engine. This is the one reader,
-/// [`read_data_image_parallel`], on one thread; every layer is
-/// CRC-verified there.
-pub fn read_data_image(
-    version: u64,
-    fetch: impl Fn(&str) -> Result<Vec<u8>, CkptError> + Sync,
-) -> Result<Vec<u8>, CkptError> {
-    let serial = RestoreOptions { threads: 1 };
-    Ok(read_data_image_parallel(version, &fetch, &serial)?.0)
-}
-
 /// The serialized data one epoch publishes — one variant per layout.
 pub enum EpochBody<'a> {
     /// One data-file image, published whole as `ckpt_v.data`.
@@ -580,7 +563,11 @@ pub fn live_versions(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::restore::{read_data_image_parallel, RestoreOptions};
     use std::collections::HashMap;
+
+    /// The one reader on one thread.
+    const SERIAL: RestoreOptions = RestoreOptions { threads: 1 };
 
     /// Byte-at-a-time reference for [`pages_equal`] — the baseline the
     /// vectorized comparison is proven bit-identical to.
@@ -750,10 +737,10 @@ pub(crate) mod tests {
             objects.insert(names::delta(v), d);
             img = next;
         }
-        let got = read_data_image(3, mem_fetch(&objects)).unwrap();
+        let (got, _) = read_data_image_parallel(3, &mem_fetch(&objects), &SERIAL).unwrap();
         assert_eq!(got, img);
         // Intermediate versions reconstruct too.
-        assert!(read_data_image(1, mem_fetch(&objects)).is_ok());
+        assert!(read_data_image_parallel(1, &mem_fetch(&objects), &SERIAL).is_ok());
     }
 
     #[test]
@@ -763,7 +750,7 @@ pub(crate) mod tests {
         let (d, _) = diff_images(&a, &a, 0, 64).unwrap();
         objects.insert(names::delta(1), d);
         // Parent 0 has no image at all.
-        assert!(read_data_image(1, mem_fetch(&objects)).is_err());
+        assert!(read_data_image_parallel(1, &mem_fetch(&objects), &SERIAL).is_err());
     }
 
     #[test]
@@ -772,10 +759,10 @@ pub(crate) mod tests {
         let (d, _) = diff_images(&a, &a, 5, 64).unwrap();
         let mut objects = HashMap::new();
         objects.insert(names::delta(5), d);
-        match read_data_image(5, mem_fetch(&objects)) {
+        match read_data_image_parallel(5, &mem_fetch(&objects), &SERIAL) {
             Err(CkptError::Corrupt(m)) => assert!(m.contains("not older"), "{m}"),
             other => panic!("expected corrupt-cycle error, got {other:?}"),
-        }
+        };
     }
 
     #[test]

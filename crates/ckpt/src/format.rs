@@ -223,6 +223,10 @@ pub enum CkptError {
     /// see `docs/PROTOCOL.md`). The stored bytes are *not* suspect:
     /// recovery treats this as environmental, never as corruption.
     Rejected(String),
+    /// A recovery walk ([`crate::recovery::recover_latest`]) examined
+    /// every candidate checkpoint and none fully verified; the report
+    /// names each rejected version and why.
+    Unrecoverable(Box<crate::recovery::RecoveryReport>),
 }
 
 impl fmt::Display for CkptError {
@@ -237,6 +241,17 @@ impl fmt::Display for CkptError {
             CkptError::PlanMismatch(m) => write!(f, "plan mismatch: {m}"),
             CkptError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             CkptError::Rejected(m) => write!(f, "rejected by storage service: {m}"),
+            CkptError::Unrecoverable(report) => write!(
+                f,
+                "no recoverable checkpoint: scanned {} version(s), rejected [{}]",
+                report.scanned,
+                report
+                    .rejected
+                    .iter()
+                    .map(|r| format!("{}: {}", r.version, r.error))
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            ),
         }
     }
 }

@@ -24,7 +24,10 @@
 //!   that the store, the async engine and the daemon all share.
 //! * [`store`] — a versioned multi-checkpoint directory (keep-last-k), the
 //!   usual operational shape of application-level C/R: the blocking face
-//!   of the same publisher, scan, reader and pruner the engine runs.
+//!   of the same publisher, scan, reader, pruner and recovery the engine runs.
+//! * [`recovery`] — the one fallback walk, [`recover_latest`], that the
+//!   store and the engine restart through: the newest version that fully
+//!   verifies wins, damaged ones are named in a [`RecoveryReport`].
 //! * [`delta`] — base+delta checkpoints (`SCRUTDLT`): epoch N stores a
 //!   full image, epochs N+1… store only the dirty pages of the AD-pruned
 //!   data file, so temporal and semantic pruning compose; reconstruction
@@ -54,6 +57,7 @@ pub mod delta;
 pub mod format;
 pub mod names;
 pub mod reader;
+pub mod recovery;
 pub mod regions;
 pub mod restore;
 pub mod shard;
@@ -69,6 +73,9 @@ pub use format::{
 };
 pub use names::Tenant;
 pub use reader::Checkpoint;
+pub use recovery::{
+    recover_latest, Recovered, RecoveryConfig, RecoveryReport, RecoveryWalk, RejectedVersion,
+};
 pub use regions::{Region, Regions};
 pub use restore::{
     read_data_image_parallel, read_data_image_parallel_obs, RestoreOptions, RestoreStats,

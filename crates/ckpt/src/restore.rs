@@ -8,8 +8,8 @@
 //! routine that reconstructs the data-file image of a checkpoint in any
 //! layout — monolithic, sharded, or delta chain — for
 //! [`crate::CheckpointStore::load`], [`crate::backend::read_version`] and
-//! the engine's `RecoveryManager` alike; `threads: 1` is the serial
-//! reader, not a second one:
+//! the recovery walk ([`crate::recovery`]) alike; `threads: 1` is the
+//! serial reader, not a second one:
 //!
 //! * every fetched object passes one adapter that decodes a `SCRUTCZB`
 //!   container (under a `ckpt.decompress` span) — the only decompress
@@ -36,9 +36,10 @@
 //! whose envelope check hashes the whole image again. For a sharded
 //! image that is a second pass over bytes whose shards were already
 //! verified here; a monolithic image that arrived in a container was
-//! likewise verified by the container's CRC. Handing the verified image
-//! to the parser without a second pass waits on one recovery walk for
-//! the store and the engine, since the engine calls the public parser.
+//! likewise verified by the container's CRC. The one recovery walk now
+//! lives in this crate, so a crate-private parse entry for an image
+//! verified here could skip that pass; it waits on a change that
+//! measures the saving, since it adds a second way in to the parser.
 //!
 //! Chain *discovery* (walking parent pointers) is serial by nature: a
 //! delta's parent version lives inside the delta file. Discovery reads
@@ -47,8 +48,8 @@
 //!
 //! Integrity failures surface as typed [`CkptError`]s
 //! ([`CkptError::ChecksumMismatch`], [`CkptError::Corrupt`], not-found
-//! I/O), the same at every thread count; the engine's `RecoveryManager`
-//! maps them to fall-back decisions.
+//! I/O), the same at every thread count; the recovery walk maps them to
+//! fall-back decisions.
 
 use crate::delta::{apply_delta_verified, check_delta, walk_chain, ChainBase};
 use crate::format::CkptError;
@@ -247,8 +248,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::diff_images;
     use crate::delta::tests::mem_fetch;
-    use crate::delta::{diff_images, read_data_image};
     use crate::shard::{plan_shards, seal_shards, serialize_all};
     use crate::writer::serialize_data;
     use crate::{Bitmap, Regions, VarData, VarPlan, VarRecord};
@@ -283,7 +284,8 @@ mod tests {
         }
         objects.insert(names::manifest(1), manifest.to_bytes());
 
-        let mut img = read_data_image(1, mem_fetch(&objects)).unwrap();
+        let serial = RestoreOptions { threads: 1 };
+        let (mut img, _) = read_data_image_parallel(1, &mem_fetch(&objects), &serial).unwrap();
         for v in 2u64..=4 {
             let mut next = img.clone();
             let at = (v as usize * 131) % next.len();
@@ -299,7 +301,9 @@ mod tests {
     fn parallel_matches_serial_on_all_layouts_and_thread_counts() {
         let objects = build_layouts();
         for version in 0u64..=4 {
-            let want = read_data_image(version, mem_fetch(&objects)).unwrap();
+            let serial = RestoreOptions { threads: 1 };
+            let (want, _) =
+                read_data_image_parallel(version, &mem_fetch(&objects), &serial).unwrap();
             for threads in [0usize, 1, 2, 5] {
                 let (got, stats) = read_data_image_parallel(
                     version,

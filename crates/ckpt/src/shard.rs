@@ -482,7 +482,6 @@ pub fn seal_shards(mut shards: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, ShardManifest) {
 mod tests {
     use super::*;
     use crate::backend::{MemBackend, StorageBackend};
-    use crate::delta::read_data_image;
     use crate::writer::serialize_data;
     use crate::{names, Bitmap, Region, Regions};
 
@@ -494,7 +493,8 @@ mod tests {
             mem.put(&names::shard(0, i), shard).unwrap();
         }
         mem.put(&names::manifest(0), &manifest.to_bytes()).unwrap();
-        read_data_image(0, |name| mem.get(name))
+        let serial = crate::RestoreOptions { threads: 1 };
+        Ok(crate::read_data_image_parallel(0, &|name: &str| mem.get(name), &serial)?.0)
     }
 
     fn sample() -> (Vec<VarRecord>, Vec<VarPlan>) {

@@ -4,20 +4,23 @@
 //!
 //! The store is the *blocking face* of the code the async engine runs:
 //! it holds a [`DirBackend`] (any backend, through `over`), and saving,
-//! listing, loading and chain-aware retention are [`publish_epoch`],
-//! [`list_versions`], [`read_version`] and [`prune_chain_aware`] over it —
-//! so a directory the engine published into opens here unchanged, and the
-//! two write byte-identical objects for the same state.
+//! listing, loading, restarting and chain-aware retention are
+//! [`publish_epoch`], [`list_versions`], [`read_version`],
+//! [`recovery::recover_latest`] and [`prune_chain_aware`] over it — so a
+//! directory the engine published into opens here unchanged, the two
+//! write byte-identical objects for the same state, and both restart to
+//! the same version.
 
 use crate::backend::{list_versions, prune_chain_aware, read_version, DirBackend, StorageBackend};
 use crate::compress::CodecConfig;
-use crate::delta::{publish_epoch, DeltaPolicy, EpochBody};
+use crate::delta::{committed_kinds, publish_epoch, DeltaPolicy, EpochBody};
 use crate::format::{CkptError, StorageBreakdown, VarPlan, VarRecord};
 use crate::names::{classify, CkptName};
 use crate::reader::Checkpoint;
+use crate::recovery::{self, Recovered, RecoveryConfig};
 use crate::writer::serialize_with;
 use scrutiny_obs::Recorder;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// A directory of numbered checkpoints with bounded retention.
@@ -100,33 +103,18 @@ impl CheckpointStore {
     }
 
     /// Delete objects interrupted writes leave behind. Every writer puts
-    /// the commit marker last (see [`publish_epoch`]), so: `.tmp` files
-    /// are always debris, an `.aux` with no commit marker (data file,
-    /// manifest, or delta) is unreachable, and shards with no manifest
-    /// were never committed.
+    /// the commit marker last (see [`publish_epoch`]), so `.tmp` files
+    /// are always debris, and so is every object (`.aux`, shards) of a
+    /// version with no commit marker (data file, manifest, or delta).
     fn sweep_orphans(backend: &dyn StorageBackend) -> Result<(), CkptError> {
         let listing = backend.list()?;
-        let mut committed = BTreeSet::new();
-        let mut manifests = BTreeSet::new();
+        let committed = committed_kinds(&listing);
         for name in &listing {
-            match classify(name) {
-                CkptName::Data(v) | CkptName::Delta(v) => {
-                    committed.insert(v);
-                }
-                CkptName::Manifest(v) => {
-                    manifests.insert(v);
-                    committed.insert(v);
-                }
-                _ => {}
-            }
-        }
-        for name in &listing {
-            let doomed = match classify(name) {
-                CkptName::Tmp => true,
-                CkptName::Aux(v) => !committed.contains(&v),
-                CkptName::Shard { version, .. } => !manifests.contains(&version),
-                _ => false,
-            };
+            let kind = classify(name);
+            let doomed = kind == CkptName::Tmp
+                || kind
+                    .version()
+                    .is_some_and(|v| committed.binary_search_by_key(&v, |&(c, _)| c).is_err());
             if doomed {
                 let _ = backend.delete(name);
             }
@@ -216,12 +204,14 @@ impl CheckpointStore {
         Checkpoint::from_bytes(&data, &aux)
     }
 
-    /// Load the newest checkpoint (the restart path after a failure).
-    pub fn load_latest(&self) -> Result<Checkpoint, CkptError> {
-        let v = self
-            .latest()?
-            .ok_or_else(|| CkptError::Corrupt("store holds no checkpoints".into()))?;
-        self.load(v)
+    /// Restore the newest checkpoint that fully verifies — the restart
+    /// path after a failure. This is the one fallback walk
+    /// ([`recovery::recover_latest`]) the engine's `RecoveryManager` runs
+    /// too: a damaged version is rejected by name in the report and the
+    /// walk falls back to the previous one; if none verifies, the error
+    /// is [`CkptError::Unrecoverable`].
+    pub fn recover_latest(&self) -> Result<Recovered, CkptError> {
+        recovery::recover_latest(self.backend.as_ref(), &RecoveryConfig::default())
     }
 }
 
@@ -248,8 +238,10 @@ mod tests {
         for i in 0..3 {
             store.save(&var(i as f64), &[VarPlan::Full]).unwrap();
         }
-        let ck = store.load_latest().unwrap();
-        let x = ck
+        let r = store.recover_latest().unwrap();
+        assert_eq!(r.version, 2);
+        let x = r
+            .checkpoint
             .var("x")
             .unwrap()
             .materialize_f64(FillPolicy::Zero)
@@ -335,7 +327,7 @@ mod tests {
             "sweep must not touch foreign files"
         );
         // The surviving checkpoint still loads.
-        assert!(store.load_latest().is_ok());
+        assert!(store.recover_latest().is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -528,7 +520,10 @@ mod tests {
         let dir = tmpdir("empty");
         let store = CheckpointStore::open(&dir, 1).unwrap();
         assert_eq!(store.latest().unwrap(), None);
-        assert!(store.load_latest().is_err());
+        assert!(matches!(
+            store.recover_latest(),
+            Err(CkptError::Unrecoverable(report)) if report.scanned == 0
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -19,10 +19,6 @@ pub enum EngineError {
     /// `wait` was called with a ticket this engine never issued (or one
     /// that was already waited on).
     UnknownTicket(u64),
-    /// A recovery scan examined every candidate checkpoint and none
-    /// fully verified; the report names each rejected version and why
-    /// (see [`crate::recovery::RecoveryManager`]).
-    Unrecoverable(Box<crate::recovery::RecoveryReport>),
 }
 
 impl fmt::Display for EngineError {
@@ -33,19 +29,6 @@ impl fmt::Display for EngineError {
             EngineError::InvalidConfig(m) => write!(f, "invalid engine configuration: {m}"),
             EngineError::UnknownTicket(id) => {
                 write!(f, "ticket {id} was never issued or already resolved")
-            }
-            EngineError::Unrecoverable(report) => {
-                write!(
-                    f,
-                    "no recoverable checkpoint: scanned {} version(s), rejected [{}]",
-                    report.scanned,
-                    report
-                        .rejected
-                        .iter()
-                        .map(|r| format!("{}: {}", r.version, r.error))
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )
             }
         }
     }

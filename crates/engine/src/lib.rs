@@ -38,11 +38,14 @@
 //!   semantic redundancy removal compose. Page diffing happens on the
 //!   publisher thread, one epoch after another, so each delta patches
 //!   the last image that reached the backend.
-//! * [`RecoveryManager`] — the corruption-tolerant read side: restores
-//!   the newest checkpoint that fully verifies (shards and delta links
-//!   fetched and CRC-checked concurrently by
-//!   [`scrutiny_ckpt::restore`]), walking back across damaged versions
-//!   and naming each rejected one in a typed [`RecoveryReport`].
+//! * [`RecoveryManager`] — the corruption-tolerant read side: the
+//!   engine's face of the one fallback walk,
+//!   [`scrutiny_ckpt::recovery::recover_latest`], which the blocking
+//!   store runs too. It restores the newest checkpoint that fully
+//!   verifies (shards and delta links fetched and CRC-checked
+//!   concurrently by [`scrutiny_ckpt::restore`]), walking back across
+//!   damaged versions and naming each rejected one in a typed
+//!   [`RecoveryReport`].
 //!
 //! The whole lifecycle — submit asynchronously, lose a byte on the
 //! storage tier, recover to the newest intact version:

@@ -1,206 +1,21 @@
-//! Recovery: find the newest checkpoint in a backend that still
-//! verifies, restoring it through the parallel pipeline and falling
-//! back across damaged versions instead of erroring out.
-//!
-//! The write path keeps several versions precisely so that a damaged
-//! newest checkpoint is an inconvenience, not a lost run ("save several
-//! versions of checkpoint files to make the data more durable", paper
-//! §II.A; divide-and-conquer checkpointing likewise assumes recovery
-//! can select among multiple viable snapshots). [`RecoveryManager`]
-//! implements that selection:
-//!
-//! 1. Scan the backend for every version that left *any* artifact —
-//!    including ones whose commit marker is missing, so the report can
-//!    name them instead of silently skipping them.
-//! 2. Newest-first, fully verify each candidate: auxiliary file
-//!    present, every shard/delta CRC good (checked concurrently by
-//!    [`scrutiny_ckpt::restore`]), delta parents resolvable, and the
-//!    assembled image parses through
-//!    [`scrutiny_ckpt::Checkpoint::from_bytes`] (whole-file CRC +
-//!    structural cross-checks).
-//! 3. An *integrity* failure (bad CRC, truncation, missing object,
-//!    broken delta parent) rejects the candidate and the scan walks
-//!    back; an *environmental* failure (permissions, I/O other than
-//!    not-found) aborts — retrying older versions cannot fix a dead
-//!    disk, and silently degrading to an older checkpoint would hide
-//!    it.
-//!
-//! The outcome is a [`Recovered`] checkpoint plus a [`RecoveryReport`]
-//! naming every rejected version and why; if nothing verifies, the
-//! typed [`EngineError::Unrecoverable`] carries the same report.
+//! The engine's face of the one recovery walk,
+//! [`scrutiny_ckpt::recovery::recover_latest`]: restore the newest
+//! checkpoint in a backend that fully verifies, falling back across
+//! damaged versions and naming each rejected one in a
+//! [`RecoveryReport`]. The walk, its report types and its events live
+//! in `scrutiny-ckpt`, so a [`scrutiny_ckpt::CheckpointStore`] over the
+//! same objects restarts to the same version.
 
 use crate::backend::StorageBackend;
 use crate::error::EngineError;
-use scrutiny_ckpt::names::{self, CkptName};
-use scrutiny_ckpt::restore::{read_data_image_parallel_obs, RestoreOptions, RestoreStats};
-use scrutiny_ckpt::{Checkpoint, CkptError};
-use scrutiny_obs::{span, Recorder, Snapshot};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use scrutiny_ckpt::recovery::recover_latest;
+pub use scrutiny_ckpt::recovery::{
+    Recovered, RecoveryConfig, RecoveryReport, RecoveryWalk, RejectedVersion,
+};
+use std::sync::Arc;
 
-/// Tuning knobs for a recovery scan.
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryConfig {
-    /// Worker threads for the parallel restore of each candidate
-    /// (see [`RestoreOptions::threads`]; 0 — the default — is auto,
-    /// 1 is serial).
-    pub threads: usize,
-    /// Candidates examined before giving up (0 — the default — scans
-    /// every version the backend holds). Bounds worst-case recovery
-    /// latency when a backend holds a long history of damaged
-    /// checkpoints.
-    pub max_scan: usize,
-    /// Observability sink for the scan: candidate/reject/recovered
-    /// events, the `engine.recovery.scan` span, and the winning
-    /// restore's `ckpt.restore.*` telemetry all land here. Defaults to
-    /// [`Recorder::disabled`] (no overhead).
-    pub recorder: Recorder,
-}
-
-/// One candidate the scan examined and refused, and the typed reason.
-#[derive(Debug)]
-pub struct RejectedVersion {
-    /// The checkpoint version that failed verification.
-    pub version: u64,
-    /// Why it failed (the restore/parse error, or a missing commit
-    /// marker).
-    pub error: CkptError,
-}
-
-/// What a recovery scan did: which versions it examined, which it
-/// rejected and why, and what the winning restore looked like.
-#[derive(Debug, Default)]
-pub struct RecoveryReport {
-    /// The version that recovered, if any.
-    pub recovered: Option<u64>,
-    /// Every rejected candidate, newest first, with its typed reason.
-    pub rejected: Vec<RejectedVersion>,
-    /// Candidates examined (rejected plus the winner, if any).
-    pub scanned: usize,
-    /// Pipeline stats of the winning restore.
-    pub restore: Option<RestoreStats>,
-}
-
-impl RecoveryReport {
-    /// The rejected versions, newest first (convenience for asserts and
-    /// log lines; the full reasons live in [`RecoveryReport::rejected`]).
-    pub fn rejected_versions(&self) -> Vec<u64> {
-        self.rejected.iter().map(|r| r.version).collect()
-    }
-}
-
-/// A successfully recovered checkpoint: the verified byte images, the
-/// parsed form, and the scan report that led here.
-///
-/// Holding both the raw images and the parsed [`Checkpoint`] is
-/// deliberate — the images are what bit-identity audits and re-publish
-/// paths need, and they already exist when verification finishes — but
-/// it does mean roughly twice the checkpoint's footprint is live until
-/// one side is dropped. Callers that only materialize variables should
-/// move `checkpoint` out and drop the rest.
-pub struct Recovered {
-    /// Version that verified.
-    pub version: u64,
-    /// Its reconstructed data-file image (bit-identical to a serial
-    /// load).
-    pub data: Vec<u8>,
-    /// Its auxiliary-file image.
-    pub aux: Vec<u8>,
-    /// The parsed checkpoint, ready for materialization.
-    pub checkpoint: Checkpoint,
-    /// What the scan rejected on the way, and the restore stats.
-    pub report: RecoveryReport,
-}
-
-// `Checkpoint` holds parsed payloads and has no `Debug`; summarize.
-impl std::fmt::Debug for Recovered {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recovered")
-            .field("version", &self.version)
-            .field("data_bytes", &self.data.len())
-            .field("aux_bytes", &self.aux.len())
-            .field("report", &self.report)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Is this error a *statement about the checkpoint* (damaged, truncated,
-/// missing pieces) rather than about the environment? Integrity failures
-/// make the scan fall back; environmental ones abort it.
-fn is_integrity_failure(e: &CkptError) -> bool {
-    match e {
-        CkptError::Corrupt(_)
-        | CkptError::ChecksumMismatch { .. }
-        | CkptError::MissingVar(_)
-        | CkptError::PlanMismatch(_) => true,
-        CkptError::Io(io) => io.kind() == std::io::ErrorKind::NotFound,
-        // Policy refusals (quota, backpressure, drain) and bad
-        // configuration say nothing about the stored bytes: abort.
-        CkptError::InvalidConfig(_) | CkptError::Rejected(_) => false,
-    }
-}
-
-/// One scan's view of the backend: the listing the scan took answers
-/// "is there such an object" — layout probing (`.data`, then `.smf`,
-/// then `.delta`, per chain link) costs no round trip for the names that
-/// are not there — and the objects fetched for a candidate's *ancestors*
-/// are kept, because a fallback candidate restores through the same
-/// links and base. An object is written once under its versioned name,
-/// so a kept copy is the object. A candidate's own objects are not kept
-/// (or no longer, once it is their turn): no older version restores
-/// through them.
-struct ScanReads<'a> {
-    backend: &'a dyn StorageBackend,
-    listed: HashSet<&'a str>,
-    kept: Mutex<HashMap<String, Vec<u8>>>,
-}
-
-impl<'a> ScanReads<'a> {
-    fn new(backend: &'a dyn StorageBackend, listing: &'a [String]) -> Self {
-        ScanReads {
-            backend,
-            listed: listing.iter().map(String::as_str).collect(),
-            kept: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Fetch `name` while restoring `candidate`. A name the listing does
-    /// not hold is `NotFound` without asking; an object that vanished
-    /// since the listing still is, from the backend.
-    fn get(&self, candidate: u64, name: &str) -> Result<Vec<u8>, CkptError> {
-        if !self.listed.contains(name) {
-            return Err(CkptError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no object named {name:?} in the scan's listing"),
-            )));
-        }
-        // Kept only if an older candidate could ask again; the
-        // candidate's own objects are handed over for good.
-        let ancestor = names::classify(name)
-            .version()
-            .is_some_and(|v| v < candidate);
-        let mut kept = self.kept.lock().unwrap();
-        let hit = if ancestor {
-            kept.get(name).cloned()
-        } else {
-            kept.remove(name)
-        };
-        drop(kept);
-        if let Some(bytes) = hit {
-            return Ok(bytes);
-        }
-        let bytes = self.backend.get(name)?;
-        if ancestor {
-            let mut kept = self.kept.lock().unwrap();
-            kept.insert(name.to_string(), bytes.clone());
-        }
-        Ok(bytes)
-    }
-}
-
-/// The corruption-tolerant read side of the engine: restores the newest
-/// fully-verifiable checkpoint from a backend, walking back across
-/// damaged versions. See the [module docs](self) for the scan contract.
+/// A backend and the walk's configuration, held for repeated
+/// [`RecoveryManager::recover_latest`] calls.
 pub struct RecoveryManager {
     backend: Arc<dyn StorageBackend>,
     cfg: RecoveryConfig,
@@ -214,319 +29,11 @@ impl RecoveryManager {
         RecoveryManager { backend, cfg }
     }
 
-    /// Every version the backend holds *any* artifact of — committed or
-    /// not — newest first. Uncommitted versions (aux/shards with no
-    /// commit marker: an interrupted write, or a marker lost to
-    /// corruption cleanup) are scan candidates so the report can name
-    /// them.
-    pub fn candidates(&self) -> Result<Vec<u64>, EngineError> {
-        Ok(Self::scan_listing(&self.backend.list()?).0)
-    }
-
-    /// Derive the candidate walk order (all versions with artifacts,
-    /// newest first) and the committed set from **one** backend listing
-    /// — listing once keeps the two views consistent (a version
-    /// committed between two listings must not be rejected as
-    /// marker-less against a stale snapshot) and halves the listing I/O
-    /// per scan.
-    fn scan_listing(listing: &[String]) -> (Vec<u64>, BTreeSet<u64>) {
-        let mut versions = BTreeSet::new();
-        let mut committed = BTreeSet::new();
-        for name in listing {
-            match names::classify(name) {
-                CkptName::Data(v) | CkptName::Manifest(v) | CkptName::Delta(v) => {
-                    versions.insert(v);
-                    committed.insert(v);
-                }
-                CkptName::Aux(v) => {
-                    versions.insert(v);
-                }
-                CkptName::Shard { version, .. } => {
-                    versions.insert(version);
-                }
-                CkptName::Tmp | CkptName::Foreign | CkptName::Other => {}
-            }
-        }
-        (versions.into_iter().rev().collect(), committed)
-    }
-
-    /// Fully verify and restore one specific version: commit marker
-    /// present, parallel image reconstruction with every CRC checked,
-    /// auxiliary file read, and the pair parsed through
-    /// [`Checkpoint::from_bytes`]. No fallback — the typed error says
-    /// exactly what is wrong with *this* version. `committed` is the
-    /// already-derived committed set (one [`RecoveryManager::scan_listing`]
-    /// pass serves a whole scan). Cheap checks run first: the commit
-    /// marker and the small auxiliary file reject a broken candidate
-    /// before any shard is fetched or hashed. Every read goes through
-    /// `reads`, the scan's view of the backend.
-    fn restore_committed(
-        &self,
-        version: u64,
-        committed: &BTreeSet<u64>,
-        reads: &ScanReads<'_>,
-    ) -> Result<(Vec<u8>, Vec<u8>, Checkpoint, RestoreStats), CkptError> {
-        if !committed.contains(&version) {
-            return Err(CkptError::Corrupt(format!(
-                "version {version} has checkpoint artifacts but no commit marker \
-                 (data, manifest, or delta file)"
-            )));
-        }
-        let aux = reads.get(version, &names::aux(version))?;
-        let (data, stats) = read_data_image_parallel_obs(
-            version,
-            &|name: &str| reads.get(version, name),
-            &RestoreOptions {
-                threads: self.cfg.threads,
-            },
-            &self.cfg.recorder,
-        )?;
-        let checkpoint = Checkpoint::from_bytes(&data, &aux)?;
-        Ok((data, aux, checkpoint, stats))
-    }
-
-    /// Restore the newest checkpoint that fully verifies, walking back
-    /// across versions that do not. Returns the recovered checkpoint
-    /// with a report naming every rejected version; if no candidate
-    /// verifies (or the scan budget runs out first),
-    /// [`EngineError::Unrecoverable`] carries the same report.
+    /// Run the walk: the newest checkpoint that fully verifies, with a
+    /// report naming every rejected version; if none verifies, the error
+    /// is [`scrutiny_ckpt::CkptError::Unrecoverable`] carrying the same
+    /// report.
     pub fn recover_latest(&self) -> Result<Recovered, EngineError> {
-        let rec = &self.cfg.recorder;
-        let listing = self.backend.list()?;
-        let (candidates, committed) = Self::scan_listing(&listing);
-        let reads = ScanReads::new(self.backend.as_ref(), &listing);
-        let _scan = span!(
-            rec,
-            "engine.recovery.scan",
-            candidates = candidates.len(),
-            max_scan = self.cfg.max_scan
-        );
-        let mut report = RecoveryReport::default();
-        for version in candidates {
-            if self.cfg.max_scan > 0 && report.scanned >= self.cfg.max_scan {
-                rec.event(
-                    "engine.recovery.budget_exhausted",
-                    &[("scanned", report.scanned.into())],
-                );
-                break;
-            }
-            report.scanned += 1;
-            rec.event("engine.recovery.candidate", &[("version", version.into())]);
-            match self.restore_committed(version, &committed, &reads) {
-                Ok((data, aux, checkpoint, stats)) => {
-                    rec.event(
-                        "engine.recovery.recovered",
-                        &[
-                            ("version", version.into()),
-                            ("data_bytes", data.len().into()),
-                            ("aux_bytes", aux.len().into()),
-                            ("rejected", report.rejected.len().into()),
-                        ],
-                    );
-                    report.recovered = Some(version);
-                    report.restore = Some(stats);
-                    return Ok(Recovered {
-                        version,
-                        data,
-                        aux,
-                        checkpoint,
-                        report,
-                    });
-                }
-                Err(e) if is_integrity_failure(&e) => {
-                    rec.event(
-                        "engine.recovery.reject",
-                        &[
-                            ("version", version.into()),
-                            ("reason", e.to_string().into()),
-                        ],
-                    );
-                    report.rejected.push(RejectedVersion { version, error: e });
-                }
-                Err(e) => {
-                    rec.event(
-                        "engine.recovery.abort",
-                        &[("version", version.into()), ("error", e.to_string().into())],
-                    );
-                    return Err(e.into());
-                }
-            }
-        }
-        Err(EngineError::Unrecoverable(Box::new(report)))
-    }
-}
-
-/// The shape of a recovery scan reconstructed **from the observability
-/// log alone** — no [`RecoveryReport`] in hand. This is the
-/// log-completeness contract of the recovery events: everything a
-/// post-mortem needs (what was examined, what was refused and why, what
-/// won) survives the trip through JSONL.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryWalk {
-    /// Versions examined, in scan order (newest first).
-    pub candidates: Vec<u64>,
-    /// `(version, reason)` for every rejected candidate, in scan order.
-    pub rejected: Vec<(u64, String)>,
-    /// The version that recovered, if the scan succeeded.
-    pub recovered: Option<u64>,
-}
-
-impl RecoveryWalk {
-    /// Rebuild the walk from the `engine.recovery.*` events of a
-    /// snapshot (live, or parsed back from JSONL).
-    pub fn from_snapshot(snap: &Snapshot) -> RecoveryWalk {
-        let mut walk = RecoveryWalk::default();
-        for ev in &snap.events {
-            if ev.kind != scrutiny_obs::EventKind::Point {
-                continue;
-            }
-            match ev.name.as_str() {
-                "engine.recovery.candidate" => {
-                    if let Some(v) = ev.field_u64("version") {
-                        walk.candidates.push(v);
-                    }
-                }
-                "engine.recovery.reject" => {
-                    if let Some(v) = ev.field_u64("version") {
-                        let reason = ev.field_str("reason").unwrap_or_default();
-                        walk.rejected.push((v, reason.to_string()));
-                    }
-                }
-                "engine.recovery.recovered" => {
-                    walk.recovered = ev.field_u64("version");
-                }
-                _ => {}
-            }
-        }
-        walk
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::MemBackend;
-    use crate::engine::{EngineConfig, EngineHandle, Layout};
-    use scrutiny_ckpt::{VarData, VarPlan, VarRecord};
-
-    fn state(tag: f64) -> (Vec<VarRecord>, Vec<VarPlan>) {
-        (
-            vec![VarRecord::new(
-                "u",
-                VarData::F64((0..300).map(|i| i as f64 + tag).collect()),
-            )],
-            vec![VarPlan::Full],
-        )
-    }
-
-    fn filled_backend(layout: Layout, epochs: u64) -> Arc<MemBackend> {
-        let mem = Arc::new(MemBackend::new());
-        let eng = EngineHandle::open(
-            mem.clone(),
-            EngineConfig {
-                workers: 2,
-                target_shards: 3,
-                layout,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for e in 0..epochs {
-            let (vars, plans) = state(e as f64 * 0.5);
-            let t = eng.submit(&vars, &plans).unwrap();
-            eng.wait(t).unwrap();
-        }
-        mem
-    }
-
-    #[test]
-    fn clean_backend_recovers_newest() {
-        let mem = filled_backend(Layout::Monolithic, 3);
-        let mgr = RecoveryManager::new(mem, RecoveryConfig::default());
-        let r = mgr.recover_latest().unwrap();
-        assert_eq!(r.version, 2);
-        assert!(r.report.rejected.is_empty());
-        assert_eq!(r.report.scanned, 1);
-        assert!(r.checkpoint.var("u").is_ok());
-    }
-
-    #[test]
-    fn corrupt_newest_falls_back_with_named_rejection() {
-        let mem = filled_backend(Layout::Sharded, 3);
-        // Flip a payload byte of version 2's first shard.
-        let name = names::shard(2, 0);
-        let mut bytes = mem.get(&name).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        mem.put(&name, &bytes).unwrap();
-
-        let mgr = RecoveryManager::new(mem, RecoveryConfig::default());
-        let r = mgr.recover_latest().unwrap();
-        assert_eq!(r.version, 1);
-        assert_eq!(r.report.rejected_versions(), vec![2]);
-        assert!(matches!(
-            r.report.rejected[0].error,
-            CkptError::ChecksumMismatch { .. }
-        ));
-        assert_eq!(r.report.scanned, 2);
-    }
-
-    #[test]
-    fn version_without_commit_marker_is_named_not_skipped() {
-        let mem = filled_backend(Layout::Monolithic, 2);
-        mem.delete(&names::data(1)).unwrap(); // aux survives
-
-        let mgr = RecoveryManager::new(mem, RecoveryConfig::default());
-        let r = mgr.recover_latest().unwrap();
-        assert_eq!(r.version, 0);
-        assert_eq!(r.report.rejected_versions(), vec![1]);
-        let msg = r.report.rejected[0].error.to_string();
-        assert!(msg.contains("commit marker"), "{msg}");
-    }
-
-    #[test]
-    fn nothing_recoverable_is_a_typed_error_with_the_report() {
-        let mem = filled_backend(Layout::Monolithic, 2);
-        for v in 0..2u64 {
-            let name = names::data(v);
-            let mut bytes = mem.get(&name).unwrap();
-            bytes[20] ^= 0xFF;
-            mem.put(&name, &bytes).unwrap();
-        }
-        let mgr = RecoveryManager::new(mem, RecoveryConfig::default());
-        match mgr.recover_latest() {
-            Err(EngineError::Unrecoverable(report)) => {
-                assert_eq!(report.rejected_versions(), vec![1, 0]);
-                assert_eq!(report.scanned, 2);
-            }
-            other => panic!("expected Unrecoverable, got {:?}", other.map(|r| r.version)),
-        }
-    }
-
-    #[test]
-    fn max_scan_bounds_the_walk() {
-        let mem = filled_backend(Layout::Monolithic, 4);
-        for v in 2..4u64 {
-            let name = names::data(v);
-            let mut bytes = mem.get(&name).unwrap();
-            bytes[9] ^= 0xFF;
-            mem.put(&name, &bytes).unwrap();
-        }
-        let mgr = RecoveryManager::new(
-            mem,
-            RecoveryConfig {
-                max_scan: 2,
-                ..Default::default()
-            },
-        );
-        // Versions 3 and 2 are corrupt and exhaust the budget; 1 would
-        // verify but is out of scan range.
-        match mgr.recover_latest() {
-            Err(EngineError::Unrecoverable(report)) => {
-                assert_eq!(report.scanned, 2);
-                assert_eq!(report.rejected_versions(), vec![3, 2]);
-            }
-            other => panic!("expected Unrecoverable, got {:?}", other.map(|r| r.version)),
-        }
+        Ok(recover_latest(self.backend.as_ref(), &self.cfg)?)
     }
 }

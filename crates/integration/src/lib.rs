@@ -41,17 +41,18 @@ pub use dual::Dual;
 
 use scrutiny_ad::{SweepConfig, Tape, TapeCheckpointConfig, TapeConfig, TapeSession};
 use scrutiny_ckpt::{
-    names, AtRest, CheckpointStore, DirBackend, FillPolicy, LoCodec, StorageBackend, VarData,
-    VarPlan, VarRecord,
+    names, AtRest, CheckpointStore, CkptError, DirBackend, FillPolicy, LoCodec, StorageBackend,
+    VarData, VarPlan, VarRecord,
 };
 use scrutiny_core::{
     record_resumable, scrutinize_differential, scrutinize_with, AdError, Adj, AnalysisReport,
-    AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, LeafSite, Real,
-    ScrutinyApp, ScrutinyOptions,
+    AppRun, CaptureSite, CkptSite, DifferentialReport, DisagreementKind, EngineError, LeafSite,
+    Real, RecoveryConfig, RecoveryManager, ScrutinyApp, ScrutinyOptions,
 };
 use scrutiny_faultinj::{
     allocated_by, campaign_matrix, Call, CampaignConfig, CampaignReport, Corruption, Op, Target,
 };
+use std::sync::Arc;
 
 /// One application's differential run, labeled for failure messages.
 #[derive(Debug)]
@@ -608,7 +609,11 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
 /// 2. **Every cut recovers:** a crash just before any marker — the
 ///    log's successful puts and deletes up to it replayed into a fresh
 ///    `DirBackend` — opens as a `CheckpointStore` whose latest version
-///    is the previous one, intact.
+///    is the previous one, and the recovery walk restores that version
+///    intact through both of its faces: `CheckpointStore::recover_latest`
+///    and a `RecoveryManager` over the cut as left (before the store's
+///    open sweeps it). Before the first marker both report
+///    `Unrecoverable`.
 ///
 /// Returns the committed versions in log order. Panics naming `tag` and
 /// the cut on any failure.
@@ -641,12 +646,36 @@ pub fn assert_cuts_recover(log: &[Call], var: &str, at: usize, tag: &str) -> Vec
                 Op::Get | Op::List => {}
             }
         }
+        let managed =
+            RecoveryManager::new(Arc::new(files), RecoveryConfig::default()).recover_latest();
         let store = CheckpointStore::open(&dir, 64).unwrap();
         assert_eq!(store.latest().unwrap(), v.checked_sub(1), "{cut}");
-        if let Some(prev) = v.checked_sub(1) {
-            let ck = store.load_latest().unwrap();
-            let got = ck.var(var).unwrap().materialize_f64(FillPolicy::Zero);
-            assert_eq!(got.unwrap()[at], prev as f64, "{cut}");
+        match (v.checked_sub(1), store.recover_latest(), managed) {
+            (Some(prev), Ok(r), Ok(m)) => {
+                assert_eq!(r.version, prev, "{cut}");
+                let got = r
+                    .checkpoint
+                    .var(var)
+                    .unwrap()
+                    .materialize_f64(FillPolicy::Zero);
+                assert_eq!(got.unwrap()[at], prev as f64, "{cut}");
+                assert!(
+                    (m.version, &m.data, &m.aux) == (r.version, &r.data, &r.aux),
+                    "{cut}: the store recovered version {}, RecoveryManager {}",
+                    r.version,
+                    m.version
+                );
+            }
+            (
+                None,
+                Err(CkptError::Unrecoverable(_)),
+                Err(EngineError::Ckpt(CkptError::Unrecoverable(_))),
+            ) => {}
+            (_, r, m) => panic!(
+                "{cut}: store {:?}, RecoveryManager {:?}",
+                r.map(|r| r.version),
+                m.map(|m| m.version)
+            ),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

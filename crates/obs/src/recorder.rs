@@ -615,7 +615,7 @@ macro_rules! span {
 /// ```
 /// use scrutiny_obs::{point, Recorder};
 /// let rec = Recorder::new();
-/// point!(rec, "engine.recovery.reject", version = 7u64, reason = "bad checksum");
+/// point!(rec, "app.reject", version = 7u64, reason = "bad checksum");
 /// assert_eq!(rec.snapshot().events.len(), 1);
 /// ```
 #[macro_export]

@@ -572,7 +572,7 @@ mod tests {
         rec.record("engine.submit_us", 1234);
         {
             let _s = span!(rec, "engine.submit", version = 0u64);
-            point!(rec, "engine.recovery.reject", reason = "bad checksum");
+            point!(rec, "app.reject", reason = "bad checksum");
         }
         let snap = Snapshot::from_jsonl(&rec.snapshot().to_jsonl()).unwrap();
         assert_eq!(snap.counters.len(), 1);
@@ -580,7 +580,7 @@ mod tests {
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.spans().len(), 1);
         assert!(snap.spans()[0].end_us.is_some());
-        assert_eq!(snap.events_named("engine.recovery.reject").count(), 1);
+        assert_eq!(snap.events_named("app.reject").count(), 1);
     }
 
     #[test]

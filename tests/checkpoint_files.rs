@@ -84,7 +84,7 @@ fn retention_keeps_only_newest() {
         store.save(&vars, &plans).unwrap();
     }
     assert_eq!(store.versions().unwrap().len(), 2);
-    assert!(store.load_latest().is_ok());
+    assert_eq!(store.recover_latest().unwrap().version, 4);
     fs::remove_dir_all(&dir).unwrap();
 }
 

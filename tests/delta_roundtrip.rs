@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use scrutiny_ckpt::writer::{serialize, serialize_data};
 use scrutiny_ckpt::{
-    delta, names, AtRest, Bitmap, CheckpointStore, CodecConfig, DeltaPolicy, FillPolicy, Regions,
-    VarData, VarPlan, VarRecord,
+    names, read_data_image_parallel, AtRest, Bitmap, CheckpointStore, CodecConfig, DeltaPolicy,
+    FillPolicy, Regions, RestoreOptions, VarData, VarPlan, VarRecord,
 };
 use scrutiny_engine::{
     read_version, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, StorageBackend,
@@ -166,9 +166,9 @@ fn store_and_engine_agree_on_chain_layout() {
         let in_mem = mem.list().unwrap().iter().any(|n| *n == names::delta(v));
         assert_eq!(on_disk, in_mem, "version {v} delta marker");
         let (engine_data, _) = read_version(mem.as_ref(), v).unwrap();
-        let store_data =
-            delta::read_data_image(v, |name| std::fs::read(dir.join(name)).map_err(Into::into))
-                .unwrap();
+        let files = |name: &str| std::fs::read(dir.join(name)).map_err(Into::into);
+        let (store_data, _) =
+            read_data_image_parallel(v, &files, &RestoreOptions { threads: 1 }).unwrap();
         assert_eq!(engine_data, store_data, "version {v} image");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -330,9 +330,9 @@ proptest! {
             images.push((version, serialize_data(&vars, &plans).unwrap().0));
         }
         for (version, want) in &images {
-            let got = delta::read_data_image(*version, |name| {
-                std::fs::read(dir.join(name)).map_err(Into::into)
-            }).unwrap();
+            let files = |name: &str| std::fs::read(dir.join(name)).map_err(Into::into);
+            let (got, _) =
+                read_data_image_parallel(*version, &files, &RestoreOptions { threads: 1 }).unwrap();
             prop_assert_eq!(&got, want);
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -20,15 +20,15 @@
 //! timing can hide job-claiming races.
 
 use proptest::prelude::*;
-use scrutiny_ckpt::delta::read_data_image;
 use scrutiny_ckpt::restore::{read_data_image_parallel, RestoreOptions};
 use scrutiny_ckpt::writer::serialize;
 use scrutiny_ckpt::{
-    names, Bitmap, Checkpoint, CkptError, FillPolicy, Regions, VarData, VarPlan, VarRecord,
+    names, Bitmap, Checkpoint, CheckpointStore, CkptError, FillPolicy, Regions, VarData, VarPlan,
+    VarRecord,
 };
 use scrutiny_engine::{
-    DeltaPolicy, EngineConfig, EngineHandle, Layout, MemBackend, RecoveryConfig, RecoveryManager,
-    StorageBackend,
+    DeltaPolicy, DirBackend, EngineConfig, EngineHandle, Layout, MemBackend, RecoveryConfig,
+    RecoveryManager, StorageBackend,
 };
 use scrutiny_faultinj::{allocated_during, CountingAlloc, StorageScenario};
 use std::sync::Arc;
@@ -290,11 +290,85 @@ fn every_version_corrupt_is_a_typed_unrecoverable_error() {
         .recover_latest()
         .unwrap_err();
     match err {
-        scrutiny_engine::EngineError::Unrecoverable(report) => {
+        scrutiny_engine::EngineError::Ckpt(CkptError::Unrecoverable(report)) => {
             assert_eq!(report.rejected_versions(), vec![2, 1, 0]);
             assert_eq!(report.scanned, 3);
         }
         other => panic!("expected Unrecoverable, got {other}"),
+    }
+}
+
+/// The store and the engine restart through one walk, so they agree on
+/// a damaged newest version whatever its layout: monolithic and delta
+/// versions saved by a `CheckpointStore`, and sharded ones published by
+/// an engine into a `DirBackend` and then opened as a store. With one
+/// payload byte of the newest version flipped, `CheckpointStore::
+/// recover_latest` and `RecoveryManager::recover_latest` both reject it
+/// by name and return the previous version, bit-identical to its
+/// blocking save.
+#[test]
+fn store_and_manager_fall_back_alike_past_a_damaged_newest_version() {
+    for layout in ["monolithic", "delta", "sharded"] {
+        let dir =
+            std::env::temp_dir().join(format!("scrutiny_faces_{layout}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut expected = Vec::new();
+        if layout == "sharded" {
+            let cfg = EngineConfig {
+                workers: 3,
+                target_shards: 4,
+                layout: Layout::Sharded,
+                ..Default::default()
+            };
+            let engine =
+                EngineHandle::open(Arc::new(DirBackend::open(&dir).unwrap()), cfg).unwrap();
+            for e in 0..3 {
+                let (vars, plans) = epoch_state(e);
+                let t = engine.submit(&vars, &plans).unwrap();
+                engine.wait(t).unwrap();
+                let ser = serialize(&vars, &plans).unwrap();
+                expected.push((ser.data, ser.aux));
+            }
+        } else {
+            let mut store = CheckpointStore::open(&dir, 16).unwrap();
+            let policy = DeltaPolicy {
+                page_bytes: 128,
+                rebase_every: 8,
+            };
+            for e in 0..3 {
+                let (vars, plans) = epoch_state(e);
+                if layout == "delta" {
+                    store.save_delta(&vars, &plans, &policy).unwrap();
+                } else {
+                    store.save(&vars, &plans).unwrap();
+                }
+                let ser = serialize(&vars, &plans).unwrap();
+                expected.push((ser.data, ser.aux));
+            }
+        }
+        let files = Arc::new(DirBackend::open(&dir).unwrap());
+        let damaged = StorageScenario::FlippedPayloadByte
+            .inject(files.as_ref(), 2)
+            .unwrap();
+        let want_damaged = match layout {
+            "monolithic" => names::data(2),
+            "delta" => names::delta(2),
+            _ => names::shard(2, 0),
+        };
+        assert_eq!(damaged, want_damaged);
+
+        let store = CheckpointStore::open(&dir, 16).unwrap();
+        let by_store = store.recover_latest().unwrap();
+        let by_manager = RecoveryManager::new(files, RecoveryConfig::default())
+            .recover_latest()
+            .unwrap();
+        for (face, r) in [("store", &by_store), ("RecoveryManager", &by_manager)] {
+            assert_eq!(r.version, 1, "{layout}: {face}");
+            assert_eq!(r.report.rejected_versions(), vec![2], "{layout}: {face}");
+            assert!(r.data == expected[1].0, "{layout}: {face}: data image");
+            assert!(r.aux == expected[1].1, "{layout}: {face}: aux image");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -715,8 +789,6 @@ fn inflated_delta_length_falls_back_to_the_previous_version() {
 
 #[test]
 fn load_parallel_matches_serial_load_on_a_store_chain() {
-    use scrutiny_ckpt::CheckpointStore;
-    use scrutiny_engine::DirBackend;
     let dir = std::env::temp_dir().join(format!("scrutiny_loadpar_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let policy = DeltaPolicy {
@@ -797,7 +869,8 @@ proptest! {
             engine.wait(t).unwrap();
         }
         for v in 0..epochs {
-            let want = read_data_image(v, |name| mem.get(name)).unwrap();
+            let serial = RestoreOptions { threads: 1 };
+            let (want, _) = read_data_image_parallel(v, &|name: &str| mem.get(name), &serial).unwrap();
             let (got, stats) = read_data_image_parallel(
                 v,
                 &|name: &str| mem.get(name),
