@@ -13,14 +13,23 @@
 //!
 //! A plain closure can only be re-run from the program start, so every
 //! window costs the whole computation. A computation that exposes its
-//! step boundaries ([`Resume`]) is recorded through a [`Ladder`] instead:
-//! it keeps snapshots of the computation at some boundaries — inside the
-//! tape's own residency budget — and a window is re-recorded from the
-//! newest snapshot at or before it, up to the first boundary past it.
-//! Snapshots are thinned while recording and re-densified by bisection
-//! while replaying, which makes the replay work of a reverse walk
-//! `O(n log n)` in the number of steps (Siskind & Pearlmutter's
+//! resume points ([`Resume`]) is recorded through a [`Ladder`] instead:
+//! it notes the node count at every resume point (on an unbounded tape
+//! that is all it does: one `Vec::push` each, nothing forked), keeps
+//! snapshots of the computation at some of them — inside the tape's own
+//! residency budget — and re-records a window from the newest snapshot
+//! at or before it, up to the first resume point past it. Snapshots are
+//! thinned while recording and re-densified by bisection while
+//! replaying, which makes the replay work of a reverse walk `O(n log n)`
+//! in the number of resume points (Siskind & Pearlmutter's
 //! divide-and-conquer schedule) instead of `O(n · windows)`.
+//!
+//! So the work of a window is bounded by the distance between resume
+//! points, not by the length of an application's steps: an application
+//! whose iterations are long exposes points inside them (the core
+//! crate's step protocol lets `AppRun::step` return at any of them; CG
+//! returns after each inner conjugate-gradient iteration), and each one
+//! is simply one more mark on the ladder.
 
 use crate::error::AdError;
 use crate::segment::{Charge, MemCounters, SegGuard};

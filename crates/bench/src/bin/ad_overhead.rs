@@ -3,7 +3,8 @@
 //! what segmentation costs at record time against one monolithic segment,
 //! and what a bounded tape residency costs (peak resident bytes, sweep gap
 //! against the unbounded sweep, replayed nodes) when evicted windows are
-//! replayed from program start vs from `record_resumable`'s step snapshots.
+//! replayed from program start vs from `record_resumable`'s step snapshots,
+//! on BT's many short steps and on CG's few long ones.
 
 use scrutiny_ad::{
     Adj, Kernel, SweepRequest, SweepStats, Tape, TapeCheckpointConfig, TapeConfig, TapeReplay,
@@ -11,7 +12,7 @@ use scrutiny_ad::{
 };
 use scrutiny_core::site::NoopSite;
 use scrutiny_core::{record_resumable, LeafSite, ScrutinyApp};
-use scrutiny_npb::{Bt, Ep};
+use scrutiny_npb::{Bt, Cg, Ep};
 use std::time::Instant;
 
 const SEG: usize = 1 << 14;
@@ -126,4 +127,34 @@ fn main() {
             );
         }
     }
+
+    // CG's few long steps: one outer step spans about 22 default-length
+    // segments of the class-S tape, and its inner conjugate-gradient
+    // iterations are the resume points that keep a window's replay short.
+    let cg = Cg::class_s();
+    let config = |checkpoint| TapeConfig {
+        capacity: cg.tape_capacity_hint(),
+        checkpoint,
+        ..TapeConfig::default()
+    };
+    let (out, full) = record(&cg, config(None));
+    let t_sweep_full = measure(3, || sweep(&full, out, None).segments);
+    let ckpt = TapeCheckpointConfig::with_ncheckpoints(2);
+    let (outcome, _, tape, ladder) = record_resumable(&cg, config(Some(ckpt)));
+    let stats = sweep(&tape, outcome.output, Some(&ladder));
+    let t_sweep = measure(3, || sweep(&tape, outcome.output, Some(&ladder)).segments);
+    println!(
+        "\n== bounded-memory tape (CG class S, {} nodes, {} segments) ==",
+        tape.len(),
+        tape.segment_count()
+    );
+    println!(
+        "ncheckpoints=2   (n=2.resumable) sweep {:>8.2} ms   gap {:>5.2}x   peak {:>9} B   \
+         replayed {:>5.2}x nodes, {} segments",
+        t_sweep * 1e3,
+        t_sweep / t_sweep_full,
+        stats.peak_resident_bytes,
+        stats.replayed_nodes as f64 / tape.len() as f64,
+        stats.replayed_segments,
+    );
 }

@@ -405,14 +405,17 @@ impl Recorded {
 /// advances from one resumable boundary to the next. The boundaries are
 /// the program start, the checkpoint boundary (reached in one go — the
 /// iterations before it record nothing, so there is nothing to resume in
-/// between), every iteration boundary after it, and the program's end
-/// once the output has been evaluated.
+/// between), every resume point after it (iteration boundaries and an
+/// application's inner points alike), and the program's end once the
+/// output has been evaluated.
 struct AdRun<'a> {
     app: &'a dyn ScrutinyApp,
     run: Box<dyn AppRun<'a, Adj> + 'a>,
     site: LeafSite,
-    /// Next main-loop iteration to run.
+    /// Next main-loop iteration to run, or the one in progress.
     next: usize,
+    /// Whether iteration `next` already ran to an inner resume point.
+    started: bool,
     output: Option<Adj>,
 }
 
@@ -423,6 +426,7 @@ impl<'a> AdRun<'a> {
             run: app.start_ad(),
             site: LeafSite::new(),
             next: *app.steps().start(),
+            started: false,
             output: None,
         }
     }
@@ -435,6 +439,7 @@ impl Clone for AdRun<'_> {
             run: self.run.fork(),
             site: self.site.clone(),
             next: self.next,
+            started: self.started,
             output: self.output,
         }
     }
@@ -450,8 +455,15 @@ impl Resume for AdRun<'_> {
         // (as in the provided `run_ad`): the prefix ends with the loop.
         let end = *self.app.steps().end();
         loop {
-            step_with_site(self.app, &mut *self.run, self.next, &mut self.site);
-            self.next += 1;
+            let done = step_with_site(
+                self.app,
+                &mut *self.run,
+                self.next,
+                self.started,
+                &mut self.site,
+            );
+            self.started = !done;
+            self.next += usize::from(done);
             if self.next >= self.app.checkpoint_iter() || self.next > end {
                 return true;
             }
@@ -469,7 +481,7 @@ impl Resume for AdRun<'_> {
 /// a tape configured by `cfg`, stepping it through the [`AppRun`] protocol.
 /// Returns the run's outcome, the leaf layout the site saw, the tape, and
 /// the tape's replayer. When `cfg.checkpoint` bounds the tape, forks of the
-/// run at step boundaries share the residency budget, and a sweep given
+/// run at resume points share the residency budget, and a sweep given
 /// the replayer re-records evicted segments from the nearest one; on an
 /// unbounded tape nothing is forked.
 pub fn record_resumable<'a>(

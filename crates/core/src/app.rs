@@ -14,17 +14,22 @@ pub struct RunOutcome<R> {
 }
 
 /// One run of an application in progress, for one scalar type: the state
-/// between two main-loop iterations, advanced one iteration at a time.
+/// at a resume point, advanced one resume point at a time.
 ///
-/// The boundaries between iterations are the points the application can
-/// be resumed from: [`AppRun::fork`] snapshots the run there, and the
-/// bounded-memory analysis re-records evicted tape segments from the
-/// nearest such snapshot instead of from the program start. An
-/// application with a single iteration is the degenerate case.
+/// Every boundary between two main-loop iterations is a resume point; an
+/// application may expose more inside an iteration (CG: each of its inner
+/// conjugate-gradient iterations). [`AppRun::fork`] snapshots the run at
+/// any of them, and the bounded-memory analysis re-records evicted tape
+/// segments from the nearest such snapshot instead of from the program
+/// start. An application with a single iteration and no inner points is
+/// the degenerate case.
 pub trait AppRun<'a, R: Real> {
-    /// Execute main-loop iteration `iter`. Iterations are run in order,
-    /// each exactly once, over [`ScrutinyApp::steps`].
-    fn step(&mut self, iter: usize);
+    /// Run main-loop iteration `iter` to its next resume point; `true` once
+    /// the iteration is complete. Iterations are run in order over
+    /// [`ScrutinyApp::steps`], each called until it returns `true`. An
+    /// application without inner resume points runs the whole iteration
+    /// and returns `true`.
+    fn step(&mut self, iter: usize) -> bool;
 
     /// Mutable views of every checkpoint variable, in [`AppSpec`] order,
     /// as they stand at the boundary before iteration `iter` — what a
@@ -36,7 +41,7 @@ pub trait AppRun<'a, R: Real> {
     /// arithmetic, so it is evaluated once per run.
     fn output(&self) -> R;
 
-    /// An independent copy of this run at the current boundary.
+    /// An independent copy of this run at the current resume point.
     fn fork(&self) -> Box<dyn AppRun<'a, R> + 'a>;
 
     /// Bytes a fork allocates, the boxed run itself included — what
@@ -52,9 +57,10 @@ pub trait AppRun<'a, R: Real> {
 /// before the first iteration (implementations typically return one struct
 /// generic over the scalar), and the provided [`ScrutinyApp::run_f64`] /
 /// [`ScrutinyApp::run_ad`] drive it: every iteration of
-/// [`ScrutinyApp::steps`] in order, calling the site exactly once, at the
-/// boundary before [`ScrutinyApp::checkpoint_iter`], with the checkpoint
-/// variables in [`AppSpec`] order.
+/// [`ScrutinyApp::steps`] in order, each stepped until it is complete,
+/// calling the site exactly once, at the boundary before
+/// [`ScrutinyApp::checkpoint_iter`], with the checkpoint variables in
+/// [`AppSpec`] order.
 pub trait ScrutinyApp {
     /// Name, class and checkpoint variables (the paper's Table I row).
     fn spec(&self) -> AppSpec;
@@ -97,19 +103,22 @@ pub trait ScrutinyApp {
     }
 }
 
-/// Run `app`'s iteration `iter` on `run`, presenting the checkpoint
-/// variables to `site` first if this is the checkpoint boundary — the one
-/// loop body every driver of the step protocol shares.
+/// Run `app`'s iteration `iter` on `run` to its next resume point,
+/// presenting the checkpoint variables to `site` first if this is the
+/// first call of the checkpoint iteration (`started` is whether `iter`
+/// already ran to an inner resume point) — the one loop body every driver
+/// of the step protocol shares. `true` once the iteration is complete.
 pub(crate) fn step_with_site<'a, R: Real>(
     app: &(impl ScrutinyApp + ?Sized),
     run: &mut (dyn AppRun<'a, R> + 'a),
     iter: usize,
+    started: bool,
     site: &mut dyn CkptSite<R>,
-) {
-    if iter == app.checkpoint_iter() {
+) -> bool {
+    if !started && iter == app.checkpoint_iter() {
         site.at_boundary(iter, &mut run.vars(iter));
     }
-    run.step(iter);
+    run.step(iter)
 }
 
 fn drive<'a, R: Real>(
@@ -118,7 +127,10 @@ fn drive<'a, R: Real>(
     site: &mut dyn CkptSite<R>,
 ) -> RunOutcome<R> {
     for iter in app.steps() {
-        step_with_site(app, &mut *run, iter, site);
+        let mut started = false;
+        while !step_with_site(app, &mut *run, iter, started, site) {
+            started = true;
+        }
     }
     RunOutcome {
         output: run.output(),

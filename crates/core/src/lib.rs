@@ -27,13 +27,16 @@
 //! ## Writing an application
 //!
 //! Implement [`ScrutinyApp`] through the step protocol: one run struct,
-//! generic over the scalar, that holds the state between two main-loop
-//! iterations and implements [`AppRun`] — `step` one iteration, `vars`
-//! for the checkpoint-variable views a [`CkptSite`] is shown, `output`
-//! for the verification scalar, `fork` for a snapshot — returned by
-//! `start_f64` / `start_ad` for `R = f64` and `R = Adj`. The provided
-//! `run_f64` / `run_ad` drive it, calling the site exactly once at the
-//! checkpoint boundary; the bounded-memory analysis resumes forks of it.
+//! generic over the scalar, that holds the state at a resume point and
+//! implements [`AppRun`] — `step` to run an iteration to its next resume
+//! point (`true` once it is complete; an application without inner resume
+//! points runs the whole iteration and returns `true`), `vars` for the
+//! checkpoint-variable views a [`CkptSite`] is shown, `output` for the
+//! verification scalar, `fork` for a snapshot — returned by `start_f64` /
+//! `start_ad` for `R = f64` and `R = Adj`. The provided `run_f64` /
+//! `run_ad` drive it, calling the site exactly once at the checkpoint
+//! boundary; the bounded-memory analysis resumes forks of it at every
+//! resume point.
 //! See [`tiny::Heat1d`] for a complete minimal example, and the
 //! `scrutiny-npb` crate for the eight NPB ports used in the paper.
 //!
@@ -53,10 +56,11 @@
 //! }
 //!
 //! impl<'a, R: Real + 'a> AppRun<'a, R> for RelaxRun<R> {
-//!     fn step(&mut self, _iter: usize) {
+//!     fn step(&mut self, _iter: usize) -> bool {
 //!         for i in 0..3 {
 //!             self.x[i] = self.x[i] * 0.9 + self.x[i + 1] * 0.1;
 //!         }
+//!         true
 //!     }
 //!     fn vars(&mut self, _iter: usize) -> Vec<VarRefMut<'_, R>> {
 //!         vec![VarRefMut::F64(&mut self.x)]

@@ -263,6 +263,11 @@ pub fn verify_restart_from(
 
 /// Materialize every variable of a loaded checkpoint into full-size
 /// buffers, in the order of the analysis spec.
+///
+/// A variable's stored `total` sizes its buffer, and for a pruned or
+/// tiered variable no stored byte bounds it (only its last region's end
+/// does), so a `total` other than the analysis's own is
+/// [`CkptError::PlanMismatch`], decided before that buffer is allocated.
 pub fn materialize_all(
     checkpoint: &Checkpoint,
     analysis: &AnalysisReport,
@@ -273,6 +278,14 @@ pub fn materialize_all(
         .iter()
         .map(|v| {
             let loaded = checkpoint.var(&v.spec.name)?;
+            if loaded.total != v.total() as u64 {
+                return Err(CkptError::PlanMismatch(format!(
+                    "{:?} holds {} elements, the analysis {}",
+                    v.spec.name,
+                    loaded.total,
+                    v.total()
+                )));
+            }
             Ok(match v.spec.dtype {
                 DType::F64 => VarData::F64(loaded.materialize_f64(fill)?),
                 DType::C128 => VarData::C128(loaded.materialize_c128(fill)?),

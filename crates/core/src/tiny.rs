@@ -65,7 +65,7 @@ struct HeatRun<R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for HeatRun<R> {
-    fn step(&mut self, _it: usize) {
+    fn step(&mut self, _it: usize) -> bool {
         let (n, temp, workspace) = (self.n, &mut self.temp, &mut self.workspace);
         let alpha = 0.1;
         for i in 1..=n {
@@ -74,6 +74,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for HeatRun<R> {
         for i in 1..=n {
             temp[i] += workspace[i - 1] * alpha;
         }
+        true
     }
 
     fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {

@@ -255,17 +255,21 @@ pub fn datadep_uncritical_matrix(
 /// Drive `run` by hand through `app`'s iterations `from..=last`, showing
 /// the site the checkpoint variables at the checkpoint boundary — what
 /// the provided `run_f64` / `run_ad` do — and return the output.
+/// `started` says `run` stands at an inner resume point of iteration
+/// `from`, whose boundary is then behind it.
 fn drive_by_hand<'a, R: Real>(
     app: &dyn ScrutinyApp,
     run: &mut (dyn AppRun<'a, R> + 'a),
     from: usize,
+    mut started: bool,
     site: &mut dyn CkptSite<R>,
 ) -> R {
     for iter in from..=*app.steps().end() {
-        if iter == app.checkpoint_iter() {
+        if !started && iter == app.checkpoint_iter() {
             site.at_boundary(iter, &mut run.vars(iter));
         }
-        run.step(iter);
+        while !run.step(iter) {}
+        started = false;
     }
     run.output()
 }
@@ -473,9 +477,10 @@ fn assert_snapshot_bytes<'a, R: Real>(name: &str, run: &(dyn AppRun<'a, R> + 'a)
 ///    the same output bits, the same captured checkpoint state and the
 ///    same tape (node and leaf counts, every adjoint and reachability
 ///    bit) as the provided `run_f64` / `run_ad`.
-/// 2. **Forks are snapshots:** at every iteration boundary, a fork resumed
-///    to the end reproduces the output bit for bit, and forking leaves
-///    the run it was taken from untouched.
+/// 2. **Forks are snapshots:** at every resume point — each iteration
+///    boundary and each inner point an application exposes — a fork
+///    resumed to the end reproduces the output bit for bit, and forking
+///    leaves the run it was taken from untouched.
 ///    Its `snapshot_bytes` is what the fork allocates (checked when the
 ///    test binary installs [`CountingAlloc`](scrutiny_faultinj::CountingAlloc)).
 /// 3. **Resumed re-recording is exact:** on a tape bounded to two and to
@@ -494,7 +499,7 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
     let golden = app.run_f64(&mut golden_site).output;
     let mut by_hand_site = CaptureSite::new();
     let mut run = app.start_f64();
-    let by_hand = drive_by_hand(app, &mut *run, first, &mut by_hand_site);
+    let by_hand = drive_by_hand(app, &mut *run, first, false, &mut by_hand_site);
     assert_eq!(golden.to_bits(), by_hand.to_bits(), "{name}: f64 output");
     assert_eq!(golden_site.iter, by_hand_site.iter, "{name}: boundary seen");
     assert_eq!(
@@ -504,15 +509,19 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
 
     let mut run = app.start_f64();
     for iter in app.steps() {
-        assert_snapshot_bytes(&name, &*run);
-        let mut fork = run.fork();
-        let resumed = drive_by_hand(app, &mut *fork, iter, &mut CaptureSite::new());
-        assert_eq!(
-            golden.to_bits(),
-            resumed.to_bits(),
-            "{name}: fork resumed at the boundary before iteration {iter}"
-        );
-        run.step(iter);
+        for point in 0.. {
+            assert_snapshot_bytes(&name, &*run);
+            let mut fork = run.fork();
+            let resumed = drive_by_hand(app, &mut *fork, iter, point > 0, &mut CaptureSite::new());
+            assert_eq!(
+                golden.to_bits(),
+                resumed.to_bits(),
+                "{name}: fork resumed at resume point {point} of iteration {iter}"
+            );
+            if run.step(iter) {
+                break;
+            }
+        }
     }
     let at_end = run.fork();
     assert_eq!(
@@ -540,7 +549,7 @@ pub fn assert_step_contract(app: &dyn ScrutinyApp) {
     let mut hand_site = LeafSite::new();
     let mut run = app.start_ad();
     assert_snapshot_bytes(&name, &*run);
-    let hand_out = drive_by_hand(app, &mut *run, first, &mut hand_site);
+    let hand_out = drive_by_hand(app, &mut *run, first, false, &mut hand_site);
     drop(run);
     let hand_tape = session.finish();
     assert_eq!(

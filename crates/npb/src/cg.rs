@@ -5,6 +5,12 @@
 //! NPB declares `x` with `NA + 2` slots but every loop runs `0..NA`; the
 //! paper finds exactly those 2 tail elements uncritical (Fig. 6), which
 //! this port preserves.
+//!
+//! One outer iteration runs 25 inner conjugate-gradient iterations
+//! (`conj_grad`), and each of them ends at a resume point of the step
+//! protocol: a bounded-memory analysis re-records an evicted window from
+//! the nearest inner iteration, not from the start of a step that spans
+//! about 22 tape segments at class S.
 
 use crate::common::{dot, SparseMatrix, RANDLC_SEED};
 use scrutiny_ad::{Adj, Real};
@@ -69,38 +75,6 @@ impl Cg {
         }
     }
 
-    /// One `conj_grad` call: approximately solve `A z = x`, returning `z`
-    /// and `‖x − A z‖` (NPB computes and prints this residual).
-    fn conj_grad<R: Real>(&self, x: &[R]) -> (Vec<R>, R) {
-        let na = self.na;
-        let mut z = vec![R::zero(); na];
-        let mut r: Vec<R> = x[..na].to_vec();
-        let mut p = r.clone();
-        let mut q = vec![R::zero(); na];
-        let mut rho = dot(&r, &r);
-        for _ in 0..self.inner {
-            self.matrix.spmv(&p, &mut q);
-            let alpha = rho / dot(&p, &q);
-            for j in 0..na {
-                z[j] += p[j] * alpha;
-                r[j] -= q[j] * alpha;
-            }
-            let rho0 = rho;
-            rho = dot(&r, &r);
-            let beta = rho / rho0;
-            for j in 0..na {
-                p[j] = r[j] + p[j] * beta;
-            }
-        }
-        self.matrix.spmv(&z, &mut q);
-        let mut sum = R::zero();
-        for j in 0..na {
-            let d = x[j] - q[j];
-            sum += d * d;
-        }
-        (z, sum.sqrt())
-    }
-
     fn start<R: Real>(&self) -> Box<CgRun<'_, R>> {
         Box::new(CgRun {
             cg: self,
@@ -108,24 +82,91 @@ impl Cg {
             x: vec![R::one(); self.na + 2],
             it_state: vec![0],
             zeta: R::zero(),
+            solve: None,
         })
     }
 }
 
-/// A [`Cg`] run between two outer iterations.
+/// A [`Cg`] run at a resume point: between two outer iterations, or
+/// inside one between two of its inner conjugate-gradient iterations.
 #[derive(Clone)]
 struct CgRun<'a, R> {
     cg: &'a Cg,
     x: Vec<R>,
     it_state: Vec<i64>,
     zeta: R,
+    /// The `conj_grad` call in progress, if any.
+    solve: Option<Box<ConjGrad<R>>>,
+}
+
+/// `conj_grad`'s loop state between two of its iterations.
+#[derive(Clone)]
+struct ConjGrad<R> {
+    z: Vec<R>,
+    r: Vec<R>,
+    p: Vec<R>,
+    q: Vec<R>,
+    rho: R,
+    /// Inner iterations done.
+    k: usize,
+}
+
+impl<R: Real> CgRun<'_, R> {
+    /// Advance the `conj_grad` call — approximately solve `A z = x` — by
+    /// one inner iteration, starting the call first if none is in
+    /// progress. Once its last iteration is done, returns `z` and
+    /// `‖x − A z‖` (NPB computes and prints this residual).
+    fn conj_grad(&mut self) -> Option<(Vec<R>, R)> {
+        let (cg, x) = (self.cg, &self.x);
+        let na = cg.na;
+        let s = self.solve.get_or_insert_with(|| {
+            let r: Vec<R> = x[..na].to_vec();
+            Box::new(ConjGrad {
+                z: vec![R::zero(); na],
+                p: r.clone(),
+                q: vec![R::zero(); na],
+                rho: dot(&r, &r),
+                r,
+                k: 0,
+            })
+        });
+        if s.k < cg.inner {
+            cg.matrix.spmv(&s.p, &mut s.q);
+            let alpha = s.rho / dot(&s.p, &s.q);
+            for j in 0..na {
+                s.z[j] += s.p[j] * alpha;
+                s.r[j] -= s.q[j] * alpha;
+            }
+            let rho0 = s.rho;
+            s.rho = dot(&s.r, &s.r);
+            let beta = s.rho / rho0;
+            for j in 0..na {
+                s.p[j] = s.r[j] + s.p[j] * beta;
+            }
+            s.k += 1;
+            if s.k < cg.inner {
+                return None;
+            }
+        }
+        let ConjGrad { z, mut q, .. } = *self.solve.take().expect("a call is in progress");
+        cg.matrix.spmv(&z, &mut q);
+        let mut sum = R::zero();
+        for j in 0..na {
+            let d = x[j] - q[j];
+            sum += d * d;
+        }
+        Some((z, sum.sqrt()))
+    }
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for CgRun<'a, R> {
-    fn step(&mut self, _it: usize) {
+    /// Every inner conjugate-gradient iteration ends at a resume point.
+    fn step(&mut self, _it: usize) -> bool {
+        let Some((z, _rnorm)) = self.conj_grad() else {
+            return false;
+        };
         let (cg, x) = (self.cg, &mut self.x);
         let na = cg.na;
-        let (z, _rnorm) = cg.conj_grad(x);
         let xz = dot(&x[..na], &z);
         self.zeta = R::lit(cg.shift) + R::one() / xz;
         // … but only the first NA are ever read or written.
@@ -133,6 +174,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for CgRun<'a, R> {
         for j in 0..na {
             x[j] = z[j] / norm;
         }
+        true
     }
 
     fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {
@@ -152,9 +194,17 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for CgRun<'a, R> {
     }
 
     fn snapshot_bytes(&self) -> usize {
+        let solve = self.solve.as_deref().map_or(0, |s| {
+            std::mem::size_of_val(s)
+                + [&s.z, &s.r, &s.p, &s.q]
+                    .iter()
+                    .map(|v| std::mem::size_of_val(&v[..]))
+                    .sum::<usize>()
+        });
         std::mem::size_of_val(self)
             + std::mem::size_of_val(&self.x[..])
             + std::mem::size_of_val(&self.it_state[..])
+            + solve
     }
 }
 
@@ -215,8 +265,13 @@ mod tests {
     #[test]
     fn residual_decreases_within_conj_grad() {
         let cg = Cg::mini();
-        let x = vec![1.0f64; cg.na + 2];
-        let (_, rnorm) = cg.conj_grad(&x);
+        let mut run = cg.start::<f64>();
+        let rnorm = loop {
+            if let Some((_, rnorm)) = run.conj_grad() {
+                break rnorm;
+            }
+        };
+        let x = &run.x;
         let x_norm = dot(&x[..cg.na], &x[..cg.na]).sqrt();
         assert!(
             rnorm < 1e-6 * x_norm,

@@ -102,13 +102,14 @@ struct EpRun<'a, R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for EpRun<'a, R> {
-    fn step(&mut self, k: usize) {
+    fn step(&mut self, k: usize) -> bool {
         let (bsx, bsy, bq) = self.ep.batch_stats(k);
         self.sx[0] += R::lit(bsx);
         self.sy[0] += R::lit(bsy);
         for (ql, &b) in self.q.iter_mut().zip(&bq) {
             *ql += R::lit(b);
         }
+        true
     }
 
     fn vars(&mut self, k: usize) -> Vec<VarRefMut<'_, R>> {

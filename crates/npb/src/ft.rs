@@ -259,7 +259,7 @@ struct FtRun<'a, R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for FtRun<'a, R> {
-    fn step(&mut self, kt: usize) {
+    fn step(&mut self, kt: usize) -> bool {
         let ft = self.ft;
         // Every element is written by `evolve` before the inverse
         // transform reads it: scratch carries nothing between steps.
@@ -267,6 +267,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for FtRun<'a, R> {
         ft.evolve(&self.u0, &mut scratch, kt as f64);
         ft.fft3d(&mut scratch, true);
         self.sums[kt - 1] = ft.checksum(&scratch);
+        true
     }
 
     fn vars(&mut self, kt: usize) -> Vec<VarRefMut<'_, R>> {

@@ -213,7 +213,7 @@ impl Lu {
     pub fn final_error(&self) -> f64 {
         let mut run = self.start::<f64>();
         for istep in self.steps() {
-            run.step(istep);
+            while !run.step(istep) {}
         }
         error_norm(&run.u, INTERIOR).iter().sum()
     }
@@ -232,7 +232,7 @@ struct LuRun<'a, R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for LuRun<'a, R> {
-    fn step(&mut self, _istep: usize) {
+    fn step(&mut self, _istep: usize) -> bool {
         let lu = self.lu;
         let (u, rho_i, qs, rsd) = (&mut self.u, &mut self.rho_i, &mut self.qs, &mut self.rsd);
         // Convergence history (reads rsd over the full grid).
@@ -270,6 +270,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for LuRun<'a, R> {
         // Refresh derived state and residual for the next iteration.
         Lu::compute_aux(u, rho_i, qs);
         lu.compute_rsd(u, rho_i, qs, rsd);
+        true
     }
 
     fn vars(&mut self, istep: usize) -> Vec<VarRefMut<'_, R>> {

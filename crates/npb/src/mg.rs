@@ -404,12 +404,13 @@ struct MgRun<'a, R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for MgRun<'a, R> {
-    fn step(&mut self, _it: usize) {
+    fn step(&mut self, _it: usize) -> bool {
         let (mg, u, r) = (self.mg, &mut self.u, &mut self.r);
         let n = mg.m[mg.lt];
         mg.mg3p(u, r);
         // Recompute the true residual of the updated solution.
         mg.resid_finest(&u[..n * n * n], &mut r[..n * n * n]);
+        true
     }
 
     fn vars(&mut self, it: usize) -> Vec<VarRefMut<'_, R>> {

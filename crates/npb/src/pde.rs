@@ -348,7 +348,7 @@ impl<L: LineOp> Adi<L> {
     pub fn final_error(&self) -> f64 {
         let mut run = self.start::<f64>();
         for step in self.steps() {
-            run.step(step);
+            while !run.step(step) {}
         }
         error_norm(&run.u, FULL).iter().sum()
     }
@@ -364,12 +364,13 @@ struct AdiRun<'a, L, R> {
 }
 
 impl<'a, L: LineOp, R: Real + 'a> AppRun<'a, R> for AdiRun<'a, L, R> {
-    fn step(&mut self, _step: usize) {
+    fn step(&mut self, _step: usize) -> bool {
         self.app.compute_rhs(&self.u, &mut self.rhs);
         for dir in 0..3 {
             self.app.line_solve(&mut self.rhs, dir);
         }
         add_interior(&mut self.u, &self.rhs);
+        true
     }
 
     fn vars(&mut self, step: usize) -> Vec<VarRefMut<'_, R>> {

@@ -83,7 +83,7 @@ struct PitfallRun<R> {
 }
 
 impl<'a, R: Real + 'a> AppRun<'a, R> for PitfallRun<R> {
-    fn step(&mut self, _iter: usize) {
+    fn step(&mut self, _iter: usize) -> bool {
         let x = &self.x;
         self.output = match self.kind {
             // max(5, 2): x[1] loses — zero partial, recorded edge.
@@ -106,6 +106,7 @@ impl<'a, R: Real + 'a> AppRun<'a, R> for PitfallRun<R> {
                 }
             }
         };
+        true
     }
 
     fn vars(&mut self, _iter: usize) -> Vec<VarRefMut<'_, R>> {

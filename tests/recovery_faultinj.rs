@@ -604,6 +604,40 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     });
 }
 
+/// A Pruned variable's `total` is bounded by no stored byte, only by its
+/// last region's end: a CRC-consistent data file declaring 2^40 elements
+/// parses. Restoring it against the analysis is a typed `PlanMismatch`,
+/// decided before the declared total sizes a buffer.
+#[test]
+fn a_total_no_stored_byte_backs_is_refused_before_it_sizes_a_buffer() {
+    use scrutiny_core::restart::{capture_state, materialize_all};
+    use scrutiny_core::tiny::Heat1d;
+    use scrutiny_core::{plan::plans_for, scrutinize, Policy};
+    let app = Heat1d::new(16, 12, 5);
+    let analysis = scrutinize(&app).unwrap();
+    let plans = plans_for(&analysis, Policy::PrunedValue);
+    assert!(matches!(plans[0], VarPlan::Pruned(_)), "temp is pruned");
+    let ser = serialize(&capture_state(&app), &plans).unwrap();
+    // temp's `total` follows its name ("temp" at 18), dtype and mode.
+    let at = 24;
+    assert_eq!(ser.data[at..at + 8], 20u64.to_le_bytes(), "total at {at}");
+    let bad = with_field(&ser.data, at, &(1u64 << 40).to_le_bytes());
+    let checkpoint = Checkpoint::from_bytes(&bad, &ser.aux).unwrap();
+    let (result, allocated) =
+        allocated_during(|| materialize_all(&checkpoint, &analysis, FillPolicy::Zero))
+            .expect("this binary counts allocations");
+    match result {
+        Err(CkptError::PlanMismatch(m)) => assert!(m.contains("temp"), "{m}"),
+        Err(e) => panic!("expected PlanMismatch, got {e}"),
+        Ok(_) => panic!("a 2^40-element temp was materialized"),
+    }
+    let input = bad.len() + ser.aux.len();
+    assert!(
+        allocated <= input + (64 << 10),
+        "allocated {allocated} bytes deciding about {input} input bytes"
+    );
+}
+
 /// FORMATS §9 read a byte at a time: what `payload` decodes to under
 /// `method` for a `raw_len`-byte object, or `None` if it is malformed.
 fn spec_decode(method: u8, payload: &[u8], raw_len: usize) -> Option<Vec<u8>> {

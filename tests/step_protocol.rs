@@ -10,7 +10,9 @@
 //!   logarithmic: `replayed_nodes ≤ C · log2(segments) · recorded_nodes`,
 //!   with snapshot bytes inside the residency budget — where replaying
 //!   every window from the program start (all a closure can do, and all
-//!   any replayer did before step snapshots) breaks the same bound.
+//!   any replayer did before step snapshots) breaks the same bound. The
+//!   bound holds on a tape of a few long steps too (CG), because the
+//!   inner resume points of a step are rungs like its boundaries.
 //! * An application whose snapshot is too large for the ladder's share of
 //!   the budget (FT's frequency-domain state) keeps the full segment
 //!   window and replays from the program start instead of overshooting.
@@ -20,7 +22,7 @@ use scrutiny_core::tiny::Heat1d;
 use scrutiny_core::{record_resumable, LeafSite, ScrutinyApp};
 use scrutiny_faultinj::{allocated_by, CountingAlloc};
 use scrutiny_integration::assert_step_contract;
-use scrutiny_npb::{ad_suite_mini, Ft};
+use scrutiny_npb::{ad_suite_mini, Cg, Ft};
 
 /// Lets the contract weigh every fork against its `snapshot_bytes`.
 #[global_allocator]
@@ -98,6 +100,36 @@ fn replay_work_is_logarithmic_on_a_many_step_tape() {
         linear.replayed_nodes
     );
     assert!(linear.peak_resident_bytes <= budget);
+}
+
+#[test]
+fn replay_work_is_logarithmic_on_a_few_long_steps_tape() {
+    // CG: 3 taped outer steps of ~16 600 nodes over 256-node segments,
+    // 195 segments in all, ~65 a step. Its ten inner conjugate-gradient
+    // iterations a step are what keep a window from being re-recorded
+    // from its step's start (16.7× the tape; 5.1× with them).
+    const SEG: usize = 256;
+    let app = Cg::mini();
+    let (outcome, _, tape, resumable) = record_resumable(
+        &app,
+        TapeConfig {
+            segment_len: SEG,
+            checkpoint: Some(TapeCheckpointConfig::auto()),
+            ..TapeConfig::default()
+        },
+    );
+    let segments = tape.segment_count();
+    assert!(segments >= 100, "{segments} segments");
+    let bound = (C * (segments as f64).log2() * tape.len() as f64) as u64;
+    let (_, stats) = tape
+        .gradient_sweep_replay(outcome.output, SweepConfig::serial(), &resumable)
+        .unwrap();
+    assert!(
+        stats.replayed_nodes <= bound,
+        "resumed walk replayed {} nodes, bound {bound} ({segments} segments, {} recorded)",
+        stats.replayed_nodes,
+        tape.len()
+    );
 }
 
 #[test]
