@@ -266,22 +266,13 @@ pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
 /// verified — so the reader checks a shard against its manifest entry
 /// without hashing the shard again.
 pub(crate) fn decode(stored: &[u8]) -> Result<(Vec<u8>, u32), CkptError> {
-    let body = check_envelope(
-        stored,
-        CONTAINER_MAGIC,
-        CONTAINER_HEADER + 4,
-        "compression container",
-    )?;
-    let version = u32::from_le_bytes(stored[8..12].try_into().unwrap());
-    if version != CONTAINER_VERSION {
-        return Err(CkptError::Corrupt(format!(
-            "unsupported compression container version {version}"
-        )));
-    }
-    let method = stored[12];
-    let raw_len = u64::from_le_bytes(stored[13..21].try_into().unwrap()) as usize;
-    let raw_crc = u32::from_le_bytes(stored[21..25].try_into().unwrap());
-    let payload = &body[CONTAINER_HEADER..];
+    let what = "compression container";
+    let mut c = check_envelope(stored, CONTAINER_MAGIC, CONTAINER_HEADER + 4, what)?;
+    c.version(CONTAINER_VERSION, what)?;
+    let method = c.u8()?;
+    let raw_len = c.u64()? as usize;
+    let raw_crc = c.u32()?;
+    let payload = c.take(c.remaining())?;
     // A run of `MAX_RUN` bytes costs two, so nothing decodes to more than
     // that ratio of its payload; a longer claim must not size a buffer.
     if raw_len > payload.len().saturating_mul(MAX_RUN / 2) {

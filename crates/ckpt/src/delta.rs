@@ -37,7 +37,7 @@
 //! write order (commit marker last) and the byte accounting.
 
 use crate::compress::AtRest;
-use crate::format::{check_envelope, crc32, CkptError, StorageBreakdown};
+use crate::format::{check_envelope, crc32, CkptError, Cursor, StorageBreakdown};
 use crate::names;
 use crate::shard::{seal_shards, ShardManifest};
 use crate::writer::{full_breakdown, put_u32, put_u64, rebalance_breakdown};
@@ -211,19 +211,24 @@ pub fn diff_images(
 /// A delta stored inside a `SCRUTCZB` container is decoded first.
 pub fn parent_version(delta: &[u8]) -> Result<u64, CkptError> {
     if crate::compress::is_container(delta) {
-        return parent_header(&crate::compress::decompress(delta)?);
+        return Ok(open_header(&crate::compress::decompress(delta)?)?.0);
     }
-    parent_header(delta)
+    Ok(open_header(delta)?.0)
 }
 
-fn parent_header(delta: &[u8]) -> Result<u64, CkptError> {
+/// A delta's fixed header, as far as its parent version: the length,
+/// magic and version checked, the cursor left at `page_bytes`. No CRC
+/// pass, so a torn delta whose header is intact still names its parent.
+fn open_header(delta: &[u8]) -> Result<(u64, Cursor<'_>), CkptError> {
     if delta.len() < HEADER_LEN + 4 {
         return Err(CkptError::Corrupt("delta file too short".into()));
     }
-    if &delta[..8] != DELTA_MAGIC {
+    let mut c = Cursor::new(&delta[..delta.len() - 4]);
+    if c.take(8)? != DELTA_MAGIC {
         return Err(CkptError::Corrupt("delta file has wrong magic".into()));
     }
-    Ok(u64::from_le_bytes(delta[12..20].try_into().unwrap()))
+    c.version(DELTA_VERSION, "delta file")?;
+    Ok((c.u64()?, c))
 }
 
 /// Verify a delta file's envelope: length, magic, and the CRC-32
@@ -246,15 +251,17 @@ pub fn apply_delta(parent: &[u8], delta: &[u8]) -> Result<Vec<u8>, CkptError> {
 /// passed [`check_delta`]. Structural bounds (page table, payload
 /// lengths) are still validated here.
 pub(crate) fn apply_delta_verified(parent: &[u8], delta: &[u8]) -> Result<Vec<u8>, CkptError> {
-    let body = &delta[..delta.len() - 4];
-    let page_bytes = u32::from_le_bytes(delta[20..24].try_into().unwrap()) as usize;
+    let (_, mut c) = open_header(delta)?;
+    let page_bytes = c.u32()? as usize;
     if page_bytes == 0 {
         return Err(CkptError::Corrupt(
             "delta file declares zero page size".into(),
         ));
     }
-    let full_len = u64::from_le_bytes(delta[24..32].try_into().unwrap());
-    let npages = u64::from_le_bytes(delta[32..40].try_into().unwrap()) as usize;
+    let full_len = c.u64()?;
+    let npages = c.u64()?;
+    // Every page entry holds at least its `u64` id.
+    let npages = c.count(npages, 8)?;
     // The writer stores every page that reaches past the parent, so an
     // image is never longer than what the two inputs hold; a CRC-consistent
     // length beyond that must not size an allocation.
@@ -271,30 +278,16 @@ pub(crate) fn apply_delta_verified(parent: &[u8], delta: &[u8]) -> Result<Vec<u8
     let keep = parent.len().min(full_len);
     out[..keep].copy_from_slice(&parent[..keep]);
 
-    let mut pos = HEADER_LEN;
     for _ in 0..npages {
-        if pos + 8 > body.len() {
-            return Err(CkptError::Corrupt("delta page table truncated".into()));
-        }
-        let id = u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
+        let id = c.u64()? as usize;
         let start = id
             .checked_mul(page_bytes)
             .filter(|&s| s < full_len)
             .ok_or_else(|| CkptError::Corrupt(format!("delta page {id} lies beyond the image")))?;
         let len = page_bytes.min(full_len - start);
-        if pos + len > body.len() {
-            return Err(CkptError::Corrupt("delta page payload truncated".into()));
-        }
-        copy_page(&mut out[start..start + len], &body[pos..pos + len]);
-        pos += len;
+        copy_page(&mut out[start..start + len], c.take(len)?);
     }
-    if pos != body.len() {
-        return Err(CkptError::Corrupt(format!(
-            "delta file has {} trailing bytes after its page table",
-            body.len() - pos
-        )));
-    }
+    c.finish("delta file")?;
     Ok(out)
 }
 

@@ -1,8 +1,11 @@
 //! Checkpoint format primitives: typed payloads, plans, errors, CRC32,
-//! storage accounting and restore fill policies.
+//! the checked field decoder every reader shares ([`Cursor`]), storage
+//! accounting and restore fill policies.
 
+use crate::compress::LoCodec;
 use crate::Regions;
 use std::fmt;
+use std::slice::ChunksExact;
 
 /// Element type of a checkpoint variable (Table I's data structures).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -487,15 +490,140 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
+/// The one decoder of little-endian fields: every checkpoint format and
+/// every `scrutinyd` frame is read through it. Each read is checked
+/// against the bytes left, and a declared length or count is admitted
+/// ([`Cursor::take`], [`Cursor::count`]) before it sizes a buffer or a
+/// loop, so hostile bytes are a [`CkptError::Corrupt`] — the cursor's
+/// one error — and never a panic or an allocation they do not back.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+/// `b`, exactly `N` bytes long, as an array.
+fn word<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut w = [0; N];
+    w.copy_from_slice(b);
+    w
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the first byte of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+    /// The next `n` bytes. `n` is compared with what is left, never added
+    /// to the position first, so no `n` can overflow.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+        if n > self.remaining() {
+            return Err(CkptError::Corrupt(format!(
+                "truncated: need {n} bytes at offset {}, have {}",
+                self.pos,
+                self.remaining()
+            )));
+        }
+        let s = &self.buf[self.pos..][..n];
+        self.pos += n;
+        Ok(s)
+    }
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CkptError> {
+        Ok(self.take(1)?[0])
+    }
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, CkptError> {
+        Ok(u16::from_le_bytes(word(self.take(2)?)))
+    }
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CkptError> {
+        Ok(u32::from_le_bytes(word(self.take(4)?)))
+    }
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CkptError> {
+        Ok(u64::from_le_bytes(word(self.take(8)?)))
+    }
+    /// A format version (`u32`), refused unless it is `known`: FORMATS §1,
+    /// "readers must reject versions they do not know".
+    pub(crate) fn version(&mut self, known: u32, what: &str) -> Result<(), CkptError> {
+        let v = self.u32()?;
+        if v != known {
+            return Err(CkptError::Corrupt(format!(
+                "unsupported {what} version {v}"
+            )));
+        }
+        Ok(())
+    }
+    /// A string: `u16` byte length, then that many bytes of UTF-8.
+    pub fn str(&mut self) -> Result<&'a str, CkptError> {
+        let len = self.u16()?.into();
+        let at = self.pos;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| CkptError::Corrupt(format!("string at offset {at} is not UTF-8")))
+    }
+    /// Admit a declared count of items at least `item_bytes` wide: never
+    /// more than the bytes left could hold, so a CRC-consistent but
+    /// hostile count cannot size an allocation or a loop.
+    pub fn count(&self, n: u64, item_bytes: usize) -> Result<usize, CkptError> {
+        let room = self.remaining() / item_bytes;
+        if n > room as u64 {
+            return Err(CkptError::Corrupt(format!(
+                "count {n} at offset {} exceeds the {room} items the bytes left have room for",
+                self.pos
+            )));
+        }
+        Ok(n as usize)
+    }
+    /// The object must end where its last field does.
+    pub fn finish(&self, what: &str) -> Result<(), CkptError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CkptError::Corrupt(format!(
+                "{n} trailing bytes after the last field of the {what}"
+            ))),
+        }
+    }
+    /// A section of `n` items exactly `width` bytes wide: the count
+    /// admitted, then the section taken as one slice.
+    pub(crate) fn items(&mut self, n: u64, width: usize) -> Result<ChunksExact<'a, u8>, CkptError> {
+        let n = self.count(n, width)?;
+        Ok(self.take(n * width)?.chunks_exact(width))
+    }
+    pub(crate) fn f64s(&mut self, n: u64) -> Result<Vec<f64>, CkptError> {
+        let items = self.items(n, 8)?;
+        Ok(items.map(|b| f64::from_le_bytes(word(b))).collect())
+    }
+    pub(crate) fn i64s(&mut self, n: u64) -> Result<Vec<i64>, CkptError> {
+        let items = self.items(n, 8)?;
+        Ok(items.map(|b| i64::from_le_bytes(word(b))).collect())
+    }
+    /// A complex element is two doubles, re then im.
+    pub(crate) fn c128s(&mut self, n: u64) -> Result<Vec<(f64, f64)>, CkptError> {
+        let (le, items) = (|b: &[u8]| f64::from_le_bytes(word(b)), self.items(n, 16)?);
+        Ok(items.map(|b| (le(&b[..8]), le(&b[8..]))).collect())
+    }
+    /// Append a tiered `lo` section of `n` elements in `lo`'s encoding.
+    pub(crate) fn los(&mut self, n: u64, lo: LoCodec, out: &mut Vec<f64>) -> Result<(), CkptError> {
+        out.extend(self.items(n, lo.width())?.map(|b| lo.decode(b)));
+        Ok(())
+    }
+}
+
 /// The envelope every `scrutiny-ckpt` file shares: at least `min_len`
 /// bytes, an 8-byte magic, and a CRC-32 trailer over everything before
-/// it. Returns the body (the file minus its trailer).
+/// it. Returns a cursor over the body (the file minus its trailer), past
+/// the magic.
 pub(crate) fn check_envelope<'a>(
     buf: &'a [u8],
     magic: &[u8; 8],
     min_len: usize,
     what: &str,
-) -> Result<&'a [u8], CkptError> {
+) -> Result<Cursor<'a>, CkptError> {
     if buf.len() < min_len {
         return Err(CkptError::Corrupt(format!("{what} too short")));
     }
@@ -503,17 +631,118 @@ pub(crate) fn check_envelope<'a>(
         return Err(CkptError::Corrupt(format!("{what} has wrong magic")));
     }
     let (body, trailer) = buf.split_at(buf.len() - 4);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
+    let expected = Cursor::new(trailer).u32()?;
     let actual = crc32(body);
     if expected != actual {
         return Err(CkptError::ChecksumMismatch { expected, actual });
     }
-    Ok(body)
+    Ok(Cursor { buf: body, pos: 8 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn corrupt<T: fmt::Debug>(r: Result<T, CkptError>) -> String {
+        match r {
+            Err(CkptError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_read_past_the_end_is_corrupt_not_a_panic() {
+        let bytes = [1u8, 0, 0, 0, 0, 0, 0, 0, 0];
+        for len in 0..bytes.len() {
+            let short = &bytes[..len];
+            let at = |k: usize| {
+                let mut c = Cursor::new(short);
+                c.take(k.min(len)).unwrap();
+                c
+            };
+            if len < 1 {
+                corrupt(at(0).u8());
+            }
+            if len < 2 {
+                corrupt(at(0).u16());
+                corrupt(at(0).str());
+            }
+            if len < 4 {
+                corrupt(at(0).u32());
+                corrupt(at(0).version(1, "file"));
+            }
+            if len < 8 {
+                corrupt(at(0).u64());
+                corrupt(at(0).f64s(1));
+                corrupt(at(0).i64s(1));
+            }
+            corrupt(at(0).take(len + 1));
+            corrupt(at(1).take(len.max(1)));
+            corrupt(at(0).c128s(1));
+        }
+        // A string whose declared length runs past the end, or not UTF-8.
+        corrupt(Cursor::new(&[5, 0, b'a']).str());
+        corrupt(Cursor::new(&[2, 0, 0xFF, 0xFE]).str());
+        let m = corrupt(Cursor::new(&[2, 0, 0, 0]).version(1, "shard manifest"));
+        assert!(m.contains("unsupported shard manifest version 2"), "{m}");
+    }
+
+    #[test]
+    fn take_of_any_length_never_overflows_the_position() {
+        let mut c = Cursor::new(&[0; 16]);
+        c.take(3).unwrap();
+        corrupt(c.take(usize::MAX));
+        corrupt(c.take(usize::MAX - 2));
+        assert_eq!(c.remaining(), 13, "a refused read consumes nothing");
+    }
+
+    #[test]
+    fn count_admits_exactly_what_the_bytes_left_can_hold() {
+        let mut c = Cursor::new(&[0; 27]);
+        c.take(2).unwrap();
+        // 25 bytes left: room for 3 items of 8, 25 of 1.
+        assert_eq!(c.count(3, 8).unwrap(), 3);
+        corrupt(c.count(4, 8));
+        assert_eq!(c.count(25, 1).unwrap(), 25);
+        corrupt(c.count(26, 1));
+        corrupt(c.count(u64::MAX, 1));
+        assert_eq!(c.count(0, 16).unwrap(), 0);
+        corrupt(c.count(2, 16));
+        corrupt(c.items(4, 8).map(|_| ()));
+    }
+
+    #[test]
+    fn finish_names_the_trailing_byte_count() {
+        let mut c = Cursor::new(&[7, 1, 2, 3]);
+        assert_eq!(c.u8().unwrap(), 7);
+        let m = corrupt(c.finish("data file"));
+        assert!(
+            m.contains("3 trailing bytes") && m.contains("data file"),
+            "{m}"
+        );
+        c.take(3).unwrap();
+        c.finish("data file").unwrap();
+    }
+
+    #[test]
+    fn fields_decode_little_endian() {
+        let mut bytes = vec![0xAB];
+        bytes.extend(0x0102u16.to_le_bytes());
+        bytes.extend(0x0304_0506u32.to_le_bytes());
+        bytes.extend(0x0708_090A_0B0C_0D0Eu64.to_le_bytes());
+        bytes.extend([2, 0, b'h', b'i']);
+        bytes.extend((-1.5f64).to_le_bytes());
+        bytes.extend((-9i64).to_le_bytes());
+        let mut c = Cursor::new(&bytes);
+        assert_eq!(c.u8().unwrap(), 0xAB);
+        assert_eq!(c.u16().unwrap(), 0x0102);
+        assert_eq!(c.u32().unwrap(), 0x0304_0506);
+        assert_eq!(c.u64().unwrap(), 0x0708_090A_0B0C_0D0E);
+        assert_eq!(c.str().unwrap(), "hi");
+        assert_eq!(c.f64s(1).unwrap(), [-1.5]);
+        assert_eq!(c.i64s(1).unwrap(), [-9]);
+        c.finish("test").unwrap();
+    }
 
     /// The byte-at-a-time loop: the reference [`Crc32::update`]'s lane and
     /// slice-by-8 paths are checked against.

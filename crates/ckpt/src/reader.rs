@@ -12,11 +12,10 @@
 //! the fill evaluated only over the holes between runs.
 
 use crate::compress::LoCodec;
-use crate::format::{check_envelope, CkptError, DType, FillPolicy, VarPlan};
-use crate::writer::{MODE_FULL, MODE_PRUNED, MODE_TIERED};
+use crate::format::{check_envelope, CkptError, Cursor, DType, FillPolicy, VarPlan};
+use crate::writer::{FORMAT_VERSION, FORMAT_VERSION_TIERED, MODE_FULL, MODE_PRUNED, MODE_TIERED};
 use crate::{Region, Regions};
 use std::iter::Peekable;
-use std::slice::ChunksExact;
 
 /// A variable's stored elements in region order, one vector per dtype
 /// (a tiered variable's `hi` section, then its `lo` section upcast to
@@ -138,93 +137,6 @@ pub struct Checkpoint {
     vars: Vec<LoadedVar>,
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-fn le_f64(b: &[u8]) -> f64 {
-    f64::from_le_bytes(b.try_into().unwrap())
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CkptError::Corrupt(format!(
-                "truncated: need {n} bytes at offset {}, file has {}",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, CkptError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// Admit a count a file declares of items at least `item_bytes` wide:
-    /// never more than the bytes left could hold, so a CRC-consistent but
-    /// hostile count cannot size an allocation or a loop.
-    fn count(&self, n: u64, item_bytes: usize) -> Result<usize, CkptError> {
-        let room = (self.buf.len() - self.pos) / item_bytes;
-        if n > room as u64 {
-            return Err(CkptError::Corrupt(format!(
-                "count {n} at offset {} exceeds the {room} items the file has room for",
-                self.pos
-            )));
-        }
-        Ok(n as usize)
-    }
-    /// A section of `n` items exactly `width` bytes wide: the count
-    /// admitted, then the section taken as one slice.
-    fn items(&mut self, n: u64, width: usize) -> Result<ChunksExact<'a, u8>, CkptError> {
-        let n = self.count(n, width)?;
-        Ok(self.take(n * width)?.chunks_exact(width))
-    }
-    fn f64s(&mut self, n: u64) -> Result<Vec<f64>, CkptError> {
-        Ok(self.items(n, 8)?.map(le_f64).collect())
-    }
-    fn i64s(&mut self, n: u64) -> Result<Vec<i64>, CkptError> {
-        let int = |b: &[u8]| i64::from_le_bytes(b.try_into().unwrap());
-        Ok(self.items(n, 8)?.map(int).collect())
-    }
-    /// A complex element is two doubles, re then im.
-    fn c128s(&mut self, n: u64) -> Result<Vec<(f64, f64)>, CkptError> {
-        let pair = |b: &[u8]| (le_f64(&b[..8]), le_f64(&b[8..]));
-        Ok(self.items(n, 16)?.map(pair).collect())
-    }
-    /// Append a tiered `lo` section of `n` elements in `codec`'s encoding.
-    fn los(&mut self, n: u64, codec: LoCodec, out: &mut Vec<f64>) -> Result<(), CkptError> {
-        out.extend(self.items(n, codec.width())?.map(|b| codec.decode(b)));
-        Ok(())
-    }
-    fn name(&mut self) -> Result<String, CkptError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CkptError::Corrupt("variable name is not UTF-8".into()))
-    }
-    /// The body must end where the last variable does.
-    fn finish(&self, what: &str) -> Result<(), CkptError> {
-        match self.buf.len() - self.pos {
-            0 => Ok(()),
-            n => Err(CkptError::Corrupt(format!(
-                "{n} trailing bytes after the last variable of the {what}"
-            ))),
-        }
-    }
-}
-
 fn read_runs(c: &mut Cursor) -> Result<Regions, CkptError> {
     let n = c.u64()?;
     let n = c.count(n, 16)?;
@@ -260,15 +172,14 @@ impl Checkpoint {
     /// Parse a checkpoint from in-memory data + auxiliary file images.
     pub fn from_bytes(data: &[u8], aux: &[u8]) -> Result<Self, CkptError> {
         // --- auxiliary file first: it carries the region tables ----------
-        let body = check_envelope(aux, b"SCRUTAUX", 16, "auxiliary file")?;
-        let mut c = Cursor { buf: body, pos: 8 };
-        let _ver = c.u32()?;
+        let mut c = check_envelope(aux, b"SCRUTAUX", 16, "auxiliary file")?;
+        c.version(FORMAT_VERSION, "auxiliary file")?;
         let nvars = c.u32()?;
         // Every variable takes at least a name length and a mode byte.
         let nvars = c.count(nvars.into(), 3)?;
         let mut plans: Vec<(String, u8, VarPlan)> = Vec::new();
         for _ in 0..nvars {
-            let name = c.name()?;
+            let name = c.str()?.to_owned();
             let mode = c.u8()?;
             let plan = match mode {
                 MODE_FULL => VarPlan::Full,
@@ -289,12 +200,10 @@ impl Checkpoint {
         c.finish("auxiliary file")?;
 
         // --- data file ----------------------------------------------------
-        let body = check_envelope(data, b"SCRUTCKP", 16, "data file")?;
-        let mut c = Cursor { buf: body, pos: 8 };
-        let ver = c.u32()?;
-        let lo_codec = match ver {
-            crate::writer::FORMAT_VERSION => LoCodec::F32,
-            crate::writer::FORMAT_VERSION_TIERED => LoCodec::from_tag(c.u8()?)?,
+        let mut c = check_envelope(data, b"SCRUTCKP", 16, "data file")?;
+        let lo_codec = match c.u32()? {
+            FORMAT_VERSION => LoCodec::F32,
+            FORMAT_VERSION_TIERED => LoCodec::from_tag(c.u8()?)?,
             v => {
                 return Err(CkptError::Corrupt(format!(
                     "unsupported data format version {v}"
@@ -308,11 +217,11 @@ impl Checkpoint {
             )));
         }
         let mut vars = Vec::new();
-        for (aux_name, aux_mode, plan) in plans {
-            let name = c.name()?;
-            if name != aux_name {
+        for (name, aux_mode, plan) in plans {
+            let data_name = c.str()?;
+            if data_name != name {
                 return Err(CkptError::Corrupt(format!(
-                    "variable order mismatch: data {name:?} vs aux {aux_name:?}"
+                    "variable order mismatch: data {data_name:?} vs aux {name:?}"
                 )));
             }
             let dtype = DType::from_tag(c.u8()?)?;

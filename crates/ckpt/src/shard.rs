@@ -363,25 +363,20 @@ impl ShardManifest {
 
     /// Parse and checksum-verify a manifest.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CkptError> {
-        check_envelope(buf, MANIFEST_MAGIC, 8 + 4 + 4 + 8 + 4, "shard manifest")?;
-        let nshards = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-        let total_len = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-        let need = 24 + nshards * 12 + 4;
-        if buf.len() != need {
-            return Err(CkptError::Corrupt(format!(
-                "shard manifest declares {nshards} shards but is {} bytes (expected {need})",
-                buf.len()
-            )));
-        }
+        let what = "shard manifest";
+        let mut c = check_envelope(buf, MANIFEST_MAGIC, 8 + 4 + 4 + 8 + 4, what)?;
+        c.version(MANIFEST_VERSION, what)?;
+        let nshards = c.u32()?;
+        let total_len = c.u64()?;
+        // One `u64` length and one `u32` CRC per shard.
+        let nshards = c.count(nshards.into(), 12)?;
         let mut shard_lens = Vec::with_capacity(nshards);
         let mut shard_crcs = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let off = 24 + i * 12;
-            shard_lens.push(u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()));
-            shard_crcs.push(u32::from_le_bytes(
-                buf[off + 8..off + 12].try_into().unwrap(),
-            ));
+        for _ in 0..nshards {
+            shard_lens.push(c.u64()?);
+            shard_crcs.push(c.u32()?);
         }
+        c.finish(what)?;
         let sum = shard_lens.iter().try_fold(0u64, |a, &l| a.checked_add(l));
         if sum != Some(total_len) {
             return Err(CkptError::Corrupt(

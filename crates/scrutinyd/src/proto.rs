@@ -21,6 +21,8 @@
 //! read into, a [`Response::Bytes`] is written from and read into the
 //! `Vec` its owner keeps.
 
+use scrutiny_ckpt::format::Cursor;
+use scrutiny_ckpt::CkptError;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol version a client states in [`Request::Hello`]; the daemon
@@ -239,55 +241,26 @@ impl Enc {
     }
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Decode `payload` through the checked cursor ([`Cursor`], the one
+/// every checkpoint reader uses too): `fields` reads the body, every byte
+/// must be consumed, and any refusal is one
+/// [`std::io::ErrorKind::InvalidData`].
+fn decode_with<'a, T>(
+    payload: &'a [u8],
+    fields: impl FnOnce(&mut Cursor<'a>) -> Result<T, CkptError>,
+) -> io::Result<T> {
+    let mut d = Cursor::new(payload);
+    let v = fields(&mut d).and_then(|v| d.finish("frame").map(|()| v));
+    v.map_err(|e| match e {
+        CkptError::Corrupt(m) => bad(m),
+        e => bad(e.to_string()),
+    })
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(bad(format!(
-                "frame truncated: wanted {n} more bytes, have {}",
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> io::Result<&'a str> {
-        let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|_| bad("string field is not UTF-8"))
-    }
-    fn blob(&mut self) -> io::Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-    fn done(self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(bad(format!(
-                "frame has {} trailing bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+/// A blob that ends the frame: `u32` length, then its bytes.
+fn blob<'a>(d: &mut Cursor<'a>) -> Result<&'a [u8], CkptError> {
+    let n = d.u32()?;
+    d.take(n as usize)
 }
 
 // --------------------------------------------------------------------------
@@ -346,7 +319,7 @@ fn read_len(r: &mut impl Read) -> io::Result<usize> {
         ));
     }
     r.read_exact(&mut len[1..])?;
-    let n = u32::from_le_bytes(len);
+    let n = decode_with(&len, Cursor::u32)?;
     if n > MAX_FRAME {
         return Err(bad(format!(
             "frame length {n:#x} exceeds the {MAX_FRAME:#x}-byte cap (corrupt length prefix?)"
@@ -442,35 +415,39 @@ impl<'a> Request<'a> {
 
     /// Decode a frame payload; the result borrows from it.
     pub fn decode(payload: &'a [u8]) -> io::Result<Request<'a>> {
-        let mut d = Dec::new(payload);
-        let req = match d.u8()? {
-            OP_HELLO => Request::Hello {
-                version: d.u16()?,
-                tenant: d.str()?,
-            },
-            OP_PUT => Request::Put {
-                name: d.str()?,
-                bytes: d.blob()?,
-            },
-            OP_GET => Request::Get { name: d.str()? },
-            OP_LIST => Request::List,
-            OP_DELETE => Request::Delete { name: d.str()? },
-            OP_MARK => {
-                let label = d.str()?;
-                let n = d.u16()? as usize;
-                let mut fields = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    fields.push((d.str()?, d.str()?));
+        decode_with(payload, |d| {
+            Ok(match d.u8()? {
+                OP_HELLO => Request::Hello {
+                    version: d.u16()?,
+                    tenant: d.str()?,
+                },
+                OP_PUT => Request::Put {
+                    name: d.str()?,
+                    bytes: blob(d)?,
+                },
+                OP_GET => Request::Get { name: d.str()? },
+                OP_LIST => Request::List,
+                OP_DELETE => Request::Delete { name: d.str()? },
+                OP_MARK => {
+                    let label = d.str()?;
+                    let n = d.u16()?;
+                    // A field is two strings, each at least its length.
+                    let n = d.count(n.into(), 4)?;
+                    let fields = (0..n)
+                        .map(|_| Ok((d.str()?, d.str()?)))
+                        .collect::<Result<_, CkptError>>()?;
+                    Request::Mark { label, fields }
                 }
-                Request::Mark { label, fields }
-            }
-            OP_STATS => Request::Stats,
-            OP_PING => Request::Ping,
-            OP_SHUTDOWN => Request::Shutdown,
-            op => return Err(bad(format!("unknown request opcode {op:#04x}"))),
-        };
-        d.done()?;
-        Ok(req)
+                OP_STATS => Request::Stats,
+                OP_PING => Request::Ping,
+                OP_SHUTDOWN => Request::Shutdown,
+                op => {
+                    return Err(CkptError::Corrupt(format!(
+                        "unknown request opcode {op:#04x}"
+                    )))
+                }
+            })
+        })
     }
 }
 
@@ -548,7 +525,7 @@ impl Response {
         let k = n.min(BYTES_HEAD);
         r.read_exact(&mut head[..k])?;
         if k == BYTES_HEAD && head[0] == ST_BYTES {
-            let blob = u32::from_le_bytes(head[1..].try_into().unwrap()) as usize;
+            let blob = decode_with(&head[1..], Cursor::u32)? as usize;
             if blob != n - BYTES_HEAD {
                 return Err(bad(format!(
                     "BYTES frame of {n} bytes declares a {blob}-byte blob"
@@ -561,39 +538,44 @@ impl Response {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Response> {
-        let mut d = Dec::new(payload);
-        let resp = match d.u8()? {
-            ST_OK => Response::Ok,
-            ST_BYTES => Response::Bytes(d.blob()?.to_vec()),
-            ST_NAMES => {
-                let n = d.u32()? as usize;
-                let mut names = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    names.push(d.str()?.to_string());
+        decode_with(payload, |d| {
+            Ok(match d.u8()? {
+                ST_OK => Response::Ok,
+                ST_BYTES => Response::Bytes(blob(d)?.to_vec()),
+                ST_NAMES => {
+                    let n = d.u32()?;
+                    // Every name is at least its 2-byte length.
+                    let n = d.count(n.into(), 2)?;
+                    let names = (0..n)
+                        .map(|_| Ok(d.str()?.to_owned()))
+                        .collect::<Result<_, CkptError>>()?;
+                    Response::Names(names)
                 }
-                Response::Names(names)
-            }
-            ST_STATS => Response::Stats(TenantStats {
-                versions: d.u64()?,
-                objects: d.u64()?,
-                accepted_bytes: d.u64()?,
-                inflight_bytes: d.u64()?,
-            }),
-            ST_NOT_FOUND => Response::NotFound(d.str()?.to_string()),
-            ST_REJECTED => {
-                let code = d.str()?;
-                let reason = RejectReason::from_code(code)
-                    .ok_or_else(|| bad(format!("unknown reject reason {code:?}")))?;
-                Response::Rejected {
-                    reason,
-                    message: d.str()?.to_string(),
+                ST_STATS => Response::Stats(TenantStats {
+                    versions: d.u64()?,
+                    objects: d.u64()?,
+                    accepted_bytes: d.u64()?,
+                    inflight_bytes: d.u64()?,
+                }),
+                ST_NOT_FOUND => Response::NotFound(d.str()?.to_owned()),
+                ST_REJECTED => {
+                    let code = d.str()?;
+                    let reason = RejectReason::from_code(code).ok_or_else(|| {
+                        CkptError::Corrupt(format!("unknown reject reason {code:?}"))
+                    })?;
+                    Response::Rejected {
+                        reason,
+                        message: d.str()?.to_owned(),
+                    }
                 }
-            }
-            ST_ERR => Response::Err(d.str()?.to_string()),
-            st => return Err(bad(format!("unknown response status {st:#04x}"))),
-        };
-        d.done()?;
-        Ok(resp)
+                ST_ERR => Response::Err(d.str()?.to_owned()),
+                st => {
+                    return Err(CkptError::Corrupt(format!(
+                        "unknown response status {st:#04x}"
+                    )))
+                }
+            })
+        })
     }
 }
 
@@ -799,5 +781,13 @@ mod tests {
             let err = Response::read_from(&mut wire.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{blob}");
         }
+        // Hostile counts: `u32::MAX` names in a 9-byte NAMES payload, and
+        // `u16::MAX` MARK fields with none present.
+        let names = [0x82, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, b'a', 0];
+        let err = Response::decode(&names).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mark = [0x06, 1, 0, b'm', 0xFF, 0xFF];
+        let err = Request::decode(&mark).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -602,6 +602,27 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_refused("manifest length sum", bad.len(), || {
         ShardManifest::from_bytes(&bad)
     });
+
+    // A format version no reader knows (2 where each format is at 1),
+    // every other byte intact: the aux file, the shard manifest, and a
+    // delta file where it is applied and where retention peeks at its
+    // parent.
+    let v2 = 2u32.to_le_bytes();
+    let bad = with_field(&ser.aux, 8, &v2);
+    assert_refused("aux version 2", both, || {
+        Checkpoint::from_bytes(&ser.data, &bad)
+    });
+    let bad = with_field(&manifest.to_bytes(), 8, &v2);
+    assert_refused("manifest version 2", bad.len(), || {
+        ShardManifest::from_bytes(&bad)
+    });
+    let bad = with_field(&delta, 8, &v2);
+    assert_refused("delta version 2", parent.len() + bad.len(), || {
+        apply_delta(&parent, &bad)
+    });
+    assert_refused("delta parent peek, version 2", bad.len(), || {
+        scrutiny_ckpt::delta::parent_version(&bad)
+    });
 }
 
 /// A Pruned variable's `total` is bounded by no stored byte, only by its
