@@ -268,7 +268,7 @@ pub fn decompress(stored: &[u8]) -> Result<Vec<u8>, CkptError> {
 pub(crate) fn decode(stored: &[u8]) -> Result<(Vec<u8>, u32), CkptError> {
     let what = "compression container";
     let mut c = check_envelope(stored, CONTAINER_MAGIC, CONTAINER_HEADER + 4, what)?;
-    c.version(CONTAINER_VERSION, what)?;
+    c.version(&[CONTAINER_VERSION], what)?;
     let method = c.u8()?;
     let raw_len = c.u64()? as usize;
     let raw_crc = c.u32()?;

@@ -227,7 +227,7 @@ fn open_header(delta: &[u8]) -> Result<(u64, Cursor<'_>), CkptError> {
     if c.take(8)? != DELTA_MAGIC {
         return Err(CkptError::Corrupt("delta file has wrong magic".into()));
     }
-    c.version(DELTA_VERSION, "delta file")?;
+    c.version(&[DELTA_VERSION], "delta file")?;
     Ok((c.u64()?, c))
 }
 
@@ -395,7 +395,7 @@ pub enum EpochBody<'a> {
 ///
 /// `payload_bytes` is the element payload inside `body` (what
 /// [`crate::shard::serialize_shard`] reports beside its bytes) and `aux`
-/// the epoch's auxiliary file with its region-pair bytes (what
+/// the epoch's auxiliary file with its encoded run bytes (what
 /// [`crate::writer::serialize_aux`] returns); the accounting of storing
 /// `body` whole and uncompressed beside it — what
 /// [`crate::writer::serialize_with`] reports — is derived here, from the
@@ -422,9 +422,9 @@ pub fn publish_epoch(
     rec: &Recorder,
     mut put: impl FnMut(&str, &[u8], Option<usize>) -> Result<(), CkptError>,
 ) -> Result<Published, CkptError> {
-    let (aux, pair_bytes) = aux;
+    let (aux, run_bytes) = aux;
     // Accounting of one data-bearing object stored raw beside `aux`.
-    let account = |len, payload| full_breakdown(len, payload, aux.len(), pair_bytes);
+    let account = |len, payload| full_breakdown(len, payload, aux.len(), run_bytes);
     // (raw, stored) bytes of the objects that went through the codec.
     let mut coded = (0usize, 0usize);
     // `code`: a data-bearing object (image, shard, delta) the at-rest

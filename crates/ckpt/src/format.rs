@@ -141,7 +141,9 @@ impl VarPlan {
 pub struct StorageBreakdown {
     /// Element payload bytes in the data file.
     pub payload_bytes: usize,
-    /// Auxiliary (region table) file bytes.
+    /// Encoded run bytes of the auxiliary (region table) file: each
+    /// critical run's LEB128 gap and length. Its names, modes and run
+    /// counts are header.
     pub aux_bytes: usize,
     /// Headers, names, lengths, CRCs in both files.
     pub header_bytes: usize,
@@ -548,16 +550,40 @@ impl<'a> Cursor<'a> {
     pub fn u64(&mut self) -> Result<u64, CkptError> {
         Ok(u64::from_le_bytes(word(self.take(8)?)))
     }
-    /// A format version (`u32`), refused unless it is `known`: FORMATS §1,
-    /// "readers must reject versions they do not know".
-    pub(crate) fn version(&mut self, known: u32, what: &str) -> Result<(), CkptError> {
+    /// An unsigned LEB128 integer in its one canonical form: seven bits
+    /// per byte, low group first, the high bit set on every byte but the
+    /// last. At most ten bytes, no value past `u64::MAX` (a tenth byte
+    /// above 1), and no trailing zero group (`0x80 0x00` for 0) — so each
+    /// value has exactly one spelling.
+    pub(crate) fn leb128(&mut self) -> Result<u64, CkptError> {
+        let at = self.pos;
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                let why = match (i, b) {
+                    (9, 2..) => "overflows 64 bits",
+                    (1.., 0) => "ends in a zero group",
+                    _ => return Ok(v),
+                };
+                return Err(CkptError::Corrupt(format!("LEB128 at offset {at} {why}")));
+            }
+        }
+        Err(CkptError::Corrupt(format!(
+            "LEB128 at offset {at} is longer than 10 bytes"
+        )))
+    }
+    /// A format version (`u32`), refused unless it is one of `known`:
+    /// FORMATS §1, "readers must reject versions they do not know".
+    pub(crate) fn version(&mut self, known: &[u32], what: &str) -> Result<u32, CkptError> {
         let v = self.u32()?;
-        if v != known {
+        if !known.contains(&v) {
             return Err(CkptError::Corrupt(format!(
                 "unsupported {what} version {v}"
             )));
         }
-        Ok(())
+        Ok(v)
     }
     /// A string: `u16` byte length, then that many bytes of UTF-8.
     pub fn str(&mut self) -> Result<&'a str, CkptError> {
@@ -669,7 +695,7 @@ mod tests {
             }
             if len < 4 {
                 corrupt(at(0).u32());
-                corrupt(at(0).version(1, "file"));
+                corrupt(at(0).version(&[1], "file"));
             }
             if len < 8 {
                 corrupt(at(0).u64());
@@ -683,7 +709,7 @@ mod tests {
         // A string whose declared length runs past the end, or not UTF-8.
         corrupt(Cursor::new(&[5, 0, b'a']).str());
         corrupt(Cursor::new(&[2, 0, 0xFF, 0xFE]).str());
-        let m = corrupt(Cursor::new(&[2, 0, 0, 0]).version(1, "shard manifest"));
+        let m = corrupt(Cursor::new(&[2, 0, 0, 0]).version(&[1], "shard manifest"));
         assert!(m.contains("unsupported shard manifest version 2"), "{m}");
     }
 
@@ -722,6 +748,49 @@ mod tests {
         );
         c.take(3).unwrap();
         c.finish("data file").unwrap();
+    }
+
+    #[test]
+    fn leb128_reads_only_the_canonical_spelling() {
+        let read = |b: &[u8]| {
+            let mut c = Cursor::new(b);
+            c.leb128().and_then(|v| c.finish("varint").map(|()| v))
+        };
+        for (bytes, want) in [
+            (&[0x00][..], 0u64),
+            (&[0x7F], 127),
+            (&[0x80, 0x01], 128),
+            (&[0xE5, 0x8E, 0x26], 624_485),
+            (
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+                u64::MAX,
+            ),
+            (
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+                1 << 63,
+            ),
+        ] {
+            assert_eq!(read(bytes).unwrap(), want, "{bytes:02X?}");
+        }
+        let m = corrupt(read(&[0x80, 0x00]));
+        assert!(m.contains("zero group"), "{m}");
+        let m = corrupt(read(
+            &[0xFF; 9].iter().chain(&[0x02]).copied().collect::<Vec<_>>(),
+        ));
+        assert!(m.contains("overflows 64 bits"), "{m}");
+        let m = corrupt(read(
+            &[0x80; 10]
+                .iter()
+                .chain(&[0x00])
+                .copied()
+                .collect::<Vec<_>>(),
+        ));
+        assert!(m.contains("longer than 10 bytes"), "{m}");
+        // Every strict prefix of a varint is truncated, not a panic.
+        let long = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        for len in 0..long.len() {
+            corrupt(Cursor::new(&long[..len]).leb128());
+        }
     }
 
     #[test]

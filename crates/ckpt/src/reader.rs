@@ -13,7 +13,10 @@
 
 use crate::compress::LoCodec;
 use crate::format::{check_envelope, CkptError, Cursor, DType, FillPolicy, VarPlan};
-use crate::writer::{FORMAT_VERSION, FORMAT_VERSION_TIERED, MODE_FULL, MODE_PRUNED, MODE_TIERED};
+use crate::writer::{
+    AUX_MAGIC, AUX_VERSION, FORMAT_VERSION, FORMAT_VERSION_TIERED, MODE_FULL, MODE_PRUNED,
+    MODE_TIERED,
+};
 use crate::{Region, Regions};
 use std::iter::Peekable;
 
@@ -137,13 +140,33 @@ pub struct Checkpoint {
     vars: Vec<LoadedVar>,
 }
 
-fn read_runs(c: &mut Cursor) -> Result<Regions, CkptError> {
-    let n = c.u64()?;
-    let n = c.count(n, 16)?;
-    let mut runs: Vec<Region> = Vec::with_capacity(n);
+/// One run list of an auxiliary file of `version`: in version 2, `nruns`
+/// and each run's gap from the previous run's end and its length, all
+/// LEB128 (each at least one byte); in version 1, `nruns` and each run's
+/// `start` and `end` as `u64`s. Both are held to one rule: runs non-empty,
+/// ascending, and neither overlapping nor touching.
+fn read_runs(c: &mut Cursor, version: u32) -> Result<Regions, CkptError> {
+    let v2 = version == AUX_VERSION;
+    let n = if v2 { c.leb128()? } else { c.u64()? };
+    let n = c.count(n, if v2 { 2 } else { 16 })?;
+    // Not sized from `n`: a run takes 16 bytes here but as few as 2 in
+    // the file, so the table grows only with the runs actually read.
+    let mut runs: Vec<Region> = Vec::new();
     for _ in 0..n {
-        let start = c.u64()?;
-        let end = c.u64()?;
+        let (start, end) = if v2 {
+            let prev = runs.last().map_or(0, |r| r.end);
+            let (gap, len) = (c.leb128()?, c.leb128()?);
+            let run = prev
+                .checked_add(gap)
+                .and_then(|s| Some((s, s.checked_add(len)?)));
+            run.ok_or_else(|| {
+                CkptError::Corrupt(format!(
+                    "region of gap {gap} and length {len} after {prev} overflows"
+                ))
+            })?
+        } else {
+            (c.u64()?, c.u64()?)
+        };
         if end <= start {
             return Err(CkptError::Corrupt(format!("empty region [{start},{end})")));
         }
@@ -172,8 +195,8 @@ impl Checkpoint {
     /// Parse a checkpoint from in-memory data + auxiliary file images.
     pub fn from_bytes(data: &[u8], aux: &[u8]) -> Result<Self, CkptError> {
         // --- auxiliary file first: it carries the region tables ----------
-        let mut c = check_envelope(aux, b"SCRUTAUX", 16, "auxiliary file")?;
-        c.version(FORMAT_VERSION, "auxiliary file")?;
+        let mut c = check_envelope(aux, AUX_MAGIC, 16, "auxiliary file")?;
+        let version = c.version(&[FORMAT_VERSION, AUX_VERSION], "auxiliary file")?;
         let nvars = c.u32()?;
         // Every variable takes at least a name length and a mode byte.
         let nvars = c.count(nvars.into(), 3)?;
@@ -183,9 +206,9 @@ impl Checkpoint {
             let mode = c.u8()?;
             let plan = match mode {
                 MODE_FULL => VarPlan::Full,
-                MODE_PRUNED => VarPlan::Pruned(read_runs(&mut c)?),
+                MODE_PRUNED => VarPlan::Pruned(read_runs(&mut c, version)?),
                 MODE_TIERED => {
-                    let (hi, lo) = (read_runs(&mut c)?, read_runs(&mut c)?);
+                    let (hi, lo) = (read_runs(&mut c, version)?, read_runs(&mut c, version)?);
                     if !hi.intersect(&lo).is_empty() {
                         return Err(CkptError::Corrupt(format!(
                             "{name:?}: hi and lo regions intersect"
@@ -201,14 +224,10 @@ impl Checkpoint {
 
         // --- data file ----------------------------------------------------
         let mut c = check_envelope(data, b"SCRUTCKP", 16, "data file")?;
-        let lo_codec = match c.u32()? {
+        let known = [FORMAT_VERSION, FORMAT_VERSION_TIERED];
+        let lo_codec = match c.version(&known, "data format")? {
             FORMAT_VERSION => LoCodec::F32,
-            FORMAT_VERSION_TIERED => LoCodec::from_tag(c.u8()?)?,
-            v => {
-                return Err(CkptError::Corrupt(format!(
-                    "unsupported data format version {v}"
-                )))
-            }
+            _ => LoCodec::from_tag(c.u8()?)?,
         };
         let nvars_d = c.u32()? as usize;
         if nvars_d != nvars {
@@ -518,7 +537,8 @@ mod tests {
             Ok(_) => panic!("disagreeing files parsed"),
         };
         // "u" of 8: dtype at data offset 19, mode at 20; the aux file's
-        // mode at 19, and (tiered) the lo run's start at 52.
+        // mode at 19, and (tiered) the lo run's one-byte gap, its start,
+        // at 24.
         let vars = vec![VarRecord::new("u", VarData::F64(vec![0.5; 8]))];
         let runs = |a, b| Regions::from_runs(vec![Region { start: a, end: b }]);
         let ser = serialize(&vars, &[VarPlan::Pruned(runs(0, 4))]).unwrap();
@@ -531,7 +551,8 @@ mod tests {
         let ser = serialize(&vars, &[tiered]).unwrap();
         let m = refusal(&resealed(&ser.data, 19, DType::I64.tag()), &ser.aux);
         assert!(m.contains("must be F64"), "{m}");
-        let m = refusal(&ser.data, &resealed(&ser.aux, 52, 1));
+        assert_eq!(ser.aux[20..26], [1, 0, 2, 1, 4, 4], "hi and lo runs");
+        let m = refusal(&ser.data, &resealed(&ser.aux, 24, 1));
         assert!(m.contains("intersect"), "{m}");
         // One element moved from lo to hi, the data file rebuilt so every
         // length still adds up: hi count 2 at 29, lo count 4 at 53, then

@@ -365,7 +365,7 @@ impl ShardManifest {
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CkptError> {
         let what = "shard manifest";
         let mut c = check_envelope(buf, MANIFEST_MAGIC, 8 + 4 + 4 + 8 + 4, what)?;
-        c.version(MANIFEST_VERSION, what)?;
+        c.version(&[MANIFEST_VERSION], what)?;
         let nshards = c.u32()?;
         let total_len = c.u64()?;
         // One `u64` length and one `u32` CRC per shard.

@@ -12,21 +12,24 @@
 //!                     Full/Pruned: count u64 | raw elements
 //!                     Tiered:      hi u64 | f64 elems | lo u64 | lo elems
 //!            crc32 u32
-//! aux file:  "SCRUTAUX" | version u32 | nvars u32
+//! aux file:  "SCRUTAUX" | version u32 (= 2) | nvars u32
 //!            per var: name_len u16 | name | mode u8
-//!                     Pruned: nruns u64 | (start u64, end u64)*
+//!                     Pruned: nruns | (gap, len)*        all LEB128
 //!                     Tiered: hi nruns+runs | lo nruns+runs
 //!            crc32 u32
 //! ```
 //!
-//! Version 1 stores tiered lo elements as f32; version 2 carries an
-//! explicit [`LoCodec`] tag byte and is emitted **only** when the codec
-//! is not `F32`, so every pre-compression byte stream is still produced
-//! bit-identically and old files parse unchanged.
+//! Data version 1 stores tiered lo elements as f32; data version 2
+//! carries an explicit [`LoCodec`] tag byte and is emitted **only** when
+//! the codec is not `F32`, so every pre-compression data file is still
+//! produced bit-identically and old files parse unchanged.
 //!
-//! The auxiliary file is exactly the paper's §III.B structure: start/end of
-//! every contiguous critical region, so restart can place each stored
-//! element at its original offset.
+//! The auxiliary file is the paper's §III.B structure: the start and end
+//! of every contiguous critical region, so restart can place each stored
+//! element at its original offset. Version 2 stores a run as its gap
+//! from the previous run's end (the first run's gap is its start) and
+//! its length, each an unsigned LEB128; version 1, which stored `start`
+//! and `end` as two `u64`s, is still read.
 
 use crate::compress::LoCodec;
 use crate::format::{crc32, CkptError, StorageBreakdown, VarPlan, VarRecord};
@@ -36,9 +39,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub(crate) const DATA_MAGIC: &[u8; 8] = b"SCRUTCKP";
-const AUX_MAGIC: &[u8; 8] = b"SCRUTAUX";
+pub(crate) const AUX_MAGIC: &[u8; 8] = b"SCRUTAUX";
 pub(crate) const FORMAT_VERSION: u32 = 1;
 pub(crate) const FORMAT_VERSION_TIERED: u32 = 2;
+/// The auxiliary file's runs as LEB128 (gap, length) pairs; the only
+/// version written. Version 1 ([`FORMAT_VERSION`]) is read too.
+pub(crate) const AUX_VERSION: u32 = 2;
 
 pub(crate) const MODE_FULL: u8 = 0;
 pub(crate) const MODE_PRUNED: u8 = 1;
@@ -72,13 +78,26 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_runs(out: &mut Vec<u8>, regions: &Regions) -> usize {
-    put_u64(out, regions.run_count() as u64);
-    for r in regions.runs() {
-        put_u64(out, r.start);
-        put_u64(out, r.end);
+/// `v` as an unsigned LEB128 in its canonical (shortest) form.
+fn put_leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
     }
-    regions.run_count() * 16
+    out.push(v as u8);
+}
+
+/// `regions` as `nruns`, then each run's gap from the previous run's end
+/// and its length; returns the bytes of the (gap, length) pairs.
+fn put_runs(out: &mut Vec<u8>, regions: &Regions) -> usize {
+    put_leb128(out, regions.run_count() as u64);
+    let (before, mut end) = (out.len(), 0);
+    for r in regions.runs() {
+        put_leb128(out, r.start - end);
+        put_leb128(out, r.len());
+        end = r.end;
+    }
+    out.len() - before
 }
 
 pub(crate) fn validate(vars: &[VarRecord], plans: &[VarPlan]) -> Result<(), CkptError> {
@@ -158,13 +177,15 @@ pub fn serialize_data_with(
     Ok((seal_image(shards), payload))
 }
 
-/// Serialize the auxiliary region file; returns `(bytes, region_pair_bytes)`.
+/// Serialize the auxiliary region file (version 2); returns `(bytes,
+/// run_bytes)`, the second the encoded run bytes: every run's LEB128 gap
+/// and length.
 pub fn serialize_aux(vars: &[VarRecord], plans: &[VarPlan]) -> (Vec<u8>, usize) {
     let mut out = Vec::new();
     out.extend_from_slice(AUX_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
+    put_u32(&mut out, AUX_VERSION);
     put_u32(&mut out, vars.len() as u32);
-    let mut pair_bytes = 0usize;
+    let mut run_bytes = 0usize;
     for (v, p) in vars.iter().zip(plans) {
         let name = v.name.as_bytes();
         put_u16(&mut out, name.len() as u16);
@@ -172,16 +193,16 @@ pub fn serialize_aux(vars: &[VarRecord], plans: &[VarPlan]) -> (Vec<u8>, usize) 
         out.push(plan_mode(p));
         match p {
             VarPlan::Full => {}
-            VarPlan::Pruned(r) => pair_bytes += put_runs(&mut out, r),
+            VarPlan::Pruned(r) => run_bytes += put_runs(&mut out, r),
             VarPlan::Tiered { hi, lo } => {
-                pair_bytes += put_runs(&mut out, hi);
-                pair_bytes += put_runs(&mut out, lo);
+                run_bytes += put_runs(&mut out, hi);
+                run_bytes += put_runs(&mut out, lo);
             }
         }
     }
     let crc = crc32(&out);
     put_u32(&mut out, crc);
-    (out, pair_bytes)
+    (out, run_bytes)
 }
 
 /// Serialize both files with storage accounting.
@@ -197,9 +218,9 @@ pub fn serialize_with(
     lo_codec: LoCodec,
 ) -> Result<SerializedCheckpoint, CkptError> {
     let (data, payload_bytes) = serialize_data_with(vars, plans, lo_codec)?;
-    let (aux, pair_bytes) = serialize_aux(vars, plans);
+    let (aux, run_bytes) = serialize_aux(vars, plans);
     Ok(SerializedCheckpoint {
-        breakdown: full_breakdown(data.len(), payload_bytes, aux.len(), pair_bytes),
+        breakdown: full_breakdown(data.len(), payload_bytes, aux.len(), run_bytes),
         data,
         aux,
     })
@@ -208,7 +229,7 @@ pub fn serialize_with(
 /// Byte accounting of one data-bearing object (a sealed data file, or a
 /// delta) of `data_len` bytes holding `payload_bytes` of elements, stored
 /// uncompressed beside an auxiliary file of `aux_len` bytes holding
-/// `pair_bytes` of region pairs. What is neither is header.
+/// `run_bytes` of encoded run bytes. What is neither is header.
 /// [`serialize_with`] reports it for the data file, and
 /// [`crate::delta::publish_epoch`] starts every layout's accounting from
 /// it.
@@ -216,12 +237,12 @@ pub(crate) fn full_breakdown(
     data_len: usize,
     payload_bytes: usize,
     aux_len: usize,
-    pair_bytes: usize,
+    run_bytes: usize,
 ) -> StorageBreakdown {
     StorageBreakdown {
         payload_bytes,
-        aux_bytes: pair_bytes,
-        header_bytes: data_len - payload_bytes + (aux_len - pair_bytes),
+        aux_bytes: run_bytes,
+        header_bytes: data_len - payload_bytes + (aux_len - run_bytes),
     }
 }
 
@@ -306,7 +327,7 @@ mod tests {
         ];
         let ser = serialize(&vars, &plans).unwrap();
         assert_eq!(ser.breakdown.payload_bytes, 15 * 8 + 2 * 16 + 8);
-        assert_eq!(ser.breakdown.aux_bytes, 16); // one region pair
+        assert_eq!(ser.breakdown.aux_bytes, 2); // one run: gap 0, length 15
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub struct Table3Row {
     pub original_kib: f64,
     /// Pruned-checkpoint payload in KiB (paper's "Optimized").
     pub optimized_kib: f64,
-    /// Auxiliary-file bytes (region pairs) in KiB — the cost the paper's
-    /// table leaves implicit.
+    /// Auxiliary-file encoded run bytes (each critical run's LEB128 gap
+    /// and length) in KiB — the cost the paper's table leaves implicit.
     pub aux_kib: f64,
 }
 

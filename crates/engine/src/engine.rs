@@ -442,7 +442,7 @@ fn publish_loop(shared: &Shared, submissions: Receiver<Submission>) {
             })?;
             let payload_bytes = segments.iter().map(|(_, payload)| payload).sum();
             let mut shards: Vec<Vec<u8>> = segments.into_iter().map(|(bytes, _)| bytes).collect();
-            let (aux, pair_bytes) = serialize_aux(vars, plans);
+            let (aux, run_bytes) = serialize_aux(vars, plans);
             // Sharded segments go to `publish_epoch` as they are; it seals
             // them beside their manifest.
             let image =
@@ -473,7 +473,7 @@ fn publish_loop(shared: &Shared, submissions: Receiver<Submission>) {
                 v,
                 body,
                 payload_bytes,
-                (&aux, pair_bytes),
+                (&aux, run_bytes),
                 cfg.codec.at_rest,
                 &obs.rec,
                 |name, bytes, compressed_from| {

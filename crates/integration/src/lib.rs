@@ -24,10 +24,11 @@
 //!
 //! The format oracles live here too, outside the product:
 //! [`direct_serialize_data`] (the `SCRUTCKP` data file written variable by
-//! variable), [`czb_bytewise`] (the `SCRUTCZB` container encoded a byte
-//! at a time) and [`crc32_bitwise`] share nothing with `scrutiny-ckpt`'s
-//! one encoder, its word-at-a-time codec and its three-lane CRC but
-//! `docs/FORMATS.md`; [`Dual`], forward-mode dual numbers, shares nothing
+//! variable), [`aux_v1`] (the version-1 `SCRUTAUX` file the writer no
+//! longer emits), [`czb_bytewise`] (the `SCRUTCZB` container encoded a
+//! byte at a time) and [`crc32_bitwise`] share nothing with
+//! `scrutiny-ckpt`'s one encoder, its word-at-a-time codec and its
+//! three-lane CRC but `docs/FORMATS.md`; [`Dual`], forward-mode dual numbers, shares nothing
 //! with the reverse-mode tape but [`Real`].
 //!
 //! [`assert_cuts_recover`] holds every writer to FORMATS §7 over the
@@ -454,6 +455,36 @@ pub fn direct_serialize_data(
     }
     out.extend(crc32_bitwise(&out).to_le_bytes());
     (out, payload)
+}
+
+/// The `SCRUTAUX` file of `docs/FORMATS.md` §4 in its version-1 layout,
+/// written directly: each run list as `nruns` and every run's `start`
+/// and `end`, all `u64`. The writer emits only version 2; this is the
+/// reference the version-1 reader is fed with. `vars`/`plans` must be a
+/// valid pairing.
+pub fn aux_v1(vars: &[VarRecord], plans: &[VarPlan]) -> Vec<u8> {
+    let mut out = b"SCRUTAUX".to_vec();
+    out.extend(1u32.to_le_bytes());
+    out.extend((vars.len() as u32).to_le_bytes());
+    for (v, p) in vars.iter().zip(plans) {
+        out.extend((v.name.len() as u16).to_le_bytes());
+        out.extend(v.name.as_bytes());
+        let (mode, lists) = match p {
+            VarPlan::Full => (0u8, vec![]),
+            VarPlan::Pruned(r) => (1, vec![r]),
+            VarPlan::Tiered { hi, lo } => (2, vec![hi, lo]),
+        };
+        out.push(mode);
+        for runs in lists {
+            out.extend((runs.run_count() as u64).to_le_bytes());
+            for r in runs.runs() {
+                out.extend(r.start.to_le_bytes());
+                out.extend(r.end.to_le_bytes());
+            }
+        }
+    }
+    out.extend(crc32_bitwise(&out).to_le_bytes());
+    out
 }
 
 /// Assert that `run.snapshot_bytes()` is what a fork of `run` really

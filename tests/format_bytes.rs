@@ -1,10 +1,11 @@
 //! The on-disk formats pinned by bytes: the `SCRUTCKP` data file (version
-//! 1 and version 2), the `SCRUTAUX` region file and the `SCRUTSHM` shard
-//! manifest of one tiny state, and the `SCRUTCZB` containers of one short
-//! input under every at-rest method, spelled here byte by byte from
-//! `docs/FORMATS.md` §3–§5 and §9 — not produced by a second encoder —
-//! and compared with what the one encoder emits. Trailers come from the
-//! bit-at-a-time CRC oracle, so not even the checksum code is shared.
+//! 1 and version 2), the `SCRUTAUX` region file (version 2, written, and
+//! version 1, still read) and the `SCRUTSHM` shard manifest of one tiny
+//! state, and the `SCRUTCZB` containers of one short input under every
+//! at-rest method, spelled here byte by byte from `docs/FORMATS.md` §3–§5
+//! and §9 — not produced by a second encoder — and compared with what the
+//! one encoder emits. Trailers come from the bit-at-a-time CRC oracle, so
+//! not even the checksum code is shared.
 
 use scrutiny_ckpt::compress::{compress, decompress};
 use scrutiny_ckpt::writer::serialize_with;
@@ -12,7 +13,7 @@ use scrutiny_ckpt::{
     plan_shards_with, seal_image, seal_shards, serialize_shard, AtRest, Checkpoint, FillPolicy,
     LoCodec, Region, Regions, ShardManifest, VarData, VarPlan, VarRecord,
 };
-use scrutiny_integration::crc32_bitwise;
+use scrutiny_integration::{aux_v1, crc32_bitwise};
 
 /// One variable per plan kind and dtype: a `Full` i64, a `Pruned` f64, a
 /// `Tiered` f64 and a (`Full`) c128.
@@ -111,32 +112,58 @@ fn data_v2_keep3() -> Vec<u8> {
     data_file(&[2, 0, 0, 0, 3], &[0, 0x04, 0x40, 0, 0x0A, 0xC0])
 }
 
+/// The auxiliary file of [`tiny_state`], version 2: each run list is
+/// `nruns`, then every run's gap from the previous run's end and its
+/// length, all LEB128 (here each one byte).
 fn aux_file() -> Vec<u8> {
     sealed(&[
         b"SCRUTAUX",
-        &[1, 0, 0, 0], // version
+        &[2, 0, 0, 0], // version
         &[4, 0, 0, 0], // nvars
         &[2, 0],
         b"it",
         &[0], // Full: no runs
         &[1, 0],
         b"u",
-        &[1], // Pruned: one run [1, 3)
-        &u64le(1),
-        &u64le(1),
-        &u64le(3),
+        &[1],    // Pruned: one run [1, 3)
+        &[1],    // nruns
+        &[1, 2], // gap 1, length 2
         &[1, 0],
         b"t",
-        &[2], // Tiered: hi one run [0, 1), lo one run [2, 4)
-        &u64le(1),
-        &u64le(0),
-        &u64le(1),
-        &u64le(1),
-        &u64le(2),
-        &u64le(4),
+        &[2],    // Tiered: hi one run [0, 1), lo one run [2, 4)
+        &[1],    // hi nruns
+        &[0, 1], // gap 0, length 1
+        &[1],    // lo nruns: its gap counts from 0, not from hi
+        &[2, 2], // gap 2, length 2
         &[1, 0],
         b"z",
         &[0],
+    ])
+}
+
+/// A version-2 run list with a multi-byte gap: "w" of 300 elements
+/// stored as [1, 3), [200, 201) and [203, 300).
+fn multirun_state() -> (Vec<VarRecord>, Vec<VarPlan>) {
+    let runs = [(1, 3), (200, 201), (203, 300)].map(|(start, end)| Region { start, end });
+    (
+        vec![VarRecord::new("w", VarData::F64(vec![0.25; 300]))],
+        vec![VarPlan::Pruned(Regions::from_runs(runs.to_vec()))],
+    )
+}
+
+fn multirun_aux() -> Vec<u8> {
+    sealed(&[
+        b"SCRUTAUX",
+        &[2, 0, 0, 0], // version
+        &[1, 0, 0, 0], // nvars
+        &[1, 0],
+        b"w",
+        &[1],          // Pruned
+        &[3],          // nruns
+        &[1, 2],       // [1, 3): gap 1, length 2
+        &[0xC5, 0x01], // [200, 201): gap 197 = 0x45 | 1 << 7…
+        &[1],          // …length 1
+        &[2, 97],      // [203, 300): gap 2, length 97
     ])
 }
 
@@ -151,10 +178,11 @@ fn the_encoder_emits_exactly_the_documented_bytes() {
         assert_eq!(ser.data, want, "{codec:?} data file");
         assert_eq!(ser.aux, aux_file(), "{codec:?} aux file");
         // 16 bytes each of i64, pruned f64 and c128 payload, 8 of hi, and
-        // two lo elements; three region pairs; the rest is header.
+        // two lo elements; three runs of two one-byte varints; the rest is
+        // header.
         let payload = 16 + 16 + 8 + 2 * codec.width() + 16;
         assert_eq!(ser.breakdown.payload_bytes, payload);
-        assert_eq!(ser.breakdown.aux_bytes, 3 * 16);
+        assert_eq!(ser.breakdown.aux_bytes, 3 * 2);
         assert_eq!(ser.breakdown.total(), want.len() + aux_file().len());
 
         // Any chunking of the same plan is the same file.
@@ -165,6 +193,20 @@ fn the_encoder_emits_exactly_the_documented_bytes() {
             .collect();
         assert_eq!(seal_image(shards.clone()), want, "{codec:?} image");
         assert_eq!(seal_shards(shards).0.concat(), want, "{codec:?} shards");
+    }
+}
+
+#[test]
+fn the_aux_file_spells_gaps_and_lengths_in_leb128() {
+    let (vars, plans) = multirun_state();
+    let ser = serialize_with(&vars, &plans, LoCodec::F32).unwrap();
+    assert_eq!(ser.aux, multirun_aux());
+    assert_eq!(ser.breakdown.aux_bytes, 2 + 3 + 2);
+    // Version 2 and the version-1 spelling of the same runs read back to
+    // the same plan.
+    for aux in [multirun_aux(), aux_v1(&vars, &plans)] {
+        let ck = Checkpoint::from_bytes(&ser.data, &aux).unwrap();
+        assert_eq!(ck.var("w").unwrap().plan, plans[0]);
     }
 }
 
@@ -200,12 +242,53 @@ fn the_manifest_is_exactly_the_documented_bytes() {
     assert_eq!(ShardManifest::from_bytes(&want).unwrap(), manifest);
 }
 
+/// The auxiliary file of [`tiny_state`] in the version-1 layout the
+/// writer no longer emits: `nruns` and every run's `start` and `end`, all
+/// `u64`.
+fn aux_file_v1() -> Vec<u8> {
+    sealed(&[
+        b"SCRUTAUX",
+        &[1, 0, 0, 0], // version
+        &[4, 0, 0, 0], // nvars
+        &[2, 0],
+        b"it",
+        &[0], // Full: no runs
+        &[1, 0],
+        b"u",
+        &[1], // Pruned: one run [1, 3)
+        &u64le(1),
+        &u64le(1),
+        &u64le(3),
+        &[1, 0],
+        b"t",
+        &[2], // Tiered: hi one run [0, 1), lo one run [2, 4)
+        &u64le(1),
+        &u64le(0),
+        &u64le(1),
+        &u64le(1),
+        &u64le(2),
+        &u64le(4),
+        &[1, 0],
+        b"z",
+        &[0],
+    ])
+}
+
 #[test]
 fn the_documented_bytes_read_back() {
-    let aux = aux_file();
-    // 2.5 and −3.25 are exact in an f32 and in three bytes alike.
-    for data in [data_v1(), data_v2_keep3()] {
+    let (vars, plans) = tiny_state();
+    // The test-side version-1 writer spells the same bytes.
+    assert_eq!(aux_v1(&vars, &plans), aux_file_v1());
+    // 2.5 and −3.25 are exact in an f32 and in three bytes alike; both
+    // auxiliary file versions read back to the same plans.
+    for (data, aux) in [data_v1(), data_v2_keep3()]
+        .into_iter()
+        .flat_map(|data| [(data.clone(), aux_file()), (data, aux_file_v1())])
+    {
         let ck = Checkpoint::from_bytes(&data, &aux).unwrap();
+        for (name, plan) in ["it", "u", "t", "z"].iter().zip(&plans) {
+            assert_eq!(&ck.var(name).unwrap().plan, plan, "{name}");
+        }
         assert_eq!(ck.names(), ["it", "u", "t", "z"]);
         assert_eq!(ck.var("it").unwrap().materialize_i64(0).unwrap(), [7, -2]);
         let hole = FillPolicy::Sentinel(-9.0);

@@ -305,12 +305,22 @@ fn every_version_corrupt_is_a_typed_unrecoverable_error() {
 /// payload byte of the newest version flipped, `CheckpointStore::
 /// recover_latest` and `RecoveryManager::recover_latest` both reject it
 /// by name and return the previous version, bit-identical to its
-/// blocking save.
+/// blocking save. A store of mixed aux versions too: version 1's aux
+/// file replaced by its version-1 spelling, which both faces return as
+/// stored.
 #[test]
 fn store_and_manager_fall_back_alike_past_a_damaged_newest_version() {
-    for layout in ["monolithic", "delta", "sharded"] {
-        let dir =
-            std::env::temp_dir().join(format!("scrutiny_faces_{layout}_{}", std::process::id()));
+    for (layout, v1_aux) in [
+        ("monolithic", false),
+        ("delta", false),
+        ("sharded", false),
+        ("delta", true),
+    ] {
+        let case = format!("{layout}{}", if v1_aux { ", v1 aux" } else { "" });
+        let dir = std::env::temp_dir().join(format!(
+            "scrutiny_faces_{layout}_{v1_aux}_{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut expected = Vec::new();
         if layout == "sharded" {
@@ -347,6 +357,11 @@ fn store_and_manager_fall_back_alike_past_a_damaged_newest_version() {
             }
         }
         let files = Arc::new(DirBackend::open(&dir).unwrap());
+        if v1_aux {
+            let (vars, plans) = epoch_state(1);
+            expected[1].1 = scrutiny_integration::aux_v1(&vars, &plans);
+            files.put(&names::aux(1), &expected[1].1).unwrap();
+        }
         let damaged = StorageScenario::FlippedPayloadByte
             .inject(files.as_ref(), 2)
             .unwrap();
@@ -363,10 +378,10 @@ fn store_and_manager_fall_back_alike_past_a_damaged_newest_version() {
             .recover_latest()
             .unwrap();
         for (face, r) in [("store", &by_store), ("RecoveryManager", &by_manager)] {
-            assert_eq!(r.version, 1, "{layout}: {face}");
-            assert_eq!(r.report.rejected_versions(), vec![2], "{layout}: {face}");
-            assert!(r.data == expected[1].0, "{layout}: {face}: data image");
-            assert!(r.aux == expected[1].1, "{layout}: {face}: aux image");
+            assert_eq!(r.version, 1, "{case}: {face}");
+            assert_eq!(r.report.rejected_versions(), vec![2], "{case}: {face}");
+            assert!(r.data == expected[1].0, "{case}: {face}: data image");
+            assert!(r.aux == expected[1].1, "{case}: {face}: aux image");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -375,9 +390,15 @@ fn store_and_manager_fall_back_alike_past_a_damaged_newest_version() {
 /// Overwrite the field at `at` of a CRC-trailed object and re-seal the
 /// trailer, so only the field itself — not the envelope — is wrong.
 fn with_field(object: &[u8], at: usize, field: &[u8]) -> Vec<u8> {
-    let mut body = object[..object.len() - 4].to_vec();
-    body[at..at + field.len()].copy_from_slice(field);
-    resealed(&body)
+    spliced(object, at, field.len(), field)
+}
+
+/// Replace the `width` bytes at `at` of a CRC-trailed object by `field`,
+/// of any length, and re-seal the trailer: a variable-width field (an
+/// aux file's LEB128) rewritten.
+fn spliced(object: &[u8], at: usize, width: usize, field: &[u8]) -> Vec<u8> {
+    let body = &object[..object.len() - 4];
+    resealed(&[&body[..at], field, &body[at + width..]].concat())
 }
 
 /// `body` sealed with its CRC-32 trailer.
@@ -450,6 +471,7 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     use scrutiny_ckpt::compress::{compress, decompress};
     use scrutiny_ckpt::delta::{apply_delta, diff_images};
     use scrutiny_ckpt::{AtRest, Region, ShardManifest};
+    use scrutiny_integration::aux_v1;
     let huge = (1u64 << 60).to_le_bytes();
 
     // SCRUTDLT: `full_len` (offset 24) sizes the reconstructed image.
@@ -467,12 +489,14 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_eq!(apply_delta(&parent, &delta).unwrap(), grown);
 
     // SCRUTCKP / SCRUTAUX of one Pruned variable "u": the data file's
-    // element count sits at offset 29, the aux file's `nvars` at 12 and
-    // its run count at 20.
+    // element count sits at offset 29; the version-1 aux file's `nvars` at
+    // 12 and its run count at 20.
     let runs = |a: u64, b: u64| Regions::from_runs(vec![Region { start: a, end: b }]);
     let vars = vec![VarRecord::new("u", VarData::F64(vec![1.5; 64]))];
-    let ser = serialize(&vars, &[VarPlan::Pruned(runs(8, 40))]).unwrap();
-    let both = ser.data.len() + ser.aux.len();
+    let plans = [VarPlan::Pruned(runs(8, 40))];
+    let ser = serialize(&vars, &plans).unwrap();
+    let v1 = aux_v1(&vars, &plans);
+    let both = ser.data.len() + v1.len();
     for (what, at, field) in [
         ("data element count", 29, &huge[..]),
         ("data nvars", 12, &u32::MAX.to_le_bytes()[..]),
@@ -486,9 +510,16 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
         // Under the old plausibility cap of 2^32 runs, still 32 GiB.
         ("aux run count 2^31", 20, &(1u64 << 31).to_le_bytes()[..]),
     ] {
-        let bad = with_field(&ser.aux, at, field);
+        let bad = with_field(&v1, at, field);
         assert_refused(what, both, || Checkpoint::from_bytes(&ser.data, &bad));
     }
+    // Version 2 spells the run count as a LEB128 at 20, here one byte.
+    assert_eq!(ser.aux[20..23], [1, 8, 32], "nruns 1, gap 8, length 32");
+    let v2_count = [[0x80; 8].as_slice(), &[0x10]].concat(); // 2^60
+    let bad = spliced(&ser.aux, 20, 1, &v2_count);
+    assert_refused("aux v2 run count 2^60", both, || {
+        Checkpoint::from_bytes(&ser.data, &bad)
+    });
 
     // A Tiered variable "t": hi count at 29, then 4 hi elements, lo count
     // at 69; aux hi run count at 20, one run, lo run count at 44.
@@ -497,13 +528,14 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
         hi: runs(0, 4),
         lo: runs(8, 12),
     };
-    let ser = serialize(&vars, &[plan]).unwrap();
+    let plans = [plan];
+    let ser = serialize(&vars, &plans).unwrap();
     let both = ser.data.len() + ser.aux.len();
     for (what, at) in [("tiered hi count", 29), ("tiered lo count", 69)] {
         let bad = with_field(&ser.data, at, &huge);
         assert_refused(what, both, || Checkpoint::from_bytes(&bad, &ser.aux));
     }
-    let bad = with_field(&ser.aux, 44, &huge);
+    let bad = with_field(&aux_v1(&vars, &plans), 44, &huge);
     assert_refused("aux lo run count", both, || {
         Checkpoint::from_bytes(&ser.data, &bad)
     });
@@ -558,20 +590,51 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
         );
     }
 
-    // Region tables themselves: ten elements stored as [0,4),[6,10), run 1
-    // at aux offset 44 rewritten to overlap run 0, or to end past the
-    // variable. Both still store eight elements, so only the tables are
-    // wrong — and recovery must step over the version that carries them.
+    // Region tables themselves: ten elements stored as [0,4),[6,10). In
+    // the version-1 file, run 1 at offset 44 rewritten to overlap run 0,
+    // or to end past the variable. In version 2 (nruns at 20, then gap
+    // and length, one byte each, at 21–24), varints that are not
+    // canonical, a run touching its predecessor (gap 0), an empty run,
+    // a run past the variable, and a start or an end past 2^64 − 1. All
+    // still store eight elements, so only the tables are wrong — and
+    // recovery must step over the version that carries them.
     let vars = vec![VarRecord::new("u", VarData::F64(vec![0.5; 10]))];
     let plans = [VarPlan::Pruned(Regions::from_runs(vec![
         Region { start: 0, end: 4 },
         Region { start: 6, end: 10 },
     ]))];
     let ser = serialize(&vars, &plans).unwrap();
-    let both = ser.data.len() + ser.aux.len();
-    for (what, start, end) in [("overlapping runs", 2u64, 6u64), ("run past total", 20, 24)] {
-        let run = [start.to_le_bytes(), end.to_le_bytes()].concat();
-        let bad = with_field(&ser.aux, 44, &run);
+    let v1 = aux_v1(&vars, &plans);
+    let both = ser.data.len() + v1.len();
+    assert_eq!(
+        ser.aux[20..25],
+        [2, 0, 4, 2, 4],
+        "nruns, then (gap, length)×2"
+    );
+    let v1_run = |start: u64, end: u64| {
+        with_field(&v1, 44, &[start.to_le_bytes(), end.to_le_bytes()].concat())
+    };
+    let v2_field = |at: usize, field: &[u8]| spliced(&ser.aux, at, 1, field);
+    let u64_max = [[0xFF; 9].as_slice(), &[0x01]].concat();
+    let u64_max_less_1 = [[0xFE].as_slice(), &[0xFF; 8], &[0x01]].concat();
+    for (what, bad) in [
+        ("v1 overlapping runs", v1_run(2, 6)),
+        ("v1 run past total", v1_run(20, 24)),
+        (
+            "v2 11-byte varint",
+            v2_field(23, &[[0x80; 10].as_slice(), &[0]].concat()),
+        ),
+        (
+            "v2 10th varint byte > 1",
+            v2_field(23, &[[0xFF; 9].as_slice(), &[0x02]].concat()),
+        ),
+        ("v2 overlong 0x80 0x00", v2_field(23, &[0x80, 0x00])),
+        ("v2 gap 0 between runs", v2_field(23, &[0])),
+        ("v2 length 0", v2_field(22, &[0])),
+        ("v2 run past total", v2_field(23, &[20])),
+        ("v2 start overflows", v2_field(23, &u64_max)),
+        ("v2 start + length overflows", v2_field(21, &u64_max_less_1)),
+    ] {
         assert_refused(what, both, || Checkpoint::from_bytes(&ser.data, &bad));
 
         let mem = Arc::new(MemBackend::new());
@@ -603,13 +666,13 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
         ShardManifest::from_bytes(&bad)
     });
 
-    // A format version no reader knows (2 where each format is at 1),
-    // every other byte intact: the aux file, the shard manifest, and a
-    // delta file where it is applied and where retention peeks at its
-    // parent.
+    // A format version no reader knows (3 where the aux file is at 2, 2
+    // where each other format is at 1), every other byte intact: the aux
+    // file, the shard manifest, and a delta file where it is applied and
+    // where retention peeks at its parent.
     let v2 = 2u32.to_le_bytes();
-    let bad = with_field(&ser.aux, 8, &v2);
-    assert_refused("aux version 2", both, || {
+    let bad = with_field(&ser.aux, 8, &3u32.to_le_bytes());
+    assert_refused("aux version 3", both, || {
         Checkpoint::from_bytes(&ser.data, &bad)
     });
     let bad = with_field(&manifest.to_bytes(), 8, &v2);
@@ -623,6 +686,76 @@ fn hostile_lengths_are_typed_corruption_before_they_size_an_allocation() {
     assert_refused("delta parent peek, version 2", bad.len(), || {
         scrutiny_ckpt::delta::parent_version(&bad)
     });
+}
+
+/// Generated hostile bytes for the version-2 auxiliary file: every
+/// truncation of its body and every single-bit flip, each re-sealed, of
+/// the aux file of a Full i64, a Pruned f64 with runs at both edges, a
+/// Tiered f64 and a Pruned c128. Each is a typed `Corrupt` or a decode
+/// whose plans re-serialize to exactly those bytes — canonical LEB128
+/// leaves one spelling per run list — and none allocates more than its
+/// input plus 64 KiB.
+#[test]
+fn every_truncation_and_bit_flip_of_a_v2_aux_is_corrupt_or_canonical() {
+    use scrutiny_ckpt::{serialize_aux, Region};
+    let runs = |rs: &[(u64, u64)]| {
+        Regions::from_runs(
+            rs.iter()
+                .map(|&(start, end)| Region { start, end })
+                .collect(),
+        )
+    };
+    let vars = vec![
+        VarRecord::new("it", VarData::I64(vec![3, -4, 5])),
+        VarRecord::new("u", VarData::F64((0..300).map(f64::from).collect())),
+        VarRecord::new("t", VarData::F64(vec![0.5; 40])),
+        VarRecord::new(
+            "z",
+            VarData::C128((0..20).map(|j| (j as f64, 1.0)).collect()),
+        ),
+    ];
+    let plans = vec![
+        VarPlan::Full,
+        VarPlan::Pruned(runs(&[(0, 3), (7, 8), (150, 200), (290, 300)])),
+        VarPlan::Tiered {
+            hi: runs(&[(0, 2), (5, 9), (36, 40)]),
+            lo: runs(&[(2, 4), (9, 14), (20, 30)]),
+        },
+        VarPlan::Pruned(runs(&[(0, 1), (4, 12), (19, 20)])),
+    ];
+    let ser = serialize(&vars, &plans).unwrap();
+    let body = &ser.aux[..ser.aux.len() - 4];
+    let truncations = (0..body.len()).map(|cut| resealed(&body[..cut]));
+    let flips = (0..body.len() * 8).map(|bit| {
+        let mut flipped = body.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        resealed(&flipped)
+    });
+    let mut decoded = 0;
+    for (k, aux) in truncations.chain(flips).enumerate() {
+        let input = ser.data.len() + aux.len();
+        let (result, allocated) = allocated_during(|| Checkpoint::from_bytes(&ser.data, &aux))
+            .expect("this binary counts allocations");
+        assert!(
+            allocated <= input + (64 << 10),
+            "input {k}: allocated {allocated} bytes deciding about {input} input bytes"
+        );
+        let ck = match result {
+            Err(CkptError::Corrupt(_)) => continue,
+            Err(e) => panic!("input {k}: expected Corrupt, got {e}"),
+            Ok(ck) => ck,
+        };
+        // A decode agrees with the data file, names included, so only the
+        // plans can differ from the originals.
+        let got: Vec<VarPlan> = vars
+            .iter()
+            .map(|v| ck.var(&v.name).unwrap().plan.clone())
+            .collect();
+        assert_eq!(serialize_aux(&vars, &got).0, aux, "input {k}");
+        decoded += 1;
+    }
+    // Some flips move a run without changing how much is stored.
+    assert!(decoded > 0, "no input decoded");
 }
 
 /// A Pruned variable's `total` is bounded by no stored byte, only by its
